@@ -81,7 +81,10 @@ import (
 
 // Core pipeline types.
 type (
-	// Unit is a built program plus its input-sequence factories.
+	// Unit is a built program plus its input-sequence factories. Units
+	// are immutable and shareable: Benchmark.Build returns one cached
+	// Unit per (benchmark, seed), and every CPU made from it shares one
+	// predecoded program.
 	Unit = builder.Unit
 	// RunConfig parametrises a pipeline run.
 	RunConfig = harness.Config
@@ -91,7 +94,10 @@ type (
 	Detector = loopdet.Detector
 	// DetectorConfig parametrises a Detector.
 	DetectorConfig = loopdet.Config
-	// Exec is one loop execution tracked by the detector.
+	// Exec is one loop execution tracked by the detector. A *Exec is
+	// valid from the ExecStart that hands it out until the ExecEnd that
+	// retires it returns; the detector then reuses it for a later
+	// execution, so observers must not keep the pointer past ExecEnd.
 	Exec = loopdet.Exec
 	// Observer receives loop events from the detector.
 	Observer = loopdet.Observer

@@ -23,6 +23,7 @@ package builder
 import (
 	"errors"
 	"fmt"
+	"sync"
 
 	"dynloop/internal/interp"
 	"dynloop/internal/isa"
@@ -57,6 +58,8 @@ const (
 type SeqFactory func() interp.Sequence
 
 // Unit is a built program plus the input-sequence factories it needs.
+// A Unit is immutable once built: it may be cached and shared, and any
+// number of goroutines may call NewCPU on it concurrently.
 type Unit struct {
 	// Prog is the validated program.
 	Prog *program.Program
@@ -64,12 +67,20 @@ type Unit struct {
 	Seqs map[int64]SeqFactory
 	// Loops describes every loop the builder emitted (ground truth).
 	Loops []LoopInfo
+
+	// code is Prog's predecoded micro-op array, built by the first NewCPU
+	// and shared by every CPU made from the Unit.
+	codeOnce sync.Once
+	code     *interp.Code
 }
 
 // NewCPU returns a CPU with the program loaded, fresh sequences bound and
-// builder invariants (zero register, stack pointer) established.
+// builder invariants (zero register, stack pointer) established. The
+// program is predecoded once per Unit; registers, memory and sequences
+// are fresh for every CPU.
 func (u *Unit) NewCPU() *interp.CPU {
-	c := interp.New(u.Prog)
+	u.codeOnce.Do(func() { u.code = interp.Predecode(u.Prog) })
+	c := u.code.NewCPU()
 	for id, f := range u.Seqs {
 		c.BindSeq(id, f())
 	}

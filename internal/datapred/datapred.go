@@ -68,11 +68,19 @@ type loopAcc struct {
 	paths    map[uint64]*pathStat
 	iters    uint64
 	overflow uint64
+	// spare is the frame of the loop's last ended execution, reused by
+	// its next one. The CLS holds at most one execution per loop, so one
+	// spare per loop suffices, and a reused frame's maps keep the
+	// capacity this same loop grew them to.
+	spare *frame
 }
 
 // frame tracks the current iteration of one active loop execution.
+// Frames are recycled when their execution ends (see loopAcc.spare),
+// keeping their slices' and maps' storage.
 type frame struct {
 	loop *loopAcc
+	id   uint64 // the execution's loopdet.Exec.ID
 	gen  uint32
 	// regState is 0 (unseen this iteration), gen<<1 (read first) or
 	// gen<<1|1 (written first).
@@ -147,8 +155,7 @@ func (f *frame) noteMemWrite(addr uint64) {
 type Collector struct {
 	cfg    Config
 	shadow [isa.NumRegs]int64
-	frames []*frame
-	byID   map[uint64]*frame
+	frames []*frame // active executions, outermost first
 	loops  map[isa.Addr]*loopAcc
 	reads  []isa.Reg
 }
@@ -158,7 +165,6 @@ func NewCollector(cfg Config) *Collector {
 	cfg.setDefaults()
 	return &Collector{
 		cfg:   cfg,
-		byID:  make(map[uint64]*frame),
 		loops: make(map[isa.Addr]*loopAcc),
 	}
 }
@@ -223,19 +229,41 @@ func (c *Collector) ExecStart(x *loopdet.Exec) {
 		}
 		c.loops[x.T] = la
 	}
-	fr := &frame{loop: la}
+	fr := la.spare
+	if fr != nil {
+		la.spare = nil
+		// A fresh frame but for the storage: the register tables restart
+		// from generation 0 exactly as a new frame's would.
+		*fr = frame{regLive: fr.regLive[:0], memFirst: fr.memFirst,
+			memSeen: fr.memSeen, memOrder: fr.memOrder[:0]}
+	} else {
+		fr = &frame{}
+	}
+	fr.loop, fr.id = la, x.ID
 	fr.reset()
 	c.frames = append(c.frames, fr)
-	c.byID[x.ID] = fr
+}
+
+// frameIndex returns the position of execution id's frame in c.frames,
+// or -1. The list is at most CLS-deep, so a scan from the innermost end
+// beats a map.
+func (c *Collector) frameIndex(id uint64) int {
+	for i := len(c.frames) - 1; i >= 0; i-- {
+		if c.frames[i].id == id {
+			return i
+		}
+	}
+	return -1
 }
 
 // IterStart implements loopdet.Observer: the previous iteration is
 // complete — evaluate and train the predictors — and a fresh one begins.
 func (c *Collector) IterStart(x *loopdet.Exec, index uint64) {
-	fr := c.byID[x.ID]
-	if fr == nil {
+	i := c.frameIndex(x.ID)
+	if i < 0 {
 		return
 	}
+	fr := c.frames[i]
 	if x.Iters > 2 {
 		c.finishIteration(fr)
 	}
@@ -244,24 +272,20 @@ func (c *Collector) IterStart(x *loopdet.Exec, index uint64) {
 
 // ExecEnd implements loopdet.Observer.
 func (c *Collector) ExecEnd(x *loopdet.Exec, reason loopdet.EndReason, index uint64) {
-	fr := c.byID[x.ID]
-	if fr == nil {
+	i := c.frameIndex(x.ID)
+	if i < 0 {
 		return
 	}
+	fr := c.frames[i]
 	switch reason {
 	case loopdet.EndEvicted, loopdet.EndFlush:
 		// Partial iteration; discard.
 	default:
 		c.finishIteration(fr)
 	}
-	delete(c.byID, x.ID)
-	for i := len(c.frames) - 1; i >= 0; i-- {
-		if c.frames[i] == fr {
-			copy(c.frames[i:], c.frames[i+1:])
-			c.frames = c.frames[:len(c.frames)-1]
-			break
-		}
-	}
+	copy(c.frames[i:], c.frames[i+1:])
+	c.frames = c.frames[:len(c.frames)-1]
+	fr.loop.spare = fr
 }
 
 // OneShot implements loopdet.Observer; one-shot executions have no

@@ -4,26 +4,32 @@
 // engine and data-speculation statistics all run as consumers of the
 // stream this interpreter produces.
 //
-// Execution is driven from a predecoded micro-op array built once per
-// CPU (see predecode.go): a dense single-switch dispatch with peephole
-// superinstruction fusion for the dominant loop idioms. The original
-// two-level Kind/Op interpreter is retained verbatim as a reference
-// path (SetReference) for differential testing; both paths emit
-// byte-identical event streams.
+// Execution is driven from a predecoded micro-op array (see
+// predecode.go): a dense single-switch dispatch with peephole
+// superinstruction fusion for the dominant loop idioms. The array is
+// built once per program (Predecode) and is immutable, so every CPU
+// made from one Code shares it; only machine state (registers, memory,
+// call stack, sequences) is per CPU. New predecodes for a single CPU.
+// The original two-level Kind/Op interpreter is retained verbatim as a
+// reference path (SetReference) for differential testing; both paths
+// emit byte-identical event streams.
 //
 // Events are delivered in batches: Run fills a reusable buffer of
 // DefaultBatchSize events (see SetBatchSize) and flushes it through
 // trace.BatchConsumer, so the consumer side costs one interface call per
-// batch instead of one per instruction. The buffer is allocated once and
-// reused across batches and Run calls — the steady-state hot path does
-// not allocate. When Run has no sink it executes the same loop against a
-// small CPU-owned scratch batch, so the retire loop has exactly one code
-// path.
+// batch instead of one per instruction. The buffers come from a
+// process-wide pool for the duration of one Run and go back when it
+// returns, so they are reused across batches, Run calls and CPUs — the
+// steady-state hot path does not allocate, and a fresh CPU per traversal
+// does not allocate a fresh ~90 KiB batch either. When Run has no sink it
+// executes the same loop against a small CPU-owned scratch batch, so the
+// retire loop has exactly one code path.
 package interp
 
 import (
 	"errors"
 	"fmt"
+	"sync"
 	"time"
 
 	"dynloop/internal/isa"
@@ -63,8 +69,8 @@ type CPU struct {
 	prog *program.Program
 	regs [isa.NumRegs]int64
 	mem  Memory
-	// ops is the predecoded micro-op array (see predecode.go), built
-	// once in New with fusion enabled.
+	// ops is the predecoded micro-op array (see predecode.go), shared
+	// read-only with every other CPU made from the same Code.
 	ops []uop
 	// stack holds return addresses.
 	stack []isa.Addr
@@ -78,15 +84,8 @@ type CPU struct {
 	// predecode, no fusion) for differential testing.
 	reference bool
 
-	// batch is the reusable event buffer (len == cap == batchSize); it is
-	// allocated lazily on the first Run with a sink and reused afterwards.
-	// ctl is the control-transfer index side channel delivered with each
-	// batch to trace.SegmentedBatchConsumer sinks (same length as batch).
-	// ctlBatch is the compact control-plane buffer used instead of batch
-	// when every attached consumer is control-only (see Run).
-	batch     []trace.Event
-	ctlBatch  []trace.CtlEvent
-	ctl       []int32
+	// batchSize is the event-batch size (0 = DefaultBatchSize); the
+	// buffers themselves are pooled (see batchBufs).
 	batchSize int
 	// scratch/scratchCtl receive event writes when Run has no sink,
 	// keeping the execution loop on a single code path without
@@ -95,11 +94,28 @@ type CPU struct {
 	scratchCtl [scratchSize]int32
 }
 
-// New returns a CPU ready to execute p from its entry point.
-func New(p *program.Program) *CPU {
-	return &CPU{prog: p, pc: p.Entry, seqs: make(map[int64]Sequence),
-		ops: predecode(p, true)}
+// Code is a program's predecoded micro-op array. It is immutable once
+// built, so any number of CPUs, running concurrently or not, can execute
+// from one Code without predecoding the program again.
+type Code struct {
+	prog *program.Program
+	ops  []uop
 }
+
+// Predecode translates p once, with superinstruction fusion.
+func Predecode(p *program.Program) *Code {
+	return &Code{prog: p, ops: predecode(p, true)}
+}
+
+// NewCPU returns a CPU ready to execute the code from the program's entry
+// point, with fresh machine state.
+func (k *Code) NewCPU() *CPU {
+	return &CPU{prog: k.prog, pc: k.prog.Entry, seqs: make(map[int64]Sequence), ops: k.ops}
+}
+
+// New returns a CPU ready to execute p from its entry point; it
+// predecodes p for this CPU alone (Predecode shares the work).
+func New(p *program.Program) *CPU { return Predecode(p).NewCPU() }
 
 // BindSeq attaches a value sequence to id; KindSeq instructions with that
 // id read from it. Unbound sequences read as zero.
@@ -142,10 +158,7 @@ func (c *CPU) SetBatchSize(n int) {
 	if n <= 0 {
 		n = DefaultBatchSize
 	}
-	if n != c.batchSize {
-		c.batchSize = n
-		c.batch, c.ctlBatch, c.ctl = nil, nil, nil
-	}
+	c.batchSize = n
 }
 
 // BatchSize returns the effective event-batch size.
@@ -163,8 +176,8 @@ func (c *CPU) BatchSize() int {
 // events buffered at that point are flushed before Run returns, so the
 // sink always sees every retired instruction.
 //
-// Events are delivered in batches of BatchSize; the batch buffer is owned
-// by the CPU and reused, so consumers must copy what they keep (see the
+// Events are delivered in batches of BatchSize; the batch buffer is
+// pooled and reused, so consumers must copy what they keep (see the
 // trace package comment on batch lifetime).
 //
 // Run negotiates the event facets with the sink: when the sink accepts
@@ -194,31 +207,58 @@ func (c *CPU) Run(budget uint64, sink trace.BatchConsumer) (uint64, error) {
 	return n, err
 }
 
+// batchBufs is one set of batch buffers: evs is the full event batch,
+// ctlEvs the compact control-plane batch used instead when every
+// attached consumer is control-only (see Run), and ctl the
+// control-transfer index side channel delivered with either. Each is
+// sized lazily to the requesting CPU's batch size.
+type batchBufs struct {
+	evs    []trace.Event
+	ctlEvs []trace.CtlEvent
+	ctl    []int32
+}
+
+// bufPool holds batch buffers between Run calls. A Run takes one set and
+// returns it when it ends: batches never outlive their ConsumeBatch call
+// (the trace package's batch-lifetime rule), so nothing can still refer
+// to a returned set.
+var bufPool = sync.Pool{New: func() any { return new(batchBufs) }}
+
+func (b *batchBufs) events(n int) []trace.Event {
+	if len(b.evs) != n {
+		b.evs = make([]trace.Event, n)
+	}
+	return b.evs
+}
+
+func (b *batchBufs) ctlEvents(n int) []trace.CtlEvent {
+	if len(b.ctlEvs) != n {
+		b.ctlEvs = make([]trace.CtlEvent, n)
+	}
+	return b.ctlEvs
+}
+
+func (b *batchBufs) ctlIndex(n int) []int32 {
+	if len(b.ctl) != n {
+		b.ctl = make([]int32, n)
+	}
+	return b.ctl
+}
+
 // run dispatches to the negotiated execution loop; the boolean reports
 // whether the control-plane-only loop served the sink.
 func (c *CPU) run(budget uint64, sink trace.BatchConsumer) (uint64, bool, error) {
-	if !c.reference && sink != nil {
-		if cc, ok := sink.(trace.CtlBatchConsumer); ok && trace.PlanesOf(sink) == trace.PlaneCtl {
-			if c.ctlBatch == nil {
-				c.ctlBatch = make([]trace.CtlEvent, c.BatchSize())
-			}
-			if c.ctl == nil {
-				c.ctl = make([]int32, c.BatchSize())
-			}
-			n, err := c.runCtl(budget, cc, c.ctlBatch, c.ctl)
-			return n, true, err
-		}
-	}
 	buf, ctl := c.scratch[:], c.scratchCtl[:]
 	var seg trace.SegmentedBatchConsumer
 	if sink != nil {
-		if c.batch == nil {
-			c.batch = make([]trace.Event, c.BatchSize())
+		bufs := bufPool.Get().(*batchBufs)
+		defer bufPool.Put(bufs)
+		n := c.BatchSize()
+		if cc, ok := sink.(trace.CtlBatchConsumer); ok && !c.reference && trace.PlanesOf(sink) == trace.PlaneCtl {
+			done, err := c.runCtl(budget, cc, bufs.ctlEvents(n), bufs.ctlIndex(n))
+			return done, true, err
 		}
-		if c.ctl == nil {
-			c.ctl = make([]int32, c.BatchSize())
-		}
-		buf, ctl = c.batch, c.ctl
+		buf, ctl = bufs.events(n), bufs.ctlIndex(n)
 		seg, _ = sink.(trace.SegmentedBatchConsumer)
 	}
 	if c.reference {

@@ -18,7 +18,8 @@ import (
 //   - entries are unique by target address;
 //   - every entry satisfies T <= B;
 //   - event accounting balances (pushes = ends after flush);
-//   - iteration counts are >= 2 for every tracked execution.
+//   - iteration counts are >= 2 for every tracked execution;
+//   - recycled executions honour the Exec lifetime (see AliasCheck).
 func TestCLSFuzzInvariants(t *testing.T) {
 	f := func(seed uint64, capacity uint8) bool {
 		capEntries := int(capacity%15) + 2
@@ -35,6 +36,8 @@ func TestCLSFuzzInvariants(t *testing.T) {
 			},
 		}
 		d.AddObserver(chk)
+		alias := NewAliasCheck()
+		d.AddObserver(alias)
 
 		r := seed | 1
 		next := func(n uint64) uint64 {
@@ -104,6 +107,10 @@ func TestCLSFuzzInvariants(t *testing.T) {
 		}
 		if minIters < 2 {
 			t.Logf("tracked execution with %d iterations", minIters)
+			return false
+		}
+		if err := alias.Err(); err != nil {
+			t.Log(err)
 			return false
 		}
 		return true

@@ -71,9 +71,13 @@ func (r EndReason) String() string {
 	}
 }
 
-// Exec is one loop execution tracked by the CLS. Observers receive the
-// same *Exec across its lifetime and may compare pointers or IDs; they
-// must not mutate it.
+// Exec is one loop execution tracked by the CLS. A *Exec is valid from
+// the ExecStart that hands it out until the ExecEnd that retires it
+// returns: like an entry of the paper's fixed CLS table, the detector
+// then reuses it for a later execution. Within that window observers
+// receive the same pointer for every event of the execution and may
+// compare pointers or IDs; they must not mutate it, and must not keep
+// the pointer past ExecEnd (copy the fields, or key state by ID).
 type Exec struct {
 	// ID is unique across the run.
 	ID uint64
@@ -192,6 +196,7 @@ type Detector struct {
 	flushMask uint64 // 0 = disabled; otherwise flush when instrs reaches the next multiple
 	flushAt   uint64
 	cls       []*Exec // cls[0] is the deepest/outermost entry
+	free      []*Exec // retired executions, reused by push
 	obs       []Observer
 	stream    []streamSink
 	nextID    uint64
@@ -549,12 +554,17 @@ func (d *Detector) push(t, pc isa.Addr, idx uint64) {
 		bottom := d.cls[0]
 		copy(d.cls, d.cls[1:])
 		d.cls = d.cls[:len(d.cls)-1]
-		for _, o := range d.obs {
-			o.ExecEnd(bottom, EndEvicted, idx)
-		}
+		d.end(bottom, EndEvicted, idx)
+	}
+	var x *Exec
+	if n := len(d.free); n > 0 {
+		x = d.free[n-1]
+		d.free = d.free[:n-1]
+	} else {
+		x = new(Exec)
 	}
 	d.nextID++
-	x := &Exec{
+	*x = Exec{
 		ID:             d.nextID,
 		T:              t,
 		B:              pc,
@@ -589,9 +599,7 @@ func (d *Detector) popAbove(i int, r EndReason, idx uint64) {
 func (d *Detector) popTop(r EndReason, idx uint64) {
 	x := d.cls[len(d.cls)-1]
 	d.cls = d.cls[:len(d.cls)-1]
-	for _, o := range d.obs {
-		o.ExecEnd(x, r, idx)
-	}
+	d.end(x, r, idx)
 }
 
 // removeAt removes the entry at stack index i (possibly mid-stack: the
@@ -601,9 +609,16 @@ func (d *Detector) removeAt(i int, r EndReason, idx uint64) {
 	x := d.cls[i]
 	copy(d.cls[i:], d.cls[i+1:])
 	d.cls = d.cls[:len(d.cls)-1]
+	d.end(x, r, idx)
+}
+
+// end reports the end of x, already off the stack, to every observer and
+// then recycles it: no observer may hold x once its ExecEnd returned.
+func (d *Detector) end(x *Exec, r EndReason, idx uint64) {
 	for _, o := range d.obs {
 		o.ExecEnd(x, r, idx)
 	}
+	d.free = append(d.free, x)
 }
 
 // Flush ends every active execution (reason EndFlush), innermost first.

@@ -62,7 +62,9 @@ func (t *Table[V]) Touch(k isa.Addr) *V {
 // Insert adds a fresh zero-valued entry for k as most recently used,
 // evicting the least recently used entry if the table is full, and
 // returns the new value. If k is already resident its value is reset to
-// zero and it becomes most recently used.
+// zero and it becomes most recently used. A full table reuses the
+// evicted entry's storage, as a hardware table reuses its slot, so value
+// pointers must not be kept across an Insert.
 func (t *Table[V]) Insert(k isa.Addr) *V {
 	if n, ok := t.m[k]; ok {
 		var zero V
@@ -70,10 +72,14 @@ func (t *Table[V]) Insert(k isa.Addr) *V {
 		t.moveToFront(n)
 		return &n.val
 	}
+	var n *node[V]
 	if t.capacity > 0 && len(t.m) >= t.capacity {
-		t.evictLRU()
+		n = t.evictLRU()
 	}
-	n := &node[V]{key: k}
+	if n == nil {
+		n = new(node[V])
+	}
+	*n = node[V]{key: k}
 	t.m[k] = n
 	t.pushFront(n)
 	return &n.val
@@ -108,10 +114,12 @@ func (t *Table[V]) Keys() []isa.Addr {
 	return out
 }
 
-func (t *Table[V]) evictLRU() {
+// evictLRU removes the least recently used entry and returns its node
+// (nil when the table is empty) for the caller to reuse.
+func (t *Table[V]) evictLRU() *node[V] {
 	v := t.tail
 	if v == nil {
-		return
+		return nil
 	}
 	if t.OnEvict != nil {
 		t.OnEvict(v.key, &v.val)
@@ -119,6 +127,7 @@ func (t *Table[V]) evictLRU() {
 	t.unlink(v)
 	delete(t.m, v.key)
 	t.evictions++
+	return v
 }
 
 func (t *Table[V]) pushFront(n *node[V]) {

@@ -94,6 +94,17 @@ const DefaultMaxCells = 100_000
 // slot before being shed.
 const DefaultQueueWait = 30 * time.Second
 
+// Connection timeouts of the daemon's http.Server. A client gets
+// readHeaderTimeout to send its request headers, so one that dribbles
+// them cannot pin a connection; an idle keep-alive connection is closed
+// after idleTimeout. There is deliberately no write timeout: GET
+// /v1/events is a long-lived SSE stream, and grid requests legitimately
+// run as long as their cells take.
+const (
+	readHeaderTimeout = 10 * time.Second
+	idleTimeout       = 2 * time.Minute
+)
+
 // Server owns the shared Runner, the optional store and the progress
 // fan-out. Create one with New.
 type Server struct {
@@ -103,6 +114,9 @@ type Server struct {
 	maxCells  int
 	queueWait time.Duration
 	warm      *warmer // nil when warming is off
+	// readHeaderTimeout and idleTimeout are the package's constants;
+	// tests shorten them.
+	readHeaderTimeout, idleTimeout time.Duration
 
 	hub *hub
 }
@@ -110,7 +124,8 @@ type Server struct {
 // New builds a Server and its shared Runner (wired to the store tier
 // and the progress hub).
 func New(cfg Config) *Server {
-	s := &Server{cfg: cfg, hub: newHub()}
+	s := &Server{cfg: cfg, hub: newHub(),
+		readHeaderTimeout: readHeaderTimeout, idleTimeout: idleTimeout}
 	onEvent := s.hub.publish
 	if cfg.OnEvent != nil {
 		onEvent = func(ev runner.Event) {
@@ -219,8 +234,10 @@ func (s *Server) ListenAndServe(ctx context.Context, addr string, ready chan<- s
 		}
 	}
 	hs := &http.Server{
-		Handler:     s.Handler(),
-		BaseContext: func(net.Listener) context.Context { return reqCtx },
+		Handler:           s.Handler(),
+		BaseContext:       func(net.Listener) context.Context { return reqCtx },
+		ReadHeaderTimeout: s.readHeaderTimeout,
+		IdleTimeout:       s.idleTimeout,
 	}
 	done := make(chan error, 1)
 	go func() { done <- hs.Serve(ln) }()

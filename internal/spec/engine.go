@@ -161,7 +161,10 @@ type thread struct {
 // loopState is the engine's per-execution state, mirroring the TU
 // identifiers the paper stores in the CLS entry (§3.1.2). Queued threads
 // always hold consecutive iterations starting at x.Iters+1, so the next
-// iteration to speculate is derived as x.Iters+1+len(threads).
+// iteration to speculate is derived as x.Iters+1+len(threads). Like the
+// CLS entry it mirrors, a loopState is recycled when its execution ends
+// (see Engine.free), keeping its thread queue's and starved set's
+// storage.
 type loopState struct {
 	x       *loopdet.Exec
 	threads []thread
@@ -170,7 +173,8 @@ type loopState struct {
 	oracleIters int
 	// starved collects the distinct loops (by target address) that wanted
 	// speculative threads but found no idle TU while this loop was the
-	// outermost thread owner — the STR(i) accounting (see Policy).
+	// outermost thread owner — the STR(i) accounting (see Policy). It is
+	// allocated on first use and cleared, never dropped, on reset.
 	starved map[isa.Addr]struct{}
 	// infinite-machine representation: from allFrom on, every iteration
 	// counts as spawned at allClock/allIndex.
@@ -201,6 +205,8 @@ type Engine struct {
 
 	idle   int
 	active []*loopState
+	// free holds the states of ended executions for reuse by ExecStart.
+	free []*loopState
 
 	// §2.3.2 exclusion machinery (nil unless enabled).
 	accs     map[isa.Addr]*accuracy
@@ -279,7 +285,15 @@ func (e *Engine) InstrBatch(evs []trace.Event) {
 
 // ExecStart implements loopdet.Observer.
 func (e *Engine) ExecStart(x *loopdet.Exec) {
-	st := &loopState{x: x}
+	var st *loopState
+	if n := len(e.free); n > 0 {
+		st = e.free[n-1]
+		e.free = e.free[:n-1]
+		clear(st.starved)
+		*st = loopState{x: x, threads: st.threads[:0], starved: st.starved}
+	} else {
+		st = &loopState{x: x}
+	}
 	if n := len(e.cfg.OracleIters); n > 0 {
 		if e.oracleNext < n {
 			st.oracleIters = e.cfg.OracleIters[e.oracleNext]
@@ -357,7 +371,7 @@ func (e *Engine) starve(st *loopState, index uint64) {
 	outer.starved[st.x.T] = struct{}{}
 	if len(outer.starved) > limit {
 		e.squash(outer, index, false)
-		outer.starved = nil
+		clear(outer.starved)
 	}
 }
 
@@ -488,7 +502,7 @@ func (e *Engine) spawn(st *loopState, index uint64) {
 		st.threads = append(st.threads, thread{iter: first + i, spawnClock: e.clock, spawnIndex: index, predicted: predicted})
 	}
 	e.idle -= want
-	st.starved = nil
+	clear(st.starved)
 	e.m.SpecEvents++
 	e.m.ThreadsSpawned += uint64(want)
 	e.m.OutstandingSum += uint64(len(st.threads))
@@ -519,6 +533,9 @@ func (e *Engine) ExecEnd(x *loopdet.Exec, reason loopdet.EndReason, index uint64
 			break
 		}
 	}
+	// The detector recycles x once ExecEnd returns; drop the reference.
+	st.x = nil
+	e.free = append(e.free, st)
 }
 
 // squash discards all pending threads of st. Flush-squashes (stream end)

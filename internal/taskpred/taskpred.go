@@ -58,10 +58,11 @@ func New(cfg Config) *Predictor {
 	cfg.setDefaults()
 	n := 1 << cfg.TableBits
 	return &Predictor{
-		cfg:   cfg,
-		table: make([]isa.Addr, n),
-		valid: make([]bool, n),
-		mask:  uint32(n - 1),
+		cfg:     cfg,
+		table:   make([]isa.Addr, n),
+		valid:   make([]bool, n),
+		mask:    uint32(n - 1),
+		history: make([]isa.Addr, 0, max(cfg.HistoryLength, 0)),
 	}
 }
 
@@ -89,9 +90,16 @@ func (p *Predictor) ExecStart(x *loopdet.Exec) {
 		p.table[i] = x.T
 		p.valid[i] = true
 	}
-	p.history = append(p.history, x.T)
-	if len(p.history) > p.cfg.HistoryLength {
-		p.history = p.history[1:]
+	// Shift in place once the window is full: reslicing with
+	// history[1:] would walk the base pointer forward until the next
+	// append reallocated, one heap allocation every HistoryLength
+	// executions forever.
+	switch n := len(p.history); {
+	case n < p.cfg.HistoryLength:
+		p.history = append(p.history, x.T)
+	case n > 0:
+		copy(p.history, p.history[1:])
+		p.history[n-1] = x.T
 	}
 }
 

@@ -83,3 +83,25 @@ func TestOnRealWorkloadShape(t *testing.T) {
 }
 
 func isaAddr(v uint32) isa.Addr { return isa.Addr(v) }
+
+// TestExecStartZeroAllocs pins the steady-state ExecStart at zero heap
+// allocations: the history window shifts in place rather than
+// reslicing, which would reallocate every HistoryLength executions.
+func TestExecStartZeroAllocs(t *testing.T) {
+	for _, hl := range []int{1, 2, 5} {
+		p := New(Config{HistoryLength: hl})
+		x := &loopdet.Exec{T: 10}
+		for i := range 64 {
+			x.T = isaAddr(uint32(10 + i%7))
+			p.ExecStart(x)
+		}
+		i := 0
+		if avg := testing.AllocsPerRun(1000, func() {
+			i++
+			x.ID, x.T = uint64(i), isaAddr(uint32(10+i%7))
+			p.ExecStart(x)
+		}); avg != 0 {
+			t.Fatalf("history length %d: ExecStart allocates %v per call, want 0", hl, avg)
+		}
+	}
+}

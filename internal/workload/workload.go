@@ -22,6 +22,8 @@ type Benchmark struct {
 	Paper PaperRow
 	// Build constructs the program. The seed decorrelates the input
 	// sequences; the same seed always yields the same program and trace.
+	// Registered benchmarks build through the process-wide program cache
+	// (see UnitCacheSize), so repeated calls share one immutable Unit.
 	Build func(seed uint64) (*builder.Unit, error)
 }
 
@@ -38,7 +40,10 @@ type PaperRow struct {
 
 var registry []Benchmark
 
-func register(b Benchmark) { registry = append(registry, b) }
+func register(b Benchmark) {
+	b.Build = cached(b.Name, b.Build)
+	registry = append(registry, b)
+}
 
 // All returns every benchmark, sorted by name.
 func All() []Benchmark {

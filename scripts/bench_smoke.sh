@@ -19,6 +19,11 @@
 # gate allows a noise ratio; losing the header-plane decode puts
 # replay at full-decode cost (~+22%), which trips it.
 #
+# Gate 3 runs the allocation checks with -count=1: the scaling test
+# (for every workload and registered grid, a warmed fused group must not
+# allocate more at budget 4N than at N, so nothing allocates per loop
+# execution) and every zero-allocation pin of the hot paths.
+#
 # CI runs this; locally: scripts/bench_smoke.sh
 set -euo pipefail
 
@@ -63,4 +68,9 @@ REPLAY_NS="$NS"
 awk -v r="$REPLAY_NS" -v i="$INTERP_NS" -v k="$REPLAY_RATIO" 'BEGIN { exit !(r <= i * k) }' ||
 	fail "full replay (${REPLAY_NS} ns/instr) regressed above interpretation (${INTERP_NS} ns/instr) beyond the ${REPLAY_RATIO}x noise ratio"
 
-echo "bench_smoke: OK (run ${RUN_NS} ns/instr; replay ${REPLAY_NS} vs interpret ${INTERP_NS} ns/instr; 0 allocs)"
+echo "bench_smoke: allocation scaling and zero-alloc pins"
+go test -count=1 -run '^(TestAllocsDoNotScaleWithBudget|TestSteadyStateZeroAllocs|TestCtlSteadyStateZeroAllocs|TestNilSinkNoAllocs|TestReplayZeroAllocs|TestReplayCtlZeroAllocs|TestHotPathZeroAllocs|TestExecStartZeroAllocs)$' \
+	. ./internal/grid ./internal/interp ./internal/tracefile ./internal/obs ./internal/taskpred ||
+	fail "a hot path allocates again (see the failing test above)"
+
+echo "bench_smoke: OK (run ${RUN_NS} ns/instr; replay ${REPLAY_NS} vs interpret ${INTERP_NS} ns/instr; 0 allocs; no per-execution allocation)"
