@@ -1,19 +1,27 @@
 // Differential fuzzing of the interpreter core: arbitrary (bounded)
 // programs must execute identically on the predecoded+fused fast path
 // and the reference two-level interpreter — same event stream, same
-// machine state, same error — and any stream the fast path emits must
-// survive a trace-archive record/replay round trip event for event.
+// machine state, same error — any stream the fast path emits must
+// survive a trace-archive record/replay round trip event for event, and
+// the control-plane consumers must compute the same results however
+// the stream is cut into batches and on either event plane.
 package dynloop_test
 
 import (
 	"reflect"
 	"testing"
 
+	"dynloop/internal/branchpred"
+	"dynloop/internal/builder"
 	"dynloop/internal/interp"
 	"dynloop/internal/isa"
+	"dynloop/internal/loopdet"
+	"dynloop/internal/loopstats"
 	"dynloop/internal/program"
+	"dynloop/internal/spec"
 	"dynloop/internal/trace"
 	"dynloop/internal/tracefile"
+	"dynloop/internal/workload"
 )
 
 // fuzzProgram decodes fuzz bytes into an in-range program: registers
@@ -75,19 +83,118 @@ func fuzzProgram(data []byte) *program.Program {
 	return &program.Program{Name: "fuzz", Code: code}
 }
 
-// ctlCapture is a control-plane-only sink: it records CtlEvents and
-// panics if the producer falls back to full-Event delivery, so a test
-// passing proves the run actually took the ctl loop.
+// ctlCapture is a control-plane-only sink: it records the transfer
+// events and the instructions the batches cover, and panics if the
+// producer falls back to full-Event delivery, so a test passing proves
+// the run actually took the ctl loop.
 type ctlCapture struct {
-	events []trace.CtlEvent
+	events  []trace.CtlEvent
+	covered uint64
 }
 
 func (c *ctlCapture) ConsumeBatch([]trace.Event) {
 	panic("ctlCapture: full-plane batch delivered to a ctl-only sink")
 }
 
-func (c *ctlCapture) ConsumeCtlBatch(evs []trace.CtlEvent, ctl []int32) {
+func (c *ctlCapture) ConsumeCtlBatch(evs []trace.CtlEvent, first, n uint64) {
+	if first != c.covered || n == 0 {
+		panic("ctlCapture: batches do not tile the stream")
+	}
 	c.events = append(c.events, evs...)
+	c.covered += n
+}
+
+// planeOutcome is everything the control-plane consumers compute from
+// one stream.
+type planeOutcome struct {
+	N      uint64
+	Err    string
+	Hash   uint64
+	Det    loopdet.Stats
+	Loops  loopstats.Summary
+	Spec   spec.Metrics
+	Branch []branchpred.Result
+}
+
+// runPlanes executes a fresh CPU at the given batch size into every
+// control-plane consumer the paper grids use — a detector carrying the
+// Table-1 collector and a 4-TU STR(3) speculation engine, the
+// branch-predictor suite and the stream hash — all behind one
+// broadcast, forced onto the full event plane when full is set. ctlRun
+// reports whether the interpreter served the run on the control plane.
+func runPlanes(newCPU func() *interp.CPU, budget uint64, batch int, full bool) (out planeOutcome, ctlRun bool) {
+	det := loopdet.New(loopdet.Config{Capacity: 16})
+	ls := loopstats.NewCollector()
+	e := spec.NewEngine(spec.Config{TUs: 4, Policy: spec.STRn(3)})
+	det.AddObserver(ls)
+	det.AddObserver(e)
+	bp := branchpred.DefaultSuite()
+	h := trace.NewHash()
+	b := trace.NewBroadcast(0, det, bp, trace.AsPass(h))
+	var sink trace.BatchConsumer = b
+	if full {
+		sink = trace.ForceFullPlane(b)
+	}
+	cpu := newCPU()
+	cpu.SetBatchSize(batch)
+	ctl0, _ := interp.PlaneRuns()
+	b.Init()
+	n, err := cpu.Run(budget, sink)
+	b.Finalize()
+	ctl1, _ := interp.PlaneRuns()
+	out = planeOutcome{N: n, Hash: h.Sum, Det: det.Stats(), Loops: ls.Summary(),
+		Spec: e.Metrics(), Branch: bp.Results()}
+	if err != nil {
+		out.Err = err.Error()
+	}
+	return out, ctl1 != ctl0
+}
+
+// checkBatchCuts pins batch-cut invariance: the control plane cuts
+// batches at transfer-buffer boundaries, the full plane at instruction
+// boundaries, so the consumers' results must not depend on either.
+// Every batch size on both planes must reproduce the per-instruction
+// full-plane outcome, and the unforced runs must take the control plane.
+func checkBatchCuts(t *testing.T, name string, newCPU func() *interp.CPU, budget uint64) {
+	t.Helper()
+	ref, ctlRun := runPlanes(newCPU, budget, 1, true)
+	if ctlRun {
+		t.Fatalf("%s: forced full-plane run took the control plane", name)
+	}
+	for _, batch := range []int{1, 3, 4096} {
+		for _, full := range []bool{false, true} {
+			got, ctlRun := runPlanes(newCPU, budget, batch, full)
+			if ctlRun == full {
+				t.Fatalf("%s batch=%d full=%v: control plane used = %v", name, batch, full, ctlRun)
+			}
+			if !reflect.DeepEqual(got, ref) {
+				t.Fatalf("%s batch=%d full=%v: outcome diverged\ngot:  %+v\nwant: %+v", name, batch, full, got, ref)
+			}
+		}
+	}
+}
+
+// TestBatchCutInvariance runs checkBatchCuts over every workload and
+// over builder.Random programs.
+func TestBatchCutInvariance(t *testing.T) {
+	budget := uint64(40_000)
+	if testing.Short() {
+		budget = 5_000
+	}
+	for _, bm := range workload.All() {
+		u, err := bm.Build(1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		checkBatchCuts(t, bm.Name, u.NewCPU, budget)
+	}
+	for seed := uint64(1); seed <= 20; seed++ {
+		u, err := builder.Random(seed, builder.RandomOpt{})
+		if err != nil {
+			t.Fatalf("random seed %d: %v", seed, err)
+		}
+		checkBatchCuts(t, u.Prog.Name, u.NewCPU, budget)
+	}
 }
 
 func newFuzzCPU(p *program.Program, reference bool) *interp.CPU {
@@ -135,8 +242,9 @@ func FuzzPredecode(f *testing.F) {
 		}
 
 		// Control-plane leg: a ctl-only sink runs the dedicated ctl loop,
-		// which must retire the exact control facet of the full stream
-		// with identical machine state and error behaviour.
+		// which must retire exactly the full stream's branch/jump/ret
+		// events, cover every retired instruction, and leave identical
+		// machine state and error behaviour.
 		ctlCPU := newFuzzCPU(p, false)
 		ctlCPU.SetBatchSize(batch)
 		crec := &ctlCapture{}
@@ -153,10 +261,15 @@ func FuzzPredecode(f *testing.F) {
 				t.Fatalf("ctl r%d = %d, full %d", r, ctlCPU.Reg(r), fused.Reg(r))
 			}
 		}
-		facet := make([]trace.CtlEvent, len(frec.Events))
-		for i, ev := range frec.Events {
-			facet[i] = trace.CtlEvent{Index: ev.Index, PC: ev.PC, Instr: ev.Instr,
-				Taken: ev.Taken, Target: ev.Target}
+		var facet []trace.CtlEvent
+		for _, ev := range frec.Events {
+			if trace.IsTransfer(ev.Instr.Kind) {
+				facet = append(facet, trace.CtlEvent{Index: ev.Index, PC: ev.PC, Instr: ev.Instr,
+					Taken: ev.Taken, Target: ev.Target})
+			}
+		}
+		if crec.covered != fn {
+			t.Fatalf("ctl batches cover %d instructions, run retired %d", crec.covered, fn)
 		}
 		if len(crec.events) != len(facet) {
 			t.Fatalf("ctl stream has %d events, full facet %d", len(crec.events), len(facet))
@@ -166,6 +279,10 @@ func FuzzPredecode(f *testing.F) {
 				t.Fatalf("ctl event %d = %+v, full facet %+v", i, crec.events[i], facet[i])
 			}
 		}
+
+		// Batch-cut leg: the paper's control-plane consumers see this
+		// program identically at every batch size, on both planes.
+		checkBatchCuts(t, "fuzz", func() *interp.CPU { return newFuzzCPU(p, false) }, budget)
 
 		// Replay leg: a clean run's stream must round-trip through the
 		// archive codec byte for byte.

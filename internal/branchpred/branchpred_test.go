@@ -118,18 +118,20 @@ func TestNonBranchesIgnored(t *testing.T) {
 	}
 }
 
-// TestConsumeCtlBatchMatchesBatch: the collector is control-only, and a
-// control-plane batch (walked via the producer's run-boundary indices)
-// must score exactly like the full-Event path over the same stream.
+// TestConsumeCtlBatchMatchesBatch: the collector is control-only, and
+// the transfer-only control-plane batches of a stream (the full stream
+// filtered to branch/jump/ret, cut at arbitrary points) must score
+// exactly like the full-Event path over the same stream.
 func TestConsumeCtlBatchMatchesBatch(t *testing.T) {
 	full := DefaultSuite()
-	ctl := DefaultSuite()
-	if got := trace.PlanesOf(ctl); got != trace.PlaneCtl {
+	if got := trace.PlanesOf(full); got != trace.PlaneCtl {
 		t.Fatalf("collector planes = %v", got)
 	}
 	br := isa.Branch(isa.CondNEZ, 1, 5)
 	fwd := isa.Branch(isa.CondEQZ, 2, 40)
 	jmp := isa.Jump(3)
+	call := isa.Call(50)
+	ret := isa.Ret()
 	nop := isa.Nop()
 	var evs []trace.Event
 	for i := 0; i < 200; i++ {
@@ -137,28 +139,39 @@ func TestConsumeCtlBatchMatchesBatch(t *testing.T) {
 			trace.Event{PC: 8, Instr: &nop},
 			trace.Event{PC: 10, Instr: &br, Taken: i%3 != 0, Target: 5},
 			trace.Event{PC: 20, Instr: &fwd, Taken: i%7 == 0, Target: 40},
+			trace.Event{PC: 25, Instr: &call, Taken: true, Target: 50},
+			trace.Event{PC: 51, Instr: &ret, Taken: true, Target: 26},
 			trace.Event{PC: 30, Instr: &jmp, Taken: true, Target: 3},
 		)
 	}
-	cevs := make([]trace.CtlEvent, len(evs))
-	var idx []int32
-	for i, ev := range evs {
-		cevs[i] = trace.CtlEvent{Index: ev.Index, PC: ev.PC, Instr: ev.Instr,
-			Taken: ev.Taken, Target: ev.Target}
-		switch ev.Instr.Kind {
-		case isa.KindBranch, isa.KindJump, isa.KindRet:
-			idx = append(idx, int32(i))
-		}
+	for i := range evs {
+		evs[i].Index = uint64(i)
 	}
 	full.ConsumeBatch(evs)
-	ctl.ConsumeCtlBatch(cevs, idx)
-	fr, cr := full.Results(), ctl.Results()
-	if len(fr) != len(cr) {
-		t.Fatalf("result counts differ: %d vs %d", len(fr), len(cr))
+	fr := full.Results()
+
+	var xfers []trace.CtlEvent
+	for _, ev := range evs {
+		if trace.IsTransfer(ev.Instr.Kind) {
+			xfers = append(xfers, trace.CtlEvent{Index: ev.Index, PC: ev.PC, Instr: ev.Instr,
+				Taken: ev.Taken, Target: ev.Target})
+		}
 	}
-	for i := range fr {
-		if fr[i] != cr[i] {
-			t.Fatalf("predictor %d diverged:\nfull %+v\nctl  %+v", i, fr[i], cr[i])
+	for _, per := range []int{1, 3, 4096} {
+		ctl := DefaultSuite()
+		for i := 0; i < len(xfers); i += per {
+			batch := xfers[i:min(i+per, len(xfers))]
+			first := batch[0].Index
+			ctl.ConsumeCtlBatch(batch, first, batch[len(batch)-1].Index+1-first)
+		}
+		cr := ctl.Results()
+		if len(fr) != len(cr) {
+			t.Fatalf("per=%d: result counts differ: %d vs %d", per, len(fr), len(cr))
+		}
+		for i := range fr {
+			if fr[i] != cr[i] {
+				t.Fatalf("per=%d: predictor %d diverged:\nfull %+v\nctl  %+v", per, i, fr[i], cr[i])
+			}
 		}
 	}
 }

@@ -153,7 +153,8 @@ func (c *CPU) Reference() bool { return c.reference }
 // (n <= 0 selects DefaultBatchSize). Batch size only affects delivery
 // granularity — consumers see the same events in the same order at any
 // setting — so results are identical; 1 degenerates to per-instruction
-// delivery.
+// delivery. On the control plane it bounds the transfer events per
+// batch rather than the instructions.
 func (c *CPU) SetBatchSize(n int) {
 	if n <= 0 {
 		n = DefaultBatchSize
@@ -180,12 +181,12 @@ func (c *CPU) BatchSize() int {
 // pooled and reused, so consumers must copy what they keep (see the
 // trace package comment on batch lifetime).
 //
-// Run negotiates the event facets with the sink: when the sink accepts
+// Run negotiates the event plane with the sink: when the sink accepts
 // control-plane batches (trace.CtlBatchConsumer) and declares it needs
 // only the control facet (trace.PlanesOf == trace.PlaneCtl), the
-// predecoded loop retires compact trace.CtlEvents and never materializes
-// the data facet at all. The reference path and the nil-sink path always
-// use full events.
+// predecoded loop delivers only the control-transfer events and the
+// instruction counts they sit among (see runCtl). The reference path
+// and the nil-sink path always use full events.
 func (c *CPU) Run(budget uint64, sink trace.BatchConsumer) (uint64, error) {
 	if c.prog == nil {
 		return 0, ErrNoProgram
@@ -207,11 +208,11 @@ func (c *CPU) Run(budget uint64, sink trace.BatchConsumer) (uint64, error) {
 	return n, err
 }
 
-// batchBufs is one set of batch buffers: evs is the full event batch,
-// ctlEvs the compact control-plane batch used instead when every
-// attached consumer is control-only (see Run), and ctl the
-// control-transfer index side channel delivered with either. Each is
-// sized lazily to the requesting CPU's batch size.
+// batchBufs is one set of batch buffers: evs is the full event batch
+// and ctl its control-transfer index side channel; ctlEvs is the
+// control-plane transfer buffer used instead when every attached
+// consumer is control-only (see Run). Each is sized lazily to the
+// requesting CPU's batch size.
 type batchBufs struct {
 	evs    []trace.Event
 	ctlEvs []trace.CtlEvent
@@ -255,7 +256,7 @@ func (c *CPU) run(budget uint64, sink trace.BatchConsumer) (uint64, bool, error)
 		defer bufPool.Put(bufs)
 		n := c.BatchSize()
 		if cc, ok := sink.(trace.CtlBatchConsumer); ok && !c.reference && trace.PlanesOf(sink) == trace.PlaneCtl {
-			done, err := c.runCtl(budget, cc, bufs.ctlEvents(n), bufs.ctlIndex(n))
+			done, err := c.runCtl(budget, cc, bufs.ctlEvents(n))
 			return done, true, err
 		}
 		buf, ctl = bufs.events(n), bufs.ctlIndex(n)

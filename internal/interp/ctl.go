@@ -3,19 +3,19 @@ package interp
 // The control-plane execution loop. When every attached consumer is
 // control-only (trace.PlanesOf(sink) == trace.PlaneCtl), Run dispatches
 // here instead of runPre: the same predecoded micro-op semantics, but
-// retiring compact trace.CtlEvents — Index, PC, Instr, Taken, Target —
-// instead of full Events. That drops the per-instruction store count
-// from ~9 to ~4 and halves the batch footprint, which is most of the
-// "store floor" the full-plane loop sits on. The control-transfer index
-// side channel is always delivered (ConsumeCtlBatch takes it directly),
-// so control-only consumers like the loop detector skip straight-line
-// runs without a rescan.
+// the only stores into the batch are the control-transfer events —
+// branches, jumps and returns — that the loop detector and branch
+// predictor read. Every other instruction just executes and is counted,
+// so straight-line code costs no event stores at all, and a batch
+// flushes when its transfer buffer fills, carrying the span of
+// instructions it covers (trace.CtlBatchConsumer).
 //
 // Machine state transitions (registers, memory, call stack, sequence
 // reads, PC, retired count, halts, machine errors) are byte-identical
 // to runPre; only the event representation narrows. Differential tests
-// pin that the control facet of the emitted stream matches the full
-// path exactly.
+// pin that the emitted transfer events equal the full stream filtered
+// to branch/jump/ret, field for field, and that the covered counts add
+// up to the full stream's length.
 
 import (
 	"fmt"
@@ -24,20 +24,19 @@ import (
 	"dynloop/internal/trace"
 )
 
-// deliverCtl flushes a control-plane batch; like deliver it is a plain
+// deliverCtl flushes the batch's transfer events with the n
+// instructions from first that it covers; like deliver it is a plain
 // function so the hot loop's locals stay register-allocated.
-func deliverCtl(sink trace.CtlBatchConsumer, evs []trace.CtlEvent, ctl []int32) {
-	if len(evs) > 0 {
-		sink.ConsumeCtlBatch(evs, ctl)
+func deliverCtl(sink trace.CtlBatchConsumer, evs []trace.CtlEvent, first, n uint64) {
+	if n > 0 {
+		sink.ConsumeCtlBatch(evs, first, n)
 	}
 }
 
-// stepFusedFirstCtl executes only the first constituent of fused
-// micro-op u, filling ev with its control-plane retirement event; the
-// control-plane twin of stepFusedFirst, taken when fewer than two
-// instructions of budget or two batch slots remain.
-func (c *CPU) stepFusedFirstCtl(u *uop, ev *trace.CtlEvent, retired uint64, pc uint64) {
-	*ev = trace.CtlEvent{Index: retired, PC: isa.Addr(pc), Instr: u.in}
+// execFusedFirst executes only the first constituent of fused micro-op
+// u — never a control transfer, so it has no control-plane event —
+// taken when fewer than two instructions of budget remain.
+func (c *CPU) execFusedFirst(u *uop) {
 	regs := &c.regs
 	switch u.op {
 	case opFuseAddIBr, opFuseAddIAdd, opFuseAddIAddI:
@@ -53,13 +52,15 @@ func (c *CPU) stepFusedFirstCtl(u *uop, ev *trace.CtlEvent, retired uint64, pc u
 	}
 }
 
-// runCtl is the control-plane execution loop: runPre with the data-facet
-// stores elided. The batch flushes at exactly len(buf) events with its
-// control-transfer indices, mid-pair budget/batch cuts single-step fused
-// micro-ops identically, and error paths flush buffered events before
-// returning — the delivery boundaries match the full-plane loop slot for
-// slot.
-func (c *CPU) runCtl(budget uint64, sink trace.CtlBatchConsumer, buf []trace.CtlEvent, ctl []int32) (uint64, error) {
+// runCtl is the control-plane execution loop: runPre with every event
+// store elided except at control transfers. The batch flushes as soon
+// as its buf fills with transfer events (so a batch always ends at a
+// transfer) and at the end of the run, and error paths flush the
+// covered instructions before returning. A fused micro-op executes
+// whole whenever two instructions of budget remain — it retires at
+// most one transfer, and a batch slot is always free at dispatch — and
+// otherwise steps its first constituent alone, exactly as runPre does.
+func (c *CPU) runCtl(budget uint64, sink trace.CtlBatchConsumer, buf []trace.CtlEvent) (uint64, error) {
 	ops := c.ops
 	pc := uint64(c.pc)
 	retired := c.retired
@@ -71,13 +72,13 @@ func (c *CPU) runCtl(budget uint64, sink trace.CtlBatchConsumer, buf []trace.Ctl
 	}
 	kmax := len(buf)
 	k := 0
-	// cn counts control-transfer indices recorded in ctl; cn <= k always,
-	// so ctl (len >= kmax) never overflows.
-	cn := 0
+	// first is the dynamic index of the first instruction the pending
+	// batch covers.
+	first := retired
 	halted := c.halted
 	for !halted && retired < limit {
 		if pc >= uint64(len(ops)) {
-			deliverCtl(sink, buf[:k], ctl[:cn])
+			deliverCtl(sink, buf[:k], first, retired-first)
 			c.pc, c.retired = isa.Addr(pc), retired
 			return retired - start, fmt.Errorf("%w: pc=%d len=%d", ErrPC, isa.Addr(pc), len(ops))
 		}
@@ -85,146 +86,120 @@ func (c *CPU) runCtl(budget uint64, sink trace.CtlBatchConsumer, buf []trace.Ctl
 		next := pc + 1
 		switch u.op {
 		case opFuseAddIAddI:
-			if limit-retired < 2 || kmax-k < 2 {
-				c.stepFusedFirstCtl(u, &buf[k], retired, pc)
-				goto tail1
+			if limit-retired < 2 {
+				goto first1
 			}
 			regs[u.rd] = regs[u.rs1] + u.imm
-			buf[k] = trace.CtlEvent{Index: retired, PC: isa.Addr(pc), Instr: u.in}
 			regs[u.aux] = regs[u.aux2] + u.imm2
-			buf[k+1] = trace.CtlEvent{Index: retired + 1, PC: isa.Addr(pc + 1), Instr: u.in2}
 			pc += 2
-			goto tail2
+			retired += 2
+			continue
 		case opFuseAddIAdd:
-			if limit-retired < 2 || kmax-k < 2 {
-				c.stepFusedFirstCtl(u, &buf[k], retired, pc)
-				goto tail1
+			if limit-retired < 2 {
+				goto first1
 			}
 			regs[u.rd] = regs[u.rs1] + u.imm
-			buf[k] = trace.CtlEvent{Index: retired, PC: isa.Addr(pc), Instr: u.in}
 			regs[u.aux] = regs[u.aux2] + regs[u.aux3]
-			buf[k+1] = trace.CtlEvent{Index: retired + 1, PC: isa.Addr(pc + 1), Instr: u.in2}
 			pc += 2
-			goto tail2
+			retired += 2
+			continue
 		case opFuseAddAddI:
-			if limit-retired < 2 || kmax-k < 2 {
-				c.stepFusedFirstCtl(u, &buf[k], retired, pc)
-				goto tail1
+			if limit-retired < 2 {
+				goto first1
 			}
 			regs[u.rd] = regs[u.rs1] + regs[u.rs2]
-			buf[k] = trace.CtlEvent{Index: retired, PC: isa.Addr(pc), Instr: u.in}
 			regs[u.aux] = regs[u.aux2] + u.imm2
-			buf[k+1] = trace.CtlEvent{Index: retired + 1, PC: isa.Addr(pc + 1), Instr: u.in2}
 			pc += 2
-			goto tail2
+			retired += 2
+			continue
 		case opFuseAddAdd:
-			if limit-retired < 2 || kmax-k < 2 {
-				c.stepFusedFirstCtl(u, &buf[k], retired, pc)
-				goto tail1
+			if limit-retired < 2 {
+				goto first1
 			}
 			regs[u.rd] = regs[u.rs1] + regs[u.rs2]
-			buf[k] = trace.CtlEvent{Index: retired, PC: isa.Addr(pc), Instr: u.in}
 			regs[u.aux] = regs[u.aux2] + regs[u.aux3]
-			buf[k+1] = trace.CtlEvent{Index: retired + 1, PC: isa.Addr(pc + 1), Instr: u.in2}
 			pc += 2
-			goto tail2
+			retired += 2
+			continue
 		case opFuseAddIBr:
-			if limit-retired < 2 || kmax-k < 2 {
-				c.stepFusedFirstCtl(u, &buf[k], retired, pc)
-				goto tail1
+			if limit-retired < 2 {
+				goto first1
 			}
 			regs[u.rd] = regs[u.rs1] + u.imm
-			buf[k] = trace.CtlEvent{Index: retired, PC: isa.Addr(pc), Instr: u.in}
 			if condHolds(u.aux, regs[u.rs2]) {
-				buf[k+1] = trace.CtlEvent{Index: retired + 1, PC: isa.Addr(pc + 1), Instr: u.in2,
+				buf[k] = trace.CtlEvent{Index: retired + 1, PC: isa.Addr(pc + 1), Instr: u.in2,
 					Taken: true, Target: isa.Addr(u.target)}
 				pc = uint64(u.target)
 			} else {
-				buf[k+1] = trace.CtlEvent{Index: retired + 1, PC: isa.Addr(pc + 1), Instr: u.in2}
+				buf[k] = trace.CtlEvent{Index: retired + 1, PC: isa.Addr(pc + 1), Instr: u.in2}
 				pc += 2
 			}
-			ctl[cn] = int32(k + 1)
-			cn++
-			goto tail2
+			retired += 2
+			goto xfer
 		case opFuseStBr:
-			if limit-retired < 2 || kmax-k < 2 {
-				c.stepFusedFirstCtl(u, &buf[k], retired, pc)
-				goto tail1
+			if limit-retired < 2 {
+				goto first1
 			}
 			c.mem.Store(uint64(regs[u.rs1]+u.imm), regs[u.rs2])
-			buf[k] = trace.CtlEvent{Index: retired, PC: isa.Addr(pc), Instr: u.in}
 			if condHolds(u.aux, regs[u.aux2]) {
-				buf[k+1] = trace.CtlEvent{Index: retired + 1, PC: isa.Addr(pc + 1), Instr: u.in2,
+				buf[k] = trace.CtlEvent{Index: retired + 1, PC: isa.Addr(pc + 1), Instr: u.in2,
 					Taken: true, Target: isa.Addr(u.target)}
 				pc = uint64(u.target)
 			} else {
-				buf[k+1] = trace.CtlEvent{Index: retired + 1, PC: isa.Addr(pc + 1), Instr: u.in2}
+				buf[k] = trace.CtlEvent{Index: retired + 1, PC: isa.Addr(pc + 1), Instr: u.in2}
 				pc += 2
 			}
-			ctl[cn] = int32(k + 1)
-			cn++
-			goto tail2
+			retired += 2
+			goto xfer
 		case opFuseLoadAddI:
-			if limit-retired < 2 || kmax-k < 2 {
-				c.stepFusedFirstCtl(u, &buf[k], retired, pc)
-				goto tail1
+			if limit-retired < 2 {
+				goto first1
 			}
 			regs[u.rd] = c.mem.Load(uint64(regs[u.rs1] + u.imm))
-			buf[k] = trace.CtlEvent{Index: retired, PC: isa.Addr(pc), Instr: u.in}
 			regs[u.aux] = regs[u.aux2] + u.imm2
-			buf[k+1] = trace.CtlEvent{Index: retired + 1, PC: isa.Addr(pc + 1), Instr: u.in2}
 			pc += 2
-			goto tail2
+			retired += 2
+			continue
 		case opFuseLoadAdd:
-			if limit-retired < 2 || kmax-k < 2 {
-				c.stepFusedFirstCtl(u, &buf[k], retired, pc)
-				goto tail1
+			if limit-retired < 2 {
+				goto first1
 			}
 			regs[u.rd] = c.mem.Load(uint64(regs[u.rs1] + u.imm))
-			buf[k] = trace.CtlEvent{Index: retired, PC: isa.Addr(pc), Instr: u.in}
 			regs[u.aux] = regs[u.aux2] + regs[u.rs2]
-			buf[k+1] = trace.CtlEvent{Index: retired + 1, PC: isa.Addr(pc + 1), Instr: u.in2}
 			pc += 2
-			goto tail2
+			retired += 2
+			continue
 		case opFuseMovISt:
-			if limit-retired < 2 || kmax-k < 2 {
-				c.stepFusedFirstCtl(u, &buf[k], retired, pc)
-				goto tail1
+			if limit-retired < 2 {
+				goto first1
 			}
 			regs[u.rd] = u.imm
-			buf[k] = trace.CtlEvent{Index: retired, PC: isa.Addr(pc), Instr: u.in}
 			c.mem.Store(uint64(regs[u.rs1]+u.imm2), regs[u.rs2])
-			buf[k+1] = trace.CtlEvent{Index: retired + 1, PC: isa.Addr(pc + 1), Instr: u.in2}
 			pc += 2
-			goto tail2
+			retired += 2
+			continue
 		case opFuseLoadSt:
-			if limit-retired < 2 || kmax-k < 2 {
-				c.stepFusedFirstCtl(u, &buf[k], retired, pc)
-				goto tail1
+			if limit-retired < 2 {
+				goto first1
 			}
 			regs[u.rd] = c.mem.Load(uint64(regs[u.rs1] + u.imm))
-			buf[k] = trace.CtlEvent{Index: retired, PC: isa.Addr(pc), Instr: u.in}
 			c.mem.Store(uint64(regs[u.aux2]+u.imm2), regs[u.aux3])
-			buf[k+1] = trace.CtlEvent{Index: retired + 1, PC: isa.Addr(pc + 1), Instr: u.in2}
 			pc += 2
-			goto tail2
+			retired += 2
+			continue
 		case opFuseStSt:
-			if limit-retired < 2 || kmax-k < 2 {
-				c.stepFusedFirstCtl(u, &buf[k], retired, pc)
-				goto tail1
+			if limit-retired < 2 {
+				goto first1
 			}
 			c.mem.Store(uint64(regs[u.rs1]+u.imm), regs[u.rs2])
-			buf[k] = trace.CtlEvent{Index: retired, PC: isa.Addr(pc), Instr: u.in}
 			c.mem.Store(uint64(regs[u.aux2]+u.imm2), regs[u.aux3])
-			buf[k+1] = trace.CtlEvent{Index: retired + 1, PC: isa.Addr(pc + 1), Instr: u.in2}
 			pc += 2
-			goto tail2
+			retired += 2
+			continue
 		case opAddI:
 			regs[u.rd] = regs[u.rs1] + u.imm
-			buf[k] = trace.CtlEvent{Index: retired, PC: isa.Addr(pc), Instr: u.in}
 		case opAdd:
 			regs[u.rd] = regs[u.rs1] + regs[u.rs2]
-			buf[k] = trace.CtlEvent{Index: retired, PC: isa.Addr(pc), Instr: u.in}
 		case opBrEQZ:
 			if regs[u.rs1] == 0 {
 				buf[k] = trace.CtlEvent{Index: retired, PC: isa.Addr(pc), Instr: u.in,
@@ -233,8 +208,7 @@ func (c *CPU) runCtl(budget uint64, sink trace.CtlBatchConsumer, buf []trace.Ctl
 			} else {
 				buf[k] = trace.CtlEvent{Index: retired, PC: isa.Addr(pc), Instr: u.in}
 			}
-			ctl[cn] = int32(k)
-			cn++
+			goto xfer1
 		case opBrNEZ:
 			if regs[u.rs1] != 0 {
 				buf[k] = trace.CtlEvent{Index: retired, PC: isa.Addr(pc), Instr: u.in,
@@ -243,8 +217,7 @@ func (c *CPU) runCtl(budget uint64, sink trace.CtlBatchConsumer, buf []trace.Ctl
 			} else {
 				buf[k] = trace.CtlEvent{Index: retired, PC: isa.Addr(pc), Instr: u.in}
 			}
-			ctl[cn] = int32(k)
-			cn++
+			goto xfer1
 		case opBrLTZ:
 			if regs[u.rs1] < 0 {
 				buf[k] = trace.CtlEvent{Index: retired, PC: isa.Addr(pc), Instr: u.in,
@@ -253,8 +226,7 @@ func (c *CPU) runCtl(budget uint64, sink trace.CtlBatchConsumer, buf []trace.Ctl
 			} else {
 				buf[k] = trace.CtlEvent{Index: retired, PC: isa.Addr(pc), Instr: u.in}
 			}
-			ctl[cn] = int32(k)
-			cn++
+			goto xfer1
 		case opBrGEZ:
 			if regs[u.rs1] >= 0 {
 				buf[k] = trace.CtlEvent{Index: retired, PC: isa.Addr(pc), Instr: u.in,
@@ -263,8 +235,7 @@ func (c *CPU) runCtl(budget uint64, sink trace.CtlBatchConsumer, buf []trace.Ctl
 			} else {
 				buf[k] = trace.CtlEvent{Index: retired, PC: isa.Addr(pc), Instr: u.in}
 			}
-			ctl[cn] = int32(k)
-			cn++
+			goto xfer1
 		case opBrGTZ:
 			if regs[u.rs1] > 0 {
 				buf[k] = trace.CtlEvent{Index: retired, PC: isa.Addr(pc), Instr: u.in,
@@ -273,8 +244,7 @@ func (c *CPU) runCtl(budget uint64, sink trace.CtlBatchConsumer, buf []trace.Ctl
 			} else {
 				buf[k] = trace.CtlEvent{Index: retired, PC: isa.Addr(pc), Instr: u.in}
 			}
-			ctl[cn] = int32(k)
-			cn++
+			goto xfer1
 		case opBrLEZ:
 			if regs[u.rs1] <= 0 {
 				buf[k] = trace.CtlEvent{Index: retired, PC: isa.Addr(pc), Instr: u.in,
@@ -283,81 +253,63 @@ func (c *CPU) runCtl(budget uint64, sink trace.CtlBatchConsumer, buf []trace.Ctl
 			} else {
 				buf[k] = trace.CtlEvent{Index: retired, PC: isa.Addr(pc), Instr: u.in}
 			}
-			ctl[cn] = int32(k)
-			cn++
+			goto xfer1
 		case opLoad:
 			regs[u.rd] = c.mem.Load(uint64(regs[u.rs1] + u.imm))
-			buf[k] = trace.CtlEvent{Index: retired, PC: isa.Addr(pc), Instr: u.in}
 		case opStore:
 			c.mem.Store(uint64(regs[u.rs1]+u.imm), regs[u.rs2])
-			buf[k] = trace.CtlEvent{Index: retired, PC: isa.Addr(pc), Instr: u.in}
 		case opMovI:
 			regs[u.rd] = u.imm
-			buf[k] = trace.CtlEvent{Index: retired, PC: isa.Addr(pc), Instr: u.in}
 		case opMov:
 			regs[u.rd] = regs[u.rs1]
-			buf[k] = trace.CtlEvent{Index: retired, PC: isa.Addr(pc), Instr: u.in}
 		case opSub:
 			regs[u.rd] = regs[u.rs1] - regs[u.rs2]
-			buf[k] = trace.CtlEvent{Index: retired, PC: isa.Addr(pc), Instr: u.in}
 		case opMul:
 			regs[u.rd] = regs[u.rs1] * regs[u.rs2]
-			buf[k] = trace.CtlEvent{Index: retired, PC: isa.Addr(pc), Instr: u.in}
 		case opAnd:
 			regs[u.rd] = regs[u.rs1] & regs[u.rs2]
-			buf[k] = trace.CtlEvent{Index: retired, PC: isa.Addr(pc), Instr: u.in}
 		case opOr:
 			regs[u.rd] = regs[u.rs1] | regs[u.rs2]
-			buf[k] = trace.CtlEvent{Index: retired, PC: isa.Addr(pc), Instr: u.in}
 		case opXor:
 			regs[u.rd] = regs[u.rs1] ^ regs[u.rs2]
-			buf[k] = trace.CtlEvent{Index: retired, PC: isa.Addr(pc), Instr: u.in}
 		case opShl:
 			regs[u.rd] = regs[u.rs1] << uint64(u.imm)
-			buf[k] = trace.CtlEvent{Index: retired, PC: isa.Addr(pc), Instr: u.in}
 		case opShr:
 			regs[u.rd] = regs[u.rs1] >> uint64(u.imm)
-			buf[k] = trace.CtlEvent{Index: retired, PC: isa.Addr(pc), Instr: u.in}
 		case opSlt:
 			var v int64
 			if regs[u.rs1] < regs[u.rs2] {
 				v = 1
 			}
 			regs[u.rd] = v
-			buf[k] = trace.CtlEvent{Index: retired, PC: isa.Addr(pc), Instr: u.in}
 		case opMod:
 			var v int64
 			if b := regs[u.rs2]; b != 0 {
 				v = regs[u.rs1] % b
 			}
 			regs[u.rd] = v
-			buf[k] = trace.CtlEvent{Index: retired, PC: isa.Addr(pc), Instr: u.in}
 		case opSeq:
 			var v int64
 			if s, ok := c.seqs[u.imm]; ok {
 				v = s.Next()
 			}
 			regs[u.rd] = v
-			buf[k] = trace.CtlEvent{Index: retired, PC: isa.Addr(pc), Instr: u.in}
 		case opJump:
 			buf[k] = trace.CtlEvent{Index: retired, PC: isa.Addr(pc), Instr: u.in,
 				Taken: true, Target: isa.Addr(u.target)}
 			next = uint64(u.target)
-			ctl[cn] = int32(k)
-			cn++
+			goto xfer1
 		case opCall:
 			if len(c.stack) >= MaxCallDepth {
-				deliverCtl(sink, buf[:k], ctl[:cn])
+				deliverCtl(sink, buf[:k], first, retired-first)
 				c.pc, c.retired = isa.Addr(pc), retired
 				return retired - start, fmt.Errorf("%w at pc=%d", ErrCallDepth, isa.Addr(pc))
 			}
 			c.stack = append(c.stack, isa.Addr(pc+1))
-			buf[k] = trace.CtlEvent{Index: retired, PC: isa.Addr(pc), Instr: u.in,
-				Taken: true, Target: isa.Addr(u.target)}
 			next = uint64(u.target)
 		case opRet:
 			if len(c.stack) == 0 {
-				deliverCtl(sink, buf[:k], ctl[:cn])
+				deliverCtl(sink, buf[:k], first, retired-first)
 				c.pc, c.retired = isa.Addr(pc), retired
 				return retired - start, fmt.Errorf("%w at pc=%d", ErrRetEmpty, isa.Addr(pc))
 			}
@@ -366,44 +318,35 @@ func (c *CPU) runCtl(budget uint64, sink trace.CtlBatchConsumer, buf []trace.Ctl
 			buf[k] = trace.CtlEvent{Index: retired, PC: isa.Addr(pc), Instr: u.in,
 				Taken: true, Target: ra}
 			next = uint64(ra)
-			ctl[cn] = int32(k)
-			cn++
+			goto xfer1
 		case opBrNever:
-			// Unknown-condition branch: never taken, still a run boundary.
+			// Unknown-condition branch: never taken, still a transfer.
 			buf[k] = trace.CtlEvent{Index: retired, PC: isa.Addr(pc), Instr: u.in}
-			ctl[cn] = int32(k)
-			cn++
+			goto xfer1
 		case opHalt:
 			halted = true
-			buf[k] = trace.CtlEvent{Index: retired, PC: isa.Addr(pc), Instr: u.in}
-		default: // opNop
-			buf[k] = trace.CtlEvent{Index: retired, PC: isa.Addr(pc), Instr: u.in}
 		}
+		// default (opNop) and every plain op: no event.
 		retired++
 		pc = next
-		if k++; k == kmax {
-			sink.ConsumeCtlBatch(buf, ctl[:cn])
-			k, cn = 0, 0
-		}
 		continue
 
-	tail1: // fused op stepped as its first constituent only
+	first1: // fused op stepped as its first constituent only
+		c.execFusedFirst(u)
 		retired++
 		pc++
-		if k++; k == kmax {
-			sink.ConsumeCtlBatch(buf, ctl[:cn])
-			k, cn = 0, 0
-		}
 		continue
 
-	tail2: // fused op retired whole: two events, two instructions
-		retired += 2
-		if k += 2; k == kmax {
-			sink.ConsumeCtlBatch(buf, ctl[:cn])
-			k, cn = 0, 0
+	xfer1: // a single-instruction transfer, its event in buf[k]
+		retired++
+		pc = next
+	xfer: // the transfer's event is in buf[k]; pc and retired are advanced
+		if k++; k == kmax {
+			sink.ConsumeCtlBatch(buf, first, retired-first)
+			k, first = 0, retired
 		}
 	}
-	deliverCtl(sink, buf[:k], ctl[:cn])
+	deliverCtl(sink, buf[:k], first, retired-first)
 	c.pc, c.retired, c.halted = isa.Addr(pc), retired, halted
 	return retired - start, nil
 }

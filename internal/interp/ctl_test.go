@@ -2,6 +2,7 @@ package interp
 
 import (
 	"errors"
+	"fmt"
 	"reflect"
 	"testing"
 
@@ -75,31 +76,60 @@ func TestMemPairReferenceEquivalence(t *testing.T) {
 }
 
 // ctlRecorder accepts only control-plane delivery: ConsumeBatch panics,
-// proving Run dispatched to the control-plane loop, and ctl indices are
-// resolved to absolute stream positions like segRecorder's.
+// proving Run dispatched to the control-plane loop. It checks the batch
+// contract as it goes — every batch covers at least one instruction,
+// batches cover the stream contiguously, events lie inside their
+// batch's span, and a batch holds at most max events and ends at its
+// last transfer when full — and keeps the first violation in err.
 type ctlRecorder struct {
-	events []trace.CtlEvent
-	ctl    []int
+	events  []trace.CtlEvent
+	max     int
+	batches int
+	next    uint64 // index one past the last covered instruction
+	covered uint64
+	err     string
 }
 
 func (r *ctlRecorder) ConsumeBatch([]trace.Event) {
 	panic("full-plane delivery to a control-only sink")
 }
 
-func (r *ctlRecorder) ConsumeCtlBatch(evs []trace.CtlEvent, ctl []int32) {
-	base := len(r.events)
-	r.events = append(r.events, evs...)
-	for _, i := range ctl {
-		r.ctl = append(r.ctl, base+int(i))
+func (r *ctlRecorder) ConsumeCtlBatch(evs []trace.CtlEvent, first, n uint64) {
+	bad := func(format string, args ...any) {
+		if r.err == "" {
+			r.err = fmt.Sprintf("batch %d: ", r.batches) + fmt.Sprintf(format, args...)
+		}
 	}
+	switch {
+	case n == 0:
+		bad("covers no instruction")
+	case r.batches > 0 && first != r.next:
+		bad("starts at %d, previous batch ended before %d", first, r.next)
+	case r.max > 0 && len(evs) > r.max:
+		bad("%d events, batch size %d", len(evs), r.max)
+	case r.max > 0 && len(evs) == r.max && evs[len(evs)-1].Index != first+n-1:
+		bad("full batch does not end at its last transfer")
+	}
+	for _, ev := range evs {
+		if ev.Index < first || ev.Index >= first+n {
+			bad("event %d outside span [%d, %d)", ev.Index, first, first+n)
+		}
+	}
+	r.batches++
+	r.next = first + n
+	r.covered += n
+	r.events = append(r.events, evs...)
 }
 
-// ctlFacet projects a full event stream onto the control plane.
-func ctlFacet(evs []trace.Event) []trace.CtlEvent {
-	out := make([]trace.CtlEvent, len(evs))
-	for i, ev := range evs {
-		out[i] = trace.CtlEvent{Index: ev.Index, PC: ev.PC, Instr: ev.Instr,
-			Taken: ev.Taken, Target: ev.Target}
+// transfers projects a full event stream onto the control plane: its
+// branch/jump/ret events, field for field.
+func transfers(evs []trace.Event) []trace.CtlEvent {
+	var out []trace.CtlEvent
+	for _, ev := range evs {
+		if trace.IsTransfer(ev.Instr.Kind) {
+			out = append(out, trace.CtlEvent{Index: ev.Index, PC: ev.PC, Instr: ev.Instr,
+				Taken: ev.Taken, Target: ev.Target})
+		}
 	}
 	return out
 }
@@ -108,14 +138,18 @@ func ctlFacet(evs []trace.Event) []trace.CtlEvent {
 func runCtlStream(t *testing.T, c *CPU, budget uint64, batch int) (*ctlRecorder, uint64, error) {
 	t.Helper()
 	c.SetBatchSize(batch)
-	rec := &ctlRecorder{}
+	rec := &ctlRecorder{max: c.BatchSize()}
 	n, err := c.Run(budget, rec)
+	if rec.err != "" {
+		t.Fatalf("batch=%d budget=%d: %s", batch, budget, rec.err)
+	}
 	return rec, n, err
 }
 
 // TestRunCtlReferenceEquivalence is the control-plane differential: the
-// ctl loop must emit exactly the control facet of the reference stream —
-// same events, same ctl boundaries, same machine state — at batch sizes
+// ctl loop must emit exactly the reference stream filtered to
+// branch/jump/ret, field for field, with covered counts adding up to the
+// reference stream's length and the same machine state — at batch sizes
 // that cut fused pairs and budgets that stop mid-pair, over both the
 // ALU-heavy fusion program and the memory-pair one.
 func TestRunCtlReferenceEquivalence(t *testing.T) {
@@ -137,7 +171,7 @@ func TestRunCtlReferenceEquivalence(t *testing.T) {
 				if (cerr == nil) != (rerr == nil) || cn != rn {
 					t.Fatalf("%s batch=%d budget=%d: n %d/%d err %v/%v", name, batch, budget, cn, rn, cerr, rerr)
 				}
-				if want := ctlFacet(re); !reflect.DeepEqual(crec.events, want) {
+				if want := transfers(re); !reflect.DeepEqual(crec.events, want) {
 					for i := range crec.events {
 						if i < len(want) && !reflect.DeepEqual(crec.events[i], want[i]) {
 							t.Fatalf("%s batch=%d budget=%d: event %d differs:\nctl %+v\nref %+v",
@@ -147,15 +181,9 @@ func TestRunCtlReferenceEquivalence(t *testing.T) {
 					t.Fatalf("%s batch=%d budget=%d: stream lengths %d vs %d",
 						name, batch, budget, len(crec.events), len(want))
 				}
-				var wantCtl []int
-				for i := range re {
-					switch re[i].Instr.Kind {
-					case isa.KindBranch, isa.KindJump, isa.KindRet:
-						wantCtl = append(wantCtl, i)
-					}
-				}
-				if !reflect.DeepEqual(crec.ctl, wantCtl) {
-					t.Fatalf("%s batch=%d budget=%d: ctl = %v, want %v", name, batch, budget, crec.ctl, wantCtl)
+				if crec.covered != uint64(len(re)) || crec.covered != cn {
+					t.Fatalf("%s batch=%d budget=%d: batches cover %d instructions, stream has %d, Run retired %d",
+						name, batch, budget, crec.covered, len(re), cn)
 				}
 				if cc.regs != ref.regs || cc.PC() != ref.PC() || cc.Halted() != ref.Halted() {
 					t.Fatalf("%s batch=%d budget=%d: machine state diverged", name, batch, budget)
@@ -170,7 +198,7 @@ func TestRunCtlReferenceEquivalence(t *testing.T) {
 // the first constituent, and resuming completes the stream.
 func TestRunCtlResumeMidPair(t *testing.T) {
 	cc := newFusionCPU(false)
-	rec := &ctlRecorder{}
+	rec := &ctlRecorder{max: cc.BatchSize()}
 	n, err := cc.Run(3, rec)
 	if err != nil || n != 3 {
 		t.Fatalf("first leg: n=%d err=%v", n, err)
@@ -186,13 +214,16 @@ func TestRunCtlResumeMidPair(t *testing.T) {
 	if _, err := ref.Run(0, rrec); err != nil {
 		t.Fatal(err)
 	}
-	if want := ctlFacet(rrec.Events); !reflect.DeepEqual(rec.events, want) {
+	if want := transfers(rrec.Events); !reflect.DeepEqual(rec.events, want) {
 		t.Fatalf("resumed ctl stream differs from reference (%d vs %d events)", len(rec.events), len(want))
+	}
+	if rec.err != "" || rec.covered != uint64(len(rrec.Events)) {
+		t.Fatalf("resumed ctl batches cover %d of %d instructions (%s)", rec.covered, len(rrec.Events), rec.err)
 	}
 }
 
 // TestRunCtlErrorPaths: machine errors on the control plane flush the
-// buffered events before returning, exactly like the full path.
+// retired instructions before returning, exactly like the full path.
 func TestRunCtlErrorPaths(t *testing.T) {
 	run := func(p *program.Program) (*ctlRecorder, error) {
 		c := New(p)
@@ -200,8 +231,11 @@ func TestRunCtlErrorPaths(t *testing.T) {
 		_, err := c.Run(0, rec)
 		return rec, err
 	}
-	if rec, err := run(prog(isa.Nop())); !errors.Is(err, ErrPC) || len(rec.events) != 1 {
-		t.Fatalf("ErrPC: got %v, %d events", err, len(rec.events))
+	if rec, err := run(prog(isa.Nop())); !errors.Is(err, ErrPC) || rec.covered != 1 || len(rec.events) != 0 {
+		t.Fatalf("ErrPC: got %v, %d instructions, %d events", err, rec.covered, len(rec.events))
+	}
+	if rec, err := run(prog(isa.Jump(2), isa.Nop())); !errors.Is(err, ErrPC) || rec.covered != 1 || len(rec.events) != 1 {
+		t.Fatalf("ErrPC after a jump: got %v, %d instructions, %d events", err, rec.covered, len(rec.events))
 	}
 	if _, err := run(prog(isa.Ret())); !errors.Is(err, ErrRetEmpty) {
 		t.Fatalf("ErrRetEmpty: got %v", err)
@@ -233,11 +267,12 @@ func TestRunCtlForcedFull(t *testing.T) {
 }
 
 // TestSegmentBoundaryPairBeforeTransfer pins satellite boundaries of the
-// segment side channel on BOTH planes: a fused pair whose second
-// constituent is the last event before a control transfer, with batch
-// sizes that flush between the pair and the transfer and budgets that
-// cut inside the pair. The ctl indices must always be exactly the
-// branch/jump/ret positions of the equivalent reference stream.
+// segment side channel and of control-plane batches: a fused pair whose
+// second constituent is the last event before a control transfer, with
+// batch sizes that flush between the pair and the transfer and budgets
+// that cut inside the pair. The full plane's ctl indices must always be
+// exactly the branch/jump/ret positions of the equivalent reference
+// stream, and the control plane must deliver exactly those events.
 func TestSegmentBoundaryPairBeforeTransfer(t *testing.T) {
 	for _, batch := range []int{1, 2, 3, 5, 8, 9, 1024} {
 		for _, budget := range []uint64{0, 5, 8, 9, 10, 11, 17} {
@@ -272,8 +307,9 @@ func TestSegmentBoundaryPairBeforeTransfer(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if !reflect.DeepEqual(crec.ctl, want) {
-				t.Fatalf("batch=%d budget=%d: ctl-plane ctl = %v, want %v", batch, budget, crec.ctl, want)
+			if !reflect.DeepEqual(crec.events, transfers(re)) || crec.covered != uint64(len(re)) {
+				t.Fatalf("batch=%d budget=%d: ctl plane delivered %d events over %d instructions, want %d over %d",
+					batch, budget, len(crec.events), crec.covered, len(transfers(re)), len(re))
 			}
 		}
 	}

@@ -149,51 +149,104 @@ func segmentIndices(evs []trace.Event) []int32 {
 	return ctl
 }
 
-// ctlFacet projects a full stream onto the control plane.
-func ctlFacet(evs []trace.Event) []trace.CtlEvent {
-	out := make([]trace.CtlEvent, len(evs))
-	for i, ev := range evs {
-		out[i] = trace.CtlEvent{Index: ev.Index, PC: ev.PC, Instr: ev.Instr,
-			Taken: ev.Taken, Target: ev.Target}
+// transfers projects a full stream onto the control plane: its
+// branch/jump/ret events, field for field.
+func transfers(evs []trace.Event) []trace.CtlEvent {
+	var out []trace.CtlEvent
+	for _, ev := range evs {
+		if trace.IsTransfer(ev.Instr.Kind) {
+			out = append(out, trace.CtlEvent{Index: ev.Index, PC: ev.PC, Instr: ev.Instr,
+				Taken: ev.Taken, Target: ev.Target})
+		}
 	}
 	return out
 }
 
+// countObs is a CountObserver that logs loop callbacks like logObs and
+// coalesces consecutive Retired calls into one "retired" line, so logs
+// compare equal however the producer cut its batches.
+type countObs struct {
+	log     []string
+	n, last uint64
+}
+
+func (o *countObs) Retired(n, last uint64) {
+	if n == 0 {
+		panic("Retired(0)")
+	}
+	o.n += n
+	o.last = last
+}
+
+func (o *countObs) add(format string, args ...any) {
+	if o.n > 0 {
+		o.log = append(o.log, fmt.Sprintf("retired %d ..@%d", o.n, o.last))
+		o.n = 0
+	}
+	if format != "" {
+		o.log = append(o.log, fmt.Sprintf(format, args...))
+	}
+}
+
+func (o *countObs) ExecStart(x *Exec) { o.add("start %d T%d", x.ID, x.T) }
+func (o *countObs) IterStart(x *Exec, i uint64) {
+	o.add("iter %d.%d @%d", x.ID, x.Iters, i)
+}
+func (o *countObs) ExecEnd(x *Exec, r EndReason, i uint64) {
+	o.add("end %d %s @%d iters=%d", x.ID, r, i, x.Iters)
+}
+func (o *countObs) OneShot(t, b isa.Addr, i uint64) { o.add("oneshot %d-%d @%d", t, b, i) }
+
 // TestConsumeCtlBatchMatchesBatch pins the control-plane contract on the
-// detector: an observer-free detector declares itself control-only, and
-// fed compact CtlEvents with the producer's run-boundary indices it must
-// end with exactly the stats of the full-Event batch path, for arbitrary
-// streams and chunkings. A detector with a stream observer (or periodic
-// flush armed) must demand the data plane instead.
+// detector: a detector with only count observers declares itself
+// control-only, and fed transfer-only batches — cut anywhere, including
+// batches with no transfer at all — it must deliver exactly the loop
+// callbacks, run counts and stats of per-event full-plane delivery, for
+// arbitrary streams, with and without the periodic flush armed. A
+// detector with a stream observer must demand the data plane instead.
 func TestConsumeCtlBatchMatchesBatch(t *testing.T) {
-	for _, chunk := range []int{1, 3, 64, 1000} {
-		for seed := uint64(1); seed <= 5; seed++ {
-			evs := randomStream(seed*2654435761, 1000)
+	for _, flush := range []uint64{0, 97} {
+		for _, chunk := range []int{1, 3, 64, 1000} {
+			for seed := uint64(1); seed <= 5; seed++ {
+				evs := randomStream(seed*2654435761, 1000)
 
-			ref := New(Config{Capacity: 8})
-			ctl := New(Config{Capacity: 8})
-			if got := trace.PlanesOf(ctl); got != trace.PlaneCtl {
-				t.Fatalf("observer-free detector planes = %v", got)
-			}
-
-			for i := 0; i < len(evs); i += chunk {
-				end := i + chunk
-				if end > len(evs) {
-					end = len(evs)
+				ref := New(Config{Capacity: 8, FlushInterval: flush})
+				refObs := &countObs{}
+				ref.AddObserver(refObs)
+				ctl := New(Config{Capacity: 8, FlushInterval: flush})
+				ctlObs := &countObs{}
+				ctl.AddObserver(ctlObs)
+				if got := trace.PlanesOf(ctl); got != trace.PlaneCtl {
+					t.Fatalf("count-observed detector planes = %v", got)
 				}
-				ref.ConsumeBatch(evs[i:end])
-				ctl.ConsumeCtlBatch(ctlFacet(evs[i:end]), segmentIndices(evs[i:end]))
-			}
-			ref.Flush()
-			ctl.Flush()
 
-			if ref.Stats() != ctl.Stats() {
-				t.Fatalf("chunk=%d seed=%d: stats %+v, want %+v",
-					chunk, seed, ctl.Stats(), ref.Stats())
-			}
-			if ref.Depth() != ctl.Depth() {
-				t.Fatalf("chunk=%d seed=%d: CLS depth %d, want %d",
-					chunk, seed, ctl.Depth(), ref.Depth())
+				for i := range evs {
+					ev := evs[i]
+					ref.Consume(&ev)
+				}
+				for i := 0; i < len(evs); i += chunk {
+					end := min(i+chunk, len(evs))
+					ctl.ConsumeCtlBatch(transfers(evs[i:end]), evs[i].Index, uint64(end-i))
+				}
+				ref.Flush()
+				ctl.Flush()
+				refObs.add("")
+				ctlObs.add("")
+
+				if len(refObs.log) != len(ctlObs.log) {
+					t.Fatalf("flush=%d chunk=%d seed=%d: %d callbacks, want %d",
+						flush, chunk, seed, len(ctlObs.log), len(refObs.log))
+				}
+				for i := range refObs.log {
+					if refObs.log[i] != ctlObs.log[i] {
+						t.Fatalf("flush=%d chunk=%d seed=%d: callback %d = %q, want %q",
+							flush, chunk, seed, i, ctlObs.log[i], refObs.log[i])
+					}
+				}
+				if ref.Stats() != ctl.Stats() {
+					t.Fatalf("flush=%d chunk=%d seed=%d: stats %+v, want %+v",
+						flush, chunk, seed, ctl.Stats(), ref.Stats())
+				}
 			}
 		}
 	}
@@ -201,10 +254,10 @@ func TestConsumeCtlBatchMatchesBatch(t *testing.T) {
 	withObs := New(Config{Capacity: 8})
 	withObs.AddObserver(&logObs{batch: true})
 	if got := trace.PlanesOf(withObs); got != trace.PlaneCtl|trace.PlaneData {
-		t.Fatalf("observed detector planes = %v", got)
+		t.Fatalf("stream-observed detector planes = %v", got)
 	}
 	withFlush := New(Config{Capacity: 8, FlushInterval: 64})
-	if got := trace.PlanesOf(withFlush); got != trace.PlaneCtl|trace.PlaneData {
+	if got := trace.PlanesOf(withFlush); got != trace.PlaneCtl {
 		t.Fatalf("periodic-flush detector planes = %v", got)
 	}
 }

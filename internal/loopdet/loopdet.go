@@ -16,9 +16,17 @@
 //   - calls never end executions (subroutine bodies are part of the
 //     iteration that calls them).
 //
-// Loop structure events are delivered to Observers; observers that also
-// implement StreamObserver additionally receive every raw instruction
-// event first, in stream order.
+// Loop structure events are delivered to Observers. Observers that also
+// implement CountObserver additionally learn how many instructions
+// retired between loop events; observers that implement StreamObserver
+// receive every raw instruction event instead. Both hear about an
+// instruction before any loop event derived from it.
+//
+// The detector consumes either event plane (see trace.Planes): the full
+// plane, one trace.Event per instruction, or the control plane, which
+// carries only the branches, jumps and returns the rules above react to
+// plus the retired-instruction count. It asks for the full plane only
+// while a StreamObserver is attached.
 package loopdet
 
 import (
@@ -118,9 +126,32 @@ type Observer interface {
 	OneShot(t, b isa.Addr, index uint64)
 }
 
+// CountObserver is an Observer that also counts the instructions
+// retired between loop events — all that the speculation engine's cycle
+// model and the Table-1 statistics read of the instruction stream. The
+// detector calls Retired once per run: a stretch of consecutive
+// instructions that ends at a control transfer (included, and reported
+// before any loop event it triggers), at a periodic flush, or wherever
+// the producer cut its batch. No loop event falls inside a run, so the
+// CLS is in one consistent state for the whole of it.
+//
+// Batch cuts differ between the event planes and between producers, so
+// two consecutive calls with no loop event between them must have the
+// same effect as one call with the summed count. Count observers work
+// on either plane and never pull the detector onto the full one.
+type CountObserver interface {
+	Observer
+	// Retired reports n (> 0) more retired instructions, the last of
+	// them at dynamic index last.
+	Retired(n, last uint64)
+}
+
 // StreamObserver is an Observer that also wants the raw instruction
-// stream. Instr is called before any loop event derived from that
-// instruction.
+// stream, data facet included. Instr is called before any loop event
+// derived from that instruction. Attaching one puts the detector on the
+// full event plane; an observer that only counts instructions should be
+// a CountObserver instead. An observer implementing both is treated as
+// a StreamObserver.
 type StreamObserver interface {
 	Observer
 	// Instr receives every retired instruction; the pointee is reused.
@@ -188,9 +219,9 @@ type Config struct {
 }
 
 // Detector is the CLS mechanism. Create with New, attach observers, then
-// feed it the instruction stream (it implements both trace.Consumer and
-// trace.BatchConsumer; the batch path is the fast one) and call Flush at
-// the end.
+// feed it the instruction stream (it implements trace.Consumer,
+// trace.BatchConsumer and trace.CtlBatchConsumer; the control plane is
+// the fast one) and call Flush at the end.
 type Detector struct {
 	capacity  int
 	flushMask uint64 // 0 = disabled; otherwise flush when instrs reaches the next multiple
@@ -198,33 +229,32 @@ type Detector struct {
 	cls       []*Exec // cls[0] is the deepest/outermost entry
 	free      []*Exec // retired executions, reused by push
 	obs       []Observer
-	stream    []streamSink
+	runs      []runSink // count and stream observers, in attachment order
+	streams   int       // how many of runs are stream observers
 	nextID    uint64
 	last      uint64
 	stats     Stats
+	one       [1]trace.Event // Consume's one-event run
 }
 
-// streamSink is one attached raw-stream observer with its (possibly
-// adapted) batch delivery path resolved at attachment time, so the hot
-// loop never type-asserts.
-type streamSink struct {
+// runSink is one attached run observer with its delivery path resolved
+// at attachment time, so the hot loop never type-asserts. Exactly one of
+// count and scalar is set.
+type runSink struct {
+	count  CountObserver
 	scalar StreamObserver
 	batch  BatchStreamObserver // nil when scalar-only
 }
 
-func (s *streamSink) deliver(evs []trace.Event) {
-	if s.batch != nil {
-		s.batch.InstrBatch(evs)
-		return
-	}
-	for i := range evs {
-		s.scalar.Instr(&evs[i])
-	}
-}
-
-// New returns a detector with the given configuration.
+// New returns a detector with the given configuration. A bounded
+// detector sizes its stack and its free list at Capacity up front, so
+// neither grows during a run.
 func New(cfg Config) *Detector {
 	d := &Detector{capacity: cfg.Capacity}
+	if cfg.Capacity > 0 {
+		d.cls = make([]*Exec, 0, cfg.Capacity)
+		d.free = make([]*Exec, 0, cfg.Capacity)
+	}
 	if cfg.FlushInterval > 0 {
 		d.flushMask = cfg.FlushInterval
 		d.flushAt = cfg.FlushInterval
@@ -234,15 +264,17 @@ func New(cfg Config) *Detector {
 
 // AddObserver attaches an observer; observers are invoked in attachment
 // order. Observers that implement StreamObserver also receive raw
-// events, via InstrBatch when they implement BatchStreamObserver.
+// events, via InstrBatch when they implement BatchStreamObserver;
+// otherwise observers that implement CountObserver receive run counts.
 func (d *Detector) AddObserver(o Observer) {
 	d.obs = append(d.obs, o)
 	if s, ok := o.(StreamObserver); ok {
-		sink := streamSink{scalar: s}
-		if b, ok := o.(BatchStreamObserver); ok {
-			sink.batch = b
-		}
-		d.stream = append(d.stream, sink)
+		sink := runSink{scalar: s}
+		sink.batch, _ = o.(BatchStreamObserver)
+		d.runs = append(d.runs, sink)
+		d.streams++
+	} else if c, ok := o.(CountObserver); ok {
+		d.runs = append(d.runs, runSink{count: c})
 	}
 }
 
@@ -272,47 +304,33 @@ func (d *Detector) At(i int) *Exec { return d.cls[i] }
 // Stats returns the aggregate counters so far.
 func (d *Detector) Stats() Stats { return d.stats }
 
-// Consume processes one retired instruction (trace.Consumer).
+// Consume processes one retired instruction (trace.Consumer) as a
+// one-event batch.
 func (d *Detector) Consume(ev *trace.Event) {
-	for i := range d.stream {
-		d.stream[i].scalar.Instr(ev)
-	}
-	d.step(ev)
+	d.one[0] = *ev
+	d.ConsumeBatch(d.one[:])
 }
 
 // ConsumeBatch processes a batch of retired instructions
-// (trace.BatchConsumer) with the same observable behaviour as calling
-// Consume per event: raw-stream observers receive the events in
-// contiguous runs that end at each control-transfer instruction (the
-// only kind that can produce loop events) and at periodic-flush
-// boundaries, then the loop logic for that instruction runs. Most
-// instructions are neither, so the inner loop touches no interfaces.
+// (trace.BatchConsumer): run observers receive the events in contiguous
+// runs that end at each control transfer (the only kind that can
+// produce loop events), then the loop logic for that transfer runs.
+// Most instructions are neither, so the inner loop touches no
+// interfaces.
 func (d *Detector) ConsumeBatch(evs []trace.Event) {
-	if len(evs) == 0 {
-		return
-	}
-	if d.flushMask != 0 {
-		d.consumeBatchSlow(evs)
-		return
-	}
-	// Fast path (no periodic flush): bulk the counters, so the scan costs
-	// one kind test per instruction.
-	d.stats.Instrs += uint64(len(evs))
 	start := 0
 	for i := range evs {
 		ev := &evs[i]
-		in := ev.Instr
-		k := in.Kind
-		if k != isa.KindBranch && k != isa.KindJump && k != isa.KindRet {
+		if !trace.IsTransfer(ev.Instr.Kind) {
 			continue
 		}
-		d.emitStream(evs[start : i+1])
+		d.retire(evs[start:i+1], evs[start].Index, uint64(i+1-start))
 		start = i + 1
-		d.last = ev.Index
-		d.transfer(ev)
+		d.transfer(ev.Instr, ev.PC, ev.Taken, ev.Index)
 	}
-	d.emitStream(evs[start:])
-	d.last = evs[len(evs)-1].Index
+	if start < len(evs) {
+		d.retire(evs[start:], evs[start].Index, uint64(len(evs)-start))
+	}
 }
 
 // ConsumeBatchSegmented processes a batch whose control-transfer indices
@@ -321,153 +339,113 @@ func (d *Detector) ConsumeBatch(evs []trace.Event) {
 // or ret. The result is identical to ConsumeBatch; the detector just
 // skips its own per-event kind scan and walks boundary to boundary.
 func (d *Detector) ConsumeBatchSegmented(evs []trace.Event, ctl []int32) {
-	if len(evs) == 0 {
-		return
-	}
-	if d.flushMask != 0 {
-		d.consumeBatchSlow(evs)
-		return
-	}
-	d.stats.Instrs += uint64(len(evs))
 	start := 0
 	for _, ci := range ctl {
 		i := int(ci)
 		ev := &evs[i]
-		d.emitStream(evs[start : i+1])
+		d.retire(evs[start:i+1], evs[start].Index, uint64(i+1-start))
 		start = i + 1
-		d.last = ev.Index
-		d.transfer(ev)
+		d.transfer(ev.Instr, ev.PC, ev.Taken, ev.Index)
 	}
-	d.emitStream(evs[start:])
-	d.last = evs[len(evs)-1].Index
+	if start < len(evs) {
+		d.retire(evs[start:], evs[start].Index, uint64(len(evs)-start))
+	}
 }
 
 // NeedPlanes implements trace.PlaneDeclarer: the CLS rules read only the
-// control facet, so a detector with no raw-stream observers (and no
-// periodic flush, whose boundary can fall mid-run) is control-only and
-// producers may deliver compact control-plane batches. Attaching a
-// StreamObserver — the §4 statistics collectors, the speculation engine
-// — pulls the detector back to full-facet delivery, since raw events
-// must carry the data facet those observers read.
+// transfer events and count observers only the instruction counts, so
+// the detector is control-only unless a StreamObserver — which reads
+// every raw event, data facet included — is attached.
 func (d *Detector) NeedPlanes() trace.Planes {
-	if len(d.stream) == 0 && d.flushMask == 0 {
+	if d.streams == 0 {
 		return trace.PlaneCtl
 	}
 	return trace.PlaneCtl | trace.PlaneData
 }
 
 // ConsumeCtlBatch processes a control-plane batch
-// (trace.CtlBatchConsumer). The producer always supplies the
-// control-transfer indices, so the detector skips straight-line runs
-// entirely: the loop below touches only the boundary events, and the
-// run between boundaries costs nothing at all (there are no stream
-// observers on this path — see NeedPlanes).
-func (d *Detector) ConsumeCtlBatch(evs []trace.CtlEvent, ctl []int32) {
-	if len(evs) == 0 {
-		return
+// (trace.CtlBatchConsumer): the batch's instructions are reported as
+// counted runs ending at each transfer, so the detector touches only the
+// transfer events and the straight-line code between them costs one
+// Retired call per count observer.
+func (d *Detector) ConsumeCtlBatch(evs []trace.CtlEvent, first, n uint64) {
+	if d.streams != 0 {
+		panic("loopdet: control-plane delivery to a detector with stream observers")
 	}
-	if len(d.stream) != 0 || d.flushMask != 0 {
-		panic("loopdet: control-plane delivery to a full-facet detector")
+	next := first
+	for i := range evs {
+		ev := &evs[i]
+		d.retire(nil, next, ev.Index+1-next)
+		next = ev.Index + 1
+		d.transfer(ev.Instr, ev.PC, ev.Taken, ev.Index)
 	}
-	d.stats.Instrs += uint64(len(evs))
-	for _, ci := range ctl {
-		ev := &evs[ci]
-		d.last = ev.Index
-		d.transferCtl(ev)
-	}
-	d.last = evs[len(evs)-1].Index
-}
-
-// transferCtl is transfer over the control-plane event representation;
-// the two must stay rule-for-rule identical.
-func (d *Detector) transferCtl(ev *trace.CtlEvent) {
-	in := ev.Instr
-	switch in.Kind {
-	case isa.KindBranch:
-		if in.Target <= ev.PC {
-			d.backward(ev.PC, in.Target, ev.Taken, ev.Index)
-		} else if ev.Taken {
-			d.exitTransfer(ev.PC, in.Target, ev.Index)
-		}
-	case isa.KindJump:
-		if in.Target <= ev.PC {
-			d.backward(ev.PC, in.Target, true, ev.Index)
-		} else {
-			d.exitTransfer(ev.PC, in.Target, ev.Index)
-		}
-	case isa.KindRet:
-		d.ret(ev.PC, ev.Index)
+	if end := first + n; next < end {
+		d.retire(nil, next, end-next)
 	}
 }
 
 // transfer applies the loop rules for one control-transfer instruction
 // (a no-op for any other kind). Every consume path funnels through it so
-// the scalar and batch paths cannot drift apart.
-func (d *Detector) transfer(ev *trace.Event) {
-	in := ev.Instr
+// the planes cannot drift apart.
+func (d *Detector) transfer(in *isa.Instr, pc isa.Addr, taken bool, idx uint64) {
 	switch in.Kind {
 	case isa.KindBranch:
-		if in.Target <= ev.PC {
-			d.backward(ev.PC, in.Target, ev.Taken, ev.Index)
-		} else if ev.Taken {
-			d.exitTransfer(ev.PC, in.Target, ev.Index)
+		if in.Target <= pc {
+			d.backward(pc, in.Target, taken, idx)
+		} else if taken {
+			d.exitTransfer(pc, in.Target, idx)
 		}
 	case isa.KindJump:
-		if in.Target <= ev.PC {
-			d.backward(ev.PC, in.Target, true, ev.Index)
+		if in.Target <= pc {
+			d.backward(pc, in.Target, true, idx)
 		} else {
-			d.exitTransfer(ev.PC, in.Target, ev.Index)
+			d.exitTransfer(pc, in.Target, idx)
 		}
 	case isa.KindRet:
-		d.ret(ev.PC, ev.Index)
+		d.ret(pc, idx)
 	}
 }
 
-// consumeBatchSlow is the periodic-flush variant: the flush boundary can
-// fall on any instruction, so the counters advance per event.
-func (d *Detector) consumeBatchSlow(evs []trace.Event) {
-	start := 0
-	for i := range evs {
-		ev := &evs[i]
-		d.stats.Instrs++
-		d.last = ev.Index
-		flushDue := d.stats.Instrs >= d.flushAt
-		k := ev.Instr.Kind
-		if !flushDue && k != isa.KindBranch && k != isa.KindJump && k != isa.KindRet {
-			continue
+// retire accounts a run of n (> 0) retired instructions starting at
+// dynamic index first, cutting it at every periodic-flush boundary it
+// crosses. evs holds the run's events on the full plane and is nil on
+// the control plane, which never has stream observers.
+func (d *Detector) retire(evs []trace.Event, first, n uint64) {
+	for d.flushMask != 0 && d.stats.Instrs+n >= d.flushAt {
+		k := d.flushAt - d.stats.Instrs
+		var head []trace.Event
+		if evs != nil {
+			head, evs = evs[:k], evs[k:]
 		}
-		d.emitStream(evs[start : i+1])
-		start = i + 1
-		if flushDue {
-			d.flushAt += d.flushMask
-			d.Flush()
-		}
-		d.transfer(ev)
-	}
-	d.emitStream(evs[start:])
-}
-
-// emitStream delivers a contiguous run of raw events to the stream
-// observers.
-func (d *Detector) emitStream(evs []trace.Event) {
-	if len(evs) == 0 {
-		return
-	}
-	for i := range d.stream {
-		d.stream[i].deliver(evs)
-	}
-}
-
-// step runs the per-instruction bookkeeping and loop logic (everything
-// Consume does except raw-stream delivery).
-func (d *Detector) step(ev *trace.Event) {
-	d.stats.Instrs++
-	d.last = ev.Index
-	if d.flushMask != 0 && d.stats.Instrs >= d.flushAt {
+		d.emit(head, k, first+k-1)
+		first, n = first+k, n-k
 		d.flushAt += d.flushMask
 		d.Flush()
+		if n == 0 {
+			return
+		}
 	}
-	d.transfer(ev)
+	d.emit(evs, n, first+n-1)
+}
+
+// emit counts a run of n retired instructions ending at dynamic index
+// last and reports it to the run observers, in attachment order.
+func (d *Detector) emit(evs []trace.Event, n, last uint64) {
+	d.stats.Instrs += n
+	d.last = last
+	for i := range d.runs {
+		s := &d.runs[i]
+		switch {
+		case s.count != nil:
+			s.count.Retired(n, last)
+		case s.batch != nil:
+			s.batch.InstrBatch(evs)
+		default:
+			for j := range evs {
+				s.scalar.Instr(&evs[j])
+			}
+		}
+	}
 }
 
 // find returns the stack index of the entry with target t, or -1.

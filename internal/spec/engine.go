@@ -6,7 +6,6 @@ import (
 	"dynloop/internal/isa"
 	"dynloop/internal/loopdet"
 	"dynloop/internal/looptab"
-	"dynloop/internal/trace"
 )
 
 // NestRule selects how STR(i) counts the "non-speculated loops nested
@@ -252,29 +251,14 @@ func (e *Engine) Metrics() Metrics {
 // Clock returns the elapsed cycles.
 func (e *Engine) Clock() uint64 { return e.clock }
 
-// Instr implements loopdet.StreamObserver: every retired instruction
+// Retired implements loopdet.CountObserver: every retired instruction
 // costs one cycle unless it was already executed by a promoted
-// speculative thread (skip credit).
-func (e *Engine) Instr(ev *trace.Event) {
-	e.m.Instrs++
-	e.lastIndex = ev.Index
-	if e.skipBudget > 0 {
-		e.skipBudget--
-		return
-	}
-	e.clock++
-}
-
-// InstrBatch implements loopdet.BatchStreamObserver: the cycle/skip
-// accounting over a run is a pair of additions, because no thread can
-// resolve mid-run (loop events only occur at run boundaries).
-func (e *Engine) InstrBatch(evs []trace.Event) {
-	n := uint64(len(evs))
-	if n == 0 {
-		return
-	}
+// speculative thread (skip credit). Over a run that is a pair of
+// additions, because no thread can resolve mid-run (loop events only
+// occur at run boundaries).
+func (e *Engine) Retired(n, last uint64) {
 	e.m.Instrs += n
-	e.lastIndex = evs[n-1].Index
+	e.lastIndex = last
 	if e.skipBudget >= n {
 		e.skipBudget -= n
 		return

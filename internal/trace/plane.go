@@ -2,13 +2,21 @@ package trace
 
 import "dynloop/internal/isa"
 
-// CtlEvent is the control-plane facet of a retired instruction: the five
-// fields a control-flow consumer (loop detector, branch predictor,
-// stream hash) reads, and nothing else. Producers that know every
-// attached consumer is control-only fill CtlEvents instead of full
-// Events — roughly a third of the stores per retired instruction — and
-// the archive decoder can fill them from the header plane alone, without
-// materializing the value plane at all.
+// The control plane carries exactly what the paper's loop-detection
+// mechanism reads (§2.1–2.2): the control transfers that can start,
+// iterate or end a loop execution — conditional branches, jumps and
+// returns — and how many instructions retired around them. Every other
+// instruction is only counted. A control-plane batch is therefore the
+// batch's transfer events plus the span of dynamic instructions it
+// covers; consumers that need per-instruction detail (the §4 data
+// statistics, per-kind tallies) negotiate the full-event plane instead.
+//
+// Calls are not on the control plane: they never end a loop run (§2.1),
+// and no control-only consumer reads them.
+
+// CtlEvent is one control-transfer event on the control plane: a
+// retired branch, jump or return, with the five fields a control-flow
+// consumer (loop detector, branch predictor, stream hash) reads.
 //
 // The batch-lifetime rules of Event apply unchanged: the slice passed to
 // ConsumeCtlBatch is owned by the producer and reused after the call
@@ -20,7 +28,7 @@ type CtlEvent struct {
 	PC isa.Addr
 	// Instr points at the static instruction.
 	Instr *isa.Instr
-	// Taken reports the branch outcome; it is true for jumps, calls and
+	// Taken reports the branch outcome; it is true for jumps and
 	// returns.
 	Taken bool
 	// Target is the resolved control-transfer destination when Taken
@@ -28,30 +36,39 @@ type CtlEvent struct {
 	Target isa.Addr
 }
 
+// IsTransfer reports whether instructions of kind k are control-plane
+// events: the branches, jumps and returns that end loop-detector runs.
+func IsTransfer(k isa.Kind) bool {
+	return k == isa.KindBranch || k == isa.KindJump || k == isa.KindRet
+}
+
 // Planes is a bitmask of the event facets a consumer reads.
 type Planes uint8
 
 const (
-	// PlaneCtl is the control facet: Index, PC, Instr, Taken, Target.
+	// PlaneCtl is the control facet: the transfer events (Index, PC,
+	// Instr, Taken, Target) and the retired-instruction count.
 	PlaneCtl Planes = 1 << iota
-	// PlaneData is the data facet: WroteReg, WrittenReg, WrittenVal,
-	// MemAddr, MemVal.
+	// PlaneData is everything else: every retired instruction as a full
+	// Event, with its data facet (WroteReg, WrittenReg, WrittenVal,
+	// MemAddr, MemVal).
 	PlaneData
 )
 
-// CtlBatchConsumer receives control-plane batches. ctl carries the same
-// producer-computed segmentation as SegmentedBatchConsumer: the
-// ascending indices into evs of the control-transfer events that end
-// loop-detector runs (branch, jump, ret — not call). Unlike the full
-// path, ctl is always provided on this interface; control-plane
-// producers compute it as a byproduct of filling evs.
+// CtlBatchConsumer receives control-plane batches. A batch covers the n
+// consecutive dynamic instructions first, first+1, ..., first+n-1; evs
+// holds, in stream order, the events of exactly those covered
+// instructions that are transfers (IsTransfer), and nothing else. n is
+// never zero; evs may be empty.
 //
-// Producers deliver CtlEvents to a sink only when the sink implements
-// this interface AND PlanesOf(sink) == PlaneCtl; a consumer that
-// implements ConsumeCtlBatch must produce results observably identical
-// to its ConsumeBatch given the same stream.
+// Where producers cut batches is theirs to choose, and differs from the
+// full plane's cuts; consumers must produce the same results however
+// the stream is cut. Producers deliver here only when the sink
+// implements this interface AND PlanesOf(sink) == PlaneCtl; a consumer
+// that implements ConsumeCtlBatch must produce results observably
+// identical to its ConsumeBatch given the same stream.
 type CtlBatchConsumer interface {
-	ConsumeCtlBatch(evs []CtlEvent, ctl []int32)
+	ConsumeCtlBatch(evs []CtlEvent, first, n uint64)
 }
 
 // PlaneDeclarer lets a consumer state which facets it reads, overriding

@@ -12,12 +12,14 @@ type ctlPass struct {
 	segPass
 	ctlBatches int
 	ctlSum     uint64
-	ctlIdx     []int32
+	ctlFirst   []uint64
+	ctlCovered uint64
 }
 
-func (p *ctlPass) ConsumeCtlBatch(evs []CtlEvent, ctl []int32) {
+func (p *ctlPass) ConsumeCtlBatch(evs []CtlEvent, first, n uint64) {
 	p.ctlBatches++
-	p.ctlIdx = append(p.ctlIdx, ctl...)
+	p.ctlFirst = append(p.ctlFirst, first)
+	p.ctlCovered += n
 	for i := range evs {
 		p.ctlSum += uint64(evs[i].PC)
 	}
@@ -33,7 +35,8 @@ func (p *declarerPass) NeedPlanes() Planes { return p.planes }
 
 // TestPlanesOf pins the negotiation rules: a declarer answers for itself
 // (with 0 normalised to PlaneCtl), an undeclared CtlBatchConsumer is
-// control-only, and anything else needs both facets.
+// control-only, and anything else — including a Counter, whose per-kind
+// tallies need every instruction — needs both facets.
 func TestPlanesOf(t *testing.T) {
 	both := PlaneCtl | PlaneData
 	cases := []struct {
@@ -44,7 +47,7 @@ func TestPlanesOf(t *testing.T) {
 		{"plain", &lifecyclePass{}, both},
 		{"segmented", &segPass{}, both},
 		{"ctl-capable", &ctlPass{}, PlaneCtl},
-		{"counter", &Counter{}, PlaneCtl},
+		{"counter", &Counter{}, both},
 		{"hash", NewHash(), PlaneCtl},
 		{"declares-both", &declarerPass{planes: both}, both},
 		{"declares-ctl", &declarerPass{planes: PlaneCtl}, PlaneCtl},
@@ -102,23 +105,28 @@ func TestAsPassKeepsCtlVisible(t *testing.T) {
 	if PlanesOf(p) != PlaneCtl {
 		t.Fatalf("adapted ctl consumer planes = %v", PlanesOf(p))
 	}
-	p.(CtlBatchConsumer).ConsumeCtlBatch(cevs, []int32{0})
-	if cp.ctlBatches != 1 || cp.ctlSum != 7 {
+	p.(CtlBatchConsumer).ConsumeCtlBatch(cevs, 5, 3)
+	if cp.ctlBatches != 1 || cp.ctlSum != 7 || cp.ctlCovered != 3 || cp.ctlFirst[0] != 5 {
 		t.Fatalf("ctl delivery through adapter: %+v", cp)
 	}
 	if _, ok := p.(SegmentedBatchConsumer); !ok {
 		t.Fatal("adapter hid ConsumeBatchSegmented")
 	}
 
-	// A Counter is ctl-capable but not segmentation-capable.
-	var c Counter
-	pc := AsPass(&c)
-	if PlanesOf(pc) != PlaneCtl {
-		t.Fatalf("adapted Counter planes = %v", PlanesOf(pc))
+	// A Hash is ctl-capable but not segmentation-capable.
+	h := NewHash()
+	ph := AsPass(h)
+	if PlanesOf(ph) != PlaneCtl {
+		t.Fatalf("adapted Hash planes = %v", PlanesOf(ph))
 	}
-	pc.(CtlBatchConsumer).ConsumeCtlBatch(cevs, []int32{0})
-	if c.Total != 1 || c.TakenBranches != 1 {
-		t.Fatalf("Counter through adapter: %+v", c)
+	if _, ok := ph.(SegmentedBatchConsumer); ok {
+		t.Fatal("adapter invented ConsumeBatchSegmented")
+	}
+	ph.(CtlBatchConsumer).ConsumeCtlBatch(cevs, 5, 3)
+	want := NewHash()
+	want.ConsumeCtlBatch(cevs, 5, 3)
+	if h.Sum != want.Sum {
+		t.Fatalf("Hash through adapter: %#x, want %#x", h.Sum, want.Sum)
 	}
 
 	// A plain consumer must NOT gain ctl capability from the adapter.
@@ -136,8 +144,11 @@ func TestAsPassKeepsCtlVisible(t *testing.T) {
 // when every pass is.
 func TestBroadcastPlaneNegotiation(t *testing.T) {
 	both := PlaneCtl | PlaneData
-	if got := NewBroadcast(0, AsPass(&ctlPass{}), AsPass(&Counter{})).NeedPlanes(); got != PlaneCtl {
+	if got := NewBroadcast(0, AsPass(&ctlPass{}), AsPass(NewHash())).NeedPlanes(); got != PlaneCtl {
 		t.Fatalf("all-ctl broadcast planes = %v", got)
+	}
+	if got := NewBroadcast(0, AsPass(&ctlPass{}), AsPass(&Counter{})).NeedPlanes(); got != both {
+		t.Fatalf("broadcast with a Counter planes = %v", got)
 	}
 	if got := NewBroadcast(0, AsPass(&ctlPass{}), &lifecyclePass{}).NeedPlanes(); got != both {
 		t.Fatalf("mixed broadcast planes = %v", got)
@@ -145,16 +156,16 @@ func TestBroadcastPlaneNegotiation(t *testing.T) {
 	if got := NewBroadcast(0).NeedPlanes(); got != PlaneCtl {
 		t.Fatalf("empty broadcast planes = %v", got)
 	}
-	if got := (BatchTee{&Counter{}, NewHash()}).NeedPlanes(); got != PlaneCtl {
+	if got := (BatchTee{&ctlPass{}, NewHash()}).NeedPlanes(); got != PlaneCtl {
 		t.Fatalf("all-ctl tee planes = %v", got)
 	}
-	if got := (BatchTee{&Counter{}, &Recorder{}}).NeedPlanes(); got != both {
+	if got := (BatchTee{NewHash(), &Recorder{}}).NeedPlanes(); got != both {
 		t.Fatalf("mixed tee planes = %v", got)
 	}
 }
 
 // TestBroadcastCtlDelivery: control-plane batches reach every pass with
-// the producer's ctl indices, inline and sharded, and the sharded path
+// the producer's covered span, inline and sharded, and the sharded path
 // is safe against the producer reusing its buffers (the batch barrier).
 func TestBroadcastCtlDelivery(t *testing.T) {
 	br := isa.Instr{Kind: isa.KindBranch}
@@ -166,22 +177,21 @@ func TestBroadcastCtlDelivery(t *testing.T) {
 		}
 		bc.Init()
 		buf := make([]CtlEvent, 32)
-		ctl := make([]int32, 32)
 		pc := uint64(0)
 		for epoch := 0; epoch < 50; epoch++ {
 			for i := range buf {
 				pc++
-				buf[i] = CtlEvent{PC: isa.Addr(pc), Instr: &br, Taken: i%2 == 0}
+				buf[i] = CtlEvent{Index: uint64(epoch*100 + i), PC: isa.Addr(pc), Instr: &br, Taken: i%2 == 0}
 			}
-			ctl[0] = int32(epoch % len(buf))
-			bc.ConsumeCtlBatch(buf, ctl[:1])
+			// Every other batch carries no transfer event at all.
+			bc.ConsumeCtlBatch(buf[:32*(epoch%2)], uint64(epoch*100), 100)
 		}
 		bc.Finalize()
 		if a.ctlBatches != 50 || b.ctlBatches != 50 || a.batches != 0 || a.segBatches != 0 {
 			t.Fatalf("shards=%d: a=%+v b=%+v", shards, a, b)
 		}
-		if len(a.ctlIdx) != 50 || a.ctlIdx[3] != 3 {
-			t.Fatalf("shards=%d: ctl indices %v", shards, a.ctlIdx[:4])
+		if len(a.ctlFirst) != 50 || a.ctlFirst[3] != 300 || a.ctlCovered != 5000 || b.ctlCovered != 5000 {
+			t.Fatalf("shards=%d: covered spans %v... total %d", shards, a.ctlFirst[:4], a.ctlCovered)
 		}
 		if bc.Epochs() != 50 {
 			t.Fatalf("shards=%d: epochs = %d", shards, bc.Epochs())
@@ -197,43 +207,70 @@ func TestBroadcastCtlDelivery(t *testing.T) {
 	}
 }
 
-// TestCtlConsumerEquivalence: Counter and Hash must produce identical
-// results from a control-plane batch and from the equivalent full-Event
-// batch — the contract ConsumeCtlBatch implementations promise.
+// TestCtlConsumerEquivalence: Hash must produce the same sum from the
+// transfer-only control-plane batches of a stream as from its full
+// Events, however either plane is cut — the contract ConsumeCtlBatch
+// implementations promise.
 func TestCtlConsumerEquivalence(t *testing.T) {
 	br := isa.Instr{Kind: isa.KindBranch, Target: 4}
 	add := isa.Instr{Kind: isa.KindALU}
-	full := []Event{
-		{Index: 0, PC: 1, Instr: &add, WroteReg: true, WrittenReg: 3, WrittenVal: 99, MemAddr: 8, MemVal: 7},
-		{Index: 1, PC: 2, Instr: &br, Taken: true, Target: 4},
-		{Index: 2, PC: 4, Instr: &br},
+	call := isa.Instr{Kind: isa.KindCall, Target: 9}
+	ret := isa.Instr{Kind: isa.KindRet}
+	var full []Event
+	for i := 0; i < 60; i++ {
+		full = append(full,
+			Event{PC: 1, Instr: &add, WroteReg: true, WrittenReg: 3, WrittenVal: int64(i), MemAddr: 8, MemVal: 7},
+			Event{PC: 2, Instr: &br, Taken: i%3 == 0, Target: 4 * isa.Addr(i%3/2)},
+			Event{PC: 3, Instr: &call, Taken: true, Target: 9},
+			Event{PC: 9, Instr: &ret, Taken: true, Target: 4},
+			Event{PC: 4, Instr: &add},
+		)
 	}
-	ctlEvs := make([]CtlEvent, len(full))
-	for i, ev := range full {
-		ctlEvs[i] = CtlEvent{Index: ev.Index, PC: ev.PC, Instr: ev.Instr, Taken: ev.Taken, Target: ev.Target}
+	for i := range full {
+		full[i].Index = uint64(i)
 	}
-	ctl := []int32{1, 2}
-
-	var cf, cc Counter
-	cf.ConsumeBatch(full)
-	cc.ConsumeCtlBatch(ctlEvs, ctl)
-	if cf != cc {
-		t.Fatalf("Counter: full %+v != ctl %+v", cf, cc)
-	}
-
-	hf, hc := NewHash(), NewHash()
-	hf.ConsumeBatch(full)
-	hc.ConsumeCtlBatch(ctlEvs, ctl)
-	if hf.Sum != hc.Sum {
-		t.Fatalf("Hash: full %#x != ctl %#x", hf.Sum, hc.Sum)
+	var xfers []CtlEvent
+	for _, ev := range full {
+		if IsTransfer(ev.Instr.Kind) {
+			xfers = append(xfers, CtlEvent{Index: ev.Index, PC: ev.PC, Instr: ev.Instr, Taken: ev.Taken, Target: ev.Target})
+		}
 	}
 
-	// BatchTee forwards the control plane to every member.
-	var ct Counter
-	ht := NewHash()
-	tee := BatchTee{&ct, ht}
-	tee.ConsumeCtlBatch(ctlEvs, ctl)
-	if ct != cc || ht.Sum != hc.Sum {
-		t.Fatalf("tee ctl delivery diverged: %+v %#x", ct, ht.Sum)
+	ref := NewHash()
+	ref.ConsumeBatch(full)
+	scalar := NewHash()
+	for i := range full {
+		scalar.Consume(&full[i])
+	}
+	if scalar.Sum != ref.Sum {
+		t.Fatalf("Hash: per-event %#x != batch %#x", scalar.Sum, ref.Sum)
+	}
+	for _, chunk := range []int{1, 3, 7, 4096} {
+		// Cut the control plane every chunk instructions, so some
+		// batches hold no transfer at all.
+		hc, ht := NewHash(), NewHash()
+		tee := BatchTee{ht}
+		x := 0
+		for i := 0; i < len(full); i += chunk {
+			end := min(i+chunk, len(full))
+			k := x
+			for k < len(xfers) && xfers[k].Index < uint64(end) {
+				k++
+			}
+			hc.ConsumeCtlBatch(xfers[x:k], uint64(i), uint64(end-i))
+			tee.ConsumeCtlBatch(xfers[x:k], uint64(i), uint64(end-i))
+			x = k
+		}
+		if hc.Sum != ref.Sum || ht.Sum != ref.Sum {
+			t.Fatalf("chunk=%d: Hash ctl %#x, through tee %#x, full %#x", chunk, hc.Sum, ht.Sum, ref.Sum)
+		}
+	}
+
+	// The count is part of the hash: the same transfers over a longer
+	// stream hash differently.
+	longer := NewHash()
+	longer.ConsumeCtlBatch(xfers, 0, uint64(len(full)+1))
+	if longer.Sum == ref.Sum {
+		t.Fatal("Hash ignores the instruction count")
 	}
 }

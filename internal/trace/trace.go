@@ -174,14 +174,15 @@ func (t BatchTee) NeedPlanes() Planes {
 // ConsumeCtlBatch forwards a control-plane batch to every consumer.
 // Producers only deliver here when NeedPlanes() == PlaneCtl, which
 // guarantees every member implements CtlBatchConsumer.
-func (t BatchTee) ConsumeCtlBatch(evs []CtlEvent, ctl []int32) {
+func (t BatchTee) ConsumeCtlBatch(evs []CtlEvent, first, n uint64) {
 	for _, c := range t {
-		c.(CtlBatchConsumer).ConsumeCtlBatch(evs, ctl)
+		c.(CtlBatchConsumer).ConsumeCtlBatch(evs, first, n)
 	}
 }
 
 // Counter counts retired instructions by kind. The zero value is ready to
-// use.
+// use. Per-kind tallies need every instruction, not just the transfers,
+// so a Counter always takes the full-event plane.
 type Counter struct {
 	// Total is the number of events seen.
 	Total uint64
@@ -220,23 +221,6 @@ func (c *Counter) ConsumeBatch(evs []Event) {
 	}
 }
 
-// ConsumeCtlBatch tallies every event in a control-plane batch; the
-// tallies read only control-facet fields, so the counts match the full
-// path exactly.
-func (c *Counter) ConsumeCtlBatch(evs []CtlEvent, _ []int32) {
-	c.Total += uint64(len(evs))
-	for i := range evs {
-		ev := &evs[i]
-		c.ByKind[ev.Instr.Kind]++
-		if ev.Instr.Kind == isa.KindBranch {
-			c.Branches++
-			if ev.Taken {
-				c.TakenBranches++
-			}
-		}
-	}
-}
-
 // Recorder stores copies of every event; it is a test helper.
 type Recorder struct {
 	// Events holds the copied events in order.
@@ -249,64 +233,80 @@ func (r *Recorder) Consume(ev *Event) { r.Events = append(r.Events, *ev) }
 // ConsumeBatch appends a copy of every event in the batch.
 func (r *Recorder) ConsumeBatch(evs []Event) { r.Events = append(r.Events, evs...) }
 
-// Hash is a 64-bit FNV-1a accumulator over the control-flow facet of the
-// stream (PC, taken, target). Two runs with the same seed must produce the
-// same hash; determinism tests rely on it.
+// Hash is a 64-bit FNV-1a accumulator over the control plane of the
+// stream: the PC, outcome and target of every transfer event
+// (IsTransfer), then the retired-instruction count. For a given program
+// that fixes the whole executed path — straight-line code and calls
+// between two transfers are static — so two runs with the same seed
+// produce the same hash and diverging runs almost surely do not;
+// determinism tests rely on it. Both planes fold the same values, so the sum does
+// not depend on the plane or on where batches are cut.
 type Hash struct {
-	// Sum is the running hash; read it after the run.
+	// Sum is the hash of the stream so far; read it after the run.
 	Sum uint64
+
+	acc uint64 // FNV-1a fold over the transfer events
+	n   uint64 // retired instructions
 }
 
+const (
+	fnvOffset = 14695981039346656037
+	fnvPrime  = 1099511628211
+)
+
 // NewHash returns a Hash with the standard FNV-1a offset basis.
-func NewHash() *Hash { return &Hash{Sum: 14695981039346656037} }
+func NewHash() *Hash {
+	h := &Hash{acc: fnvOffset}
+	h.finish()
+	return h
+}
 
-const fnvPrime = 1099511628211
-
-// Consume folds the event's control-flow fields into the hash.
-func (h *Hash) Consume(ev *Event) {
-	s := h.Sum
-	s = (s ^ uint64(ev.PC)) * fnvPrime
+// fold mixes one transfer event into the running accumulator.
+func fold(s uint64, pc isa.Addr, taken bool, target isa.Addr) uint64 {
+	s = (s ^ uint64(pc)) * fnvPrime
 	t := uint64(0)
-	if ev.Taken {
+	if taken {
 		t = 1
 	}
 	s = (s ^ t) * fnvPrime
-	s = (s ^ uint64(ev.Target)) * fnvPrime
-	h.Sum = s
+	return (s ^ uint64(target)) * fnvPrime
 }
 
-// ConsumeBatch folds the whole batch into the hash, keeping the running
-// sum in a register across the loop.
+// finish folds the instruction count into Sum.
+func (h *Hash) finish() { h.Sum = (h.acc ^ h.n) * fnvPrime }
+
+// Consume folds one retired instruction into the hash.
+func (h *Hash) Consume(ev *Event) {
+	if IsTransfer(ev.Instr.Kind) {
+		h.acc = fold(h.acc, ev.PC, ev.Taken, ev.Target)
+	}
+	h.n++
+	h.finish()
+}
+
+// ConsumeBatch folds a full-plane batch into the hash, keeping the
+// running accumulator in a register across the loop.
 func (h *Hash) ConsumeBatch(evs []Event) {
-	s := h.Sum
+	s := h.acc
 	for i := range evs {
-		ev := &evs[i]
-		s = (s ^ uint64(ev.PC)) * fnvPrime
-		t := uint64(0)
-		if ev.Taken {
-			t = 1
+		if ev := &evs[i]; IsTransfer(ev.Instr.Kind) {
+			s = fold(s, ev.PC, ev.Taken, ev.Target)
 		}
-		s = (s ^ t) * fnvPrime
-		s = (s ^ uint64(ev.Target)) * fnvPrime
 	}
-	h.Sum = s
+	h.acc = s
+	h.n += uint64(len(evs))
+	h.finish()
 }
 
-// ConsumeCtlBatch folds a control-plane batch into the hash. The hash
-// covers every event (not just control transfers), so it walks the whole
-// batch and ignores ctl; the sum is identical to the full-Event path
-// because only control-facet fields are folded in.
-func (h *Hash) ConsumeCtlBatch(evs []CtlEvent, _ []int32) {
-	s := h.Sum
+// ConsumeCtlBatch folds a control-plane batch into the hash: the same
+// transfer events and count as the full plane, without the kind scan.
+func (h *Hash) ConsumeCtlBatch(evs []CtlEvent, _, n uint64) {
+	s := h.acc
 	for i := range evs {
 		ev := &evs[i]
-		s = (s ^ uint64(ev.PC)) * fnvPrime
-		t := uint64(0)
-		if ev.Taken {
-			t = 1
-		}
-		s = (s ^ t) * fnvPrime
-		s = (s ^ uint64(ev.Target)) * fnvPrime
+		s = fold(s, ev.PC, ev.Taken, ev.Target)
 	}
-	h.Sum = s
+	h.acc = s
+	h.n += n
+	h.finish()
 }

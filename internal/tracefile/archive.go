@@ -169,7 +169,7 @@ const decodeBatch = 1024
 // is ready to use; the first Replay warms it and subsequent replays do
 // not allocate. Full-plane and control-plane replays use separate event
 // buffers, so a decoder serving only control-plane sinks never
-// allocates the (5x larger) full-event buffer.
+// allocates the larger full-event buffer.
 type Decoder struct {
 	evs    []trace.Event
 	ctlEvs []trace.CtlEvent
@@ -185,10 +185,11 @@ type Decoder struct {
 // decode-verified at load, so decoding cannot fail; any residual decode
 // error reports a software bug via ErrCorrupt.
 //
-// Replay negotiates event facets exactly as the interpreter's Run does:
+// Replay negotiates event planes exactly as the interpreter's Run does:
 // a sink that accepts control-plane batches and needs only the control
 // facet is served by the header-plane-only decoder (decodeEventsCtl),
-// which never materializes value fields at all.
+// which emits only the transfer events, cut into the same batches as
+// the interpreter's, and never materializes value fields at all.
 func (r *Recording) Replay(budget uint64, d *Decoder, sink trace.BatchConsumer) (uint64, bool, error) {
 	if d == nil {
 		d = &Decoder{}
@@ -271,10 +272,12 @@ func (r *Recording) replayFull(budget uint64, d *Decoder, sink trace.BatchConsum
 	return n, r.halted && n == r.events, nil
 }
 
-// replayCtl is the control-plane replay loop: the same block/chunk
-// structure as Replay, but decoding header-plane-only control events.
-// The run-boundary side channel is collected as a byproduct and always
-// delivered. Blocks were full-decode-verified at load, so this path
+// replayCtl is the control-plane replay loop: the same blocks as
+// replayFull, decoded header-plane-only into transfer-only batches. A
+// batch fills with up to decodeBatch transfer events, crossing block
+// boundaries as needed, and covers every record decoded since the last
+// one — the batches the interpreter's runCtl delivers at the default
+// batch size. Blocks were full-decode-verified at load, so this path
 // skips the end-of-block revalidation.
 func (r *Recording) replayCtl(budget uint64, d *Decoder, sink trace.CtlBatchConsumer) (uint64, bool, error) {
 	limit := r.events
@@ -284,40 +287,35 @@ func (r *Recording) replayCtl(budget uint64, d *Decoder, sink trace.CtlBatchCons
 	if d.ctlEvs == nil {
 		d.ctlEvs = make([]trace.CtlEvent, decodeBatch)
 	}
-	if d.ctl == nil {
-		d.ctl = make([]int32, decodeBatch)
-	}
-	var n uint64
+	evs := d.ctlEvs[:0]
+	// n counts the records decoded; first is the first record the
+	// pending batch covers.
+	var n, first uint64
 	for i := range r.blocks {
 		b := &r.blocks[i]
-		take := b.count
-		if n+take > limit {
-			take = limit - n
-		}
+		take := min(b.count, limit-n)
 		if take == 0 {
 			break
 		}
 		hlim := int(b.count)
 		hpos, vpos, pc := 0, hlim, b.startPC
 		for take > 0 {
-			chunk := take
-			if chunk > decodeBatch {
-				chunk = decodeBatch
-			}
-			evs := d.ctlEvs[:chunk]
-			var cn int
+			var got int
 			var err error
-			hpos, vpos, pc, cn, err = decodeEventsCtl(b.payload, hpos, hlim, vpos, pc, evs, n, r.tmpls, d.ctl)
+			hpos, vpos, pc, got, evs, err = decodeEventsCtl(b.payload, hpos, hlim, vpos, pc, int(take), evs, n, r.tmpls)
 			if err != nil {
 				return n, false, fmt.Errorf("verified block %d failed to decode: %w", i, err)
 			}
-			sink.ConsumeCtlBatch(evs, d.ctl[:cn])
-			n += uint64(chunk)
-			take -= uint64(chunk)
+			n += uint64(got)
+			take -= uint64(got)
+			if len(evs) == cap(evs) {
+				sink.ConsumeCtlBatch(evs, first, n-first)
+				evs, first = evs[:0], n
+			}
 		}
-		if n == limit {
-			break
-		}
+	}
+	if n > first {
+		sink.ConsumeCtlBatch(evs, first, n-first)
 	}
 	return n, r.halted && n == r.events, nil
 }

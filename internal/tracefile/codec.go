@@ -373,14 +373,15 @@ const (
 	// tmplRet marks returns: the one taken transfer whose target is in
 	// the stream rather than the template.
 	tmplRet = 1 << 2
-	// tmplCtl marks loop-detector run boundaries (branch/jump/ret; see
-	// trace.SegmentedBatchConsumer) for ctl side-channel collection.
+	// tmplCtl marks control transfers (branch/jump/ret; see
+	// trace.IsTransfer): the full plane's run-boundary side channel and
+	// the only records the control-plane decoder emits.
 	tmplCtl = 1 << 3
 	// tmplFuse marks a plain register write (ALU/seq) whose static
 	// successor is also one: the decoder's analogue of the interpreter's
 	// superinstruction fusion, letting the fast path decode the pair in
 	// one iteration — one dispatch, one loop trip — since neither event
-	// can transfer control or touch the ctl side channel.
+	// is a control transfer.
 	tmplFuse = 1 << 4
 )
 
@@ -614,76 +615,80 @@ func decodeEventsPacked(blk []byte, hpos, hlim, vpos int, pc uint64, evs []trace
 	return hpos, vpos, pc, cn, nil
 }
 
-// decodeEventsCtl decodes len(evs) packed records from blk into
-// control-plane events: it walks the header plane only, skipping over
-// the field plane arithmetically (the 2-bit width codes say how many
-// bytes each record spent without loading them). The single value-plane
-// read left is the return target of ret records — the one control
-// transfer whose destination is dynamic. ctl (len >= len(evs)) always
-// receives the run-boundary indices; the count is returned.
+// decodeEventsCtl decodes up to recs packed records from blk for the
+// control plane: it appends the control-transfer events among them
+// (branch, jump, ret) to evs and stops early, right after the transfer
+// that fills evs to capacity. It walks the header plane only, skipping
+// over the field plane arithmetically (the 2-bit width codes say how
+// many bytes each record spent without loading them). The single
+// value-plane read left is the return target of ret records — the one
+// control transfer whose destination is dynamic. It returns the
+// advanced offsets, the number of records decoded and the extended evs.
 //
 // This path never re-validates the block tail — every block was
 // full-decoded once at parse time (parseArchive / Commit), so a
 // control-plane replay is working over bytes already proven well-formed.
 // The offsets thread through successive calls exactly as in
-// decodeEventsPacked, so full and ctl chunked decodes interleave
-// identically with budget truncation.
-func decodeEventsCtl(blk []byte, hpos, hlim, vpos int, pc uint64, evs []trace.CtlEvent, base uint64, tmpls []evTmpl, ctl []int32) (int, int, uint64, int, error) {
+// decodeEventsPacked, so a block may be decoded in any number of pieces.
+func decodeEventsCtl(blk []byte, hpos, hlim, vpos int, pc uint64, recs int, evs []trace.CtlEvent, base uint64, tmpls []evTmpl) (int, int, uint64, int, []trace.CtlEvent, error) {
 	n := len(blk)
-	cn := 0
 	hdr := blk[hpos:hlim]
-	if len(hdr) < len(evs) {
-		return hpos, vpos, pc, cn, fmt.Errorf("%w: block truncated at event %d", ErrCorrupt, len(hdr))
+	if len(hdr) < recs {
+		return hpos, vpos, pc, 0, evs, fmt.Errorf("%w: block truncated at event %d", ErrCorrupt, len(hdr))
 	}
-	for i := 0; i < len(evs); i++ {
+	i := 0
+	for i < recs {
 		if pc >= uint64(len(tmpls)) {
-			return hpos + i, vpos, pc, cn, fmt.Errorf("%w: pc=%d at event %d", ErrCorrupt, pc, i)
+			return hpos + i, vpos, pc, i, evs, fmt.Errorf("%w: pc=%d at event %d", ErrCorrupt, pc, i)
 		}
 		t := &tmpls[pc]
 		h := hdr[i]
-		evs[i] = trace.CtlEvent{Index: base + uint64(i), PC: isa.Addr(pc), Instr: t.in}
 		next := pc + 1
 		if f := t.flags; f&(tmplWroteReg|tmplHasMem) != 0 {
 			vpos += 1 << (h >> 1 & 3)
 			if f&tmplHasMem != 0 {
 				vpos += 1 << (h >> 3 & 3)
-			} else if f&tmplFuse != 0 && i+1 < len(evs) {
+			} else if f&tmplFuse != 0 && i+1 < recs {
 				// Fused pair: the successor is statically another plain
 				// register write, so spend its header byte in the same
 				// iteration — the ctl analogue of the full decoder's pair
 				// arm, with only width arithmetic on the field plane.
-				evs[i+1] = trace.CtlEvent{Index: base + uint64(i+1),
-					PC: isa.Addr(pc + 1), Instr: tmpls[pc+1].in}
 				vpos += 1 << (hdr[i+1] >> 1 & 3)
 				pc += 2
-				i++
+				i += 2
 				continue
 			}
 		} else {
-			if h&1 != 0 { // taken transfer
-				tgt := uint64(t.target)
+			var tgt uint64
+			taken := h&1 != 0
+			if taken {
+				tgt = uint64(t.target)
 				if f&tmplRet != 0 {
 					if vpos+8 > n {
-						return hpos + i, vpos, pc, cn, fmt.Errorf("%w: ret target at event %d", ErrCorrupt, i)
+						return hpos + i, vpos, pc, i, evs, fmt.Errorf("%w: ret target at event %d", ErrCorrupt, i)
 					}
 					c := h >> 1 & 3
 					tgt = binary.LittleEndian.Uint64(blk[vpos:vpos+8]) & fieldMask[c]
 					vpos += 1 << c
 				}
-				ev := &evs[i]
-				ev.Taken, ev.Target = true, isa.Addr(tgt)
 				next = tgt
 			}
 			if f&tmplCtl != 0 {
-				ctl[cn] = int32(i)
-				cn++
+				evs = append(evs, trace.CtlEvent{Index: base + uint64(i), PC: isa.Addr(pc), Instr: t.in,
+					Taken: taken, Target: isa.Addr(tgt)})
+				if len(evs) == cap(evs) {
+					pc = next
+					i++
+					break
+				}
 			}
 		}
 		pc = next
+		i++
 	}
-	hpos += len(evs)
+	hpos += i
 	if vpos > n-blockPad {
-		return hpos, vpos, pc, cn, fmt.Errorf("%w: field plane overrun", ErrCorrupt)
+		return hpos, vpos, pc, i, evs, fmt.Errorf("%w: field plane overrun", ErrCorrupt)
 	}
-	return hpos, vpos, pc, cn, nil
+	return hpos, vpos, pc, i, evs, nil
 }

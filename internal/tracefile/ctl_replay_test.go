@@ -4,34 +4,46 @@ import (
 	"reflect"
 	"testing"
 
-	"dynloop/internal/isa"
 	"dynloop/internal/trace"
 )
 
 // ctlSink accepts only control-plane delivery; ConsumeBatch panicking
-// proves Replay dispatched to the header-plane decoder. ctl indices are
-// resolved to absolute stream positions.
+// proves Replay dispatched to the header-plane decoder. It keeps every
+// batch's span and event count so producers' cuts can be compared.
 type ctlSink struct {
 	events []trace.CtlEvent
-	ctl    []int
+	spans  [][3]uint64 // first, covered, events per batch
 }
 
 func (s *ctlSink) ConsumeBatch([]trace.Event) {
 	panic("full-plane delivery to a control-only sink")
 }
 
-func (s *ctlSink) ConsumeCtlBatch(evs []trace.CtlEvent, ctl []int32) {
-	base := len(s.events)
+func (s *ctlSink) ConsumeCtlBatch(evs []trace.CtlEvent, first, n uint64) {
 	s.events = append(s.events, evs...)
-	for _, i := range ctl {
-		s.ctl = append(s.ctl, base+int(i))
+	s.spans = append(s.spans, [3]uint64{first, n, uint64(len(evs))})
+}
+
+// covered sums the instructions the batches cover, checking that they
+// tile the stream from index 0 without gaps or empty batches.
+func (s *ctlSink) covered(t *testing.T) uint64 {
+	t.Helper()
+	var next uint64
+	for i, sp := range s.spans {
+		if sp[0] != next || sp[1] == 0 {
+			t.Fatalf("batch %d covers [%d, +%d), want a non-empty span from %d", i, sp[0], sp[1], next)
+		}
+		next += sp[1]
 	}
+	return next
 }
 
 // TestReplayCtlEventIdentical: the control-plane replay path must yield
-// exactly the control facet of the full decode — every field of every
-// event, plus the run-boundary indices — over a multi-block recording
-// and at a budget that cuts mid-block. This is the lazy-materialization
+// exactly the full decode filtered to branch/jump/ret — every field of
+// every event — with covered counts adding up to the full stream's
+// length, over a multi-block recording and at a budget that cuts
+// mid-block; and its batches must be cut exactly where the
+// interpreter's control plane cuts them. This is the lazy-materialization
 // differential: decodeEventsCtl walks only the header plane, advancing
 // the value-plane cursor arithmetically, and any drift in that cursor
 // corrupts the PC chain this test checks event by event.
@@ -64,21 +76,21 @@ func TestReplayCtlEventIdentical(t *testing.T) {
 	if _, _, err := r.Replay(0, nil, full); err != nil {
 		t.Fatal(err)
 	}
-	want := make([]trace.CtlEvent, len(full.Events))
-	var wantCtl []int
-	for i, ev := range full.Events {
-		want[i] = trace.CtlEvent{Index: ev.Index, PC: ev.PC, Instr: ev.Instr,
-			Taken: ev.Taken, Target: ev.Target}
-		switch ev.Instr.Kind {
-		case isa.KindBranch, isa.KindJump, isa.KindRet:
-			wantCtl = append(wantCtl, i)
+	var want []trace.CtlEvent
+	for _, ev := range full.Events {
+		if trace.IsTransfer(ev.Instr.Kind) {
+			want = append(want, trace.CtlEvent{Index: ev.Index, PC: ev.PC, Instr: ev.Instr,
+				Taken: ev.Taken, Target: ev.Target})
 		}
 	}
 
 	cs := &ctlSink{}
 	n, halted, err := r.Replay(0, nil, cs)
-	if err != nil || n != uint64(len(want)) || halted != r.halted {
+	if err != nil || n != uint64(len(full.Events)) || halted != r.halted {
 		t.Fatalf("ctl replay: n=%d halted=%v err=%v", n, halted, err)
+	}
+	if got := cs.covered(t); got != n {
+		t.Fatalf("ctl batches cover %d instructions, replay retired %d", got, n)
 	}
 	if len(cs.events) != len(want) {
 		t.Fatalf("ctl replay decoded %d events, want %d", len(cs.events), len(want))
@@ -88,17 +100,33 @@ func TestReplayCtlEventIdentical(t *testing.T) {
 			t.Fatalf("event %d differs:\nctl  %+v\nfull %+v", i, cs.events[i], want[i])
 		}
 	}
-	if !reflect.DeepEqual(cs.ctl, wantCtl) {
-		t.Fatalf("ctl indices differ: got %d entries, want %d", len(cs.ctl), len(wantCtl))
+
+	// The interpreter's control plane cuts the same stream into the same
+	// batches.
+	live := &ctlSink{}
+	if _, err := u.NewCPU().Run(120_000, live); err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(live.spans, cs.spans) {
+		t.Fatalf("replay batches differ from interpreted ones: %d vs %d batches", len(cs.spans), len(live.spans))
 	}
 
 	// A budget cutting into the middle of a block yields the exact prefix.
-	cut := uint64(len(want))/2 + 13
+	cut := uint64(len(full.Events))/2 + 13
 	ps := &ctlSink{}
 	if n, _, err := r.Replay(cut, nil, ps); err != nil || n != cut {
 		t.Fatalf("prefix ctl replay: n=%d err=%v", n, err)
 	}
-	if !reflect.DeepEqual(ps.events, want[:cut]) {
+	if got := ps.covered(t); got != cut {
+		t.Fatalf("prefix ctl batches cover %d instructions, want %d", got, cut)
+	}
+	var wantPrefix []trace.CtlEvent
+	for _, ev := range want {
+		if ev.Index < cut {
+			wantPrefix = append(wantPrefix, ev)
+		}
+	}
+	if !reflect.DeepEqual(ps.events, wantPrefix) {
 		t.Fatal("prefix ctl replay differs from full-decode prefix")
 	}
 

@@ -48,23 +48,32 @@ func steadyPipeline(t testing.TB) (*interp.CPU, *loopdet.Detector) {
 // TestSteadyStateZeroAllocs pins the pipeline's hot path at zero heap
 // allocations per instruction: once warm, retiring instructions through
 // the batch buffer, the detector, the statistics collector and the
-// speculation engine must not allocate at all.
+// speculation engine must not allocate at all — on the control plane
+// the stack negotiates, and forced onto the full event plane.
 func TestSteadyStateZeroAllocs(t *testing.T) {
 	cpu, det := steadyPipeline(t)
-	avg := testing.AllocsPerRun(20, func() {
-		if _, err := cpu.Run(10_000, det); err != nil {
+	for _, leg := range []struct {
+		name string
+		sink trace.BatchConsumer
+	}{{"ctl", det}, {"full", trace.ForceFullPlane(det)}} {
+		if _, err := cpu.Run(10_000, leg.sink); err != nil { // warm the plane's buffers
 			t.Fatal(err)
 		}
-	})
-	if avg != 0 {
-		t.Fatalf("steady-state allocs per 10k-instruction run = %v, want 0", avg)
+		avg := testing.AllocsPerRun(20, func() {
+			if _, err := cpu.Run(10_000, leg.sink); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if avg != 0 {
+			t.Fatalf("%s steady-state allocs per 10k-instruction run = %v, want 0", leg.name, avg)
+		}
 	}
 }
 
 // TestCtlSteadyStateZeroAllocs pins the control-plane hot path the same
-// way: an observer-free detector negotiates compact CtlEvent delivery
-// (trace.PlanesOf == PlaneCtl), and once the ctl batch buffer is warm,
-// retiring instructions through it must not allocate at all.
+// way: an observer-free detector negotiates transfer-only control-plane
+// delivery (trace.PlanesOf == PlaneCtl), and once the ctl batch buffer is
+// warm, retiring instructions through it must not allocate at all.
 func TestCtlSteadyStateZeroAllocs(t *testing.T) {
 	p := &program.Program{Name: "steady-ctl", Code: []isa.Instr{
 		isa.MovI(1, 1<<40),

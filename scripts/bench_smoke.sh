@@ -22,7 +22,12 @@
 # Gate 3 runs the allocation checks with -count=1: the scaling test
 # (for every workload and registered grid, a warmed fused group must not
 # allocate more at budget 4N than at N, so nothing allocates per loop
-# execution) and every zero-allocation pin of the hot paths.
+# execution) and every zero-allocation pin of the hot paths. It also
+# runs the event-plane pins: TestCtlOnlyCellPlanes (only fig8's cells
+# and traversals may use the full event plane, so a new stream observer
+# that pulls a grid back onto it fails here) and TestBatchCutInvariance
+# (the control-plane consumers compute the same results at every batch
+# size on both planes).
 #
 # CI runs this; locally: scripts/bench_smoke.sh
 set -euo pipefail
@@ -68,9 +73,9 @@ REPLAY_NS="$NS"
 awk -v r="$REPLAY_NS" -v i="$INTERP_NS" -v k="$REPLAY_RATIO" 'BEGIN { exit !(r <= i * k) }' ||
 	fail "full replay (${REPLAY_NS} ns/instr) regressed above interpretation (${INTERP_NS} ns/instr) beyond the ${REPLAY_RATIO}x noise ratio"
 
-echo "bench_smoke: allocation scaling and zero-alloc pins"
-go test -count=1 -run '^(TestAllocsDoNotScaleWithBudget|TestSteadyStateZeroAllocs|TestCtlSteadyStateZeroAllocs|TestNilSinkNoAllocs|TestReplayZeroAllocs|TestReplayCtlZeroAllocs|TestHotPathZeroAllocs|TestExecStartZeroAllocs)$' \
+echo "bench_smoke: allocation scaling, zero-alloc and event-plane pins"
+go test -count=1 -run '^(TestAllocsDoNotScaleWithBudget|TestSteadyStateZeroAllocs|TestCtlSteadyStateZeroAllocs|TestNilSinkNoAllocs|TestReplayZeroAllocs|TestReplayCtlZeroAllocs|TestHotPathZeroAllocs|TestExecStartZeroAllocs|TestCtlOnlyCellPlanes|TestBatchCutInvariance)$' \
 	. ./internal/grid ./internal/interp ./internal/tracefile ./internal/obs ./internal/taskpred ||
-	fail "a hot path allocates again (see the failing test above)"
+	fail "a hot path allocates again, or a grid left the control plane (see the failing test above)"
 
 echo "bench_smoke: OK (run ${RUN_NS} ns/instr; replay ${REPLAY_NS} vs interpret ${INTERP_NS} ns/instr; 0 allocs; no per-execution allocation)"
