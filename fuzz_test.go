@@ -4,7 +4,8 @@
 // machine state, same error — any stream the fast path emits must
 // survive a trace-archive record/replay round trip event for event, and
 // the control-plane consumers must compute the same results however
-// the stream is cut into batches and on either event plane.
+// the stream is cut into batches and on either event plane, and the
+// Figure-8 data collector must match its per-instruction reference.
 package dynloop_test
 
 import (
@@ -13,6 +14,8 @@ import (
 
 	"dynloop/internal/branchpred"
 	"dynloop/internal/builder"
+	"dynloop/internal/datapred"
+	"dynloop/internal/datapred/datapredtest"
 	"dynloop/internal/interp"
 	"dynloop/internal/isa"
 	"dynloop/internal/loopdet"
@@ -283,6 +286,15 @@ func FuzzPredecode(f *testing.F) {
 		// Batch-cut leg: the paper's control-plane consumers see this
 		// program identically at every batch size, on both planes.
 		checkBatchCuts(t, "fuzz", func() *interp.CPU { return newFuzzCPU(p, false) }, budget)
+
+		// Figure-8 leg: the run-granularity data collector must compute
+		// the per-instruction reference's Summary at every delivery and
+		// CLS configuration, also under caps small enough to overflow.
+		for _, cfg := range []datapred.Config{{}, {MaxMemPerLoop: 4, MaxPathsPerLoop: 2}} {
+			if _, err := datapredtest.Diff(func() *interp.CPU { return newFuzzCPU(p, false) }, budget, cfg); err != nil {
+				t.Fatalf("datapred %+v: %v", cfg, err)
+			}
+		}
 
 		// Replay leg: a clean run's stream must round-trip through the
 		// archive codec byte for byte.

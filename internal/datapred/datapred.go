@@ -11,9 +11,40 @@
 // capacity to store all the loops"). The Collector is a detector
 // observer: attach it with Detector.AddObserver, or bundle it into one
 // pass of a fused multi-pass traversal with harness.NewObserverPass.
+//
+// # Run granularity
+//
+// The Collector reads the full event plane, but does its per-iteration
+// work once per run, not once per instruction per active loop. A run is
+// what the detector hands InstrBatch: a stretch of instructions with no
+// loop event inside, so every active iteration takes in all of it. One
+// scan summarises the run — the registers it reads before writing them
+// and the registers it touches, as 32-bit masks taken from each
+// instruction's static read mask (isa.Instr.ReadMask), and the positions
+// of its loads and stores — and each active iteration folds the summary
+// in: its live-in registers are a mask, grown by the run's read-first
+// registers it had not touched yet, at O(1) cost. A live-in register is
+// read before any write in its iteration, so its value is the register's
+// value when the iteration began, which the iteration keeps. Register
+// order does not matter: every register has its own predictor and the
+// outcomes are sums. Memory stays per access, in stream order, because
+// the MaxMemPerLoop cap admits locations first come, first served.
+//
+// A path is identified by the FNV-1a hash of the iteration's PCs; the
+// hash function is part of the results, because the most frequent
+// path's ties break on the lowest hash. The scan folds the run's PCs
+// into the two outermost iterations' hashes as it goes, and a second
+// pass folds them into any deeper ones, side by side. Per-loop
+// predictors and path buckets, and each iteration's set of touched
+// locations, live in flat open-addressed tables of values (table,
+// addrSet), so a warm loop allocates nothing per iteration. Package
+// datapredtest holds a per-instruction collector that tests diff this
+// one against.
 package datapred
 
 import (
+	"math/bits"
+
 	"dynloop/internal/isa"
 	"dynloop/internal/loopdet"
 	"dynloop/internal/predict"
@@ -63,101 +94,73 @@ type pathStat struct {
 // loopAcc is the per-loop accumulated state: value predictors (shared
 // across paths, fed by every iteration) and per-path outcome buckets.
 type loopAcc struct {
-	regPred  [isa.NumRegs]predict.Stride
-	memPred  map[uint64]*predict.Stride
-	paths    map[uint64]*pathStat
+	// regPred holds the predictors of the registers that have been
+	// live-ins of the loop, in first-use order; regAt[r] is 1 + register
+	// r's position there, or 0. Most loops have a few live-in registers,
+	// so this costs far less than a predictor for each of them.
+	regAt    [isa.NumRegs]uint8
+	regPred  []predict.Stride
+	memPred  table[predict.Stride] // by address, at most MaxMemPerLoop
+	paths    table[pathStat]       // by path hash, at most MaxPathsPerLoop+1
 	iters    uint64
 	overflow uint64
-	// spare is the frame of the loop's last ended execution, reused by
-	// its next one. The CLS holds at most one execution per loop, so one
-	// spare per loop suffices, and a reused frame's maps keep the
-	// capacity this same loop grew them to.
-	spare *frame
 }
 
 // frame tracks the current iteration of one active loop execution.
-// Frames are recycled when their execution ends (see loopAcc.spare),
-// keeping their slices' and maps' storage.
+// Frames are recycled when their execution ends (see Collector.free).
 type frame struct {
 	loop *loopAcc
 	id   uint64 // the execution's loopdet.Exec.ID
-	gen  uint32
-	// regState is 0 (unseen this iteration), gen<<1 (read first) or
-	// gen<<1|1 (written first).
-	regState [isa.NumRegs]uint32
-	regFirst [isa.NumRegs]int64
-	regLive  []isa.Reg
-	memFirst map[uint64]int64
-	memSeen  map[uint64]bool // true = written before read
-	// memOrder records first-touched addresses in stream order, so that
-	// live-in evaluation (and, crucially, the MaxMemPerLoop cap
-	// admission) is deterministic — iterating memSeen directly would let
-	// Go's randomised map order pick which locations get predictors.
-	memOrder []uint64
+	// pathHash is the FNV-1a hash of the iteration's PCs so far.
 	pathHash uint64
-	started  bool
+	// seen holds the registers the iteration has read or written so far,
+	// live those of them it read first: its live-in registers.
+	seen, live uint32
+	// start holds the register values when the iteration began. A
+	// live-in is read before any write in the iteration, so this is the
+	// value it was read with.
+	start [isa.NumRegs]int64
+	// mem holds the locations the iteration has read or written so far;
+	// memLive lists those it read first, in first-read stream order, so
+	// that live-in evaluation (and, crucially, the MaxMemPerLoop cap
+	// admission) is deterministic.
+	mem     addrSet
+	memLive []memValue
+}
+
+// memValue is a memory location and the value read there.
+type memValue struct {
+	addr uint64
+	val  int64
 }
 
 const fnvOffset = 14695981039346656037
 const fnvPrime = 1099511628211
 
-func (f *frame) reset() {
-	f.gen++
-	f.regLive = f.regLive[:0]
-	f.memOrder = f.memOrder[:0]
-	clear(f.memFirst)
-	clear(f.memSeen)
+// reset starts a fresh iteration whose registers begin at regs.
+func (f *frame) reset(regs *[isa.NumRegs]int64) {
 	f.pathHash = fnvOffset
-	f.started = true
-}
-
-func (f *frame) noteRegRead(r isa.Reg, v int64) {
-	if f.regState[r]>>1 == f.gen {
-		return // already seen this iteration
-	}
-	f.regState[r] = f.gen << 1
-	f.regFirst[r] = v
-	f.regLive = append(f.regLive, r)
-}
-
-func (f *frame) noteRegWrite(r isa.Reg) {
-	if f.regState[r]>>1 == f.gen {
-		return
-	}
-	f.regState[r] = f.gen<<1 | 1
-}
-
-func (f *frame) noteMemRead(addr uint64, v int64) {
-	if f.memSeen == nil {
-		f.memSeen = make(map[uint64]bool)
-		f.memFirst = make(map[uint64]int64)
-	}
-	if _, ok := f.memSeen[addr]; ok {
-		return
-	}
-	f.memSeen[addr] = false
-	f.memFirst[addr] = v
-	f.memOrder = append(f.memOrder, addr)
-}
-
-func (f *frame) noteMemWrite(addr uint64) {
-	if f.memSeen == nil {
-		f.memSeen = make(map[uint64]bool)
-		f.memFirst = make(map[uint64]int64)
-	}
-	if _, ok := f.memSeen[addr]; ok {
-		return
-	}
-	f.memSeen[addr] = true
+	f.seen, f.live = 0, 0
+	f.start = *regs
+	f.mem.clear()
+	f.memLive = f.memLive[:0]
 }
 
 // Collector implements the Figure-8 measurement as a detector observer.
 type Collector struct {
 	cfg    Config
-	shadow [isa.NumRegs]int64
-	frames []*frame // active executions, outermost first
-	loops  map[isa.Addr]*loopAcc
-	reads  []isa.Reg
+	shadow [isa.NumRegs]int64 // the current register values
+	frames []*frame           // active executions, outermost first
+	// free holds the frames of ended executions, reused by later ones
+	// with the storage they grew, so there are never more frames than
+	// the CLS is deep.
+	free  []*frame
+	loops map[isa.Addr]*loopAcc
+	// Per-run scratch: the positions of the run's loads and stores, and
+	// the frames' path hashes while a run is folded into more than two.
+	memAt  []int32
+	hashes []uint64
+	one    [1]trace.Event // Instr's one-event run
 }
 
 // NewCollector returns a collector with the given configuration.
@@ -169,42 +172,16 @@ func NewCollector(cfg Config) *Collector {
 	}
 }
 
-// Instr implements loopdet.StreamObserver: classify reads/writes into
-// every active iteration frame and maintain the register shadow.
+// Instr implements loopdet.StreamObserver as a one-event run.
 func (c *Collector) Instr(ev *trace.Event) {
-	in := ev.Instr
-	if len(c.frames) > 0 {
-		c.reads = in.Reads(c.reads[:0])
-		for _, fr := range c.frames {
-			if !fr.started {
-				continue
-			}
-			fr.pathHash = (fr.pathHash ^ uint64(ev.PC)) * fnvPrime
-			for _, r := range c.reads {
-				fr.noteRegRead(r, c.shadow[r])
-			}
-			switch in.Kind {
-			case isa.KindLoad:
-				fr.noteMemRead(ev.MemAddr, ev.MemVal)
-			case isa.KindStore:
-				fr.noteMemWrite(ev.MemAddr)
-			}
-			if ev.WroteReg {
-				fr.noteRegWrite(ev.WrittenReg)
-			}
-		}
-	}
-	if ev.WroteReg {
-		c.shadow[ev.WrittenReg] = ev.WrittenVal
-	}
+	c.one[0] = *ev
+	c.InstrBatch(c.one[:])
 }
 
-// InstrBatch implements loopdet.BatchStreamObserver. Outside any loop —
-// the common case between executions — the run reduces to replaying
-// register writes into the shadow file with no per-event dispatch;
-// inside loops the per-event classification is inherently per
-// instruction, but the method-call loop still beats one interface call
-// per event.
+// InstrBatch implements loopdet.BatchStreamObserver: it summarises the
+// run once and folds the summary into every active frame (see the
+// package comment). Only the path hashes and the memory accesses remain
+// per event per frame.
 func (c *Collector) InstrBatch(evs []trace.Event) {
 	if len(c.frames) == 0 {
 		for i := range evs {
@@ -214,8 +191,93 @@ func (c *Collector) InstrBatch(evs []trace.Event) {
 		}
 		return
 	}
+	// readFirst holds the registers the run reads before writing them,
+	// seen every register it reads or writes, and memAt the positions of
+	// the run's loads and stores. The scan also folds the run's PCs into
+	// the first two frames' path hashes, whose multiply chains then overlap
+	// the rest of the work; a lone frame's partner chain is dropped.
+	var readFirst, seen uint32
+	if cap(c.memAt) < len(evs) {
+		c.memAt = make([]int32, len(evs))
+	}
+	memAt, n := c.memAt[:len(evs)], 0
+	shadow := &c.shadow
+	fs := c.frames
+	h0, h1 := fs[0].pathHash, uint64(fnvOffset)
+	if len(fs) > 1 {
+		h1 = fs[1].pathHash
+	}
 	for i := range evs {
-		c.Instr(&evs[i])
+		ev := &evs[i]
+		pc := uint64(ev.PC)
+		h0 = (h0 ^ pc) * fnvPrime
+		h1 = (h1 ^ pc) * fnvPrime
+		in := ev.Instr
+		r := in.ReadMask()
+		readFirst |= r &^ seen
+		seen |= r
+		if in.Kind.TouchesMem() {
+			memAt[n] = int32(i)
+			n++
+		}
+		if ev.WroteReg {
+			w := ev.WrittenReg % isa.NumRegs // the mod only drops a bounds check
+			seen |= 1 << w
+			shadow[w] = ev.WrittenVal
+		}
+	}
+	fs[0].pathHash = h0
+	if len(fs) > 1 {
+		fs[1].pathHash = h1
+		c.foldPaths(fs[2:], evs)
+	}
+	for _, fr := range fs {
+		fr.live |= readFirst &^ fr.seen
+		fr.seen |= seen
+		for _, j := range memAt[:n] {
+			ev := &evs[j]
+			if fr.mem.add(ev.MemAddr) && ev.Instr.Kind == isa.KindLoad {
+				fr.memLive = append(fr.memLive, memValue{ev.MemAddr, ev.MemVal})
+			}
+		}
+	}
+}
+
+// foldPaths extends the path hashes of fs with the run's PCs, in one
+// pass over the run. Each FNV-1a chain is a serial multiply, so folding
+// the frames side by side overlaps their latencies.
+func (c *Collector) foldPaths(fs []*frame, evs []trace.Event) {
+	switch len(fs) {
+	case 0:
+	case 1:
+		h := fs[0].pathHash
+		for i := range evs {
+			h = (h ^ uint64(evs[i].PC)) * fnvPrime
+		}
+		fs[0].pathHash = h
+	case 2:
+		h0, h1 := fs[0].pathHash, fs[1].pathHash
+		for i := range evs {
+			pc := uint64(evs[i].PC)
+			h0 = (h0 ^ pc) * fnvPrime
+			h1 = (h1 ^ pc) * fnvPrime
+		}
+		fs[0].pathHash, fs[1].pathHash = h0, h1
+	default:
+		hs := c.hashes[:0]
+		for _, fr := range fs {
+			hs = append(hs, fr.pathHash)
+		}
+		for i := range evs {
+			pc := uint64(evs[i].PC)
+			for j := range hs {
+				hs[j] = (hs[j] ^ pc) * fnvPrime
+			}
+		}
+		for j, fr := range fs {
+			fr.pathHash = hs[j]
+		}
+		c.hashes = hs
 	}
 }
 
@@ -223,24 +285,18 @@ func (c *Collector) InstrBatch(evs []trace.Event) {
 func (c *Collector) ExecStart(x *loopdet.Exec) {
 	la := c.loops[x.T]
 	if la == nil {
-		la = &loopAcc{
-			memPred: make(map[uint64]*predict.Stride),
-			paths:   make(map[uint64]*pathStat),
-		}
+		la = &loopAcc{}
 		c.loops[x.T] = la
 	}
-	fr := la.spare
-	if fr != nil {
-		la.spare = nil
-		// A fresh frame but for the storage: the register tables restart
-		// from generation 0 exactly as a new frame's would.
-		*fr = frame{regLive: fr.regLive[:0], memFirst: fr.memFirst,
-			memSeen: fr.memSeen, memOrder: fr.memOrder[:0]}
+	var fr *frame
+	if n := len(c.free); n > 0 {
+		fr = c.free[n-1]
+		c.free = c.free[:n-1]
 	} else {
 		fr = &frame{}
 	}
 	fr.loop, fr.id = la, x.ID
-	fr.reset()
+	fr.reset(&c.shadow)
 	c.frames = append(c.frames, fr)
 }
 
@@ -267,7 +323,7 @@ func (c *Collector) IterStart(x *loopdet.Exec, index uint64) {
 	if x.Iters > 2 {
 		c.finishIteration(fr)
 	}
-	fr.reset()
+	fr.reset(&c.shadow)
 }
 
 // ExecEnd implements loopdet.Observer.
@@ -285,7 +341,7 @@ func (c *Collector) ExecEnd(x *loopdet.Exec, reason loopdet.EndReason, index uin
 	}
 	copy(c.frames[i:], c.frames[i+1:])
 	c.frames = c.frames[:len(c.frames)-1]
-	fr.loop.spare = fr
+	c.free = append(c.free, fr)
 }
 
 // OneShot implements loopdet.Observer; one-shot executions have no
@@ -297,72 +353,48 @@ func (c *Collector) OneShot(t, b isa.Addr, index uint64) {}
 func (c *Collector) finishIteration(fr *frame) {
 	la := fr.loop
 	la.iters++
-	ps := la.paths[fr.pathHash]
+	ps := la.paths.get(fr.pathHash)
 	if ps == nil {
-		if len(la.paths) >= c.cfg.MaxPathsPerLoop {
+		key := fr.pathHash
+		if len(la.paths.entries) >= c.cfg.MaxPathsPerLoop {
 			// Bucket overflow paths together; they are by construction
 			// rare paths.
-			ps = la.paths[0]
-			if ps == nil {
-				ps = &pathStat{}
-				la.paths[0] = ps
-			}
-		} else {
-			ps = &pathStat{}
-			la.paths[fr.pathHash] = ps
+			key = 0
+			ps = la.paths.get(0)
+		}
+		if ps == nil {
+			ps = la.paths.add(key)
 		}
 	}
 	ps.iters++
 
+	// Every register has its own predictor and the outcomes are sums, so
+	// the live-ins may be taken in register order.
 	allReg, allMem := true, true
-	for _, r := range fr.regLive {
-		v := fr.regFirst[r]
-		pr := &la.regPred[r]
-		if pr.Samples() >= 2 {
-			pred, _ := pr.Predict()
-			ps.lrAttempt++
-			if pred == v {
-				ps.lrCorrect++
-			} else {
-				allReg = false
-			}
-			if last, ok := pr.HaveLast(); ok && last == v {
-				ps.lrLast++
-			}
-		} else {
+	for live := fr.live; live != 0; live &= live - 1 {
+		r := bits.TrailingZeros32(live)
+		if la.regAt[r] == 0 {
+			la.regPred = append(la.regPred, predict.Stride{})
+			la.regAt[r] = uint8(len(la.regPred))
+		}
+		pr := &la.regPred[la.regAt[r]-1]
+		if !predictNext(pr, fr.start[r], &ps.lrAttempt, &ps.lrCorrect, &ps.lrLast) {
 			allReg = false
 		}
-		pr.Observe(v)
 	}
-	// memOrder holds exactly the read-before-write addresses (write-first
-	// locations never enter it), in first-read stream order.
-	for _, addr := range fr.memOrder {
-		v := fr.memFirst[addr]
-		pr := la.memPred[addr]
+	for _, m := range fr.memLive {
+		pr := la.memPred.get(m.addr)
 		if pr == nil {
-			if len(la.memPred) >= c.cfg.MaxMemPerLoop {
+			if len(la.memPred.entries) >= c.cfg.MaxMemPerLoop {
 				la.overflow++
 				allMem = false
 				continue
 			}
-			pr = &predict.Stride{}
-			la.memPred[addr] = pr
+			pr = la.memPred.add(m.addr)
 		}
-		if pr.Samples() >= 2 {
-			pred, _ := pr.Predict()
-			ps.lmAttempt++
-			if pred == v {
-				ps.lmCorrect++
-			} else {
-				allMem = false
-			}
-			if last, ok := pr.HaveLast(); ok && last == v {
-				ps.lmLast++
-			}
-		} else {
+		if !predictNext(pr, m.val, &ps.lmAttempt, &ps.lmCorrect, &ps.lmLast) {
 			allMem = false
 		}
-		pr.Observe(v)
 	}
 	if allReg {
 		ps.allLr++
@@ -373,6 +405,26 @@ func (c *Collector) finishIteration(fr *frame) {
 	if allReg && allMem {
 		ps.allData++
 	}
+}
+
+// predictNext scores v against pr once pr has a stride: it counts the
+// attempt, a stride-prediction hit and a last-value hit. It then trains
+// pr with v and reports whether the stride prediction hit.
+func predictNext(pr *predict.Stride, v int64, attempts, hits, lastHits *uint64) bool {
+	hit := false
+	if pr.Samples() >= 2 {
+		pred, _ := pr.Predict()
+		*attempts++
+		if pred == v {
+			*hits++
+			hit = true
+		}
+		if last, _ := pr.HaveLast(); last == v {
+			*lastHits++
+		}
+	}
+	pr.Observe(v)
+	return hit
 }
 
 // Summary is the Figure-8 result set; all percentages except SamePathPct
@@ -411,8 +463,7 @@ type Summary struct {
 // metrics.
 func (c *Collector) Summary() Summary {
 	var s Summary
-	var sameIters uint64
-	var lrA, lrC, lmA, lmC, lrL, lmL, allLr, allLm, allData, mfpIters uint64
+	var mfpIters, lrA, lrC, lmA, lmC, lrL, lmL, allLr, allLm, allData uint64
 	for _, la := range c.loops {
 		if la.iters == 0 {
 			continue
@@ -421,20 +472,18 @@ func (c *Collector) Summary() Summary {
 		s.Iters += la.iters
 		s.MemOverflow += la.overflow
 		// Most frequent path of this loop. Ties are broken on the lowest
-		// path hash — without a deterministic tie-break, randomised map
-		// order would pick the winner and the report would differ from
-		// run to run.
+		// path hash, so the winner does not depend on table order.
 		var best *pathStat
 		var bestHash uint64
-		for h, ps := range la.paths {
-			if best == nil || ps.iters > best.iters || (ps.iters == best.iters && h < bestHash) {
-				best, bestHash = ps, h
+		for i := range la.paths.entries {
+			e := &la.paths.entries[i]
+			if best == nil || e.val.iters > best.iters || (e.val.iters == best.iters && e.key < bestHash) {
+				best, bestHash = &e.val, e.key
 			}
 		}
 		if best == nil {
 			continue
 		}
-		sameIters += best.iters
 		mfpIters += best.iters
 		lrA += best.lrAttempt
 		lrC += best.lrCorrect
@@ -447,7 +496,7 @@ func (c *Collector) Summary() Summary {
 		allData += best.allData
 	}
 	if s.Iters > 0 {
-		s.SamePathPct = 100 * float64(sameIters) / float64(s.Iters)
+		s.SamePathPct = 100 * float64(mfpIters) / float64(s.Iters)
 	}
 	if lrA > 0 {
 		s.LrPredPct = 100 * float64(lrC) / float64(lrA)

@@ -6,6 +6,8 @@ import (
 	"dynloop/internal/builder"
 	"dynloop/internal/harness"
 	"dynloop/internal/isa"
+	"dynloop/internal/loopdet"
+	"dynloop/internal/trace"
 )
 
 // runPred executes a unit with a collector attached and returns the
@@ -203,5 +205,75 @@ func TestMemCap(t *testing.T) {
 	s := runPred(t, u, Config{MaxMemPerLoop: 8})
 	if s.MemOverflow == 0 {
 		t.Fatal("expected memory-cap overflow")
+	}
+}
+
+// TestWarmLoopZeroAllocs pins that a warm loop allocates nothing per
+// iteration. An outer loop alternates between two control paths, loads
+// and stores a fixed set of addresses, and runs an inner loop execution
+// that starts and ends in every outer iteration; after warm-up, further
+// outer iterations must not allocate.
+func TestWarmLoopZeroAllocs(t *testing.T) {
+	const base = builder.HeapBase
+	code := []isa.Instr{
+		isa.Load(1, 2, 0),
+		isa.AddI(3, 1, 1),
+		isa.Store(2, 8, 3),
+		isa.AddI(2, 2, 16),
+		isa.Branch(isa.CondNEZ, 3, 0),
+	}
+	c := NewCollector(Config{})
+	outer := &loopdet.Exec{ID: 1, T: 0, Iters: 2}
+	inner := &loopdet.Exec{T: 1, Iters: 2}
+	run := make([]trace.Event, 0, 64)
+	var idx uint64
+	// emit appends one event per instruction of code[from:to] touching
+	// address addr, and delivers them as one run.
+	emit := func(from, to int, addr uint64, val int64) {
+		run = run[:0]
+		for pc := from; pc < to; pc++ {
+			in := &code[pc]
+			ev := trace.Event{Index: idx, PC: isa.Addr(pc), Instr: in, MemAddr: addr, MemVal: val}
+			if r, ok := in.WritesReg(); ok {
+				ev.WroteReg, ev.WrittenReg, ev.WrittenVal = true, r, val
+			}
+			run = append(run, ev)
+			idx++
+		}
+		c.InstrBatch(run)
+	}
+	k := 0
+	iteration := func() {
+		for j := 0; j < 16; j++ {
+			addr := base + uint64(16*j)
+			emit(0, 3, addr, int64(k+j))
+			if (k+j)%2 == 0 {
+				emit(3, 5, addr, int64(k))
+			}
+		}
+		inner.ID++
+		inner.Iters = 2
+		c.ExecStart(inner)
+		c.IterStart(inner, idx)
+		for i := 0; i < 3; i++ {
+			emit(1, 5, base, int64(i))
+			inner.Iters++
+			c.IterStart(inner, idx)
+		}
+		c.ExecEnd(inner, loopdet.EndBackEdge, idx)
+		k++
+		outer.Iters++
+		c.IterStart(outer, idx)
+	}
+	c.ExecStart(outer)
+	c.IterStart(outer, idx)
+	for i := 0; i < 200; i++ {
+		iteration()
+	}
+	if n := testing.AllocsPerRun(200, iteration); n != 0 {
+		t.Fatalf("a warm loop iteration allocates %v times, want 0", n)
+	}
+	if s := c.Summary(); s.Loops != 2 || s.Iters == 0 {
+		t.Fatalf("summary %+v: the loop nest was not measured", s)
 	}
 }

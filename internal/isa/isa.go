@@ -329,6 +329,47 @@ func (in *Instr) Reads(dst []Reg) []Reg {
 	return dst
 }
 
+// kindSrcs and aluSrcs select the source operands Reads lists, by kind
+// and, for KindALU, by operation: the low half of an entry is all ones
+// when Rs1 is read, the high half when Rs2 is. Full-byte tables need no
+// bounds check.
+var kindSrcs = [256]uint64{KindLoad: rs1Read, KindStore: rs1Read | rs2Read, KindBranch: rs1Read}
+
+var aluSrcs = func() (t [256]uint64) {
+	for op := range t {
+		t[op] = rs1Read | rs2Read
+	}
+	t[OpMovI] = 0
+	t[OpAddI], t[OpMov], t[OpShl], t[OpShr] = rs1Read, rs1Read, rs1Read, rs1Read
+	return t
+}()
+
+const (
+	rs1Read = 1<<32 - 1
+	rs2Read = rs1Read << 32
+)
+
+// regBits[r] is register r's bit in a register mask.
+var regBits = func() (t [256]uint32) {
+	for r := range t {
+		t[r] = 1 << (r % NumRegs)
+	}
+	return t
+}()
+
+// ReadMask returns the registers Reads lists as a bit set, bit r for
+// register r, without building a slice. Registers are taken mod NumRegs,
+// which valid programs never exceed.
+func (in *Instr) ReadMask() uint32 {
+	// Both lookups, then a select the compiler makes branch-free: the
+	// data-speculation collector calls this for every instruction.
+	src, alu := kindSrcs[in.Kind], aluSrcs[in.Op]
+	if in.Kind == KindALU {
+		src = alu
+	}
+	return regBits[in.Rs1]&uint32(src) | regBits[in.Rs2]&uint32(src>>32)
+}
+
 // WritesReg reports whether the instruction writes a register, and which.
 func (in *Instr) WritesReg() (Reg, bool) {
 	switch in.Kind {

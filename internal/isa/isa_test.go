@@ -82,6 +82,26 @@ func TestReadsWrites(t *testing.T) {
 	}
 }
 
+// TestReadMaskMatchesReads: ReadMask is Reads as a bit set for every
+// kind and operation byte, including unknown ones and an instruction
+// that reads one register twice.
+func TestReadMaskMatchesReads(t *testing.T) {
+	for k := 0; k < 256; k++ {
+		for op := 0; op < 256; op++ {
+			for _, rs := range [][2]Reg{{3, 17}, {5, 5}, {0, 31}} {
+				in := Instr{Kind: Kind(k), Op: ALUOp(op), Rs1: rs[0], Rs2: rs[1]}
+				var want uint32
+				for _, r := range in.Reads(nil) {
+					want |= 1 << r
+				}
+				if got := in.ReadMask(); got != want {
+					t.Fatalf("%v (kind %d op %d): ReadMask %#x, Reads %#x", in, k, op, got, want)
+				}
+			}
+		}
+	}
+}
+
 // TestDisassembly spot-checks mnemonics (they appear in CLI output and
 // debugging dumps).
 func TestDisassembly(t *testing.T) {

@@ -38,7 +38,7 @@ type Stride struct {
 	last    int64
 	stride  int64
 	conf    TwoBit
-	samples int
+	samples uint8 // 0, 1 or 2: it saturates once a stride exists
 }
 
 // Observe feeds the next actual value of the series.
@@ -65,7 +65,7 @@ func (s *Stride) Observe(v int64) {
 }
 
 // Samples returns how many values have been observed.
-func (s *Stride) Samples() int { return s.samples }
+func (s *Stride) Samples() int { return int(s.samples) }
 
 // HaveLast reports whether at least one value has been observed, and
 // returns it.

@@ -4,9 +4,9 @@
 # Gate 1 runs BenchmarkRun (the full pipeline at the default batch
 # size) once at a fixed iteration count and fails if ns/instruction
 # exceeds the pinned ceiling. The ceiling is deliberately loose — the
-# split-plane core measures ~4.5-4.8 ns/instr on the reference host
-# (see BENCH_interp.json v2) and the ceiling sits at 6.5, well under
-# the ~8.9 of the reference path — so normal runner-to-runner noise
+# transfer-only control plane measures ~3.2 ns/instr on the reference
+# host and the ceiling sits at 6.5, well under the ~8.9 of the
+# reference path — so normal runner-to-runner noise
 # passes but losing a tentpole optimisation (or an accidental
 # fall-back to the reference path) fails loudly. Also asserts the
 # benchmark still reports 0 allocs/op on both legs: the
@@ -14,10 +14,10 @@
 #
 # Gate 2 runs the ctl-plane legs of BenchmarkTraceReplay and fails if
 # a full replay (header-plane decode + consumer delivery) costs more
-# than interpretation of the same stream into the same sink. The two
-# sit ~1% apart on the reference host (7.2 vs 7.3 ns/instr), so the
-# gate allows a noise ratio; losing the header-plane decode puts
-# replay at full-decode cost (~+22%), which trips it.
+# than interpretation of the same stream into the same sink. Replay
+# is the faster leg on the reference host (~2.0 vs ~2.4 ns/instr),
+# and the gate allows a noise ratio; losing the header-plane decode
+# puts replay at full-decode cost (~+22%), which trips it.
 #
 # Gate 3 runs the allocation checks with -count=1: the scaling test
 # (for every workload and registered grid, a warmed fused group must not
@@ -27,7 +27,8 @@
 # and traversals may use the full event plane, so a new stream observer
 # that pulls a grid back onto it fails here) and TestBatchCutInvariance
 # (the control-plane consumers compute the same results at every batch
-# size on both planes).
+# size on both planes). TestWarmLoopZeroAllocs pins that the Figure-8
+# collector allocates nothing per iteration of a warm loop.
 #
 # CI runs this; locally: scripts/bench_smoke.sh
 set -euo pipefail
@@ -74,8 +75,8 @@ awk -v r="$REPLAY_NS" -v i="$INTERP_NS" -v k="$REPLAY_RATIO" 'BEGIN { exit !(r <
 	fail "full replay (${REPLAY_NS} ns/instr) regressed above interpretation (${INTERP_NS} ns/instr) beyond the ${REPLAY_RATIO}x noise ratio"
 
 echo "bench_smoke: allocation scaling, zero-alloc and event-plane pins"
-go test -count=1 -run '^(TestAllocsDoNotScaleWithBudget|TestSteadyStateZeroAllocs|TestCtlSteadyStateZeroAllocs|TestNilSinkNoAllocs|TestReplayZeroAllocs|TestReplayCtlZeroAllocs|TestHotPathZeroAllocs|TestExecStartZeroAllocs|TestCtlOnlyCellPlanes|TestBatchCutInvariance)$' \
-	. ./internal/grid ./internal/interp ./internal/tracefile ./internal/obs ./internal/taskpred ||
+go test -count=1 -run '^(TestAllocsDoNotScaleWithBudget|TestSteadyStateZeroAllocs|TestCtlSteadyStateZeroAllocs|TestNilSinkNoAllocs|TestReplayZeroAllocs|TestReplayCtlZeroAllocs|TestHotPathZeroAllocs|TestExecStartZeroAllocs|TestCtlOnlyCellPlanes|TestBatchCutInvariance|TestWarmLoopZeroAllocs)$' \
+	. ./internal/grid ./internal/interp ./internal/tracefile ./internal/obs ./internal/taskpred ./internal/datapred ||
 	fail "a hot path allocates again, or a grid left the control plane (see the failing test above)"
 
 echo "bench_smoke: OK (run ${RUN_NS} ns/instr; replay ${REPLAY_NS} vs interpret ${INTERP_NS} ns/instr; 0 allocs; no per-execution allocation)"
