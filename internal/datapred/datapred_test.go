@@ -1,6 +1,7 @@
 package datapred
 
 import (
+	"math"
 	"testing"
 
 	"dynloop/internal/builder"
@@ -275,5 +276,23 @@ func TestWarmLoopZeroAllocs(t *testing.T) {
 	}
 	if s := c.Summary(); s.Loops != 2 || s.Iters == 0 {
 		t.Fatalf("summary %+v: the loop nest was not measured", s)
+	}
+}
+
+// TestAddrSetGenerationWrap: emptying the set when its generation
+// counter wraps to 0 must not let never-filled slots, whose generation
+// is 0, read as members holding address 0.
+func TestAddrSetGenerationWrap(t *testing.T) {
+	var s addrSet
+	s.clear()
+	s.gen = math.MaxUint32
+	for a := uint64(100); a < 110; a++ {
+		s.add(a)
+	}
+	s.clear()
+	for a := uint64(0); a < 20; a++ {
+		if !s.add(a) {
+			t.Fatalf("address %d reads as a member of a set just emptied", a)
+		}
 	}
 }
