@@ -3,6 +3,7 @@ package grid
 import (
 	"context"
 	"fmt"
+	"strconv"
 
 	"dynloop/internal/branchpred"
 	"dynloop/internal/builder"
@@ -112,8 +113,7 @@ type Cell struct {
 	// Label is what progress events report.
 	Label string
 
-	bench workload.Benchmark
-	cfg   Config // per-cell config: budget/seed/CLS resolved onto it
+	bench *workload.Benchmark // the registered entry; never modified
 	// mk builds the cell's analysis pass plus the finish hook that
 	// extracts its result once the traversal is finalised (fusable
 	// kinds). Exactly one of mk and run is set.
@@ -136,15 +136,41 @@ func Compile(cfg Config, s Spec) ([]Cell, Spec, error) {
 	if err != nil {
 		return nil, Spec{}, err
 	}
+	cells, err := expand(cfg, &rs)
+	if err != nil {
+		return nil, Spec{}, err
+	}
+	return cells, rs, nil
+}
+
+// expansion is the read-only state of one expand call: the resolved
+// spec plus its engine axes parsed once, not once per cell.
+type expansion struct {
+	rs   *Spec
+	pols []spec.Policy   // rs.Policies, parsed
+	nrs  []spec.NestRule // rs.NestRules, parsed
+}
+
+// expand builds the cells of a resolved spec.
+func expand(cfg Config, rs *Spec) ([]Cell, error) {
 	n := rs.size()
 	if n > maxCells {
-		return nil, Spec{}, fmt.Errorf("grid: spec expands to %d cells (max %d)", n, maxCells)
+		return nil, fmt.Errorf("grid: spec expands to %d cells (max %d)", n, maxCells)
+	}
+	x := expansion{rs: rs}
+	for _, name := range rs.Policies {
+		pol, _ := ParsePolicy(name)
+		x.pols = append(x.pols, pol)
+	}
+	for _, name := range rs.NestRules {
+		nr, _ := parseNestRule(name)
+		x.nrs = append(x.nrs, nr)
 	}
 	cells := make([]Cell, 0, n)
 	for _, name := range rs.Benchmarks {
-		bm, err := workload.ByName(name)
+		bm, err := workload.Lookup(name)
 		if err != nil {
-			return nil, Spec{}, err
+			return nil, err
 		}
 		for _, budget := range rs.Budgets {
 			for _, div := range rs.BudgetDivs {
@@ -161,7 +187,7 @@ func Compile(cfg Config, s Spec) ([]Cell, Spec, error) {
 							// DefaultBudget in every later budget() call —
 							// a full-budget traversal where the user asked
 							// for a sliver.
-							return nil, Spec{}, fmt.Errorf("grid: budget %d / divisor %d truncates to zero instructions",
+							return nil, fmt.Errorf("grid: budget %d / divisor %d truncates to zero instructions",
 								resolved, div)
 						}
 						if seed != 0 {
@@ -176,30 +202,31 @@ func Compile(cfg Config, s Spec) ([]Cell, Spec, error) {
 							Seed:   cellCfg.seed(),
 							CLS:    cellCfg.CLSCapacity,
 						}
-						cells = appendKindCells(cells, rs, bm, cellCfg, coord)
+						cells = x.appendKindCells(cells, bm, &cellCfg, coord)
 					}
 				}
 			}
 		}
 	}
-	return cells, rs, nil
+	return cells, nil
 }
 
 // appendKindCells expands the kind-specific inner axes for one base
-// coordinate. Key parts and labels reproduce the pre-grid drivers
-// byte for byte, so grid cells deduplicate against (and serve from)
-// everything those drivers ever cached or persisted.
-func appendKindCells(cells []Cell, rs Spec, bm workload.Benchmark, cfg Config, coord Coord) []Cell {
+// coordinate; cfg is the cell config, with budget, seed and CLS
+// resolved. Key parts and labels reproduce the pre-grid drivers byte
+// for byte, so grid cells deduplicate against (and serve from)
+// everything those drivers ever cached or persisted. The passes capture
+// only what they read: the registered benchmark and the CLS capacity.
+func (x *expansion) appendKindCells(cells []Cell, bm *workload.Benchmark, cfg *Config, coord Coord) []Cell {
+	rs, cls := x.rs, coord.CLS
 	switch rs.Kind {
 	case "spec":
-		for _, polName := range rs.Policies {
-			pol, _ := ParsePolicy(polName)
+		for i, polName := range rs.Policies {
 			for _, tus := range rs.TUs {
 				for _, letCap := range rs.LETCaps {
-					for _, nrName := range rs.NestRules {
-						nr, _ := parseNestRule(nrName)
+					for j, nrName := range rs.NestRules {
 						for _, ex := range rs.Exclusion {
-							ec := spec.Config{TUs: tus, Policy: pol, LETCapacity: letCap, NestRule: nr}
+							ec := spec.Config{TUs: tus, Policy: x.pols[i], LETCapacity: letCap, NestRule: x.nrs[j]}
 							if ex.Enabled {
 								ec.Exclude = true
 								ec.ExcludeThreshold = ex.Threshold
@@ -207,7 +234,7 @@ func appendKindCells(cells []Cell, rs Spec, bm workload.Benchmark, cfg Config, c
 								ec.ExcludeCapacity = ex.Capacity
 							}
 							c := coord
-							c.Policy, c.TUs, c.LETCap, c.NestRule, c.Exclusion = pol.String(), tus, letCap, nrName, ex
+							c.Policy, c.TUs, c.LETCap, c.NestRule, c.Exclusion = polName, tus, letCap, nrName, ex
 							cells = append(cells, specEngineCell(cfg, bm, c, ec))
 						}
 					}
@@ -219,10 +246,10 @@ func appendKindCells(cells []Cell, rs Spec, bm workload.Benchmark, cfg Config, c
 			Coord: coord,
 			Key:   cfg.cellKey("table1", bm.Name),
 			Label: "table1 " + bm.Name,
-			bench: bm, cfg: cfg,
+			bench: bm,
 			mk: func() (trace.Pass, func() (any, error)) {
 				c := loopstats.NewCollector()
-				return harness.NewObserverPass(cfg.CLSCapacity, c),
+				return harness.NewObserverPass(cls, c),
 					func() (any, error) {
 						return Table1Row{Bench: bm.Name, S: c.Summary(), Paper: bm.Paper}, nil
 					}
@@ -235,11 +262,11 @@ func appendKindCells(cells []Cell, rs Spec, bm workload.Benchmark, cfg Config, c
 			cells = append(cells, Cell{
 				Coord: c,
 				Key:   cfg.cellKey("fig4", size, bm.Name),
-				Label: fmt.Sprintf("fig4 %s/%d entries", bm.Name, size),
-				bench: bm, cfg: cfg,
+				Label: "fig4 " + bm.Name + "/" + strconv.Itoa(size) + " entries",
+				bench: bm,
 				mk: func() (trace.Pass, func() (any, error)) {
 					tr := looptab.NewTracker(size, size)
-					return harness.NewObserverPass(cfg.CLSCapacity, tr),
+					return harness.NewObserverPass(cls, tr),
 						func() (any, error) {
 							let, _ := tr.LET.HitRatio()
 							lit, _ := tr.LIT.HitRatio()
@@ -253,31 +280,30 @@ func appendKindCells(cells []Cell, rs Spec, bm workload.Benchmark, cfg Config, c
 			Coord: coord,
 			Key:   cfg.cellKey("fig8", bm.Name),
 			Label: "fig8 " + bm.Name,
-			bench: bm, cfg: cfg,
+			bench: bm,
 			mk: func() (trace.Pass, func() (any, error)) {
 				c := datapred.NewCollector(datapred.Config{})
-				return harness.NewObserverPass(cfg.CLSCapacity, c),
+				return harness.NewObserverPass(cls, c),
 					func() (any, error) {
 						return Fig8Row{Bench: bm.Name, S: c.Summary()}, nil
 					}
 			},
 		})
 	case "clssize":
-		capEntries := cfg.CLSCapacity
 		cells = append(cells, Cell{
 			Coord: coord,
 			Key:   cfg.cellKey("clssize", bm.Name),
-			Label: fmt.Sprintf("cls %s/%d entries", bm.Name, capEntries),
-			bench: bm, cfg: cfg,
+			Label: "cls " + bm.Name + "/" + strconv.Itoa(cls) + " entries",
+			bench: bm,
 			mk: func() (trace.Pass, func() (any, error)) {
 				ls := loopstats.NewCollector()
 				e := spec.NewEngine(spec.Config{TUs: 4, Policy: spec.STRn(3)})
-				det := harness.NewObserverPass(capEntries, ls, e)
+				det := harness.NewObserverPass(cls, ls, e)
 				return det, func() (any, error) {
 					ds := det.Stats()
 					return CLSCell{
 						Evictions: ds.Evictions,
-						AtCap:     ds.MaxDepth >= capEntries,
+						AtCap:     ds.MaxDepth >= cls,
 						TPC:       e.Metrics().TPC(),
 					}, nil
 				}
@@ -292,14 +318,14 @@ func appendKindCells(cells []Cell, rs Spec, bm workload.Benchmark, cfg Config, c
 				cells = append(cells, Cell{
 					Coord: c,
 					Key:   cfg.cellKey("replacement", bm.Name, size, mode),
-					Label: fmt.Sprintf("replacement %s/%d/%s", bm.Name, size, mode),
-					bench: bm, cfg: cfg,
+					Label: "replacement " + bm.Name + "/" + strconv.Itoa(size) + "/" + mode,
+					bench: bm,
 					mk: func() (trace.Pass, func() (any, error)) {
 						tr := looptab.NewTracker(size, size)
 						if nestingAware {
 							tr.EnableNestingAware()
 						}
-						return harness.NewObserverPass(cfg.CLSCapacity, tr),
+						return harness.NewObserverPass(cls, tr),
 							func() (any, error) {
 								let, _ := tr.LET.HitRatio()
 								lit, _ := tr.LIT.HitRatio()
@@ -314,12 +340,12 @@ func appendKindCells(cells []Cell, rs Spec, bm workload.Benchmark, cfg Config, c
 			Coord: coord,
 			Key:   cfg.cellKey("oneshots", bm.Name),
 			Label: "oneshots " + bm.Name,
-			bench: bm, cfg: cfg,
+			bench: bm,
 			mk: func() (trace.Pass, func() (any, error)) {
 				with := loopstats.NewCollector()
 				without := loopstats.NewCollector()
 				without.CountOneShots = false
-				return harness.NewObserverPass(cfg.CLSCapacity, with, without),
+				return harness.NewObserverPass(cls, with, without),
 					func() (any, error) {
 						w, wo := with.Summary(), without.Summary()
 						return OneShotRow{
@@ -334,7 +360,7 @@ func appendKindCells(cells []Cell, rs Spec, bm workload.Benchmark, cfg Config, c
 			Coord: coord,
 			Key:   cfg.cellKey("branchpred", bm.Name),
 			Label: "branchpred " + bm.Name,
-			bench: bm, cfg: cfg,
+			bench: bm,
 			mk: func() (trace.Pass, func() (any, error)) {
 				suite := branchpred.DefaultSuite()
 				return suite, func() (any, error) {
@@ -347,11 +373,11 @@ func appendKindCells(cells []Cell, rs Spec, bm workload.Benchmark, cfg Config, c
 			Coord: coord,
 			Key:   cfg.cellKey("taskpred", bm.Name),
 			Label: "taskpred " + bm.Name,
-			bench: bm, cfg: cfg,
+			bench: bm,
 			mk: func() (trace.Pass, func() (any, error)) {
 				tp := taskpred.New(taskpred.Config{})
 				e := spec.NewEngine(spec.Config{TUs: 4, Policy: spec.STRn(3)})
-				return harness.NewObserverPass(cfg.CLSCapacity, tp, e),
+				return harness.NewObserverPass(cls, tp, e),
 					func() (any, error) {
 						acc, n := tp.Accuracy()
 						return TaskPredRow{
@@ -368,8 +394,8 @@ func appendKindCells(cells []Cell, rs Spec, bm workload.Benchmark, cfg Config, c
 			Coord: coord,
 			Key:   cfg.cellKey("oracle", bm.Name),
 			Label: "oracle " + bm.Name,
-			bench: bm, cfg: cfg,
-			run: oracleRun(cfg, bm),
+			bench: bm,
+			run:   oracleRun(*cfg, bm),
 		})
 	}
 	return cells
@@ -380,16 +406,19 @@ func appendKindCells(cells []Cell, rs Spec, bm workload.Benchmark, cfg Config, c
 // all built from; the cache key covers every spec.Config field so
 // distinct configurations never collide, while identical cells
 // submitted by different grids on a shared Runner are computed once.
-func specEngineCell(cfg Config, bm workload.Benchmark, coord Coord, ec spec.Config) Cell {
+// The key holds the policy under its canonical name (coord.Policy) and
+// the nest rule as its number, as %v has always printed them.
+func specEngineCell(cfg *Config, bm *workload.Benchmark, coord Coord, ec spec.Config) Cell {
+	cls := coord.CLS
 	return Cell{
 		Coord: coord,
-		Key: cfg.cellKey("spec", bm.Name, ec.TUs, ec.Policy, ec.LETCapacity, ec.NestRule,
+		Key: cfg.cellKey("spec", bm.Name, ec.TUs, coord.Policy, ec.LETCapacity, int(ec.NestRule),
 			ec.Exclude, ec.ExcludeThreshold, ec.ExcludeMinResolved, ec.ExcludeCapacity),
-		Label: fmt.Sprintf("%s %s/%d TUs", bm.Name, ec.Policy, ec.TUs),
-		bench: bm, cfg: cfg,
+		Label: bm.Name + " " + coord.Policy + "/" + strconv.Itoa(ec.TUs) + " TUs",
+		bench: bm,
 		mk: func() (trace.Pass, func() (any, error)) {
 			e := spec.NewEngine(ec)
-			return harness.NewObserverPass(cfg.CLSCapacity, e),
+			return harness.NewObserverPass(cls, e),
 				func() (any, error) { return e.Metrics(), nil }
 		},
 	}
@@ -399,7 +428,7 @@ func specEngineCell(cfg Config, bm workload.Benchmark, coord Coord, ec spec.Conf
 // traversal records every execution's true count, a second speculates
 // with it. The oracle run depends on the recorder pass, so the cell is
 // a composite job owning its own traversals, not a fusable pass.
-func oracleRun(cfg Config, bm workload.Benchmark) func(ctx context.Context) (any, error) {
+func oracleRun(cfg Config, bm *workload.Benchmark) func(ctx context.Context) (any, error) {
 	mc := harness.MultiConfig{Budget: cfg.budget(), BatchSize: cfg.BatchSize,
 		Shards: cfg.Shards, Reference: cfg.Reference, FullPlanes: cfg.FullPlanes}
 	return func(ctx context.Context) (any, error) {

@@ -11,3 +11,14 @@ func CellPass(c Cell) (p trace.Pass, ok bool) {
 	p, _ = c.mk()
 	return p, true
 }
+
+// CheckCellKeys compares every cell's key, label and group key with
+// the reference formulas (see checkCellKeys).
+func CheckCellKeys(kind string, batchSize int, cells []Cell) error {
+	return checkCellKeys(kind, batchSize, cells)
+}
+
+// Expand builds the cells of an already-resolved spec without
+// validating it again, so a test can reach axis values Validate
+// rejects.
+func Expand(cfg Config, rs Spec) ([]Cell, error) { return expand(cfg, &rs) }

@@ -9,7 +9,9 @@ import (
 // validator: Validate must never panic, and a spec it accepts must
 // honour every documented bound — compiling it (against a tiny fake
 // config) must stay within the cell cap and never panic either. This is
-// the guard on the daemon's POST /v1/grid input path.
+// the guard on the daemon's POST /v1/grid input path. Every compiled
+// cell's key, label and group key must also match the reference
+// formulas (see checkCellKeys).
 func FuzzSpecValidate(f *testing.F) {
 	seeds := []string{
 		`{}`,
@@ -24,6 +26,8 @@ func FuzzSpecValidate(f *testing.F) {
 		`{"kind":"bogus"}`,
 		`{"kind":"spec","budgets":[99999999999999999]}`,
 		`{"kind":"spec","nest_rules":["static","starvation"]}`,
+		`{"kind":"spec","benchmarks":["li"],"policies":["STR(12)"],"let_caps":[64],"exclusion":[{"enabled":true,"threshold":1e-7,"min_resolved":3}]}`,
+		`{"kind":"replacement","budgets":[123],"seeds":[9223372036854775808],"cls":[-1]}`,
 	}
 	for _, s := range seeds {
 		f.Add([]byte(s))
@@ -78,18 +82,29 @@ func FuzzSpecValidate(f *testing.F) {
 		if len(s.Benchmarks) > 0 {
 			// Unknown benchmark names are a compile-time error, not a
 			// validation one; both outcomes are fine, panics are not.
-			cells, _, err := Compile(cfg, s)
-			if err == nil && len(cells) > maxCells {
+			cells, rs, err := Compile(cfg, s)
+			if err != nil {
+				return
+			}
+			if len(cells) > maxCells {
 				t.Fatalf("compiled %d cells, above the cap", len(cells))
+			}
+			if err := checkCellKeys(rs.Kind, cfg.BatchSize, cells); err != nil {
+				t.Fatal(err)
 			}
 			return
 		}
-		cells, _, err := Compile(cfg, s)
+		cells, rs, err := Compile(cfg, s)
 		if err != nil {
 			t.Fatalf("validated spec failed to compile: %v", err)
 		}
 		if len(cells) > maxCells {
 			t.Fatalf("compiled %d cells, above the cap", len(cells))
+		}
+		// Every compiled key, label and group key must be the one the
+		// reference formula builds: keys address persisted results.
+		if err := checkCellKeys(rs.Kind, cfg.BatchSize, cells); err != nil {
+			t.Fatal(err)
 		}
 	})
 }

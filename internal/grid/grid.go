@@ -20,8 +20,8 @@
 package grid
 
 import (
-	"fmt"
-	"strings"
+	"slices"
+	"strconv"
 
 	"dynloop/internal/harness"
 	"dynloop/internal/runner"
@@ -131,20 +131,17 @@ func (c Config) pool() *runner.Runner {
 	return runner.New(runner.Config{Workers: c.Parallel, OnEvent: c.OnEvent})
 }
 
-// benchmarks resolves the configured subset.
-func (c Config) benchmarks() ([]workload.Benchmark, error) {
+// benchmarks resolves the configured subset to benchmark names.
+func (c Config) benchmarks() ([]string, error) {
 	if len(c.Benchmarks) == 0 {
-		return workload.All(), nil
+		return workload.Names(), nil
 	}
-	out := make([]workload.Benchmark, 0, len(c.Benchmarks))
 	for _, name := range c.Benchmarks {
-		bm, err := workload.ByName(name)
-		if err != nil {
+		if _, err := workload.Lookup(name); err != nil {
 			return nil, err
 		}
-		out = append(out, bm)
 	}
-	return out, nil
+	return slices.Clone(c.Benchmarks), nil
 }
 
 // CellSchemaVersion stamps every cell key. Because keys address the
@@ -165,22 +162,65 @@ var CellSchemaVersion = 1
 // runner.Job. Each part is length-prefixed so adjacent parts cannot
 // blur into a colliding key ("a","bc" vs "ab","c", or a part containing
 // the delimiter).
+//
+// Keys address persisted results, so their bytes are frozen: every part
+// reads as fmt's %v of it. Each part type the cells use has a typed
+// strconv case producing exactly that (%v of a float64 is strconv's
+// shortest 'g'); anything else is a programming error.
+// TestCellKeysMatchReference pins every compiled key against the fmt
+// formula.
 func (c Config) cellKey(parts ...any) string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "v%d|b%d|s%d|cls%d|ba%d", CellSchemaVersion, c.budget(), c.seed(), c.CLSCapacity, c.BatchSize)
+	var buf [128]byte
+	b := append(buf[:0], 'v')
+	b = strconv.AppendInt(b, int64(CellSchemaVersion), 10)
+	b = append(b, "|b"...)
+	b = strconv.AppendUint(b, c.budget(), 10)
+	b = append(b, "|s"...)
+	b = strconv.AppendUint(b, c.seed(), 10)
+	b = append(b, "|cls"...)
+	b = strconv.AppendInt(b, int64(c.CLSCapacity), 10)
+	b = append(b, "|ba"...)
+	b = strconv.AppendInt(b, int64(c.BatchSize), 10)
 	for _, p := range parts {
-		s := fmt.Sprint(p)
-		fmt.Fprintf(&b, "|%d:%s", len(s), s)
+		var num [32]byte
+		switch v := p.(type) {
+		case string:
+			b = appendPart(b, v)
+		case int:
+			b = appendPart(b, strconv.AppendInt(num[:0], int64(v), 10))
+		case bool:
+			b = appendPart(b, strconv.AppendBool(num[:0], v))
+		case float64:
+			b = appendPart(b, strconv.AppendFloat(num[:0], v, 'g', -1, 64))
+		default:
+			panic("grid: cell key part of unsupported type")
+		}
 	}
-	return b.String()
+	return string(b)
 }
 
-// groupKey names a fusion group: everything that determines the
-// instruction stream a cell's pass observes — the benchmark, the
-// traversal budget, the input seed and the batch size. Cells of one
-// execution sharing a group key run in one fused traversal; the
-// per-pass knobs (policy, TU count, table capacities, even the CLS
-// capacity) deliberately stay out.
-func (c Config) groupKey(bench string, budget uint64) string {
-	return fmt.Sprintf("g|%d:%s|b%d|s%d|ba%d", len(bench), bench, budget, c.seed(), c.BatchSize)
+// appendPart appends one "|len:part" key part.
+func appendPart[T string | []byte](b []byte, part T) []byte {
+	b = append(b, '|')
+	b = strconv.AppendInt(b, int64(len(part)), 10)
+	b = append(b, ':')
+	return append(b, part...)
+}
+
+// groupKey names a cell's fusion group: everything that determines the
+// instruction stream its pass observes — the benchmark, the traversal
+// budget, the input seed and the batch size. Cells of one execution
+// sharing a group key run in one fused traversal; the per-pass knobs
+// (policy, TU count, table capacities, even the CLS capacity)
+// deliberately stay out.
+func (c *Coord) groupKey(batchSize int) string {
+	var buf [64]byte
+	b := appendPart(append(buf[:0], 'g'), c.Bench)
+	b = append(b, "|b"...)
+	b = strconv.AppendUint(b, c.Budget, 10)
+	b = append(b, "|s"...)
+	b = strconv.AppendUint(b, c.Seed, 10)
+	b = append(b, "|ba"...)
+	b = strconv.AppendInt(b, int64(batchSize), 10)
+	return string(b)
 }

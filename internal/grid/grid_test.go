@@ -22,7 +22,7 @@ func TestConfigDefaults(t *testing.T) {
 		t.Fatalf("all benchmarks: %d %v", len(bms), err)
 	}
 	bms, err = Config{Benchmarks: []string{"swim", "perl"}}.benchmarks()
-	if err != nil || len(bms) != 2 || bms[0].Name != "swim" {
+	if err != nil || len(bms) != 2 || bms[0] != "swim" {
 		t.Fatalf("subset: %v %v", bms, err)
 	}
 	if _, err := (Config{Benchmarks: []string{"nope"}}).benchmarks(); err == nil {

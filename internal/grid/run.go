@@ -69,7 +69,7 @@ func Run(ctx context.Context, cfg Config, s Spec) (*Result, error) {
 func runCells(ctx context.Context, cfg Config, pool *runner.Runner, cells []Cell) ([]any, error) {
 	jobs := make([]runner.GroupJob[any], len(cells))
 	for i, c := range cells {
-		group := c.cfg.groupKey(c.bench.Name, c.cfg.budget())
+		group := c.Coord.groupKey(cfg.BatchSize)
 		if cfg.NoFuse {
 			group = fmt.Sprintf("%s|cell%d", group, i)
 		}
@@ -82,7 +82,7 @@ func runCells(ctx context.Context, cfg Config, pool *runner.Runner, cells []Cell
 		for j, i := range idx {
 			passes[j], finish[j] = cells[i].mk()
 		}
-		mc := harness.MultiConfig{Budget: lead.cfg.budget(), BatchSize: lead.cfg.BatchSize,
+		mc := harness.MultiConfig{Budget: lead.Coord.Budget, BatchSize: cfg.BatchSize,
 			Shards: cfg.Shards, Reference: cfg.Reference, FullPlanes: cfg.FullPlanes}
 		var err error
 		if tr := cfg.Traces; tr != nil {
@@ -90,19 +90,19 @@ func runCells(ctx context.Context, cfg Config, pool *runner.Runner, cells []Cell
 			// archive covers it; otherwise interpret once while recording.
 			// The unit is only built on the record path.
 			build := func() (*builder.Unit, error) {
-				u, err := lead.bench.Build(lead.cfg.seed())
+				u, err := lead.bench.Build(lead.Coord.Seed)
 				if err != nil {
 					return nil, fmt.Errorf("grid: build %s: %w", lead.bench.Name, err)
 				}
 				return u, nil
 			}
 			var replayed bool
-			if _, replayed, err = tr.MultiRun(ctx, lead.bench.Name, lead.cfg.seed(), build, mc, passes...); err != nil {
+			if _, replayed, err = tr.MultiRun(ctx, lead.bench.Name, lead.Coord.Seed, build, mc, passes...); err != nil {
 				return nil, err
 			}
 			pool.CountTraceRun(replayed)
 		} else {
-			u, err := lead.bench.Build(lead.cfg.seed())
+			u, err := lead.bench.Build(lead.Coord.Seed)
 			if err != nil {
 				return nil, fmt.Errorf("grid: build %s: %w", lead.bench.Name, err)
 			}

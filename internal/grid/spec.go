@@ -318,10 +318,12 @@ func (s *Spec) Validate() error {
 	if len(s.Render.Metrics) > maxAxisLen {
 		return fmt.Errorf("grid: render metrics list too long")
 	}
-	known := kindMetricNames(kind)
-	for _, m := range s.Render.Metrics {
-		if !known[m] {
-			return fmt.Errorf("grid: kind %q has no metric %q", kind, m)
+	if len(s.Render.Metrics) > 0 {
+		known := kindMetricNames(kind)
+		for _, m := range s.Render.Metrics {
+			if !known[m] {
+				return fmt.Errorf("grid: kind %q has no metric %q", kind, m)
+			}
 		}
 	}
 	if n := s.size(); n > maxCells {
@@ -350,13 +352,9 @@ func (s Spec) resolve(cfg Config) (Spec, error) {
 	kind := s.kind()
 	s.Kind = kind
 	if len(s.Benchmarks) == 0 {
-		bms, err := cfg.benchmarks()
+		names, err := cfg.benchmarks()
 		if err != nil {
 			return Spec{}, err
-		}
-		names := make([]string, len(bms))
-		for i, bm := range bms {
-			names[i] = bm.Name
 		}
 		s.Benchmarks = names
 	}
@@ -433,8 +431,7 @@ func (s Spec) size() uint64 {
 			n = maxCells + 1
 		}
 	}
-	benchDef := len(workload.Names())
-	mul(len(s.Benchmarks), benchDef)
+	mul(len(s.Benchmarks), workload.Count())
 	mul(len(s.Budgets), 1)
 	mul(len(s.BudgetDivs), 1)
 	mul(len(s.Seeds), 1)

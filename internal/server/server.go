@@ -28,6 +28,7 @@ import (
 	"net"
 	"net/http"
 	"net/url"
+	"strconv"
 	"sync"
 	"time"
 
@@ -373,7 +374,7 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	w.Header().Set("Content-Type", "application/octet-stream")
-	w.Header().Set("X-Dynloop-Cells", fmt.Sprint(len(rows)))
+	w.Header().Set("X-Dynloop-Cells", strconv.Itoa(len(rows)))
 	w.Write(body)
 }
 
@@ -412,11 +413,7 @@ func (s *Server) handleGrid(w http.ResponseWriter, r *http.Request) {
 		Runner:     s.runner,
 		Traces:     s.cfg.Traces,
 	}
-	if err := gs.Validate(); err != nil {
-		httpError(w, http.StatusBadRequest, "%v", err)
-		return
-	}
-	cells, err := gs.Size(cfg)
+	cells, err := gs.Size(cfg) // validates the spec
 	if err != nil {
 		httpError(w, http.StatusBadRequest, "%v", err)
 		return
@@ -447,7 +444,7 @@ func (s *Server) handleGrid(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	w.Header().Set("Content-Type", "application/octet-stream")
-	w.Header().Set("X-Dynloop-Cells", fmt.Sprint(len(res.Values)))
+	w.Header().Set("X-Dynloop-Cells", strconv.Itoa(len(res.Values)))
 	w.Write(body)
 }
 

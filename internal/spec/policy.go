@@ -12,7 +12,7 @@
 // confirmed).
 package spec
 
-import "fmt"
+import "strconv"
 
 // PolicyKind selects the thread-count decision rule of §3.1.2.
 type PolicyKind uint8
@@ -52,10 +52,10 @@ func (p Policy) String() string {
 		return "IDLE"
 	case PolicyStride:
 		if p.NestLimit > 0 {
-			return fmt.Sprintf("STR(%d)", p.NestLimit)
+			return "STR(" + strconv.Itoa(p.NestLimit) + ")"
 		}
 		return "STR"
 	default:
-		return fmt.Sprintf("policy(%d)", uint8(p.Kind))
+		return "policy(" + strconv.Itoa(int(p.Kind)) + ")"
 	}
 }

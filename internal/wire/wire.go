@@ -80,9 +80,12 @@ type GridInfo struct {
 func AppendCells(b []byte, values []any) ([]byte, error) {
 	b = append(b, cellsMagic...)
 	b = binary.AppendUvarint(b, uint64(len(values)))
+	// Frames are length-prefixed, so each is encoded into one reused
+	// scratch buffer first and then appended behind its length.
+	var frame []byte
 	for i, v := range values {
-		frame, err := codec.Encode(v)
-		if err != nil {
+		var err error
+		if frame, err = codec.Append(frame[:0], v); err != nil {
 			return nil, fmt.Errorf("wire: cell %d: %w", i, err)
 		}
 		b = binary.AppendUvarint(b, uint64(len(frame)))

@@ -2,6 +2,7 @@ package workload
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
 	"dynloop/internal/builder"
@@ -38,37 +39,47 @@ type PaperRow struct {
 	HitRatio     float64 // Table 2: %
 }
 
+// registry holds every benchmark, kept sorted by name as init-time
+// registrations arrive, so readers iterate it as is.
 var registry []Benchmark
 
 func register(b Benchmark) {
 	b.Build = cached(b.Name, b.Build)
-	registry = append(registry, b)
+	i := sort.Search(len(registry), func(i int) bool { return registry[i].Name >= b.Name })
+	registry = slices.Insert(registry, i, b)
 }
 
 // All returns every benchmark, sorted by name.
-func All() []Benchmark {
-	out := make([]Benchmark, len(registry))
-	copy(out, registry)
-	sort.Slice(out, func(i, j int) bool { return out[i].Name < out[j].Name })
-	return out
-}
+func All() []Benchmark { return slices.Clone(registry) }
+
+// Count is the number of registered benchmarks.
+func Count() int { return len(registry) }
 
 // Names returns the benchmark names, sorted.
 func Names() []string {
-	all := All()
-	out := make([]string, len(all))
-	for i, b := range all {
-		out[i] = b.Name
+	out := make([]string, len(registry))
+	for i := range registry {
+		out[i] = registry[i].Name
 	}
 	return out
 }
 
 // ByName looks a benchmark up.
 func ByName(name string) (Benchmark, error) {
-	for _, b := range registry {
-		if b.Name == name {
-			return b, nil
+	b, err := Lookup(name)
+	if err != nil {
+		return Benchmark{}, err
+	}
+	return *b, nil
+}
+
+// Lookup is ByName without the copy: the result points at the
+// registered entry, which callers must not modify.
+func Lookup(name string) (*Benchmark, error) {
+	for i := range registry {
+		if registry[i].Name == name {
+			return &registry[i], nil
 		}
 	}
-	return Benchmark{}, fmt.Errorf("workload: unknown benchmark %q (have %v)", name, Names())
+	return nil, fmt.Errorf("workload: unknown benchmark %q (have %v)", name, Names())
 }

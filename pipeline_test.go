@@ -64,7 +64,10 @@ func TestSteadyStateZeroAllocs(t *testing.T) {
 				t.Fatal(err)
 			}
 		})
-		if avg != 0 {
+		// Under the race detector pooled batch buffers are dropped at
+		// random, so only non-race builds (bench_smoke.sh gate 3) pin
+		// the count.
+		if avg != 0 && !raceEnabled {
 			t.Fatalf("%s steady-state allocs per 10k-instruction run = %v, want 0", leg.name, avg)
 		}
 	}

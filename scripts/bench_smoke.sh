@@ -29,6 +29,8 @@
 # (the control-plane consumers compute the same results at every batch
 # size on both planes). TestWarmLoopZeroAllocs pins that the Figure-8
 # collector allocates nothing per iteration of a warm loop.
+# TestCompileAllocs pins grid.Compile's allocations per cell over the
+# serve-mix grids, so cell keys cannot slide back onto fmt unnoticed.
 #
 # CI runs this; locally: scripts/bench_smoke.sh
 set -euo pipefail
@@ -75,7 +77,7 @@ awk -v r="$REPLAY_NS" -v i="$INTERP_NS" -v k="$REPLAY_RATIO" 'BEGIN { exit !(r <
 	fail "full replay (${REPLAY_NS} ns/instr) regressed above interpretation (${INTERP_NS} ns/instr) beyond the ${REPLAY_RATIO}x noise ratio"
 
 echo "bench_smoke: allocation scaling, zero-alloc and event-plane pins"
-go test -count=1 -run '^(TestAllocsDoNotScaleWithBudget|TestSteadyStateZeroAllocs|TestCtlSteadyStateZeroAllocs|TestNilSinkNoAllocs|TestReplayZeroAllocs|TestReplayCtlZeroAllocs|TestHotPathZeroAllocs|TestExecStartZeroAllocs|TestCtlOnlyCellPlanes|TestBatchCutInvariance|TestWarmLoopZeroAllocs)$' \
+go test -count=1 -run '^(TestAllocsDoNotScaleWithBudget|TestSteadyStateZeroAllocs|TestCtlSteadyStateZeroAllocs|TestNilSinkNoAllocs|TestReplayZeroAllocs|TestReplayCtlZeroAllocs|TestHotPathZeroAllocs|TestExecStartZeroAllocs|TestCtlOnlyCellPlanes|TestBatchCutInvariance|TestWarmLoopZeroAllocs|TestCompileAllocs)$' \
 	. ./internal/grid ./internal/interp ./internal/tracefile ./internal/obs ./internal/taskpred ./internal/datapred ||
 	fail "a hot path allocates again, or a grid left the control plane (see the failing test above)"
 
