@@ -21,9 +21,9 @@ type CLSSizeRow struct {
 // AblationCLSSize sweeps the CLS capacity (the paper fixes 16 and argues
 // it never overflows on SPEC95: "the maximum nesting level is lower than
 // 16"). The sweep shows where detection starts degrading — the
-// registered "ablation/cls" grid; because every cell's pass owns a
-// private detector, all capacities of a benchmark still fuse into one
-// traversal.
+// registered "ablation/cls" grid; because a fused group builds one
+// detector per capacity, all capacities of a benchmark still fuse into
+// one traversal.
 func AblationCLSSize(ctx context.Context, cfg Config, capacities []int) ([]CLSSizeRow, error) {
 	res, err := runNamed(ctx, cfg, "ablation/cls", func(s *grid.Spec) {
 		if len(capacities) > 0 {

@@ -7,7 +7,6 @@ import (
 	_ "dynloop/internal/expt" // registers the paper's grids
 	"dynloop/internal/grid"
 	"dynloop/internal/harness"
-	"dynloop/internal/trace"
 	"dynloop/internal/workload"
 )
 
@@ -44,19 +43,15 @@ func TestAllocsDoNotScaleWithBudget(t *testing.T) {
 			if err != nil {
 				t.Fatalf("%s/%s: %v", name, bm.Name, err)
 			}
-			var passes []trace.Pass
+			var group []grid.Cell
 			for _, c := range cells {
 				// One group: the cells at the first cell's budget and seed.
-				if c.Coord.Budget != cells[0].Coord.Budget || c.Coord.Seed != cells[0].Coord.Seed {
-					continue
+				if c.Coord.Budget == cells[0].Coord.Budget && c.Coord.Seed == cells[0].Coord.Seed {
+					group = append(group, c)
 				}
-				p, ok := grid.CellPass(c)
-				if !ok {
-					break
-				}
-				passes = append(passes, p)
 			}
-			if len(passes) == 0 {
+			passes, _, _, ok := grid.GroupPasses(group...)
+			if !ok {
 				continue
 			}
 			u, err := bm.Build(cells[0].Coord.Seed)

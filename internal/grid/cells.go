@@ -9,11 +9,11 @@ import (
 	"dynloop/internal/builder"
 	"dynloop/internal/datapred"
 	"dynloop/internal/harness"
+	"dynloop/internal/loopdet"
 	"dynloop/internal/loopstats"
 	"dynloop/internal/looptab"
 	"dynloop/internal/spec"
 	"dynloop/internal/taskpred"
-	"dynloop/internal/trace"
 	"dynloop/internal/workload"
 )
 
@@ -114,10 +114,11 @@ type Cell struct {
 	Label string
 
 	bench *workload.Benchmark // the registered entry; never modified
-	// mk builds the cell's analysis pass plus the finish hook that
-	// extracts its result once the traversal is finalised (fusable
-	// kinds). Exactly one of mk and run is set.
-	mk func() (trace.Pass, func() (any, error))
+	// attach adds the cell's observers or pass to its fused group and
+	// returns the finish hook that extracts its result once the
+	// traversal is finalised (fusable kinds). Exactly one of attach and
+	// run is set.
+	attach func(g *group) func() (any, error)
 	// run computes a composite cell that owns its own traversals (the
 	// oracle kind).
 	run func(ctx context.Context) (any, error)
@@ -247,12 +248,12 @@ func (x *expansion) appendKindCells(cells []Cell, bm *workload.Benchmark, cfg *C
 			Key:   cfg.cellKey("table1", bm.Name),
 			Label: "table1 " + bm.Name,
 			bench: bm,
-			mk: func() (trace.Pass, func() (any, error)) {
+			attach: func(g *group) func() (any, error) {
 				c := loopstats.NewCollector()
-				return harness.NewObserverPass(cls, c),
-					func() (any, error) {
-						return Table1Row{Bench: bm.Name, S: c.Summary(), Paper: bm.Paper}, nil
-					}
+				g.observe(cls, c)
+				return func() (any, error) {
+					return Table1Row{Bench: bm.Name, S: c.Summary(), Paper: bm.Paper}, nil
+				}
 			},
 		})
 	case "fig4":
@@ -264,14 +265,14 @@ func (x *expansion) appendKindCells(cells []Cell, bm *workload.Benchmark, cfg *C
 				Key:   cfg.cellKey("fig4", size, bm.Name),
 				Label: "fig4 " + bm.Name + "/" + strconv.Itoa(size) + " entries",
 				bench: bm,
-				mk: func() (trace.Pass, func() (any, error)) {
+				attach: func(g *group) func() (any, error) {
 					tr := looptab.NewTracker(size, size)
-					return harness.NewObserverPass(cls, tr),
-						func() (any, error) {
-							let, _ := tr.LET.HitRatio()
-							lit, _ := tr.LIT.HitRatio()
-							return Fig4Cell{LET: let, LIT: lit}, nil
-						}
+					g.observe(cls, tr)
+					return func() (any, error) {
+						let, _ := tr.LET.HitRatio()
+						lit, _ := tr.LIT.HitRatio()
+						return Fig4Cell{LET: let, LIT: lit}, nil
+					}
 				},
 			})
 		}
@@ -281,29 +282,38 @@ func (x *expansion) appendKindCells(cells []Cell, bm *workload.Benchmark, cfg *C
 			Key:   cfg.cellKey("fig8", bm.Name),
 			Label: "fig8 " + bm.Name,
 			bench: bm,
-			mk: func() (trace.Pass, func() (any, error)) {
+			attach: func(g *group) func() (any, error) {
 				c := datapred.NewCollector(datapred.Config{})
-				return harness.NewObserverPass(cls, c),
-					func() (any, error) {
-						return Fig8Row{Bench: bm.Name, S: c.Summary()}, nil
-					}
+				g.observe(cls, c)
+				return func() (any, error) {
+					return Fig8Row{Bench: bm.Name, S: c.Summary()}, nil
+				}
 			},
 		})
 	case "clssize":
+		// AtCap compares against the resolved capacity: 0 is the
+		// default 16 and an unbounded CLS is never at cap. Cells at
+		// capacities 0 and -1 once compared against the raw value, so
+		// their keys carry the resolved capacity and a store never
+		// serves what they computed then.
+		capacity := harness.ResolveCLSCapacity(cls)
+		key := cfg.cellKey("clssize", bm.Name)
+		if cls <= 0 {
+			key = cfg.cellKey("clssize", bm.Name, capacity)
+		}
 		cells = append(cells, Cell{
 			Coord: coord,
-			Key:   cfg.cellKey("clssize", bm.Name),
+			Key:   key,
 			Label: "cls " + bm.Name + "/" + strconv.Itoa(cls) + " entries",
 			bench: bm,
-			mk: func() (trace.Pass, func() (any, error)) {
-				ls := loopstats.NewCollector()
-				e := spec.NewEngine(spec.Config{TUs: 4, Policy: spec.STRn(3)})
-				det := harness.NewObserverPass(cls, ls, e)
-				return det, func() (any, error) {
+			attach: func(g *group) func() (any, error) {
+				e := g.engine(cls, spec.Config{TUs: 4, Policy: spec.STRn(3)})
+				det := g.detector(cls, false)
+				return func() (any, error) {
 					ds := det.Stats()
 					return CLSCell{
 						Evictions: ds.Evictions,
-						AtCap:     ds.MaxDepth >= cls,
+						AtCap:     capacity > 0 && ds.MaxDepth >= capacity,
 						TPC:       e.Metrics().TPC(),
 					}, nil
 				}
@@ -320,17 +330,17 @@ func (x *expansion) appendKindCells(cells []Cell, bm *workload.Benchmark, cfg *C
 					Key:   cfg.cellKey("replacement", bm.Name, size, mode),
 					Label: "replacement " + bm.Name + "/" + strconv.Itoa(size) + "/" + mode,
 					bench: bm,
-					mk: func() (trace.Pass, func() (any, error)) {
+					attach: func(g *group) func() (any, error) {
 						tr := looptab.NewTracker(size, size)
 						if nestingAware {
 							tr.EnableNestingAware()
 						}
-						return harness.NewObserverPass(cls, tr),
-							func() (any, error) {
-								let, _ := tr.LET.HitRatio()
-								lit, _ := tr.LIT.HitRatio()
-								return ReplCell{LET: let, LIT: lit, Inhibited: tr.LET.Inhibited() + tr.LIT.Inhibited()}, nil
-							}
+						g.observe(cls, tr)
+						return func() (any, error) {
+							let, _ := tr.LET.HitRatio()
+							lit, _ := tr.LIT.HitRatio()
+							return ReplCell{LET: let, LIT: lit, Inhibited: tr.LET.Inhibited() + tr.LIT.Inhibited()}, nil
+						}
 					},
 				})
 			}
@@ -341,18 +351,19 @@ func (x *expansion) appendKindCells(cells []Cell, bm *workload.Benchmark, cfg *C
 			Key:   cfg.cellKey("oneshots", bm.Name),
 			Label: "oneshots " + bm.Name,
 			bench: bm,
-			mk: func() (trace.Pass, func() (any, error)) {
+			attach: func(g *group) func() (any, error) {
 				with := loopstats.NewCollector()
 				without := loopstats.NewCollector()
 				without.CountOneShots = false
-				return harness.NewObserverPass(cls, with, without),
-					func() (any, error) {
-						w, wo := with.Summary(), without.Summary()
-						return OneShotRow{
-							Bench: bm.Name, WithIPE: w.ItersPerExec, WithoutIPE: wo.ItersPerExec,
-							WithExecs: w.Execs, WithoutExec: wo.Execs,
-						}, nil
-					}
+				g.observe(cls, with)
+				g.observe(cls, without)
+				return func() (any, error) {
+					w, wo := with.Summary(), without.Summary()
+					return OneShotRow{
+						Bench: bm.Name, WithIPE: w.ItersPerExec, WithoutIPE: wo.ItersPerExec,
+						WithExecs: w.Execs, WithoutExec: wo.Execs,
+					}, nil
+				}
 			},
 		})
 	case "branchpred":
@@ -361,9 +372,10 @@ func (x *expansion) appendKindCells(cells []Cell, bm *workload.Benchmark, cfg *C
 			Key:   cfg.cellKey("branchpred", bm.Name),
 			Label: "branchpred " + bm.Name,
 			bench: bm,
-			mk: func() (trace.Pass, func() (any, error)) {
+			attach: func(g *group) func() (any, error) {
 				suite := branchpred.DefaultSuite()
-				return suite, func() (any, error) {
+				g.add(suite)
+				return func() (any, error) {
 					return BaselineRow{Bench: bm.Name, Results: suite.Results()}, nil
 				}
 			},
@@ -374,19 +386,19 @@ func (x *expansion) appendKindCells(cells []Cell, bm *workload.Benchmark, cfg *C
 			Key:   cfg.cellKey("taskpred", bm.Name),
 			Label: "taskpred " + bm.Name,
 			bench: bm,
-			mk: func() (trace.Pass, func() (any, error)) {
+			attach: func(g *group) func() (any, error) {
 				tp := taskpred.New(taskpred.Config{})
-				e := spec.NewEngine(spec.Config{TUs: 4, Policy: spec.STRn(3)})
-				return harness.NewObserverPass(cls, tp, e),
-					func() (any, error) {
-						acc, n := tp.Accuracy()
-						return TaskPredRow{
-							Bench:       bm.Name,
-							NextTaskPct: acc,
-							Scored:      n,
-							IterHitPct:  e.Metrics().HitRatio(),
-						}, nil
-					}
+				g.observe(cls, tp)
+				e := g.engine(cls, spec.Config{TUs: 4, Policy: spec.STRn(3)})
+				return func() (any, error) {
+					acc, n := tp.Accuracy()
+					return TaskPredRow{
+						Bench:       bm.Name,
+						NextTaskPct: acc,
+						Scored:      n,
+						IterHitPct:  e.Metrics().HitRatio(),
+					}, nil
+				}
 			},
 		})
 	case "oracle":
@@ -407,7 +419,10 @@ func (x *expansion) appendKindCells(cells []Cell, bm *workload.Benchmark, cfg *C
 // distinct configurations never collide, while identical cells
 // submitted by different grids on a shared Runner are computed once.
 // The key holds the policy under its canonical name (coord.Policy) and
-// the nest rule as its number, as %v has always printed them.
+// the nest rule as its number, as %v has always printed them. The
+// cell's engine observes its group's detector for the cell's CLS
+// capacity and predicts from that detector's LET of its LET capacity,
+// which every such engine of the group shares (see group).
 func specEngineCell(cfg *Config, bm *workload.Benchmark, coord Coord, ec spec.Config) Cell {
 	cls := coord.CLS
 	return Cell{
@@ -416,10 +431,9 @@ func specEngineCell(cfg *Config, bm *workload.Benchmark, coord Coord, ec spec.Co
 			ec.Exclude, ec.ExcludeThreshold, ec.ExcludeMinResolved, ec.ExcludeCapacity),
 		Label: bm.Name + " " + coord.Policy + "/" + strconv.Itoa(ec.TUs) + " TUs",
 		bench: bm,
-		mk: func() (trace.Pass, func() (any, error)) {
-			e := spec.NewEngine(ec)
-			return harness.NewObserverPass(cls, e),
-				func() (any, error) { return e.Metrics(), nil }
+		attach: func(g *group) func() (any, error) {
+			e := g.engine(cls, ec)
+			return func() (any, error) { return e.Metrics(), nil }
 		},
 	}
 }
@@ -448,27 +462,28 @@ func oracleRun(cfg Config, bm *workload.Benchmark) func(ctx context.Context) (an
 			}
 			return u, nil
 		}
-		multi := func(passes ...trace.Pass) error {
+		traverse := func(observers ...loopdet.Observer) error {
+			det := harness.NewObserverPass(cfg.CLSCapacity, observers...)
 			if cfg.Traces != nil {
-				_, _, err := cfg.Traces.MultiRun(ctx, bm.Name, cfg.seed(), build, mc, passes...)
+				_, _, err := cfg.Traces.MultiRun(ctx, bm.Name, cfg.seed(), build, mc, det)
 				return err
 			}
 			uu, err := build()
 			if err != nil {
 				return err
 			}
-			_, err = harness.MultiRun(uu, mc, passes...)
+			_, err = harness.MultiRun(uu, mc, det)
 			return err
 		}
 		rec := spec.NewOracleRecorder()
-		if err := multi(harness.NewObserverPass(cfg.CLSCapacity, rec)); err != nil {
+		if err := traverse(rec); err != nil {
 			return OracleRow{}, err
 		}
+		// Both engines observe one detector, each with the private LET
+		// NewEngine gives it.
 		str := spec.NewEngine(spec.Config{TUs: 4, Policy: spec.STR()})
 		oracle := spec.NewEngine(spec.Config{TUs: 4, Policy: spec.STR(), OracleIters: rec.Counts()})
-		if err := multi(
-			harness.NewObserverPass(cfg.CLSCapacity, str),
-			harness.NewObserverPass(cfg.CLSCapacity, oracle)); err != nil {
+		if err := traverse(str, oracle); err != nil {
 			return OracleRow{}, err
 		}
 		mS, mO := str.Metrics(), oracle.Metrics()

@@ -44,8 +44,8 @@ func BenchmarkCompile(b *testing.B) {
 // format: cell keys and group keys are the store's addresses, so every
 // one must equal what the fmt formula the store was written with builds
 // (see checkCellKeys), as must every label. It covers every registered
-// grid and an ad-hoc spec grid sweeping every engine axis, at three
-// configs.
+// grid, an ad-hoc spec grid sweeping every engine axis and an ad-hoc
+// CLS sweep, at three configs.
 func TestCellKeysMatchReference(t *testing.T) {
 	cfgs := []grid.Config{
 		{},
@@ -89,6 +89,13 @@ func TestCellKeysMatchReference(t *testing.T) {
 		}
 		if err := grid.CheckCellKeys(rs.Kind, cfg.BatchSize, cells); err != nil {
 			t.Errorf("ad-hoc spec grid, config %+v: %v", cfg, err)
+		}
+		cells, rs, err = grid.Compile(cfg, grid.Spec{Kind: "clssize", Benchmarks: []string{"swim"}, CLS: []int{-1, 0, 2, 16}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := grid.CheckCellKeys(rs.Kind, cfg.BatchSize, cells); err != nil {
+			t.Errorf("ad-hoc clssize grid, config %+v: %v", cfg, err)
 		}
 	}
 }

@@ -2,15 +2,27 @@ package grid
 
 import "dynloop/internal/trace"
 
-// CellPass builds a fusable cell's analysis pass; ok is false for a
-// composite cell, which owns its traversals instead.
-func CellPass(c Cell) (p trace.Pass, ok bool) {
-	if c.mk == nil {
-		return nil, false
+// GroupPasses builds the pass set of one fused group holding cells, as
+// runCells builds it, and reports how many detectors and shared LETs it
+// holds; ok is false when a cell is composite (it owns its traversals
+// instead).
+func GroupPasses(cells ...Cell) (passes []trace.Pass, detectors, lets int, ok bool) {
+	g := newGroup()
+	for _, c := range cells {
+		if c.attach == nil {
+			return nil, 0, 0, false
+		}
+		c.attach(g)
 	}
-	p, _ = c.mk()
-	return p, true
+	for _, d := range g.dets {
+		lets += len(d.lets)
+	}
+	return g.passes, len(g.dets), lets, true
 }
+
+// GroupDetectors returns how many detectors fused groups have built in
+// this process.
+func GroupDetectors() uint64 { return groupDetectors.Load() }
 
 // CheckCellKeys compares every cell's key, label and group key with
 // the reference formulas (see checkCellKeys).

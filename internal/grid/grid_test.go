@@ -333,3 +333,42 @@ func TestCompileRejectsZeroBudget(t *testing.T) {
 		t.Fatalf("1-instruction budget rejected: %v", err)
 	}
 }
+
+// TestCLSSizeAtCapResolved: a clssize cell's AtCap compares the CLS's
+// deepest occupancy with the resolved capacity, so capacity 0 (the
+// default 16) computes what 16 computes and an unbounded CLS (-1) is
+// never at cap. Cells at those two capacities once compared against the
+// raw value; their keys must differ from what they were keyed under
+// then, while every positive capacity keeps its key.
+func TestCLSSizeAtCapResolved(t *testing.T) {
+	cfg := Config{Budget: 200_000, Parallel: 2}
+	res, err := Run(context.Background(), cfg, Spec{Kind: "clssize",
+		Benchmarks: []string{"swim", "gcc", "perl"}, CLS: []int{-1, 0, 1, 2, 16, 64}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	type at struct {
+		bench string
+		cls   int
+	}
+	vals := map[at]CLSCell{}
+	for i, c := range res.Cells {
+		v := res.Values[i].(CLSCell)
+		vals[at{c.Coord.Bench, c.Coord.CLS}] = v
+		old := Config{Budget: cfg.Budget, CLSCapacity: c.Coord.CLS}.cellKey("clssize", c.Coord.Bench)
+		if (c.Key == old) != (c.Coord.CLS > 0) {
+			t.Errorf("%s: key %q, pre-fix key %q", c.Label, c.Key, old)
+		}
+	}
+	for _, bench := range []string{"swim", "gcc", "perl"} {
+		if v := vals[at{bench, -1}]; v.AtCap || v.Evictions != 0 {
+			t.Errorf("%s unbounded: %+v, want never at cap", bench, v)
+		}
+		if v := vals[at{bench, 1}]; !v.AtCap {
+			t.Errorf("%s at capacity 1: %+v, want at cap", bench, v)
+		}
+		if d, p := vals[at{bench, 0}], vals[at{bench, 16}]; d != p {
+			t.Errorf("%s: capacity 0 gives %+v, the default 16 gives %+v", bench, d, p)
+		}
+	}
+}

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"strings"
 
+	"dynloop/internal/harness"
 	"dynloop/internal/spec"
 )
 
@@ -61,6 +62,10 @@ func checkCellKeys(kind string, batchSize int, cells []Cell) error {
 			label = fmt.Sprintf("fig4 %s/%d entries", co.Bench, co.TableSize)
 		case "clssize":
 			key = referenceCellKey(cfg, "clssize", co.Bench)
+			if co.CLS <= 0 {
+				// AtCap once compared against the raw capacity here.
+				key = referenceCellKey(cfg, "clssize", co.Bench, harness.ResolveCLSCapacity(co.CLS))
+			}
 			label = fmt.Sprintf("cls %s/%d entries", co.Bench, co.CLS)
 		case "replacement":
 			key = referenceCellKey(cfg, "replacement", co.Bench, co.TableSize, co.Mode)

@@ -43,12 +43,14 @@ func TestCtlOnlyCellPlanes(t *testing.T) {
 			want = both
 		}
 		for _, c := range cells {
-			p, ok := grid.CellPass(c)
+			passes, _, _, ok := grid.GroupPasses(c)
 			if !ok {
 				continue
 			}
-			if got := trace.PlanesOf(p); got != want {
-				t.Errorf("%s cell %s: planes = %v, want %v", name, c.Label, got, want)
+			for _, p := range passes {
+				if got := trace.PlanesOf(p); got != want {
+					t.Errorf("%s cell %s: planes = %v, want %v", name, c.Label, got, want)
+				}
 			}
 		}
 	}
@@ -58,8 +60,8 @@ func TestCtlOnlyCellPlanes(t *testing.T) {
 	rec := spec.NewOracleRecorder()
 	for i, d := range []*loopdet.Detector{
 		harness.NewObserverPass(16, rec),
-		harness.NewObserverPass(16, spec.NewEngine(spec.Config{TUs: 4, Policy: spec.STR()})),
-		harness.NewObserverPass(16, spec.NewEngine(spec.Config{TUs: 4, Policy: spec.STR(), OracleIters: rec.Counts()})),
+		harness.NewObserverPass(16, spec.NewEngine(spec.Config{TUs: 4, Policy: spec.STR()}),
+			spec.NewEngine(spec.Config{TUs: 4, Policy: spec.STR(), OracleIters: rec.Counts()})),
 	} {
 		if got := trace.PlanesOf(d); got != trace.PlaneCtl {
 			t.Errorf("oracle detector %d planes = %v, want ctl-only", i, got)

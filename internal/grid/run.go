@@ -3,9 +3,12 @@ package grid
 import (
 	"context"
 	"fmt"
+	"sync/atomic"
 
 	"dynloop/internal/builder"
 	"dynloop/internal/harness"
+	"dynloop/internal/loopdet"
+	"dynloop/internal/looptab"
 	"dynloop/internal/runner"
 	"dynloop/internal/spec"
 	"dynloop/internal/trace"
@@ -65,7 +68,8 @@ func Run(ctx context.Context, cfg Config, s Spec) (*Result, error) {
 
 // runCells resolves fusable cells through runner.MapGroups: all
 // cache-missing cells sharing a (benchmark, budget, seed, batch) group
-// execute in a single fused traversal.
+// execute in a single fused traversal, observing it through the group's
+// shared detectors (see group).
 func runCells(ctx context.Context, cfg Config, pool *runner.Runner, cells []Cell) ([]any, error) {
 	jobs := make([]runner.GroupJob[any], len(cells))
 	for i, c := range cells {
@@ -75,13 +79,14 @@ func runCells(ctx context.Context, cfg Config, pool *runner.Runner, cells []Cell
 		}
 		jobs[i] = runner.GroupJob[any]{Key: c.Key, Group: group, Label: c.Label}
 	}
-	exec := func(ctx context.Context, group string, idx []int) ([]any, error) {
+	exec := func(ctx context.Context, _ string, idx []int) ([]any, error) {
 		lead := cells[idx[0]]
-		passes := make([]trace.Pass, len(idx))
+		g := newGroup()
 		finish := make([]func() (any, error), len(idx))
 		for j, i := range idx {
-			passes[j], finish[j] = cells[i].mk()
+			finish[j] = cells[i].attach(g)
 		}
+		passes := g.passes
 		mc := harness.MultiConfig{Budget: lead.Coord.Budget, BatchSize: cfg.BatchSize,
 			Shards: cfg.Shards, Reference: cfg.Reference, FullPlanes: cfg.FullPlanes}
 		var err error
@@ -181,3 +186,99 @@ func kindTypeCheck(kind string) func(any) bool {
 		return func(any) bool { return false }
 	}
 }
+
+// groupDetectors counts the detectors fused groups have built, process
+// wide, so tests can pin how many a render needs.
+var groupDetectors atomic.Uint64
+
+// group is the pass set of one fused traversal, built by its cells'
+// attach hooks. Cells do not own detectors: the group builds one per
+// resolved CLS capacity and event plane, on first use, and every cell
+// observing through that CLS shares it. The speculation engines on one
+// detector that agree on the LET capacity share one LET, kept current
+// by one looptab.LETFeeder. Both are exact. A detector's events depend
+// only on the stream and its capacity (grid detectors never flush
+// periodically), and observers never mutate an Exec, so each observer
+// sees what a private detector would show it. An engine's LET depends
+// only on those events and its capacity, and the engine reads it only
+// through PredictIters, which leaves the LRU order alone.
+type group struct {
+	dets   []groupDet
+	passes []trace.Pass // detectors and detector-free passes, in creation order
+	// A one-cell group (the common cache miss of a served grid) needs
+	// one of each; the buffers keep it from allocating either slice.
+	detBuf  [1]groupDet
+	passBuf [1]trace.Pass
+}
+
+// groupDet is one of a group's detectors with the LETs its engines
+// share.
+type groupDet struct {
+	capacity int  // resolved CLS capacity
+	stream   bool // full event plane: a stream observer is attached
+	det      *loopdet.Detector
+	lets     []*looptab.LET
+}
+
+func newGroup() *group {
+	g := &group{}
+	g.dets, g.passes = g.detBuf[:0], g.passBuf[:0]
+	return g
+}
+
+// detector returns the group's detector for CLS capacity cls (the
+// harness convention: 0 is the default, negative unbounded) on the full
+// event plane when stream is set and on the control plane otherwise,
+// creating it on first use. Keying by plane keeps control-only
+// observers off the full plane.
+func (g *group) detector(cls int, stream bool) *loopdet.Detector {
+	return g.slot(cls, stream).det
+}
+
+func (g *group) slot(cls int, stream bool) *groupDet {
+	capacity := harness.ResolveCLSCapacity(cls)
+	for i := range g.dets {
+		if d := &g.dets[i]; d.capacity == capacity && d.stream == stream {
+			return d
+		}
+	}
+	det := harness.NewObserverPass(cls)
+	groupDetectors.Add(1)
+	g.dets = append(g.dets, groupDet{capacity: capacity, stream: stream, det: det})
+	g.passes = append(g.passes, det)
+	return &g.dets[len(g.dets)-1]
+}
+
+// observe attaches o to the group's detector for CLS capacity cls, on
+// the plane o needs.
+func (g *group) observe(cls int, o loopdet.Observer) {
+	_, stream := o.(loopdet.StreamObserver)
+	g.detector(cls, stream).AddObserver(o)
+}
+
+// engine attaches a speculation engine for ec to the group's detector
+// for CLS capacity cls. It predicts from the detector's LET of
+// ec.LETCapacity entries, which the group creates, with its feeder, for
+// the first such engine. ec must not carry oracle counts.
+func (g *group) engine(cls int, ec spec.Config) *spec.Engine {
+	d := g.slot(cls, false)
+	var let *looptab.LET
+	for _, l := range d.lets {
+		if l.Capacity() == ec.LETCapacity {
+			let = l
+			break
+		}
+	}
+	if let == nil {
+		let = looptab.NewLET(ec.LETCapacity)
+		d.lets = append(d.lets, let)
+		d.det.AddObserver(&looptab.LETFeeder{LET: let})
+	}
+	e := spec.NewSharedEngine(ec, let)
+	d.det.AddObserver(e)
+	return e
+}
+
+// add schedules a pass that needs no detector, such as the branch
+// predictor suite.
+func (g *group) add(p trace.Pass) { g.passes = append(g.passes, p) }

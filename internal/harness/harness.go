@@ -8,8 +8,11 @@
 // MultiRun is the fused entry point: one traversal of the stream feeds
 // any number of independent passes through a trace.Broadcast, so a whole
 // column of experiment cells — different policies, table capacities,
-// even different CLS capacities, each pass owning its own detector —
-// costs one interpretation instead of one per cell.
+// even different CLS capacities — costs one interpretation instead of
+// one per cell. Passes share no state. A detector with its observers is
+// one pass, and the grid layer gives each fused group one detector per
+// CLS capacity and event plane, shared by every cell that observes the
+// stream through it.
 package harness
 
 import (

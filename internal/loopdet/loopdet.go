@@ -283,8 +283,10 @@ func (d *Detector) Init() {}
 
 // Finalize implements trace.Pass by flushing the CLS, so a detector (with
 // its observers) is directly schedulable as one pass of a fused
-// multi-pass traversal — each pass owning a private detector is what
-// lets CLS-capacity ablations share one instruction stream.
+// multi-pass traversal. One detector per CLS capacity is what lets
+// CLS-capacity ablations share one instruction stream; every observer
+// of one capacity can share its detector, because observers never
+// mutate an Exec and so cannot change what the others see.
 func (d *Detector) Finalize() { d.Flush() }
 
 // Depth returns the current CLS occupancy.

@@ -5,8 +5,13 @@ import (
 	"testing"
 
 	"dynloop/internal/builder"
+	"dynloop/internal/datapred"
 	"dynloop/internal/harness"
 	"dynloop/internal/loopdet"
+	"dynloop/internal/loopstats"
+	"dynloop/internal/looptab"
+	"dynloop/internal/spec"
+	"dynloop/internal/taskpred"
 	"dynloop/internal/workload"
 )
 
@@ -57,6 +62,49 @@ func TestExecRecyclingRandomPrograms(t *testing.T) {
 		}
 		for _, c := range recycleCapacities {
 			checkRecycling(t, fmt.Sprintf("random seed %d", seed), u, 100_000, c)
+		}
+	}
+}
+
+// TestSharedDetectorSequence: an observer sees the same event sequence
+// on a detector it shares with speculation engines (one on a shared
+// LET), LET/LIT trackers, Table-1, next-task and data-speculation
+// collectors as on a detector of its own — the contract that lets a
+// fused group's cells share one CLS. The shared detector runs on the
+// full event plane (the data-speculation collector reads it) and the
+// private one on the control plane.
+func TestSharedDetectorSequence(t *testing.T) {
+	for _, bm := range workload.All() {
+		u, err := bm.Build(1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, c := range recycleCapacities {
+			private := checkRecycling(t, bm.Name, u, 100_000, c)
+
+			let := looptab.NewLET(0)
+			shared := loopdet.NewAliasCheck()
+			observers := []loopdet.Observer{
+				spec.NewEngine(spec.Config{TUs: 4, Policy: spec.STRn(3)}),
+				&looptab.LETFeeder{LET: let},
+				spec.NewSharedEngine(spec.Config{TUs: 8, Policy: spec.STR()}, let),
+				shared,
+				looptab.NewTracker(4, 4),
+				loopstats.NewCollector(),
+				taskpred.New(taskpred.Config{}),
+				datapred.NewCollector(datapred.Config{}),
+				spec.NewSharedEngine(spec.Config{TUs: 2, Policy: spec.Idle()}, let),
+			}
+			if _, err := harness.Run(u, harness.Config{Budget: 100_000, CLSCapacity: c}, observers...); err != nil {
+				t.Fatal(err)
+			}
+			if err := shared.Err(); err != nil {
+				t.Fatalf("%s at CLS capacity %d, shared: %v", bm.Name, c, err)
+			}
+			if shared.Starts != private.Starts || shared.Sequence() != private.Sequence() {
+				t.Errorf("%s at CLS capacity %d: shared detector showed %d executions (digest %x), a private one %d (%x)",
+					bm.Name, c, shared.Starts, shared.Sequence(), private.Starts, private.Sequence())
+			}
 		}
 	}
 }

@@ -26,6 +26,18 @@ type LET struct {
 	// nested inside cand.
 	InhibitInsert func(victim, cand isa.Addr) bool
 	inhibited     uint64
+	// memo is PredictIters' last answer, for memoT; it is valid until
+	// the next update. Engines sharing the LET all ask about the same
+	// loop when its iteration starts, so one lookup serves them all.
+	memo      prediction
+	memoT     isa.Addr
+	memoValid bool
+}
+
+// prediction is one PredictIters answer.
+type prediction struct {
+	n  int64
+	ok bool
 }
 
 // NewLET returns a LET with the given capacity (0 = unbounded).
@@ -38,6 +50,7 @@ func NewLET(capacity int) *LET {
 // executions since insertion), recency is updated, and an absent entry is
 // inserted.
 func (l *LET) OnExecStart(t isa.Addr) (hit bool) {
+	l.memoValid = false
 	l.tests++
 	e := l.tab.Touch(t)
 	if e == nil {
@@ -63,6 +76,7 @@ func (l *LET) Inhibited() uint64 { return l.inhibited }
 // OnExecEnd records a completed execution of loop t with the given final
 // iteration count. Entries evicted in the meantime are ignored.
 func (l *LET) OnExecEnd(t isa.Addr, iters int) {
+	l.memoValid = false
 	e := l.tab.Get(t)
 	if e == nil {
 		return
@@ -77,18 +91,25 @@ func (l *LET) OnExecEnd(t isa.Addr, iters int) {
 // repeats; otherwise report no prediction (the policy then behaves like
 // IDLE for this loop).
 func (l *LET) PredictIters(t isa.Addr) (n int64, ok bool) {
+	if !l.memoValid || l.memoT != t {
+		l.memo, l.memoT, l.memoValid = l.predict(t), t, true
+	}
+	return l.memo.n, l.memo.ok
+}
+
+func (l *LET) predict(t isa.Addr) prediction {
 	e := l.tab.Get(t)
 	if e == nil {
-		return 0, false
+		return prediction{}
 	}
 	if e.iters.Reliable() {
 		v, _ := e.iters.Predict()
-		return v, true
+		return prediction{v, true}
 	}
 	if last, ok := e.iters.HaveLast(); ok {
-		return last, true
+		return prediction{last, true}
 	}
-	return 0, false
+	return prediction{}
 }
 
 // HitRatio returns the §2.3.1 hit ratio measured so far and the number of
@@ -102,6 +123,9 @@ func (l *LET) HitRatio() (ratio float64, tests uint64) {
 
 // Len returns the number of resident entries.
 func (l *LET) Len() int { return l.tab.Len() }
+
+// Capacity returns the configured capacity (0 = unbounded).
+func (l *LET) Capacity() int { return l.tab.Capacity() }
 
 // Evictions returns the number of LRU evictions.
 func (l *LET) Evictions() uint64 { return l.tab.Evictions() }

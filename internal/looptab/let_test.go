@@ -68,6 +68,25 @@ func TestLETEvictionResets(t *testing.T) {
 	}
 }
 
+// TestLETPredictSeesEveryUpdate: PredictIters answers for the table as
+// it is now, after any completion or insertion since the last question.
+func TestLETPredictSeesEveryUpdate(t *testing.T) {
+	l := NewLET(1)
+	l.OnExecStart(10)
+	l.OnExecEnd(10, 3)
+	if n, ok := l.PredictIters(10); !ok || n != 3 {
+		t.Fatalf("prediction = %d %v, want 3", n, ok)
+	}
+	l.OnExecEnd(10, 7)
+	if n, ok := l.PredictIters(10); !ok || n != 7 {
+		t.Fatalf("prediction after a completion = %d %v, want 7", n, ok)
+	}
+	l.OnExecStart(20) // evicts 10
+	if n, ok := l.PredictIters(10); ok {
+		t.Fatalf("prediction after eviction = %d, want none", n)
+	}
+}
+
 // TestLITHitSemantics follows one execution with 6 iterations: tests at
 // iteration starts 2..6, completions counted from iteration 2 on, so
 // iterations 4,5,6 hit.

@@ -197,6 +197,9 @@ type accuracy struct {
 type Engine struct {
 	cfg Config
 	let *looptab.LET
+	// ownLET is set when the engine keeps let current itself; a shared
+	// LET is kept current by its looptab.LETFeeder.
+	ownLET bool
 
 	clock      uint64
 	skipBudget uint64
@@ -218,12 +221,23 @@ type Engine struct {
 	lastIndex uint64
 }
 
-// NewEngine returns an engine for the given configuration.
+// NewEngine returns an engine for the given configuration, with a
+// private LET of cfg.LETCapacity entries that it keeps current itself.
 func NewEngine(cfg Config) *Engine {
-	e := &Engine{
-		cfg: cfg,
-		let: looptab.NewLET(cfg.LETCapacity),
-	}
+	e := NewSharedEngine(cfg, looptab.NewLET(cfg.LETCapacity))
+	e.ownLET = true
+	return e
+}
+
+// NewSharedEngine returns an engine that predicts iteration counts from
+// let but never updates it: attach a looptab.LETFeeder for let to the
+// same detector. let must have cfg.LETCapacity entries. Engines on one
+// detector whose LET capacities agree may share one LET whatever their
+// other settings, because an engine's LET depends only on the detector's
+// events and its capacity, and an engine reads it only through
+// PredictIters, which leaves the LRU order alone.
+func NewSharedEngine(cfg Config, let *looptab.LET) *Engine {
+	e := &Engine{cfg: cfg, let: let}
 	if cfg.TUs > 0 {
 		e.idle = cfg.TUs - 1 // one TU is the non-speculative thread
 	}
@@ -285,7 +299,9 @@ func (e *Engine) ExecStart(x *loopdet.Exec) {
 		e.oracleNext++
 	}
 	e.active = append(e.active, st)
-	e.let.OnExecStart(x.T)
+	if e.ownLET {
+		e.let.OnExecStart(x.T)
+	}
 	if e.cfg.Policy.NestLimit > 0 && e.cfg.NestRule == NestRuleStatic && !e.Infinite() {
 		e.enforceStaticNestLimit()
 	}
@@ -504,10 +520,9 @@ func (e *Engine) ExecEnd(x *loopdet.Exec, reason loopdet.EndReason, index uint64
 		e.skipBudget = 0
 	}
 	e.squash(st, index, reason == loopdet.EndFlush)
-	switch reason {
-	case loopdet.EndEvicted, loopdet.EndFlush:
-		// Not a real completion; the LET keeps its history.
-	default:
+	// Evictions and flushes are not real completions; the LET keeps its
+	// history.
+	if e.ownLET && reason != loopdet.EndEvicted && reason != loopdet.EndFlush {
 		e.let.OnExecEnd(x.T, x.Iters)
 	}
 	for i := len(e.active) - 1; i >= 0; i-- {

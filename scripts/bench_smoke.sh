@@ -31,6 +31,10 @@
 # collector allocates nothing per iteration of a warm loop.
 # TestCompileAllocs pins grid.Compile's allocations per cell over the
 # serve-mix grids, so cell keys cannot slide back onto fmt unnoticed.
+# TestGroupDetectorCounts pins that a fused group builds one detector
+# per CLS capacity and plane and one LET per engine LET capacity (one
+# of each for a Figure 7 group, 306 group detectors per paper render),
+# so cells cannot go back to building their own.
 #
 # CI runs this; locally: scripts/bench_smoke.sh
 set -euo pipefail
@@ -77,8 +81,8 @@ awk -v r="$REPLAY_NS" -v i="$INTERP_NS" -v k="$REPLAY_RATIO" 'BEGIN { exit !(r <
 	fail "full replay (${REPLAY_NS} ns/instr) regressed above interpretation (${INTERP_NS} ns/instr) beyond the ${REPLAY_RATIO}x noise ratio"
 
 echo "bench_smoke: allocation scaling, zero-alloc and event-plane pins"
-go test -count=1 -run '^(TestAllocsDoNotScaleWithBudget|TestSteadyStateZeroAllocs|TestCtlSteadyStateZeroAllocs|TestNilSinkNoAllocs|TestReplayZeroAllocs|TestReplayCtlZeroAllocs|TestHotPathZeroAllocs|TestExecStartZeroAllocs|TestCtlOnlyCellPlanes|TestBatchCutInvariance|TestWarmLoopZeroAllocs|TestCompileAllocs)$' \
+go test -count=1 -run '^(TestAllocsDoNotScaleWithBudget|TestSteadyStateZeroAllocs|TestCtlSteadyStateZeroAllocs|TestNilSinkNoAllocs|TestReplayZeroAllocs|TestReplayCtlZeroAllocs|TestHotPathZeroAllocs|TestExecStartZeroAllocs|TestCtlOnlyCellPlanes|TestBatchCutInvariance|TestWarmLoopZeroAllocs|TestCompileAllocs|TestGroupDetectorCounts)$' \
 	. ./internal/grid ./internal/interp ./internal/tracefile ./internal/obs ./internal/taskpred ./internal/datapred ||
-	fail "a hot path allocates again, or a grid left the control plane (see the failing test above)"
+	fail "a hot path allocates again, a grid left the control plane, or a fused group builds extra detectors (see the failing test above)"
 
 echo "bench_smoke: OK (run ${RUN_NS} ns/instr; replay ${REPLAY_NS} vs interpret ${INTERP_NS} ns/instr; 0 allocs; no per-execution allocation)"
