@@ -572,8 +572,8 @@ func printRunnerStats(r *runner.Runner, progress bool, seed uint64) {
 	}
 	ictl, ifull := interp.PlaneRuns()
 	rctl, rfull := tracefile.ReplayPlaneRuns()
-	fmt.Fprintf(os.Stderr, "obs: %d instructions interpreted (last run %.2f ns/instr), %d traversals, %d replays; plane runs ctl/full: interp %d/%d, replay %d/%d\n",
-		interp.Instructions(), interp.LastNsPerInstr(), harness.Traversals(), harness.Replays(), ictl, ifull, rctl, rfull)
+	fmt.Fprintf(os.Stderr, "obs: %d instructions interpreted (last run %.2f ns/instr), %d traversals, %d replays, %d ctl replays; plane runs ctl/full: interp %d/%d, replay %d/%d\n",
+		interp.Instructions(), interp.LastNsPerInstr(), harness.Traversals(), harness.Replays(), interp.CtlReplays(), ictl, ifull, rctl, rfull)
 }
 
 // profileFlags adds -cpuprofile/-memprofile to fs and returns a start
@@ -752,13 +752,13 @@ func cmdExperiment(ctx context.Context, args []string) error {
 	}
 	if what == "all" {
 		// One shared runner (cfg.Runner) deduplicates the overlapping
-		// cells across sections — Figure 7's STR column is Figure 6, its
-		// STR(3)/4TU cells are Table 2's.
-		for _, name := range []string{"table1", "fig4", "fig5", "fig6", "fig7", "table2", "fig8", "baseline", "ablations"} {
-			if err := run(name); err != nil {
-				return err
-			}
+		// cells across sections and replays every stream after its first
+		// traversal.
+		out, err := expt.All(ctx, cfg)
+		if err != nil {
+			return err
 		}
+		fmt.Print(out)
 		return nil
 	}
 	return run(what)

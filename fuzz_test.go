@@ -2,8 +2,9 @@
 // programs must execute identically on the predecoded+fused fast path
 // and the reference two-level interpreter — same event stream, same
 // machine state, same error — any stream the fast path emits must
-// survive a trace-archive record/replay round trip event for event, and
-// the control-plane consumers must compute the same results however
+// survive a trace-archive record/replay round trip event for event, its
+// control plane must replay from its branch outcomes, and the
+// control-plane consumers must compute the same results however
 // the stream is cut into batches and on either event plane, and the
 // Figure-8 data collector must match its per-instruction reference.
 package dynloop_test
@@ -203,10 +204,14 @@ func TestBatchCutInvariance(t *testing.T) {
 func newFuzzCPU(p *program.Program, reference bool) *interp.CPU {
 	c := interp.New(p)
 	c.SetReference(reference)
+	bindFuzzSeqs(c)
+	return c
+}
+
+func bindFuzzSeqs(c *interp.CPU) {
 	for id := int64(0); id < 4; id++ {
 		c.BindSeq(id, interp.Counter(id*7+1, id+1))
 	}
-	return c
 }
 
 func FuzzPredecode(f *testing.F) {
@@ -280,6 +285,49 @@ func FuzzPredecode(f *testing.F) {
 		for i := range facet {
 			if crec.events[i] != facet[i] {
 				t.Fatalf("ctl event %d = %+v, full facet %+v", i, crec.events[i], facet[i])
+			}
+		}
+
+		// Control-plane replay leg: a clean run's branch outcomes must
+		// replay to the ctl stream the interpreter delivered, at the full
+		// budget, at a prefix of it and, when the program halted, at
+		// budget 0.
+		if cerr == nil {
+			code := interp.Predecode(p)
+			rcpu := code.NewCPU()
+			bindFuzzSeqs(rcpu)
+			recorder := &interp.CtlRecorder{}
+			b := trace.NewBroadcast(0, recorder)
+			b.Init()
+			if _, err := rcpu.Run(budget, b); err != nil {
+				t.Fatal(err)
+			}
+			b.Finalize()
+			r := recorder.Recording(code, rcpu.Halted())
+			budgets := []uint64{budget, cn/2 + 1}
+			if rcpu.Halted() {
+				budgets = append(budgets, 0)
+			}
+			for _, bud := range budgets {
+				got := &ctlCapture{}
+				n, halted, err := r.Replay(bud, batch, got)
+				want, wantHalted := cn, ctlCPU.Halted()
+				if bud != 0 && bud < cn {
+					want, wantHalted = bud, false
+				}
+				if err != nil || n != want || halted != wantHalted || got.covered != want {
+					t.Fatalf("ctl replay at budget %d: n=%d halted=%v covered=%d err=%v, want %d/%v",
+						bud, n, halted, got.covered, err, want, wantHalted)
+				}
+				var wantEvs []trace.CtlEvent
+				for _, ev := range crec.events {
+					if ev.Index < want {
+						wantEvs = append(wantEvs, ev)
+					}
+				}
+				if !reflect.DeepEqual(got.events, wantEvs) {
+					t.Fatalf("ctl replay at budget %d: %d events, interpreted %d", bud, len(got.events), len(wantEvs))
+				}
 			}
 		}
 

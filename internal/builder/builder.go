@@ -69,7 +69,7 @@ type Unit struct {
 	Loops []LoopInfo
 
 	// code is Prog's predecoded micro-op array, built by the first NewCPU
-	// and shared by every CPU made from the Unit.
+	// (or Code) and shared by every CPU made from the Unit.
 	codeOnce sync.Once
 	code     *interp.Code
 }
@@ -79,12 +79,18 @@ type Unit struct {
 // program is predecoded once per Unit; registers, memory and sequences
 // are fresh for every CPU.
 func (u *Unit) NewCPU() *interp.CPU {
-	u.codeOnce.Do(func() { u.code = interp.Predecode(u.Prog) })
-	c := u.code.NewCPU()
+	c := u.Code().NewCPU()
 	for id, f := range u.Seqs {
 		c.BindSeq(id, f())
 	}
 	return c
+}
+
+// Code returns the unit's predecoded program, predecoding it on first
+// use; every CPU made from the Unit executes from it.
+func (u *Unit) Code() *interp.Code {
+	u.codeOnce.Do(func() { u.code = interp.Predecode(u.Prog) })
+	return u.code
 }
 
 // LoopInfo is the static ground truth for one emitted loop.

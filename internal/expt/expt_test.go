@@ -6,8 +6,10 @@ import (
 	"testing"
 
 	"dynloop/internal/harness"
+	"dynloop/internal/interp"
 	"dynloop/internal/runner"
 	"dynloop/internal/spec"
+	"dynloop/internal/workload"
 )
 
 // The Config-default and cell-key tests live with the machinery in
@@ -17,19 +19,22 @@ import (
 // of the fused pass pipeline: the full rendered report under fused
 // multi-pass execution is byte-identical to the per-cell reference path
 // (each cell traversing the stream alone), at 1 worker and at 8 — while
-// using at least 3× fewer interpreter traversals.
+// delivering at least 3× fewer traversals. A delivery is an interpreted
+// traversal or a control-plane replay: both routes replay every stream
+// after its first traversal on the runner, so interpreted traversals
+// alone are equal (see TestRenderInterpretsEachStreamOnce).
 func TestFusionByteIdenticalAndFewerTraversals(t *testing.T) {
 	base := Config{Budget: 50_000, Benchmarks: []string{"m88ksim", "perl"}}
 	render := func(parallel int, noFuse bool) (string, uint64) {
 		cfg := base
 		cfg.Parallel = parallel
 		cfg.NoFuse = noFuse
-		before := harness.Traversals()
+		before := harness.Traversals() + interp.CtlReplays()
 		out, err := All(context.Background(), cfg)
 		if err != nil {
 			t.Fatalf("parallel=%d noFuse=%v: %v", parallel, noFuse, err)
 		}
-		return out, harness.Traversals() - before
+		return out, harness.Traversals() + interp.CtlReplays() - before
 	}
 	ref, perCell := render(1, true)
 	for _, parallel := range []int{1, 8} {
@@ -39,7 +44,41 @@ func TestFusionByteIdenticalAndFewerTraversals(t *testing.T) {
 				parallel, ref, fusedOut)
 		}
 		if fused*3 > perCell {
-			t.Errorf("parallel=%d: fused run used %d traversals, per-cell used %d — want >=3x fewer", parallel, fused, perCell)
+			t.Errorf("parallel=%d: fused run delivered %d traversals, per-cell %d — want >=3x fewer", parallel, fused, perCell)
+		}
+	}
+}
+
+// TestRenderInterpretsEachStreamOnce pins the runner's recording tier
+// end to end: an expt.All render on a fresh runner interprets each
+// (benchmark, seed) stream exactly once on the control plane, plus once
+// on the full plane for Figure 8, and replays every other traversal. A
+// second fresh runner keeps no recordings of the first and interprets
+// the same number again.
+func TestRenderInterpretsEachStreamOnce(t *testing.T) {
+	cfg := Config{Budget: 20_000}
+	streams := uint64(len(workload.Names()))
+	var first string
+	for rep := 0; rep < 2; rep++ {
+		trav0, replays0 := harness.Traversals(), interp.CtlReplays()
+		ctl0, full0 := interp.PlaneRuns()
+		out, err := All(context.Background(), cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ctl1, full1 := interp.PlaneRuns()
+		trav, replays := harness.Traversals()-trav0, interp.CtlReplays()-replays0
+		if ctl, full := ctl1-ctl0, full1-full0; ctl != streams || full != streams || trav != 2*streams {
+			t.Errorf("render %d: %d traversals (%d control-plane, %d full-plane), want %d (%d each)",
+				rep, trav, ctl, full, 2*streams, streams)
+		}
+		if replays == 0 {
+			t.Errorf("render %d replayed nothing", rep)
+		}
+		if rep == 0 {
+			first = out
+		} else if out != first {
+			t.Errorf("render %d differs from render 0", rep)
 		}
 	}
 }

@@ -12,6 +12,7 @@ import (
 	"dynloop/internal/loopdet"
 	"dynloop/internal/loopstats"
 	"dynloop/internal/looptab"
+	"dynloop/internal/runner"
 	"dynloop/internal/spec"
 	"dynloop/internal/taskpred"
 	"dynloop/internal/workload"
@@ -121,7 +122,7 @@ type Cell struct {
 	attach func(g *group) func() (any, error)
 	// run computes a composite cell that owns its own traversals (the
 	// oracle kind).
-	run func(ctx context.Context) (any, error)
+	run func(ctx context.Context, pool *runner.Runner) (any, error)
 }
 
 // Compile validates and resolves the spec under cfg and expands it to
@@ -442,15 +443,14 @@ func specEngineCell(cfg *Config, bm *workload.Benchmark, coord Coord, ec spec.Co
 // traversal records every execution's true count, a second speculates
 // with it. The oracle run depends on the recorder pass, so the cell is
 // a composite job owning its own traversals, not a fusable pass.
-func oracleRun(cfg Config, bm *workload.Benchmark) func(ctx context.Context) (any, error) {
+func oracleRun(cfg Config, bm *workload.Benchmark) func(context.Context, *runner.Runner) (any, error) {
 	mc := harness.MultiConfig{Budget: cfg.budget(), BatchSize: cfg.BatchSize,
 		Shards: cfg.Shards, Reference: cfg.Reference, FullPlanes: cfg.FullPlanes}
-	return func(ctx context.Context) (any, error) {
-		// Both traversals route through the replay tier when configured:
-		// the first records the stream (or replays an existing
-		// recording), the second is then always a decode-only replay.
-		// The unit is built lazily, and at most once, so a covered
-		// archive serves the whole oracle cell without interpretation.
+	return func(ctx context.Context, pool *runner.Runner) (any, error) {
+		// Both traversals come from the first source that serves them
+		// (see harness.Traverse), so the second is always a replay
+		// unless a knob pins the interpreter. The unit is built lazily,
+		// and at most once.
 		var u *builder.Unit
 		build := func() (*builder.Unit, error) {
 			if u != nil {
@@ -464,15 +464,7 @@ func oracleRun(cfg Config, bm *workload.Benchmark) func(ctx context.Context) (an
 		}
 		traverse := func(observers ...loopdet.Observer) error {
 			det := harness.NewObserverPass(cfg.CLSCapacity, observers...)
-			if cfg.Traces != nil {
-				_, _, err := cfg.Traces.MultiRun(ctx, bm.Name, cfg.seed(), build, mc, det)
-				return err
-			}
-			uu, err := build()
-			if err != nil {
-				return err
-			}
-			_, err = harness.MultiRun(uu, mc, det)
+			_, _, err := harness.Traverse(ctx, pool.Recordings(), cfg.Traces, bm.Name, cfg.seed(), build, mc, det)
 			return err
 		}
 		rec := spec.NewOracleRecorder()

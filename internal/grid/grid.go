@@ -95,7 +95,9 @@ type Config struct {
 	// miss the memory cache and the disk store record their instruction
 	// stream into the trace archive on first interpretation, and every
 	// later group over the same (benchmark, seed) whose budget the
-	// recording covers replays the file instead of interpreting.
+	// recording covers replays the file instead of interpreting —
+	// unless the runner's own recording of the stream serves it first
+	// (see harness.Traverse).
 	// Results are byte-identical either way (pinned by the
 	// replay-equivalence suite); like Runner, one Traces may be shared
 	// across any number of runs.

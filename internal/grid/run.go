@@ -50,7 +50,8 @@ func Run(ctx context.Context, cfg Config, s Spec) (*Result, error) {
 	if rs.Kind == "oracle" {
 		jobs := make([]runner.Job[any], len(cells))
 		for i, c := range cells {
-			jobs[i] = runner.Job[any]{Key: c.Key, Label: c.Label, Run: c.run}
+			jobs[i] = runner.Job[any]{Key: c.Key, Label: c.Label,
+				Run: func(ctx context.Context) (any, error) { return c.run(ctx, pool) }}
 		}
 		values, err = runner.Map(ctx, pool, jobs)
 	} else {
@@ -69,7 +70,9 @@ func Run(ctx context.Context, cfg Config, s Spec) (*Result, error) {
 // runCells resolves fusable cells through runner.MapGroups: all
 // cache-missing cells sharing a (benchmark, budget, seed, batch) group
 // execute in a single fused traversal, observing it through the group's
-// shared detectors (see group).
+// shared detectors (see group). The traversal comes from the first
+// source that serves it (see harness.Traverse): the runner's recording
+// of the stream, the trace archive, or the interpreter.
 func runCells(ctx context.Context, cfg Config, pool *runner.Runner, cells []Cell) ([]any, error) {
 	jobs := make([]runner.GroupJob[any], len(cells))
 	for i, c := range cells {
@@ -86,34 +89,21 @@ func runCells(ctx context.Context, cfg Config, pool *runner.Runner, cells []Cell
 		for j, i := range idx {
 			finish[j] = cells[i].attach(g)
 		}
-		passes := g.passes
 		mc := harness.MultiConfig{Budget: lead.Coord.Budget, BatchSize: cfg.BatchSize,
 			Shards: cfg.Shards, Reference: cfg.Reference, FullPlanes: cfg.FullPlanes}
-		var err error
-		if tr := cfg.Traces; tr != nil {
-			// Third tier: replay the group's recorded stream when the
-			// archive covers it; otherwise interpret once while recording.
-			// The unit is only built on the record path.
-			build := func() (*builder.Unit, error) {
-				u, err := lead.bench.Build(lead.Coord.Seed)
-				if err != nil {
-					return nil, fmt.Errorf("grid: build %s: %w", lead.bench.Name, err)
-				}
-				return u, nil
-			}
-			var replayed bool
-			if _, replayed, err = tr.MultiRun(ctx, lead.bench.Name, lead.Coord.Seed, build, mc, passes...); err != nil {
-				return nil, err
-			}
-			pool.CountTraceRun(replayed)
-		} else {
+		build := func() (*builder.Unit, error) {
 			u, err := lead.bench.Build(lead.Coord.Seed)
 			if err != nil {
 				return nil, fmt.Errorf("grid: build %s: %w", lead.bench.Name, err)
 			}
-			if _, err := harness.MultiRun(u, mc, passes...); err != nil {
-				return nil, err
-			}
+			return u, nil
+		}
+		_, src, err := harness.Traverse(ctx, pool.Recordings(), cfg.Traces, lead.bench.Name, lead.Coord.Seed, build, mc, g.passes...)
+		if err != nil {
+			return nil, err
+		}
+		if cfg.Traces != nil && src != harness.FromRecording {
+			pool.CountTraceRun(src == harness.FromArchive)
 		}
 		out := make([]any, len(idx))
 		for j, f := range finish {

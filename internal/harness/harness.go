@@ -12,7 +12,9 @@
 // one per cell. Passes share no state. A detector with its observers is
 // one pass, and the grid layer gives each fused group one detector per
 // CLS capacity and event plane, shared by every cell that observes the
-// stream through it.
+// stream through it. Traverse picks where a traversal comes from: a
+// runner's control-plane recording of the stream, a trace archive, or
+// the interpreter.
 package harness
 
 import (
@@ -27,17 +29,19 @@ import (
 // DefaultCLSCapacity is the paper's CLS size (16 entries, §2.3.1).
 const DefaultCLSCapacity = 16
 
-// traversals counts interpreter traversals started by Run and MultiRun
-// across the process, for efficiency assertions: fusing N cells into one
-// MultiRun must show up as one traversal, not N. mTraversals mirrors it
-// into the obs registry for /metrics.
+// traversals counts interpreter traversals started by Run, MultiRun and
+// the trace tier's record path across the process, for efficiency
+// assertions: fusing N cells into one MultiRun must show up as one
+// traversal, not N. mTraversals mirrors it into the obs registry for
+// /metrics. Replays — from a trace archive (Replays) or from a runner's
+// control-plane recording (interp.CtlReplays) — are excluded from both.
 var traversals atomic.Uint64
 
 var mTraversals = obs.NewCounter("dynloop_traversals_total",
-	"Interpreter traversals started by Run/MultiRun (replays excluded).")
+	"Interpreter traversals started by Run/MultiRun (archive and control-plane replays excluded).")
 
-// Traversals returns the process-lifetime count of stream traversals
-// started by Run and MultiRun.
+// Traversals returns the process-lifetime count of interpreter
+// traversals. Archive and control-plane replays are not traversals.
 func Traversals() uint64 { return traversals.Load() }
 
 // ResolveCLSCapacity maps the harness capacity convention to a

@@ -100,6 +100,10 @@ type CPU struct {
 type Code struct {
 	prog *program.Program
 	ops  []uop
+	// skip is the straight-line table control-plane replays walk (see
+	// skips), built by the first replay.
+	skipOnce sync.Once
+	skip     []uint32
 }
 
 // Predecode translates p once, with superinstruction fusion.
@@ -211,12 +215,14 @@ func (c *CPU) Run(budget uint64, sink trace.BatchConsumer) (uint64, error) {
 // batchBufs is one set of batch buffers: evs is the full event batch
 // and ctl its control-transfer index side channel; ctlEvs is the
 // control-plane transfer buffer used instead when every attached
-// consumer is control-only (see Run). Each is sized lazily to the
-// requesting CPU's batch size.
+// consumer is control-only (see Run), and by control-plane replays,
+// which also keep their return stack in stack. Each batch buffer is
+// sized lazily to the requesting batch size.
 type batchBufs struct {
 	evs    []trace.Event
 	ctlEvs []trace.CtlEvent
 	ctl    []int32
+	stack  []isa.Addr
 }
 
 // bufPool holds batch buffers between Run calls. A Run takes one set and

@@ -16,7 +16,13 @@ var (
 		"Run calls by negotiated event facet.", "plane", "ctl")
 	mRunsFull = obs.NewCounter("dynloop_interp_runs_total",
 		"Run calls by negotiated event facet.", "plane", "full")
+	mCtlReplays = obs.NewCounter("dynloop_ctl_replays_total",
+		"Control-plane traversals replayed from branch-outcome recordings instead of interpreted.")
 )
+
+// CtlReplays returns the process-lifetime count of control-plane
+// replays (CtlRecording.Replay calls).
+func CtlReplays() uint64 { return mCtlReplays.Value() }
 
 // PlaneRuns reports the process-lifetime count of Run calls that
 // negotiated control-plane-only delivery vs full-event delivery, for

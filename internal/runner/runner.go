@@ -22,6 +22,8 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
+
+	"dynloop/internal/harness"
 )
 
 // Config parametrises a Runner.
@@ -168,6 +170,7 @@ type Runner struct {
 	onEvent func(Event)
 	sem     chan struct{}
 	tier2   Cache
+	recs    *harness.Recordings
 
 	mu    sync.Mutex
 	cache map[string]*entry
@@ -203,9 +206,17 @@ func New(cfg Config) *Runner {
 		onEvent: cfg.OnEvent,
 		sem:     make(chan struct{}, w),
 		tier2:   cfg.Cache,
+		recs:    harness.NewRecordings(),
 		cache:   make(map[string]*entry),
 	}
 }
+
+// Recordings returns the control-plane recordings of the streams this
+// runner's jobs have traversed: after the first traversal of a
+// (benchmark, seed), every later control-only traversal of it on this
+// runner replays the recording instead of interpreting (see
+// harness.Traverse). They live as long as the runner.
+func (r *Runner) Recordings() *harness.Recordings { return r.recs }
 
 // Workers returns the concurrency bound.
 func (r *Runner) Workers() int { return cap(r.sem) }

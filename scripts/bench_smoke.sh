@@ -35,6 +35,8 @@
 # per CLS capacity and plane and one LET per engine LET capacity (one
 # of each for a Figure 7 group, 306 group detectors per paper render),
 # so cells cannot go back to building their own.
+# TestCtlReplayZeroAllocs pins that a warm control-plane replay of each
+# of the 18 workloads allocates nothing.
 #
 # CI runs this; locally: scripts/bench_smoke.sh
 set -euo pipefail
@@ -81,7 +83,7 @@ awk -v r="$REPLAY_NS" -v i="$INTERP_NS" -v k="$REPLAY_RATIO" 'BEGIN { exit !(r <
 	fail "full replay (${REPLAY_NS} ns/instr) regressed above interpretation (${INTERP_NS} ns/instr) beyond the ${REPLAY_RATIO}x noise ratio"
 
 echo "bench_smoke: allocation scaling, zero-alloc and event-plane pins"
-go test -count=1 -run '^(TestAllocsDoNotScaleWithBudget|TestSteadyStateZeroAllocs|TestCtlSteadyStateZeroAllocs|TestNilSinkNoAllocs|TestReplayZeroAllocs|TestReplayCtlZeroAllocs|TestHotPathZeroAllocs|TestExecStartZeroAllocs|TestCtlOnlyCellPlanes|TestBatchCutInvariance|TestWarmLoopZeroAllocs|TestCompileAllocs|TestGroupDetectorCounts)$' \
+go test -count=1 -run '^(TestAllocsDoNotScaleWithBudget|TestSteadyStateZeroAllocs|TestCtlSteadyStateZeroAllocs|TestNilSinkNoAllocs|TestReplayZeroAllocs|TestReplayCtlZeroAllocs|TestHotPathZeroAllocs|TestExecStartZeroAllocs|TestCtlOnlyCellPlanes|TestBatchCutInvariance|TestWarmLoopZeroAllocs|TestCompileAllocs|TestGroupDetectorCounts|TestCtlReplayZeroAllocs)$' \
 	. ./internal/grid ./internal/interp ./internal/tracefile ./internal/obs ./internal/taskpred ./internal/datapred ||
 	fail "a hot path allocates again, a grid left the control plane, or a fused group builds extra detectors (see the failing test above)"
 
