@@ -81,10 +81,11 @@ import (
 
 // Core pipeline types.
 type (
-	// Unit is a built program plus its input-sequence factories. Units
-	// are immutable and shareable: Benchmark.Build returns one cached
-	// Unit per (benchmark, seed), and every CPU made from it shares one
-	// predecoded program.
+	// Unit is a built program bound to a seed, which selects its input
+	// sequences. Units are immutable and shareable: a benchmark's
+	// program is built once per process, Benchmark.Build binds it to
+	// each seed (Unit.WithSeed), and every CPU made from it at any seed
+	// shares one predecoded program.
 	Unit = builder.Unit
 	// RunConfig parametrises a pipeline run.
 	RunConfig = harness.Config

@@ -57,16 +57,32 @@ const (
 // identical input data.
 type SeqFactory func() interp.Sequence
 
-// Unit is a built program plus the input-sequence factories it needs.
-// A Unit is immutable once built: it may be cached and shared, and any
-// number of goroutines may call NewCPU on it concurrently.
+// seqTemplate builds a fresh instance of an input sequence for a seed:
+// the seed is the program's input set, so one template serves the
+// program at every seed.
+type seqTemplate func(seed uint64) interp.Sequence
+
+// Unit is a built program bound to one seed. The program (code, loop
+// descriptors, predecoded micro-ops and sequence templates) does not
+// depend on the seed and is shared by the unit at every seed; the seed
+// selects only the input sequences a CPU reads. A Unit is immutable: it
+// may be cached and shared, and any number of goroutines may call NewCPU
+// on it concurrently.
 type Unit struct {
 	// Prog is the validated program.
 	Prog *program.Program
-	// Seqs maps sequence ids to factories.
-	Seqs map[int64]SeqFactory
 	// Loops describes every loop the builder emitted (ground truth).
 	Loops []LoopInfo
+
+	seed uint64
+	// seqs holds the template of each sequence id, indexed by id.
+	seqs []seqTemplate
+	// reseedable reports whether the unit reads its seed only through
+	// the seed seqs are given; see WithSeed.
+	reseedable bool
+	// built is the unit Build returned when WithSeed made this one; its
+	// predecoded code serves both. Nil on a built unit.
+	built *Unit
 
 	// code is Prog's predecoded micro-op array, built by the first NewCPU
 	// (or Code) and shared by every CPU made from the Unit.
@@ -76,12 +92,12 @@ type Unit struct {
 
 // NewCPU returns a CPU with the program loaded, fresh sequences bound and
 // builder invariants (zero register, stack pointer) established. The
-// program is predecoded once per Unit; registers, memory and sequences
-// are fresh for every CPU.
+// program is predecoded once per Unit and its rebindings; registers,
+// memory and sequences are fresh for every CPU.
 func (u *Unit) NewCPU() *interp.CPU {
 	c := u.Code().NewCPU()
-	for id, f := range u.Seqs {
-		c.BindSeq(id, f())
+	for id, t := range u.seqs {
+		c.BindSeq(int64(id), t(u.seed))
 	}
 	return c
 }
@@ -89,8 +105,28 @@ func (u *Unit) NewCPU() *interp.CPU {
 // Code returns the unit's predecoded program, predecoding it on first
 // use; every CPU made from the Unit executes from it.
 func (u *Unit) Code() *interp.Code {
+	if u.built != nil {
+		return u.built.Code()
+	}
 	u.codeOnce.Do(func() { u.code = interp.Predecode(u.Prog) })
 	return u.code
+}
+
+// WithSeed returns the unit's program bound to another seed: the same
+// Prog, Loops and predecoded code, with input sequences derived from seed
+// exactly as a fresh build at seed derives them. It reports false for a
+// unit whose build registered a raw NewSeq factory or called SeedFor,
+// whose values are fixed to the build's seed, and for Random units,
+// whose structure is.
+func (u *Unit) WithSeed(seed uint64) (*Unit, bool) {
+	if !u.reseedable {
+		return nil, false
+	}
+	built := u
+	if u.built != nil {
+		built = u.built
+	}
+	return &Unit{Prog: u.Prog, Loops: u.Loops, seed: seed, seqs: u.seqs, reseedable: true, built: built}, true
 }
 
 // LoopInfo is the static ground truth for one emitted loop.
@@ -169,8 +205,10 @@ type Builder struct {
 	seed    uint64
 	code    []isa.Instr
 	symbols map[isa.Addr]string
-	seqs    map[int64]SeqFactory
-	nextSeq int64
+	seqs    []seqTemplate
+	// pinned is set once the build reads its own seed (SeedFor or a raw
+	// NewSeq factory), which makes the unit non-reseedable.
+	pinned bool
 
 	funcs     []*funcDef
 	loopStack []loopCtx
@@ -188,7 +226,6 @@ func New(name string, seed uint64) *Builder {
 		name:     name,
 		seed:     seed,
 		symbols:  make(map[isa.Addr]string),
-		seqs:     make(map[int64]SeqFactory),
 		nextSlot: slotBase,
 	}
 	// Establish conventions: r0 = 0, software stack pointer.
@@ -220,57 +257,71 @@ func (b *Builder) Here() isa.Addr { return isa.Addr(len(b.code)) }
 func (b *Builder) Label(name string) { b.symbols[b.Here()] = name }
 
 // SeedFor derives a per-purpose RNG seed from the builder's base seed, so
-// workloads get decorrelated but reproducible streams.
+// workloads get decorrelated but reproducible streams. Whatever the
+// caller derives from it is fixed to this seed, so the built unit is not
+// reseedable (see Unit.WithSeed).
 func (b *Builder) SeedFor(purpose int64) uint64 {
-	x := b.seed ^ uint64(purpose)*0x9e3779b97f4a7c15
+	b.pinned = true
+	return seedFor(b.seed, purpose)
+}
+
+func seedFor(seed uint64, purpose int64) uint64 {
+	x := seed ^ uint64(purpose)*0x9e3779b97f4a7c15
 	x ^= x >> 30
 	x *= 0xbf58476d1ce4e5b9
 	x ^= x >> 27
 	return x | 1
 }
 
-// NewSeq registers a sequence factory and returns its id.
+// NewSeq registers a sequence factory and returns its id. The factory
+// ignores the seed a unit is bound to, so the built unit is not
+// reseedable; the helpers below are.
 func (b *Builder) NewSeq(f SeqFactory) int64 {
-	id := b.nextSeq
-	b.nextSeq++
-	b.seqs[id] = f
-	return id
+	b.pinned = true
+	return b.addSeq(func(uint64) interp.Sequence { return f() })
+}
+
+// addSeq registers a sequence template and returns its id.
+func (b *Builder) addSeq(t seqTemplate) int64 {
+	b.seqs = append(b.seqs, t)
+	return int64(len(b.seqs) - 1)
+}
+
+// seededSeq registers a template whose RNG seed is derived from the
+// unit's seed for purpose base+id, id being the sequence's own id.
+func (b *Builder) seededSeq(base int64, mk func(seed uint64) interp.Sequence) int64 {
+	purpose := base + int64(len(b.seqs))
+	return b.addSeq(func(seed uint64) interp.Sequence { return mk(seedFor(seed, purpose)) })
 }
 
 // ConstSeq registers a constant sequence.
 func (b *Builder) ConstSeq(v int64) int64 {
-	return b.NewSeq(func() interp.Sequence { return interp.Const(v) })
+	return b.addSeq(func(uint64) interp.Sequence { return interp.Const(v) })
 }
 
 // CounterSeq registers an arithmetic sequence start, start+stride, ...
 func (b *Builder) CounterSeq(start, stride int64) int64 {
-	return b.NewSeq(func() interp.Sequence { return interp.Counter(start, stride) })
+	return b.addSeq(func(uint64) interp.Sequence { return interp.Counter(start, stride) })
 }
 
 // CycleSeq registers a sequence cycling over vals.
 func (b *Builder) CycleSeq(vals ...int64) int64 {
-	return b.NewSeq(func() interp.Sequence { return interp.Cycle(vals...) })
+	return b.addSeq(func(uint64) interp.Sequence { return interp.Cycle(vals...) })
 }
 
 // UniformSeq registers a uniform sequence in [lo, hi].
 func (b *Builder) UniformSeq(lo, hi int64) int64 {
-	id := b.nextSeq // capture before NewSeq increments
-	seed := b.SeedFor(1000 + id)
-	return b.NewSeq(func() interp.Sequence { return interp.Uniform(lo, hi, seed) })
+	return b.seededSeq(1000, func(seed uint64) interp.Sequence { return interp.Uniform(lo, hi, seed) })
 }
 
 // GeometricSeq registers a geometric sequence with minimum min and
 // continuation probability p.
 func (b *Builder) GeometricSeq(min int64, p float64, limit int64) int64 {
-	id := b.nextSeq
-	seed := b.SeedFor(2000 + id)
-	return b.NewSeq(func() interp.Sequence { return interp.Geometric(min, p, limit, seed) })
+	return b.seededSeq(2000, func(seed uint64) interp.Sequence { return interp.Geometric(min, p, limit, seed) })
 }
 
 // BernoulliSeq registers a 0/1 sequence that yields 1 with probability p.
 func (b *Builder) BernoulliSeq(p float64) int64 {
-	id := b.nextSeq
-	seed := b.SeedFor(3000 + id)
 	w1 := int64(p * 1000)
 	if w1 < 0 {
 		w1 = 0
@@ -279,17 +330,16 @@ func (b *Builder) BernoulliSeq(p float64) int64 {
 		w1 = 1000
 	}
 	w0 := 1000 - w1
-	return b.NewSeq(func() interp.Sequence {
+	return b.seededSeq(3000, func(seed uint64) interp.Sequence {
 		return interp.Mix(seed, []int64{w0, w1}, interp.Const(0), interp.Const(1))
 	})
 }
 
 // NoisySeq registers a sequence that follows base but is perturbed by up to
-// ±amp with probability p. base must be a registered factory.
+// ±amp with probability p. base must not depend on the seed: it is called
+// afresh for every CPU.
 func (b *Builder) NoisySeq(base SeqFactory, amp int64, p float64) int64 {
-	id := b.nextSeq
-	seed := b.SeedFor(4000 + id)
-	return b.NewSeq(func() interp.Sequence { return interp.Noisy(base(), amp, p, seed) })
+	return b.seededSeq(4000, func(seed uint64) interp.Sequence { return interp.Noisy(base(), amp, p, seed) })
 }
 
 // SetSeq emits rd = next value of sequence id.
@@ -651,5 +701,5 @@ func (b *Builder) Build() (*Unit, error) {
 	if err := p.Validate(); err != nil {
 		return nil, err
 	}
-	return &Unit{Prog: p, Seqs: b.seqs, Loops: b.loops}, nil
+	return &Unit{Prog: p, Loops: b.loops, seed: b.seed, seqs: b.seqs, reseedable: !b.pinned}, nil
 }

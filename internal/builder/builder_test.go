@@ -555,3 +555,112 @@ func TestSequenceHelpers(t *testing.T) {
 		t.Fatalf("noisy draw out of range: %d", v)
 	}
 }
+
+// drawsOf runs u's straight-line program one instruction at a time and
+// returns the value each instruction leaves in register r12.
+func drawsOf(t *testing.T, u *Unit) []int64 {
+	t.Helper()
+	cpu := u.NewCPU()
+	var out []int64
+	for !cpu.Halted() {
+		if _, err := cpu.Run(1, nil); err != nil {
+			t.Fatal(err)
+		}
+		out = append(out, cpu.Reg(12))
+	}
+	return out
+}
+
+// TestWithSeedDerivesInputs pins how a rebound unit seeds its inputs:
+// each seeded helper draws from its purpose offset plus the sequence's
+// id, derived from the seed the unit is bound to, exactly as SeedFor
+// derives it at that seed; the seed-free helpers ignore the seed.
+func TestWithSeedDerivesInputs(t *testing.T) {
+	const draws = 8
+	base := func() interp.Sequence { return interp.Const(1 << 30) }
+	helpers := []struct {
+		name string
+		add  func(b *Builder) int64
+		want func(seed uint64) interp.Sequence // seed as SeedFor derives it
+		off  int64
+	}{
+		{"const", func(b *Builder) int64 { return b.ConstSeq(3) }, func(uint64) interp.Sequence { return interp.Const(3) }, -1},
+		{"counter", func(b *Builder) int64 { return b.CounterSeq(5, 2) }, func(uint64) interp.Sequence { return interp.Counter(5, 2) }, -1},
+		{"cycle", func(b *Builder) int64 { return b.CycleSeq(1, 9) }, func(uint64) interp.Sequence { return interp.Cycle(1, 9) }, -1},
+		{"uniform", func(b *Builder) int64 { return b.UniformSeq(0, 1<<40) },
+			func(s uint64) interp.Sequence { return interp.Uniform(0, 1<<40, s) }, 1000},
+		{"geometric", func(b *Builder) int64 { return b.GeometricSeq(1, 0.9, 1<<20) },
+			func(s uint64) interp.Sequence { return interp.Geometric(1, 0.9, 1<<20, s) }, 2000},
+		{"bernoulli", func(b *Builder) int64 { return b.BernoulliSeq(0.5) },
+			func(s uint64) interp.Sequence {
+				return interp.Mix(s, []int64{500, 500}, interp.Const(0), interp.Const(1))
+			}, 3000},
+		{"noisy", func(b *Builder) int64 { return b.NoisySeq(base, 1<<20, 0.7) },
+			func(s uint64) interp.Sequence { return interp.Noisy(base(), 1<<20, 0.7, s) }, 4000},
+	}
+	build := func(seed uint64) (*Unit, []int64) {
+		b := New("seeds", seed)
+		var ids []int64
+		for _, h := range helpers {
+			ids = append(ids, h.add(b))
+		}
+		for _, id := range ids {
+			for range draws {
+				b.SetSeq(12, id)
+			}
+		}
+		u, err := b.Build()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return u, ids
+	}
+	built, ids := build(0)
+	for _, seed := range []uint64{0, 1, 1009, ^uint64(0)} {
+		u, ok := built.WithSeed(seed)
+		if !ok {
+			t.Fatal("a unit built from seeded helpers is not reseedable")
+		}
+		if u.Code() != built.Code() {
+			t.Fatal("a rebound unit predecoded its own code")
+		}
+		got := drawsOf(t, u)[2:] // after the prologue's MovI r0, r29
+		for i, h := range helpers {
+			s := seed
+			if h.off >= 0 {
+				s = New("seeds", seed).SeedFor(h.off + ids[i])
+			}
+			want := h.want(s)
+			for k := range draws {
+				if v, w := got[i*draws+k], want.Next(); v != w {
+					t.Fatalf("seed %d: %s draw %d = %d, want %d", seed, h.name, k, v, w)
+				}
+			}
+		}
+	}
+}
+
+// TestWithSeedRefusesPinnedUnits: a build that registered a raw factory
+// or read SeedFor is fixed to its own seed, so WithSeed refuses it.
+func TestWithSeedRefusesPinnedUnits(t *testing.T) {
+	for name, pin := range map[string]func(b *Builder){
+		"NewSeq":  func(b *Builder) { b.NewSeq(func() interp.Sequence { return interp.Const(1) }) },
+		"SeedFor": func(b *Builder) { b.SeedFor(7) },
+		"none":    func(b *Builder) { b.UniformSeq(0, 9) },
+	} {
+		b := New(name, 5)
+		pin(b)
+		u, err := b.Build()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, ok := u.WithSeed(6); ok != (name == "none") {
+			t.Fatalf("%s: WithSeed reports %v", name, ok)
+		}
+	}
+	if u, err := Random(3, RandomOpt{}); err != nil {
+		t.Fatal(err)
+	} else if _, ok := u.WithSeed(4); ok {
+		t.Fatal("a Random unit, whose structure is drawn from its seed, was rebound")
+	}
+}

@@ -23,6 +23,9 @@ func Random(seed uint64, opt RandomOpt) (*Unit, error) {
 		opt.MaxBlocks = 6
 	}
 	b := New("random", seed)
+	// The program's structure is drawn from the seed, so another seed
+	// is another program: the unit is not reseedable.
+	b.pinned = true
 	r := newSplit(seed)
 
 	var fns []FuncRef

@@ -1,12 +1,15 @@
 package grid_test
 
 import (
+	"context"
+	"runtime"
 	"testing"
 
 	"dynloop/internal/builder"
 	_ "dynloop/internal/expt" // registers the paper's grids
 	"dynloop/internal/grid"
 	"dynloop/internal/harness"
+	"dynloop/internal/runner"
 	"dynloop/internal/workload"
 )
 
@@ -84,4 +87,41 @@ func footprint(t *testing.T, u *builder.Unit, budget uint64) int {
 		t.Fatal(err)
 	}
 	return cpu.Mem().Footprint()
+}
+
+// maxFreshSeedWriteBytes bounds the bytes one write allocates once the
+// programs are built. A fresh build and predecode of the largest
+// program (gcc) is about 6 MB.
+const maxFreshSeedWriteBytes = 64 << 10
+
+// TestFreshSeedWriteAllocs pins the cost of a daemon write: a one-cell
+// table1 grid at 20k instructions and a seed no earlier run used. Every
+// seed shares its benchmark's one built program, so a write allocates
+// only its own traversal, recording and cell, on every benchmark.
+func TestFreshSeedWriteAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race runtime's allocations are not what production sees")
+	}
+	const writes = 4
+	pool := runner.New(runner.Config{Workers: 1})
+	seed := uint64(1) << 40
+	write := func(bench string) {
+		seed++
+		s := grid.Spec{Kind: "table1", Benchmarks: []string{bench}}
+		if _, err := grid.Run(context.Background(), grid.Config{Budget: 20_000, Seed: seed, Runner: pool}, s); err != nil {
+			t.Fatalf("%s at seed %d: %v", bench, seed, err)
+		}
+	}
+	for _, bm := range workload.All() {
+		write(bm.Name) // builds the program if no earlier test did
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		for range writes {
+			write(bm.Name)
+		}
+		runtime.ReadMemStats(&after)
+		if per := (after.TotalAlloc - before.TotalAlloc) / writes; per > maxFreshSeedWriteBytes {
+			t.Errorf("%s: a write at a fresh seed allocates %d bytes, want at most %d", bm.Name, per, maxFreshSeedWriteBytes)
+		}
+	}
 }

@@ -12,7 +12,7 @@ import (
 // MaxRecordings bounds the control-plane recordings one Recordings set
 // keeps. A render of the paper's evaluation needs one per benchmark; a
 // daemon serving ever new seeds evicts the least recently used
-// recording instead of growing, as the program cache does.
+// recording instead of growing.
 const MaxRecordings = 32
 
 type recKey struct {
@@ -155,9 +155,10 @@ func Traverse(ctx context.Context, recs *Recordings, tr *Traces, bench string, s
 		}
 	}
 	if recorder != nil {
-		// An archive replay never built the unit; callers' builds go
-		// through the program cache, so this is a lookup as a rule. A
-		// build that fails only loses the recording.
+		// An archive replay never built the unit; a registered
+		// benchmark builds its program once per process, so this only
+		// binds it to the seed as a rule. A build that fails only loses
+		// the recording.
 		if u, err := build(); err == nil {
 			recs.publish(bench, seed, recorder.Recording(u.Code(), res.Halted))
 		}

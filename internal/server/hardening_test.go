@@ -9,6 +9,8 @@ import (
 
 	"dynloop/internal/client"
 	"dynloop/internal/grid"
+	"dynloop/internal/interp"
+	"dynloop/internal/program"
 	"dynloop/internal/wire"
 	"dynloop/internal/workload"
 )
@@ -98,18 +100,32 @@ func TestEventStreamOutlivesTimeouts(t *testing.T) {
 }
 
 // TestDaemonWritesHoldBoundedUnits: a daemon serving writes at ever new
-// seeds builds one program per seed, but the process-wide program cache
-// holds no more than its fixed bound of them.
+// seeds builds no program per seed: after writes at 40 distinct seeds
+// spread over every registered benchmark, the process holds exactly one
+// Prog and one predecoded Code per benchmark, shared by the units at
+// every written seed.
 func TestDaemonWritesHoldBoundedUnits(t *testing.T) {
 	ctx := context.Background()
 	_, c := newTestDaemon(t, Config{Workers: 2})
-	s := grid.Spec{Kind: "table1", Benchmarks: []string{"compress"}}
-	for i := range workload.UnitCacheSize + 8 {
+	all := workload.All()
+	for i := range 40 {
+		s := grid.Spec{Kind: "table1", Benchmarks: []string{all[i%len(all)].Name}}
 		if _, err := c.Grid(ctx, wire.GridRequest{Spec: &s, Budget: 2_000, Seed: 7_000 + uint64(i)}); err != nil {
 			t.Fatal(err)
 		}
-		if n := workload.CachedUnits(); n > workload.UnitCacheSize {
-			t.Fatalf("after %d writes the program cache holds %d units, bound is %d", i+1, n, workload.UnitCacheSize)
+	}
+	progs := map[*program.Program]bool{}
+	codes := map[*interp.Code]bool{}
+	for i := range 40 {
+		u, err := all[i%len(all)].Build(7_000 + uint64(i))
+		if err != nil {
+			t.Fatal(err)
 		}
+		progs[u.Prog] = true
+		codes[u.Code()] = true
+	}
+	if len(progs) != len(all) || len(codes) != len(all) {
+		t.Fatalf("after 40 writes the process holds %d programs and %d predecoded codes for %d benchmarks",
+			len(progs), len(codes), len(all))
 	}
 }

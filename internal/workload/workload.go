@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"slices"
 	"sort"
+	"sync"
 
 	"dynloop/internal/builder"
 )
@@ -21,11 +22,17 @@ type Benchmark struct {
 	// {static loops, iter/exec, instr/iter, avg nl, max nl} plus the
 	// Table 2 TPC at 4 TUs under STR(3).
 	Paper PaperRow
-	// Build constructs the program. The seed decorrelates the input
-	// sequences; the same seed always yields the same program and trace.
-	// Registered benchmarks build through the process-wide program cache
-	// (see UnitCacheSize), so repeated calls share one immutable Unit.
+	// Build returns the program bound to seed. The seed is the
+	// workload's input set: it decorrelates the input sequences and
+	// leaves the code alone, and the same seed always yields the same
+	// trace. A registered benchmark builds its program once per process;
+	// every call after that rebinds it to the seed (builder.Unit.WithSeed),
+	// so units at every seed share one Prog and one predecoded Code.
 	Build func(seed uint64) (*builder.Unit, error)
+
+	// build is the profile's own build function, which builds afresh on
+	// every call.
+	build func(seed uint64) (*builder.Unit, error)
 }
 
 // PaperRow holds the published reference numbers for context in reports.
@@ -44,9 +51,39 @@ type PaperRow struct {
 var registry []Benchmark
 
 func register(b Benchmark) {
-	b.Build = cached(b.Name, b.Build)
+	b.build = b.Build
+	b.Build = buildOnce(b.Name, b.Build)
 	i := sort.Search(len(registry), func(i int) bool { return registry[i].Name >= b.Name })
 	registry = slices.Insert(registry, i, b)
+}
+
+// buildOnce wraps a benchmark's build function so the process builds
+// its program once, and binds it to each caller's seed. Callers arriving
+// during the build wait for it; a failed build is not kept, so the next
+// caller retries.
+func buildOnce(name string, build func(uint64) (*builder.Unit, error)) func(uint64) (*builder.Unit, error) {
+	var (
+		mu   sync.Mutex
+		prog *builder.Unit
+	)
+	return func(seed uint64) (*builder.Unit, error) {
+		mu.Lock()
+		if prog == nil {
+			u, err := build(0)
+			if err != nil {
+				mu.Unlock()
+				return nil, err
+			}
+			prog = u
+		}
+		p := prog
+		mu.Unlock()
+		u, ok := p.WithSeed(seed)
+		if !ok {
+			return nil, fmt.Errorf("workload: %s fixes its input sequences at build time, so its program cannot be rebound to seed %d", name, seed)
+		}
+		return u, nil
+	}
 }
 
 // All returns every benchmark, sorted by name.

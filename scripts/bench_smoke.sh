@@ -36,7 +36,10 @@
 # of each for a Figure 7 group, 306 group detectors per paper render),
 # so cells cannot go back to building their own.
 # TestCtlReplayZeroAllocs pins that a warm control-plane replay of each
-# of the 18 workloads allocates nothing.
+# of the 18 workloads allocates nothing. TestFreshSeedWriteAllocs pins
+# that, with programs built, a one-cell table1 grid at a fresh seed (a
+# serve-mix write) allocates at most 64 KB on every workload, so a seed
+# cannot go back to building and predecoding its own program.
 #
 # CI runs this; locally: scripts/bench_smoke.sh
 set -euo pipefail
@@ -83,8 +86,8 @@ awk -v r="$REPLAY_NS" -v i="$INTERP_NS" -v k="$REPLAY_RATIO" 'BEGIN { exit !(r <
 	fail "full replay (${REPLAY_NS} ns/instr) regressed above interpretation (${INTERP_NS} ns/instr) beyond the ${REPLAY_RATIO}x noise ratio"
 
 echo "bench_smoke: allocation scaling, zero-alloc and event-plane pins"
-go test -count=1 -run '^(TestAllocsDoNotScaleWithBudget|TestSteadyStateZeroAllocs|TestCtlSteadyStateZeroAllocs|TestNilSinkNoAllocs|TestReplayZeroAllocs|TestReplayCtlZeroAllocs|TestHotPathZeroAllocs|TestExecStartZeroAllocs|TestCtlOnlyCellPlanes|TestBatchCutInvariance|TestWarmLoopZeroAllocs|TestCompileAllocs|TestGroupDetectorCounts|TestCtlReplayZeroAllocs)$' \
+go test -count=1 -run '^(TestAllocsDoNotScaleWithBudget|TestSteadyStateZeroAllocs|TestCtlSteadyStateZeroAllocs|TestNilSinkNoAllocs|TestReplayZeroAllocs|TestReplayCtlZeroAllocs|TestHotPathZeroAllocs|TestExecStartZeroAllocs|TestCtlOnlyCellPlanes|TestBatchCutInvariance|TestWarmLoopZeroAllocs|TestCompileAllocs|TestGroupDetectorCounts|TestCtlReplayZeroAllocs|TestFreshSeedWriteAllocs)$' \
 	. ./internal/grid ./internal/interp ./internal/tracefile ./internal/obs ./internal/taskpred ./internal/datapred ||
-	fail "a hot path allocates again, a grid left the control plane, or a fused group builds extra detectors (see the failing test above)"
+	fail "a hot path allocates again, a grid left the control plane, a fused group builds extra detectors, or a fresh seed rebuilds its program (see the failing test above)"
 
 echo "bench_smoke: OK (run ${RUN_NS} ns/instr; replay ${REPLAY_NS} vs interpret ${INTERP_NS} ns/instr; 0 allocs; no per-execution allocation)"
