@@ -202,7 +202,10 @@ func GridByName(name string) (GridEntry, bool) { return grid.Lookup(name) }
 
 // GridResultFrom rebuilds a GridResult from a value stream computed
 // elsewhere (e.g. a daemon's /v1/grid response), re-validating shape
-// and types against the spec's deterministic expansion.
+// and types against the spec's deterministic expansion. A registered
+// grid compiles once per config and process, so the result's Cells
+// (and its Spec's axis slices) are shared with every other result of
+// that grid and config: treat them as read-only.
 func GridResultFrom(cfg ExperimentConfig, s GridSpec, values []any) (*GridResult, error) {
 	return grid.ResultFrom(cfg, s, values)
 }

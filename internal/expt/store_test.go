@@ -94,18 +94,28 @@ func TestWarmStoreSweepParallelInvariant(t *testing.T) {
 
 // TestCellSchemaVersionInvalidatesStore: bumping the key schema version
 // must miss every persisted result, forcing recomputation — persisted
-// cells self-invalidate when cell semantics change.
+// cells self-invalidate when cell semantics change. It runs an ad-hoc
+// sweep and a registered grid, whose cells compile once per config and
+// so must not outlive the version they were compiled under.
 func TestCellSchemaVersionInvalidatesStore(t *testing.T) {
 	dir := t.TempDir()
 	ctx := context.Background()
 	base := Config{Budget: 50_000, Benchmarks: []string{"swim"}}
 	sw := SweepSpec{Policies: Fig7Policies()[:2], TUs: []int{2}}
+	table1, _ := grid.Lookup("table1")
+	run := func(cfg Config) {
+		t.Helper()
+		if _, err := Sweep(ctx, cfg, sw); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := grid.Run(ctx, cfg, table1.Spec); err != nil {
+			t.Fatal(err)
+		}
+	}
 
 	cold := base
 	cold.Runner = storeRunner(t, dir, 2)
-	if _, err := Sweep(ctx, cold, sw); err != nil {
-		t.Fatal(err)
-	}
+	run(cold)
 	if s := cold.Runner.Stats(); s.DiskPuts == 0 {
 		t.Fatalf("cold run persisted nothing: %+v", s)
 	}
@@ -113,9 +123,7 @@ func TestCellSchemaVersionInvalidatesStore(t *testing.T) {
 	// Same version: warm.
 	warm := base
 	warm.Runner = storeRunner(t, dir, 2)
-	if _, err := Sweep(ctx, warm, sw); err != nil {
-		t.Fatal(err)
-	}
+	run(warm)
 	if s := warm.Runner.Stats(); s.DiskHits == 0 || s.Executed != 0 {
 		t.Fatalf("warm run stats = %+v", s)
 	}
@@ -125,9 +133,7 @@ func TestCellSchemaVersionInvalidatesStore(t *testing.T) {
 	defer func() { grid.CellSchemaVersion-- }()
 	bumped := base
 	bumped.Runner = storeRunner(t, dir, 2)
-	if _, err := Sweep(ctx, bumped, sw); err != nil {
-		t.Fatal(err)
-	}
+	run(bumped)
 	if s := bumped.Runner.Stats(); s.DiskHits != 0 || s.Executed == 0 {
 		t.Fatalf("bumped-version run stats = %+v (want zero disk hits, all executed)", s)
 	}

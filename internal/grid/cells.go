@@ -121,8 +121,10 @@ type Cell struct {
 	// run is set.
 	attach func(g *group) func() (any, error)
 	// run computes a composite cell that owns its own traversals (the
-	// oracle kind).
-	run func(ctx context.Context, pool *runner.Runner) (any, error)
+	// oracle kind). Like attach, it takes its run settings (knobs,
+	// archive) from the Config of the Run executing it, never from the
+	// compile's: compiled cells are shared across runs.
+	run func(ctx context.Context, cfg *Config, pool *runner.Runner) (any, error)
 }
 
 // Compile validates and resolves the spec under cfg and expands it to
@@ -133,7 +135,34 @@ type Cell struct {
 // which is what lets a client rebuild a Result from a remote value
 // stream, and what keeps every render byte-identical at any worker
 // count.
+//
+// A spec equal in every field to a registered grid's compiles once per
+// config: the cells and resolved spec come from a bounded process-wide
+// memo keyed by the grid's name, CellSchemaVersion and the Config
+// fields compile reads (Budget, Seed, Benchmarks, CLSCapacity,
+// BatchSize). The returned cells and the resolved spec's axis slices
+// are then shared with every other caller compiling the same grid —
+// the daemon's Run, a client's ResultFrom, the drivers — so they are
+// read-only: a caller must not modify a Cell or an axis element.
+// Inline specs compile afresh on every call.
 func Compile(cfg Config, s Spec) ([]Cell, Spec, error) {
+	k, ok := memoKeyOf(&cfg, &s)
+	if !ok {
+		return compile(cfg, s)
+	}
+	if cells, rs, ok := memoGet(k); ok {
+		return cells, rs, nil
+	}
+	cells, rs, err := compile(cfg, s)
+	if err != nil {
+		return nil, Spec{}, err
+	}
+	cells, rs = memoPut(k, cells, rs)
+	return cells, rs, nil
+}
+
+// compile is Compile without the memo.
+func compile(cfg Config, s Spec) ([]Cell, Spec, error) {
 	rs, err := s.resolve(cfg)
 	if err != nil {
 		return nil, Spec{}, err
@@ -408,7 +437,7 @@ func (x *expansion) appendKindCells(cells []Cell, bm *workload.Benchmark, cfg *C
 			Key:   cfg.cellKey("oracle", bm.Name),
 			Label: "oracle " + bm.Name,
 			bench: bm,
-			run:   oracleRun(*cfg, bm),
+			run:   oracleRun(bm, coord),
 		})
 	}
 	return cells
@@ -443,10 +472,11 @@ func specEngineCell(cfg *Config, bm *workload.Benchmark, coord Coord, ec spec.Co
 // traversal records every execution's true count, a second speculates
 // with it. The oracle run depends on the recorder pass, so the cell is
 // a composite job owning its own traversals, not a fusable pass.
-func oracleRun(cfg Config, bm *workload.Benchmark) func(context.Context, *runner.Runner) (any, error) {
-	mc := harness.MultiConfig{Budget: cfg.budget(), BatchSize: cfg.BatchSize,
-		Shards: cfg.Shards, Reference: cfg.Reference, FullPlanes: cfg.FullPlanes}
-	return func(ctx context.Context, pool *runner.Runner) (any, error) {
+// The cell's budget, seed and CLS capacity come from its coordinates.
+func oracleRun(bm *workload.Benchmark, coord Coord) func(context.Context, *Config, *runner.Runner) (any, error) {
+	return func(ctx context.Context, cfg *Config, pool *runner.Runner) (any, error) {
+		mc := harness.MultiConfig{Budget: coord.Budget, BatchSize: cfg.BatchSize,
+			Shards: cfg.Shards, Reference: cfg.Reference, FullPlanes: cfg.FullPlanes}
 		// Both traversals come from the first source that serves them
 		// (see harness.Traverse), so the second is always a replay
 		// unless a knob pins the interpreter. The unit is built lazily,
@@ -457,14 +487,14 @@ func oracleRun(cfg Config, bm *workload.Benchmark) func(context.Context, *runner
 				return u, nil
 			}
 			var err error
-			if u, err = bm.Build(cfg.seed()); err != nil {
+			if u, err = bm.Build(coord.Seed); err != nil {
 				return nil, fmt.Errorf("grid: build %s: %w", bm.Name, err)
 			}
 			return u, nil
 		}
 		traverse := func(observers ...loopdet.Observer) error {
-			det := harness.NewObserverPass(cfg.CLSCapacity, observers...)
-			_, _, err := harness.Traverse(ctx, pool.Recordings(), cfg.Traces, bm.Name, cfg.seed(), build, mc, det)
+			det := harness.NewObserverPass(coord.CLS, observers...)
+			_, _, err := harness.Traverse(ctx, pool.Recordings(), cfg.Traces, bm.Name, coord.Seed, build, mc, det)
 			return err
 		}
 		rec := spec.NewOracleRecorder()

@@ -13,16 +13,17 @@ var serveGrids = []string{"table1", "fig4", "fig6", "table2", "baseline/branch",
 
 var serveCfg = grid.Config{Budget: 100_000, Seed: 1}
 
-// compileServeGrids compiles every serve grid once and returns the
-// total cell count.
-func compileServeGrids(tb testing.TB) int {
+// compileServeGrids compiles every serve grid once with compile
+// (grid.Compile or grid.CompileUncached) and returns the total cell
+// count.
+func compileServeGrids(tb testing.TB, compile func(grid.Config, grid.Spec) ([]grid.Cell, grid.Spec, error)) int {
 	n := 0
 	for _, name := range serveGrids {
 		e, ok := grid.Lookup(name)
 		if !ok {
 			tb.Fatalf("no registered grid %q", name)
 		}
-		cells, _, err := grid.Compile(serveCfg, e.Spec)
+		cells, _, err := compile(serveCfg, e.Spec)
 		if err != nil {
 			tb.Fatal(err)
 		}
@@ -31,12 +32,14 @@ func compileServeGrids(tb testing.TB) int {
 	return n
 }
 
-// BenchmarkCompile measures one compile of each serve grid per op: the
-// work a served named-grid request repeats on both ends of the wire.
+// BenchmarkCompile measures one uncached compile of each serve grid
+// per op: what a served named-grid request cost on both ends of the
+// wire before registered grids were memoized, and what a memo miss
+// still costs.
 func BenchmarkCompile(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		compileServeGrids(b)
+		compileServeGrids(b, grid.CompileUncached)
 	}
 }
 
@@ -65,15 +68,19 @@ func TestCellKeysMatchReference(t *testing.T) {
 			{Enabled: true, Threshold: 1e-7},
 		},
 	}
-	for _, cfg := range cfgs {
+	for i, cfg := range cfgs {
 		for _, name := range grid.Names() {
 			e, _ := grid.Lookup(name)
-			cells, rs, err := grid.Compile(cfg, e.Spec)
-			if err != nil {
-				t.Fatalf("%s: %v", name, err)
-			}
-			if err := grid.CheckCellKeys(rs.Kind, cfg.BatchSize, cells); err != nil {
-				t.Errorf("grid %s, config %+v: %v", name, cfg, err)
+			// From the second config on, the compile is repeated, so the
+			// second round reads the memo.
+			for range min(i+1, 2) {
+				cells, rs, err := grid.Compile(cfg, e.Spec)
+				if err != nil {
+					t.Fatalf("%s: %v", name, err)
+				}
+				if err := grid.CheckCellKeys(rs.Kind, cfg.BatchSize, cells); err != nil {
+					t.Errorf("grid %s, config %+v: %v", name, cfg, err)
+				}
 			}
 		}
 		_, rs, err := grid.Compile(cfg, adhoc)
@@ -106,11 +113,12 @@ func TestCellKeysMatchReference(t *testing.T) {
 // 10% headroom.
 const maxCompileAllocsPerCell = 3.5
 
-// TestCompileAllocs pins what one compile of the serve grids allocates
-// per cell; formatting keys through fmt again costs several times this.
+// TestCompileAllocs pins what one uncached compile of the serve grids
+// allocates per cell; formatting keys through fmt again costs several
+// times this.
 func TestCompileAllocs(t *testing.T) {
-	cells := compileServeGrids(t)
-	avg := testing.AllocsPerRun(20, func() { compileServeGrids(t) })
+	cells := compileServeGrids(t, grid.CompileUncached)
+	avg := testing.AllocsPerRun(20, func() { compileServeGrids(t, grid.CompileUncached) })
 	if perCell := avg / float64(cells); perCell > maxCompileAllocsPerCell {
 		t.Fatalf("Compile allocates %.2f objects per cell over %d cells, want at most %.2f",
 			perCell, cells, maxCompileAllocsPerCell)

@@ -1,6 +1,12 @@
 package grid
 
-import "dynloop/internal/trace"
+import (
+	"reflect"
+	"strconv"
+	"strings"
+
+	"dynloop/internal/trace"
+)
 
 // GroupPasses builds the pass set of one fused group holding cells, as
 // runCells builds it, and reports how many detectors and shared LETs it
@@ -34,3 +40,82 @@ func CheckCellKeys(kind string, batchSize int, cells []Cell) error {
 // validating it again, so a test can reach axis values Validate
 // rejects.
 func Expand(cfg Config, rs Spec) ([]Cell, error) { return expand(cfg, &rs) }
+
+// CompileUncached is Compile without the memo: what a registered grid
+// costs to compile on a miss.
+func CompileUncached(cfg Config, s Spec) ([]Cell, Spec, error) { return compile(cfg, s) }
+
+// MemoKeyFields names the memo key's fields.
+func MemoKeyFields() []string {
+	t := reflect.TypeOf(memoKey{})
+	out := make([]string, t.NumField())
+	for i := range out {
+		out[i] = t.Field(i).Name
+	}
+	return out
+}
+
+// MemoLen reports how many compiled grids and cells the memo holds.
+func MemoLen() (grids, cells int) {
+	memo.mu.Lock()
+	defer memo.mu.Unlock()
+	n := 0
+	for _, e := range memo.m {
+		n += len(e.cells)
+	}
+	if n != memo.cells {
+		panic("grid: memo cell count out of step with its entries")
+	}
+	return len(memo.m), memo.cells
+}
+
+// ResetMemo empties the memo.
+func ResetMemo() {
+	memo.mu.Lock()
+	defer memo.mu.Unlock()
+	clear(memo.m)
+	memo.cells = 0
+}
+
+// MemoEntry is one compiled grid the memo holds, with the registered
+// spec and the config it was compiled from.
+type MemoEntry struct {
+	Spec     Spec // the registered spec
+	Cfg      Config
+	Version  int
+	Cells    []Cell
+	Resolved Spec
+}
+
+// MemoEntries lists the memo's compiled grids.
+func MemoEntries() []MemoEntry {
+	memo.mu.Lock()
+	defer memo.mu.Unlock()
+	var out []MemoEntry
+	for k, e := range memo.m {
+		reg, _ := Lookup(k.name)
+		cfg := Config{Budget: k.Budget, Seed: k.Seed, CLSCapacity: k.CLSCapacity, BatchSize: k.BatchSize}
+		for rest := k.Benchmarks; rest != ""; {
+			// Each part is "|len:name" (see appendPart).
+			colon := strings.IndexByte(rest, ':')
+			n, err := strconv.Atoi(rest[1:colon])
+			if err != nil {
+				panic(err)
+			}
+			cfg.Benchmarks = append(cfg.Benchmarks, rest[colon+1:colon+1+n])
+			rest = rest[colon+1+n:]
+		}
+		out = append(out, MemoEntry{Spec: reg.Spec, Cfg: cfg, Version: k.version, Cells: e.cells, Resolved: e.rs})
+	}
+	return out
+}
+
+// SpecEqual reports whether two specs declare the same grid, as the
+// memo compares a spec with the registered one.
+func SpecEqual(a, b Spec) bool { return a.equal(&b) }
+
+// The memo's bounds.
+const (
+	MaxMemoGrids = maxMemoGrids
+	MaxMemoCells = maxMemoCells
+)

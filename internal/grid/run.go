@@ -19,7 +19,10 @@ import (
 // the kind's codec-registered result type (spec.Metrics for kind
 // "spec", Table1Row for "table1", ...).
 type Result struct {
-	Spec   Spec
+	Spec Spec
+	// Cells are the compiled cells. For a registered grid they, and the
+	// axis slices of Spec, are shared with every other result of the
+	// same grid and config (see Compile): read them, never modify them.
 	Cells  []Cell
 	Values []any
 }
@@ -51,7 +54,7 @@ func Run(ctx context.Context, cfg Config, s Spec) (*Result, error) {
 		jobs := make([]runner.Job[any], len(cells))
 		for i, c := range cells {
 			jobs[i] = runner.Job[any]{Key: c.Key, Label: c.Label,
-				Run: func(ctx context.Context) (any, error) { return c.run(ctx, pool) }}
+				Run: func(ctx context.Context) (any, error) { return c.run(ctx, &cfg, pool) }}
 		}
 		values, err = runner.Map(ctx, pool, jobs)
 	} else {
@@ -120,7 +123,8 @@ func runCells(ctx context.Context, cfg Config, pool *runner.Runner, cells []Cell
 // (the serving layer returns values in cell order; the spec expansion
 // is deterministic, so client and daemon agree on what each value is).
 // It re-validates shape and value types, so a skewed or truncated
-// stream fails loudly instead of rendering garbage.
+// stream fails loudly instead of rendering garbage. A registered grid's
+// cells come from Compile's memo and are shared (see Result.Cells).
 func ResultFrom(cfg Config, s Spec, values []any) (*Result, error) {
 	cells, rs, err := Compile(cfg, s)
 	if err != nil {

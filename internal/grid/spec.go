@@ -453,8 +453,15 @@ func (s Spec) size() uint64 {
 }
 
 // Size reports how many cells the spec expands to under cfg, for
-// progress displays and the serving layer's MaxCells guard.
+// progress displays and the serving layer's MaxCells guard. A
+// registered grid already compiled under cfg reports its memoized
+// cells (see Compile).
 func (s Spec) Size(cfg Config) (int, error) {
+	if k, ok := memoKeyOf(&cfg, &s); ok {
+		if cells, _, ok := memoGet(k); ok {
+			return len(cells), nil
+		}
+	}
 	r, err := s.resolve(cfg)
 	if err != nil {
 		return 0, err

@@ -42,12 +42,14 @@ func serveShortTimeouts(t *testing.T, d time.Duration) string {
 func TestSlowHeaderClientDisconnected(t *testing.T) {
 	const timeout = 200 * time.Millisecond
 	addr := serveShortTimeouts(t, timeout)
+	// The server's timeout starts once it reads the accepted connection,
+	// which can precede Dial's return here, never its start.
+	start := time.Now()
 	conn, err := net.Dial("tcp", addr)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer conn.Close()
-	start := time.Now()
 	stop := make(chan struct{})
 	defer close(stop)
 	go func() {

@@ -30,7 +30,10 @@
 # size on both planes). TestWarmLoopZeroAllocs pins that the Figure-8
 # collector allocates nothing per iteration of a warm loop.
 # TestCompileAllocs pins grid.Compile's allocations per cell over the
-# serve-mix grids, so cell keys cannot slide back onto fmt unnoticed.
+# serve-mix grids, uncached, so cell keys cannot slide back onto fmt
+# unnoticed. TestCompileMemoHitAllocs pins a warm compile of each
+# serve-mix grid (a memo hit) at its measured count, so a served
+# named-grid request cannot go back to expanding its cells.
 # TestGroupDetectorCounts pins that a fused group builds one detector
 # per CLS capacity and plane and one LET per engine LET capacity (one
 # of each for a Figure 7 group, 306 group detectors per paper render),
@@ -86,8 +89,8 @@ awk -v r="$REPLAY_NS" -v i="$INTERP_NS" -v k="$REPLAY_RATIO" 'BEGIN { exit !(r <
 	fail "full replay (${REPLAY_NS} ns/instr) regressed above interpretation (${INTERP_NS} ns/instr) beyond the ${REPLAY_RATIO}x noise ratio"
 
 echo "bench_smoke: allocation scaling, zero-alloc and event-plane pins"
-go test -count=1 -run '^(TestAllocsDoNotScaleWithBudget|TestSteadyStateZeroAllocs|TestCtlSteadyStateZeroAllocs|TestNilSinkNoAllocs|TestReplayZeroAllocs|TestReplayCtlZeroAllocs|TestHotPathZeroAllocs|TestExecStartZeroAllocs|TestCtlOnlyCellPlanes|TestBatchCutInvariance|TestWarmLoopZeroAllocs|TestCompileAllocs|TestGroupDetectorCounts|TestCtlReplayZeroAllocs|TestFreshSeedWriteAllocs)$' \
+go test -count=1 -run '^(TestAllocsDoNotScaleWithBudget|TestSteadyStateZeroAllocs|TestCtlSteadyStateZeroAllocs|TestNilSinkNoAllocs|TestReplayZeroAllocs|TestReplayCtlZeroAllocs|TestHotPathZeroAllocs|TestExecStartZeroAllocs|TestCtlOnlyCellPlanes|TestBatchCutInvariance|TestWarmLoopZeroAllocs|TestCompileAllocs|TestCompileMemoHitAllocs|TestGroupDetectorCounts|TestCtlReplayZeroAllocs|TestFreshSeedWriteAllocs)$' \
 	. ./internal/grid ./internal/interp ./internal/tracefile ./internal/obs ./internal/taskpred ./internal/datapred ||
-	fail "a hot path allocates again, a grid left the control plane, a fused group builds extra detectors, or a fresh seed rebuilds its program (see the failing test above)"
+	fail "a hot path allocates again, a grid left the control plane, a fused group builds extra detectors, a fresh seed rebuilds its program, or a registered grid recompiles (see the failing test above)"
 
 echo "bench_smoke: OK (run ${RUN_NS} ns/instr; replay ${REPLAY_NS} vs interpret ${INTERP_NS} ns/instr; 0 allocs; no per-execution allocation)"
