@@ -482,20 +482,6 @@ type orchestrator struct {
 	close  func()
 }
 
-// deliveryFlags adds the delivery-only knobs shared by sweep and grid —
-// none of them can change results (they are excluded from cell keys;
-// see grid.Config), so they exist for A/B comparison and smoke gating.
-func deliveryFlags(fs *flag.FlagSet) func(cfg *expt.Config) {
-	shards := fs.Int("shards", 0, "fan each fused traversal's passes across K goroutines (0/1 = inline; results identical)")
-	reference := fs.Bool("reference", false, "force the reference interpreter path — no predecode, no fusion (results identical)")
-	fullPlanes := fs.Bool("fullplanes", false, "force full-Event delivery to control-plane consumers (results identical)")
-	return func(cfg *expt.Config) {
-		cfg.Shards = *shards
-		cfg.Reference = *reference
-		cfg.FullPlanes = *fullPlanes
-	}
-}
-
 // parallelFlags adds the orchestrator flags shared by experiment, sweep
 // and grid, returning the parsed progress flag and a resolver that
 // builds the shared Runner (with the progress stream, the on-disk
@@ -773,128 +759,94 @@ func cmdSweep(ctx context.Context, args []string) error {
 	tus := fs.String("tus", "", "comma-separated machine sizes (default: 2,4,8,16)")
 	batch := fs.Int("batch", 0, "event-batch size (0 = default 1024; output is identical at any size)")
 	remote := fs.String("remote", "", "run the sweep on a dynloop serve daemon at this base URL instead of locally")
-	progress, mkRunner := parallelFlags(fs)
-	applyDelivery := deliveryFlags(fs)
-	profile := profileFlags(fs)
+	run := gridRunFlags(fs)
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	var tuList []int
-	if *tus != "" {
-		for _, s := range strings.Split(*tus, ",") {
+	benchList, gs, err := sweepGrid(*benches, *policies, *tus)
+	if err != nil {
+		return err
+	}
+	cfg := expt.Config{Budget: *n, Seed: *seed, BatchSize: *batch, Benchmarks: benchList}
+	return run(ctx, cfg, gs, "", *remote)
+}
+
+// sweepGrid parses the -bench, -policy and -tus values of sweep and
+// soak into the benchmark subset and the canonical sweep grid spec
+// (expt.SweepSpec.GridSpec); empty values select the sweep's defaults.
+// Both commands build their grid here, so a soak requests exactly the
+// grid a sweep renders.
+func sweepGrid(benches, policies, tus string) ([]string, dynloop.GridSpec, error) {
+	var sw expt.SweepSpec
+	if tus != "" {
+		for _, s := range strings.Split(tus, ",") {
 			k, err := strconv.Atoi(strings.TrimSpace(s))
 			if err != nil || k < 0 {
-				return fmt.Errorf("bad -tus entry %q", s)
+				return nil, dynloop.GridSpec{}, fmt.Errorf("bad -tus entry %q", s)
 			}
-			tuList = append(tuList, k)
+			sw.TUs = append(sw.TUs, k)
 		}
 	}
-	var benchList, policyList []string
-	if *benches != "" {
-		benchList = strings.Split(*benches, ",")
-	}
-	if *policies != "" {
-		policyList = strings.Split(*policies, ",")
-	}
-
-	if *remote != "" {
-		return remoteSweep(ctx, *remote, wire.SweepRequest{
-			Benchmarks: benchList,
-			Policies:   policyList,
-			TUs:        tuList,
-			Budget:     *n,
-			Seed:       *seed,
-			BatchSize:  *batch,
-		}, *progress)
-	}
-
-	stopProfile, err := profile()
-	if err != nil {
-		return err
-	}
-	o, err := mkRunner()
-	if err != nil {
-		return err
-	}
-	defer o.close()
-	cfg := expt.Config{Budget: *n, Seed: *seed, BatchSize: *batch, Benchmarks: benchList, Runner: o.runner, Traces: o.traces}
-	applyDelivery(&cfg)
-	defer func() { printRunnerStats(cfg.Runner, *progress, *seed) }()
-	defer func() {
-		if err := stopProfile(); err != nil {
-			fmt.Fprintln(os.Stderr, "dynloop: profile:", err)
-		}
-	}()
-	var sw expt.SweepSpec
-	if len(policyList) > 0 {
-		pols, err := expt.ParsePolicies(policyList)
+	if policies != "" {
+		pols, err := expt.ParsePolicies(strings.Split(policies, ","))
 		if err != nil {
-			return err
+			return nil, dynloop.GridSpec{}, err
 		}
 		sw.Policies = pols
 	}
-	sw.TUs = tuList
-	rows, err := expt.Sweep(ctx, cfg, sw)
-	if err != nil {
-		return err
+	var benchList []string
+	if benches != "" {
+		benchList = strings.Split(benches, ",")
 	}
-	fmt.Print(expt.RenderSweep(rows))
-	return nil
+	return benchList, sw.GridSpec(), nil
 }
 
-// remoteSweep runs the grid on a daemon and renders the rows with the
-// same renderer as the local path — the output is byte-identical to a
-// local run of the same grid. With -progress, the daemon's event
-// stream is mirrored to stderr while the sweep computes (events from
-// other concurrent clients appear too: the daemon's grid is shared).
-func remoteSweep(ctx context.Context, base string, req wire.SweepRequest, progress bool) error {
-	c := client.New(base, nil)
-	if err := c.Health(ctx); err != nil {
-		return fmt.Errorf("daemon at %s: %w", base, err)
-	}
-	var stopEvents context.CancelFunc
-	if progress {
-		var evCtx context.Context
-		evCtx, stopEvents = context.WithCancel(ctx)
-		print := progressPrinter()
-		go func() {
-			err := c.Events(evCtx, func(ev wire.Event) {
-				kind, ok := map[string]runner.EventKind{
-					"done": runner.JobDone, "cached": runner.JobCached, "failed": runner.JobFailed,
-				}[ev.Kind]
-				if !ok {
-					return
-				}
-				rev := runner.Event{Kind: kind, Key: ev.Key, Label: ev.Label,
-					Elapsed: time.Duration(ev.ElapsedMS) * time.Millisecond, Completed: ev.Completed}
-				if ev.Err != "" {
-					rev.Err = fmt.Errorf("%s", ev.Err)
-				}
-				print(rev)
-			})
-			if err != nil && evCtx.Err() == nil {
-				fmt.Fprintln(os.Stderr, "dynloop: event stream:", err)
+// gridRunFlags adds the flags sweep and grid share beyond their axes —
+// the orchestrator, delivery and profile flags — and returns the run
+// both commands end in: execute gs locally, or on the daemon at remote
+// when it is set, and print the render. name, when set, is the
+// registered grid gs came from. The delivery knobs (-shards,
+// -reference, -fullplanes) cannot change results (they are excluded
+// from cell keys; see grid.Config): they exist for A/B comparison and
+// smoke gating.
+func gridRunFlags(fs *flag.FlagSet) func(ctx context.Context, cfg expt.Config, gs dynloop.GridSpec, name, remote string) error {
+	progress, mkRunner := parallelFlags(fs)
+	profile := profileFlags(fs)
+	shards := fs.Int("shards", 0, "fan each fused traversal's passes across K goroutines (0/1 = inline; results identical)")
+	reference := fs.Bool("reference", false, "force the reference interpreter path — no predecode, no fusion (results identical)")
+	fullPlanes := fs.Bool("fullplanes", false, "force full-Event delivery to control-plane consumers (results identical)")
+	return func(ctx context.Context, cfg expt.Config, gs dynloop.GridSpec, name, remote string) error {
+		if remote != "" {
+			return remoteGrid(ctx, remote, cfg, gs, name, *progress)
+		}
+		stopProfile, err := profile()
+		if err != nil {
+			return err
+		}
+		o, err := mkRunner()
+		if err != nil {
+			return err
+		}
+		defer o.close()
+		cfg.Runner, cfg.Traces = o.runner, o.traces
+		cfg.Shards, cfg.Reference, cfg.FullPlanes = *shards, *reference, *fullPlanes
+		defer func() { printRunnerStats(cfg.Runner, *progress, cfg.Seed) }()
+		defer func() {
+			if err := stopProfile(); err != nil {
+				fmt.Fprintln(os.Stderr, "dynloop: profile:", err)
 			}
 		}()
-	}
-	rows, err := c.Sweep(ctx, req)
-	if stopEvents != nil {
-		stopEvents()
-	}
-	if err != nil {
-		return err
-	}
-	fmt.Print(expt.RenderSweep(rows))
-	if progress {
-		st, err := c.Stats(ctx)
-		if err == nil {
-			fmt.Fprintf(os.Stderr, "daemon: %d jobs, %d executed, %d fused group runs on %d workers, %d cache hits, %d coalesced, %d disk hits, %d disk puts, %d trace replays, %d trace records\n",
-				st.Runner.Submitted, st.Runner.Executed, st.Runner.GroupRuns, st.Workers,
-				st.Runner.CacheHits, st.Runner.Coalesced, st.Runner.DiskHits, st.Runner.DiskPuts,
-				st.Runner.ReplayRuns, st.Runner.RecordRuns)
+		res, err := dynloop.RunGrid(ctx, cfg, gs)
+		if err != nil {
+			return err
 		}
+		out, err := dynloop.RenderGrid(res)
+		if err != nil {
+			return err
+		}
+		fmt.Print(out)
+		return nil
 	}
-	return nil
 }
 
 // cmdGrid executes a declarative grid spec — a user-authored JSON file
@@ -911,9 +863,7 @@ func cmdGrid(ctx context.Context, args []string) error {
 	batch := fs.Int("batch", 0, "event-batch size (0 = default 1024; output is identical at any size)")
 	format := fs.String("format", "", "override the render layout: table, csv or json")
 	remote := fs.String("remote", "", "execute the grid on a dynloop serve daemon at this base URL")
-	progress, mkRunner := parallelFlags(fs)
-	applyDelivery := deliveryFlags(fs)
-	profile := profileFlags(fs)
+	run := gridRunFlags(fs)
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
@@ -957,38 +907,7 @@ func cmdGrid(ctx context.Context, args []string) error {
 		gs.Render.Format = *format
 	}
 
-	if *remote != "" {
-		return remoteGrid(ctx, *remote, cfg, gs, *name, *progress)
-	}
-
-	stopProfile, err := profile()
-	if err != nil {
-		return err
-	}
-	o, err := mkRunner()
-	if err != nil {
-		return err
-	}
-	defer o.close()
-	cfg.Runner = o.runner
-	cfg.Traces = o.traces
-	applyDelivery(&cfg)
-	defer func() { printRunnerStats(cfg.Runner, *progress, *seed) }()
-	defer func() {
-		if err := stopProfile(); err != nil {
-			fmt.Fprintln(os.Stderr, "dynloop: profile:", err)
-		}
-	}()
-	res, err := dynloop.RunGrid(ctx, cfg, gs)
-	if err != nil {
-		return err
-	}
-	out, err := dynloop.RenderGrid(res)
-	if err != nil {
-		return err
-	}
-	fmt.Print(out)
-	return nil
+	return run(ctx, cfg, gs, *name, *remote)
 }
 
 // listGrids prints the grid registry — the local one, or the daemon's
@@ -1025,7 +944,9 @@ func listGrids(ctx context.Context, remote string, cfg expt.Config) error {
 // remoteGrid runs the spec on a daemon and renders the returned cell
 // values through the same renderer as the local path — byte-identical
 // output. Named grids go up by name (the daemon resolves its canonical
-// spec — identical to ours); ad-hoc specs go up inline.
+// spec — identical to ours); ad-hoc specs and sweeps go up inline. With
+// progress, the daemon's event stream is mirrored to stderr while the
+// grid computes.
 func remoteGrid(ctx context.Context, base string, cfg expt.Config, gs dynloop.GridSpec, name string, progress bool) error {
 	c := client.New(base, nil)
 	if err := c.Health(ctx); err != nil {
@@ -1042,7 +963,14 @@ func remoteGrid(ctx context.Context, base string, cfg expt.Config, gs dynloop.Gr
 	} else {
 		req.Spec = &gs
 	}
+	var stopEvents func()
+	if progress {
+		stopEvents = mirrorEvents(ctx, c)
+	}
 	values, err := c.Grid(ctx, req)
+	if stopEvents != nil {
+		stopEvents()
+	}
 	if err != nil {
 		return err
 	}
@@ -1065,6 +993,41 @@ func remoteGrid(ctx context.Context, base string, cfg expt.Config, gs dynloop.Gr
 		}
 	}
 	return nil
+}
+
+// mirrorEvents prints the daemon's progress events to stderr, as the
+// local -progress printer would, until the returned stop is called;
+// stop returns once the stream has closed. Events of other concurrent
+// clients appear too: the daemon's runner is shared.
+func mirrorEvents(ctx context.Context, c *client.Client) (stop func()) {
+	ctx, cancel := context.WithCancel(ctx)
+	done := make(chan struct{})
+	print := progressPrinter()
+	kinds := map[string]runner.EventKind{
+		"done": runner.JobDone, "cached": runner.JobCached, "failed": runner.JobFailed,
+	}
+	go func() {
+		defer close(done)
+		err := c.Events(ctx, func(ev wire.Event) {
+			kind, ok := kinds[ev.Kind]
+			if !ok {
+				return
+			}
+			rev := runner.Event{Kind: kind, Key: ev.Key, Label: ev.Label,
+				Elapsed: time.Duration(ev.ElapsedMS) * time.Millisecond, Completed: ev.Completed}
+			if ev.Err != "" {
+				rev.Err = fmt.Errorf("%s", ev.Err)
+			}
+			print(rev)
+		})
+		if err != nil && ctx.Err() == nil {
+			fmt.Fprintln(os.Stderr, "dynloop: event stream:", err)
+		}
+	}()
+	return func() {
+		cancel()
+		<-done
+	}
 }
 
 // cmdServe runs the grid-serving daemon until interrupted; Ctrl-C (or

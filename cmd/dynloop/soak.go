@@ -7,13 +7,13 @@ import (
 	"fmt"
 	"math"
 	"os"
-	"strconv"
 	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
 
 	"dynloop/internal/client"
+	"dynloop/internal/expt"
 	"dynloop/internal/obs"
 	"dynloop/internal/wire"
 )
@@ -38,12 +38,13 @@ type soakReport struct {
 }
 
 // cmdSoak drives a serve daemon with N concurrent clients issuing the
-// same sweep for a fixed wall-clock duration — the shared-grid shape
-// where every request past the first hits the memory tier — then
-// derives the report from the daemon's exported metrics. Reconciliation
-// assumes the soak is the daemon's only active client: it compares the
-// movement of the scraped runner mirrors against the movement of the
-// runner's own /v1/stats counters, which must match exactly.
+// same sweep grid (POST /v1/grid) for a fixed wall-clock duration — the
+// shared-grid shape where every request past the first hits the memory
+// tier — then derives the report from the daemon's exported metrics.
+// Reconciliation assumes the soak is the daemon's only active client:
+// it compares the movement of the scraped runner mirrors against the
+// movement of the runner's own /v1/stats counters, which must match
+// exactly.
 func cmdSoak(ctx context.Context, args []string) error {
 	fs := flag.NewFlagSet("soak", flag.ExitOnError)
 	remote := fs.String("remote", "", "base URL of the dynloop serve daemon to soak (required)")
@@ -61,22 +62,15 @@ func cmdSoak(ctx context.Context, args []string) error {
 	if *remote == "" {
 		return fmt.Errorf("missing -remote URL (start one with: dynloop serve)")
 	}
-	var tuList []int
-	for _, s := range strings.Split(*tus, ",") {
-		k, err := strconv.Atoi(strings.TrimSpace(s))
-		if err != nil || k < 0 {
-			return fmt.Errorf("bad -tus entry %q", s)
-		}
-		tuList = append(tuList, k)
+	benchList, gs, err := sweepGrid(*benches, *policies, *tus)
+	if err != nil {
+		return err
 	}
-	req := wire.SweepRequest{
-		Benchmarks: strings.Split(*benches, ","),
-		Policies:   strings.Split(*policies, ","),
-		TUs:        tuList,
-		Budget:     *n,
-		Seed:       *seed,
+	req := wire.GridRequest{Spec: &gs, Benchmarks: benchList, Budget: *n, Seed: *seed}
+	cells, err := gs.Size(expt.Config{Budget: *n, Seed: *seed, Benchmarks: benchList})
+	if err != nil {
+		return err
 	}
-	cells := len(req.Benchmarks) * len(req.Policies) * len(tuList)
 
 	c := client.New(*remote, nil)
 	if err := c.Health(ctx); err != nil {
@@ -103,7 +97,7 @@ func cmdSoak(ctx context.Context, args []string) error {
 		go func() {
 			defer wg.Done()
 			for time.Now().Before(deadline) && loadCtx.Err() == nil {
-				if _, err := c.Sweep(loadCtx, req); err != nil {
+				if _, err := c.Grid(loadCtx, req); err != nil {
 					if loadCtx.Err() != nil {
 						return // deadline cut the request short, not a failure
 					}
@@ -117,7 +111,7 @@ func cmdSoak(ctx context.Context, args []string) error {
 	wg.Wait()
 	elapsed := time.Since(start)
 
-	statsAfter, err := c.Stats(ctx)
+	statsAfter, err := settle(ctx, c)
 	if err != nil {
 		return err
 	}
@@ -136,7 +130,7 @@ func cmdSoak(ctx context.Context, args []string) error {
 		CellsPer:  cells,
 		CellsPerS: float64(requests.Load()) * float64(cells) / elapsed.Seconds(),
 	}
-	rep.P50Ms, rep.P99Ms, err = sweepQuantileDeltas(mBefore, mAfter)
+	rep.P50Ms, rep.P99Ms, err = gridQuantileDeltas(mBefore, mAfter)
 	if err != nil {
 		return err
 	}
@@ -162,11 +156,31 @@ func cmdSoak(ctx context.Context, args []string) error {
 	return nil
 }
 
-// sweepQuantileDeltas derives p50/p99 (milliseconds) for the sweep
+// settle returns a /v1/stats snapshot taken once the daemon has gone
+// quiet: no request in flight but the stats request itself, and runner
+// counters unchanged since the previous poll. A request the deadline cut
+// short on the client may still be running on the daemon; its counter
+// updates must not land between the stats and metrics scrapes that
+// reconcile compares. After 5 s it returns the latest snapshot, and
+// reconcile reports whatever still moved.
+func settle(ctx context.Context, c *client.Client) (wire.Stats, error) {
+	prev, err := c.Stats(ctx)
+	for i := 0; err == nil && i < 250; i++ {
+		time.Sleep(20 * time.Millisecond)
+		var st wire.Stats
+		if st, err = c.Stats(ctx); err == nil && st.Server.InFlight <= 1 && st.Runner == prev.Runner {
+			return st, nil
+		}
+		prev = st
+	}
+	return prev, err
+}
+
+// gridQuantileDeltas derives p50/p99 (milliseconds) for the grid
 // endpoint from the latency-histogram movement between two scrapes.
-func sweepQuantileDeltas(before, after map[string]float64) (p50, p99 float64, err error) {
+func gridQuantileDeltas(before, after map[string]float64) (p50, p99 float64, err error) {
 	const fam = "dynloop_http_request_seconds"
-	const sel = `endpoint="/v1/sweep"`
+	const sel = `endpoint="/v1/grid"`
 	_, c0, err := obs.BucketsOf(before, fam, sel)
 	if err != nil {
 		return 0, 0, err
@@ -185,7 +199,7 @@ func sweepQuantileDeltas(before, after map[string]float64) (p50, p99 float64, er
 	p50 = 1000 * obs.Quantile(0.50, bounds, delta)
 	p99 = 1000 * obs.Quantile(0.99, bounds, delta)
 	if math.IsNaN(p50) || math.IsNaN(p99) {
-		return 0, 0, fmt.Errorf("soak: no sweep requests landed in the latency histogram")
+		return 0, 0, fmt.Errorf("soak: no grid requests landed in the latency histogram")
 	}
 	return p50, p99, nil
 }
@@ -216,8 +230,8 @@ func reconcile(mBefore, mAfter map[string]float64, sBefore, sAfter wire.Stats, c
 	// Every completed client request must appear in the endpoint counter;
 	// the counter may run ahead by requests the deadline aborted mid-
 	// flight, never behind.
-	if got := delta(`dynloop_http_requests_total{endpoint="/v1/sweep"}`); got < clientReqs {
-		bad = append(bad, fmt.Sprintf("sweep endpoint counted %d requests, clients completed %d", got, clientReqs))
+	if got := delta(`dynloop_http_requests_total{endpoint="/v1/grid"}`); got < clientReqs {
+		bad = append(bad, fmt.Sprintf("grid endpoint counted %d requests, clients completed %d", got, clientReqs))
 	}
 	return bad
 }

@@ -34,7 +34,7 @@
 //     plugs in behind the orchestrator's cache (OpenStore,
 //     NewStoreCache), and an HTTP daemon + client (NewServer,
 //     NewClient, `dynloop serve`) that serve precomputed grids to
-//     remote sweeps byte-identically to local runs; and
+//     remote clients byte-identically to local runs; and
 //   - a declarative grid layer (GridSpec, RunGrid, GridNames): every
 //     paper section is a registered spec, and a user-authored JSON
 //     spec sweeping any axes — benchmarks, budgets, seeds, CLS
@@ -405,8 +405,6 @@ type (
 	ServerConfig = server.Config
 	// Client talks to a Server.
 	Client = client.Client
-	// SweepRequest asks a Server for one benchmark × policy × TUs grid.
-	SweepRequest = wire.SweepRequest
 )
 
 // OpenStore opens (creating if needed) an on-disk result store, scans
@@ -420,7 +418,7 @@ func OpenStore(dir string, opts StoreOptions) (*Store, error) { return store.Ope
 func NewStoreCache(s *Store) RunnerCache { return store.NewCache(s) }
 
 // NewServer builds a grid-serving daemon; serve its Handler (or call
-// ListenAndServe) to accept remote sweeps over the shared Runner.
+// ListenAndServe) to accept remote grids over the shared Runner.
 func NewServer(cfg ServerConfig) *Server { return server.New(cfg) }
 
 // NewClient returns a client for a daemon at base (e.g.

@@ -281,20 +281,10 @@ func TestStaticNestRule(t *testing.T) {
 // scripted counterpart is scripts/replay_smoke.sh.
 func TestTracesLocalRemoteByteIdentical(t *testing.T) {
 	ctx := context.Background()
-	req := wire.SweepRequest{
-		Benchmarks: []string{"swim", "compress"},
-		Policies:   []string{"str", "str3"},
-		TUs:        []int{2, 4},
-		Budget:     50_000,
-	}
-	pols, err := expt.ParsePolicies(req.Policies)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sweepSpec := expt.SweepSpec{Policies: pols, TUs: req.TUs}
+	sweepSpec := expt.SweepSpec{Policies: []spec.Policy{spec.STR(), spec.STRn(3)}, TUs: []int{2, 4}}
 
 	// (a) Interpreted reference.
-	cfg := expt.Config{Budget: req.Budget, Benchmarks: req.Benchmarks, Parallel: 2}
+	cfg := expt.Config{Budget: 50_000, Benchmarks: []string{"swim", "compress"}, Parallel: 2}
 	rows, err := expt.Sweep(ctx, cfg, sweepSpec)
 	if err != nil {
 		t.Fatal(err)
@@ -324,12 +314,17 @@ func TestTracesLocalRemoteByteIdentical(t *testing.T) {
 	hs := httptest.NewServer(s.Handler())
 	defer hs.Close()
 	c := client.New(hs.URL, hs.Client())
-	remoteRows, err := c.Sweep(ctx, req)
+	gs := sweepSpec.GridSpec()
+	values, err := c.Grid(ctx, wire.GridRequest{Spec: &gs, Benchmarks: cfg.Benchmarks, Budget: cfg.Budget})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := expt.RenderSweep(remoteRows); got != want {
-		t.Fatalf("remote render differs:\n%s\nwant:\n%s", got, want)
+	res, err := dynloop.GridResultFrom(cfg, gs, values)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, err := dynloop.RenderGrid(res); err != nil || got != want {
+		t.Fatalf("remote render differs (%v):\n%s\nwant:\n%s", err, got, want)
 	}
 	st := s.Runner().Stats()
 	if st.ReplayRuns == 0 || st.RecordRuns != 0 {

@@ -6,33 +6,48 @@ import (
 	"net/http/httptest"
 
 	"dynloop/internal/client"
+	"dynloop/internal/expt"
+	"dynloop/internal/grid"
 	"dynloop/internal/server"
+	"dynloop/internal/spec"
 	"dynloop/internal/wire"
 )
 
-// ExampleClient runs a small remote sweep against an in-process daemon.
-// Against a real deployment, replace the httptest server with the
-// daemon's address: client.New("http://127.0.0.1:9090", nil).
+// ExampleClient runs a small remote sweep against an in-process daemon
+// and renders it as `dynloop sweep -remote` does. Against a real
+// deployment, replace the httptest server with the daemon's address:
+// client.New("http://127.0.0.1:9090", nil).
 func ExampleClient() {
 	srv := server.New(server.Config{Workers: 1})
 	hs := httptest.NewServer(srv.Handler())
 	defer hs.Close()
 
 	c := client.New(hs.URL, hs.Client())
-	rows, err := c.Sweep(context.Background(), wire.SweepRequest{
-		Benchmarks: []string{"swim"},
-		Policies:   []string{"str3"},
-		TUs:        []int{4},
-		Budget:     100_000,
+	cfg := expt.Config{Benchmarks: []string{"swim"}, Budget: 100_000}
+	gs := expt.SweepSpec{Policies: []spec.Policy{spec.STRn(3)}, TUs: []int{4}}.GridSpec()
+	values, err := c.Grid(context.Background(), wire.GridRequest{
+		Spec:       &gs,
+		Benchmarks: cfg.Benchmarks,
+		Budget:     cfg.Budget,
 	})
 	if err != nil {
-		fmt.Println("sweep:", err)
+		fmt.Println("grid:", err)
 		return
 	}
-	for _, r := range rows {
-		fmt.Printf("%s %s/%d TUs: TPC %.2f, hit %.1f%%\n",
-			r.Bench, r.Policy, r.TUs, r.M.TPC(), r.M.HitRatio())
+	res, err := grid.ResultFrom(cfg, gs, values)
+	if err != nil {
+		fmt.Println("grid:", err)
+		return
 	}
+	out, err := grid.RenderResult(res)
+	if err != nil {
+		fmt.Println("render:", err)
+		return
+	}
+	fmt.Print(out)
 	// Output:
-	// swim STR(3)/4 TUs: TPC 3.50, hit 84.8%
+	// Sweep: benchmark × policy × TUs
+	// bench  policy  TUs   TPC  hit %  #spec.  threads/spec
+	// -----------------------------------------------------
+	// swim   STR(3)    4  3.50  84.75     991          3.00
 }

@@ -203,11 +203,19 @@ type Dec struct {
 	err error
 }
 
-func (d *Dec) fail(what string) {
+// Fail marks the frame corrupt: a decoder calls it for a field that
+// decodes but holds a value Append never writes.
+func (d *Dec) Fail(what string) {
 	if d.err == nil {
 		d.err = fmt.Errorf("bad %s at offset %d", what, d.pos)
 	}
 }
+
+// padded reports whether the n-byte varint at the cursor has a longer
+// encoding than its value needs. Enc writes only the shortest form, so
+// a padded varint is corrupt: accepting one would let two byte strings
+// decode to the same frame.
+func (d *Dec) padded(n int) bool { return n > 1 && d.b[d.pos+n-1] == 0 }
 
 // U64 reads an unsigned varint.
 func (d *Dec) U64() uint64 {
@@ -215,8 +223,8 @@ func (d *Dec) U64() uint64 {
 		return 0
 	}
 	v, n := binary.Uvarint(d.b[d.pos:])
-	if n <= 0 {
-		d.fail("uvarint")
+	if n <= 0 || d.padded(n) {
+		d.Fail("uvarint")
 		return 0
 	}
 	d.pos += n
@@ -229,8 +237,8 @@ func (d *Dec) I64() int64 {
 		return 0
 	}
 	v, n := binary.Varint(d.b[d.pos:])
-	if n <= 0 {
-		d.fail("varint")
+	if n <= 0 || d.padded(n) {
+		d.Fail("varint")
 		return 0
 	}
 	d.pos += n
@@ -246,13 +254,13 @@ func (d *Dec) Bool() bool {
 		return false
 	}
 	if d.pos >= len(d.b) {
-		d.fail("bool")
+		d.Fail("bool")
 		return false
 	}
 	v := d.b[d.pos]
 	d.pos++
 	if v > 1 {
-		d.fail("bool value")
+		d.Fail("bool value")
 		return false
 	}
 	return v == 1
@@ -264,7 +272,7 @@ func (d *Dec) F64() float64 {
 		return 0
 	}
 	if d.pos+8 > len(d.b) {
-		d.fail("float64")
+		d.Fail("float64")
 		return 0
 	}
 	v := math.Float64frombits(binary.LittleEndian.Uint64(d.b[d.pos:]))
@@ -279,7 +287,7 @@ func (d *Dec) Str() string {
 		return ""
 	}
 	if n > uint64(len(d.b)-d.pos) {
-		d.fail("string length")
+		d.Fail("string length")
 		return ""
 	}
 	s := string(d.b[d.pos : d.pos+int(n)])

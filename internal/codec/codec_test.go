@@ -134,6 +134,9 @@ func TestCorruptPayloads(t *testing.T) {
 		"trailing":      append(append([]byte{}, b...), 0),
 		"bad bool":      func() []byte { c := append([]byte{}, b...); c[13] = 9; return c }(),
 		"string length": func() []byte { c := append([]byte{}, b...); c[14] = 0xFF; return c }(),
+		// A = 5 written as 0x85 0x00: the value decodes, but Enc writes
+		// only the shortest form.
+		"padded varint": append(append(append([]byte{}, b[:3]...), 0x85, 0x00), b[4:]...),
 	}
 	for name, c := range cases {
 		if _, err := Decode(c); !errors.Is(err, ErrCorrupt) {

@@ -256,26 +256,20 @@ type SweepSpec struct {
 	TUs []int
 }
 
-func (s SweepSpec) policies() []spec.Policy {
-	if len(s.Policies) == 0 {
-		return Fig7Policies()
-	}
-	return s.Policies
-}
-
-func (s SweepSpec) tus() []int {
-	if len(s.TUs) == 0 {
-		return Fig6TUs
-	}
-	return s.TUs
-}
-
-// gridSpec lowers the sweep selection onto the registered "sweep" grid.
-func (s SweepSpec) gridSpec() grid.Spec {
+// GridSpec lowers the sweep selection onto the registered "sweep" grid,
+// with each policy in its canonical form (str3 → STR(3)). The sweep
+// renderer prints the spec's policy names, so every path that runs a
+// sweep (Sweep, `dynloop sweep` local or remote, `dynloop soak`) builds
+// its spec here.
+func (s SweepSpec) GridSpec() grid.Spec {
 	e, _ := grid.Lookup("sweep")
-	gs := e.Spec
-	gs.Policies = policyNames(s.policies())
-	gs.TUs = s.tus()
+	gs := e.Spec // its axes are the defaults
+	if len(s.Policies) > 0 {
+		gs.Policies = policyNames(s.Policies)
+	}
+	if len(s.TUs) > 0 {
+		gs.TUs = s.TUs
+	}
 	return gs
 }
 
@@ -292,7 +286,7 @@ type SweepRow struct {
 // benchmark's whole policy × TUs column fused into one traversal. It is
 // the workhorse behind `dynloop sweep` and the scale-out benchmark.
 func Sweep(ctx context.Context, cfg Config, sw SweepSpec) ([]SweepRow, error) {
-	res, err := grid.Run(ctx, cfg, sw.gridSpec())
+	res, err := grid.Run(ctx, cfg, sw.GridSpec())
 	if err != nil {
 		return nil, err
 	}
@@ -326,12 +320,6 @@ func RenderSweep(rows []SweepRow) string {
 		t.AddRow(r.Bench, r.Policy, r.TUs, r.M.TPC(), r.M.HitRatio(), r.M.SpecEvents, r.M.ThreadsPerSpec())
 	}
 	return t.String()
-}
-
-// SweepGridSize reports how many cells a spec expands to under cfg, for
-// progress displays.
-func SweepGridSize(cfg Config, sw SweepSpec) (int, error) {
-	return sw.gridSpec().Size(cfg)
 }
 
 // ParsePolicies turns CLI policy names (idle, str, strN — the canonical

@@ -2,6 +2,7 @@ package expt
 
 import (
 	"context"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -204,12 +205,16 @@ func TestSweepGrid(t *testing.T) {
 	if RenderSweep(rows) == "" {
 		t.Fatal("empty sweep render")
 	}
-	n, err := SweepGridSize(cfg, SweepSpec{})
+	n, err := SweepSpec{}.GridSpec().Size(cfg)
 	if err != nil || n != 2*5*4 {
 		t.Fatalf("default grid size = %d (%v), want 40", n, err)
 	}
-	if _, err := ParsePolicies([]string{"idle", "str3"}); err != nil {
+	pols, err := ParsePolicies([]string{"str3", "idle"})
+	if err != nil {
 		t.Fatal(err)
+	}
+	if got := (SweepSpec{Policies: pols}).GridSpec().Policies; !reflect.DeepEqual(got, []string{"STR(3)", "IDLE"}) {
+		t.Fatalf("lowered policies %q, want canonical names", got)
 	}
 	if _, err := ParsePolicies([]string{"bogus"}); err == nil {
 		t.Fatal("bogus policy accepted")

@@ -103,9 +103,10 @@ func init() {
 	}, func(d *codec.Dec) BaselineRow {
 		row := BaselineRow{Bench: d.Str()}
 		n := d.Int()
-		// A corrupt count decodes to garbage; the cursor's bounds checks
-		// stop the loop at the first bad field, so cap defensively.
+		// Append never writes a count outside [0, 64]: one is corrupt,
+		// and must not size the loop.
 		if n < 0 || n > 64 {
+			d.Fail("baseline result count")
 			n = 0
 		}
 		for i := 0; i < n && d.Err() == nil; i++ {

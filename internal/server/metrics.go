@@ -29,7 +29,7 @@ var (
 // routes is the fixed endpoint set; per-endpoint series are registered
 // for exactly these, keeping label cardinality bounded by construction.
 var routes = []string{
-	"/v1/sweep", "/v1/grid", "/v1/grids", "/v1/cell",
+	"/v1/grid", "/v1/grids", "/v1/cell",
 	"/v1/events", "/v1/stats", "/healthz", "/metrics",
 }
 

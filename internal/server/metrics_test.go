@@ -17,7 +17,7 @@ func metricDelta(before, after map[string]float64, series string) float64 {
 
 // TestMetricsReconcileWithRunnerStats: the obs mirrors are process-
 // global while runner stats are per-instance, so the contract is
-// delta equality — a sweep must move the scraped runner counters by
+// delta equality — a grid must move the scraped runner counters by
 // exactly what the runner's own stats moved.
 func TestMetricsReconcileWithRunnerStats(t *testing.T) {
 	ctx := context.Background()
@@ -29,7 +29,7 @@ func TestMetricsReconcileWithRunnerStats(t *testing.T) {
 	}
 	rsBefore := s.Runner().Stats()
 
-	if _, err := c.Sweep(ctx, testReq); err != nil {
+	if _, err := c.Grid(ctx, testReq()); err != nil {
 		t.Fatal(err)
 	}
 
@@ -53,11 +53,11 @@ func TestMetricsReconcileWithRunnerStats(t *testing.T) {
 			t.Errorf("%s moved by %v, runner stats moved by %d", ck.series, got, ck.want)
 		}
 	}
-	if d := metricDelta(before, after, `dynloop_http_requests_total{endpoint="/v1/sweep"}`); d != 1 {
-		t.Errorf("sweep request counter moved by %v, want 1", d)
+	if d := metricDelta(before, after, `dynloop_http_requests_total{endpoint="/v1/grid"}`); d != 1 {
+		t.Errorf("grid request counter moved by %v, want 1", d)
 	}
-	if d := metricDelta(before, after, `dynloop_http_request_seconds_count{endpoint="/v1/sweep"}`); d != 1 {
-		t.Errorf("sweep latency histogram count moved by %v, want 1", d)
+	if d := metricDelta(before, after, `dynloop_http_request_seconds_count{endpoint="/v1/grid"}`); d != 1 {
+		t.Errorf("grid latency histogram count moved by %v, want 1", d)
 	}
 	if d := metricDelta(before, after, "dynloop_interp_instructions_total"); d <= 0 {
 		t.Errorf("interp instruction counter did not move (delta %v)", d)
@@ -69,7 +69,7 @@ func TestMetricsReconcileWithRunnerStats(t *testing.T) {
 func TestStatsEndpointExtended(t *testing.T) {
 	ctx := context.Background()
 	_, c := newTestDaemon(t, Config{Workers: 2})
-	if _, err := c.Sweep(ctx, testReq); err != nil {
+	if _, err := c.Grid(ctx, testReq()); err != nil {
 		t.Fatal(err)
 	}
 	st, err := c.Stats(ctx)
@@ -77,10 +77,10 @@ func TestStatsEndpointExtended(t *testing.T) {
 		t.Fatal(err)
 	}
 	if st.Server.Requests == 0 {
-		t.Fatalf("stats report zero HTTP requests after a sweep: %+v", st.Server)
+		t.Fatalf("stats report zero HTTP requests after a grid: %+v", st.Server)
 	}
 	if st.Planes.InterpCtl+st.Planes.InterpFull == 0 {
-		t.Fatalf("stats report zero interpreter runs after a sweep: %+v", st.Planes)
+		t.Fatalf("stats report zero interpreter runs after a grid: %+v", st.Planes)
 	}
 	vals, err := c.Metrics(ctx)
 	if err != nil {
@@ -104,8 +104,8 @@ func TestShedCounter(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := c.Sweep(ctx, testReq); err == nil {
-		t.Fatal("oversized sweep unexpectedly succeeded")
+	if _, err := c.Grid(ctx, testReq()); err == nil {
+		t.Fatal("oversized grid unexpectedly succeeded")
 	}
 	after, err := c.Metrics(ctx)
 	if err != nil {
@@ -143,20 +143,20 @@ func TestRequestLogging(t *testing.T) {
 	var buf syncBuffer
 	logger := slog.New(slog.NewJSONHandler(&buf, nil))
 	_, c := newTestDaemon(t, Config{Workers: 2, Logger: logger})
-	if _, err := c.Sweep(ctx, testReq); err != nil {
+	if _, err := c.Grid(ctx, testReq()); err != nil {
 		t.Fatal(err)
 	}
 	deadline := time.Now().Add(5 * time.Second)
 	for {
 		out := buf.String()
-		if strings.Contains(out, `"endpoint":"/v1/sweep"`) {
+		if strings.Contains(out, `"endpoint":"/v1/grid"`) {
 			if !strings.Contains(out, `"cells":"8"`) {
-				t.Fatalf("sweep log record missing cell count in:\n%s", out)
+				t.Fatalf("grid log record missing cell count in:\n%s", out)
 			}
 			return
 		}
 		if time.Now().After(deadline) {
-			t.Fatalf("no sweep request log record in:\n%s", out)
+			t.Fatalf("no grid request log record in:\n%s", out)
 		}
 		time.Sleep(10 * time.Millisecond)
 	}

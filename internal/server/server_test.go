@@ -16,24 +16,33 @@ import (
 	"dynloop/internal/wire"
 )
 
-var testReq = wire.SweepRequest{
-	Benchmarks: []string{"swim", "compress"},
-	Policies:   []string{"str", "str3"},
-	TUs:        []int{2, 4},
-	Budget:     50_000,
+// testCfg and testSweep are the daemon tests' grid: the registered
+// sweep at 2 benchmarks × {STR, STR(3)} × {2, 4} TUs, 8 cells.
+var (
+	testCfg       = expt.Config{Budget: 50_000, Benchmarks: []string{"swim", "compress"}}
+	testSweepSpec = expt.SweepSpec{Policies: []spec.Policy{spec.STR(), spec.STRn(3)}, TUs: []int{2, 4}}
+	testSweep     = testSweepSpec.GridSpec()
+)
+
+// testReq asks a daemon for testSweep under testCfg.
+func testReq() wire.GridRequest {
+	gs := testSweep
+	return wire.GridRequest{Spec: &gs, Benchmarks: testCfg.Benchmarks, Budget: testCfg.Budget}
 }
 
-func testCfg(req wire.SweepRequest) expt.Config {
-	return expt.Config{Budget: req.Budget, Seed: req.Seed, Benchmarks: req.Benchmarks, BatchSize: req.BatchSize}
-}
-
-func testSpec(t *testing.T, req wire.SweepRequest) expt.SweepSpec {
+// renderSweep renders a daemon's testSweep values through the
+// registered sweep renderer.
+func renderSweep(t *testing.T, values []any) string {
 	t.Helper()
-	pols, err := expt.ParsePolicies(req.Policies)
+	res, err := grid.ResultFrom(testCfg, testSweep, values)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return expt.SweepSpec{Policies: pols, TUs: req.TUs}
+	out, err := grid.RenderResult(res)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return out
 }
 
 // newTestDaemon starts a daemon over httptest and returns a client.
@@ -50,9 +59,9 @@ func newTestDaemon(t *testing.T, cfg Config) (*Server, *client.Client) {
 // at 8 workers.
 func TestRemoteSweepByteIdentical(t *testing.T) {
 	ctx := context.Background()
-	localCfg := testCfg(testReq)
+	localCfg := testCfg
 	localCfg.Parallel = 1
-	localRows, err := expt.Sweep(ctx, localCfg, testSpec(t, testReq))
+	localRows, err := expt.Sweep(ctx, localCfg, testSweepSpec)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -60,11 +69,11 @@ func TestRemoteSweepByteIdentical(t *testing.T) {
 
 	for _, workers := range []int{1, 8} {
 		_, c := newTestDaemon(t, Config{Workers: workers})
-		rows, err := c.Sweep(ctx, testReq)
+		values, err := c.Grid(ctx, testReq())
 		if err != nil {
 			t.Fatalf("workers=%d: %v", workers, err)
 		}
-		if got := expt.RenderSweep(rows); got != want {
+		if got := renderSweep(t, values); got != want {
 			t.Fatalf("workers=%d: remote render differs:\n%s\nwant:\n%s", workers, got, want)
 		}
 	}
@@ -75,11 +84,11 @@ func TestRemoteSweepByteIdentical(t *testing.T) {
 func TestDaemonSharesCellsAcrossClients(t *testing.T) {
 	ctx := context.Background()
 	s, c := newTestDaemon(t, Config{Workers: 4})
-	if _, err := c.Sweep(ctx, testReq); err != nil {
+	if _, err := c.Grid(ctx, testReq()); err != nil {
 		t.Fatal(err)
 	}
 	executed := s.Runner().Stats().Executed
-	if _, err := c.Sweep(ctx, testReq); err != nil {
+	if _, err := c.Grid(ctx, testReq()); err != nil {
 		t.Fatal(err)
 	}
 	st := s.Runner().Stats()
@@ -102,7 +111,7 @@ func TestDaemonStoreTier(t *testing.T) {
 		t.Fatal(err)
 	}
 	_, c1 := newTestDaemon(t, Config{Workers: 4, Store: st1})
-	rows1, err := c1.Sweep(ctx, testReq)
+	values1, err := c1.Grid(ctx, testReq())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -116,11 +125,11 @@ func TestDaemonStoreTier(t *testing.T) {
 	}
 	t.Cleanup(func() { st2.Close() })
 	s2, c2 := newTestDaemon(t, Config{Workers: 4, Store: st2})
-	rows2, err := c2.Sweep(ctx, testReq)
+	values2, err := c2.Grid(ctx, testReq())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if expt.RenderSweep(rows1) != expt.RenderSweep(rows2) {
+	if renderSweep(t, values1) != renderSweep(t, values2) {
 		t.Fatal("store-served sweep differs from computed sweep")
 	}
 	rs := s2.Runner().Stats()
@@ -139,7 +148,7 @@ func TestDaemonStoreTier(t *testing.T) {
 }
 
 // TestCellQuery: a persisted cell is queryable by its full
-// configuration key and decodes to the exact metrics the sweep row
+// configuration key and decodes to the exact metrics the grid response
 // carried.
 func TestCellQuery(t *testing.T) {
 	ctx := context.Background()
@@ -149,13 +158,13 @@ func TestCellQuery(t *testing.T) {
 	}
 	t.Cleanup(func() { st.Close() })
 	_, c := newTestDaemon(t, Config{Workers: 2, Store: st})
-	rows, err := c.Sweep(ctx, testReq)
+	values, err := c.Grid(ctx, testReq())
 	if err != nil {
 		t.Fatal(err)
 	}
 	keys := st.Keys()
-	if len(keys) != len(rows) {
-		t.Fatalf("store has %d keys for %d rows", len(keys), len(rows))
+	if len(keys) != len(values) {
+		t.Fatalf("store has %d keys for %d cells", len(keys), len(values))
 	}
 	found := 0
 	for _, key := range keys {
@@ -167,22 +176,22 @@ func TestCellQuery(t *testing.T) {
 		if !ok {
 			t.Fatalf("Cell(%q) decoded to %T", key, v)
 		}
-		for _, r := range rows {
-			if r.M == m {
+		for _, v := range values {
+			if v == any(m) {
 				found++
 				break
 			}
 		}
 	}
 	if found != len(keys) {
-		t.Fatalf("only %d of %d cell queries matched a sweep row", found, len(keys))
+		t.Fatalf("only %d of %d cell queries matched a grid cell", found, len(keys))
 	}
 	if _, err := c.Cell(ctx, "no such key"); !errors.Is(err, client.ErrNotFound) {
 		t.Fatalf("absent key: %v", err)
 	}
 }
 
-// TestEventsStream: an SSE subscriber sees the sweep's progress.
+// TestEventsStream: an SSE subscriber sees a grid's progress.
 func TestEventsStream(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
@@ -200,7 +209,7 @@ func TestEventsStream(t *testing.T) {
 	}()
 	// Give the subscription a moment to attach before generating events.
 	time.Sleep(50 * time.Millisecond)
-	if _, err := c.Sweep(ctx, testReq); err != nil {
+	if _, err := c.Grid(ctx, testReq()); err != nil {
 		t.Fatal(err)
 	}
 	deadline := time.After(5 * time.Second)
@@ -258,23 +267,6 @@ func TestGracefulShutdown(t *testing.T) {
 	}
 	if err := c.Health(context.Background()); err == nil {
 		t.Fatal("daemon still serving after shutdown")
-	}
-}
-
-// TestSweepValidation: bad requests fail fast with useful statuses.
-func TestSweepValidation(t *testing.T) {
-	ctx := context.Background()
-	_, c := newTestDaemon(t, Config{Workers: 1, MaxCells: 4})
-	cases := []wire.SweepRequest{
-		{Benchmarks: []string{"nope"}, Budget: 1000},
-		{Policies: []string{"warp-drive"}, Budget: 1000},
-		{TUs: []int{-1}, Budget: 1000},
-		{Budget: 1000}, // full default grid exceeds MaxCells=4
-	}
-	for i, req := range cases {
-		if _, err := c.Sweep(ctx, req); err == nil {
-			t.Errorf("case %d accepted: %+v", i, req)
-		}
 	}
 }
 
@@ -408,6 +400,37 @@ func TestGridValidation(t *testing.T) {
 		{Name: "sweep", Budget: 1000}, // 360 cells > MaxCells=4
 	}
 	for i, req := range bad {
+		if _, err := c.Grid(ctx, req); err == nil {
+			t.Errorf("case %d accepted: %+v", i, req)
+		}
+	}
+}
+
+// TestSweepValidation: the sweep grid as `dynloop sweep` builds it is
+// rejected over /v1/grid for an unknown benchmark, an unknown policy, a
+// negative TU count, and a full default grid over MaxCells.
+func TestSweepValidation(t *testing.T) {
+	ctx := context.Background()
+	_, c := newTestDaemon(t, Config{Workers: 1, MaxCells: 4})
+	// sweep is a one-cell sweep grid (on one benchmark) with one axis
+	// edited, so an edit is the only thing wrong with it.
+	sweep := func(edit func(*grid.Spec)) *grid.Spec {
+		gs := expt.SweepSpec{Policies: []spec.Policy{spec.STR()}, TUs: []int{4}}.GridSpec()
+		edit(&gs)
+		return &gs
+	}
+	one := []string{"swim"}
+	if _, err := c.Grid(ctx, wire.GridRequest{Spec: sweep(func(*grid.Spec) {}), Benchmarks: one, Budget: 1000}); err != nil {
+		t.Fatalf("unedited one-cell sweep rejected: %v", err)
+	}
+	fullSweep := expt.SweepSpec{}.GridSpec()
+	cases := []wire.GridRequest{
+		{Spec: sweep(func(*grid.Spec) {}), Benchmarks: []string{"nope"}, Budget: 1000},
+		{Spec: sweep(func(gs *grid.Spec) { gs.Policies = []string{"warp-drive"} }), Benchmarks: one, Budget: 1000},
+		{Spec: sweep(func(gs *grid.Spec) { gs.TUs = []int{-1} }), Benchmarks: one, Budget: 1000},
+		{Spec: &fullSweep, Budget: 1000}, // full default grid exceeds MaxCells=4
+	}
+	for i, req := range cases {
 		if _, err := c.Grid(ctx, req); err == nil {
 			t.Errorf("case %d accepted: %+v", i, req)
 		}

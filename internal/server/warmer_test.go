@@ -150,10 +150,10 @@ func TestShedTypedError(t *testing.T) {
 
 	// Oversized grid.
 	_, c := newTestDaemon(t, Config{Workers: 1, MaxCells: 4})
-	_, err := c.Sweep(ctx, wire.SweepRequest{Budget: 1000})
+	_, err := c.Grid(ctx, wire.GridRequest{Name: "sweep", Budget: 1000})
 	var shed *client.ErrShed
 	if !errors.As(err, &shed) {
-		t.Fatalf("oversized sweep returned %v, want *client.ErrShed", err)
+		t.Fatalf("oversized grid returned %v, want *client.ErrShed", err)
 	}
 	if shed.RetryAfter < time.Second || shed.RetryAfter > 4*time.Second {
 		t.Fatalf("Retry-After %v outside the 1-4s jitter window", shed.RetryAfter)
@@ -162,10 +162,10 @@ func TestShedTypedError(t *testing.T) {
 	// Queue-wait timeout: one slot, held by a phantom foreground request.
 	s2, c2 := newTestDaemon(t, Config{Workers: 1, MaxInflight: 1, QueueWait: 20 * time.Millisecond})
 	s2.inflight <- struct{}{}
-	_, err = c2.Sweep(ctx, testReq)
+	_, err = c2.Grid(ctx, testReq())
 	shed = nil
 	if !errors.As(err, &shed) {
-		t.Fatalf("queued-out sweep returned %v, want *client.ErrShed", err)
+		t.Fatalf("queued-out grid returned %v, want *client.ErrShed", err)
 	}
 	<-s2.inflight
 }

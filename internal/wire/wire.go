@@ -1,22 +1,15 @@
 // Package wire is the grid-serving protocol shared by the HTTP daemon
 // (internal/server) and its Go client (internal/client): JSON request
-// envelopes, and a binary grid format whose cell payloads are the exact
-// codec frames the on-disk store persists — a cell crosses the network
-// in the same bytes it lives on disk in, so remote and local results
-// cannot drift.
-//
-// Grid format (little-endian, varint-based, after tracefile/store):
-//
-//	magic "DLGRID1\n"
-//	uvarint row count
-//	rows:   uvarint benchLen, bench, uvarint policyLen, policy,
-//	        uvarint TUs, uvarint frameLen, frame (a codec frame of
-//	        the cell's spec.Metrics)
+// envelopes, and one binary response format whose cell payloads are the
+// exact codec frames the on-disk store persists — a cell crosses the
+// network in the same bytes it lives on disk in, so remote and local
+// results cannot drift.
 //
 // Cells format (the POST /v1/grid response — one codec frame per cell
 // of a declarative grid, in the spec's canonical cell order; the
 // coordinates never cross the wire because the spec expansion is
-// deterministic on both ends):
+// deterministic on both ends; little-endian, varint-based, after
+// tracefile/store):
 //
 //	magic "DLCELL1\n"
 //	uvarint cell count
@@ -29,19 +22,13 @@ import (
 	"fmt"
 
 	"dynloop/internal/codec"
-	"dynloop/internal/expt"
 	"dynloop/internal/grid"
-	"dynloop/internal/spec"
 )
 
-const (
-	gridMagic  = "DLGRID1\n"
-	cellsMagic = "DLCELL1\n"
-)
+const cellsMagic = "DLCELL1\n"
 
-// maxGridRows bounds a single grid allocation when decoding untrusted
-// responses.
-const maxGridRows = 1 << 22
+// maxCells bounds the cell count of one decoded payload.
+const maxCells = 1 << 22
 
 // ErrCorrupt reports a malformed grid payload.
 var ErrCorrupt = errors.New("wire: corrupt grid payload")
@@ -100,17 +87,20 @@ func DecodeCells(b []byte) ([]any, error) {
 		return nil, fmt.Errorf("%w: bad cells magic", ErrCorrupt)
 	}
 	pos := len(cellsMagic)
-	count, n := binary.Uvarint(b[pos:])
+	count, n := uvarint(b[pos:])
 	if n <= 0 {
 		return nil, fmt.Errorf("%w: bad cell count", ErrCorrupt)
 	}
 	pos += n
-	if count > maxGridRows {
-		return nil, fmt.Errorf("%w: cell count %d", ErrCorrupt, count)
+	// Every cell takes at least its one-byte frame length, so a count
+	// larger than the bytes left is corrupt: reject it before it sizes
+	// an allocation.
+	if count > maxCells || count > uint64(len(b)-pos) {
+		return nil, fmt.Errorf("%w: cell count %d for %d payload bytes", ErrCorrupt, count, len(b)-pos)
 	}
 	values := make([]any, 0, count)
 	for i := uint64(0); i < count; i++ {
-		flen, n := binary.Uvarint(b[pos:])
+		flen, n := uvarint(b[pos:])
 		if n <= 0 {
 			return nil, fmt.Errorf("%w: bad frame length at cell %d", ErrCorrupt, i)
 		}
@@ -129,19 +119,6 @@ func DecodeCells(b []byte) ([]any, error) {
 		return nil, fmt.Errorf("%w: %d trailing bytes", ErrCorrupt, len(b)-pos)
 	}
 	return values, nil
-}
-
-// SweepRequest asks the daemon for one benchmark × policy × TUs grid.
-// Zero values select the same defaults as the local CLI path (all
-// benchmarks, the paper's five policies, 2–16 TUs, DefaultBudget,
-// seed 1), so a remote sweep reproduces `dynloop sweep` byte for byte.
-type SweepRequest struct {
-	Benchmarks []string `json:"benchmarks,omitempty"`
-	Policies   []string `json:"policies,omitempty"`
-	TUs        []int    `json:"tus,omitempty"`
-	Budget     uint64   `json:"budget,omitempty"`
-	Seed       uint64   `json:"seed,omitempty"`
-	BatchSize  int      `json:"batch_size,omitempty"`
 }
 
 // Event mirrors runner.Event for the SSE progress stream.
@@ -246,90 +223,13 @@ type Stats struct {
 	Archive    *ArchiveStats `json:"archive,omitempty"`
 }
 
-// AppendGrid encodes sweep rows onto b in the grid format.
-func AppendGrid(b []byte, rows []expt.SweepRow) ([]byte, error) {
-	b = append(b, gridMagic...)
-	b = binary.AppendUvarint(b, uint64(len(rows)))
-	for i := range rows {
-		r := &rows[i]
-		b = binary.AppendUvarint(b, uint64(len(r.Bench)))
-		b = append(b, r.Bench...)
-		b = binary.AppendUvarint(b, uint64(len(r.Policy)))
-		b = append(b, r.Policy...)
-		b = binary.AppendUvarint(b, uint64(r.TUs))
-		frame, err := codec.Encode(r.M)
-		if err != nil {
-			return nil, fmt.Errorf("wire: row %d: %w", i, err)
-		}
-		b = binary.AppendUvarint(b, uint64(len(frame)))
-		b = append(b, frame...)
+// uvarint reads a varint in its shortest form, the only one AppendCells
+// writes: a padded encoding reports n = 0 like any other bad varint, so
+// no two payloads decode to the same cells.
+func uvarint(b []byte) (uint64, int) {
+	v, n := binary.Uvarint(b)
+	if n > 1 && b[n-1] == 0 {
+		return 0, 0
 	}
-	return b, nil
-}
-
-// DecodeGrid parses a grid payload occupying all of b.
-func DecodeGrid(b []byte) ([]expt.SweepRow, error) {
-	if len(b) < len(gridMagic) || string(b[:len(gridMagic)]) != gridMagic {
-		return nil, fmt.Errorf("%w: bad magic", ErrCorrupt)
-	}
-	pos := len(gridMagic)
-	uv := func(what string) (uint64, error) {
-		v, n := binary.Uvarint(b[pos:])
-		if n <= 0 {
-			return 0, fmt.Errorf("%w: bad %s at %d", ErrCorrupt, what, pos)
-		}
-		pos += n
-		return v, nil
-	}
-	str := func(what string) (string, error) {
-		n, err := uv(what + " length")
-		if err != nil {
-			return "", err
-		}
-		if n > uint64(len(b)-pos) {
-			return "", fmt.Errorf("%w: %s length %d exceeds payload", ErrCorrupt, what, n)
-		}
-		s := string(b[pos : pos+int(n)])
-		pos += int(n)
-		return s, nil
-	}
-	count, err := uv("row count")
-	if err != nil {
-		return nil, err
-	}
-	if count > maxGridRows {
-		return nil, fmt.Errorf("%w: row count %d", ErrCorrupt, count)
-	}
-	rows := make([]expt.SweepRow, 0, count)
-	for i := uint64(0); i < count; i++ {
-		bench, err := str("bench")
-		if err != nil {
-			return nil, err
-		}
-		policy, err := str("policy")
-		if err != nil {
-			return nil, err
-		}
-		tus, err := uv("TUs")
-		if err != nil {
-			return nil, err
-		}
-		frame, err := str("frame")
-		if err != nil {
-			return nil, err
-		}
-		v, err := codec.Decode([]byte(frame))
-		if err != nil {
-			return nil, fmt.Errorf("wire: row %d: %w", i, err)
-		}
-		m, ok := v.(spec.Metrics)
-		if !ok {
-			return nil, fmt.Errorf("%w: row %d carries %T, not spec.Metrics", ErrCorrupt, i, v)
-		}
-		rows = append(rows, expt.SweepRow{Bench: bench, Policy: policy, TUs: int(tus), M: m})
-	}
-	if pos != len(b) {
-		return nil, fmt.Errorf("%w: %d trailing bytes", ErrCorrupt, len(b)-pos)
-	}
-	return rows, nil
+	return v, n
 }

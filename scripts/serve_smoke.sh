@@ -95,7 +95,7 @@ echo "serve_smoke: metrics moved and reconcile with /v1/stats"
 curl -sf "$BASE/metrics" >"$WORK/metrics1.txt"
 for m in dynloop_runner_jobs_submitted_total dynloop_runner_jobs_executed_total \
          dynloop_runner_cache_hits_total dynloop_interp_instructions_total \
-         'dynloop_http_requests_total{endpoint="/v1/sweep"}'; do
+         'dynloop_http_requests_total{endpoint="/v1/grid"}'; do
   before=$(metric "$m" "$WORK/metrics0.txt")
   after=$(metric "$m" "$WORK/metrics1.txt")
   [ -n "$before" ] && [ -n "$after" ] || fail "series $m missing from scrape"
