@@ -965,7 +965,10 @@ func remoteGrid(ctx context.Context, base string, cfg expt.Config, gs dynloop.Gr
 	}
 	var stopEvents func()
 	if progress {
-		stopEvents = mirrorEvents(ctx, c)
+		var err error
+		if stopEvents, err = mirrorEvents(ctx, c); err != nil {
+			fmt.Fprintln(os.Stderr, "dynloop: event stream:", err)
+		}
 	}
 	values, err := c.Grid(ctx, req)
 	if stopEvents != nil {
@@ -995,20 +998,41 @@ func remoteGrid(ctx context.Context, base string, cfg expt.Config, gs dynloop.Gr
 	return nil
 }
 
+// The event stream and a grid's response travel on separate
+// connections, so a grid's last events can arrive just after its
+// response: mirrorEvents' stop reads on until the stream has been quiet
+// for mirrorQuiet, and at most for mirrorDrain.
+const (
+	mirrorQuiet = 50 * time.Millisecond
+	mirrorDrain = time.Second
+)
+
 // mirrorEvents prints the daemon's progress events to stderr, as the
 // local -progress printer would, until the returned stop is called;
-// stop returns once the stream has closed. Events of other concurrent
+// stop drains the stream (see mirrorQuiet) and returns once it has
+// closed. mirrorEvents returns once the stream has attached, so a grid
+// sent after it loses none of its events. Events of other concurrent
 // clients appear too: the daemon's runner is shared.
-func mirrorEvents(ctx context.Context, c *client.Client) (stop func()) {
+func mirrorEvents(ctx context.Context, c *client.Client) (stop func(), err error) {
 	ctx, cancel := context.WithCancel(ctx)
+	stream, err := c.Subscribe(ctx)
+	if err != nil {
+		cancel()
+		return nil, err
+	}
 	done := make(chan struct{})
+	seen := make(chan struct{}, 1) // a pending "an event arrived" signal
 	print := progressPrinter()
 	kinds := map[string]runner.EventKind{
 		"done": runner.JobDone, "cached": runner.JobCached, "failed": runner.JobFailed,
 	}
 	go func() {
 		defer close(done)
-		err := c.Events(ctx, func(ev wire.Event) {
+		err := stream.Recv(func(ev wire.Event) {
+			select {
+			case seen <- struct{}{}:
+			default:
+			}
 			kind, ok := kinds[ev.Kind]
 			if !ok {
 				return
@@ -1025,9 +1049,22 @@ func mirrorEvents(ctx context.Context, c *client.Client) (stop func()) {
 		}
 	}()
 	return func() {
+		drain := time.After(mirrorDrain)
+	quiet:
+		for {
+			select {
+			case <-seen:
+			case <-time.After(mirrorQuiet):
+				break quiet
+			case <-drain:
+				break quiet
+			case <-done:
+				break quiet
+			}
+		}
 		cancel()
 		<-done
-	}
+	}, nil
 }
 
 // cmdServe runs the grid-serving daemon until interrupted; Ctrl-C (or

@@ -228,21 +228,52 @@ func (c *Client) Health(ctx context.Context) error {
 // Events subscribes to the daemon's progress stream and calls fn for
 // every event until ctx is cancelled, the daemon shuts down (returns
 // nil), or the stream errors. Slow consumers see gaps, not stalls: the
-// daemon drops events a subscriber cannot keep up with.
+// daemon drops events a subscriber cannot keep up with. To know when
+// the stream has attached, use Subscribe.
 func (c *Client) Events(ctx context.Context, fn func(wire.Event)) error {
-	hreq, err := http.NewRequestWithContext(ctx, http.MethodGet, c.base+"/v1/events", nil)
+	s, err := c.Subscribe(ctx)
 	if err != nil {
 		return err
+	}
+	return s.Recv(fn)
+}
+
+// EventStream is an attached subscription to the daemon's progress
+// stream; see Subscribe.
+type EventStream struct {
+	ctx  context.Context
+	body io.ReadCloser
+}
+
+// Subscribe attaches to the daemon's progress stream and returns once
+// the daemon has subscribed it, so every event the daemon publishes
+// after Subscribe returns reaches the stream (a slow reader still sees
+// gaps). A caller that must not miss the events of a request it is
+// about to send subscribes first, then sends it. The stream lives until
+// ctx is cancelled, the daemon shuts down or Recv returns; read it with
+// Recv, or Close it unread.
+func (c *Client) Subscribe(ctx context.Context) (*EventStream, error) {
+	hreq, err := http.NewRequestWithContext(ctx, http.MethodGet, c.base+"/v1/events", nil)
+	if err != nil {
+		return nil, err
 	}
 	resp, err := c.hc.Do(hreq)
 	if err != nil {
-		return err
+		return nil, err
 	}
-	defer resp.Body.Close()
 	if resp.StatusCode != http.StatusOK {
-		return apiError(resp)
+		defer resp.Body.Close()
+		return nil, apiError(resp)
 	}
-	sc := bufio.NewScanner(resp.Body)
+	return &EventStream{ctx: ctx, body: resp.Body}, nil
+}
+
+// Recv calls fn for every event until the stream ends, then closes it.
+// It returns nil when the stream's ctx is cancelled or the daemon shuts
+// down, and the error otherwise.
+func (s *EventStream) Recv(fn func(wire.Event)) error {
+	defer s.body.Close()
+	sc := bufio.NewScanner(s.body)
 	sc.Buffer(make([]byte, 0, 64<<10), 1<<20)
 	for sc.Scan() {
 		line := sc.Text()
@@ -256,9 +287,12 @@ func (c *Client) Events(ctx context.Context, fn func(wire.Event)) error {
 		}
 		fn(ev)
 	}
-	err = sc.Err()
-	if err == nil || errors.Is(err, io.EOF) || ctx.Err() != nil {
+	err := sc.Err()
+	if err == nil || errors.Is(err, io.EOF) || s.ctx.Err() != nil {
 		return nil
 	}
 	return err
 }
+
+// Close ends the stream without reading it.
+func (s *EventStream) Close() error { return s.body.Close() }

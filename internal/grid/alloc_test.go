@@ -125,3 +125,48 @@ func TestFreshSeedWriteAllocs(t *testing.T) {
 		}
 	}
 }
+
+// warmGridSlack is how many more objects a warm run of a 72-cell grid
+// may allocate than one of an 18-cell grid.
+const warmGridSlack = 2
+
+// TestWarmGridAllocs pins what a served named-grid request costs once
+// every cell is in the runner's memory: a fixed number of allocations,
+// whatever the grid's cell count. Hits are served on the calling
+// goroutine, and the compiled cells carry their fusion group keys, so
+// nothing is started or built per cell. fig6 (72 cells) may allocate
+// no more than table1 (18 cells) plus warmGridSlack.
+func TestWarmGridAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race runtime's allocations are not what production sees")
+	}
+	ctx := context.Background()
+	pool := runner.New(runner.Config{Workers: 2})
+	cfg := grid.Config{Budget: 20_000, Seed: 1, Runner: pool}
+	warm := func(name string, cells int) float64 {
+		e, _ := grid.Lookup(name)
+		run := func() {
+			res, err := grid.Run(ctx, cfg, e.Spec)
+			if err != nil {
+				t.Fatalf("%s: %v", name, err)
+			}
+			if len(res.Values) != cells {
+				t.Fatalf("%s: %d cells, want %d", name, len(res.Values), cells)
+			}
+		}
+		run() // computes every cell
+		before := pool.Stats()
+		allocs := testing.AllocsPerRun(20, run)
+		after := pool.Stats()
+		if after.Executed != before.Executed || after.CacheHits-before.CacheHits != 21*uint64(cells) {
+			t.Fatalf("%s: warm runs were not all memory hits: stats %+v then %+v", name, before, after)
+		}
+		return allocs
+	}
+	small, large := warm("table1", 18), warm("fig6", 72)
+	t.Logf("warm grid.Run: table1 %v allocs, fig6 %v allocs", small, large)
+	if large > small+warmGridSlack {
+		t.Errorf("a warm fig6 run allocates %v objects but a warm table1 run %v; want at most %d more, whatever the cell count",
+			large, small, warmGridSlack)
+	}
+}

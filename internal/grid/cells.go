@@ -115,6 +115,8 @@ type Cell struct {
 	Label string
 
 	bench *workload.Benchmark // the registered entry; never modified
+	// group is the cell's fusion group key (see setGroups).
+	group string
 	// attach adds the cell's observers or pass to its fused group and
 	// returns the finish hook that extracts its result once the
 	// traversal is finalised (fusable kinds). Exactly one of attach and
@@ -239,6 +241,7 @@ func expand(cfg Config, rs *Spec) ([]Cell, error) {
 			}
 		}
 	}
+	setGroups(cells, cfg.BatchSize)
 	return cells, nil
 }
 

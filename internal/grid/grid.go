@@ -209,20 +209,53 @@ func appendPart[T string | []byte](b []byte, part T) []byte {
 	return append(b, part...)
 }
 
-// groupKey names a cell's fusion group: everything that determines the
-// instruction stream its pass observes — the benchmark, the traversal
-// budget, the input seed and the batch size. Cells of one execution
-// sharing a group key run in one fused traversal; the per-pass knobs
-// (policy, TU count, table capacities, even the CLS capacity)
-// deliberately stay out.
-func (c *Coord) groupKey(batchSize int) string {
-	var buf [64]byte
-	b := appendPart(append(buf[:0], 'g'), c.Bench)
+// appendGroupKey appends the name of a cell's fusion group: everything
+// that determines the instruction stream its pass observes — the
+// benchmark, the traversal budget, the input seed and the batch size.
+// Cells of one execution sharing a group key run in one fused
+// traversal; the per-pass knobs (policy, TU count, table capacities,
+// even the CLS capacity) deliberately stay out.
+func (c *Coord) appendGroupKey(b []byte, batchSize int) []byte {
+	b = appendPart(append(b, 'g'), c.Bench)
 	b = append(b, "|b"...)
 	b = strconv.AppendUint(b, c.Budget, 10)
 	b = append(b, "|s"...)
 	b = strconv.AppendUint(b, c.Seed, 10)
 	b = append(b, "|ba"...)
-	b = strconv.AppendInt(b, int64(batchSize), 10)
-	return string(b)
+	return strconv.AppendInt(b, int64(batchSize), 10)
+}
+
+// sameStream reports whether c and o observe the same instruction
+// stream, and so share a group key.
+func (c *Coord) sameStream(o *Coord) bool {
+	return c.Bench == o.Bench && c.Budget == o.Budget && c.Seed == o.Seed
+}
+
+// setGroups gives every cell its fusion group key. Cells observing one
+// stream are adjacent in the expansion and share a key, and all keys of
+// one compile share one string, so compiling costs no allocation per
+// stream and running the cells none per cell.
+func setGroups(cells []Cell, batchSize int) {
+	var tmp [96]byte
+	newStream := func(i int) bool { return i == 0 || !cells[i].Coord.sameStream(&cells[i-1].Coord) }
+	n := 0
+	for i := range cells {
+		if newStream(i) {
+			n += len(cells[i].Coord.appendGroupKey(tmp[:0], batchSize))
+		}
+	}
+	buf := make([]byte, 0, n)
+	for i := range cells {
+		if newStream(i) {
+			buf = cells[i].Coord.appendGroupKey(buf, batchSize)
+		}
+	}
+	all, key := string(buf), ""
+	for i := range cells {
+		if newStream(i) {
+			n := len(cells[i].Coord.appendGroupKey(tmp[:0], batchSize))
+			key, all = all[:n], all[n:]
+		}
+		cells[i].group = key
+	}
 }

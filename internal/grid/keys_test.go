@@ -82,7 +82,7 @@ func checkCellKeys(kind string, batchSize int, cells []Cell) error {
 		if c.Label != label {
 			return fmt.Errorf("cell %d label\n got  %q\n want %q", i, c.Label, label)
 		}
-		if got, want := co.groupKey(batchSize), referenceGroupKey(co.Bench, co.Budget, co.Seed, batchSize); got != want {
+		if got, want := c.group, referenceGroupKey(co.Bench, co.Budget, co.Seed, batchSize); got != want {
 			return fmt.Errorf("cell %d group key\n got  %q\n want %q", i, got, want)
 		}
 	}

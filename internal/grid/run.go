@@ -79,7 +79,7 @@ func Run(ctx context.Context, cfg Config, s Spec) (*Result, error) {
 func runCells(ctx context.Context, cfg Config, pool *runner.Runner, cells []Cell) ([]any, error) {
 	jobs := make([]runner.GroupJob[any], len(cells))
 	for i, c := range cells {
-		group := c.Coord.groupKey(cfg.BatchSize)
+		group := c.group
 		if cfg.NoFuse {
 			group = fmt.Sprintf("%s|cell%d", group, i)
 		}

@@ -33,7 +33,9 @@ type Config struct {
 	Workers int
 	// OnEvent, when non-nil, receives one event per job transition
 	// (start, done, cache hit, failure). It is called from worker
-	// goroutines and must be safe for concurrent use.
+	// goroutines and, for cells MapGroups serves from memory or the
+	// disk tier, from the goroutine that submitted them, so it must be
+	// safe for concurrent use.
 	OnEvent func(Event)
 	// Cache, when non-nil, is the second result tier behind the runner's
 	// in-memory map: a key that misses memory is looked up here before
@@ -314,10 +316,7 @@ func Map[T any](ctx context.Context, r *Runner, jobs []Job[T]) ([]T, error) {
 			}
 			vv, ok := v.(T)
 			if !ok {
-				// A cache key must determine its result type; a mismatch
-				// means two jobs share a key (or a persistent tier served
-				// a stale type) — fail loudly instead of panicking.
-				errs[i] = fmt.Errorf("runner: cached value for %q is %T, not the job's result type", job.Key, v)
+				errs[i] = typeErr(job.Key, v)
 				cancel()
 				return
 			}
@@ -334,9 +333,10 @@ func Map[T any](ctx context.Context, r *Runner, jobs []Job[T]) ([]T, error) {
 // do resolves one job through the cache: the first submission of a key
 // executes it, identical concurrent submissions wait for that execution,
 // and later submissions hit the stored result. typeOK, when non-nil,
-// validates a persistent-tier value's dynamic type for this job: a
-// stale-typed entry is recomputed (and overwritten by the write-back)
-// rather than served — the tier must never fail a job.
+// validates a cached value's dynamic type for this job: a stale-typed
+// persistent-tier entry is recomputed (and overwritten by the
+// write-back) rather than served — the tier must never fail a job —
+// while a stale-typed memory entry fails the job.
 func (r *Runner) do(ctx context.Context, key, label string, typeOK func(any) bool, fn func(context.Context) (any, error)) (any, error) {
 	r.submitted.Add(1)
 	mSubmitted.Inc()
@@ -383,18 +383,15 @@ func (r *Runner) do(ctx context.Context, key, label string, typeOK func(any) boo
 			return e.val, e.err
 		}
 		r.mu.Unlock()
-		resolvedAlready := false
-		select {
-		case <-e.done:
-			resolvedAlready = true
-		default:
+		coalesced := !e.resolved()
+		if coalesced {
+			select {
+			case <-e.done:
+			case <-ctx.Done():
+				return nil, ctx.Err()
+			}
 		}
-		select {
-		case <-e.done:
-		case <-ctx.Done():
-			return nil, ctx.Err()
-		}
-		if e.err != nil && isContextErr(e.err) {
+		if isContextErr(e.err) {
 			// The executor we waited on was cancelled; retry unless we
 			// are cancelled too. Nothing is counted for this round: the
 			// submission lands in exactly one stats bucket once it
@@ -404,22 +401,53 @@ func (r *Runner) do(ctx context.Context, key, label string, typeOK func(any) boo
 			}
 			continue
 		}
-		if resolvedAlready {
-			r.cacheHits.Add(1)
-			mCacheHits.Inc()
-		} else {
-			r.coalesced.Add(1)
-			mCoalesced.Inc()
-		}
-		if e.err != nil {
-			// A cached failure still surfaces in the progress stream;
-			// Failures counts failed executions, not their replays.
-			r.emit(Event{Kind: JobFailed, Key: key, Label: label, Err: e.err, Completed: r.completed.Load()})
-			return nil, e.err
-		}
-		r.emit(Event{Kind: JobCached, Key: key, Label: label, Completed: r.completed.Add(1)})
-		return e.val, nil
+		return r.serve(e, key, label, coalesced, typeOK)
 	}
+}
+
+// resolved reports whether e's outcome is final.
+func (e *entry) resolved() bool {
+	select {
+	case <-e.done:
+		return true
+	default:
+		return false
+	}
+}
+
+// serve settles one submission on the resolved entry e, which must not
+// hold a context error: it counts a cache hit, or a coalesced wait when
+// the submission waited for e's execution, emits the JobCached or
+// JobFailed event and returns e's outcome. A value typeOK rejects (nil
+// accepts any) is an error. Runner.do's hit branch and MapGroups'
+// inline hits and in-flight waits all settle here.
+func (r *Runner) serve(e *entry, key, label string, coalesced bool, typeOK func(any) bool) (any, error) {
+	if coalesced {
+		r.coalesced.Add(1)
+		mCoalesced.Inc()
+	} else {
+		r.cacheHits.Add(1)
+		mCacheHits.Inc()
+	}
+	if e.err != nil {
+		// A cached failure still surfaces in the progress stream;
+		// Failures counts failed executions, not their replays.
+		r.emit(Event{Kind: JobFailed, Key: key, Label: label, Err: e.err, Completed: r.completed.Load()})
+		return nil, e.err
+	}
+	if typeOK != nil && !typeOK(e.val) {
+		return nil, typeErr(key, e.val)
+	}
+	r.emit(Event{Kind: JobCached, Key: key, Label: label, Completed: r.completed.Add(1)})
+	return e.val, nil
+}
+
+// typeErr reports a cached value of the wrong type for its job. A cache
+// key must determine its result type, so a mismatch means two jobs share
+// a key (or a persistent tier served a stale type): fail loudly instead
+// of panicking.
+func typeErr(key string, v any) error {
+	return fmt.Errorf("runner: cached value for %q is %T, not the job's result type", key, v)
 }
 
 // execute runs fn on a worker slot.

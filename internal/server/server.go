@@ -31,6 +31,7 @@ import (
 	"net/url"
 	"strconv"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"dynloop/internal/expt"
@@ -516,12 +517,14 @@ func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
 		httpError(w, http.StatusInternalServerError, "streaming unsupported")
 		return
 	}
+	// Subscribe before the 200 goes out: a client that has the response
+	// headers is attached, so it sees every event published after that.
+	ch, cancel := s.hub.subscribe()
+	defer cancel()
 	w.Header().Set("Content-Type", "text/event-stream")
 	w.Header().Set("Cache-Control", "no-cache")
 	w.WriteHeader(http.StatusOK)
 	fl.Flush()
-	ch, cancel := s.hub.subscribe()
-	defer cancel()
 	enc := json.NewEncoder(w)
 	for {
 		select {
@@ -549,11 +552,17 @@ type hub struct {
 	subs   map[int]chan wire.Event
 	next   int
 	closed bool
+	// n mirrors len(subs), so publishing with no subscriber (every
+	// cached cell of a daemon nobody watches) takes no lock.
+	n atomic.Int32
 }
 
 func newHub() *hub { return &hub{subs: map[int]chan wire.Event{}} }
 
 func (h *hub) publish(ev runner.Event) {
+	if h.n.Load() == 0 {
+		return
+	}
 	wev := wire.Event{
 		Kind:      ev.Kind.String(),
 		Key:       ev.Key,
@@ -585,11 +594,13 @@ func (h *hub) subscribe() (<-chan wire.Event, func()) {
 		return ch, func() {}
 	}
 	h.subs[id] = ch
+	h.n.Add(1)
 	return ch, func() {
 		h.mu.Lock()
 		defer h.mu.Unlock()
 		if _, ok := h.subs[id]; ok {
 			delete(h.subs, id)
+			h.n.Add(-1)
 		}
 	}
 }
@@ -605,4 +616,5 @@ func (h *hub) close() {
 		close(ch)
 		delete(h.subs, id)
 	}
+	h.n.Store(0)
 }

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"net/http/httptest"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -199,16 +200,18 @@ func TestEventsStream(t *testing.T) {
 
 	var mu sync.Mutex
 	kinds := map[string]int{}
+	stream, err := c.Subscribe(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
 	streamDone := make(chan error, 1)
 	go func() {
-		streamDone <- c.Events(ctx, func(ev wire.Event) {
+		streamDone <- stream.Recv(func(ev wire.Event) {
 			mu.Lock()
 			kinds[ev.Kind]++
 			mu.Unlock()
 		})
 	}()
-	// Give the subscription a moment to attach before generating events.
-	time.Sleep(50 * time.Millisecond)
 	if _, err := c.Grid(ctx, testReq()); err != nil {
 		t.Fatal(err)
 	}
@@ -229,6 +232,76 @@ func TestEventsStream(t *testing.T) {
 	cancel()
 	if err := <-streamDone; err != nil {
 		t.Fatalf("event stream: %v", err)
+	}
+}
+
+// headerProbe is a ResponseWriter that calls onHeader when the handler
+// sends its status line.
+type headerProbe struct {
+	*httptest.ResponseRecorder
+	onHeader func()
+}
+
+func (p headerProbe) WriteHeader(code int) {
+	p.onHeader()
+	p.ResponseRecorder.WriteHeader(code)
+}
+
+// TestEventsStreamShortGrid: a one-cell grid sent as soon as Subscribe
+// returns reaches the stream whole, on its cold run (start, done) and
+// on its warm one (cached). A daemon that subscribed the stream only
+// after sending its response headers could lose them, so the test
+// first pins that the hub holds the subscriber before the 200 goes out.
+func TestEventsStreamShortGrid(t *testing.T) {
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	s, c := newTestDaemon(t, Config{Workers: 1})
+
+	subsAtHeader := int32(-1)
+	probe := headerProbe{httptest.NewRecorder(), func() { subsAtHeader = s.hub.n.Load() }}
+	done, stop := context.WithCancel(ctx)
+	stop() // the handler returns once it has attached and answered
+	s.handleEvents(probe, httptest.NewRequest("GET", "/v1/events", nil).WithContext(done))
+	if subsAtHeader != 1 {
+		t.Fatalf("the event stream had %d hub subscribers when its 200 went out, want 1", subsAtHeader)
+	}
+	stream, err := c.Subscribe(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Sized past the three events the test expects, so an unexpected
+	// extra event is buffered for the final check instead of blocking.
+	events := make(chan wire.Event, 16)
+	streamDone := make(chan error, 1)
+	go func() { streamDone <- stream.Recv(func(ev wire.Event) { events <- ev }) }()
+
+	req := wire.GridRequest{Spec: &grid.Spec{Kind: "table1", Benchmarks: []string{"swim"}}, Budget: 20_000}
+	for _, want := range [][]string{{"start", "done"}, {"cached"}} {
+		if _, err := c.Grid(ctx, req); err != nil {
+			t.Fatal(err)
+		}
+		for _, kind := range want {
+			select {
+			case ev := <-events:
+				if ev.Kind != kind {
+					t.Fatalf("event %+v, want kind %q", ev, kind)
+				}
+				if !strings.Contains(ev.Label, "swim") {
+					t.Fatalf("event %+v is not the grid's swim cell", ev)
+				}
+			case <-time.After(5 * time.Second):
+				t.Fatalf("no %q event for a one-cell grid sent right after Subscribe", kind)
+			}
+		}
+	}
+	cancel()
+	if err := <-streamDone; err != nil {
+		t.Fatalf("event stream: %v", err)
+	}
+	select {
+	case ev := <-events:
+		t.Fatalf("unexpected extra event %+v", ev)
+	default:
 	}
 }
 
