@@ -461,30 +461,23 @@ func BenchmarkSweepParallelism(b *testing.B) {
 	}
 }
 
-// BenchmarkSweepFusion is the A/B of the single-traversal refactor: the
-// full 360-cell sweep grid with every cell traversing its benchmark
-// alone (percell) vs cells fused per benchmark into one traversal
-// (fused). The fused/percell time ratio is the headline
-// BENCH_sweep.json tracks; a fresh runner per iteration keeps the cell
-// cache from short-circuiting the comparison.
+// BenchmarkSweepFusion measures the full 360-cell sweep grid with cells
+// fused per benchmark into one traversal. A fresh runner per iteration
+// keeps the cell cache from short-circuiting the measurement;
+// BENCH_sweep.json records the per-cell comparison it was built for.
 func BenchmarkSweepFusion(b *testing.B) {
-	for _, mode := range []struct {
-		name   string
-		noFuse bool
-	}{{"percell", true}, {"fused", false}} {
-		b.Run(mode.name, func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				cfg := expt.Config{Budget: benchBudget, Parallel: 1, NoFuse: mode.noFuse}
-				before := harness.Traversals()
-				if _, err := expt.Sweep(context.Background(), cfg, expt.SweepSpec{}); err != nil {
-					b.Fatal(err)
-				}
-				if i == b.N-1 {
-					b.ReportMetric(float64(harness.Traversals()-before), "traversals")
-				}
+	b.Run("fused", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			cfg := expt.Config{Budget: benchBudget, Parallel: 1}
+			before := harness.Traversals()
+			if _, err := expt.Sweep(context.Background(), cfg, expt.SweepSpec{}); err != nil {
+				b.Fatal(err)
 			}
-		})
-	}
+			if i == b.N-1 {
+				b.ReportMetric(float64(harness.Traversals()-before), "traversals")
+			}
+		}
+	})
 }
 
 // BenchmarkRunnerOverhead measures the orchestrator's per-job cost with

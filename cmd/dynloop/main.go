@@ -8,7 +8,7 @@
 //	dynloop run    -bench swim [-n 4000000] [-seed 1]
 //	dynloop spec   -bench swim [-tus 4] [-policy str3] [-n 4000000]
 //	dynloop data   -bench li [-n 4000000]
-//	dynloop analyze -bench swim [-passes stats,spec,data,branch,task,tables] [-shards K]
+//	dynloop analyze -bench swim [-passes stats,spec,data,branch,task,tables]
 //	dynloop disasm -bench perl [-max 80]
 //	dynloop experiment table1|table2|fig4|fig5|fig6|fig7|fig8|ablations|all
 //	                   [-n 4000000] [-bench a,b,c] [-seed 1] [-parallel N] [-progress]
@@ -117,7 +117,7 @@ commands:
   spec   -bench NAME [-tus K] [-policy idle|str|str1|str2|str3] [-n N]
                                      run the speculation model, print metrics
   data   -bench NAME [-n N]          run the Figure-8 data-speculation stats
-  analyze -bench NAME [-passes stats,spec,data,branch,task,tables] [-shards K]
+  analyze -bench NAME [-passes stats,spec,data,branch,task,tables]
                                      run several analyses as fused passes over
                                      ONE traversal of the benchmark's stream
   disasm -bench NAME [-max LINES]    disassemble the generated program
@@ -127,14 +127,12 @@ commands:
                                      baseline ablations all
   sweep  [-bench a,b,...] [-policy p1,p2,...] [-tus 2,4,...]
          [-n N] [-parallel N] [-progress] [-remote URL]
-         [-shards K] [-reference] [-fullplanes]
                                      run an arbitrary benchmark × policy × TUs
                                      grid through the parallel orchestrator,
                                      locally or on a dynloop serve daemon
   grid   -spec FILE | -name NAME | -list
          [-bench a,b,...] [-n N] [-seed N] [-parallel N] [-progress]
          [-store DIR] [-remote URL] [-format table|csv|json]
-         [-shards K] [-reference] [-fullplanes]
                                      execute a declarative grid spec — a JSON
                                      file sweeping any axes (benchmarks,
                                      budgets, seeds, CLS, TUs, policies,
@@ -339,7 +337,6 @@ func cmdAnalyze(args []string) error {
 		"comma-separated analyses to fuse (stats,spec,data,branch,task,tables)")
 	tus := fs.Int("tus", 4, "thread units for the spec pass")
 	polName := fs.String("policy", "str3", "speculation policy for the spec pass")
-	shards := fs.Int("shards", 0, "fan the passes across K goroutines (0/1 = inline)")
 	profile := profileFlags(fs)
 	if err := fs.Parse(args); err != nil {
 		return err
@@ -359,8 +356,8 @@ func cmdAnalyze(args []string) error {
 	}
 	var passes []dynloop.Pass
 	var printers []func()
-	for _, name := range strings.Split(*passNames, ",") {
-		switch strings.ToLower(strings.TrimSpace(name)) {
+	for _, name := range splitList(*passNames) {
+		switch strings.ToLower(name) {
 		case "stats":
 			stats := dynloop.NewLoopStats()
 			det := dynloop.NewObserverPass(0, stats)
@@ -438,7 +435,7 @@ func cmdAnalyze(args []string) error {
 			return fmt.Errorf("unknown pass %q (stats|spec|data|branch|task|tables)", name)
 		}
 	}
-	res, err := dynloop.MultiRun(u, dynloop.MultiRunConfig{Budget: *n, BatchSize: *batch, Shards: *shards}, passes...)
+	res, err := dynloop.MultiRun(u, dynloop.MultiRunConfig{Budget: *n, BatchSize: *batch}, passes...)
 	if err != nil {
 		return err
 	}
@@ -628,10 +625,8 @@ func cmdExperiment(ctx context.Context, args []string) error {
 		return err
 	}
 	defer o.close()
-	cfg := expt.Config{Budget: *n, Seed: *seed, BatchSize: *batch, Runner: o.runner, Traces: o.traces}
-	if *benches != "" {
-		cfg.Benchmarks = strings.Split(*benches, ",")
-	}
+	cfg := expt.Config{Budget: *n, Seed: *seed, BatchSize: *batch, Benchmarks: splitList(*benches),
+		Runner: o.runner, Traces: o.traces}
 	defer func() { printRunnerStats(cfg.Runner, *progress, *seed) }()
 	defer func() {
 		if err := stopProfile(); err != nil {
@@ -778,43 +773,31 @@ func cmdSweep(ctx context.Context, args []string) error {
 // grid a sweep renders.
 func sweepGrid(benches, policies, tus string) ([]string, dynloop.GridSpec, error) {
 	var sw expt.SweepSpec
-	if tus != "" {
-		for _, s := range strings.Split(tus, ",") {
-			k, err := strconv.Atoi(strings.TrimSpace(s))
-			if err != nil || k < 0 {
-				return nil, dynloop.GridSpec{}, fmt.Errorf("bad -tus entry %q", s)
-			}
-			sw.TUs = append(sw.TUs, k)
+	for _, s := range splitList(tus) {
+		k, err := strconv.Atoi(s)
+		if err != nil || k < 0 {
+			return nil, dynloop.GridSpec{}, fmt.Errorf("bad -tus entry %q", s)
 		}
+		sw.TUs = append(sw.TUs, k)
 	}
-	if policies != "" {
-		pols, err := expt.ParsePolicies(strings.Split(policies, ","))
+	if pl := splitList(policies); pl != nil {
+		pols, err := expt.ParsePolicies(pl)
 		if err != nil {
 			return nil, dynloop.GridSpec{}, err
 		}
 		sw.Policies = pols
 	}
-	var benchList []string
-	if benches != "" {
-		benchList = strings.Split(benches, ",")
-	}
-	return benchList, sw.GridSpec(), nil
+	return splitList(benches), sw.GridSpec(), nil
 }
 
 // gridRunFlags adds the flags sweep and grid share beyond their axes —
-// the orchestrator, delivery and profile flags — and returns the run
-// both commands end in: execute gs locally, or on the daemon at remote
-// when it is set, and print the render. name, when set, is the
-// registered grid gs came from. The delivery knobs (-shards,
-// -reference, -fullplanes) cannot change results (they are excluded
-// from cell keys; see grid.Config): they exist for A/B comparison and
-// smoke gating.
+// the orchestrator and profile flags — and returns the run both
+// commands end in: execute gs locally, or on the daemon at remote when
+// it is set, and print the render. name, when set, is the registered
+// grid gs came from.
 func gridRunFlags(fs *flag.FlagSet) func(ctx context.Context, cfg expt.Config, gs dynloop.GridSpec, name, remote string) error {
 	progress, mkRunner := parallelFlags(fs)
 	profile := profileFlags(fs)
-	shards := fs.Int("shards", 0, "fan each fused traversal's passes across K goroutines (0/1 = inline; results identical)")
-	reference := fs.Bool("reference", false, "force the reference interpreter path — no predecode, no fusion (results identical)")
-	fullPlanes := fs.Bool("fullplanes", false, "force full-Event delivery to control-plane consumers (results identical)")
 	return func(ctx context.Context, cfg expt.Config, gs dynloop.GridSpec, name, remote string) error {
 		if remote != "" {
 			return remoteGrid(ctx, remote, cfg, gs, name, *progress)
@@ -829,7 +812,6 @@ func gridRunFlags(fs *flag.FlagSet) func(ctx context.Context, cfg expt.Config, g
 		}
 		defer o.close()
 		cfg.Runner, cfg.Traces = o.runner, o.traces
-		cfg.Shards, cfg.Reference, cfg.FullPlanes = *shards, *reference, *fullPlanes
 		defer func() { printRunnerStats(cfg.Runner, *progress, cfg.Seed) }()
 		defer func() {
 			if err := stopProfile(); err != nil {
@@ -867,11 +849,7 @@ func cmdGrid(ctx context.Context, args []string) error {
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	var benchList []string
-	if *benches != "" {
-		benchList = strings.Split(*benches, ",")
-	}
-	cfg := expt.Config{Budget: *n, Seed: *seed, BatchSize: *batch, Benchmarks: benchList}
+	cfg := expt.Config{Budget: *n, Seed: *seed, BatchSize: *batch, Benchmarks: splitList(*benches)}
 
 	if *list {
 		return listGrids(ctx, *remote, cfg)
@@ -1067,8 +1045,6 @@ func mirrorEvents(ctx context.Context, c *client.Client) (stop func(), err error
 	}, nil
 }
 
-// cmdServe runs the grid-serving daemon until interrupted; Ctrl-C (or
-// SIGINT from a supervisor) shuts it down gracefully.
 // splitList splits a comma-separated flag value, trimming whitespace
 // and dropping empty elements.
 func splitList(s string) []string {
@@ -1081,6 +1057,8 @@ func splitList(s string) []string {
 	return out
 }
 
+// cmdServe runs the grid-serving daemon until interrupted; Ctrl-C (or
+// SIGINT from a supervisor) shuts it down gracefully.
 func cmdServe(ctx context.Context, args []string) error {
 	fs := flag.NewFlagSet("serve", flag.ExitOnError)
 	addr := fs.String("addr", "127.0.0.1:9090", "listen address")
@@ -1225,10 +1203,8 @@ func cmdTraceRecord(ctx context.Context, args []string) error {
 		return err
 	}
 	tr := harness.NewTraces(arch)
-	var names []string
-	if *benches != "" {
-		names = strings.Split(*benches, ",")
-	} else {
+	names := splitList(*benches)
+	if names == nil {
 		for _, bm := range dynloop.Benchmarks() {
 			names = append(names, bm.Name)
 		}

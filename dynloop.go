@@ -271,7 +271,10 @@ type (
 	// attached (NewObserverPass) and the branch-prediction baseline are
 	// passes; MultiRun broadcasts one traversal to any number of them.
 	Pass = trace.Pass
-	// MultiRunConfig parametrises MultiRun.
+	// MultiRunConfig parametrises MultiRun: the instruction budget and
+	// the event-batch size. Passes always run inline, in registration
+	// order, on the predecoded interpreter, and the producer delivers
+	// the narrowest event plane every pass accepts.
 	MultiRunConfig = harness.MultiConfig
 	// MultiRunResult reports what a fused run did.
 	MultiRunResult = harness.MultiResult

@@ -123,7 +123,7 @@ type Cell struct {
 	// run is set.
 	attach func(g *group) func() (any, error)
 	// run computes a composite cell that owns its own traversals (the
-	// oracle kind). Like attach, it takes its run settings (knobs,
+	// oracle kind). Like attach, it takes its run settings (batch size,
 	// archive) from the Config of the Run executing it, never from the
 	// compile's: compiled cells are shared across runs.
 	run func(ctx context.Context, cfg *Config, pool *runner.Runner) (any, error)
@@ -478,12 +478,10 @@ func specEngineCell(cfg *Config, bm *workload.Benchmark, coord Coord, ec spec.Co
 // The cell's budget, seed and CLS capacity come from its coordinates.
 func oracleRun(bm *workload.Benchmark, coord Coord) func(context.Context, *Config, *runner.Runner) (any, error) {
 	return func(ctx context.Context, cfg *Config, pool *runner.Runner) (any, error) {
-		mc := harness.MultiConfig{Budget: coord.Budget, BatchSize: cfg.BatchSize,
-			Shards: cfg.Shards, Reference: cfg.Reference, FullPlanes: cfg.FullPlanes}
+		mc := harness.MultiConfig{Budget: coord.Budget, BatchSize: cfg.BatchSize}
 		// Both traversals come from the first source that serves them
-		// (see harness.Traverse), so the second is always a replay
-		// unless a knob pins the interpreter. The unit is built lazily,
-		// and at most once.
+		// (see harness.Traverse), so the second is always a replay. The
+		// unit is built lazily, and at most once.
 		var u *builder.Unit
 		build := func() (*builder.Unit, error) {
 			if u != nil {

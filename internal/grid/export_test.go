@@ -1,6 +1,7 @@
 package grid
 
 import (
+	"context"
 	"reflect"
 	"strconv"
 	"strings"
@@ -24,6 +25,46 @@ func GroupPasses(cells ...Cell) (passes []trace.Pass, detectors, lets int, ok bo
 		lets += len(d.lets)
 	}
 	return g.passes, len(g.dets), lets, true
+}
+
+// RunPrivate is the oracle Run is checked against. Every fusable cell
+// runs its own traversal — its own group, so its own detectors and
+// LETs — on the reference interpreter with full-plane delivery;
+// composite cells run as Run runs them. Values return in cell order.
+func RunPrivate(ctx context.Context, cfg Config, s Spec) ([]any, error) {
+	cells, _, err := Compile(cfg, s)
+	if err != nil {
+		return nil, err
+	}
+	pool := cfg.pool()
+	values := make([]any, len(cells))
+	for i, c := range cells {
+		if c.attach == nil {
+			if values[i], err = c.run(ctx, &cfg, pool); err != nil {
+				return nil, err
+			}
+			continue
+		}
+		g := newGroup()
+		finish := c.attach(g)
+		u, err := c.bench.Build(c.Coord.Seed)
+		if err != nil {
+			return nil, err
+		}
+		cpu := u.NewCPU()
+		cpu.SetBatchSize(cfg.BatchSize)
+		cpu.SetReference(true)
+		b := trace.NewBroadcast(0, g.passes...)
+		b.Init()
+		if _, err := cpu.Run(c.Coord.Budget, trace.ForceFullPlane(b)); err != nil {
+			return nil, err
+		}
+		b.Finalize()
+		if values[i], err = finish(); err != nil {
+			return nil, err
+		}
+	}
+	return values, nil
 }
 
 // GroupDetectors returns how many detectors fused groups have built in

@@ -67,30 +67,6 @@ type Config struct {
 	// OnEvent streams per-job progress when the run builds its own
 	// runner. Ignored when Runner is set (configure it there instead).
 	OnEvent func(runner.Event)
-	// NoFuse disables traversal fusion: every cell runs its own private
-	// interpreter traversal, as the pre-fusion drivers did. Results are
-	// identical either way (each cell's pass owns its detector and
-	// tables, so fusion shares only the read-only event stream); the
-	// flag exists for the byte-identity regression tests and for A/B
-	// benchmarking the fusion win.
-	NoFuse bool
-	// Reference runs interpreted traversals on the interpreter's
-	// reference path (two-level switch, no predecode, no superinstruction
-	// fusion; see interp.CPU.SetReference). Like NoFuse it cannot change
-	// results — the two paths emit byte-identical streams, an equivalence
-	// the grid regression tests pin — so it stays out of the cell key.
-	Reference bool
-	// FullPlanes disables control-plane event delivery: producers fill
-	// full trace.Events even for traversals whose every pass is
-	// control-only (see trace.PlanesOf). Like Reference it cannot change
-	// results — the facet split is delivery-only, an equivalence the
-	// regression tests pin — so it stays out of the cell key.
-	FullPlanes bool
-	// Shards spreads each fused traversal's passes over that many
-	// goroutines (<= 1 delivers inline; see trace.Broadcast). Passes are
-	// independent, so sharding changes wall-clock only, never results —
-	// delivery-only like Reference, so it too stays out of the cell key.
-	Shards int
 	// Traces, when non-nil, is the replay tier: group executions that
 	// miss the memory cache and the disk store record their instruction
 	// stream into the trace archive on first interpretation, and every

@@ -50,16 +50,6 @@ func TestCellKeyCoversConfig(t *testing.T) {
 	if b := (Config{Budget: 100, Parallel: 8}).cellKey("spec", "swim", 4); b != a {
 		t.Fatalf("worker count leaked into the cell key: %q vs %q", b, a)
 	}
-	// Fusion must NOT change the key either: fused and per-cell runs
-	// compute the same cell.
-	if b := (Config{Budget: 100, NoFuse: true}).cellKey("spec", "swim", 4); b != a {
-		t.Fatalf("NoFuse leaked into the cell key: %q vs %q", b, a)
-	}
-	// Same for the interpreter's reference path: it emits byte-identical
-	// streams, so it names the same cell.
-	if b := (Config{Budget: 100, Reference: true}).cellKey("spec", "swim", 4); b != a {
-		t.Fatalf("Reference leaked into the cell key: %q vs %q", b, a)
-	}
 }
 
 // TestCellKeyDelimiterCollisions: the length-prefixed encoding keeps
@@ -280,38 +270,43 @@ func TestRunSeedAxisDecorrelates(t *testing.T) {
 	}
 }
 
-// TestReferencePathByteIdentical pins the equivalence the Reference
-// knob exists to expose: the predecoded+fused interpreter and the
-// reference two-level interpreter must produce byte-identical rendered
-// results for a grid spec, fused-run or not, at any parallelism.
+// TestReferencePathByteIdentical pins that the production path — cells
+// fused per group, predecoded interpreter, narrowest plane — renders
+// every registered grid byte-identically to RunPrivate, where each cell
+// traverses its stream alone on the reference interpreter and the full
+// plane, at 1 worker and at 8.
 func TestReferencePathByteIdentical(t *testing.T) {
 	ctx := context.Background()
-	spec := Spec{
-		Benchmarks: []string{"swim", "gcc"},
-		Seeds:      []uint64{1, 2},
-		TUs:        []int{2},
-		Policies:   []string{"str"},
-	}
-	render := func(cfg Config) string {
-		t.Helper()
-		res, err := Run(ctx, cfg, spec)
+	cfg := Config{Budget: 50_000, Benchmarks: []string{"m88ksim", "perl"}}
+	for _, name := range Names() {
+		e, _ := Lookup(name)
+		values, err := RunPrivate(ctx, cfg, e.Spec)
+		if err != nil {
+			t.Fatalf("%s private: %v", name, err)
+		}
+		res, err := ResultFrom(cfg, e.Spec, values)
+		if err != nil {
+			t.Fatalf("%s private: %v", name, err)
+		}
+		want, err := RenderResult(res)
 		if err != nil {
 			t.Fatal(err)
 		}
-		out, err := RenderLayout(res)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return out
-	}
-	base := render(Config{Budget: 50_000})
-	for i, cfg := range []Config{
-		{Budget: 50_000, Reference: true},
-		{Budget: 50_000, Reference: true, NoFuse: true},
-		{Budget: 50_000, Reference: true, Parallel: 8},
-	} {
-		if got := render(cfg); got != base {
-			t.Fatalf("variant %d: reference render differs from fused:\n%s\nvs\n%s", i, got, base)
+		for _, parallel := range []int{1, 8} {
+			c := cfg
+			c.Parallel = parallel
+			res, err := Run(ctx, c, e.Spec)
+			if err != nil {
+				t.Fatalf("%s parallel=%d: %v", name, parallel, err)
+			}
+			got, err := RenderResult(res)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got != want {
+				t.Fatalf("%s parallel=%d: fused render differs from the per-cell reference:\n%s\nvs\n%s",
+					name, parallel, got, want)
+			}
 		}
 	}
 }

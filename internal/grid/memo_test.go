@@ -17,7 +17,7 @@ import (
 // say how a grid runs, never which cells it has, so they stay out of
 // the memo key. Every other field must be a memo key field.
 var configNotCompiled = []string{
-	"Parallel", "Runner", "OnEvent", "NoFuse", "Reference", "FullPlanes", "Shards", "Traces",
+	"Parallel", "Runner", "OnEvent", "Traces",
 }
 
 // sameCells reports the first difference between two compiles of one
@@ -108,7 +108,7 @@ func TestCompileMemoHits(t *testing.T) {
 		t.Fatal(err)
 	}
 	cfg := serveCfg
-	cfg.Parallel, cfg.NoFuse, cfg.Reference, cfg.FullPlanes, cfg.Shards = 3, true, true, true, 2
+	cfg.Parallel, cfg.OnEvent = 3, func(runner.Event) {}
 	cfg.Runner = runner.New(runner.Config{Workers: 1})
 	again, _, err := grid.Compile(cfg, e.Spec)
 	if err != nil {

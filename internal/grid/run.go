@@ -37,8 +37,7 @@ func (r *Result) Value(i int) any { return r.Values[i] }
 // budget, seed) group: one unit build, one harness.MultiRun traversal
 // feeding all of the group's passes, then each cell's finish hook.
 // Composite kinds (oracle) run as plain jobs owning their traversals.
-// Values return in cell order, byte-identical at any worker count and
-// with fusion on or off.
+// Values return in cell order, byte-identical at any worker count.
 //
 // The runner is resolved exactly once per Run (see Config.Runner for
 // the sharing contract); pass a shared Runner to deduplicate cells
@@ -79,11 +78,7 @@ func Run(ctx context.Context, cfg Config, s Spec) (*Result, error) {
 func runCells(ctx context.Context, cfg Config, pool *runner.Runner, cells []Cell) ([]any, error) {
 	jobs := make([]runner.GroupJob[any], len(cells))
 	for i, c := range cells {
-		group := c.group
-		if cfg.NoFuse {
-			group = fmt.Sprintf("%s|cell%d", group, i)
-		}
-		jobs[i] = runner.GroupJob[any]{Key: c.Key, Group: group, Label: c.Label}
+		jobs[i] = runner.GroupJob[any]{Key: c.Key, Group: c.group, Label: c.Label}
 	}
 	exec := func(ctx context.Context, _ string, idx []int) ([]any, error) {
 		lead := cells[idx[0]]
@@ -92,8 +87,7 @@ func runCells(ctx context.Context, cfg Config, pool *runner.Runner, cells []Cell
 		for j, i := range idx {
 			finish[j] = cells[i].attach(g)
 		}
-		mc := harness.MultiConfig{Budget: lead.Coord.Budget, BatchSize: cfg.BatchSize,
-			Shards: cfg.Shards, Reference: cfg.Reference, FullPlanes: cfg.FullPlanes}
+		mc := harness.MultiConfig{Budget: lead.Coord.Budget, BatchSize: cfg.BatchSize}
 		build := func() (*builder.Unit, error) {
 			u, err := lead.bench.Build(lead.Coord.Seed)
 			if err != nil {

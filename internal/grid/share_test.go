@@ -10,11 +10,13 @@ import (
 	"dynloop/internal/trace"
 )
 
-// TestSharedMatchesPrivate pins that sharing a fused group's detectors
-// and LETs is exact: every registered grid, over every workload at two
-// seeds, computes the same values fused (one detector per CLS capacity
-// and plane, one LET per engine LET capacity) as with NoFuse, where
-// every cell is its own group with a detector and a LET of its own.
+// TestSharedMatchesPrivate pins that fusing cells is exact: every
+// registered grid, over every workload at two seeds, computes the same
+// values fused (one detector per CLS capacity and plane, one LET per
+// engine LET capacity, one predecoded traversal per group on the
+// narrowest plane) as RunPrivate, where every cell traverses its stream
+// alone, with a detector and a LET of its own, on the reference
+// interpreter and the full plane.
 func TestSharedMatchesPrivate(t *testing.T) {
 	if testing.Short() {
 		t.Skip("renders every registered grid twice at two seeds")
@@ -23,18 +25,21 @@ func TestSharedMatchesPrivate(t *testing.T) {
 	for _, seed := range []uint64{1, 1009} {
 		for _, name := range grid.Names() {
 			e, _ := grid.Lookup(name)
-			run := func(noFuse bool) []any {
-				cfg := grid.Config{Budget: 20_000, Seed: seed, NoFuse: noFuse, Parallel: 2}
-				res, err := grid.Run(ctx, cfg, e.Spec)
-				if err != nil {
-					t.Fatalf("%s seed %d noFuse=%v: %v", name, seed, noFuse, err)
-				}
-				return res.Values
+			cfg := grid.Config{Budget: 20_000, Seed: seed, Parallel: 2}
+			res, err := grid.Run(ctx, cfg, e.Spec)
+			if err != nil {
+				t.Fatalf("%s seed %d: %v", name, seed, err)
 			}
-			shared, private := run(false), run(true)
-			for i := range shared {
-				if !reflect.DeepEqual(shared[i], private[i]) {
-					t.Errorf("%s seed %d cell %d: shared %+v, private %+v", name, seed, i, shared[i], private[i])
+			private, err := grid.RunPrivate(ctx, cfg, e.Spec)
+			if err != nil {
+				t.Fatalf("%s seed %d private: %v", name, seed, err)
+			}
+			if len(private) != len(res.Values) {
+				t.Fatalf("%s seed %d: %d shared values, %d private", name, seed, len(res.Values), len(private))
+			}
+			for i := range res.Values {
+				if !reflect.DeepEqual(res.Values[i], private[i]) {
+					t.Errorf("%s seed %d cell %d: shared %+v, private %+v", name, seed, i, res.Values[i], private[i])
 					break
 				}
 			}

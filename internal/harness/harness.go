@@ -123,30 +123,6 @@ type MultiConfig struct {
 	// BatchSize is the event-batch size (0 selects
 	// interp.DefaultBatchSize). Results are identical at any setting.
 	BatchSize int
-	// Shards spreads the passes across that many goroutines, with a
-	// barrier per batch so the reusable buffer never escapes its epoch
-	// (see trace.Broadcast). <= 1 runs the passes inline. Passes are
-	// independent, so sharding changes wall-clock only, never results.
-	Shards int
-	// Reference selects the interpreter's reference path (two-level
-	// switch, no predecode, no fusion; see interp.CPU.SetReference).
-	// Streams and results are byte-identical to the default path; the
-	// knob exists so experiments can pin that equivalence end to end.
-	Reference bool
-	// FullPlanes disables control-plane delivery: the producer fills
-	// full trace.Events even when every pass is control-only (see
-	// trace.PlanesOf). Results are byte-identical either way — the knob
-	// exists so experiments can pin that equivalence end to end, like
-	// Reference.
-	FullPlanes bool
-}
-
-// sink wraps the broadcast per the config's facet knob.
-func (cfg *MultiConfig) sink(b *trace.Broadcast) trace.BatchConsumer {
-	if cfg.FullPlanes {
-		return trace.ForceFullPlane(b)
-	}
-	return b
 }
 
 // MultiResult reports what a fused run did.
@@ -170,14 +146,23 @@ func MultiRun(u *builder.Unit, cfg MultiConfig, passes ...trace.Pass) (MultiResu
 	mTraversals.Inc()
 	cpu := u.NewCPU()
 	cpu.SetBatchSize(cfg.BatchSize)
-	cpu.SetReference(cfg.Reference)
-	b := trace.NewBroadcast(cfg.Shards, passes...)
+	return fanOut(passes, func(b *trace.Broadcast) (uint64, bool, error) {
+		n, err := cpu.Run(cfg.Budget, b)
+		return n, cpu.Halted(), err
+	})
+}
+
+// fanOut runs one traversal of the passes over a broadcast: Init, then
+// feed (which delivers the stream to b and reports the instructions it
+// covered and whether the program halted), then Finalize unless feed
+// failed.
+func fanOut(passes []trace.Pass, feed func(b *trace.Broadcast) (uint64, bool, error)) (MultiResult, error) {
+	b := trace.NewBroadcast(0, passes...)
 	b.Init()
-	n, err := cpu.Run(cfg.Budget, cfg.sink(b))
+	n, halted, err := feed(b)
 	if err != nil {
-		b.Stop()
 		return MultiResult{Executed: n, Batches: b.Epochs()}, err
 	}
 	b.Finalize()
-	return MultiResult{Executed: n, Halted: cpu.Halted(), Batches: b.Epochs()}, nil
+	return MultiResult{Executed: n, Halted: halted, Batches: b.Epochs()}, nil
 }

@@ -143,21 +143,3 @@ func TestMultiRunMatchesSeparateRuns(t *testing.T) {
 		t.Fatal("no batches reported")
 	}
 }
-
-// TestMultiRunSharded: sharding the passes across goroutines changes
-// nothing observable.
-func TestMultiRunSharded(t *testing.T) {
-	u := unit(t)
-	run := func(shards int) (loopdet.Stats, loopdet.Stats) {
-		a, b := NewObserverPass(0), NewObserverPass(-1)
-		if _, err := MultiRun(u, MultiConfig{Shards: shards}, a, b); err != nil {
-			t.Fatal(err)
-		}
-		return a.Stats(), b.Stats()
-	}
-	a1, b1 := run(0)
-	a2, b2 := run(2)
-	if a1 != a2 || b1 != b2 {
-		t.Fatalf("sharded stats diverged: %+v/%+v vs %+v/%+v", a1, b1, a2, b2)
-	}
-}

@@ -118,14 +118,13 @@ const (
 //
 // Paths 2 and 3 record the branch outcomes of a control-only traversal
 // and, once it completes, publish the recording in recs for the
-// traversals after it. Reference and FullPlanes traversals neither
-// replay nor record, so those knobs keep pinning the interpreter. recs
-// may be nil. Results are byte-identical from every source.
+// traversals after it. recs may be nil. Results are byte-identical
+// from every source.
 func Traverse(ctx context.Context, recs *Recordings, tr *Traces, bench string, seed uint64,
 	build func() (*builder.Unit, error), cfg MultiConfig, passes ...trace.Pass) (MultiResult, Source, error) {
 
 	var recorder *interp.CtlRecorder
-	if recs != nil && !cfg.Reference && !cfg.FullPlanes && ctlOnly(passes) {
+	if recs != nil && ctlOnly(passes) {
 		if rec := recs.lookup(bench, seed); rec != nil && rec.CanServe(cfg.Budget) {
 			res, err := replayCtl(rec, cfg, passes)
 			return res, FromRecording, err
@@ -178,13 +177,7 @@ func ctlOnly(passes []trace.Pass) bool {
 
 // replayCtl feeds the passes from a control-plane recording.
 func replayCtl(rec *interp.CtlRecording, cfg MultiConfig, passes []trace.Pass) (MultiResult, error) {
-	b := trace.NewBroadcast(cfg.Shards, passes...)
-	b.Init()
-	n, halted, err := rec.Replay(cfg.Budget, cfg.BatchSize, b)
-	if err != nil {
-		b.Stop()
-		return MultiResult{Executed: n, Batches: b.Epochs()}, err
-	}
-	b.Finalize()
-	return MultiResult{Executed: n, Halted: halted, Batches: b.Epochs()}, nil
+	return fanOut(passes, func(b *trace.Broadcast) (uint64, bool, error) {
+		return rec.Replay(cfg.Budget, cfg.BatchSize, b)
+	})
 }

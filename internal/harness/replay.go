@@ -119,21 +119,19 @@ func (t *Traces) MultiRun(ctx context.Context, bench string, seed uint64,
 	mTraversals.Inc()
 	cpu := u.NewCPU()
 	cpu.SetBatchSize(cfg.BatchSize)
-	cpu.SetReference(cfg.Reference)
-	b := trace.NewBroadcast(cfg.Shards, passes...)
-	b.Init()
-	n, err := cpu.Run(cfg.Budget, trace.BatchTee{rec, b})
+	res, err := fanOut(passes, func(b *trace.Broadcast) (uint64, bool, error) {
+		n, err := cpu.Run(cfg.Budget, trace.BatchTee{rec, b})
+		return n, cpu.Halted(), err
+	})
 	if err != nil {
-		b.Stop()
 		rec.Abort()
-		return MultiResult{Executed: n, Batches: b.Epochs()}, false, err
+		return res, false, err
 	}
-	b.Finalize()
 	t.recorded.Add(1)
 	// A failed commit loses the recording but not the run: the passes
 	// already saw the live stream.
-	_ = rec.Commit(cpu.Halted())
-	return MultiResult{Executed: n, Halted: cpu.Halted(), Batches: b.Epochs()}, false, nil
+	_ = rec.Commit(res.Halted)
+	return res, false, nil
 }
 
 // replay feeds the passes from the recording, one batch per block.
@@ -146,13 +144,7 @@ func (t *Traces) replay(rec *tracefile.Recording, cfg MultiConfig, passes ...tra
 		d = &tracefile.Decoder{}
 	}
 	defer t.decoders.Put(d)
-	b := trace.NewBroadcast(cfg.Shards, passes...)
-	b.Init()
-	n, halted, err := rec.Replay(cfg.Budget, d, cfg.sink(b))
-	if err != nil {
-		b.Stop()
-		return MultiResult{Executed: n, Batches: b.Epochs()}, err
-	}
-	b.Finalize()
-	return MultiResult{Executed: n, Halted: halted, Batches: b.Epochs()}, nil
+	return fanOut(passes, func(b *trace.Broadcast) (uint64, bool, error) {
+		return rec.Replay(cfg.Budget, d, b)
+	})
 }

@@ -253,7 +253,6 @@ func TestCtlRecorderYieldsNothing(t *testing.T) {
 		if !errors.Is(err, interp.ErrPC) && !errors.Is(err, interp.ErrRetEmpty) && !errors.Is(err, interp.ErrCallDepth) {
 			t.Fatalf("%s: err = %v, want a machine error", p.Name, err)
 		}
-		b.Stop()
 		if r := rec.Recording(code, false); r != nil {
 			t.Errorf("%s: an aborted traversal produced a recording", p.Name)
 		}

@@ -1,7 +1,5 @@
 package trace
 
-import "sync"
-
 // Pass is one complete analysis lifecycle over an event stream: Init is
 // called once before the first batch of a traversal, ConsumeBatch for
 // every batch in stream order, Finalize once after the last batch. It is
@@ -97,17 +95,9 @@ func AsPass(c BatchConsumer) Pass {
 //
 // The producer owns the batch buffer and reuses it for the next batch as
 // soon as ConsumeBatch returns; each delivery is therefore one buffer
-// "epoch". Broadcast's contract is that it never lets an epoch escape:
-// ConsumeBatch returns — and the producer may overwrite the buffer —
-// only after every pass, on every shard, has finished consuming the
-// batch. With Shards <= 1 that is trivially true (passes run inline, in
-// registration order); with Shards > 1 each batch is a barrier: the
-// shard goroutines all consume the epoch concurrently (each pass still
-// sees every batch in stream order, on its home shard) and ConsumeBatch
-// blocks until the last shard is done. Epochs() counts deliveries.
-//
-// Passes never interact, so sharding changes wall-clock only, never
-// results. Init and Finalize always run inline in registration order.
+// "epoch". Passes run inline, in registration order, so ConsumeBatch
+// returns — and the producer may overwrite the buffer — only after every
+// pass has finished consuming the batch. Epochs() counts deliveries.
 //
 // Broadcast negotiates event facets for the whole fan-out: NeedPlanes
 // reports the union of the passes' needs, and when every pass is
@@ -115,40 +105,14 @@ func AsPass(c BatchConsumer) Pass {
 // batches through ConsumeCtlBatch instead of full Events.
 type Broadcast struct {
 	passes []Pass
-	shards [][]Pass
-	work   []chan shardEpoch
-	wg     sync.WaitGroup
 	epochs uint64
 }
 
-// shardEpoch is one delivery to a shard worker: a full-plane batch
-// (optionally with its segmentation indices) or, when ctlPlane is set,
-// a control-plane batch covering n instructions from first.
-type shardEpoch struct {
-	evs      []Event
-	ctl      []int32
-	seg      bool // ctl holds segmentation indices for evs
-	ctlPlane bool
-	ctlEvs   []CtlEvent
-	first, n uint64
-}
-
-// NewBroadcast returns a broadcast over the passes. shards <= 1 delivers
-// inline; shards > 1 spreads the passes round-robin over that many
-// goroutines (capped at the pass count), started by Init and stopped by
-// Finalize or Stop.
-func NewBroadcast(shards int, passes ...Pass) *Broadcast {
-	b := &Broadcast{passes: passes}
-	if shards > len(passes) {
-		shards = len(passes)
-	}
-	if shards > 1 {
-		b.shards = make([][]Pass, shards)
-		for i, p := range passes {
-			b.shards[i%shards] = append(b.shards[i%shards], p)
-		}
-	}
-	return b
+// NewBroadcast returns a broadcast over the passes. The int parameter
+// is ignored; it stays until the benchmark harness (perfbench), which
+// passes 0, drops the argument.
+func NewBroadcast(_ int, passes ...Pass) *Broadcast {
+	return &Broadcast{passes: passes}
 }
 
 // Epochs returns the number of batches delivered so far.
@@ -168,77 +132,34 @@ func (b *Broadcast) NeedPlanes() Planes {
 	return p
 }
 
-// Init initialises every pass in registration order, then starts the
-// shard workers (if sharded).
+// Init initialises every pass in registration order.
 func (b *Broadcast) Init() {
 	for _, p := range b.passes {
 		p.Init()
 	}
-	if b.shards == nil {
-		return
-	}
-	b.work = make([]chan shardEpoch, len(b.shards))
-	for i, shard := range b.shards {
-		ch := make(chan shardEpoch)
-		b.work[i] = ch
-		go func(shard []Pass, ch <-chan shardEpoch) {
-			for e := range ch {
-				switch {
-				case e.ctlPlane:
-					for _, p := range shard {
-						p.(CtlBatchConsumer).ConsumeCtlBatch(e.ctlEvs, e.first, e.n)
-					}
-				case e.seg:
-					for _, p := range shard {
-						if sp, ok := p.(SegmentedBatchConsumer); ok {
-							sp.ConsumeBatchSegmented(e.evs, e.ctl)
-							continue
-						}
-						p.ConsumeBatch(e.evs)
-					}
-				default:
-					for _, p := range shard {
-						p.ConsumeBatch(e.evs)
-					}
-				}
-				b.wg.Done()
-			}
-		}(shard, ch)
-	}
 }
 
-// ConsumeBatch delivers one epoch to every pass and returns once all of
-// them are done with it, so the producer may safely reuse the buffer.
+// ConsumeBatch delivers one epoch to every pass.
 func (b *Broadcast) ConsumeBatch(evs []Event) {
 	b.epochs++
-	if b.work == nil {
-		for _, p := range b.passes {
-			p.ConsumeBatch(evs)
-		}
-		return
+	for _, p := range b.passes {
+		p.ConsumeBatch(evs)
 	}
-	b.barrier(shardEpoch{evs: evs})
 }
 
 // ConsumeBatchSegmented delivers one epoch with its producer-computed
 // control-transfer indices. Passes that implement
 // SegmentedBatchConsumer receive the indices and skip their own kind
-// scan; other passes get a plain ConsumeBatch. Sharded delivery forwards
-// the indices to each shard worker — the batch barrier keeps the ctl
-// slice (reused by the producer, like evs) safe to share.
+// scan; other passes get a plain ConsumeBatch.
 func (b *Broadcast) ConsumeBatchSegmented(evs []Event, ctl []int32) {
 	b.epochs++
-	if b.work == nil {
-		for _, p := range b.passes {
-			if sp, ok := p.(SegmentedBatchConsumer); ok {
-				sp.ConsumeBatchSegmented(evs, ctl)
-				continue
-			}
-			p.ConsumeBatch(evs)
+	for _, p := range b.passes {
+		if sp, ok := p.(SegmentedBatchConsumer); ok {
+			sp.ConsumeBatchSegmented(evs, ctl)
+			continue
 		}
-		return
+		p.ConsumeBatch(evs)
 	}
-	b.barrier(shardEpoch{evs: evs, ctl: ctl, seg: true})
 }
 
 // ConsumeCtlBatch delivers one control-plane epoch. Producers call it
@@ -246,40 +167,14 @@ func (b *Broadcast) ConsumeBatchSegmented(evs []Event, ctl []int32) {
 // implements CtlBatchConsumer.
 func (b *Broadcast) ConsumeCtlBatch(evs []CtlEvent, first, n uint64) {
 	b.epochs++
-	if b.work == nil {
-		for _, p := range b.passes {
-			p.(CtlBatchConsumer).ConsumeCtlBatch(evs, first, n)
-		}
-		return
+	for _, p := range b.passes {
+		p.(CtlBatchConsumer).ConsumeCtlBatch(evs, first, n)
 	}
-	b.barrier(shardEpoch{ctlPlane: true, ctlEvs: evs, first: first, n: n})
 }
 
-// barrier sends one epoch to every shard worker and blocks until all of
-// them are done, so the producer may safely reuse its buffers.
-func (b *Broadcast) barrier(e shardEpoch) {
-	b.wg.Add(len(b.work))
-	for _, ch := range b.work {
-		ch <- e
-	}
-	b.wg.Wait()
-}
-
-// Finalize stops the shard workers and finalises every pass in
-// registration order.
+// Finalize finalises every pass in registration order.
 func (b *Broadcast) Finalize() {
-	b.Stop()
 	for _, p := range b.passes {
 		p.Finalize()
 	}
-}
-
-// Stop shuts the shard workers down without finalising the passes; use
-// it on the error path of an aborted traversal (Finalize calls it).
-// Calling Stop or Finalize more than once is safe.
-func (b *Broadcast) Stop() {
-	for _, ch := range b.work {
-		close(ch)
-	}
-	b.work = nil
 }

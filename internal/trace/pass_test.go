@@ -81,62 +81,6 @@ func TestBroadcastLifecycleOrder(t *testing.T) {
 	}
 }
 
-// TestBroadcastShardedEquivalence: sharded delivery sees exactly the
-// same events as inline delivery, for every pass, even when the producer
-// reuses one buffer across epochs — the per-batch barrier keeps the
-// epoch from escaping.
-func TestBroadcastShardedEquivalence(t *testing.T) {
-	in := isa.Instr{Kind: isa.KindNop}
-	run := func(shards int) []uint64 {
-		passes := make([]Pass, 5)
-		lps := make([]*lifecyclePass, 5)
-		for i := range passes {
-			lps[i] = &lifecyclePass{}
-			passes[i] = lps[i]
-		}
-		bc := NewBroadcast(shards, passes...)
-		bc.Init()
-		buf := make([]Event, 64) // one reusable buffer, like the interpreter's
-		pc := uint64(0)
-		for epoch := 0; epoch < 100; epoch++ {
-			for i := range buf {
-				pc++
-				buf[i] = Event{PC: isa.Addr(pc), Instr: &in}
-			}
-			bc.ConsumeBatch(buf)
-		}
-		bc.Finalize()
-		sums := make([]uint64, len(lps))
-		for i, p := range lps {
-			if p.inits != 1 || p.finals != 1 || p.batches != 100 {
-				t.Fatalf("shards=%d: pass %d lifecycle %+v", shards, i, p)
-			}
-			sums[i] = p.sum
-		}
-		return sums
-	}
-	inline := run(0)
-	for _, shards := range []int{2, 3, 8} {
-		sharded := run(shards)
-		for i := range inline {
-			if sharded[i] != inline[i] {
-				t.Fatalf("shards=%d: pass %d sum %d != inline %d", shards, i, sharded[i], inline[i])
-			}
-		}
-	}
-}
-
-// TestBroadcastStopIdempotent: Stop twice, or Stop then Finalize, must
-// not panic or double-finalise.
-func TestBroadcastStopIdempotent(t *testing.T) {
-	p := &lifecyclePass{}
-	bc := NewBroadcast(2, p, p)
-	bc.Init()
-	bc.Stop()
-	bc.Stop()
-	bc.Finalize()
-}
-
 // segPass counts segmented vs plain deliveries and copies the ctl
 // indices it receives.
 type segPass struct {
@@ -154,38 +98,33 @@ func (p *segPass) ConsumeBatchSegmented(evs []Event, ctl []int32) {
 }
 
 // TestBroadcastSegmentedDelivery: segmentation-capable passes receive
-// the producer's ctl indices and plain passes get ConsumeBatch — on the
-// inline path AND on the sharded path (the shard channels forward the
-// indices with the epoch; the per-batch barrier keeps the shared ctl
-// slice inside its epoch). AsPass must keep the segmented method visible
-// through its adapter.
+// the producer's ctl indices and plain passes get ConsumeBatch. AsPass
+// must keep the segmented method visible through its adapter.
 func TestBroadcastSegmentedDelivery(t *testing.T) {
 	in := isa.Instr{Kind: isa.KindNop}
 	evs := []Event{{PC: 1, Instr: &in}, {PC: 2, Instr: &in}, {PC: 3, Instr: &in}}
 	ctl := []int32{1}
 
-	for _, shards := range []int{0, 2} {
-		sp := &segPass{}
-		pp := &lifecyclePass{}
-		bc := NewBroadcast(shards, AsPass(sp), pp)
-		bc.Init()
-		bc.ConsumeBatchSegmented(evs, ctl)
-		bc.Finalize()
-		if sp.segBatches != 1 || sp.batches != 0 {
-			t.Fatalf("shards=%d: segmented pass got seg=%d plain=%d, want 1/0",
-				shards, sp.segBatches, sp.batches)
-		}
-		if len(sp.ctl) != 1 || sp.ctl[0] != 1 {
-			t.Fatalf("shards=%d: ctl = %v, want [1]", shards, sp.ctl)
-		}
-		if sp.sum != 6 {
-			t.Fatalf("shards=%d: sum = %d, want 6", shards, sp.sum)
-		}
-		if pp.batches != 1 {
-			t.Fatalf("shards=%d: plain pass got %d batches", shards, pp.batches)
-		}
-		if bc.Epochs() != 1 {
-			t.Fatalf("shards=%d: epochs = %d", shards, bc.Epochs())
-		}
+	sp := &segPass{}
+	pp := &lifecyclePass{}
+	bc := NewBroadcast(0, AsPass(sp), pp)
+	bc.Init()
+	bc.ConsumeBatchSegmented(evs, ctl)
+	bc.Finalize()
+	if sp.segBatches != 1 || sp.batches != 0 {
+		t.Fatalf("segmented pass got seg=%d plain=%d, want 1/0",
+			sp.segBatches, sp.batches)
+	}
+	if len(sp.ctl) != 1 || sp.ctl[0] != 1 {
+		t.Fatalf("ctl = %v, want [1]", sp.ctl)
+	}
+	if sp.sum != 6 {
+		t.Fatalf("sum = %d, want 6", sp.sum)
+	}
+	if pp.batches != 1 {
+		t.Fatalf("plain pass got %d batches", pp.batches)
+	}
+	if bc.Epochs() != 1 {
+		t.Fatalf("epochs = %d", bc.Epochs())
 	}
 }

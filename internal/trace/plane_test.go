@@ -165,45 +165,41 @@ func TestBroadcastPlaneNegotiation(t *testing.T) {
 }
 
 // TestBroadcastCtlDelivery: control-plane batches reach every pass with
-// the producer's covered span, inline and sharded, and the sharded path
-// is safe against the producer reusing its buffers (the batch barrier).
+// the producer's covered span, while the producer reuses one buffer
+// across epochs.
 func TestBroadcastCtlDelivery(t *testing.T) {
 	br := isa.Instr{Kind: isa.KindBranch}
-	run := func(shards int) (uint64, uint64) {
-		a, b := &ctlPass{}, &ctlPass{}
-		bc := NewBroadcast(shards, AsPass(a), AsPass(b))
-		if bc.NeedPlanes() != PlaneCtl {
-			t.Fatalf("shards=%d: planes = %v", shards, bc.NeedPlanes())
-		}
-		bc.Init()
-		buf := make([]CtlEvent, 32)
-		pc := uint64(0)
-		for epoch := 0; epoch < 50; epoch++ {
-			for i := range buf {
-				pc++
-				buf[i] = CtlEvent{Index: uint64(epoch*100 + i), PC: isa.Addr(pc), Instr: &br, Taken: i%2 == 0}
-			}
-			// Every other batch carries no transfer event at all.
-			bc.ConsumeCtlBatch(buf[:32*(epoch%2)], uint64(epoch*100), 100)
-		}
-		bc.Finalize()
-		if a.ctlBatches != 50 || b.ctlBatches != 50 || a.batches != 0 || a.segBatches != 0 {
-			t.Fatalf("shards=%d: a=%+v b=%+v", shards, a, b)
-		}
-		if len(a.ctlFirst) != 50 || a.ctlFirst[3] != 300 || a.ctlCovered != 5000 || b.ctlCovered != 5000 {
-			t.Fatalf("shards=%d: covered spans %v... total %d", shards, a.ctlFirst[:4], a.ctlCovered)
-		}
-		if bc.Epochs() != 50 {
-			t.Fatalf("shards=%d: epochs = %d", shards, bc.Epochs())
-		}
-		return a.ctlSum, b.ctlSum
+	a, b := &ctlPass{}, &ctlPass{}
+	bc := NewBroadcast(0, AsPass(a), AsPass(b))
+	if bc.NeedPlanes() != PlaneCtl {
+		t.Fatalf("planes = %v", bc.NeedPlanes())
 	}
-	ia, ib := run(0)
-	for _, shards := range []int{2, 3} {
-		sa, sb := run(shards)
-		if sa != ia || sb != ib {
-			t.Fatalf("shards=%d: sums %d/%d != inline %d/%d", shards, sa, sb, ia, ib)
+	bc.Init()
+	buf := make([]CtlEvent, 32)
+	pc, want := uint64(0), uint64(0)
+	for epoch := 0; epoch < 50; epoch++ {
+		for i := range buf {
+			pc++
+			buf[i] = CtlEvent{Index: uint64(epoch*100 + i), PC: isa.Addr(pc), Instr: &br, Taken: i%2 == 0}
+			if epoch%2 == 1 {
+				want += pc
+			}
 		}
+		// Every other batch carries no transfer event at all.
+		bc.ConsumeCtlBatch(buf[:32*(epoch%2)], uint64(epoch*100), 100)
+	}
+	bc.Finalize()
+	if a.ctlBatches != 50 || b.ctlBatches != 50 || a.batches != 0 || a.segBatches != 0 {
+		t.Fatalf("a=%+v b=%+v", a, b)
+	}
+	if len(a.ctlFirst) != 50 || a.ctlFirst[3] != 300 || a.ctlCovered != 5000 || b.ctlCovered != 5000 {
+		t.Fatalf("covered spans %v... total %d", a.ctlFirst[:4], a.ctlCovered)
+	}
+	if a.ctlSum != want || b.ctlSum != want {
+		t.Fatalf("ctl sums %d / %d, want %d", a.ctlSum, b.ctlSum, want)
+	}
+	if bc.Epochs() != 50 {
+		t.Fatalf("epochs = %d", bc.Epochs())
 	}
 }
 

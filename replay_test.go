@@ -114,11 +114,12 @@ func TestReplayEquivalenceAllGrids(t *testing.T) {
 }
 
 // TestPlaneEquivalenceAllGrids is the facet split's acceptance suite:
-// every registered grid renders byte-identically whether its ctl-only
-// traversals run on the control plane (the default), on forced
-// full-Event delivery, or on the reference interpreter — at 1 and 8
-// workers, with inline and sharded (4) broadcast delivery, interpreted
-// and replayed from the trace archive.
+// every registered grid renders byte-identically interpreted and
+// replayed from the trace archive, at 1 and 8 workers, with each
+// traversal on the narrowest plane its passes accept. The comparison
+// with forced full-Event delivery on the reference interpreter is
+// grid's TestReferencePathByteIdentical, at the same budget and
+// benchmarks.
 func TestPlaneEquivalenceAllGrids(t *testing.T) {
 	ctx := context.Background()
 	base := expt.Config{Budget: 50_000, Benchmarks: []string{"m88ksim", "perl"}}
@@ -153,30 +154,18 @@ func TestPlaneEquivalenceAllGrids(t *testing.T) {
 		}
 	}
 
-	// Reference renders: the two-level reference interpreter on forced
-	// full-plane delivery — no predecode, no fusion, no facet split.
-	refCfg := base
-	refCfg.Runner = runner.New(runner.Config{Workers: 4})
-	refCfg.Reference = true
-	refCfg.FullPlanes = true
-	ref := render(refCfg, "reference")
-
-	// Forced full-plane predecoded path.
-	fullCfg := base
-	fullCfg.Runner = runner.New(runner.Config{Workers: 4})
-	fullCfg.FullPlanes = true
-	compare(render(fullCfg, "full-plane"), ref, "full-plane")
-
-	// Control-plane (default) path, interpreted, across worker counts and
-	// broadcast shard counts.
+	// Interpreted, at 1 and 8 workers; the first is the reference.
+	var ref map[string]string
 	for _, parallel := range []int{1, 8} {
-		for _, shards := range []int{0, 4} {
-			cfg := base
-			cfg.Runner = runner.New(runner.Config{Workers: parallel})
-			cfg.Shards = shards
-			leg := fmt.Sprintf("interpreted parallel=%d shards=%d", parallel, shards)
-			compare(render(cfg, leg), ref, leg)
+		cfg := base
+		cfg.Runner = runner.New(runner.Config{Workers: parallel})
+		leg := fmt.Sprintf("interpreted parallel=%d", parallel)
+		got := render(cfg, leg)
+		if ref == nil {
+			ref = got
+			continue
 		}
+		compare(got, ref, leg)
 	}
 
 	// Replayed: one recording pass warms the archive, then every later
@@ -190,26 +179,16 @@ func TestPlaneEquivalenceAllGrids(t *testing.T) {
 		t.Fatalf("recording pass recorded nothing: %+v", st)
 	}
 	for _, parallel := range []int{1, 8} {
-		for _, shards := range []int{0, 4} {
-			cfg := base
-			cfg.Runner = runner.New(runner.Config{Workers: parallel})
-			cfg.Shards = shards
-			cfg.Traces = tr
-			leg := fmt.Sprintf("replayed parallel=%d shards=%d", parallel, shards)
-			before := tr.Stats().Replays
-			compare(render(cfg, leg), ref, leg)
-			if tr.Stats().Replays == before {
-				t.Fatalf("%s: no replays happened — comparison was not on the replay path", leg)
-			}
+		cfg := base
+		cfg.Runner = runner.New(runner.Config{Workers: parallel})
+		cfg.Traces = tr
+		leg := fmt.Sprintf("replayed parallel=%d", parallel)
+		before := tr.Stats().Replays
+		compare(render(cfg, leg), ref, leg)
+		if tr.Stats().Replays == before {
+			t.Fatalf("%s: no replays happened — comparison was not on the replay path", leg)
 		}
 	}
-	// And a replayed full-plane leg: the forced facet must not disturb
-	// the archive decoder either.
-	fullReplay := base
-	fullReplay.Runner = runner.New(runner.Config{Workers: 8})
-	fullReplay.Traces = tr
-	fullReplay.FullPlanes = true
-	compare(render(fullReplay, "replayed full-plane"), ref, "replayed full-plane")
 }
 
 // TestReplayTruncationEquivalence: one long recording serves every

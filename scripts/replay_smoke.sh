@@ -8,11 +8,7 @@
 # be served entirely by replay (zero records, nonzero replays) while
 # rendering byte-identical output — every leg that asserts replays in
 # its stderr log diffs the stdout render of that same invocation
-# against the interpreted reference. The warm archive is then rendered
-# once per delivery configuration (reference interpreter, forced
-# full-plane events, 4-way sharded broadcast) and each render must
-# stay byte-identical: the split-plane negotiation and the sharded
-# segment forwarding may never change results. Finishes with the trace
+# against the interpreted reference. Finishes with the trace
 # subcommands:
 # `trace record` reports already-archived benchmarks as replayed,
 # `trace ls` lists the recordings, and `trace verify` replays every
@@ -61,19 +57,6 @@ echo "replay_smoke: fresh store, warm archive — replay only"
 cmp "$WORK/ref-sweep.txt" "$WORK/warm-sweep.txt" || fail "replayed sweep differs from interpreted run"
 grep -E '[1-9][0-9]* trace replays, 0 trace records' "$WORK/warm.log" >/dev/null \
   || fail "warm-archive run did not replay everything: $(cat "$WORK/warm.log")"
-
-echo "replay_smoke: delivery configurations over the warm archive"
-# Same work, three delivery-only knobs: each run must still be served
-# by replay alone AND render the exact interpreted bytes.
-for leg in "-reference" "-fullplanes" "-shards 4"; do
-  # shellcheck disable=SC2086
-  "$BIN" sweep "${SWEEP_ARGS[@]}" $leg -traces "$TRACES" -parallel 4 -progress \
-    >"$WORK/leg-sweep.txt" 2>"$WORK/leg.log"
-  cmp "$WORK/ref-sweep.txt" "$WORK/leg-sweep.txt" \
-    || fail "replayed sweep with $leg differs from interpreted run"
-  grep -E '[1-9][0-9]* trace replays, 0 trace records' "$WORK/leg.log" >/dev/null \
-    || fail "sweep with $leg was not served by replay: $(cat "$WORK/leg.log")"
-done
 
 echo "replay_smoke: grid over the archive"
 # The grid adds seed 2, which the sweep never recorded: the first pass
