@@ -116,7 +116,12 @@ type (
 
 // Speculation engine (§3).
 type (
-	// Engine is the thread-speculation machine model.
+	// Engine is the thread-speculation machine model of one
+	// configuration: a detector observer (a count observer) with a
+	// private LET. It is a one-lane spec.Bank, the structure the
+	// experiment grids use to run every configuration that observes one
+	// detector through one LET as lanes of a single observer; both
+	// compute the same Metrics.
 	Engine = spec.Engine
 	// EngineConfig parametrises an Engine.
 	EngineConfig = spec.Config
@@ -319,7 +324,8 @@ func NewTableTracker(letCapacity, litCapacity int) *TableTracker {
 	return looptab.NewTracker(letCapacity, litCapacity)
 }
 
-// NewEngine returns a speculation engine.
+// NewEngine returns a speculation engine with a private LET of
+// cfg.LETCapacity entries; attach it to a detector.
 func NewEngine(cfg EngineConfig) *Engine { return spec.NewEngine(cfg) }
 
 // NewDataStats returns a Figure-8 data-speculation collector.

@@ -12,7 +12,9 @@
 //	payload          — the type's own varint/float64-bits encoding
 //
 // Result types register themselves (kind, version, append func, decode
-// func) at init time; see internal/expt's codec registrations. Decoding
+// func) at init time; see internal/grid's codec registrations. The
+// registry is read without a lock, so registering after the first
+// lookup panics. Decoding
 // a frame whose kind is unknown fails with ErrUnknownKind, a version
 // mismatch fails with ErrVersionSkew, and a malformed payload fails
 // with ErrCorrupt — never a panic, never a partial value. Version skew
@@ -27,7 +29,7 @@ import (
 	"fmt"
 	"math"
 	"reflect"
-	"sync"
+	"sync/atomic"
 )
 
 // Kind identifies a registered result type inside a frame.
@@ -56,21 +58,40 @@ type registration struct {
 }
 
 var (
-	regMu     sync.RWMutex
 	byKind    = map[Kind]*registration{}
 	byType    = map[reflect.Type]*registration{}
 	kindNames = map[string]Kind{}
+	// looked is set by the first lookup; from then on the registry is
+	// frozen, so lookups need no lock.
+	looked atomic.Bool
 )
+
+// lookup returns v's registration, freezing the registry.
+func lookup(v any) (*registration, bool) {
+	freeze()
+	r, ok := byType[reflect.TypeOf(v)]
+	return r, ok
+}
+
+// freeze marks the registry as read: Register panics from now on.
+func freeze() {
+	if !looked.Load() {
+		looked.Store(true)
+	}
+}
 
 // Register binds kind to T with the given schema version. app must
 // write every field T's result depends on; dec must read them back in
 // the same order through the cursor (returning the zero T once the
 // cursor has erred is fine — Decode surfaces the cursor error). name is
 // a stable diagnostic label. Register panics on a duplicate kind, name
-// or type: registrations are init-time wiring, not runtime input.
+// or type, and once any Append, Decode or Registered has run:
+// registrations are init-time wiring, not runtime input, and the
+// registry is read without a lock.
 func Register[T any](kind Kind, version uint64, name string, app func(*Enc, T), dec func(*Dec) T) {
-	regMu.Lock()
-	defer regMu.Unlock()
+	if looked.Load() {
+		panic(fmt.Sprintf("codec: %q registered after the registry was first read", name))
+	}
 	t := reflect.TypeOf((*T)(nil)).Elem()
 	if prev, ok := byKind[kind]; ok {
 		panic(fmt.Sprintf("codec: kind %d already registered as %q", kind, prev.name))
@@ -96,9 +117,7 @@ func Register[T any](kind Kind, version uint64, name string, app func(*Enc, T), 
 // Registered reports whether v's dynamic type has a registration, and
 // under which kind.
 func Registered(v any) (Kind, bool) {
-	regMu.RLock()
-	defer regMu.RUnlock()
-	r, ok := byType[reflect.TypeOf(v)]
+	r, ok := lookup(v)
 	if !ok {
 		return 0, false
 	}
@@ -112,9 +131,7 @@ func Encode(v any) ([]byte, error) {
 
 // Append frames v onto b.
 func Append(b []byte, v any) ([]byte, error) {
-	regMu.RLock()
-	r, ok := byType[reflect.TypeOf(v)]
-	regMu.RUnlock()
+	r, ok := lookup(v)
 	if !ok {
 		return nil, fmt.Errorf("%w: %T", ErrUnregistered, v)
 	}
@@ -140,9 +157,8 @@ func Decode(b []byte) (any, error) {
 		// silently alias kind k.
 		return nil, fmt.Errorf("%w: kind %d", ErrUnknownKind, kind)
 	}
-	regMu.RLock()
+	freeze()
 	r, ok := byKind[Kind(kind)]
-	regMu.RUnlock()
 	if !ok {
 		return nil, fmt.Errorf("%w: kind %d", ErrUnknownKind, kind)
 	}

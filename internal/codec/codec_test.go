@@ -171,3 +171,24 @@ func FuzzDecode(f *testing.F) {
 		}
 	})
 }
+
+// lateResult is registered only by TestRegisterAfterLookupPanics.
+type lateResult struct{}
+
+// TestRegisterAfterLookupPanics: lookups read the registry without a
+// lock, so registering once it has been read must fail loudly and leave
+// the registry as it was.
+func TestRegisterAfterLookupPanics(t *testing.T) {
+	if _, ok := Registered(testResult{}); !ok {
+		t.Fatal("testResult is not registered")
+	}
+	defer func() {
+		if recover() == nil {
+			t.Fatal("Register after a lookup did not panic")
+		}
+		if _, ok := Registered(lateResult{}); ok {
+			t.Fatal("the late registration took effect")
+		}
+	}()
+	Register(1002, 1, "codec-late", func(*Enc, lateResult) {}, func(*Dec) lateResult { return lateResult{} })
+}

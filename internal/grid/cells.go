@@ -453,9 +453,8 @@ func (x *expansion) appendKindCells(cells []Cell, bm *workload.Benchmark, cfg *C
 // submitted by different grids on a shared Runner are computed once.
 // The key holds the policy under its canonical name (coord.Policy) and
 // the nest rule as its number, as %v has always printed them. The
-// cell's engine observes its group's detector for the cell's CLS
-// capacity and predicts from that detector's LET of its LET capacity,
-// which every such engine of the group shares (see group).
+// cell's engine is a lane of the bank of its LET capacity on its
+// group's detector for the cell's CLS capacity (see group).
 func specEngineCell(cfg *Config, bm *workload.Benchmark, coord Coord, ec spec.Config) Cell {
 	cls := coord.CLS
 	return Cell{
@@ -502,11 +501,11 @@ func oracleRun(bm *workload.Benchmark, coord Coord) func(context.Context, *Confi
 		if err := traverse(rec); err != nil {
 			return OracleRow{}, err
 		}
-		// Both engines observe one detector, each with the private LET
-		// NewEngine gives it.
-		str := spec.NewEngine(spec.Config{TUs: 4, Policy: spec.STR()})
-		oracle := spec.NewEngine(spec.Config{TUs: 4, Policy: spec.STR(), OracleIters: rec.Counts()})
-		if err := traverse(str, oracle); err != nil {
+		// Both engines are lanes of one bank, sharing its LET.
+		bank := spec.NewBank(0)
+		str := bank.Add(spec.Config{TUs: 4, Policy: spec.STR()})
+		oracle := bank.Add(spec.Config{TUs: 4, Policy: spec.STR(), OracleIters: rec.Counts()})
+		if err := traverse(bank); err != nil {
 			return OracleRow{}, err
 		}
 		mS, mO := str.Metrics(), oracle.Metrics()

@@ -10,10 +10,10 @@ import (
 )
 
 // GroupPasses builds the pass set of one fused group holding cells, as
-// runCells builds it, and reports how many detectors and shared LETs it
-// holds; ok is false when a cell is composite (it owns its traversals
-// instead).
-func GroupPasses(cells ...Cell) (passes []trace.Pass, detectors, lets int, ok bool) {
+// runCells builds it, and reports how many detectors and engine banks
+// it holds; ok is false when a cell is composite (it owns its
+// traversals instead).
+func GroupPasses(cells ...Cell) (passes []trace.Pass, detectors, banks int, ok bool) {
 	g := newGroup()
 	for _, c := range cells {
 		if c.attach == nil {
@@ -22,14 +22,14 @@ func GroupPasses(cells ...Cell) (passes []trace.Pass, detectors, lets int, ok bo
 		c.attach(g)
 	}
 	for _, d := range g.dets {
-		lets += len(d.lets)
+		banks += len(d.banks)
 	}
-	return g.passes, len(g.dets), lets, true
+	return g.passes, len(g.dets), banks, true
 }
 
 // RunPrivate is the oracle Run is checked against. Every fusable cell
 // runs its own traversal — its own group, so its own detectors and
-// LETs — on the reference interpreter with full-plane delivery;
+// banks — on the reference interpreter with full-plane delivery;
 // composite cells run as Run runs them. Values return in cell order.
 func RunPrivate(ctx context.Context, cfg Config, s Spec) ([]any, error) {
 	cells, _, err := Compile(cfg, s)
@@ -70,6 +70,10 @@ func RunPrivate(ctx context.Context, cfg Config, s Spec) ([]any, error) {
 // GroupDetectors returns how many detectors fused groups have built in
 // this process.
 func GroupDetectors() uint64 { return groupDetectors.Load() }
+
+// GroupBanks returns how many engine banks fused groups have built in
+// this process.
+func GroupBanks() uint64 { return groupBanks.Load() }
 
 // CheckCellKeys compares every cell's key, label and group key with
 // the reference formulas (see checkCellKeys).

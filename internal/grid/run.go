@@ -8,7 +8,6 @@ import (
 	"dynloop/internal/builder"
 	"dynloop/internal/harness"
 	"dynloop/internal/loopdet"
-	"dynloop/internal/looptab"
 	"dynloop/internal/runner"
 	"dynloop/internal/spec"
 	"dynloop/internal/trace"
@@ -175,21 +174,22 @@ func kindTypeCheck(kind string) func(any) bool {
 	}
 }
 
-// groupDetectors counts the detectors fused groups have built, process
-// wide, so tests can pin how many a render needs.
-var groupDetectors atomic.Uint64
+// groupDetectors and groupBanks count the detectors and engine banks
+// fused groups have built, process wide, so tests can pin how many a
+// render needs.
+var groupDetectors, groupBanks atomic.Uint64
 
 // group is the pass set of one fused traversal, built by its cells'
 // attach hooks. Cells do not own detectors: the group builds one per
 // resolved CLS capacity and event plane, on first use, and every cell
 // observing through that CLS shares it. The speculation engines on one
-// detector that agree on the LET capacity share one LET, kept current
-// by one looptab.LETFeeder. Both are exact. A detector's events depend
-// only on the stream and its capacity (grid detectors never flush
-// periodically), and observers never mutate an Exec, so each observer
-// sees what a private detector would show it. An engine's LET depends
-// only on those events and its capacity, and the engine reads it only
-// through PredictIters, which leaves the LRU order alone.
+// detector that agree on the LET capacity are lanes of one spec.Bank,
+// which keeps one LET for all of them. Both are exact. A detector's
+// events depend only on the stream and its capacity (grid detectors
+// never flush periodically), and observers never mutate an Exec, so
+// each observer sees what a private detector would show it. An
+// engine's LET depends only on those events and its capacity, and a
+// lane computes what an engine of its own would.
 type group struct {
 	dets   []groupDet
 	passes []trace.Pass // detectors and detector-free passes, in creation order
@@ -199,13 +199,13 @@ type group struct {
 	passBuf [1]trace.Pass
 }
 
-// groupDet is one of a group's detectors with the LETs its engines
-// share.
+// groupDet is one of a group's detectors with its engine banks, one per
+// LET capacity.
 type groupDet struct {
 	capacity int  // resolved CLS capacity
 	stream   bool // full event plane: a stream observer is attached
 	det      *loopdet.Detector
-	lets     []*looptab.LET
+	banks    []*spec.Bank
 }
 
 func newGroup() *group {
@@ -244,27 +244,21 @@ func (g *group) observe(cls int, o loopdet.Observer) {
 	g.detector(cls, stream).AddObserver(o)
 }
 
-// engine attaches a speculation engine for ec to the group's detector
-// for CLS capacity cls. It predicts from the detector's LET of
-// ec.LETCapacity entries, which the group creates, with its feeder, for
-// the first such engine. ec must not carry oracle counts.
-func (g *group) engine(cls int, ec spec.Config) *spec.Engine {
+// engine adds a speculation engine for ec as a lane of the bank of
+// ec.LETCapacity on the group's detector for CLS capacity cls, creating
+// and attaching the bank for the first such engine.
+func (g *group) engine(cls int, ec spec.Config) spec.Lane {
 	d := g.slot(cls, false)
-	var let *looptab.LET
-	for _, l := range d.lets {
-		if l.Capacity() == ec.LETCapacity {
-			let = l
-			break
+	for _, b := range d.banks {
+		if b.LETCapacity() == ec.LETCapacity {
+			return b.Add(ec)
 		}
 	}
-	if let == nil {
-		let = looptab.NewLET(ec.LETCapacity)
-		d.lets = append(d.lets, let)
-		d.det.AddObserver(&looptab.LETFeeder{LET: let})
-	}
-	e := spec.NewSharedEngine(ec, let)
-	d.det.AddObserver(e)
-	return e
+	b := spec.NewBank(ec.LETCapacity)
+	groupBanks.Add(1)
+	d.banks = append(d.banks, b)
+	d.det.AddObserver(b)
+	return b.Add(ec)
 }
 
 // add schedules a pass that needs no detector, such as the branch

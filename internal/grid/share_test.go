@@ -12,10 +12,10 @@ import (
 
 // TestSharedMatchesPrivate pins that fusing cells is exact: every
 // registered grid, over every workload at two seeds, computes the same
-// values fused (one detector per CLS capacity and plane, one LET per
-// engine LET capacity, one predecoded traversal per group on the
+// values fused (one detector per CLS capacity and plane, one engine
+// bank per LET capacity, one predecoded traversal per group on the
 // narrowest plane) as RunPrivate, where every cell traverses its stream
-// alone, with a detector and a LET of its own, on the reference
+// alone, with a detector and an engine of its own, on the reference
 // interpreter and the full plane.
 func TestSharedMatchesPrivate(t *testing.T) {
 	if testing.Short() {
@@ -56,9 +56,20 @@ func TestSharedMatchesPrivate(t *testing.T) {
 // from Figure 6's and 7's.
 const renderGroupDetectors = 17 * 18
 
-// TestGroupDetectorCounts pins how many detectors and LETs fused groups
-// build: one of each for a Figure 7 group, one per resolved capacity
-// when cells sweep the CLS, and renderGroupDetectors for a whole render.
+// renderGroupBanks is how many engine banks those groups build: 15 per
+// workload, one per (detector, LET capacity) that carries engines.
+// Figure 5 has two (full and quarter budget), Figures 6 and 7, the
+// task-prediction baseline, the nest-rule and the exclusion ablations
+// one each, the CLS ablation one per capacity (4) and the LET ablation
+// one per LET capacity whose cell is not already cached (4). Each grid
+// runs its own groups, so Figure 6's and 7's engines, for instance, are
+// two banks on two detectors.
+const renderGroupBanks = 15 * 18
+
+// TestGroupDetectorCounts pins how many detectors and engine banks fused
+// groups build: one of each for a Figure 7 group, one detector per
+// resolved capacity when cells sweep the CLS, and renderGroupDetectors
+// and renderGroupBanks for a whole render.
 func TestGroupDetectorCounts(t *testing.T) {
 	compile := func(name string, s grid.Spec) []grid.Cell {
 		t.Helper()
@@ -71,8 +82,8 @@ func TestGroupDetectorCounts(t *testing.T) {
 	}
 	fig7, _ := grid.Lookup("fig7")
 	cells := compile("fig7", fig7.Spec)
-	if _, dets, lets, _ := grid.GroupPasses(cells...); dets != 1 || lets != 1 || len(cells) < 2 {
-		t.Errorf("fig7 group of %d cells: %d detectors and %d LETs, want 1 and 1", len(cells), dets, lets)
+	if _, dets, banks, _ := grid.GroupPasses(cells...); dets != 1 || banks != 1 || len(cells) < 2 {
+		t.Errorf("fig7 group of %d cells: %d detectors and %d banks, want 1 and 1", len(cells), dets, banks)
 	}
 	// Capacity 0 is the default 16; -1 is unbounded.
 	cells = compile("clssize", grid.Spec{Kind: "clssize", CLS: []int{0, 16, -1, 2}})
@@ -85,11 +96,14 @@ func TestGroupDetectorCounts(t *testing.T) {
 		t.Errorf("fig8 group: %d detectors, planes %v; want one full-plane detector", dets, trace.PlanesOf(passes[0]))
 	}
 
-	before := grid.GroupDetectors()
+	detsBefore, banksBefore := grid.GroupDetectors(), grid.GroupBanks()
 	if _, err := expt.All(context.Background(), expt.Config{Budget: 1000, Parallel: 2}); err != nil {
 		t.Fatal(err)
 	}
-	if got := grid.GroupDetectors() - before; got != renderGroupDetectors {
+	if got := grid.GroupDetectors() - detsBefore; got != renderGroupDetectors {
 		t.Errorf("a render built %d group detectors, want %d", got, renderGroupDetectors)
+	}
+	if got := grid.GroupBanks() - banksBefore; got != renderGroupBanks {
+		t.Errorf("a render built %d engine banks, want %d", got, renderGroupBanks)
 	}
 }

@@ -67,8 +67,8 @@ func TestExecRecyclingRandomPrograms(t *testing.T) {
 }
 
 // TestSharedDetectorSequence: an observer sees the same event sequence
-// on a detector it shares with speculation engines (one on a shared
-// LET), LET/LIT trackers, Table-1, next-task and data-speculation
+// on a detector it shares with speculation engines (an engine and a
+// two-lane bank), LET/LIT trackers, Table-1, next-task and data-speculation
 // collectors as on a detector of its own — the contract that lets a
 // fused group's cells share one CLS. The shared detector runs on the
 // full event plane (the data-speculation collector reads it) and the
@@ -82,18 +82,18 @@ func TestSharedDetectorSequence(t *testing.T) {
 		for _, c := range recycleCapacities {
 			private := checkRecycling(t, bm.Name, u, 100_000, c)
 
-			let := looptab.NewLET(0)
+			bank := spec.NewBank(0)
+			bank.Add(spec.Config{TUs: 8, Policy: spec.STR()})
+			bank.Add(spec.Config{TUs: 2, Policy: spec.Idle()})
 			shared := loopdet.NewAliasCheck()
 			observers := []loopdet.Observer{
 				spec.NewEngine(spec.Config{TUs: 4, Policy: spec.STRn(3)}),
-				&looptab.LETFeeder{LET: let},
-				spec.NewSharedEngine(spec.Config{TUs: 8, Policy: spec.STR()}, let),
+				bank,
 				shared,
 				looptab.NewTracker(4, 4),
 				loopstats.NewCollector(),
 				taskpred.New(taskpred.Config{}),
 				datapred.NewCollector(datapred.Config{}),
-				spec.NewSharedEngine(spec.Config{TUs: 2, Policy: spec.Idle()}, let),
 			}
 			if _, err := harness.Run(u, harness.Config{Budget: 100_000, CLSCapacity: c}, observers...); err != nil {
 				t.Fatal(err)

@@ -26,18 +26,6 @@ type LET struct {
 	// nested inside cand.
 	InhibitInsert func(victim, cand isa.Addr) bool
 	inhibited     uint64
-	// memo is PredictIters' last answer, for memoT; it is valid until
-	// the next update. Engines sharing the LET all ask about the same
-	// loop when its iteration starts, so one lookup serves them all.
-	memo      prediction
-	memoT     isa.Addr
-	memoValid bool
-}
-
-// prediction is one PredictIters answer.
-type prediction struct {
-	n  int64
-	ok bool
 }
 
 // NewLET returns a LET with the given capacity (0 = unbounded).
@@ -50,24 +38,55 @@ func NewLET(capacity int) *LET {
 // executions since insertion), recency is updated, and an absent entry is
 // inserted.
 func (l *LET) OnExecStart(t isa.Addr) (hit bool) {
-	l.memoValid = false
+	hit, _ = l.start(t)
+	return hit
+}
+
+// LETSlot is a handle on one loop's LET entry, from StartExec. It spares
+// PredictSlot and EndExec their table lookup until the LET next evicts
+// an entry (a full table reuses the evicted entry's storage); after
+// that they look the loop up again.
+type LETSlot struct {
+	t         isa.Addr
+	e         *letEntry
+	evictions uint64
+}
+
+// StartExec is OnExecStart for a reader that goes on to predict the
+// execution's iteration count and to end it through the returned slot.
+// The reader must end the execution before t starts another one.
+func (l *LET) StartExec(t isa.Addr) LETSlot {
+	_, e := l.start(t)
+	return LETSlot{t: t, e: e, evictions: l.tab.Evictions()}
+}
+
+// start runs OnExecStart and returns t's entry, nil when the insertion
+// was inhibited.
+func (l *LET) start(t isa.Addr) (hit bool, e *letEntry) {
 	l.tests++
-	e := l.tab.Touch(t)
+	e = l.tab.Touch(t)
 	if e == nil {
 		if l.InhibitInsert != nil {
 			if vk, _, full := l.tab.Victim(); full && l.InhibitInsert(vk, t) {
 				l.inhibited++
-				return false
+				return false, nil
 			}
 		}
-		l.tab.Insert(t)
-		return false
+		return false, l.tab.Insert(t)
 	}
 	if e.completed >= 2 {
 		l.hits++
-		return true
+		return true, e
 	}
-	return false
+	return false, e
+}
+
+// slot returns s's entry, or nil if it was evicted.
+func (l *LET) slot(s LETSlot) *letEntry {
+	if s.evictions == l.tab.Evictions() {
+		return s.e
+	}
+	return l.tab.Get(s.t)
 }
 
 // Inhibited returns how many insertions the nesting-aware policy skipped.
@@ -75,9 +94,12 @@ func (l *LET) Inhibited() uint64 { return l.inhibited }
 
 // OnExecEnd records a completed execution of loop t with the given final
 // iteration count. Entries evicted in the meantime are ignored.
-func (l *LET) OnExecEnd(t isa.Addr, iters int) {
-	l.memoValid = false
-	e := l.tab.Get(t)
+func (l *LET) OnExecEnd(t isa.Addr, iters int) { end(l.tab.Get(t), iters) }
+
+// EndExec is OnExecEnd for the execution StartExec returned s for.
+func (l *LET) EndExec(s LETSlot, iters int) { end(l.slot(s), iters) }
+
+func end(e *letEntry, iters int) {
 	if e == nil {
 		return
 	}
@@ -90,26 +112,19 @@ func (l *LET) OnExecEnd(t isa.Addr, iters int) {
 // count + stride; otherwise, if a last count is known, predict it
 // repeats; otherwise report no prediction (the policy then behaves like
 // IDLE for this loop).
-func (l *LET) PredictIters(t isa.Addr) (n int64, ok bool) {
-	if !l.memoValid || l.memoT != t {
-		l.memo, l.memoT, l.memoValid = l.predict(t), t, true
-	}
-	return l.memo.n, l.memo.ok
-}
+func (l *LET) PredictIters(t isa.Addr) (n int64, ok bool) { return predictFrom(l.tab.Get(t)) }
 
-func (l *LET) predict(t isa.Addr) prediction {
-	e := l.tab.Get(t)
+// PredictSlot is PredictIters for the loop of slot s.
+func (l *LET) PredictSlot(s LETSlot) (n int64, ok bool) { return predictFrom(l.slot(s)) }
+
+func predictFrom(e *letEntry) (n int64, ok bool) {
 	if e == nil {
-		return prediction{}
+		return 0, false
 	}
 	if e.iters.Reliable() {
-		v, _ := e.iters.Predict()
-		return prediction{v, true}
+		return e.iters.Predict()
 	}
-	if last, ok := e.iters.HaveLast(); ok {
-		return prediction{last, true}
-	}
-	return prediction{}
+	return e.iters.HaveLast()
 }
 
 // HitRatio returns the §2.3.1 hit ratio measured so far and the number of

@@ -106,6 +106,15 @@ func (r *refLRU) touch(k isa.Addr) {
 	}
 }
 
+func (r *refLRU) remove(k isa.Addr) {
+	for i, x := range r.order {
+		if x == k {
+			r.order = append(r.order[:i], r.order[i+1:]...)
+			return
+		}
+	}
+}
+
 func (r *refLRU) insert(k isa.Addr) {
 	if r.has(k) {
 		r.touch(k)
@@ -118,47 +127,54 @@ func (r *refLRU) insert(k isa.Addr) {
 }
 
 // TestTableQuickVsReference drives random operation sequences through the
-// table and the reference model and compares residency.
+// table and the reference model and compares residency and order, at a
+// capacity whose keys are found by a scan and at one whose keys are
+// found in a map.
 func TestTableQuickVsReference(t *testing.T) {
-	f := func(ops []uint16) bool {
-		tb := NewTable[int](4)
-		ref := &refLRU{cap: 4}
-		for _, op := range ops {
-			k := isa.Addr(op % 8)
-			switch (op / 8) % 2 {
-			case 0:
-				tb.Insert(k)
-				ref.insert(k)
-			case 1:
-				got := tb.Touch(k) != nil
-				want := ref.has(k)
-				if got != want {
+	for _, capacity := range []int{4, smallTable + 8} {
+		f := func(ops []uint16) bool {
+			tb := NewTable[int](capacity)
+			ref := &refLRU{cap: capacity}
+			for _, op := range ops {
+				k := isa.Addr(int(op) % (2 * capacity))
+				switch (int(op) / (2 * capacity)) % 3 {
+				case 0:
+					tb.Insert(k)
+					ref.insert(k)
+				case 1:
+					got := tb.Touch(k) != nil
+					want := ref.has(k)
+					if got != want {
+						return false
+					}
+					ref.touch(k)
+				case 2:
+					tb.Remove(k)
+					ref.remove(k)
+				}
+				if tb.Len() != len(ref.order) {
 					return false
 				}
-				ref.touch(k)
+				for _, k := range ref.order {
+					if tb.Get(k) == nil {
+						return false
+					}
+				}
 			}
-			if tb.Len() != len(ref.order) {
+			// MRU->LRU order must match exactly.
+			keys := tb.Keys()
+			if len(keys) != len(ref.order) {
 				return false
 			}
-			for _, k := range ref.order {
-				if tb.Get(k) == nil {
+			for i := range keys {
+				if keys[i] != ref.order[i] {
 					return false
 				}
 			}
+			return true
 		}
-		// MRU->LRU order must match exactly.
-		keys := tb.Keys()
-		if len(keys) != len(ref.order) {
-			return false
+		if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
+			t.Fatalf("capacity %d: %v", capacity, err)
 		}
-		for i := range keys {
-			if keys[i] != ref.order[i] {
-				return false
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
-		t.Fatal(err)
 	}
 }

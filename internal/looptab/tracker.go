@@ -89,27 +89,3 @@ func (tr *Tracker) ExecEnd(x *loopdet.Exec, reason loopdet.EndReason, index uint
 	tr.LIT.OnIterEnd(x.T)
 	tr.LET.OnExecEnd(x.T, x.Iters)
 }
-
-// LETFeeder keeps one LET current for any number of readers on the same
-// detector — the speculation engines built with spec.NewSharedEngine,
-// which predict from a LET but never update it. It applies exactly the
-// updates an engine applies to a private LET: OnExecStart at every
-// execution start, OnExecEnd at every completion (evictions and flushes
-// are not completions). Where it sits among the detector's observers
-// does not matter: the readers only look at the LET when an iteration
-// starts, after every observer has heard the execution start or end
-// that preceded it.
-type LETFeeder struct {
-	loopdet.NopObserver
-	LET *LET
-}
-
-// ExecStart implements loopdet.Observer.
-func (f *LETFeeder) ExecStart(x *loopdet.Exec) { f.LET.OnExecStart(x.T) }
-
-// ExecEnd implements loopdet.Observer.
-func (f *LETFeeder) ExecEnd(x *loopdet.Exec, reason loopdet.EndReason, index uint64) {
-	if reason != loopdet.EndEvicted && reason != loopdet.EndFlush {
-		f.LET.OnExecEnd(x.T, x.Iters)
-	}
-}

@@ -6,7 +6,6 @@ import (
 
 	"dynloop/internal/harness"
 	"dynloop/internal/loopdet"
-	"dynloop/internal/looptab"
 	"dynloop/internal/trace"
 	"dynloop/internal/workload"
 )
@@ -25,12 +24,13 @@ var sharedConfigs = []Config{
 	{TUs: 4, Policy: STRn(2), LETCapacity: 4},
 }
 
-// TestSharedLETMatchesPrivate: engines that predict from one LET per
-// capacity, kept current by a looptab.LETFeeder on the detector they
-// share, compute exactly what engines with private LETs on private
-// detectors compute. The detectors evict (capacity 2) and flush
-// periodically, so an update the feeder made on an evicted or flushed
-// execution, or an engine updating the shared LET as well, shows.
+// TestSharedLETMatchesPrivate: the lanes of banks that share one
+// detector, each bank predicting from one LET per capacity, compute
+// exactly what reference engines with private LETs on private detectors
+// compute, and the banks' LETs end equal to the private ones. The
+// detectors evict (capacity 2) and flush periodically, so an update the
+// bank made on an evicted or flushed execution, or one lane's state
+// leaking into another's, shows.
 func TestSharedLETMatchesPrivate(t *testing.T) {
 	dets := []loopdet.Config{{Capacity: 2, FlushInterval: 7919}, {Capacity: 16}}
 	for _, bm := range workload.All() {
@@ -40,25 +40,24 @@ func TestSharedLETMatchesPrivate(t *testing.T) {
 		}
 		for _, dc := range dets {
 			var passes []trace.Pass
-			private := make([]*Engine, len(sharedConfigs))
+			private := make([]*refEngine, len(sharedConfigs))
 			for i, cfg := range sharedConfigs {
-				private[i] = NewEngine(cfg)
+				private[i] = newRefEngine(cfg)
 				d := loopdet.New(dc)
 				d.AddObserver(private[i])
 				passes = append(passes, d)
 			}
 			d := loopdet.New(dc)
-			lets := map[int]*looptab.LET{}
-			shared := make([]*Engine, len(sharedConfigs))
+			banks := map[int]*Bank{}
+			lanes := make([]Lane, len(sharedConfigs))
 			for i, cfg := range sharedConfigs {
-				let := lets[cfg.LETCapacity]
-				if let == nil {
-					let = looptab.NewLET(cfg.LETCapacity)
-					lets[cfg.LETCapacity] = let
-					d.AddObserver(&looptab.LETFeeder{LET: let})
+				b := banks[cfg.LETCapacity]
+				if b == nil {
+					b = NewBank(cfg.LETCapacity)
+					banks[cfg.LETCapacity] = b
+					d.AddObserver(b)
 				}
-				shared[i] = NewSharedEngine(cfg, let)
-				d.AddObserver(shared[i])
+				lanes[i] = b.Add(cfg)
 			}
 			passes = append(passes, d)
 			if _, err := harness.MultiRun(u, harness.MultiConfig{Budget: 60_000}, passes...); err != nil {
@@ -66,20 +65,37 @@ func TestSharedLETMatchesPrivate(t *testing.T) {
 			}
 			for i, cfg := range sharedConfigs {
 				what := fmt.Sprintf("%s, detector %+v, engine %+v", bm.Name, dc, cfg)
-				if s, p := shared[i].Metrics(), private[i].Metrics(); s != p {
-					t.Errorf("%s: shared LET %+v, private %+v", what, s, p)
+				if s, p := lanes[i].Metrics(), private[i].Metrics(); s != p {
+					t.Errorf("%s: bank lane %+v, private %+v", what, s, p)
 				}
-				// The tables themselves agree too, hit-test count included:
-				// a second OnExecStart per execution changes no prediction,
-				// only that count.
-				sl, pl := shared[i].let, private[i].let
+				// The tables themselves agree too, hit-test count included.
+				sl, pl := banks[cfg.LETCapacity].let, private[i].let
 				sr, sn := sl.HitRatio()
 				pr, pn := pl.HitRatio()
 				if sr != pr || sn != pn || sl.Len() != pl.Len() || sl.Evictions() != pl.Evictions() {
-					t.Errorf("%s: shared LET hit ratio %v of %d tests, %d entries, %d evictions; private %v of %d, %d, %d",
+					t.Errorf("%s: bank LET hit ratio %v of %d tests, %d entries, %d evictions; private %v of %d, %d, %d",
 						what, sr, sn, sl.Len(), sl.Evictions(), pr, pn, pl.Len(), pl.Evictions())
 				}
 			}
 		}
 	}
+}
+
+// TestBankRejectsMismatchedLane: a lane must predict from the bank's
+// LET capacity and join before the first event.
+func TestBankRejectsMismatchedLane(t *testing.T) {
+	mustPanic := func(what string, f func()) {
+		t.Helper()
+		defer func() {
+			if recover() == nil {
+				t.Errorf("%s: no panic", what)
+			}
+		}()
+		f()
+	}
+	b := NewBank(4)
+	mustPanic("LET capacity 0 on a bank of 4", func() { b.Add(Config{TUs: 4, Policy: STR()}) })
+	b.Add(Config{TUs: 4, Policy: STR(), LETCapacity: 4})
+	b.Retired(10, 9)
+	mustPanic("lane after an event", func() { b.Add(Config{TUs: 2, Policy: Idle(), LETCapacity: 4}) })
 }

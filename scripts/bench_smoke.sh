@@ -2,14 +2,17 @@
 # bench_smoke.sh — interpreter-core performance regression gate.
 #
 # Gate 1 runs BenchmarkRun (the full pipeline at the default batch
-# size) once at a fixed iteration count and fails if ns/instruction
-# exceeds the pinned ceiling. The ceiling is deliberately loose — the
+# size) RUN_COUNT times (default 5) at a fixed iteration count and fails
+# if the fastest run's ns/instruction exceeds the pinned ceiling: a
+# noisy neighbour slows some runs of a shared host, never all of them,
+# while a lost optimisation slows every run. The ceiling is deliberately
+# loose — the
 # transfer-only control plane measures ~3.2 ns/instr on the reference
 # host and the ceiling sits at 6.5, well under the ~8.9 of the
 # reference path — so normal runner-to-runner noise
 # passes but losing a tentpole optimisation (or an accidental
-# fall-back to the reference path) fails loudly. Also asserts the
-# benchmark still reports 0 allocs/op on both legs: the
+# fall-back to the reference path) fails loudly. Also asserts every
+# run of the benchmark still reports 0 allocs/op: the
 # zero-allocation batch path is part of the perf contract.
 #
 # Gate 2 runs the ctl-plane legs of BenchmarkTraceReplay and fails if
@@ -35,9 +38,11 @@
 # serve-mix grid (a memo hit) at its measured count, so a served
 # named-grid request cannot go back to expanding its cells.
 # TestGroupDetectorCounts pins that a fused group builds one detector
-# per CLS capacity and plane and one LET per engine LET capacity (one
-# of each for a Figure 7 group, 306 group detectors per paper render),
-# so cells cannot go back to building their own.
+# per CLS capacity and plane and one engine bank per LET capacity (one
+# of each for a Figure 7 group; 306 group detectors and 270 banks per
+# paper render), so cells cannot go back to building their own.
+# TestBankAllocsDoNotScale pins that a warm bank of Figure 7's 20
+# speculation engines allocates nothing per loop event.
 # TestCtlReplayZeroAllocs pins that a warm control-plane replay of each
 # of the 18 workloads allocates nothing. TestFreshSeedWriteAllocs pins
 # that, with programs built, a one-cell table1 grid at a fresh seed (a
@@ -54,6 +59,7 @@ set -euo pipefail
 CEILING_NS="${BENCH_SMOKE_CEILING_NS:-6.5}"
 REPLAY_RATIO="${BENCH_SMOKE_REPLAY_RATIO:-1.15}"
 ITERS="${BENCH_SMOKE_ITERS:-2000000}"
+RUN_COUNT="${BENCH_SMOKE_RUN_COUNT:-5}"
 
 fail() { echo "bench_smoke: FAIL: $*" >&2; exit 1; }
 
@@ -68,15 +74,21 @@ parse() {
 	[ -n "$ALLOCS" ] || fail "could not parse allocs/op from: $line"
 }
 
-echo "bench_smoke: BenchmarkRun x$ITERS (ceiling ${CEILING_NS} ns/instr)"
-OUT="$(go test -run='^$' -bench='^BenchmarkRun$' -benchtime="${ITERS}x" .)"
+echo "bench_smoke: BenchmarkRun x$ITERS, $RUN_COUNT runs (ceiling ${CEILING_NS} ns/instr on the fastest)"
+OUT="$(go test -run='^$' -bench='^BenchmarkRun$' -benchtime="${ITERS}x" -count="$RUN_COUNT" .)"
 echo "$OUT"
 
-parse '^BenchmarkRun\b' "$OUT"
-awk -v ns="$NS" -v ceil="$CEILING_NS" 'BEGIN { exit !(ns <= ceil) }' ||
-	fail "BenchmarkRun at ${NS} ns/instr exceeds the ${CEILING_NS} ns ceiling"
-[ "$ALLOCS" = "0" ] || fail "BenchmarkRun allocates (${ALLOCS} allocs/op), want 0"
-RUN_NS="$NS"
+RUN_NS=""
+while IFS= read -r line; do
+	parse '^BenchmarkRun\b' "$line"
+	[ "$ALLOCS" = "0" ] || fail "BenchmarkRun allocates (${ALLOCS} allocs/op), want 0"
+	if [ -z "$RUN_NS" ] || awk -v ns="$NS" -v min="$RUN_NS" 'BEGIN { exit !(ns < min) }'; then
+		RUN_NS="$NS"
+	fi
+done < <(echo "$OUT" | grep -E '^BenchmarkRun\b')
+[ -n "$RUN_NS" ] || fail "no BenchmarkRun result line"
+awk -v ns="$RUN_NS" -v ceil="$CEILING_NS" 'BEGIN { exit !(ns <= ceil) }' ||
+	fail "the fastest of $RUN_COUNT BenchmarkRun runs took ${RUN_NS} ns/instr, over the ${CEILING_NS} ns ceiling"
 
 echo "bench_smoke: BenchmarkTraceReplay interpret vs replay x$ITERS (ratio <= ${REPLAY_RATIO})"
 OUT="$(go test -run='^$' -bench='^BenchmarkTraceReplay/(interpret|replay)$' -benchtime="${ITERS}x" .)"
@@ -93,8 +105,8 @@ awk -v r="$REPLAY_NS" -v i="$INTERP_NS" -v k="$REPLAY_RATIO" 'BEGIN { exit !(r <
 	fail "full replay (${REPLAY_NS} ns/instr) regressed above interpretation (${INTERP_NS} ns/instr) beyond the ${REPLAY_RATIO}x noise ratio"
 
 echo "bench_smoke: allocation scaling, zero-alloc and event-plane pins"
-go test -count=1 -run '^(TestAllocsDoNotScaleWithBudget|TestSteadyStateZeroAllocs|TestCtlSteadyStateZeroAllocs|TestNilSinkNoAllocs|TestReplayZeroAllocs|TestReplayCtlZeroAllocs|TestHotPathZeroAllocs|TestExecStartZeroAllocs|TestCtlOnlyCellPlanes|TestBatchCutInvariance|TestWarmLoopZeroAllocs|TestCompileAllocs|TestCompileMemoHitAllocs|TestGroupDetectorCounts|TestCtlReplayZeroAllocs|TestFreshSeedWriteAllocs|TestWarmGridAllocs)$' \
-	. ./internal/grid ./internal/interp ./internal/tracefile ./internal/obs ./internal/taskpred ./internal/datapred ||
-	fail "a hot path allocates again, a grid left the control plane, a fused group builds extra detectors, a fresh seed rebuilds its program, a registered grid recompiles, or a warm grid allocates per cell (see the failing test above)"
+go test -count=1 -run '^(TestAllocsDoNotScaleWithBudget|TestSteadyStateZeroAllocs|TestCtlSteadyStateZeroAllocs|TestNilSinkNoAllocs|TestReplayZeroAllocs|TestReplayCtlZeroAllocs|TestHotPathZeroAllocs|TestExecStartZeroAllocs|TestCtlOnlyCellPlanes|TestBatchCutInvariance|TestWarmLoopZeroAllocs|TestCompileAllocs|TestCompileMemoHitAllocs|TestGroupDetectorCounts|TestCtlReplayZeroAllocs|TestFreshSeedWriteAllocs|TestWarmGridAllocs|TestBankAllocsDoNotScale)$' \
+	. ./internal/grid ./internal/interp ./internal/tracefile ./internal/obs ./internal/taskpred ./internal/datapred ./internal/spec ||
+	fail "a hot path allocates again, a grid left the control plane, a fused group builds extra detectors or banks, a fresh seed rebuilds its program, a registered grid recompiles, a warm grid allocates per cell, or an engine bank allocates per loop event (see the failing test above)"
 
 echo "bench_smoke: OK (run ${RUN_NS} ns/instr; replay ${REPLAY_NS} vs interpret ${INTERP_NS} ns/instr; 0 allocs; no per-execution allocation)"
