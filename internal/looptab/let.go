@@ -38,55 +38,23 @@ func NewLET(capacity int) *LET {
 // executions since insertion), recency is updated, and an absent entry is
 // inserted.
 func (l *LET) OnExecStart(t isa.Addr) (hit bool) {
-	hit, _ = l.start(t)
-	return hit
-}
-
-// LETSlot is a handle on one loop's LET entry, from StartExec. It spares
-// PredictSlot and EndExec their table lookup until the LET next evicts
-// an entry (a full table reuses the evicted entry's storage); after
-// that they look the loop up again.
-type LETSlot struct {
-	t         isa.Addr
-	e         *letEntry
-	evictions uint64
-}
-
-// StartExec is OnExecStart for a reader that goes on to predict the
-// execution's iteration count and to end it through the returned slot.
-// The reader must end the execution before t starts another one.
-func (l *LET) StartExec(t isa.Addr) LETSlot {
-	_, e := l.start(t)
-	return LETSlot{t: t, e: e, evictions: l.tab.Evictions()}
-}
-
-// start runs OnExecStart and returns t's entry, nil when the insertion
-// was inhibited.
-func (l *LET) start(t isa.Addr) (hit bool, e *letEntry) {
 	l.tests++
-	e = l.tab.Touch(t)
+	e := l.tab.Touch(t)
 	if e == nil {
 		if l.InhibitInsert != nil {
 			if vk, _, full := l.tab.Victim(); full && l.InhibitInsert(vk, t) {
 				l.inhibited++
-				return false, nil
+				return false
 			}
 		}
-		return false, l.tab.Insert(t)
+		l.tab.Insert(t)
+		return false
 	}
 	if e.completed >= 2 {
 		l.hits++
-		return true, e
+		return true
 	}
-	return false, e
-}
-
-// slot returns s's entry, or nil if it was evicted.
-func (l *LET) slot(s LETSlot) *letEntry {
-	if s.evictions == l.tab.Evictions() {
-		return s.e
-	}
-	return l.tab.Get(s.t)
+	return false
 }
 
 // Inhibited returns how many insertions the nesting-aware policy skipped.
@@ -94,12 +62,8 @@ func (l *LET) Inhibited() uint64 { return l.inhibited }
 
 // OnExecEnd records a completed execution of loop t with the given final
 // iteration count. Entries evicted in the meantime are ignored.
-func (l *LET) OnExecEnd(t isa.Addr, iters int) { end(l.tab.Get(t), iters) }
-
-// EndExec is OnExecEnd for the execution StartExec returned s for.
-func (l *LET) EndExec(s LETSlot, iters int) { end(l.slot(s), iters) }
-
-func end(e *letEntry, iters int) {
+func (l *LET) OnExecEnd(t isa.Addr, iters int) {
+	e := l.tab.Get(t)
 	if e == nil {
 		return
 	}
@@ -112,12 +76,8 @@ func end(e *letEntry, iters int) {
 // count + stride; otherwise, if a last count is known, predict it
 // repeats; otherwise report no prediction (the policy then behaves like
 // IDLE for this loop).
-func (l *LET) PredictIters(t isa.Addr) (n int64, ok bool) { return predictFrom(l.tab.Get(t)) }
-
-// PredictSlot is PredictIters for the loop of slot s.
-func (l *LET) PredictSlot(s LETSlot) (n int64, ok bool) { return predictFrom(l.slot(s)) }
-
-func predictFrom(e *letEntry) (n int64, ok bool) {
+func (l *LET) PredictIters(t isa.Addr) (n int64, ok bool) {
+	e := l.tab.Get(t)
 	if e == nil {
 		return 0, false
 	}

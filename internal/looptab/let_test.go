@@ -229,64 +229,3 @@ func TestTrackerEndToEnd(t *testing.T) {
 		t.Fatal("flushed execution must not train the LET")
 	}
 }
-
-// TestLETSlotMatchesLookup: a LET driven through slots (StartExec,
-// PredictSlot, EndExec) answers and ends up exactly like one driven by
-// address, including when the slot's entry was evicted or its storage
-// reused while the execution was live. Executions nest like a CLS: up
-// to four live at once, ending innermost first, over eight loops and
-// capacities that evict constantly.
-func TestLETSlotMatchesLookup(t *testing.T) {
-	for _, capacity := range []int{1, 2, 3, 0} {
-		byAddr, bySlot := NewLET(capacity), NewLET(capacity)
-		type live struct {
-			t    isa.Addr
-			slot LETSlot
-		}
-		var stack []live
-		r := uint64(capacity*7919 + 1)
-		next := func(n uint64) uint64 {
-			r ^= r << 13
-			r ^= r >> 7
-			r ^= r << 17
-			return r % n
-		}
-		for step := 0; step < 20_000; step++ {
-			if len(stack) > 0 && (len(stack) == 4 || next(2) == 0) {
-				x := stack[len(stack)-1]
-				stack = stack[:len(stack)-1]
-				iters := int(2 + next(3) + uint64(x.t)%3)
-				byAddr.OnExecEnd(x.t, iters)
-				bySlot.EndExec(x.slot, iters)
-				continue
-			}
-			lp := isa.Addr(10 + next(8))
-			busy := false
-			for _, x := range stack {
-				busy = busy || x.t == lp
-			}
-			if busy {
-				continue // a live loop iterates; it does not start again
-			}
-			byAddr.OnExecStart(lp)
-			slot := bySlot.StartExec(lp)
-			stack = append(stack, live{lp, slot})
-			for _, x := range stack {
-				na, oka := byAddr.PredictIters(x.t)
-				ns, oks := bySlot.PredictSlot(x.slot)
-				if na != ns || oka != oks {
-					t.Fatalf("capacity %d step %d loop %d: by address %d %v, by slot %d %v", capacity, step, x.t, na, oka, ns, oks)
-				}
-			}
-		}
-		ra, na := byAddr.HitRatio()
-		rs, ns := bySlot.HitRatio()
-		if ra != rs || na != ns || byAddr.Len() != bySlot.Len() || byAddr.Evictions() != bySlot.Evictions() {
-			t.Errorf("capacity %d: by address hit ratio %v of %d, %d entries, %d evictions; by slot %v of %d, %d, %d",
-				capacity, ra, na, byAddr.Len(), byAddr.Evictions(), rs, ns, bySlot.Len(), bySlot.Evictions())
-		}
-		if capacity > 0 && byAddr.Evictions() == 0 {
-			t.Errorf("capacity %d: nothing was evicted", capacity)
-		}
-	}
-}

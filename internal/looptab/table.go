@@ -10,13 +10,8 @@ import "dynloop/internal/isa"
 // Table is an associative table keyed by loop target address with LRU
 // replacement. V is the per-entry payload. Capacity 0 means unbounded.
 type Table[V any] struct {
-	capacity int
-	// A table of at most smallTable entries finds a key by scanning
-	// keys (nodes[i] holds keys[i]); a larger or unbounded one looks it
-	// up in m. Either way the list from head orders the entries.
+	capacity   int
 	m          map[isa.Addr]*node[V]
-	keys       []isa.Addr
-	nodes      []*node[V]
 	head, tail *node[V] // head is most recently used
 	evictions  uint64
 	// OnEvict, when non-nil, is called with the key and value being
@@ -30,71 +25,13 @@ type node[V any] struct {
 	val        V
 }
 
-// smallTable is the largest capacity whose keys are found by a scan: a
-// scan of up to 32 addresses (two cache lines) is cheaper than a map
-// lookup. Every table the paper's experiments size (2 to 16 entries)
-// is small.
-const smallTable = 32
-
 // NewTable returns an empty table. Capacity 0 means unbounded.
 func NewTable[V any](capacity int) *Table[V] {
-	t := &Table[V]{capacity: capacity}
-	if capacity > 0 && capacity <= smallTable {
-		t.keys = make([]isa.Addr, 0, capacity)
-		t.nodes = make([]*node[V], 0, capacity)
-	} else {
-		t.m = make(map[isa.Addr]*node[V])
-	}
-	return t
-}
-
-// find returns k's node, or nil.
-func (t *Table[V]) find(k isa.Addr) *node[V] {
-	if t.m != nil {
-		return t.m[k]
-	}
-	for i, key := range t.keys {
-		if key == k {
-			return t.nodes[i]
-		}
-	}
-	return nil
-}
-
-// index adds n, holding k, to the lookup structure.
-func (t *Table[V]) index(k isa.Addr, n *node[V]) {
-	if t.m != nil {
-		t.m[k] = n
-		return
-	}
-	t.keys = append(t.keys, k)
-	t.nodes = append(t.nodes, n)
-}
-
-// unindex removes k from the lookup structure.
-func (t *Table[V]) unindex(k isa.Addr) {
-	if t.m != nil {
-		delete(t.m, k)
-		return
-	}
-	for i, key := range t.keys {
-		if key == k {
-			last := len(t.keys) - 1
-			t.keys[i], t.nodes[i] = t.keys[last], t.nodes[last]
-			t.nodes[last] = nil
-			t.keys, t.nodes = t.keys[:last], t.nodes[:last]
-			return
-		}
-	}
+	return &Table[V]{capacity: capacity, m: make(map[isa.Addr]*node[V])}
 }
 
 // Len returns the number of resident entries.
-func (t *Table[V]) Len() int {
-	if t.m != nil {
-		return len(t.m)
-	}
-	return len(t.keys)
-}
+func (t *Table[V]) Len() int { return len(t.m) }
 
 // Capacity returns the configured capacity (0 = unbounded).
 func (t *Table[V]) Capacity() int { return t.capacity }
@@ -104,8 +41,8 @@ func (t *Table[V]) Evictions() uint64 { return t.evictions }
 
 // Get returns the value for k without changing recency, or nil.
 func (t *Table[V]) Get(k isa.Addr) *V {
-	n := t.find(k)
-	if n == nil {
+	n, ok := t.m[k]
+	if !ok {
 		return nil
 	}
 	return &n.val
@@ -114,8 +51,8 @@ func (t *Table[V]) Get(k isa.Addr) *V {
 // Touch marks k most recently used and returns its value, or nil if
 // absent.
 func (t *Table[V]) Touch(k isa.Addr) *V {
-	n := t.find(k)
-	if n == nil {
+	n, ok := t.m[k]
+	if !ok {
 		return nil
 	}
 	t.moveToFront(n)
@@ -129,21 +66,21 @@ func (t *Table[V]) Touch(k isa.Addr) *V {
 // evicted entry's storage, as a hardware table reuses its slot, so value
 // pointers must not be kept across an Insert.
 func (t *Table[V]) Insert(k isa.Addr) *V {
-	if n := t.find(k); n != nil {
+	if n, ok := t.m[k]; ok {
 		var zero V
 		n.val = zero
 		t.moveToFront(n)
 		return &n.val
 	}
 	var n *node[V]
-	if t.capacity > 0 && t.Len() >= t.capacity {
+	if t.capacity > 0 && len(t.m) >= t.capacity {
 		n = t.evictLRU()
 	}
 	if n == nil {
 		n = new(node[V])
 	}
 	*n = node[V]{key: k}
-	t.index(k, n)
+	t.m[k] = n
 	t.pushFront(n)
 	return &n.val
 }
@@ -152,7 +89,7 @@ func (t *Table[V]) Insert(k isa.Addr) *V {
 // false if no eviction would occur. It lets callers implement alternative
 // insertion policies (the §2.3.2 nesting-aware inhibition ablation).
 func (t *Table[V]) Victim() (k isa.Addr, v *V, ok bool) {
-	if t.capacity == 0 || t.Len() < t.capacity || t.tail == nil {
+	if t.capacity == 0 || len(t.m) < t.capacity || t.tail == nil {
 		return 0, nil, false
 	}
 	return t.tail.key, &t.tail.val, true
@@ -160,17 +97,17 @@ func (t *Table[V]) Victim() (k isa.Addr, v *V, ok bool) {
 
 // Remove deletes k if present.
 func (t *Table[V]) Remove(k isa.Addr) {
-	n := t.find(k)
-	if n == nil {
+	n, ok := t.m[k]
+	if !ok {
 		return
 	}
 	t.unlink(n)
-	t.unindex(k)
+	delete(t.m, k)
 }
 
 // Keys returns the resident keys from most to least recently used.
 func (t *Table[V]) Keys() []isa.Addr {
-	out := make([]isa.Addr, 0, t.Len())
+	out := make([]isa.Addr, 0, len(t.m))
 	for n := t.head; n != nil; n = n.next {
 		out = append(out, n.key)
 	}
@@ -188,7 +125,7 @@ func (t *Table[V]) evictLRU() *node[V] {
 		t.OnEvict(v.key, &v.val)
 	}
 	t.unlink(v)
-	t.unindex(v.key)
+	delete(t.m, v.key)
 	t.evictions++
 	return v
 }

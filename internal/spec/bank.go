@@ -100,12 +100,11 @@ type record struct {
 	// execution was the lane's outermost thread owner — the STR(i)
 	// accounting (see Policy); laneExec.starved says how many.
 	starved [][]isa.Addr
-	// let is the loop's LET slot. pred is the LET's iteration-count
-	// prediction for the loop, computed for the first stride lane that
-	// asks, and valid while predAt is one more than the LET's eviction
-	// count (0: not yet asked): only the loop's own ExecEnd, or an
-	// eviction, changes its entry.
-	let    looptab.LETSlot
+	// pred is the LET's iteration-count prediction for the loop,
+	// computed for the first stride lane that asks, and valid while
+	// predAt is one more than the LET's eviction count (0: not yet
+	// asked): only the loop's own ExecEnd, or an eviction, changes its
+	// entry.
 	pred   int64
 	predOK bool
 	predAt uint64
@@ -273,7 +272,7 @@ func (b *Bank) ExecStart(x *loopdet.Exec) {
 			}
 		}
 	}
-	r.let = b.let.StartExec(x.T)
+	b.let.OnExecStart(x.T)
 	if b.static {
 		for i := range b.lanes {
 			if b.lanes[i].staticLimit > 0 {
@@ -531,7 +530,7 @@ func (b *Bank) spawn(l *lane, le *laneExec, li, ri, first int, index uint64) {
 		predicted = true
 	case l.stride:
 		if at := b.let.Evictions() + 1; r.predAt != at {
-			r.pred, r.predOK = b.let.PredictSlot(r.let)
+			r.pred, r.predOK = b.let.PredictIters(r.t)
 			r.predAt = at
 		}
 		if r.predOK {
@@ -584,7 +583,7 @@ func (b *Bank) ExecEnd(x *loopdet.Exec, reason loopdet.EndReason, index uint64) 
 	// Evictions and flushes are not real completions; the LET keeps its
 	// history.
 	if reason != loopdet.EndEvicted && !flush {
-		b.let.EndExec(r.let, x.Iters)
+		b.let.OnExecEnd(r.t, x.Iters)
 	}
 	// Close the gap, parking the ended record's storage past the top.
 	ended := *r

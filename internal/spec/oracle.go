@@ -1,8 +1,6 @@
 package spec
 
 import (
-	"slices"
-
 	"dynloop/internal/isa"
 	"dynloop/internal/loopdet"
 )
@@ -15,37 +13,27 @@ import (
 type OracleRecorder struct {
 	loopdet.NopObserver
 	counts []int
-	// live maps each active execution to its slot in counts. It mirrors
-	// the CLS, so it is at most CLS-deep and a scan from the innermost
-	// end finds an execution at once.
-	live []liveSlot
-}
-
-// liveSlot is an active execution's slot in OracleRecorder.counts.
-type liveSlot struct {
-	id   uint64
-	slot int
+	slot   map[uint64]int
 }
 
 // NewOracleRecorder returns an empty recorder; attach it as a detector
 // observer.
-func NewOracleRecorder() *OracleRecorder { return &OracleRecorder{} }
+func NewOracleRecorder() *OracleRecorder {
+	return &OracleRecorder{slot: make(map[uint64]int)}
+}
 
 // ExecStart implements loopdet.Observer: allocate this execution's slot
 // in birth order.
 func (r *OracleRecorder) ExecStart(x *loopdet.Exec) {
-	r.live = append(r.live, liveSlot{x.ID, len(r.counts)})
+	r.slot[x.ID] = len(r.counts)
 	r.counts = append(r.counts, 0)
 }
 
 // ExecEnd implements loopdet.Observer: record the final count.
 func (r *OracleRecorder) ExecEnd(x *loopdet.Exec, reason loopdet.EndReason, index uint64) {
-	for i := len(r.live) - 1; i >= 0; i-- {
-		if r.live[i].id == x.ID {
-			r.counts[r.live[i].slot] = x.Iters
-			r.live = slices.Delete(r.live, i, i+1)
-			return
-		}
+	if i, ok := r.slot[x.ID]; ok {
+		r.counts[i] = x.Iters
+		delete(r.slot, x.ID)
 	}
 }
 

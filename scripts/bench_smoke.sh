@@ -2,11 +2,10 @@
 # bench_smoke.sh — interpreter-core performance regression gate.
 #
 # Gate 1 runs BenchmarkRun (the full pipeline at the default batch
-# size) RUN_COUNT times (default 5) at a fixed iteration count and fails
-# if the fastest run's ns/instruction exceeds the pinned ceiling: a
-# noisy neighbour slows some runs of a shared host, never all of them,
-# while a lost optimisation slows every run. The ceiling is deliberately
-# loose — the
+# size) 5 times at a fixed iteration count and fails if the fastest
+# run's ns/instruction exceeds the pinned ceiling: a noisy neighbour
+# slows some runs of a shared host, never all of them, while a lost
+# optimisation slows every run. The ceiling is deliberately loose — the
 # transfer-only control plane measures ~3.2 ns/instr on the reference
 # host and the ceiling sits at 6.5, well under the ~8.9 of the
 # reference path — so normal runner-to-runner noise
@@ -59,7 +58,6 @@ set -euo pipefail
 CEILING_NS="${BENCH_SMOKE_CEILING_NS:-6.5}"
 REPLAY_RATIO="${BENCH_SMOKE_REPLAY_RATIO:-1.15}"
 ITERS="${BENCH_SMOKE_ITERS:-2000000}"
-RUN_COUNT="${BENCH_SMOKE_RUN_COUNT:-5}"
 
 fail() { echo "bench_smoke: FAIL: $*" >&2; exit 1; }
 
@@ -74,8 +72,8 @@ parse() {
 	[ -n "$ALLOCS" ] || fail "could not parse allocs/op from: $line"
 }
 
-echo "bench_smoke: BenchmarkRun x$ITERS, $RUN_COUNT runs (ceiling ${CEILING_NS} ns/instr on the fastest)"
-OUT="$(go test -run='^$' -bench='^BenchmarkRun$' -benchtime="${ITERS}x" -count="$RUN_COUNT" .)"
+echo "bench_smoke: BenchmarkRun x$ITERS, 5 runs (ceiling ${CEILING_NS} ns/instr on the fastest)"
+OUT="$(go test -run='^$' -bench='^BenchmarkRun$' -benchtime="${ITERS}x" -count=5 .)"
 echo "$OUT"
 
 RUN_NS=""
@@ -88,7 +86,7 @@ while IFS= read -r line; do
 done < <(echo "$OUT" | grep -E '^BenchmarkRun\b')
 [ -n "$RUN_NS" ] || fail "no BenchmarkRun result line"
 awk -v ns="$RUN_NS" -v ceil="$CEILING_NS" 'BEGIN { exit !(ns <= ceil) }' ||
-	fail "the fastest of $RUN_COUNT BenchmarkRun runs took ${RUN_NS} ns/instr, over the ${CEILING_NS} ns ceiling"
+	fail "the fastest of 5 BenchmarkRun runs took ${RUN_NS} ns/instr, over the ${CEILING_NS} ns ceiling"
 
 echo "bench_smoke: BenchmarkTraceReplay interpret vs replay x$ITERS (ratio <= ${REPLAY_RATIO})"
 OUT="$(go test -run='^$' -bench='^BenchmarkTraceReplay/(interpret|replay)$' -benchtime="${ITERS}x" .)"
