@@ -553,10 +553,10 @@ func printRunnerStats(r *runner.Runner, progress bool, seed uint64) {
 	if s.TierErrors > 0 {
 		fmt.Fprintf(os.Stderr, "runner: %d store-tier errors (treated as misses)\n", s.TierErrors)
 	}
-	ictl, ifull := interp.PlaneRuns()
+	ictl, itap, ifull := interp.PlaneRuns()
 	rctl, rfull := tracefile.ReplayPlaneRuns()
-	fmt.Fprintf(os.Stderr, "obs: %d instructions interpreted (last run %.2f ns/instr), %d traversals, %d replays, %d ctl replays; plane runs ctl/full: interp %d/%d, replay %d/%d\n",
-		interp.Instructions(), interp.LastNsPerInstr(), harness.Traversals(), harness.Replays(), interp.CtlReplays(), ictl, ifull, rctl, rfull)
+	fmt.Fprintf(os.Stderr, "obs: %d instructions interpreted (last run %.2f ns/instr), %d traversals, %d replays, %d ctl replays; plane runs ctl/tap/full: interp %d/%d/%d, replay %d/-/%d\n",
+		interp.Instructions(), interp.LastNsPerInstr(), harness.Traversals(), harness.Replays(), interp.CtlReplays(), ictl, itap, ifull, rctl, rfull)
 }
 
 // profileFlags adds -cpuprofile/-memprofile to fs and returns a start

@@ -140,6 +140,10 @@ type (
 	// TableTracker measures LET/LIT hit ratios (§2.3.1, Figure 4).
 	TableTracker = looptab.Tracker
 	// DataStats collects the §4 data-speculation statistics (Figure 8).
+	// It reads the interpreter's data tap beside the control plane, so
+	// only the interpreter feeds it: attach it through Run, MultiRun or
+	// a detector the interpreter drives. A trace-file replay cannot feed
+	// it, and a detector carrying it panics on the full event plane.
 	DataStats = datapred.Collector
 	// DataStatsSummary is the Figure 8 result set.
 	DataStatsSummary = datapred.Summary
@@ -328,7 +332,8 @@ func NewTableTracker(letCapacity, litCapacity int) *TableTracker {
 // cfg.LETCapacity entries; attach it to a detector.
 func NewEngine(cfg EngineConfig) *Engine { return spec.NewEngine(cfg) }
 
-// NewDataStats returns a Figure-8 data-speculation collector.
+// NewDataStats returns a Figure-8 data-speculation collector; only the
+// interpreter feeds it (see DataStats).
 func NewDataStats() *DataStats { return datapred.NewCollector(datapred.Config{}) }
 
 // Idle returns the IDLE policy (§3.1.2).

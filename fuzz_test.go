@@ -141,11 +141,11 @@ func runPlanes(newCPU func() *interp.CPU, budget uint64, batch int, full bool) (
 	}
 	cpu := newCPU()
 	cpu.SetBatchSize(batch)
-	ctl0, _ := interp.PlaneRuns()
+	ctl0, _, _ := interp.PlaneRuns()
 	b.Init()
 	n, err := cpu.Run(budget, sink)
 	b.Finalize()
-	ctl1, _ := interp.PlaneRuns()
+	ctl1, _, _ := interp.PlaneRuns()
 	out = planeOutcome{N: n, Hash: h.Sum, Det: det.Stats(), Loops: ls.Summary(),
 		Spec: e.Metrics(), Branch: bp.Results()}
 	if err != nil {

@@ -12,43 +12,49 @@
 // observer: attach it with Detector.AddObserver, or bundle it into one
 // pass of a fused multi-pass traversal with harness.NewObserverPass.
 //
-// # Run granularity
+// # Static walk
 //
-// The Collector reads the full event plane, but does its per-iteration
-// work once per run, not once per instruction per active loop. A run is
-// what the detector hands InstrBatch: a stretch of instructions with no
-// loop event inside, so every active iteration takes in all of it. One
-// scan summarises the run — the registers it reads before writing them
-// and the registers it touches, as 32-bit masks taken from each
-// instruction's static read mask (isa.Instr.ReadMask), and the positions
-// of its loads and stores — and each active iteration folds the summary
-// in: its live-in registers are a mask, grown by the run's read-first
+// The Collector is a loopdet.TapObserver: it runs on the interpreter's
+// control plane plus the data tap (trace.PlaneTap), never on the full
+// event plane, and does its per-iteration work once per run, not once
+// per instruction per active loop. A run is a stretch of instructions
+// with no loop event inside, so every active iteration takes in all of
+// it, and its only branch, jump or return is its last instruction. The
+// tap reports a run as its start address and length plus its loads and
+// stores; the rest is static. The collector walks the run over the
+// program's segment table (trace.Segments), following each call to its
+// static target: each whole segment contributes its precomputed masks of
+// the registers it reads before writing them and the registers it
+// touches, and only a segment the run cuts short is folded instruction
+// by instruction. Each active iteration then folds the run's masks in:
+// its live-in registers are a mask, grown by the run's read-first
 // registers it had not touched yet, at O(1) cost. A live-in register is
-// read before any write in its iteration, so its value is the register's
-// value when the iteration began, which the iteration keeps. Register
-// order does not matter: every register has its own predictor and the
+// read before any write in its iteration, so its value is the
+// register's value when the iteration began, which the tap snapshots at
+// every taken backward branch or jump — the only transfers that start
+// executions and iterations — and the iteration keeps. Register order
+// does not matter: every register has its own predictor and the
 // outcomes are sums. Memory stays per access, in stream order, because
 // the MaxMemPerLoop cap admits locations first come, first served.
 //
 // A path is identified by the FNV-1a hash of the iteration's PCs; the
 // hash function is part of the results, because the most frequent
-// path's ties break on the lowest hash. The scan folds the run's PCs
-// into the two outermost iterations' hashes as it goes, and a second
-// pass folds them into any deeper ones, side by side. Per-loop
-// predictors and path buckets, and each iteration's set of touched
-// locations, live in flat open-addressed tables of values (table,
-// addrSet), so a warm loop allocates nothing per iteration. Package
-// datapredtest holds a per-instruction collector that tests diff this
-// one against.
+// path's ties break on the lowest hash. The walk yields the run's
+// address spans, and the frames fold them into their hashes two at a
+// time, side by side. Per-loop predictors and path buckets, and each
+// iteration's set of touched locations, live in flat open-addressed
+// tables of values (table, addrSet), so a warm loop allocates nothing
+// per iteration. Package datapredtest holds a per-instruction collector
+// on the full event plane that tests diff this one against.
 package datapred
 
 import (
+	"fmt"
 	"math/bits"
 
 	"dynloop/internal/isa"
 	"dynloop/internal/loopdet"
 	"dynloop/internal/predict"
-	"dynloop/internal/trace"
 )
 
 // Config tunes resource caps of the collector. The caps exist because our
@@ -148,20 +154,22 @@ func (f *frame) reset(regs *[isa.NumRegs]int64) {
 
 // Collector implements the Figure-8 measurement as a detector observer.
 type Collector struct {
-	cfg    Config
-	shadow [isa.NumRegs]int64 // the current register values
-	frames []*frame           // active executions, outermost first
+	cfg Config
+	// regs is the register file the tap snapshotted at the latest taken
+	// backward branch or jump (see Regs).
+	regs   *[isa.NumRegs]int64
+	frames []*frame // active executions, outermost first
 	// free holds the frames of ended executions, reused by later ones
 	// with the storage they grew, so there are never more frames than
 	// the CLS is deep.
 	free  []*frame
 	loops map[isa.Addr]*loopAcc
-	// Per-run scratch: the positions of the run's loads and stores, and
-	// the frames' path hashes while a run is folded into more than two.
-	memAt  []int32
-	hashes []uint64
-	one    [1]trace.Event // Instr's one-event run
+	// spans is per-run scratch: the address spans the run covers.
+	spans []span
 }
+
+// span is the addresses lo, lo+1, ..., hi-1 of a run, in stream order.
+type span struct{ lo, hi uint64 }
 
 // NewCollector returns a collector with the given configuration.
 func NewCollector(cfg Config) *Collector {
@@ -172,112 +180,84 @@ func NewCollector(cfg Config) *Collector {
 	}
 }
 
-// Instr implements loopdet.StreamObserver as a one-event run.
-func (c *Collector) Instr(ev *trace.Event) {
-	c.one[0] = *ev
-	c.InstrBatch(c.one[:])
-}
+// Regs implements loopdet.TapObserver: it keeps the snapshot for the
+// ExecStart and IterStart its transfer triggers.
+func (c *Collector) Regs(regs *[isa.NumRegs]int64) { c.regs = regs }
 
-// InstrBatch implements loopdet.BatchStreamObserver: it summarises the
-// run once and folds the summary into every active frame (see the
-// package comment). Only the path hashes and the memory accesses remain
-// per event per frame.
-func (c *Collector) InstrBatch(evs []trace.Event) {
-	if len(c.frames) == 0 {
-		for i := range evs {
-			if ev := &evs[i]; ev.WroteReg {
-				c.shadow[ev.WrittenReg] = ev.WrittenVal
-			}
-		}
+// Run implements loopdet.TapObserver: it walks the run's segments once
+// and folds the result into every active frame (see the package
+// comment). Only the path hashes and the memory accesses remain per
+// instruction or access per frame.
+func (c *Collector) Run(r *loopdet.TapRun) {
+	fs := c.frames
+	if len(fs) == 0 {
 		return
 	}
 	// readFirst holds the registers the run reads before writing them,
-	// seen every register it reads or writes, and memAt the positions of
-	// the run's loads and stores. The scan also folds the run's PCs into
-	// the first two frames' path hashes, whose multiply chains then overlap
-	// the rest of the work; a lone frame's partner chain is dropped.
+	// seen every register it reads or writes.
 	var readFirst, seen uint32
-	if cap(c.memAt) < len(evs) {
-		c.memAt = make([]int32, len(evs))
-	}
-	memAt, n := c.memAt[:len(evs)], 0
-	shadow := &c.shadow
-	fs := c.frames
-	h0, h1 := fs[0].pathHash, uint64(fnvOffset)
-	if len(fs) > 1 {
-		h1 = fs[1].pathHash
-	}
-	for i := range evs {
-		ev := &evs[i]
-		pc := uint64(ev.PC)
-		h0 = (h0 ^ pc) * fnvPrime
-		h1 = (h1 ^ pc) * fnvPrime
-		in := ev.Instr
-		r := in.ReadMask()
-		readFirst |= r &^ seen
-		seen |= r
-		if in.Kind.TouchesMem() {
-			memAt[n] = int32(i)
-			n++
+	segs, spans := r.Segs, c.spans[:0]
+	pc, rem := uint64(r.PC), r.N
+	for {
+		s := &segs[pc]
+		if whole := uint64(s.Skip) + 1; whole <= rem && s.End != isa.KindNop {
+			readFirst |= s.Read &^ seen
+			seen |= s.Touch
+			spans = append(spans, span{pc, pc + whole})
+			if rem -= whole; rem == 0 {
+				break
+			}
+			if s.End != isa.KindCall {
+				panic(fmt.Sprintf("datapred: a run from %d crosses the %v at %d", r.PC, s.End, pc+whole-1))
+			}
+			pc = uint64(s.Target)
+			continue
 		}
-		if ev.WroteReg {
-			w := ev.WrittenReg % isa.NumRegs // the mod only drops a bounds check
-			seen |= 1 << w
-			shadow[w] = ev.WrittenVal
+		// The run ends inside this segment.
+		spans = append(spans, span{pc, pc + rem})
+		for end := pc + rem; pc < end; pc++ {
+			s := &segs[pc]
+			readFirst |= s.InstrRead &^ seen
+			seen |= s.InstrRead | s.InstrWrite
 		}
+		break
 	}
-	fs[0].pathHash = h0
-	if len(fs) > 1 {
-		fs[1].pathHash = h1
-		c.foldPaths(fs[2:], evs)
-	}
+	c.spans = spans
+	foldSpans(fs, spans)
 	for _, fr := range fs {
 		fr.live |= readFirst &^ fr.seen
 		fr.seen |= seen
-		for _, j := range memAt[:n] {
-			ev := &evs[j]
-			if fr.mem.add(ev.MemAddr) && ev.Instr.Kind == isa.KindLoad {
-				fr.memLive = append(fr.memLive, memValue{ev.MemAddr, ev.MemVal})
+		for i := range r.Mem {
+			m := &r.Mem[i]
+			if fr.mem.add(m.Addr) && !m.Store {
+				fr.memLive = append(fr.memLive, memValue{m.Addr, m.Val})
 			}
 		}
 	}
 }
 
-// foldPaths extends the path hashes of fs with the run's PCs, in one
-// pass over the run. Each FNV-1a chain is a serial multiply, so folding
-// the frames side by side overlaps their latencies.
-func (c *Collector) foldPaths(fs []*frame, evs []trace.Event) {
-	switch len(fs) {
-	case 0:
-	case 1:
-		h := fs[0].pathHash
-		for i := range evs {
-			h = (h ^ uint64(evs[i].PC)) * fnvPrime
-		}
-		fs[0].pathHash = h
-	case 2:
+// foldSpans extends the path hashes of fs with the addresses of spans.
+// Each FNV-1a chain is a serial multiply, so the frames fold two at a
+// time, side by side, to overlap their latencies.
+func foldSpans(fs []*frame, spans []span) {
+	for ; len(fs) >= 2; fs = fs[2:] {
 		h0, h1 := fs[0].pathHash, fs[1].pathHash
-		for i := range evs {
-			pc := uint64(evs[i].PC)
-			h0 = (h0 ^ pc) * fnvPrime
-			h1 = (h1 ^ pc) * fnvPrime
-		}
-		fs[0].pathHash, fs[1].pathHash = h0, h1
-	default:
-		hs := c.hashes[:0]
-		for _, fr := range fs {
-			hs = append(hs, fr.pathHash)
-		}
-		for i := range evs {
-			pc := uint64(evs[i].PC)
-			for j := range hs {
-				hs[j] = (hs[j] ^ pc) * fnvPrime
+		for _, sp := range spans {
+			for pc := sp.lo; pc < sp.hi; pc++ {
+				h0 = (h0 ^ pc) * fnvPrime
+				h1 = (h1 ^ pc) * fnvPrime
 			}
 		}
-		for j, fr := range fs {
-			fr.pathHash = hs[j]
+		fs[0].pathHash, fs[1].pathHash = h0, h1
+	}
+	if len(fs) == 1 {
+		h := fs[0].pathHash
+		for _, sp := range spans {
+			for pc := sp.lo; pc < sp.hi; pc++ {
+				h = (h ^ pc) * fnvPrime
+			}
 		}
-		c.hashes = hs
+		fs[0].pathHash = h
 	}
 }
 
@@ -296,7 +276,7 @@ func (c *Collector) ExecStart(x *loopdet.Exec) {
 		fr = &frame{}
 	}
 	fr.loop, fr.id = la, x.ID
-	fr.reset(&c.shadow)
+	fr.reset(c.regs)
 	c.frames = append(c.frames, fr)
 }
 
@@ -323,7 +303,7 @@ func (c *Collector) IterStart(x *loopdet.Exec, index uint64) {
 	if x.Iters > 2 {
 		c.finishIteration(fr)
 	}
-	fr.reset(&c.shadow)
+	fr.reset(c.regs)
 }
 
 // ExecEnd implements loopdet.Observer.

@@ -213,7 +213,10 @@ func TestMemCap(t *testing.T) {
 // iteration. An outer loop alternates between two control paths, loads
 // and stores a fixed set of addresses, and runs an inner loop execution
 // that starts and ends in every outer iteration; after warm-up, further
-// outer iterations must not allocate.
+// outer iterations must not allocate. The runs go to the collector as
+// the detector hands them over on the tap plane: a start address, a
+// length and the run's accesses, with a register snapshot before each
+// execution and iteration start.
 func TestWarmLoopZeroAllocs(t *testing.T) {
 	const base = builder.HeapBase
 	code := []isa.Instr{
@@ -226,22 +229,21 @@ func TestWarmLoopZeroAllocs(t *testing.T) {
 	c := NewCollector(Config{})
 	outer := &loopdet.Exec{ID: 1, T: 0, Iters: 2}
 	inner := &loopdet.Exec{T: 1, Iters: 2}
-	run := make([]trace.Event, 0, 64)
+	run := loopdet.TapRun{Segs: trace.Segments(code), Mem: make([]trace.MemAccess, 0, len(code))}
+	var regs [isa.NumRegs]int64
 	var idx uint64
-	// emit appends one event per instruction of code[from:to] touching
-	// address addr, and delivers them as one run.
+	// emit delivers code[from:to] as one run whose loads and stores
+	// touch address addr with value val.
 	emit := func(from, to int, addr uint64, val int64) {
-		run = run[:0]
+		run.PC, run.First, run.N, run.Mem = isa.Addr(from), idx, uint64(to-from), run.Mem[:0]
 		for pc := from; pc < to; pc++ {
-			in := &code[pc]
-			ev := trace.Event{Index: idx, PC: isa.Addr(pc), Instr: in, MemAddr: addr, MemVal: val}
-			if r, ok := in.WritesReg(); ok {
-				ev.WroteReg, ev.WrittenReg, ev.WrittenVal = true, r, val
+			if k := code[pc].Kind; k.TouchesMem() {
+				run.Mem = append(run.Mem, trace.MemAccess{Index: idx + uint64(pc-from), Addr: addr, Val: val, Store: k == isa.KindStore})
 			}
-			run = append(run, ev)
-			idx++
 		}
-		c.InstrBatch(run)
+		idx += run.N
+		regs[1], regs[3] = val, val+1
+		c.Run(&run)
 	}
 	k := 0
 	iteration := func() {
@@ -254,18 +256,22 @@ func TestWarmLoopZeroAllocs(t *testing.T) {
 		}
 		inner.ID++
 		inner.Iters = 2
+		c.Regs(&regs)
 		c.ExecStart(inner)
 		c.IterStart(inner, idx)
 		for i := 0; i < 3; i++ {
 			emit(1, 5, base, int64(i))
 			inner.Iters++
+			c.Regs(&regs)
 			c.IterStart(inner, idx)
 		}
 		c.ExecEnd(inner, loopdet.EndBackEdge, idx)
 		k++
 		outer.Iters++
+		c.Regs(&regs)
 		c.IterStart(outer, idx)
 	}
+	c.Regs(&regs)
 	c.ExecStart(outer)
 	c.IterStart(outer, idx)
 	for i := 0; i < 200; i++ {

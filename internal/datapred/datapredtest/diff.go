@@ -9,8 +9,11 @@ import (
 	"dynloop/internal/trace"
 )
 
-// deliveries are the ways Diff hands a stream to the detector: batches of
-// these sizes, and 0 for one Detector.Consume call per event.
+// deliveries are the ways Diff hands a stream to the detectors: batches
+// of these sizes, and 0 for one Detector.Consume call per event on the
+// full plane (the tap plane takes the default batch size then). The
+// interpreter sizes the tap's buffers by the batch size, so the small
+// sizes also end tap batches early, at full buffers.
 var deliveries = []int{1, 3, 4096, 0}
 
 // detectors are the CLS configurations Diff runs: capacity 1, the
@@ -21,37 +24,62 @@ var detectors = []loopdet.Config{
 	{Capacity: 1, FlushInterval: 997}, {Capacity: 16, FlushInterval: 997}, {Capacity: 0, FlushInterval: 997},
 }
 
-// Diff runs the stream of newCPU, up to budget instructions, once per
-// delivery and detector configuration, with a reference Collector and a
-// datapred.Collector (both configured by cfg) on the same detector. It
+// Diff runs DiffOne once per delivery and detector configuration. It
 // returns an error naming the first combination whose Summaries differ
 // in any field, and otherwise the iterations the reference evaluated,
 // summed over the combinations.
 func Diff(newCPU func() *interp.CPU, budget uint64, cfg datapred.Config) (iters uint64, err error) {
 	for _, dc := range detectors {
 		for _, batch := range deliveries {
-			det := loopdet.New(dc)
-			ref, got := NewCollector(cfg), datapred.NewCollector(cfg)
-			det.AddObserver(ref)
-			det.AddObserver(got)
-			cpu := newCPU()
-			var sink trace.BatchConsumer = det
-			if batch == 0 {
-				sink = trace.ConsumerFunc(det.Consume)
-			} else {
-				cpu.SetBatchSize(batch)
+			s, err := DiffOne(newCPU, budget, dc, batch, cfg)
+			if err != nil {
+				return 0, err
 			}
-			// A machine error ends the stream early; both collectors saw
-			// the same prefix, which is all the comparison needs.
-			_, _ = cpu.Run(budget, sink)
-			det.Flush()
-			want, have := ref.Summary(), got.Summary()
-			if have != want {
-				return 0, fmt.Errorf("capacity %d flush %d batch %d: summary diverged\ngot:  %+v\nwant: %+v",
-					dc.Capacity, dc.FlushInterval, batch, have, want)
-			}
-			iters += want.Iters
+			iters += s.Iters
 		}
 	}
 	return iters, nil
+}
+
+// DiffOne runs the stream of newCPU, up to budget instructions, twice: a
+// reference Collector on the full event plane of the reference
+// interpreter, and a datapred.Collector on the predecoded interpreter's
+// control plane with the data tap, each under a detector configured by
+// dc and both configured by cfg, at batch size batch (see deliveries).
+// It returns the reference's Summary, or an error when the two differ in
+// any field.
+func DiffOne(newCPU func() *interp.CPU, budget uint64, dc loopdet.Config, batch int, cfg datapred.Config) (datapred.Summary, error) {
+	ref, got := NewCollector(cfg), datapred.NewCollector(cfg)
+	refDet, det := loopdet.New(dc), loopdet.New(dc)
+	refDet.AddObserver(ref)
+	det.AddObserver(got)
+	if p := trace.PlanesOf(det); p != trace.PlaneCtl|trace.PlaneTap {
+		return datapred.Summary{}, fmt.Errorf("the collector's detector asks for planes %v, not the control plane and the tap", p)
+	}
+
+	cpu := newCPU()
+	cpu.SetReference(true)
+	var sink trace.BatchConsumer = refDet
+	if batch == 0 {
+		sink = trace.ConsumerFunc(refDet.Consume)
+	} else {
+		cpu.SetBatchSize(batch)
+	}
+	// A machine error ends the stream early; both legs see the same
+	// prefix, which is all the comparison needs.
+	_, _ = cpu.Run(budget, sink)
+	refDet.Flush()
+
+	cpu = newCPU()
+	cpu.SetReference(false)
+	cpu.SetBatchSize(batch)
+	_, _ = cpu.Run(budget, det)
+	det.Flush()
+
+	want, have := ref.Summary(), got.Summary()
+	if have != want {
+		return want, fmt.Errorf("capacity %d flush %d batch %d: summary diverged\ngot:  %+v\nwant: %+v",
+			dc.Capacity, dc.FlushInterval, batch, have, want)
+	}
+	return want, nil
 }

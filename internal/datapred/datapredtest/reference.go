@@ -1,8 +1,11 @@
 // Package datapredtest holds the oracle for datapred.Collector — a
-// straightforward per-instruction Figure-8 collector that walks every
-// active iteration for every event — and Diff, the harness that runs the
-// two side by side. It is a package rather than a test file so that the
-// repository's fuzz targets can reach it too; only tests import it.
+// straightforward per-instruction Figure-8 collector on the full event
+// plane that walks every active iteration for every event — and Diff,
+// the harness that runs the two on the same stream, the oracle on the
+// reference interpreter's full plane and the collector on the data tap.
+// It is a package rather than a test file so that the repository's fuzz
+// targets and grid's private reference render can reach it too; only
+// tests import it.
 package datapredtest
 
 import (

@@ -1,6 +1,7 @@
 package datapred_test
 
 import (
+	"runtime"
 	"testing"
 
 	"dynloop/internal/builder"
@@ -51,6 +52,94 @@ func TestCollectorMatchesReference(t *testing.T) {
 				t.Fatalf("random seed %d, %+v: %v", seed, cfg, err)
 			}
 		}
+	}
+}
+
+// FuzzDataTap diffs the collector on the data tap against the
+// per-instruction reference on the full plane (datapredtest.DiffOne)
+// over builder.Random programs at a random CLS capacity, periodic flush,
+// batch size and budget, under the default caps and under caps small
+// enough to overflow.
+func FuzzDataTap(f *testing.F) {
+	f.Add(uint64(1), uint8(0), uint16(1024), uint32(50_000), false)
+	f.Add(uint64(7), uint8(1), uint16(1), uint32(20_000), true)
+	f.Add(uint64(1009), uint8(3), uint16(3), uint32(99_991), false)
+	f.Fuzz(func(t *testing.T, seed uint64, clsSel uint8, batch uint16, budget uint32, small bool) {
+		u, err := builder.Random(seed, builder.RandomOpt{})
+		if err != nil {
+			t.Skip(err)
+		}
+		dc := loopdet.Config{Capacity: []int{1, 2, 16, 0}[clsSel%4]}
+		if clsSel&4 != 0 {
+			dc.FlushInterval = 997
+		}
+		cfg := datapred.Config{}
+		if small {
+			cfg = datapred.Config{MaxMemPerLoop: 4, MaxPathsPerLoop: 2}
+		}
+		if _, err := datapredtest.DiffOne(u.NewCPU, uint64(budget%200_000)+1, dc, int(batch%4097), cfg); err != nil {
+			t.Fatalf("random seed %d: %v", seed, err)
+		}
+	})
+}
+
+// TestFig8TraversalAllocsDoNotScale pins that a Figure 8 traversal of
+// swim — interpreter, detector and collector on the control plane with
+// the data tap — allocates the same bytes at 100k and at 500k
+// instructions but for the program's data: the tap's buffers are
+// bounded and pooled, so nothing on the tap path grows with the stream.
+// Each budget's collector is warmed by a traversal first, so its tables
+// already hold every loop and location the stream touches. The
+// interpreter's memory allocates a page the first time the program
+// touches it, so what a bare run of the same budget allocates is taken
+// off each side.
+func TestFig8TraversalAllocsDoNotScale(t *testing.T) {
+	if raceEnabled {
+		t.Skip("under the race detector pooled buffers are dropped at random")
+	}
+	bm, err := workload.ByName("swim")
+	if err != nil {
+		t.Fatal(err)
+	}
+	u, err := bm.Build(1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// bytesPer measures right after a collection, so no further one
+	// drops the pooled buffers while it runs; the untimed call takes
+	// them back from the pool's victim cache.
+	bytesPer := func(f func()) int64 {
+		const runs = 5
+		runtime.GC()
+		f()
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		for i := 0; i < runs; i++ {
+			f()
+		}
+		runtime.ReadMemStats(&after)
+		return int64(after.TotalAlloc-before.TotalAlloc) / runs
+	}
+	tapBytes := func(budget uint64) int64 {
+		c := datapred.NewCollector(datapred.Config{})
+		traverse := func() {
+			if _, err := harness.Run(u, harness.Config{Budget: budget}, c); err != nil {
+				t.Fatal(err)
+			}
+		}
+		traverse() // warm the collector and the segment table
+		bare := bytesPer(func() {
+			if _, err := u.NewCPU().Run(budget, nil); err != nil {
+				t.Fatal(err)
+			}
+		})
+		return bytesPer(traverse) - bare
+	}
+	// The slack covers the page map's growth, which a bare run and a
+	// traversal may see at different moments.
+	const slack = 1 << 10
+	if small, large := tapBytes(100_000), tapBytes(500_000); large-small > slack {
+		t.Fatalf("a fig8 traversal of swim allocates %d bytes beyond its data at 100k instructions and %d at 500k, want the same", small, large)
 	}
 }
 

@@ -59,25 +59,26 @@ func TestFusionByteIdenticalAndFewerTraversals(t *testing.T) {
 // TestRenderInterpretsEachStreamOnce pins the runner's recording tier
 // end to end: an expt.All render on a fresh runner interprets each
 // (benchmark, seed) stream exactly once on the control plane, plus once
-// on the full plane for Figure 8, and replays every other traversal. A
-// second fresh runner keeps no recordings of the first and interprets
-// the same number again.
+// on the control plane with the data tap for Figure 8, never on the
+// full plane, and replays every other traversal. A second fresh runner
+// keeps no recordings of the first and interprets the same number
+// again.
 func TestRenderInterpretsEachStreamOnce(t *testing.T) {
 	cfg := Config{Budget: 20_000}
 	streams := uint64(len(workload.Names()))
 	var first string
 	for rep := 0; rep < 2; rep++ {
 		trav0, replays0 := harness.Traversals(), interp.CtlReplays()
-		ctl0, full0 := interp.PlaneRuns()
+		ctl0, tap0, full0 := interp.PlaneRuns()
 		out, err := All(context.Background(), cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
-		ctl1, full1 := interp.PlaneRuns()
+		ctl1, tap1, full1 := interp.PlaneRuns()
 		trav, replays := harness.Traversals()-trav0, interp.CtlReplays()-replays0
-		if ctl, full := ctl1-ctl0, full1-full0; ctl != streams || full != streams || trav != 2*streams {
-			t.Errorf("render %d: %d traversals (%d control-plane, %d full-plane), want %d (%d each)",
-				rep, trav, ctl, full, 2*streams, streams)
+		if ctl, tap, full := ctl1-ctl0, tap1-tap0, full1-full0; ctl != streams || tap != streams || full != 0 || trav != 2*streams {
+			t.Errorf("render %d: %d traversals (%d control-plane, %d tap, %d full-plane), want %d (%d control-plane, %d tap, none full-plane)",
+				rep, trav, ctl, tap, full, 2*streams, streams, streams)
 		}
 		if replays == 0 {
 			t.Errorf("render %d replayed nothing", rep)

@@ -6,6 +6,8 @@ import (
 	"strconv"
 	"strings"
 
+	"dynloop/internal/datapred"
+	"dynloop/internal/datapred/datapredtest"
 	"dynloop/internal/trace"
 )
 
@@ -30,9 +32,12 @@ func GroupPasses(cells ...Cell) (passes []trace.Pass, detectors, banks int, ok b
 // RunPrivate is the oracle Run is checked against. Every fusable cell
 // runs its own traversal — its own group, so its own detectors and
 // banks — on the reference interpreter with full-plane delivery;
-// composite cells run as Run runs them. Values return in cell order.
+// composite cells run as Run runs them. The reference interpreter has
+// no data tap, so a Figure 8 cell observes through the per-instruction
+// collector of package datapredtest instead of its own. Values return
+// in cell order.
 func RunPrivate(ctx context.Context, cfg Config, s Spec) ([]any, error) {
-	cells, _, err := Compile(cfg, s)
+	cells, rs, err := Compile(cfg, s)
 	if err != nil {
 		return nil, err
 	}
@@ -46,7 +51,14 @@ func RunPrivate(ctx context.Context, cfg Config, s Spec) ([]any, error) {
 			continue
 		}
 		g := newGroup()
-		finish := c.attach(g)
+		var finish func() (any, error)
+		if rs.Kind == "fig8" {
+			ref := datapredtest.NewCollector(datapred.Config{})
+			g.observe(c.Coord.CLS, ref)
+			finish = func() (any, error) { return Fig8Row{Bench: c.bench.Name, S: ref.Summary()}, nil }
+		} else {
+			finish = c.attach(g)
+		}
 		u, err := c.bench.Build(c.Coord.Seed)
 		if err != nil {
 			return nil, err

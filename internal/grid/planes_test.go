@@ -17,14 +17,15 @@ import (
 
 // TestCtlOnlyCellPlanes pins which grid cells negotiate which event
 // plane: every fusable cell of every registered grid is control-only
-// except fig8's, whose data-speculation collector reads the data facet;
-// the oracle cell's detectors are control-only too. A render of every
-// registered grid then interprets on the full plane only while fig8
-// runs. This keeps the end-to-end plane-equivalence suite from passing
-// vacuously with every traversal on the full plane, and fails as soon
-// as a new stream observer pulls a grid back onto it.
+// except fig8's, whose data-speculation collector reads the data tap
+// beside the control plane; the oracle cell's detectors are
+// control-only too. No cell and no traversal of a render of every
+// registered grid uses the full event plane, and only fig8 interprets
+// with the tap. This keeps the end-to-end plane-equivalence suite from
+// passing vacuously, and fails as soon as a new stream observer pulls a
+// grid back onto the full plane.
 func TestCtlOnlyCellPlanes(t *testing.T) {
-	both := trace.PlaneCtl | trace.PlaneData
+	tap := trace.PlaneCtl | trace.PlaneTap
 	det := harness.NewObserverPass(16, looptab.NewTracker(16, 16))
 	if got := trace.PlanesOf(det); got != trace.PlaneCtl {
 		t.Fatalf("tracker-observed detector planes = %v, want ctl-only", got)
@@ -40,7 +41,7 @@ func TestCtlOnlyCellPlanes(t *testing.T) {
 		}
 		want := trace.PlaneCtl
 		if rs.Kind == "fig8" {
-			want = both
+			want = tap
 		}
 		for _, c := range cells {
 			passes, _, _, ok := grid.GroupPasses(c)
@@ -73,7 +74,7 @@ func TestCtlOnlyCellPlanes(t *testing.T) {
 		for _, name := range grid.Names() {
 			e, _ := grid.Lookup(name)
 			cfg := grid.Config{Budget: 10_000, Runner: runner.New(runner.Config{Workers: 1})}
-			ctl0, full0 := interp.PlaneRuns()
+			ctl0, tap0, full0 := interp.PlaneRuns()
 			res, err := grid.Run(ctx, cfg, e.Spec)
 			if err != nil {
 				t.Fatalf("%s: %v", name, err)
@@ -81,16 +82,16 @@ func TestCtlOnlyCellPlanes(t *testing.T) {
 			if _, err := e.Render(res); err != nil {
 				t.Fatalf("%s render: %v", name, err)
 			}
-			ctl1, full1 := interp.PlaneRuns()
-			ctl, full := ctl1-ctl0, full1-full0
+			ctl1, tap1, full1 := interp.PlaneRuns()
+			ctl, tap, full := ctl1-ctl0, tap1-tap0, full1-full0
 			if e.Spec.Kind == "fig8" {
-				if full == 0 || ctl != 0 {
-					t.Errorf("%s: %d full-plane and %d control-plane runs, want only full-plane", name, full, ctl)
+				if tap == 0 || ctl != 0 || full != 0 {
+					t.Errorf("%s: %d control-plane, %d tap and %d full-plane runs, want only tap runs", name, ctl, tap, full)
 				}
 				continue
 			}
-			if full != 0 || ctl == 0 {
-				t.Errorf("%s: %d full-plane and %d control-plane runs, want only control-plane", name, full, ctl)
+			if ctl == 0 || tap != 0 || full != 0 {
+				t.Errorf("%s: %d control-plane, %d tap and %d full-plane runs, want only control-plane runs", name, ctl, tap, full)
 			}
 		}
 	})

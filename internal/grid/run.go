@@ -98,7 +98,7 @@ func runCells(ctx context.Context, cfg Config, pool *runner.Runner, cells []Cell
 		if err != nil {
 			return nil, err
 		}
-		if cfg.Traces != nil && src != harness.FromRecording {
+		if cfg.Traces != nil && src != harness.FromRecording && harness.ArchiveServes(g.passes...) {
 			pool.CountTraceRun(src == harness.FromArchive)
 		}
 		out := make([]any, len(idx))
@@ -203,7 +203,7 @@ type group struct {
 // LET capacity.
 type groupDet struct {
 	capacity int  // resolved CLS capacity
-	stream   bool // full event plane: a stream observer is attached
+	tap      bool // control plane with the data tap: a tap observer is attached
 	det      *loopdet.Detector
 	banks    []*spec.Bank
 }
@@ -215,24 +215,25 @@ func newGroup() *group {
 }
 
 // detector returns the group's detector for CLS capacity cls (the
-// harness convention: 0 is the default, negative unbounded) on the full
-// event plane when stream is set and on the control plane otherwise,
-// creating it on first use. Keying by plane keeps control-only
-// observers off the full plane.
-func (g *group) detector(cls int, stream bool) *loopdet.Detector {
-	return g.slot(cls, stream).det
+// harness convention: 0 is the default, negative unbounded) on the
+// control plane with the data tap when tap is set and on the control
+// plane alone otherwise, creating it on first use. Keying by plane keeps
+// control-only observers off the tap, so a traversal that serves no
+// tap observer can come from a recording or the archive.
+func (g *group) detector(cls int, tap bool) *loopdet.Detector {
+	return g.slot(cls, tap).det
 }
 
-func (g *group) slot(cls int, stream bool) *groupDet {
+func (g *group) slot(cls int, tap bool) *groupDet {
 	capacity := harness.ResolveCLSCapacity(cls)
 	for i := range g.dets {
-		if d := &g.dets[i]; d.capacity == capacity && d.stream == stream {
+		if d := &g.dets[i]; d.capacity == capacity && d.tap == tap {
 			return d
 		}
 	}
 	det := harness.NewObserverPass(cls)
 	groupDetectors.Add(1)
-	g.dets = append(g.dets, groupDet{capacity: capacity, stream: stream, det: det})
+	g.dets = append(g.dets, groupDet{capacity: capacity, tap: tap, det: det})
 	g.passes = append(g.passes, det)
 	return &g.dets[len(g.dets)-1]
 }
@@ -240,8 +241,8 @@ func (g *group) slot(cls int, stream bool) *groupDet {
 // observe attaches o to the group's detector for CLS capacity cls, on
 // the plane o needs.
 func (g *group) observe(cls int, o loopdet.Observer) {
-	_, stream := o.(loopdet.StreamObserver)
-	g.detector(cls, stream).AddObserver(o)
+	_, tap := o.(loopdet.TapObserver)
+	g.detector(cls, tap).AddObserver(o)
 }
 
 // engine adds a speculation engine for ec as a lane of the bank of

@@ -92,8 +92,8 @@ func TestGroupDetectorCounts(t *testing.T) {
 	}
 	fig8, _ := grid.Lookup("fig8")
 	passes, dets, _, _ := grid.GroupPasses(compile("fig8", fig8.Spec)...)
-	if dets != 1 || trace.PlanesOf(passes[0]) != trace.PlaneCtl|trace.PlaneData {
-		t.Errorf("fig8 group: %d detectors, planes %v; want one full-plane detector", dets, trace.PlanesOf(passes[0]))
+	if dets != 1 || trace.PlanesOf(passes[0]) != trace.PlaneCtl|trace.PlaneTap {
+		t.Errorf("fig8 group: %d detectors, planes %v; want one detector on the control plane with the tap", dets, trace.PlanesOf(passes[0]))
 	}
 
 	detsBefore, banksBefore := grid.GroupDetectors(), grid.GroupBanks()

@@ -116,9 +116,11 @@ const (
 //  2. the trace archive tr, when non-nil (see Traces.MultiRun);
 //  3. interpretation of the unit build returns.
 //
-// Paths 2 and 3 record the branch outcomes of a control-only traversal
-// and, once it completes, publish the recording in recs for the
-// traversals after it. recs may be nil. Results are byte-identical
+// Passes that read the data tap are always interpreted, on path 2 too
+// (see ArchiveServes): recordings carry no data, and the archive holds
+// full events, not the tap. Paths 2 and 3 record the branch outcomes of a control-only
+// traversal and, once it completes, publish the recording in recs for
+// the traversals after it. recs may be nil. Results are byte-identical
 // from every source.
 func Traverse(ctx context.Context, recs *Recordings, tr *Traces, bench string, seed uint64,
 	build func() (*builder.Unit, error), cfg MultiConfig, passes ...trace.Pass) (MultiResult, Source, error) {
@@ -163,6 +165,18 @@ func Traverse(ctx context.Context, recs *Recordings, tr *Traces, bench string, s
 		}
 	}
 	return res, src, nil
+}
+
+// ArchiveServes reports whether the trace archive may serve or record a
+// traversal of the passes: none of them reads the data tap, which only
+// the interpreter produces.
+func ArchiveServes(passes ...trace.Pass) bool {
+	for _, p := range passes {
+		if trace.PlanesOf(p)&trace.PlaneTap != 0 {
+			return false
+		}
+	}
+	return true
 }
 
 // ctlOnly reports whether every pass reads only the control plane.

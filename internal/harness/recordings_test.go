@@ -8,6 +8,7 @@ import (
 	"dynloop/internal/builder"
 	"dynloop/internal/interp"
 	"dynloop/internal/isa"
+	"dynloop/internal/loopdet"
 	"dynloop/internal/program"
 	"dynloop/internal/trace"
 )
@@ -85,16 +86,59 @@ func TestTraverseServesFromRecording(t *testing.T) {
 	}
 }
 
+// tapCount is a tap observer that tallies what the data tap carries.
+type tapCount struct {
+	loopdet.NopObserver
+	instrs, loads, stores, snapshots uint64
+}
+
+func (c *tapCount) Run(r *loopdet.TapRun) {
+	c.instrs += r.N
+	for _, m := range r.Mem {
+		if m.Store {
+			c.stores++
+		} else {
+			c.loads++
+		}
+	}
+}
+
+func (c *tapCount) Regs(*[isa.NumRegs]int64) { c.snapshots++ }
+
 // TestTraverseKeepsInterpreterPaths: a traversal with a full-plane pass
-// never replays, even once the stream's recording exists.
+// never replays, even once the stream's recording exists, and a
+// traversal with a pass that reads the data tap is interpreted even
+// when a recording and the trace archive both hold the stream.
 func TestTraverseKeepsInterpreterPaths(t *testing.T) {
 	u := randomUnit(t)
 	build := func() (*builder.Unit, error) { return u, nil }
 	ctx := context.Background()
 	recs := NewRecordings()
-	traverseStep(t, recs, nil, u, MultiConfig{}, Interpreted)
+	tr := newTestTraces(t)
+	traverseStep(t, recs, tr, u, MultiConfig{}, Interpreted)
 	if recs.Len() != 1 {
 		t.Fatalf("%d recordings after a control-only traversal, want 1", recs.Len())
+	}
+
+	var wantTap tapCount
+	if _, err := MultiRun(u, MultiConfig{}, NewObserverPass(0, &wantTap)); err != nil {
+		t.Fatal(err)
+	}
+	if wantTap.loads == 0 || wantTap.stores == 0 || wantTap.snapshots == 0 {
+		t.Fatalf("the tap carried %+v: no loads, stores or snapshots to compare", wantTap)
+	}
+	st0, trav0, replays0 := tr.Stats(), Traversals(), interp.CtlReplays()
+	var gotTap tapCount
+	_, src, err := Traverse(ctx, recs, tr, "r", 12, build, MultiConfig{}, NewObserverPass(0, &gotTap))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st := tr.Stats(); src != Interpreted || Traversals()-trav0 != 1 || interp.CtlReplays() != replays0 || st != st0 {
+		t.Fatalf("tap traversal: source %d, %d traversals, %d control-plane replays, archive stats %+v then %+v; want one interpretation and no archive use",
+			src, Traversals()-trav0, interp.CtlReplays()-replays0, st0, st)
+	}
+	if gotTap != wantTap {
+		t.Fatalf("tap traversal carried %+v, a plain interpreted one %+v", gotTap, wantTap)
 	}
 
 	var want trace.Counter
@@ -103,7 +147,7 @@ func TestTraverseKeepsInterpreterPaths(t *testing.T) {
 	}
 	var got trace.Counter
 	var h trace.Hash
-	_, src, err := Traverse(ctx, recs, nil, "r", 12, build, MultiConfig{}, trace.AsPass(&h), trace.AsPass(&got))
+	_, src, err = Traverse(ctx, recs, nil, "r", 12, build, MultiConfig{}, trace.AsPass(&h), trace.AsPass(&got))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -83,9 +83,19 @@ func (t *Traces) Stats() TracesStats {
 // recorded into the archive for every later caller. The boolean result
 // reports which path ran (true = replayed). Pass and render results are
 // byte-identical either way; that equivalence is pinned by the
-// replay-equivalence test suite.
+// replay-equivalence test suite. Passes that read the data tap (see
+// ArchiveServes) are interpreted without touching the archive.
 func (t *Traces) MultiRun(ctx context.Context, bench string, seed uint64,
 	build func() (*builder.Unit, error), cfg MultiConfig, passes ...trace.Pass) (MultiResult, bool, error) {
+
+	if !ArchiveServes(passes...) {
+		u, err := build()
+		if err != nil {
+			return MultiResult{}, false, err
+		}
+		res, err := MultiRun(u, cfg, passes...)
+		return res, false, err
+	}
 
 	if rec, ok := t.arch.Lookup(bench, seed); ok && rec.CanServe(cfg.Budget) {
 		res, err := t.replay(rec, cfg, passes...)

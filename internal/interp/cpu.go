@@ -72,6 +72,8 @@ type CPU struct {
 	// ops is the predecoded micro-op array (see predecode.go), shared
 	// read-only with every other CPU made from the same Code.
 	ops []uop
+	// code is the Code the CPU was made from, for its static tables.
+	code *Code
 	// stack holds return addresses.
 	stack []isa.Addr
 	pc    isa.Addr
@@ -100,10 +102,22 @@ type CPU struct {
 type Code struct {
 	prog *program.Program
 	ops  []uop
-	// skip is the straight-line table control-plane replays walk (see
-	// skips), built by the first replay.
+	// segs is the program's segment table (trace.Segments), which the
+	// data tap hands its consumers, and skip the straight-line table
+	// control-plane replays walk (see skips); both are built on first
+	// use.
+	segOnce  sync.Once
+	segs     []trace.Segment
 	skipOnce sync.Once
 	skip     []uint32
+}
+
+// segments returns the program's segment table, building it on first
+// use; like the micro-ops it is shared by every CPU and replay of the
+// Code.
+func (k *Code) segments() []trace.Segment {
+	k.segOnce.Do(func() { k.segs = trace.Segments(k.prog.Code) })
+	return k.segs
 }
 
 // Predecode translates p once, with superinstruction fusion.
@@ -114,7 +128,7 @@ func Predecode(p *program.Program) *Code {
 // NewCPU returns a CPU ready to execute the code from the program's entry
 // point, with fresh machine state.
 func (k *Code) NewCPU() *CPU {
-	return &CPU{prog: k.prog, pc: k.prog.Entry, seqs: make(map[int64]Sequence), ops: k.ops}
+	return &CPU{prog: k.prog, pc: k.prog.Entry, seqs: make(map[int64]Sequence), ops: k.ops, code: k}
 }
 
 // New returns a CPU ready to execute p from its entry point; it
@@ -189,8 +203,11 @@ func (c *CPU) BatchSize() int {
 // control-plane batches (trace.CtlBatchConsumer) and declares it needs
 // only the control facet (trace.PlanesOf == trace.PlaneCtl), the
 // predecoded loop delivers only the control-transfer events and the
-// instruction counts they sit among (see runCtl). The reference path
-// and the nil-sink path always use full events.
+// instruction counts they sit among (see runCtl). When the sink asks for
+// the control facet plus the data tap (trace.PlaneCtl|trace.PlaneTap)
+// and accepts tap batches (trace.TapBatchConsumer), the same loop also
+// fills the tap. The reference path and the nil-sink path always use
+// full events.
 func (c *CPU) Run(budget uint64, sink trace.BatchConsumer) (uint64, error) {
 	if c.prog == nil {
 		return 0, ErrNoProgram
@@ -199,10 +216,13 @@ func (c *CPU) Run(budget uint64, sink trace.BatchConsumer) (uint64, error) {
 	// timestamps and a few atomic adds amortized over the whole
 	// traversal, with zero allocations.
 	start := time.Now()
-	n, ctlPlane, err := c.run(budget, sink)
-	if ctlPlane {
+	n, plane, err := c.run(budget, sink)
+	switch plane {
+	case trace.PlaneCtl:
 		mRunsCtl.Inc()
-	} else {
+	case trace.PlaneCtl | trace.PlaneTap:
+		mRunsTap.Inc()
+	default:
 		mRunsFull.Inc()
 	}
 	if n > 0 {
@@ -216,13 +236,15 @@ func (c *CPU) Run(budget uint64, sink trace.BatchConsumer) (uint64, error) {
 // and ctl its control-transfer index side channel; ctlEvs is the
 // control-plane transfer buffer used instead when every attached
 // consumer is control-only (see Run), and by control-plane replays,
-// which also keep their return stack in stack. Each batch buffer is
-// sized lazily to the requesting batch size.
+// which also keep their return stack in stack; tap is the data tap of a
+// control-plane run that carries one. Each batch buffer is sized lazily
+// to the requesting batch size.
 type batchBufs struct {
 	evs    []trace.Event
 	ctlEvs []trace.CtlEvent
 	ctl    []int32
 	stack  []isa.Addr
+	tap    tapState
 }
 
 // bufPool holds batch buffers between Run calls. A Run takes one set and
@@ -252,28 +274,61 @@ func (b *batchBufs) ctlIndex(n int) []int32 {
 	return b.ctl
 }
 
-// run dispatches to the negotiated execution loop; the boolean reports
-// whether the control-plane-only loop served the sink.
-func (c *CPU) run(budget uint64, sink trace.BatchConsumer) (uint64, bool, error) {
+// tapFor readies the data tap of a run at batch size n that starts at
+// pc on a program with segment table segs and delivers to sink. The tap
+// holds 2n memory accesses and n/8 register snapshots (at least one):
+// at the default batch size a batch rarely ends early, and batch size
+// 1 ends one after nearly every access.
+func (b *batchBufs) tapFor(n int, segs []trace.Segment, pc isa.Addr, sink trace.TapBatchConsumer) *tapState {
+	t := &b.tap
+	if cap(t.tap.Mem) != 2*n {
+		t.tap.Mem = make([]trace.MemAccess, 0, 2*n)
+		t.tap.Regs = make([]trace.RegSnapshot, 0, max(1, n/8))
+	}
+	t.sink = sink
+	t.tap.Segs, t.tap.PC = segs, pc
+	t.tap.Mem, t.tap.Regs = t.tap.Mem[:0], t.tap.Regs[:0]
+	return t
+}
+
+// run dispatches to the negotiated execution loop and reports the plane
+// it delivered: trace.PlaneCtl, trace.PlaneCtl|trace.PlaneTap, or the
+// full plane.
+func (c *CPU) run(budget uint64, sink trace.BatchConsumer) (uint64, trace.Planes, error) {
+	const full = trace.PlaneCtl | trace.PlaneData
 	buf, ctl := c.scratch[:], c.scratchCtl[:]
 	var seg trace.SegmentedBatchConsumer
 	if sink != nil {
 		bufs := bufPool.Get().(*batchBufs)
-		defer bufPool.Put(bufs)
+		defer func() {
+			bufs.tap.sink, bufs.tap.tap.Segs = nil, nil // hold no consumer or program in the pool
+			bufPool.Put(bufs)
+		}()
 		n := c.BatchSize()
-		if cc, ok := sink.(trace.CtlBatchConsumer); ok && !c.reference && trace.PlanesOf(sink) == trace.PlaneCtl {
-			done, err := c.runCtl(budget, cc, bufs.ctlEvents(n))
-			return done, true, err
+		if !c.reference {
+			switch trace.PlanesOf(sink) {
+			case trace.PlaneCtl:
+				if cc, ok := sink.(trace.CtlBatchConsumer); ok {
+					done, err := c.runCtl(budget, cc, bufs.ctlEvents(n), nil)
+					return done, trace.PlaneCtl, err
+				}
+			case trace.PlaneCtl | trace.PlaneTap:
+				if tc, ok := sink.(trace.TapBatchConsumer); ok {
+					tap := bufs.tapFor(n, c.code.segments(), c.pc, tc)
+					done, err := c.runCtl(budget, tc, bufs.ctlEvents(n), tap)
+					return done, trace.PlaneCtl | trace.PlaneTap, err
+				}
+			}
 		}
 		buf, ctl = bufs.events(n), bufs.ctlIndex(n)
 		seg, _ = sink.(trace.SegmentedBatchConsumer)
 	}
 	if c.reference {
 		n, err := c.runRef(budget, sink, buf)
-		return n, false, err
+		return n, full, err
 	}
 	n, err := c.runPre(budget, sink, seg, buf, ctl)
-	return n, false, err
+	return n, full, err
 }
 
 // runRef is the reference interpreter: the original two-level switch

@@ -16,6 +16,12 @@ package interp
 // pin that the emitted transfer events equal the full stream filtered
 // to branch/jump/ret, field for field, and that the covered counts add
 // up to the full stream's length.
+//
+// With a data tap (trace.PlaneTap) the same loop also appends each load
+// and store, and the register file after each taken backward branch or
+// jump, to the tap's fixed-capacity buffers, and ends a batch early when
+// either fills. Only the load, store and transfer paths look at the tap;
+// every other instruction runs exactly as without it.
 
 import (
 	"fmt"
@@ -33,10 +39,60 @@ func deliverCtl(sink trace.CtlBatchConsumer, evs []trace.CtlEvent, first, n uint
 	}
 }
 
+// tapState is the data tap of one runCtl call: the tap a batch fills
+// and the sink it goes to with the batch.
+type tapState struct {
+	sink trace.TapBatchConsumer
+	tap  trace.Tap
+}
+
+// access appends a load (store false) or store to the tap.
+func (t *tapState) access(idx, addr uint64, val int64, store bool) {
+	t.tap.Mem = append(t.tap.Mem, trace.MemAccess{Index: idx, Addr: addr, Val: val, Store: store})
+}
+
+// memFull reports whether the next micro-op might not find room for its
+// accesses: a fused pair makes two.
+func (t *tapState) memFull() bool { return len(t.tap.Mem) > cap(t.tap.Mem)-2 }
+
+// transfer records the register file after transfer ev when the tap
+// snapshots it, and reports whether a buffer is full.
+func (t *tapState) transfer(ev *trace.CtlEvent, regs *[isa.NumRegs]int64) bool {
+	if trace.TakesSnapshot(ev) {
+		n := len(t.tap.Regs)
+		t.tap.Regs = t.tap.Regs[:n+1]
+		s := &t.tap.Regs[n]
+		s.Index, s.Regs = ev.Index, *regs
+	}
+	return len(t.tap.Regs) == cap(t.tap.Regs) || t.memFull()
+}
+
+// deliver flushes the batch with its tap and starts the next batch's
+// tap at address next.
+func (t *tapState) deliver(evs []trace.CtlEvent, first, n, next uint64) {
+	if n > 0 {
+		t.sink.ConsumeTapBatch(evs, first, n, &t.tap)
+	}
+	t.tap.PC = isa.Addr(next)
+	t.tap.Mem, t.tap.Regs = t.tap.Mem[:0], t.tap.Regs[:0]
+}
+
+// flushCtl delivers the pending batch at the end of a run, with its tap
+// when the run has one.
+func flushCtl(sink trace.CtlBatchConsumer, tap *tapState, evs []trace.CtlEvent, first, n, next uint64) {
+	if tap != nil {
+		tap.deliver(evs, first, n, next)
+		return
+	}
+	deliverCtl(sink, evs, first, n)
+}
+
 // execFusedFirst executes only the first constituent of fused micro-op
-// u — never a control transfer, so it has no control-plane event —
-// taken when fewer than two instructions of budget remain.
-func (c *CPU) execFusedFirst(u *uop) {
+// u, the instruction at dynamic index idx — never a control transfer,
+// so it has no control-plane event — taken when fewer than two
+// instructions of budget remain. A load or store goes onto tap when
+// there is one.
+func (c *CPU) execFusedFirst(u *uop, tap *tapState, idx uint64) {
 	regs := &c.regs
 	switch u.op {
 	case opFuseAddIBr, opFuseAddIAdd, opFuseAddIAddI:
@@ -44,9 +100,18 @@ func (c *CPU) execFusedFirst(u *uop) {
 	case opFuseAddAdd, opFuseAddAddI:
 		regs[u.rd] = regs[u.rs1] + regs[u.rs2]
 	case opFuseLoadAddI, opFuseLoadAdd, opFuseLoadSt:
-		regs[u.rd] = c.mem.Load(uint64(regs[u.rs1] + u.imm))
+		a := uint64(regs[u.rs1] + u.imm)
+		v := c.mem.Load(a)
+		regs[u.rd] = v
+		if tap != nil {
+			tap.access(idx, a, v, false)
+		}
 	case opFuseStBr, opFuseStSt:
-		c.mem.Store(uint64(regs[u.rs1]+u.imm), regs[u.rs2])
+		a, v := uint64(regs[u.rs1]+u.imm), regs[u.rs2]
+		c.mem.Store(a, v)
+		if tap != nil {
+			tap.access(idx, a, v, true)
+		}
 	default: // opFuseMovISt
 		regs[u.rd] = u.imm
 	}
@@ -54,13 +119,14 @@ func (c *CPU) execFusedFirst(u *uop) {
 
 // runCtl is the control-plane execution loop: runPre with every event
 // store elided except at control transfers. The batch flushes as soon
-// as its buf fills with transfer events (so a batch always ends at a
-// transfer) and at the end of the run, and error paths flush the
-// covered instructions before returning. A fused micro-op executes
-// whole whenever two instructions of budget remain — it retires at
-// most one transfer, and a batch slot is always free at dispatch — and
-// otherwise steps its first constituent alone, exactly as runPre does.
-func (c *CPU) runCtl(budget uint64, sink trace.CtlBatchConsumer, buf []trace.CtlEvent) (uint64, error) {
+// as its buf fills with transfer events (so such a batch ends at a
+// transfer), when tap is non-nil and one of its buffers fills, and at
+// the end of the run, and error paths flush the covered instructions
+// before returning. A fused micro-op executes whole whenever two
+// instructions of budget remain — it retires at most one transfer, and
+// a batch slot is always free at dispatch — and otherwise steps its
+// first constituent alone, exactly as runPre does.
+func (c *CPU) runCtl(budget uint64, sink trace.CtlBatchConsumer, buf []trace.CtlEvent, tap *tapState) (uint64, error) {
 	ops := c.ops
 	pc := uint64(c.pc)
 	retired := c.retired
@@ -78,7 +144,7 @@ func (c *CPU) runCtl(budget uint64, sink trace.CtlBatchConsumer, buf []trace.Ctl
 	halted := c.halted
 	for !halted && retired < limit {
 		if pc >= uint64(len(ops)) {
-			deliverCtl(sink, buf[:k], first, retired-first)
+			flushCtl(sink, tap, buf[:k], first, retired-first, pc)
 			c.pc, c.retired = isa.Addr(pc), retired
 			return retired - start, fmt.Errorf("%w: pc=%d len=%d", ErrPC, isa.Addr(pc), len(ops))
 		}
@@ -140,7 +206,11 @@ func (c *CPU) runCtl(budget uint64, sink trace.CtlBatchConsumer, buf []trace.Ctl
 			if limit-retired < 2 {
 				goto first1
 			}
-			c.mem.Store(uint64(regs[u.rs1]+u.imm), regs[u.rs2])
+			a, v := uint64(regs[u.rs1]+u.imm), regs[u.rs2]
+			c.mem.Store(a, v)
+			if tap != nil {
+				tap.access(retired, a, v, true)
+			}
 			if condHolds(u.aux, regs[u.aux2]) {
 				buf[k] = trace.CtlEvent{Index: retired + 1, PC: isa.Addr(pc + 1), Instr: u.in2,
 					Taken: true, Target: isa.Addr(u.target)}
@@ -155,8 +225,16 @@ func (c *CPU) runCtl(budget uint64, sink trace.CtlBatchConsumer, buf []trace.Ctl
 			if limit-retired < 2 {
 				goto first1
 			}
-			regs[u.rd] = c.mem.Load(uint64(regs[u.rs1] + u.imm))
+			a := uint64(regs[u.rs1] + u.imm)
+			v := c.mem.Load(a)
+			regs[u.rd] = v
 			regs[u.aux] = regs[u.aux2] + u.imm2
+			if tap != nil {
+				tap.access(retired, a, v, false)
+				pc += 2
+				retired += 2
+				goto tapped
+			}
 			pc += 2
 			retired += 2
 			continue
@@ -164,8 +242,16 @@ func (c *CPU) runCtl(budget uint64, sink trace.CtlBatchConsumer, buf []trace.Ctl
 			if limit-retired < 2 {
 				goto first1
 			}
-			regs[u.rd] = c.mem.Load(uint64(regs[u.rs1] + u.imm))
+			a := uint64(regs[u.rs1] + u.imm)
+			v := c.mem.Load(a)
+			regs[u.rd] = v
 			regs[u.aux] = regs[u.aux2] + regs[u.rs2]
+			if tap != nil {
+				tap.access(retired, a, v, false)
+				pc += 2
+				retired += 2
+				goto tapped
+			}
 			pc += 2
 			retired += 2
 			continue
@@ -174,7 +260,14 @@ func (c *CPU) runCtl(budget uint64, sink trace.CtlBatchConsumer, buf []trace.Ctl
 				goto first1
 			}
 			regs[u.rd] = u.imm
-			c.mem.Store(uint64(regs[u.rs1]+u.imm2), regs[u.rs2])
+			a, v := uint64(regs[u.rs1]+u.imm2), regs[u.rs2]
+			c.mem.Store(a, v)
+			if tap != nil {
+				tap.access(retired+1, a, v, true)
+				pc += 2
+				retired += 2
+				goto tapped
+			}
 			pc += 2
 			retired += 2
 			continue
@@ -182,8 +275,18 @@ func (c *CPU) runCtl(budget uint64, sink trace.CtlBatchConsumer, buf []trace.Ctl
 			if limit-retired < 2 {
 				goto first1
 			}
-			regs[u.rd] = c.mem.Load(uint64(regs[u.rs1] + u.imm))
-			c.mem.Store(uint64(regs[u.aux2]+u.imm2), regs[u.aux3])
+			a := uint64(regs[u.rs1] + u.imm)
+			v := c.mem.Load(a)
+			regs[u.rd] = v
+			a2, v2 := uint64(regs[u.aux2]+u.imm2), regs[u.aux3]
+			c.mem.Store(a2, v2)
+			if tap != nil {
+				tap.access(retired, a, v, false)
+				tap.access(retired+1, a2, v2, true)
+				pc += 2
+				retired += 2
+				goto tapped
+			}
 			pc += 2
 			retired += 2
 			continue
@@ -191,8 +294,17 @@ func (c *CPU) runCtl(budget uint64, sink trace.CtlBatchConsumer, buf []trace.Ctl
 			if limit-retired < 2 {
 				goto first1
 			}
-			c.mem.Store(uint64(regs[u.rs1]+u.imm), regs[u.rs2])
-			c.mem.Store(uint64(regs[u.aux2]+u.imm2), regs[u.aux3])
+			a, v := uint64(regs[u.rs1]+u.imm), regs[u.rs2]
+			c.mem.Store(a, v)
+			a2, v2 := uint64(regs[u.aux2]+u.imm2), regs[u.aux3]
+			c.mem.Store(a2, v2)
+			if tap != nil {
+				tap.access(retired, a, v, true)
+				tap.access(retired+1, a2, v2, true)
+				pc += 2
+				retired += 2
+				goto tapped
+			}
 			pc += 2
 			retired += 2
 			continue
@@ -255,9 +367,24 @@ func (c *CPU) runCtl(budget uint64, sink trace.CtlBatchConsumer, buf []trace.Ctl
 			}
 			goto xfer1
 		case opLoad:
-			regs[u.rd] = c.mem.Load(uint64(regs[u.rs1] + u.imm))
+			a := uint64(regs[u.rs1] + u.imm)
+			v := c.mem.Load(a)
+			regs[u.rd] = v
+			if tap != nil {
+				tap.access(retired, a, v, false)
+				retired++
+				pc = next
+				goto tapped
+			}
 		case opStore:
-			c.mem.Store(uint64(regs[u.rs1]+u.imm), regs[u.rs2])
+			a, v := uint64(regs[u.rs1]+u.imm), regs[u.rs2]
+			c.mem.Store(a, v)
+			if tap != nil {
+				tap.access(retired, a, v, true)
+				retired++
+				pc = next
+				goto tapped
+			}
 		case opMovI:
 			regs[u.rd] = u.imm
 		case opMov:
@@ -301,7 +428,7 @@ func (c *CPU) runCtl(budget uint64, sink trace.CtlBatchConsumer, buf []trace.Ctl
 			goto xfer1
 		case opCall:
 			if len(c.stack) >= MaxCallDepth {
-				deliverCtl(sink, buf[:k], first, retired-first)
+				flushCtl(sink, tap, buf[:k], first, retired-first, pc)
 				c.pc, c.retired = isa.Addr(pc), retired
 				return retired - start, fmt.Errorf("%w at pc=%d", ErrCallDepth, isa.Addr(pc))
 			}
@@ -309,7 +436,7 @@ func (c *CPU) runCtl(budget uint64, sink trace.CtlBatchConsumer, buf []trace.Ctl
 			next = uint64(u.target)
 		case opRet:
 			if len(c.stack) == 0 {
-				deliverCtl(sink, buf[:k], first, retired-first)
+				flushCtl(sink, tap, buf[:k], first, retired-first, pc)
 				c.pc, c.retired = isa.Addr(pc), retired
 				return retired - start, fmt.Errorf("%w at pc=%d", ErrRetEmpty, isa.Addr(pc))
 			}
@@ -332,21 +459,39 @@ func (c *CPU) runCtl(budget uint64, sink trace.CtlBatchConsumer, buf []trace.Ctl
 		continue
 
 	first1: // fused op stepped as its first constituent only
-		c.execFusedFirst(u)
+		c.execFusedFirst(u, tap, retired)
 		retired++
 		pc++
+		if tap != nil {
+			goto tapped
+		}
+		continue
+
+	tapped: // a load or store went onto the tap; pc and retired are advanced
+		if tap.memFull() {
+			tap.deliver(buf[:k], first, retired-first, pc)
+			k, first = 0, retired
+		}
 		continue
 
 	xfer1: // a single-instruction transfer, its event in buf[k]
 		retired++
 		pc = next
 	xfer: // the transfer's event is in buf[k]; pc and retired are advanced
+		if tap != nil {
+			full := tap.transfer(&buf[k], regs)
+			if k++; k == kmax || full {
+				tap.deliver(buf[:k], first, retired-first, pc)
+				k, first = 0, retired
+			}
+			continue
+		}
 		if k++; k == kmax {
 			sink.ConsumeCtlBatch(buf, first, retired-first)
 			k, first = 0, retired
 		}
 	}
-	deliverCtl(sink, buf[:k], first, retired-first)
+	flushCtl(sink, tap, buf[:k], first, retired-first, pc)
 	c.pc, c.retired, c.halted = isa.Addr(pc), retired, halted
 	return retired - start, nil
 }

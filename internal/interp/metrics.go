@@ -14,6 +14,8 @@ var (
 		"Nanoseconds per instruction of the most recent Run call.")
 	mRunsCtl = obs.NewCounter("dynloop_interp_runs_total",
 		"Run calls by negotiated event facet.", "plane", "ctl")
+	mRunsTap = obs.NewCounter("dynloop_interp_runs_total",
+		"Run calls by negotiated event facet.", "plane", "tap")
 	mRunsFull = obs.NewCounter("dynloop_interp_runs_total",
 		"Run calls by negotiated event facet.", "plane", "full")
 	mCtlReplays = obs.NewCounter("dynloop_ctl_replays_total",
@@ -25,10 +27,11 @@ var (
 func CtlReplays() uint64 { return mCtlReplays.Value() }
 
 // PlaneRuns reports the process-lifetime count of Run calls that
-// negotiated control-plane-only delivery vs full-event delivery, for
-// the daemon's /v1/stats mirror.
-func PlaneRuns() (ctl, full uint64) {
-	return mRunsCtl.Value(), mRunsFull.Value()
+// negotiated control-plane-only delivery, control-plane delivery with
+// the data tap, and full-event delivery, for the daemon's /v1/stats
+// mirror.
+func PlaneRuns() (ctl, tap, full uint64) {
+	return mRunsCtl.Value(), mRunsTap.Value(), mRunsFull.Value()
 }
 
 // Instructions returns the process-lifetime retired instruction count.

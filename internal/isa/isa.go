@@ -361,8 +361,7 @@ var regBits = func() (t [256]uint32) {
 // register r, without building a slice. Registers are taken mod NumRegs,
 // which valid programs never exceed.
 func (in *Instr) ReadMask() uint32 {
-	// Both lookups, then a select the compiler makes branch-free: the
-	// data-speculation collector calls this for every instruction.
+	// Both lookups, then a select the compiler makes branch-free.
 	src, alu := kindSrcs[in.Kind], aluSrcs[in.Op]
 	if in.Kind == KindALU {
 		src = alu

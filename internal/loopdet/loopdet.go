@@ -18,15 +18,19 @@
 //
 // Loop structure events are delivered to Observers. Observers that also
 // implement CountObserver additionally learn how many instructions
-// retired between loop events; observers that implement StreamObserver
-// receive every raw instruction event instead. Both hear about an
-// instruction before any loop event derived from it.
+// retired between loop events; observers that implement TapObserver
+// learn each such run's start address and memory accesses, and the
+// register file where executions and iterations start; observers that
+// implement StreamObserver receive every raw instruction event instead.
+// All of them hear about an instruction before any loop event derived
+// from it.
 //
 // The detector consumes either event plane (see trace.Planes): the full
 // plane, one trace.Event per instruction, or the control plane, which
 // carries only the branches, jumps and returns the rules above react to
-// plus the retired-instruction count. It asks for the full plane only
-// while a StreamObserver is attached.
+// plus the retired-instruction count, and with it the data tap while a
+// TapObserver is attached. It asks for the full plane only while a
+// StreamObserver is attached.
 package loopdet
 
 import (
@@ -158,6 +162,41 @@ type StreamObserver interface {
 	Instr(ev *trace.Event)
 }
 
+// TapObserver is an Observer that also reads the data tap
+// (trace.PlaneTap): each run (see CountObserver) with its start address
+// and memory accesses, and the register file at every ExecStart and
+// IterStart. Attaching one puts the detector on the control plane with
+// the tap, which only the interpreter produces; delivering the full
+// plane to it panics, and so does attaching a StreamObserver beside it.
+type TapObserver interface {
+	Observer
+	// Run reports a run before any loop event derived from its last
+	// instruction. The pointee and its slices are reused.
+	Run(r *TapRun)
+	// Regs reports the register file as it stands after a taken
+	// backward branch or jump retired, before any ExecStart or
+	// IterStart that transfer triggers; no other transfer triggers
+	// them. The pointee is reused once the batch ends.
+	Regs(regs *[isa.NumRegs]int64)
+}
+
+// TapRun is one run on the tap plane: N consecutive instructions from
+// dynamic index First, the first of them at address PC. Its only
+// branch, jump or return, if any, is its last instruction, so its
+// addresses follow from PC and the segment table; calls go to their
+// static targets.
+type TapRun struct {
+	// Segs is the program's segment table (see trace.Segments).
+	Segs []trace.Segment
+	// PC is the address of the run's first instruction.
+	PC isa.Addr
+	// First and N are the dynamic index of the run's first instruction
+	// and the run's length.
+	First, N uint64
+	// Mem holds the run's loads and stores, in stream order.
+	Mem []trace.MemAccess
+}
+
 // BatchStreamObserver is a StreamObserver whose raw-stream delivery can
 // take contiguous runs of events at once. The detector guarantees that a
 // run never spans a loop event: every loop callback derived from an
@@ -220,8 +259,9 @@ type Config struct {
 
 // Detector is the CLS mechanism. Create with New, attach observers, then
 // feed it the instruction stream (it implements trace.Consumer,
-// trace.BatchConsumer and trace.CtlBatchConsumer; the control plane is
-// the fast one) and call Flush at the end.
+// trace.BatchConsumer, trace.CtlBatchConsumer and
+// trace.TapBatchConsumer; the control plane is the fast one) and call
+// Flush at the end.
 type Detector struct {
 	capacity  int
 	flushMask uint64 // 0 = disabled; otherwise flush when instrs reaches the next multiple
@@ -229,19 +269,30 @@ type Detector struct {
 	cls       []*Exec // cls[0] is the deepest/outermost entry
 	free      []*Exec // retired executions, reused by push
 	obs       []Observer
-	runs      []runSink // count and stream observers, in attachment order
+	runs      []runSink // count, tap and stream observers, in attachment order
 	streams   int       // how many of runs are stream observers
+	taps      int       // how many of runs are tap observers
 	nextID    uint64
 	last      uint64
 	stats     Stats
 	one       [1]trace.Event // Consume's one-event run
+
+	// The tap plane: the batch being consumed, the position in its
+	// accesses and snapshots, the address the pending run starts at, and
+	// the run handed to tap observers.
+	tap  *trace.Tap
+	mem  int
+	snap int
+	pc   isa.Addr
+	run  TapRun
 }
 
 // runSink is one attached run observer with its delivery path resolved
 // at attachment time, so the hot loop never type-asserts. Exactly one of
-// count and scalar is set.
+// count, tap and scalar is set.
 type runSink struct {
 	count  CountObserver
+	tap    TapObserver
 	scalar StreamObserver
 	batch  BatchStreamObserver // nil when scalar-only
 }
@@ -265,6 +316,7 @@ func New(cfg Config) *Detector {
 // AddObserver attaches an observer; observers are invoked in attachment
 // order. Observers that implement StreamObserver also receive raw
 // events, via InstrBatch when they implement BatchStreamObserver;
+// otherwise observers that implement TapObserver receive tap runs, and
 // otherwise observers that implement CountObserver receive run counts.
 func (d *Detector) AddObserver(o Observer) {
 	d.obs = append(d.obs, o)
@@ -273,6 +325,9 @@ func (d *Detector) AddObserver(o Observer) {
 		sink.batch, _ = o.(BatchStreamObserver)
 		d.runs = append(d.runs, sink)
 		d.streams++
+	} else if t, ok := o.(TapObserver); ok {
+		d.runs = append(d.runs, runSink{tap: t})
+		d.taps++
 	} else if c, ok := o.(CountObserver); ok {
 		d.runs = append(d.runs, runSink{count: c})
 	}
@@ -320,6 +375,7 @@ func (d *Detector) Consume(ev *trace.Event) {
 // Most instructions are neither, so the inner loop touches no
 // interfaces.
 func (d *Detector) ConsumeBatch(evs []trace.Event) {
+	d.fullPlane()
 	start := 0
 	for i := range evs {
 		ev := &evs[i]
@@ -341,6 +397,7 @@ func (d *Detector) ConsumeBatch(evs []trace.Event) {
 // or ret. The result is identical to ConsumeBatch; the detector just
 // skips its own per-event kind scan and walks boundary to boundary.
 func (d *Detector) ConsumeBatchSegmented(evs []trace.Event, ctl []int32) {
+	d.fullPlane()
 	start := 0
 	for _, ci := range ctl {
 		i := int(ci)
@@ -354,15 +411,28 @@ func (d *Detector) ConsumeBatchSegmented(evs []trace.Event, ctl []int32) {
 	}
 }
 
+// fullPlane panics when tap observers are attached: the full plane
+// carries no tap, and computing without it would be silently wrong.
+func (d *Detector) fullPlane() {
+	if d.taps != 0 {
+		panic("loopdet: full-plane delivery to a detector with tap observers; only the interpreter's control plane carries the data tap")
+	}
+}
+
 // NeedPlanes implements trace.PlaneDeclarer: the CLS rules read only the
 // transfer events and count observers only the instruction counts, so
-// the detector is control-only unless a StreamObserver — which reads
-// every raw event, data facet included — is attached.
+// the detector is control-only unless a TapObserver, which reads the
+// data tap, or a StreamObserver — which reads every raw event, data
+// facet included — is attached.
 func (d *Detector) NeedPlanes() trace.Planes {
-	if d.streams == 0 {
-		return trace.PlaneCtl
+	p := trace.PlaneCtl
+	if d.streams != 0 {
+		p |= trace.PlaneData
 	}
-	return trace.PlaneCtl | trace.PlaneData
+	if d.taps != 0 {
+		p |= trace.PlaneTap
+	}
+	return p
 }
 
 // ConsumeCtlBatch processes a control-plane batch
@@ -371,6 +441,30 @@ func (d *Detector) NeedPlanes() trace.Planes {
 // transfer events and the straight-line code between them costs one
 // Retired call per count observer.
 func (d *Detector) ConsumeCtlBatch(evs []trace.CtlEvent, first, n uint64) {
+	if d.taps != 0 {
+		panic("loopdet: control-plane delivery without the data tap to a detector with tap observers")
+	}
+	d.consumeCtl(evs, first, n)
+}
+
+// ConsumeTapBatch processes a control-plane batch with its data tap
+// (trace.TapBatchConsumer): as ConsumeCtlBatch, and besides each run
+// goes to the tap observers with its start address and accesses, and
+// each snapshot of the register file goes to them before the loop rules
+// for its transfer run. Without tap observers the tap is ignored.
+func (d *Detector) ConsumeTapBatch(evs []trace.CtlEvent, first, n uint64, tap *trace.Tap) {
+	if d.taps == 0 {
+		d.consumeCtl(evs, first, n)
+		return
+	}
+	d.tap, d.mem, d.snap, d.pc = tap, 0, 0, tap.PC
+	d.consumeCtl(evs, first, n)
+	d.tap = nil
+}
+
+// consumeCtl is the control-plane walk, with the batch's tap in d.tap
+// when tap observers are attached.
+func (d *Detector) consumeCtl(evs []trace.CtlEvent, first, n uint64) {
 	if d.streams != 0 {
 		panic("loopdet: control-plane delivery to a detector with stream observers")
 	}
@@ -379,10 +473,38 @@ func (d *Detector) ConsumeCtlBatch(evs []trace.CtlEvent, first, n uint64) {
 		ev := &evs[i]
 		d.retire(nil, next, ev.Index+1-next)
 		next = ev.Index + 1
+		if d.tap == nil {
+			d.transfer(ev.Instr, ev.PC, ev.Taken, ev.Index)
+			continue
+		}
+		if trace.TakesSnapshot(ev) {
+			d.regs(ev.Index)
+		}
 		d.transfer(ev.Instr, ev.PC, ev.Taken, ev.Index)
+		// The next run starts where the transfer went.
+		if ev.Taken {
+			d.pc = ev.Target
+		} else {
+			d.pc = ev.PC + 1
+		}
 	}
 	if end := first + n; next < end {
 		d.retire(nil, next, end-next)
+	}
+}
+
+// regs hands the tap's next register snapshot, that of the transfer at
+// dynamic index idx, to the tap observers.
+func (d *Detector) regs(idx uint64) {
+	if d.snap == len(d.tap.Regs) || d.tap.Regs[d.snap].Index != idx {
+		panic(fmt.Sprintf("loopdet: the data tap has no register snapshot for the transfer at %d", idx))
+	}
+	regs := &d.tap.Regs[d.snap].Regs
+	d.snap++
+	for i := range d.runs {
+		if t := d.runs[i].tap; t != nil {
+			t.Regs(regs)
+		}
 	}
 }
 
@@ -420,6 +542,11 @@ func (d *Detector) retire(evs []trace.Event, first, n uint64) {
 			head, evs = evs[:k], evs[k:]
 		}
 		d.emit(head, k, first+k-1)
+		if d.tap != nil {
+			// The rest of the run starts k instructions on, with no
+			// transfer in between.
+			d.pc = trace.Advance(d.tap.Segs, d.pc, k)
+		}
 		first, n = first+k, n-k
 		d.flushAt += d.flushMask
 		d.Flush()
@@ -435,11 +562,21 @@ func (d *Detector) retire(evs []trace.Event, first, n uint64) {
 func (d *Detector) emit(evs []trace.Event, n, last uint64) {
 	d.stats.Instrs += n
 	d.last = last
+	if d.tap != nil {
+		mem, j := d.tap.Mem, d.mem
+		for j < len(mem) && mem[j].Index <= last {
+			j++
+		}
+		d.run = TapRun{Segs: d.tap.Segs, PC: d.pc, First: last + 1 - n, N: n, Mem: mem[d.mem:j]}
+		d.mem = j
+	}
 	for i := range d.runs {
 		s := &d.runs[i]
 		switch {
 		case s.count != nil:
 			s.count.Retired(n, last)
+		case s.tap != nil:
+			s.tap.Run(&d.run)
 		case s.batch != nil:
 			s.batch.InstrBatch(evs)
 		default:

@@ -79,7 +79,7 @@ func TestStatsEndpointExtended(t *testing.T) {
 	if st.Server.Requests == 0 {
 		t.Fatalf("stats report zero HTTP requests after a grid: %+v", st.Server)
 	}
-	if st.Planes.InterpCtl+st.Planes.InterpFull == 0 {
+	if st.Planes.InterpCtl+st.Planes.InterpTap+st.Planes.InterpFull == 0 {
 		t.Fatalf("stats report zero interpreter runs after a grid: %+v", st.Planes)
 	}
 	vals, err := c.Metrics(ctx)
@@ -88,10 +88,14 @@ func TestStatsEndpointExtended(t *testing.T) {
 	}
 	// Global mirrors can only be >= this instance's view (other tests in
 	// the process may run concurrently), never behind it.
-	ctl := vals[`dynloop_interp_runs_total{plane="ctl"}`]
+	ctl, ok := vals[`dynloop_interp_runs_total{plane="ctl"}`]
+	tap, tapOK := vals[`dynloop_interp_runs_total{plane="tap"}`]
 	full := vals[`dynloop_interp_runs_total{plane="full"}`]
-	if ctl < float64(st.Planes.InterpCtl) || full < float64(st.Planes.InterpFull) {
-		t.Errorf("scrape (ctl=%v full=%v) behind stats (%+v)", ctl, full, st.Planes)
+	if !ok || !tapOK {
+		t.Fatalf("scrape lacks the ctl or tap interpreter-run series")
+	}
+	if ctl < float64(st.Planes.InterpCtl) || tap < float64(st.Planes.InterpTap) || full < float64(st.Planes.InterpFull) {
+		t.Errorf("scrape (ctl=%v tap=%v full=%v) behind stats (%+v)", ctl, tap, full, st.Planes)
 	}
 }
 

@@ -434,7 +434,7 @@ func (s *Server) handleCell(w http.ResponseWriter, r *http.Request) {
 
 func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 	rs := s.runner.Stats()
-	ictl, ifull := interp.PlaneRuns()
+	ictl, itap, ifull := interp.PlaneRuns()
 	rctl, rfull := tracefile.ReplayPlaneRuns()
 	reqs, shed, inflight := HTTPTotals()
 	st := wire.Stats{
@@ -443,6 +443,7 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 		Replays:    harness.Replays(),
 		Planes: wire.PlaneStats{
 			InterpCtl:  ictl,
+			InterpTap:  itap,
 			InterpFull: ifull,
 			ReplayCtl:  rctl,
 			ReplayFull: rfull,

@@ -102,7 +102,8 @@ func AsPass(c BatchConsumer) Pass {
 // Broadcast negotiates event facets for the whole fan-out: NeedPlanes
 // reports the union of the passes' needs, and when every pass is
 // control-only a producer may deliver transfer-only control-plane
-// batches through ConsumeCtlBatch instead of full Events.
+// batches through ConsumeCtlBatch instead of full Events, or through
+// ConsumeTapBatch when some pass also reads the data tap.
 type Broadcast struct {
 	passes []Pass
 	epochs uint64
@@ -168,6 +169,21 @@ func (b *Broadcast) ConsumeBatchSegmented(evs []Event, ctl []int32) {
 func (b *Broadcast) ConsumeCtlBatch(evs []CtlEvent, first, n uint64) {
 	b.epochs++
 	for _, p := range b.passes {
+		p.(CtlBatchConsumer).ConsumeCtlBatch(evs, first, n)
+	}
+}
+
+// ConsumeTapBatch delivers one control-plane epoch with its data tap.
+// Producers call it only when NeedPlanes() == PlaneCtl|PlaneTap, so
+// every pass is a CtlBatchConsumer; passes that take the tap receive it
+// and the others the control-plane batch alone.
+func (b *Broadcast) ConsumeTapBatch(evs []CtlEvent, first, n uint64, tap *Tap) {
+	b.epochs++
+	for _, p := range b.passes {
+		if tp, ok := p.(TapBatchConsumer); ok {
+			tp.ConsumeTapBatch(evs, first, n, tap)
+			continue
+		}
 		p.(CtlBatchConsumer).ConsumeCtlBatch(evs, first, n)
 	}
 }

@@ -53,6 +53,10 @@ const (
 	// Event, with its data facet (WroteReg, WrittenReg, WrittenVal,
 	// MemAddr, MemVal).
 	PlaneData
+	// PlaneTap is the data tap that rides the control plane (see Tap):
+	// every load and store, and the register file at each taken
+	// backward branch or jump. Only the interpreter produces it.
+	PlaneTap
 )
 
 // CtlBatchConsumer receives control-plane batches. A batch covers the n
@@ -69,6 +73,18 @@ const (
 // identical to its ConsumeBatch given the same stream.
 type CtlBatchConsumer interface {
 	ConsumeCtlBatch(evs []CtlEvent, first, n uint64)
+}
+
+// TapBatchConsumer receives control-plane batches with their data tap.
+// The batch rules of CtlBatchConsumer hold unchanged; tap holds the
+// data facts of the same covered instructions and, like evs, is reused
+// by the producer after the call returns. Producers deliver here only
+// when the sink implements this interface AND PlanesOf(sink) ==
+// PlaneCtl|PlaneTap; a tap batch may end anywhere a control-plane batch
+// may, and also ends early whenever one of the tap's buffers fills.
+type TapBatchConsumer interface {
+	CtlBatchConsumer
+	ConsumeTapBatch(evs []CtlEvent, first, n uint64, tap *Tap)
 }
 
 // PlaneDeclarer lets a consumer state which facets it reads, overriding

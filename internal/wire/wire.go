@@ -175,10 +175,12 @@ type WarmerStats struct {
 }
 
 // PlaneStats counts interpreter runs and archive replays by the event
-// facet the run negotiated with its sink: control-plane-only delivery
-// vs full events (see trace.PlanesOf).
+// facet the run negotiated with its sink: control-plane-only delivery,
+// control-plane delivery with the data tap (interpreter only) or full
+// events (see trace.PlanesOf).
 type PlaneStats struct {
 	InterpCtl  uint64 `json:"interp_ctl"`
+	InterpTap  uint64 `json:"interp_tap"`
 	InterpFull uint64 `json:"interp_full"`
 	ReplayCtl  uint64 `json:"replay_ctl"`
 	ReplayFull uint64 `json:"replay_full"`

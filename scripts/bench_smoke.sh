@@ -25,12 +25,17 @@
 # (for every workload and registered grid, a warmed fused group must not
 # allocate more at budget 4N than at N, so nothing allocates per loop
 # execution) and every zero-allocation pin of the hot paths. It also
-# runs the event-plane pins: TestCtlOnlyCellPlanes (only fig8's cells
-# and traversals may use the full event plane, so a new stream observer
-# that pulls a grid back onto it fails here) and TestBatchCutInvariance
-# (the control-plane consumers compute the same results at every batch
-# size on both planes). TestWarmLoopZeroAllocs pins that the Figure-8
-# collector allocates nothing per iteration of a warm loop.
+# runs the event-plane pins: TestCtlOnlyCellPlanes (no registered grid
+# cell or traversal may use the full event plane, and only fig8's take
+# the data tap, so a new stream observer that pulls a grid back onto
+# the full plane fails here) and TestBatchCutInvariance (the
+# control-plane consumers compute the same results at every batch size
+# on both planes). TestWarmLoopZeroAllocs pins that the Figure-8
+# collector allocates nothing per iteration of a warm loop, fed runs as
+# the detector hands them over on the tap plane, and
+# TestFig8TraversalAllocsDoNotScale that a fig8 traversal of swim
+# allocates the same bytes, beyond its data pages, at 100k and 500k
+# instructions, so the data tap stays bounded and pooled.
 # TestCompileAllocs pins grid.Compile's allocations per cell over the
 # serve-mix grids, uncached, so cell keys cannot slide back onto fmt
 # unnoticed. TestCompileMemoHitAllocs pins a warm compile of each
@@ -103,8 +108,8 @@ awk -v r="$REPLAY_NS" -v i="$INTERP_NS" -v k="$REPLAY_RATIO" 'BEGIN { exit !(r <
 	fail "full replay (${REPLAY_NS} ns/instr) regressed above interpretation (${INTERP_NS} ns/instr) beyond the ${REPLAY_RATIO}x noise ratio"
 
 echo "bench_smoke: allocation scaling, zero-alloc and event-plane pins"
-go test -count=1 -run '^(TestAllocsDoNotScaleWithBudget|TestSteadyStateZeroAllocs|TestCtlSteadyStateZeroAllocs|TestNilSinkNoAllocs|TestReplayZeroAllocs|TestReplayCtlZeroAllocs|TestHotPathZeroAllocs|TestExecStartZeroAllocs|TestCtlOnlyCellPlanes|TestBatchCutInvariance|TestWarmLoopZeroAllocs|TestCompileAllocs|TestCompileMemoHitAllocs|TestGroupDetectorCounts|TestCtlReplayZeroAllocs|TestFreshSeedWriteAllocs|TestWarmGridAllocs|TestBankAllocsDoNotScale)$' \
+go test -count=1 -run '^(TestAllocsDoNotScaleWithBudget|TestSteadyStateZeroAllocs|TestCtlSteadyStateZeroAllocs|TestNilSinkNoAllocs|TestReplayZeroAllocs|TestReplayCtlZeroAllocs|TestHotPathZeroAllocs|TestExecStartZeroAllocs|TestCtlOnlyCellPlanes|TestBatchCutInvariance|TestWarmLoopZeroAllocs|TestCompileAllocs|TestCompileMemoHitAllocs|TestGroupDetectorCounts|TestCtlReplayZeroAllocs|TestFreshSeedWriteAllocs|TestWarmGridAllocs|TestBankAllocsDoNotScale|TestFig8TraversalAllocsDoNotScale)$' \
 	. ./internal/grid ./internal/interp ./internal/tracefile ./internal/obs ./internal/taskpred ./internal/datapred ./internal/spec ||
-	fail "a hot path allocates again, a grid left the control plane, a fused group builds extra detectors or banks, a fresh seed rebuilds its program, a registered grid recompiles, a warm grid allocates per cell, or an engine bank allocates per loop event (see the failing test above)"
+	fail "a hot path allocates again, the data tap grows with the stream, a grid left the control plane, a fused group builds extra detectors or banks, a fresh seed rebuilds its program, a registered grid recompiles, a warm grid allocates per cell, or an engine bank allocates per loop event (see the failing test above)"
 
 echo "bench_smoke: OK (run ${RUN_NS} ns/instr; replay ${REPLAY_NS} vs interpret ${INTERP_NS} ns/instr; 0 allocs; no per-execution allocation)"
