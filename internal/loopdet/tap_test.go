@@ -9,6 +9,7 @@ import (
 	"dynloop/internal/builder"
 	"dynloop/internal/isa"
 	"dynloop/internal/loopdet"
+	"dynloop/internal/program"
 	"dynloop/internal/trace"
 	"dynloop/internal/workload"
 )
@@ -92,57 +93,93 @@ func wantTap(u *builder.Unit, budget uint64) (pcs []isa.Addr, mem []trace.MemAcc
 	return pcs, mem, regs
 }
 
+// checkTap runs u up to budget under a detector with a tapReplay at
+// every batch size and periodic flush the tap tests use, and compares
+// what the tap observer rebuilds with the reference full plane.
+func checkTap(t *testing.T, u *builder.Unit, budget uint64) {
+	t.Helper()
+	pcs, mem, regs := wantTap(u, budget)
+	for _, batch := range []int{1, 3, 1024} {
+		for _, flush := range []uint64{0, 7} {
+			o := &tapReplay{}
+			det := loopdet.New(loopdet.Config{Capacity: 16, FlushInterval: flush})
+			det.AddObserver(o)
+			cpu := u.NewCPU()
+			cpu.SetBatchSize(batch)
+			_, _ = cpu.Run(budget, det)
+			name := fmt.Sprintf("%s budget %d batch %d flush %d", u.Prog.Name, budget, batch, flush)
+			switch {
+			case o.err != nil:
+				t.Fatalf("%s: %v", name, o.err)
+			case !reflect.DeepEqual(o.pcs, pcs):
+				t.Fatalf("%s: the runs cover %d addresses that differ from the %d of the full plane", name, len(o.pcs), len(pcs))
+			case !reflect.DeepEqual(o.mem, mem):
+				t.Fatalf("%s: the tap carried %d accesses that differ from the %d of the full plane", name, len(o.mem), len(mem))
+			case !reflect.DeepEqual(o.regs, regs):
+				t.Fatalf("%s: the tap carried %d register snapshots that differ from the %d of the full plane", name, len(o.regs), len(regs))
+			}
+		}
+	}
+}
+
+// fusedLoop is a loop whose body holds every fused pair that loads,
+// stores or branches (see the interpreter's predecode), so the tap's
+// fused paths and, under small budgets, its one-constituent tail
+// all run.
+func fusedLoop(t *testing.T) *builder.Unit {
+	t.Helper()
+	p := &program.Program{Name: "fused", Code: []isa.Instr{
+		isa.MovI(1, 100),
+		isa.MovI(2, 5),
+		isa.Load(3, 1, 0), // ld + addi
+		isa.AddI(4, 3, 1),
+		isa.Load(5, 1, 8), // ld + add
+		isa.ALU(isa.OpAdd, 6, 5, 4),
+		isa.MovI(7, 9), // movi + st
+		isa.Store(1, 16, 7),
+		isa.Load(8, 1, 16), // ld + st
+		isa.Store(1, 24, 8),
+		isa.Store(1, 32, 6), // st + st
+		isa.Store(1, 40, 4),
+		isa.AddI(2, 2, -1), // addi + br
+		isa.Branch(isa.CondNEZ, 2, 2),
+		isa.Store(1, 48, 2), // st + br
+		isa.Branch(isa.CondNEZ, 2, 2),
+		isa.Halt(),
+	}}
+	if err := p.Validate(); err != nil {
+		t.Fatal(err)
+	}
+	return &builder.Unit{Prog: p}
+}
+
 // TestTapPlaneRebuildsStream pins the data tap end to end, interpreter
 // and detector together: from the runs, accesses and snapshots a tap
 // observer receives, the stream's addresses, loads, stores and
 // register snapshots must come out exactly as the reference
 // interpreter's full plane has them, at every batch size (small ones
 // end tap batches at full buffers) and with a periodic flush that cuts
-// runs in the middle of straight-line code.
+// runs in the middle of straight-line code: on every workload, on
+// builder.Random programs, and on a loop of every fused pair at every
+// budget that cuts it.
 func TestTapPlaneRebuildsStream(t *testing.T) {
-	var units []*builder.Unit
-	for _, name := range []string{"swim", "li", "gcc"} {
-		bm, err := workload.ByName(name)
-		if err != nil {
-			t.Fatal(err)
-		}
+	for _, bm := range workload.All() {
 		u, err := bm.Build(1)
 		if err != nil {
 			t.Fatal(err)
 		}
-		units = append(units, u)
+		checkTap(t, u, 20_000)
 	}
 	for seed := uint64(1); seed <= 6; seed++ {
 		u, err := builder.Random(seed, builder.RandomOpt{})
 		if err != nil {
 			t.Fatal(err)
 		}
-		units = append(units, u)
+		checkTap(t, u, 20_000)
 	}
-	const budget = 20_000
-	for _, u := range units {
-		pcs, mem, regs := wantTap(u, budget)
-		for _, batch := range []int{1, 3, 1024} {
-			for _, flush := range []uint64{0, 7} {
-				o := &tapReplay{}
-				det := loopdet.New(loopdet.Config{Capacity: 16, FlushInterval: flush})
-				det.AddObserver(o)
-				cpu := u.NewCPU()
-				cpu.SetBatchSize(batch)
-				_, _ = cpu.Run(budget, det)
-				name := fmt.Sprintf("%s batch %d flush %d", u.Prog.Name, batch, flush)
-				switch {
-				case o.err != nil:
-					t.Fatalf("%s: %v", name, o.err)
-				case !reflect.DeepEqual(o.pcs, pcs):
-					t.Fatalf("%s: the runs cover %d addresses that differ from the %d of the full plane", name, len(o.pcs), len(pcs))
-				case !reflect.DeepEqual(o.mem, mem):
-					t.Fatalf("%s: the tap carried %d accesses that differ from the %d of the full plane", name, len(o.mem), len(mem))
-				case !reflect.DeepEqual(o.regs, regs):
-					t.Fatalf("%s: the tap carried %d register snapshots that differ from the %d of the full plane", name, len(o.regs), len(regs))
-				}
-			}
-		}
+	u := fusedLoop(t)
+	for budget := uint64(1); budget <= 80; budget++ {
+		checkTap(t, u, budget)
 	}
 }
 
