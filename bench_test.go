@@ -181,8 +181,10 @@ func BenchmarkAblationNestRule(b *testing.B) {
 // benchPipeline drives b.N instructions of swim through the full
 // pipeline — interpreter feeding the detector in batches, with the
 // Table-1 statistics collector and a 4-TU STR(3) speculation engine
-// attached — at the given event-batch size (0 = default). time/op is
-// ns/instruction.
+// attached — at the given event-batch size (0 = default), on the
+// control plane the detector negotiates or, when reference is set,
+// forced onto the full plane and so onto the reference interpreter.
+// time/op is ns/instruction.
 func benchPipeline(b *testing.B, batchSize int, reference bool) {
 	bm, err := dynloop.BenchmarkByName("swim")
 	if err != nil {
@@ -195,14 +197,17 @@ func benchPipeline(b *testing.B, batchSize int, reference bool) {
 	det := loopdet.New(loopdet.Config{Capacity: 16})
 	det.AddObserver(loopstats.NewCollector())
 	det.AddObserver(spec.NewEngine(spec.Config{TUs: 4, Policy: spec.STRn(3)}))
+	var sink trace.BatchConsumer = det
+	if reference {
+		sink = trace.ForceFullPlane(det)
+	}
 	cpu := u.NewCPU()
 	cpu.SetBatchSize(batchSize)
-	cpu.SetReference(reference)
 	b.ReportAllocs()
 	b.ResetTimer()
 	remaining := uint64(b.N)
 	for remaining > 0 {
-		n, err := cpu.Run(remaining, det)
+		n, err := cpu.Run(remaining, sink)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -213,7 +218,6 @@ func benchPipeline(b *testing.B, batchSize int, reference bool) {
 		if cpu.Halted() {
 			cpu = u.NewCPU()
 			cpu.SetBatchSize(batchSize)
-			cpu.SetReference(reference)
 		}
 	}
 }
@@ -229,10 +233,12 @@ func BenchmarkRun(b *testing.B) {
 	b.ReportMetric(float64(b.N)/b.Elapsed().Seconds()/1e6, "Minstr/s")
 }
 
-// BenchmarkRunReference runs the same pipeline on the interpreter's
-// reference path (two-level dispatch, no predecode, no fusion). The
-// gap between this and BenchmarkRun is the tentpole's win, and keeping
-// both under one harness makes the A/B a single -bench invocation:
+// BenchmarkRunReference runs the same pipeline through
+// trace.ForceFullPlane, so on the interpreter's reference loop
+// (two-level dispatch, no predecode, no fusion, one full event per
+// instruction). The gap between this and BenchmarkRun is what the
+// control-plane loop buys, and keeping both under one harness makes
+// the A/B a single -bench invocation:
 //
 //	go test -run=^$ -bench='^BenchmarkRun(Reference)?$' .
 func BenchmarkRunReference(b *testing.B) {
@@ -502,7 +508,8 @@ func BenchmarkRunnerOverhead(b *testing.B) {
 // delivering a recorded stream into a pass by decode-only replay vs
 // re-interpreting the program, same sink either way, on each event plane
 // (the plain legs negotiate control-plane delivery, the -full legs force
-// full Events). time/op is ns/instruction; every leg must also hold
+// full Events, so interpret-full times the reference interpreter).
+// time/op is ns/instruction; every leg must also hold
 // 0 allocs/op (pinned by TestReplayZeroAllocs, TestReplayCtlZeroAllocs
 // and TestCtlSteadyStateZeroAllocs).
 func BenchmarkTraceReplay(b *testing.B) {

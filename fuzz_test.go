@@ -1,12 +1,13 @@
 // Differential fuzzing of the interpreter core: arbitrary (bounded)
-// programs must execute identically on the predecoded+fused fast path
-// and the reference two-level interpreter — same event stream, same
-// machine state, same error — any stream the fast path emits must
-// survive a trace-archive record/replay round trip event for event, its
-// control plane must replay from its branch outcomes, and the
-// control-plane consumers must compute the same results however
-// the stream is cut into batches and on either event plane, and the
-// Figure-8 data collector must match its per-instruction reference.
+// programs must execute identically on the predecoded+fused
+// control-plane loop and the reference two-level interpreter — same
+// transfers, same machine state and memory, same error — any stream the
+// reference emits must survive a trace-archive record/replay round trip
+// event for event, its control plane must replay from its branch
+// outcomes, and the control-plane consumers must compute the same
+// results however the stream is cut into batches and on either event
+// plane, and the Figure-8 data collector must match its per-instruction
+// reference.
 package dynloop_test
 
 import (
@@ -201,9 +202,8 @@ func TestBatchCutInvariance(t *testing.T) {
 	}
 }
 
-func newFuzzCPU(p *program.Program, reference bool) *interp.CPU {
+func newFuzzCPU(p *program.Program) *interp.CPU {
 	c := interp.New(p)
-	c.SetReference(reference)
 	bindFuzzSeqs(c)
 	return c
 }
@@ -225,59 +225,47 @@ func FuzzPredecode(f *testing.F) {
 		batch := []int{0, 1, 3, 256}[bsel%4]
 		const budget = 2000
 
-		fused := newFuzzCPU(p, false)
-		fused.SetBatchSize(batch)
-		frec := &trace.Recorder{}
-		fn, ferr := fused.Run(budget, frec)
-
-		ref := newFuzzCPU(p, true)
+		// The reference interpreter serves the full plane; every other
+		// leg is checked against its stream and machine state.
+		ref := newFuzzCPU(p)
 		ref.SetBatchSize(batch)
 		rrec := &trace.Recorder{}
 		rn, rerr := ref.Run(budget, rrec)
 
-		if (ferr == nil) != (rerr == nil) || (ferr != nil && ferr.Error() != rerr.Error()) {
-			t.Fatalf("errors diverged: fused %v, reference %v", ferr, rerr)
-		}
-		if fn != rn {
-			t.Fatalf("retired %d fused vs %d reference", fn, rn)
-		}
-		if !reflect.DeepEqual(frec.Events, rrec.Events) {
-			t.Fatalf("streams diverged after %d events", fn)
-		}
-		if fused.PC() != ref.PC() || fused.Halted() != ref.Halted() {
-			t.Fatalf("machine state diverged: pc %d/%d halted %v/%v",
-				fused.PC(), ref.PC(), fused.Halted(), ref.Halted())
-		}
-
-		// Control-plane leg: a ctl-only sink runs the dedicated ctl loop,
-		// which must retire exactly the full stream's branch/jump/ret
+		// Control-plane leg: a ctl-only sink runs the control-plane loop,
+		// which must retire exactly the reference stream's branch/jump/ret
 		// events, cover every retired instruction, and leave identical
-		// machine state and error behaviour.
-		ctlCPU := newFuzzCPU(p, false)
+		// machine state, memory included, and error behaviour.
+		ctlCPU := newFuzzCPU(p)
 		ctlCPU.SetBatchSize(batch)
 		crec := &ctlCapture{}
 		cn, cerr := ctlCPU.Run(budget, crec)
-		if (cerr == nil) != (ferr == nil) || (cerr != nil && cerr.Error() != ferr.Error()) {
-			t.Fatalf("ctl errors diverged: ctl %v, full %v", cerr, ferr)
+		if (cerr == nil) != (rerr == nil) || (cerr != nil && cerr.Error() != rerr.Error()) {
+			t.Fatalf("ctl errors diverged: ctl %v, reference %v", cerr, rerr)
 		}
-		if cn != fn || ctlCPU.PC() != fused.PC() || ctlCPU.Halted() != fused.Halted() {
-			t.Fatalf("ctl machine diverged: n %d/%d pc %d/%d halted %v/%v",
-				cn, fn, ctlCPU.PC(), fused.PC(), ctlCPU.Halted(), fused.Halted())
+		if cn != rn || ctlCPU.Retired() != ref.Retired() || ctlCPU.PC() != ref.PC() || ctlCPU.Halted() != ref.Halted() {
+			t.Fatalf("ctl machine diverged: n %d/%d retired %d/%d pc %d/%d halted %v/%v",
+				cn, rn, ctlCPU.Retired(), ref.Retired(), ctlCPU.PC(), ref.PC(), ctlCPU.Halted(), ref.Halted())
 		}
 		for r := isa.Reg(0); r < isa.NumRegs; r++ {
-			if ctlCPU.Reg(r) != fused.Reg(r) {
-				t.Fatalf("ctl r%d = %d, full %d", r, ctlCPU.Reg(r), fused.Reg(r))
+			if ctlCPU.Reg(r) != ref.Reg(r) {
+				t.Fatalf("ctl r%d = %d, reference %d", r, ctlCPU.Reg(r), ref.Reg(r))
 			}
 		}
 		var facet []trace.CtlEvent
-		for _, ev := range frec.Events {
+		for _, ev := range rrec.Events {
 			if trace.IsTransfer(ev.Instr.Kind) {
 				facet = append(facet, trace.CtlEvent{Index: ev.Index, PC: ev.PC, Instr: ev.Instr,
 					Taken: ev.Taken, Target: ev.Target})
 			}
+			if ev.Instr.Kind == isa.KindStore {
+				if got, want := ctlCPU.Mem().Load(ev.MemAddr), ref.Mem().Load(ev.MemAddr); got != want {
+					t.Fatalf("ctl mem[%d] = %d, reference %d", ev.MemAddr, got, want)
+				}
+			}
 		}
-		if crec.covered != fn {
-			t.Fatalf("ctl batches cover %d instructions, run retired %d", crec.covered, fn)
+		if crec.covered != rn {
+			t.Fatalf("ctl batches cover %d instructions, run retired %d", crec.covered, rn)
 		}
 		if len(crec.events) != len(facet) {
 			t.Fatalf("ctl stream has %d events, full facet %d", len(crec.events), len(facet))
@@ -333,20 +321,20 @@ func FuzzPredecode(f *testing.F) {
 
 		// Batch-cut leg: the paper's control-plane consumers see this
 		// program identically at every batch size, on both planes.
-		checkBatchCuts(t, "fuzz", func() *interp.CPU { return newFuzzCPU(p, false) }, budget)
+		checkBatchCuts(t, "fuzz", func() *interp.CPU { return newFuzzCPU(p) }, budget)
 
 		// Figure-8 leg: the run-granularity data collector must compute
 		// the per-instruction reference's Summary at every delivery and
 		// CLS configuration, also under caps small enough to overflow.
 		for _, cfg := range []datapred.Config{{}, {MaxMemPerLoop: 4, MaxPathsPerLoop: 2}} {
-			if _, err := datapredtest.Diff(func() *interp.CPU { return newFuzzCPU(p, false) }, budget, cfg); err != nil {
+			if _, err := datapredtest.Diff(func() *interp.CPU { return newFuzzCPU(p) }, budget, cfg); err != nil {
 				t.Fatalf("datapred %+v: %v", cfg, err)
 			}
 		}
 
 		// Replay leg: a clean run's stream must round-trip through the
 		// archive codec byte for byte.
-		if ferr != nil {
+		if rerr != nil {
 			return
 		}
 		a, err := tracefile.OpenArchive(t.TempDir())
@@ -357,8 +345,8 @@ func FuzzPredecode(f *testing.F) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		rec.ConsumeBatch(frec.Events)
-		if err := rec.Commit(fused.Halted()); err != nil {
+		rec.ConsumeBatch(rrec.Events)
+		if err := rec.Commit(ref.Halted()); err != nil {
 			t.Fatal(err)
 		}
 		r, ok := a.Lookup("fuzz", 1)
@@ -370,10 +358,10 @@ func FuzzPredecode(f *testing.F) {
 		if err != nil {
 			t.Fatalf("replay: %v", err)
 		}
-		if gotN != fn || gotHalted != fused.Halted() {
-			t.Fatalf("replay n=%d halted=%v, want %d/%v", gotN, gotHalted, fn, fused.Halted())
+		if gotN != rn || gotHalted != ref.Halted() {
+			t.Fatalf("replay n=%d halted=%v, want %d/%v", gotN, gotHalted, rn, ref.Halted())
 		}
-		if !reflect.DeepEqual(prec.Events, frec.Events) {
+		if !reflect.DeepEqual(prec.Events, rrec.Events) {
 			t.Fatalf("replayed stream differs from live stream")
 		}
 	})

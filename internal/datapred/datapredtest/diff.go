@@ -9,11 +9,11 @@ import (
 	"dynloop/internal/trace"
 )
 
-// deliveries are the ways Diff hands a stream to the detectors: batches
-// of these sizes, and 0 for one Detector.Consume call per event on the
-// full plane (the tap plane takes the default batch size then). The
-// interpreter sizes the tap's buffers by the batch size, so the small
-// sizes also end tap batches early, at full buffers.
+// deliveries are the interpreter batch sizes Diff runs both legs at; 0
+// is the default size. The interpreter sizes the tap's buffers by the
+// batch size, so the small sizes also end tap batches early, at full
+// buffers. The reference leg's detector takes one event at a time
+// whatever the batch size (see Collector.Feed).
 var deliveries = []int{1, 3, 4096, 0}
 
 // detectors are the CLS configurations Diff runs: capacity 1, the
@@ -42,12 +42,12 @@ func Diff(newCPU func() *interp.CPU, budget uint64, cfg datapred.Config) (iters 
 }
 
 // DiffOne runs the stream of newCPU, up to budget instructions, twice: a
-// reference Collector on the full event plane of the reference
-// interpreter, and a datapred.Collector on the predecoded interpreter's
-// control plane with the data tap, each under a detector configured by
-// dc and both configured by cfg, at batch size batch (see deliveries).
-// It returns the reference's Summary, or an error when the two differ in
-// any field.
+// reference Collector on the full event plane, which the reference
+// interpreter produces, and a datapred.Collector on the control plane
+// with the data tap, each under a detector configured by dc and both
+// configured by cfg, at batch size batch (see deliveries). It returns
+// the reference's Summary, or an error when the two differ in any
+// field.
 func DiffOne(newCPU func() *interp.CPU, budget uint64, dc loopdet.Config, batch int, cfg datapred.Config) (datapred.Summary, error) {
 	ref, got := NewCollector(cfg), datapred.NewCollector(cfg)
 	refDet, det := loopdet.New(dc), loopdet.New(dc)
@@ -58,20 +58,13 @@ func DiffOne(newCPU func() *interp.CPU, budget uint64, dc loopdet.Config, batch 
 	}
 
 	cpu := newCPU()
-	cpu.SetReference(true)
-	var sink trace.BatchConsumer = refDet
-	if batch == 0 {
-		sink = trace.ConsumerFunc(refDet.Consume)
-	} else {
-		cpu.SetBatchSize(batch)
-	}
+	cpu.SetBatchSize(batch)
 	// A machine error ends the stream early; both legs see the same
 	// prefix, which is all the comparison needs.
-	_, _ = cpu.Run(budget, sink)
+	_, _ = cpu.Run(budget, ref.Feed(refDet))
 	refDet.Flush()
 
 	cpu = newCPU()
-	cpu.SetReference(false)
 	cpu.SetBatchSize(batch)
 	_, _ = cpu.Run(budget, det)
 	det.Flush()

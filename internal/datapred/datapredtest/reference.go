@@ -150,8 +150,19 @@ func NewCollector(cfg datapred.Config) *Collector {
 	}
 }
 
-// Instr implements loopdet.StreamObserver: classify reads/writes into
-// every active iteration frame and maintain the register shadow.
+// Feed returns the full-plane sink that drives the collector: for each
+// event it calls Instr and then d.Consume, so the collector sees every
+// instruction before any loop event or periodic flush it triggers. The
+// collector must be attached to d.
+func (c *Collector) Feed(d *loopdet.Detector) trace.BatchConsumer {
+	return trace.ConsumerFunc(func(ev *trace.Event) {
+		c.Instr(ev)
+		d.Consume(ev)
+	})
+}
+
+// Instr classifies the reads and writes of one instruction into every
+// active iteration frame and maintains the register shadow.
 func (c *Collector) Instr(ev *trace.Event) {
 	in := ev.Instr
 	if len(c.frames) > 0 {
@@ -177,26 +188,6 @@ func (c *Collector) Instr(ev *trace.Event) {
 	}
 	if ev.WroteReg {
 		c.shadow[ev.WrittenReg] = ev.WrittenVal
-	}
-}
-
-// InstrBatch implements loopdet.BatchStreamObserver. Outside any loop —
-// the common case between executions — the run reduces to replaying
-// register writes into the shadow file with no per-event dispatch;
-// inside loops the per-event classification is inherently per
-// instruction, but the method-call loop still beats one interface call
-// per event.
-func (c *Collector) InstrBatch(evs []trace.Event) {
-	if len(c.frames) == 0 {
-		for i := range evs {
-			if ev := &evs[i]; ev.WroteReg {
-				c.shadow[ev.WrittenReg] = ev.WrittenVal
-			}
-		}
-		return
-	}
-	for i := range evs {
-		c.Instr(&evs[i])
 	}
 }
 

@@ -149,10 +149,12 @@ func TestFig8TraversalAllocsDoNotScale(t *testing.T) {
 }
 
 // BenchmarkCollector runs Figure 8's streams (every workload at seed 1,
-// 500k instructions, the paper's 16-entry CLS) under the collector and
-// under the per-instruction reference; an op is all 18 streams,
-// interpretation on the full event plane included.
+// 500k instructions, the paper's 16-entry CLS) under the collector on
+// the data tap and under the per-instruction reference on the full
+// plane, which the reference interpreter produces; an op is all 18
+// streams, interpretation included.
 func BenchmarkCollector(b *testing.B) {
+	const budget = 500_000
 	var units []*builder.Unit
 	for _, bm := range workload.All() {
 		u, err := bm.Build(1)
@@ -163,16 +165,25 @@ func BenchmarkCollector(b *testing.B) {
 	}
 	for _, leg := range []struct {
 		name string
-		mk   func() loopdet.Observer
+		run  func(u *builder.Unit) error
 	}{
-		{"run", func() loopdet.Observer { return datapred.NewCollector(datapred.Config{}) }},
-		{"reference", func() loopdet.Observer { return datapredtest.NewCollector(datapred.Config{}) }},
+		{"run", func(u *builder.Unit) error {
+			_, err := harness.Run(u, harness.Config{Budget: budget}, datapred.NewCollector(datapred.Config{}))
+			return err
+		}},
+		{"reference", func(u *builder.Unit) error {
+			ref := datapredtest.NewCollector(datapred.Config{})
+			det := harness.NewObserverPass(0, ref)
+			_, err := u.NewCPU().Run(budget, ref.Feed(det))
+			det.Flush()
+			return err
+		}},
 	} {
 		b.Run(leg.name, func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
 				for _, u := range units {
-					if _, err := harness.Run(u, harness.Config{Budget: 500_000}, leg.mk()); err != nil {
+					if err := leg.run(u); err != nil {
 						b.Fatal(err)
 					}
 				}

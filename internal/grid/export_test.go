@@ -32,10 +32,10 @@ func GroupPasses(cells ...Cell) (passes []trace.Pass, detectors, banks int, ok b
 // RunPrivate is the oracle Run is checked against. Every fusable cell
 // runs its own traversal — its own group, so its own detectors and
 // banks — on the reference interpreter with full-plane delivery;
-// composite cells run as Run runs them. The reference interpreter has
-// no data tap, so a Figure 8 cell observes through the per-instruction
-// collector of package datapredtest instead of its own. Values return
-// in cell order.
+// composite cells run as Run runs them. The full plane carries no data
+// tap, so a Figure 8 cell observes through the per-instruction
+// collector of package datapredtest instead of its own, fed by
+// Collector.Feed. Values return in cell order.
 func RunPrivate(ctx context.Context, cfg Config, s Spec) ([]any, error) {
 	cells, rs, err := Compile(cfg, s)
 	if err != nil {
@@ -51,9 +51,10 @@ func RunPrivate(ctx context.Context, cfg Config, s Spec) ([]any, error) {
 			continue
 		}
 		g := newGroup()
+		var ref *datapredtest.Collector
 		var finish func() (any, error)
 		if rs.Kind == "fig8" {
-			ref := datapredtest.NewCollector(datapred.Config{})
+			ref = datapredtest.NewCollector(datapred.Config{})
 			g.observe(c.Coord.CLS, ref)
 			finish = func() (any, error) { return Fig8Row{Bench: c.bench.Name, S: ref.Summary()}, nil }
 		} else {
@@ -65,10 +66,15 @@ func RunPrivate(ctx context.Context, cfg Config, s Spec) ([]any, error) {
 		}
 		cpu := u.NewCPU()
 		cpu.SetBatchSize(cfg.BatchSize)
-		cpu.SetReference(true)
 		b := trace.NewBroadcast(0, g.passes...)
+		sink := trace.ForceFullPlane(b)
+		if ref != nil {
+			// The group holds only ref's detector; the broadcast still
+			// initialises and finalises it.
+			sink = ref.Feed(g.detector(c.Coord.CLS, false))
+		}
 		b.Init()
-		if _, err := cpu.Run(c.Coord.Budget, trace.ForceFullPlane(b)); err != nil {
+		if _, err := cpu.Run(c.Coord.Budget, sink); err != nil {
 			return nil, err
 		}
 		b.Finalize()

@@ -22,8 +22,8 @@ import (
 // control-only too. No cell and no traversal of a render of every
 // registered grid uses the full event plane, and only fig8 interprets
 // with the tap. This keeps the end-to-end plane-equivalence suite from
-// passing vacuously, and fails as soon as a new stream observer pulls a
-// grid back onto the full plane.
+// passing vacuously, and fails as soon as a new pass pulls a grid back
+// onto the full plane.
 func TestCtlOnlyCellPlanes(t *testing.T) {
 	tap := trace.PlaneCtl | trace.PlaneTap
 	det := harness.NewObserverPass(16, looptab.NewTracker(16, 16))

@@ -84,7 +84,7 @@ func TestErrorFlushesPartialBatch(t *testing.T) {
 }
 
 // TestNilSinkNoAllocs: running without a sink must not allocate at all
-// (the scratch event never escapes).
+// (the control-plane loop's batch is pooled and its sink is empty).
 func TestNilSinkNoAllocs(t *testing.T) {
 	c := loopProg(1 << 40)
 	if _, err := c.Run(1024, nil); err != nil {

@@ -1,29 +1,36 @@
-// Package interp executes programs of the substrate ISA and emits one
-// trace.Event per retired instruction. It replaces the paper's
+// Package interp executes programs of the substrate ISA and delivers
+// their retired-instruction stream. It replaces the paper's
 // ATOM-instrumented Alpha binaries: the loop detector, tables, speculation
 // engine and data-speculation statistics all run as consumers of the
 // stream this interpreter produces.
 //
-// Execution is driven from a predecoded micro-op array (see
-// predecode.go): a dense single-switch dispatch with peephole
-// superinstruction fusion for the dominant loop idioms. The array is
-// built once per program (Predecode) and is immutable, so every CPU
-// made from one Code shares it; only machine state (registers, memory,
-// call stack, sequences) is per CPU. New predecodes for a single CPU.
-// The original two-level Kind/Op interpreter is retained verbatim as a
-// reference path (SetReference) for differential testing; both paths
-// emit byte-identical event streams.
+// There are two execution loops, and Run picks one by negotiating the
+// event plane with its sink (see trace.Planes):
 //
-// Events are delivered in batches: Run fills a reusable buffer of
-// DefaultBatchSize events (see SetBatchSize) and flushes it through
-// trace.BatchConsumer, so the consumer side costs one interface call per
-// batch instead of one per instruction. The buffers come from a
-// process-wide pool for the duration of one Run and go back when it
-// returns, so they are reused across batches, Run calls and CPUs — the
-// steady-state hot path does not allocate, and a fresh CPU per traversal
-// does not allocate a fresh ~90 KiB batch either. When Run has no sink it
-// executes the same loop against a small CPU-owned scratch batch, so the
-// retire loop has exactly one code path.
+//   - runCtl (ctl.go) is the fast loop. It dispatches over a predecoded
+//     micro-op array with peephole superinstruction fusion (see
+//     predecode.go) and delivers only the control plane: the branches,
+//     jumps and returns the loop detector reacts to and the instruction
+//     counts between them, plus the data tap when the sink asks for it.
+//     Every registered grid runs here, and so does a Run with no sink.
+//   - runRef is the reference interpreter: the original two-level
+//     Kind/Op switch over isa.Instr, writing one full trace.Event per
+//     instruction. It serves the full event plane (trace recording,
+//     trace.Recorder, trace.Counter, consumers wrapped in
+//     trace.ForceFullPlane) and is the oracle runCtl is tested against.
+//
+// The micro-op array is built once per program (Predecode) and is
+// immutable, so every CPU made from one Code shares it; only machine
+// state (registers, memory, call stack, sequences) is per CPU. New
+// predecodes for a single CPU.
+//
+// Events are delivered in batches of DefaultBatchSize (see
+// SetBatchSize), so the consumer side costs one interface call per batch
+// instead of one per instruction. The buffers come from a process-wide
+// pool for the duration of one Run and go back when it returns, so they
+// are reused across batches, Run calls and CPUs — the steady-state hot
+// path does not allocate, and a fresh CPU per traversal does not
+// allocate a fresh batch either.
 package interp
 
 import (
@@ -60,10 +67,6 @@ const MaxCallDepth = 4096
 // L2 — 4096 (~360 KiB) measured ~10% slower on the reference host.
 const DefaultBatchSize = 1024
 
-// scratchSize is the batch size of the no-sink scratch buffer. It must
-// be at least 2 so fused micro-ops can retire both constituents into it.
-const scratchSize = 2
-
 // CPU is a single-context interpreter. Create one with New, then call Run.
 type CPU struct {
 	prog *program.Program
@@ -82,18 +85,10 @@ type CPU struct {
 	// retired counts instructions executed so far across Run calls.
 	retired uint64
 	halted  bool
-	// reference selects the retained two-level-switch interpreter (no
-	// predecode, no fusion) for differential testing.
-	reference bool
 
 	// batchSize is the event-batch size (0 = DefaultBatchSize); the
 	// buffers themselves are pooled (see batchBufs).
 	batchSize int
-	// scratch/scratchCtl receive event writes when Run has no sink,
-	// keeping the execution loop on a single code path without
-	// heap-escaping an event per instruction.
-	scratch    [scratchSize]trace.Event
-	scratchCtl [scratchSize]int32
 }
 
 // Code is a program's predecoded micro-op array. It is immutable once
@@ -122,7 +117,7 @@ func (k *Code) segments() []trace.Segment {
 
 // Predecode translates p once, with superinstruction fusion.
 func Predecode(p *program.Program) *Code {
-	return &Code{prog: p, ops: predecode(p, true)}
+	return &Code{prog: p, ops: predecode(p)}
 }
 
 // NewCPU returns a CPU ready to execute the code from the program's entry
@@ -156,16 +151,6 @@ func (c *CPU) Halted() bool { return c.halted }
 
 // PC returns the current program counter.
 func (c *CPU) PC() isa.Addr { return c.pc }
-
-// SetReference selects (true) or deselects (false) the reference
-// interpreter: the original two-level Kind/Op switch over isa.Instr,
-// with no predecode and no superinstruction fusion. Both paths emit
-// byte-identical event streams and machine state; the reference path
-// exists so differential tests (and suspicious users) can pin that.
-func (c *CPU) SetReference(on bool) { c.reference = on }
-
-// Reference reports whether the reference interpreter is selected.
-func (c *CPU) Reference() bool { return c.reference }
 
 // SetBatchSize sets the event-batch size for subsequent Run calls
 // (n <= 0 selects DefaultBatchSize). Batch size only affects delivery
@@ -201,13 +186,13 @@ func (c *CPU) BatchSize() int {
 //
 // Run negotiates the event plane with the sink: when the sink accepts
 // control-plane batches (trace.CtlBatchConsumer) and declares it needs
-// only the control facet (trace.PlanesOf == trace.PlaneCtl), the
-// predecoded loop delivers only the control-transfer events and the
-// instruction counts they sit among (see runCtl). When the sink asks for
-// the control facet plus the data tap (trace.PlaneCtl|trace.PlaneTap)
-// and accepts tap batches (trace.TapBatchConsumer), the same loop also
-// fills the tap. The reference path and the nil-sink path always use
-// full events.
+// only the control facet (trace.PlanesOf == trace.PlaneCtl), runCtl
+// delivers only the control-transfer events and the instruction counts
+// they sit among. When the sink asks for the control facet plus the
+// data tap (trace.PlaneCtl|trace.PlaneTap) and accepts tap batches
+// (trace.TapBatchConsumer), the same loop also fills the tap. A nil sink
+// runs runCtl too, delivering nowhere. Any other sink gets full events
+// from the reference interpreter, runRef.
 func (c *CPU) Run(budget uint64, sink trace.BatchConsumer) (uint64, error) {
 	if c.prog == nil {
 		return 0, ErrNoProgram
@@ -233,16 +218,14 @@ func (c *CPU) Run(budget uint64, sink trace.BatchConsumer) (uint64, error) {
 }
 
 // batchBufs is one set of batch buffers: evs is the full event batch
-// and ctl its control-transfer index side channel; ctlEvs is the
-// control-plane transfer buffer used instead when every attached
-// consumer is control-only (see Run), and by control-plane replays,
-// which also keep their return stack in stack; tap is the data tap of a
-// control-plane run that carries one. Each batch buffer is sized lazily
-// to the requesting batch size.
+// of the reference interpreter; ctlEvs is the control-plane transfer
+// buffer of runCtl and of control-plane replays, which also keep their
+// return stack in stack; tap is the data tap of a control-plane run that
+// carries one. Each batch buffer is sized lazily to the requesting batch
+// size.
 type batchBufs struct {
 	evs    []trace.Event
 	ctlEvs []trace.CtlEvent
-	ctl    []int32
 	stack  []isa.Addr
 	tap    tapState
 }
@@ -267,13 +250,6 @@ func (b *batchBufs) ctlEvents(n int) []trace.CtlEvent {
 	return b.ctlEvs
 }
 
-func (b *batchBufs) ctlIndex(n int) []int32 {
-	if len(b.ctl) != n {
-		b.ctl = make([]int32, n)
-	}
-	return b.ctl
-}
-
 // tapFor readies the data tap of a run at batch size n that starts at
 // pc on a program with segment table segs and delivers to sink. The tap
 // holds 2n memory accesses and n/8 register snapshots (at least one):
@@ -291,54 +267,53 @@ func (b *batchBufs) tapFor(n int, segs []trace.Segment, pc isa.Addr, sink trace.
 	return t
 }
 
+// discard is the sink of a Run without one. It is control-only, so such
+// a Run takes runCtl.
+type discard struct{}
+
+func (discard) ConsumeBatch([]trace.Event)                       {}
+func (discard) ConsumeCtlBatch([]trace.CtlEvent, uint64, uint64) {}
+
 // run dispatches to the negotiated execution loop and reports the plane
 // it delivered: trace.PlaneCtl, trace.PlaneCtl|trace.PlaneTap, or the
 // full plane.
 func (c *CPU) run(budget uint64, sink trace.BatchConsumer) (uint64, trace.Planes, error) {
-	const full = trace.PlaneCtl | trace.PlaneData
-	buf, ctl := c.scratch[:], c.scratchCtl[:]
-	var seg trace.SegmentedBatchConsumer
-	if sink != nil {
-		bufs := bufPool.Get().(*batchBufs)
-		defer func() {
-			bufs.tap.sink, bufs.tap.tap.Segs = nil, nil // hold no consumer or program in the pool
-			bufPool.Put(bufs)
-		}()
-		n := c.BatchSize()
-		if !c.reference {
-			switch trace.PlanesOf(sink) {
-			case trace.PlaneCtl:
-				if cc, ok := sink.(trace.CtlBatchConsumer); ok {
-					done, err := c.runCtl(budget, cc, bufs.ctlEvents(n), nil)
-					return done, trace.PlaneCtl, err
-				}
-			case trace.PlaneCtl | trace.PlaneTap:
-				if tc, ok := sink.(trace.TapBatchConsumer); ok {
-					tap := bufs.tapFor(n, c.code.segments(), c.pc, tc)
-					done, err := c.runCtl(budget, tc, bufs.ctlEvents(n), tap)
-					return done, trace.PlaneCtl | trace.PlaneTap, err
-				}
-			}
+	bufs := bufPool.Get().(*batchBufs)
+	defer func() {
+		bufs.tap.sink, bufs.tap.tap.Segs = nil, nil // hold no consumer or program in the pool
+		bufPool.Put(bufs)
+	}()
+	n := c.BatchSize()
+	if sink == nil {
+		sink = discard{}
+	}
+	switch trace.PlanesOf(sink) {
+	case trace.PlaneCtl:
+		if cc, ok := sink.(trace.CtlBatchConsumer); ok {
+			done, err := c.runCtl(budget, cc, bufs.ctlEvents(n), nil)
+			return done, trace.PlaneCtl, err
 		}
-		buf, ctl = bufs.events(n), bufs.ctlIndex(n)
-		seg, _ = sink.(trace.SegmentedBatchConsumer)
+	case trace.PlaneCtl | trace.PlaneTap:
+		if tc, ok := sink.(trace.TapBatchConsumer); ok {
+			tap := bufs.tapFor(n, c.code.segments(), c.pc, tc)
+			done, err := c.runCtl(budget, tc, bufs.ctlEvents(n), tap)
+			return done, trace.PlaneCtl | trace.PlaneTap, err
+		}
 	}
-	if c.reference {
-		n, err := c.runRef(budget, sink, buf)
-		return n, full, err
-	}
-	n, err := c.runPre(budget, sink, seg, buf, ctl)
-	return n, full, err
+	done, err := c.runRef(budget, sink, bufs.events(n))
+	return done, trace.PlaneCtl | trace.PlaneData, err
 }
 
 // runRef is the reference interpreter: the original two-level switch
-// over isa.Instr, kept byte-for-byte semantics-equivalent to the
-// predecoded path. Differential tests run both and compare streams.
+// over isa.Instr, with no predecode and no fusion, writing one full
+// event per instruction into buf and flushing it to sink whenever it
+// fills. It serves the full event plane, and differential tests check
+// runCtl's transfers, tap and machine state against it.
 func (c *CPU) runRef(budget uint64, sink trace.BatchConsumer, buf []trace.Event) (uint64, error) {
 	// k is the number of committed events in buf.
 	k := 0
 	flush := func() {
-		if sink != nil && k > 0 {
+		if k > 0 {
 			sink.ConsumeBatch(buf[:k])
 		}
 		k = 0
@@ -412,9 +387,7 @@ func (c *CPU) runRef(budget uint64, sink trace.BatchConsumer, buf []trace.Event)
 		done++
 		c.pc = next
 		if k++; k == len(buf) {
-			if sink != nil {
-				sink.ConsumeBatch(buf)
-			}
+			sink.ConsumeBatch(buf)
 			k = 0
 		}
 	}

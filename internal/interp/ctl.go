@@ -1,21 +1,23 @@
 package interp
 
-// The control-plane execution loop. When every attached consumer is
-// control-only (trace.PlanesOf(sink) == trace.PlaneCtl), Run dispatches
-// here instead of runPre: the same predecoded micro-op semantics, but
-// the only stores into the batch are the control-transfer events —
-// branches, jumps and returns — that the loop detector and branch
-// predictor read. Every other instruction just executes and is counted,
-// so straight-line code costs no event stores at all, and a batch
-// flushes when its transfer buffer fills, carrying the span of
-// instructions it covers (trace.CtlBatchConsumer).
+// The control-plane execution loop, the interpreter's fast loop. Run
+// dispatches here whenever the sink reads only the control plane
+// (trace.PlanesOf(sink) == trace.PlaneCtl), the control plane with the
+// data tap, or when there is no sink. It executes the predecoded
+// micro-ops (see predecode.go), and the only stores into the batch are
+// the control-transfer events — branches, jumps and returns — that the
+// loop detector and branch predictor read. Every other instruction just
+// executes and is counted, so straight-line code costs no event stores
+// at all, and a batch flushes when its transfer buffer fills, carrying
+// the span of instructions it covers (trace.CtlBatchConsumer).
 //
 // Machine state transitions (registers, memory, call stack, sequence
 // reads, PC, retired count, halts, machine errors) are byte-identical
-// to runPre; only the event representation narrows. Differential tests
-// pin that the emitted transfer events equal the full stream filtered
-// to branch/jump/ret, field for field, and that the covered counts add
-// up to the full stream's length.
+// to the reference interpreter's (runRef). Differential tests pin that
+// the emitted transfer events equal the reference stream filtered to
+// branch/jump/ret, field for field, that the covered counts add up to
+// the reference stream's length, and that registers and memory end in
+// the same state.
 //
 // With a data tap (trace.PlaneTap) the same loop also appends each load
 // and store, and the register file after each taken backward branch or
@@ -31,8 +33,8 @@ import (
 )
 
 // deliverCtl flushes the batch's transfer events with the n
-// instructions from first that it covers; like deliver it is a plain
-// function so the hot loop's locals stay register-allocated.
+// instructions from first that it covers. It is a plain function, not a
+// closure, so the hot loop's locals stay register-allocated.
 func deliverCtl(sink trace.CtlBatchConsumer, evs []trace.CtlEvent, first, n uint64) {
 	if n > 0 {
 		sink.ConsumeCtlBatch(evs, first, n)
@@ -117,15 +119,17 @@ func (c *CPU) execFusedFirst(u *uop, tap *tapState, idx uint64) {
 	}
 }
 
-// runCtl is the control-plane execution loop: runPre with every event
-// store elided except at control transfers. The batch flushes as soon
+// runCtl is the control-plane execution loop: one dense switch per
+// dispatch over the predecoded micro-ops, storing an event only at
+// control transfers. The batch flushes as soon
 // as its buf fills with transfer events (so such a batch ends at a
 // transfer), when tap is non-nil and one of its buffers fills, and at
 // the end of the run, and error paths flush the covered instructions
 // before returning. A fused micro-op executes whole whenever two
 // instructions of budget remain — it retires at most one transfer, and
 // a batch slot is always free at dispatch — and otherwise steps its
-// first constituent alone, exactly as runPre does.
+// first constituent alone; the plain micro-op kept at pc+1 then
+// executes the second on the next dispatch.
 func (c *CPU) runCtl(budget uint64, sink trace.CtlBatchConsumer, buf []trace.CtlEvent, tap *tapState) (uint64, error) {
 	ops := c.ops
 	pc := uint64(c.pc)

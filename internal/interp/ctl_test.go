@@ -13,8 +13,8 @@ import (
 
 // memFusionProg exercises the memory-pair superinstructions (ld+st and
 // st+st) inside a loop, with one st+st pair whose second constituent is
-// the last event before a control transfer — the boundary the segment
-// side channel has to get right.
+// the last instruction before a control transfer — the boundary where
+// a control-plane batch may end.
 func memFusionProg() *program.Program {
 	return prog(
 		isa.MovI(1, 0),                // 0
@@ -35,7 +35,7 @@ func memFusionProg() *program.Program {
 // TestPredecodeMemPairFusion pins that the ld+st and st+st patterns
 // actually fuse, so the equivalence tests below cannot pass vacuously.
 func TestPredecodeMemPairFusion(t *testing.T) {
-	ops := predecode(memFusionProg(), true)
+	ops := predecode(memFusionProg())
 	want := map[uint64]uint8{3: opFuseLoadSt, 5: opFuseStSt, 8: opFuseStSt}
 	for pc, op := range want {
 		if ops[pc].op != op {
@@ -50,29 +50,14 @@ func TestPredecodeMemPairFusion(t *testing.T) {
 	}
 }
 
-// TestMemPairReferenceEquivalence runs memFusionProg through the fused
-// and reference interpreters across batch sizes and mid-pair budgets;
-// streams and machine state must match exactly (the ld+st arm must read
-// the store's registers AFTER the load wrote its destination).
+// TestMemPairReferenceEquivalence runs memFusionProg on the control
+// plane with the data tap across batch sizes and mid-pair budgets; the
+// transfers, tap and machine state must match the reference
+// interpreter's exactly (the ld+st arm must read the store's registers
+// AFTER the load wrote its destination).
 func TestMemPairReferenceEquivalence(t *testing.T) {
-	for _, batch := range []int{0, 1, 2, 3, 7, 256} {
-		for _, budget := range []uint64{0, 1, 4, 5, 9, 10, 23} {
-			fused := New(memFusionProg())
-			ref := New(memFusionProg())
-			ref.SetReference(true)
-			fe, fn, ferr := runStream(t, fused, budget, batch)
-			re, rn, rerr := runStream(t, ref, budget, batch)
-			if (ferr == nil) != (rerr == nil) || fn != rn {
-				t.Fatalf("batch=%d budget=%d: n %d/%d err %v/%v", batch, budget, fn, rn, ferr, rerr)
-			}
-			if !reflect.DeepEqual(fe, re) {
-				t.Fatalf("batch=%d budget=%d: streams differ (%d vs %d events)", batch, budget, len(fe), len(re))
-			}
-			if fused.regs != ref.regs || fused.PC() != ref.PC() || fused.Halted() != ref.Halted() {
-				t.Fatalf("batch=%d budget=%d: machine state diverged", batch, budget)
-			}
-		}
-	}
+	checkTapReference(t, func() *CPU { return New(memFusionProg()) },
+		[]int{0, 1, 2, 3, 7, 256}, []uint64{0, 1, 4, 5, 9, 10, 23})
 }
 
 // ctlRecorder accepts only control-plane delivery: ConsumeBatch panics,
@@ -134,6 +119,123 @@ func transfers(evs []trace.Event) []trace.CtlEvent {
 	return out
 }
 
+// sameState reports how the machine state c ended in differs from that
+// of ref, which ran the reference stream evs: registers, pc, halt,
+// retired count, and the memory at every address evs stores to.
+func sameState(c, ref *CPU, evs []trace.Event) error {
+	switch {
+	case c.regs != ref.regs:
+		return fmt.Errorf("registers %v, reference %v", c.regs, ref.regs)
+	case c.PC() != ref.PC() || c.Halted() != ref.Halted() || c.Retired() != ref.Retired():
+		return fmt.Errorf("pc %d halted %v retired %d, reference %d/%v/%d",
+			c.PC(), c.Halted(), c.Retired(), ref.PC(), ref.Halted(), ref.Retired())
+	}
+	for i := range evs {
+		if ev := &evs[i]; ev.Instr.Kind == isa.KindStore {
+			if got, want := c.Mem().Load(ev.MemAddr), ref.Mem().Load(ev.MemAddr); got != want {
+				return fmt.Errorf("mem[%d] = %d, reference %d", ev.MemAddr, got, want)
+			}
+		}
+	}
+	return nil
+}
+
+// tapRecorder is a control-plane sink with the data tap: a ctlRecorder
+// that also keeps every batch's loads, stores and register snapshots,
+// and the address its tap says the batch starts at.
+type tapRecorder struct {
+	ctlRecorder
+	mem    []trace.MemAccess
+	regs   []trace.RegSnapshot
+	starts []tapStart
+}
+
+// tapStart is where one tap batch starts: its first dynamic index and
+// the address its tap gives for it.
+type tapStart struct {
+	first uint64
+	pc    isa.Addr
+}
+
+// newTapRecorder returns a tapRecorder for c's batch size.
+func newTapRecorder(c *CPU) *tapRecorder {
+	return &tapRecorder{ctlRecorder: ctlRecorder{max: c.BatchSize()}}
+}
+
+func (r *tapRecorder) NeedPlanes() trace.Planes { return trace.PlaneCtl | trace.PlaneTap }
+
+func (r *tapRecorder) ConsumeTapBatch(evs []trace.CtlEvent, first, n uint64, tap *trace.Tap) {
+	r.ConsumeCtlBatch(evs, first, n)
+	r.mem = append(r.mem, tap.Mem...)
+	r.regs = append(r.regs, tap.Regs...)
+	r.starts = append(r.starts, tapStart{first, tap.PC})
+}
+
+// diff compares the delivery with the reference stream evs and
+// describes the first difference, or returns "".
+func (r *tapRecorder) diff(evs []trace.Event) string {
+	var mem []trace.MemAccess
+	var regs []trace.RegSnapshot
+	var shadow [isa.NumRegs]int64
+	for i := range evs {
+		ev := &evs[i]
+		if k := ev.Instr.Kind; k.TouchesMem() {
+			mem = append(mem, trace.MemAccess{Index: ev.Index, Addr: ev.MemAddr, Val: ev.MemVal, Store: k == isa.KindStore})
+		}
+		if ev.WroteReg {
+			shadow[ev.WrittenReg] = ev.WrittenVal
+		}
+		if trace.IsTransfer(ev.Instr.Kind) && trace.TakesSnapshot(&trace.CtlEvent{PC: ev.PC, Instr: ev.Instr, Taken: ev.Taken}) {
+			regs = append(regs, trace.RegSnapshot{Index: ev.Index, Regs: shadow})
+		}
+	}
+	switch {
+	case r.err != "":
+		return r.err
+	case r.covered != uint64(len(evs)):
+		return fmt.Sprintf("batches cover %d instructions, reference stream %d", r.covered, len(evs))
+	case !reflect.DeepEqual(r.events, transfers(evs)):
+		return fmt.Sprintf("%d transfers differ from the reference's %d", len(r.events), len(transfers(evs)))
+	case !reflect.DeepEqual(r.mem, mem):
+		return fmt.Sprintf("%d tap accesses differ from the reference's %d", len(r.mem), len(mem))
+	case !reflect.DeepEqual(r.regs, regs):
+		return fmt.Sprintf("%d register snapshots differ from the reference's %d", len(r.regs), len(regs))
+	}
+	for _, s := range r.starts {
+		if s.first < uint64(len(evs)) && s.pc != evs[s.first].PC {
+			return fmt.Sprintf("tap batch from %d starts at pc %d, reference %d", s.first, s.pc, evs[s.first].PC)
+		}
+	}
+	return ""
+}
+
+// checkTapReference runs fresh CPUs from newCPU on the control plane
+// with the data tap and on the reference interpreter at every batch
+// size and budget given, and requires the same delivery and machine
+// state.
+func checkTapReference(t *testing.T, newCPU func() *CPU, batches []int, budgets []uint64) {
+	t.Helper()
+	for _, batch := range batches {
+		for _, budget := range budgets {
+			ref := newCPU()
+			re, rn, rerr := runStream(t, ref, budget, batch)
+			tc := newCPU()
+			tc.SetBatchSize(batch)
+			rec := newTapRecorder(tc)
+			tn, terr := tc.Run(budget, rec)
+			if (terr == nil) != (rerr == nil) || tn != rn {
+				t.Fatalf("batch=%d budget=%d: n %d/%d err %v/%v", batch, budget, tn, rn, terr, rerr)
+			}
+			if msg := rec.diff(re); msg != "" {
+				t.Fatalf("batch=%d budget=%d: %s", batch, budget, msg)
+			}
+			if err := sameState(tc, ref, re); err != nil {
+				t.Fatalf("batch=%d budget=%d: %v", batch, budget, err)
+			}
+		}
+	}
+}
+
 // runCtlStream executes a fresh CPU against a control-only sink.
 func runCtlStream(t *testing.T, c *CPU, budget uint64, batch int) (*ctlRecorder, uint64, error) {
 	t.Helper()
@@ -149,23 +251,19 @@ func runCtlStream(t *testing.T, c *CPU, budget uint64, batch int) (*ctlRecorder,
 // TestRunCtlReferenceEquivalence is the control-plane differential: the
 // ctl loop must emit exactly the reference stream filtered to
 // branch/jump/ret, field for field, with covered counts adding up to the
-// reference stream's length and the same machine state — at batch sizes
-// that cut fused pairs and budgets that stop mid-pair, over both the
-// ALU-heavy fusion program and the memory-pair one.
+// reference stream's length and the same machine state, memory included
+// — at batch sizes that cut fused pairs and budgets that stop mid-pair,
+// over both the ALU-heavy fusion program and the memory-pair one.
 func TestRunCtlReferenceEquivalence(t *testing.T) {
-	mk := map[string]func(reference bool) *CPU{
+	mk := map[string]func() *CPU{
 		"fusion": newFusionCPU,
-		"mem": func(reference bool) *CPU {
-			c := New(memFusionProg())
-			c.SetReference(reference)
-			return c
-		},
+		"mem":    func() *CPU { return New(memFusionProg()) },
 	}
 	for name, newCPU := range mk {
 		for _, batch := range []int{0, 1, 2, 3, 7, 256} {
 			for _, budget := range []uint64{0, 1, 3, 7, 50, 101} {
-				cc := newCPU(false)
-				ref := newCPU(true)
+				cc := newCPU()
+				ref := newCPU()
 				crec, cn, cerr := runCtlStream(t, cc, budget, batch)
 				re, rn, rerr := runStream(t, ref, budget, batch)
 				if (cerr == nil) != (rerr == nil) || cn != rn {
@@ -185,8 +283,8 @@ func TestRunCtlReferenceEquivalence(t *testing.T) {
 					t.Fatalf("%s batch=%d budget=%d: batches cover %d instructions, stream has %d, Run retired %d",
 						name, batch, budget, crec.covered, len(re), cn)
 				}
-				if cc.regs != ref.regs || cc.PC() != ref.PC() || cc.Halted() != ref.Halted() {
-					t.Fatalf("%s batch=%d budget=%d: machine state diverged", name, batch, budget)
+				if err := sameState(cc, ref, re); err != nil {
+					t.Fatalf("%s batch=%d budget=%d: %v", name, batch, budget, err)
 				}
 			}
 		}
@@ -197,7 +295,7 @@ func TestRunCtlReferenceEquivalence(t *testing.T) {
 // on the control plane: one instruction of budget left retires exactly
 // the first constituent, and resuming completes the stream.
 func TestRunCtlResumeMidPair(t *testing.T) {
-	cc := newFusionCPU(false)
+	cc := newFusionCPU()
 	rec := &ctlRecorder{max: cc.BatchSize()}
 	n, err := cc.Run(3, rec)
 	if err != nil || n != 3 {
@@ -209,7 +307,7 @@ func TestRunCtlResumeMidPair(t *testing.T) {
 	if _, err := cc.Run(0, rec); err != nil {
 		t.Fatal(err)
 	}
-	ref := newFusionCPU(true)
+	ref := newFusionCPU()
 	rrec := &trace.Recorder{}
 	if _, err := ref.Run(0, rrec); err != nil {
 		t.Fatal(err)
@@ -255,10 +353,8 @@ func TestRunCtlForcedFull(t *testing.T) {
 	if _, err := c.Run(0, trace.ForceFullPlane(sink)); err != nil {
 		t.Fatal(err)
 	}
-	ref := New(memFusionProg())
-	ref.SetReference(true)
 	rrec := &trace.Recorder{}
-	if _, err := ref.Run(0, rrec); err != nil {
+	if _, err := New(memFusionProg()).Run(0, rrec); err != nil {
 		t.Fatal(err)
 	}
 	if !reflect.DeepEqual(got, rrec.Events) {
@@ -266,43 +362,19 @@ func TestRunCtlForcedFull(t *testing.T) {
 	}
 }
 
-// TestSegmentBoundaryPairBeforeTransfer pins satellite boundaries of the
-// segment side channel and of control-plane batches: a fused pair whose
-// second constituent is the last event before a control transfer, with
-// batch sizes that flush between the pair and the transfer and budgets
-// that cut inside the pair. The full plane's ctl indices must always be
-// exactly the branch/jump/ret positions of the equivalent reference
-// stream, and the control plane must deliver exactly those events.
+// TestSegmentBoundaryPairBeforeTransfer pins the boundaries of
+// control-plane batches around a fused pair whose second constituent is
+// the last instruction before a control transfer, with batch sizes that
+// flush between the pair and the transfer and budgets that cut inside
+// the pair: the control plane must deliver exactly the reference
+// stream's branch/jump/ret events over exactly its instructions.
 func TestSegmentBoundaryPairBeforeTransfer(t *testing.T) {
 	for _, batch := range []int{1, 2, 3, 5, 8, 9, 1024} {
 		for _, budget := range []uint64{0, 5, 8, 9, 10, 11, 17} {
-			ref := New(memFusionProg())
-			ref.SetReference(true)
-			re, _, err := runStream(t, ref, budget, batch)
+			re, _, err := runStream(t, New(memFusionProg()), budget, batch)
 			if err != nil {
 				t.Fatal(err)
 			}
-			var want []int
-			for i := range re {
-				switch re[i].Instr.Kind {
-				case isa.KindBranch, isa.KindJump, isa.KindRet:
-					want = append(want, i)
-				}
-			}
-
-			seg := &segRecorder{}
-			c := New(memFusionProg())
-			c.SetBatchSize(batch)
-			if _, err := c.Run(budget, seg); err != nil {
-				t.Fatal(err)
-			}
-			if !reflect.DeepEqual(seg.events, re) {
-				t.Fatalf("batch=%d budget=%d: segmented events differ from reference", batch, budget)
-			}
-			if !reflect.DeepEqual(seg.ctl, append([]int(nil), want...)) {
-				t.Fatalf("batch=%d budget=%d: full-plane ctl = %v, want %v", batch, budget, seg.ctl, want)
-			}
-
 			crec, _, err := runCtlStream(t, New(memFusionProg()), budget, batch)
 			if err != nil {
 				t.Fatal(err)

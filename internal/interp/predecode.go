@@ -1,11 +1,12 @@
 package interp
 
-// The predecode stage. New translates the program once into a flat
-// array of micro-ops: Kind×Op×Cond collapsed into one dense opcode
+// The predecode stage. Predecode translates the program once into a
+// flat array of micro-ops: Kind×Op×Cond collapsed into one dense opcode
 // byte, operands widened to direct indices, shift counts pre-masked,
-// and the static instruction pointer(s) an event needs resolved up
-// front. Run then drives a single dense switch over that opcode instead
-// of the two-level Kind/Op switch of the reference interpreter.
+// and the static instruction pointer(s) a transfer event needs resolved
+// up front. The control-plane loop (runCtl) then drives a single dense
+// switch over that opcode instead of the two-level Kind/Op switch of the
+// reference interpreter.
 //
 // On top of the per-instruction translation, predecode performs
 // peephole superinstruction fusion for the dominant idioms of the
@@ -20,10 +21,9 @@ package interp
 //	add/addi + add/addi     (straight-line work chains)
 //
 // A fused micro-op executes both constituents in one dispatch but still
-// retires them as two individual in-order trace.Events with the same
-// Index/PC/Instr/facet fields the reference interpreter emits, so every
-// downstream consumer — detector, statistics, trace recorder, golden
-// renders — sees a byte-identical stream.
+// retires them as two instructions, with the transfer event, tap
+// accesses and machine state the reference interpreter produces for the
+// pair.
 //
 // Fusion safety: the second constituent of a pair must not be reachable
 // except by falling out of the first. Predecode therefore marks every
@@ -31,17 +31,14 @@ package interp
 // target, and every return address (the instruction after a call) — and
 // never fuses across one. Pairs are chosen greedily left to right and
 // never overlap, so the instruction after a fused pair keeps its plain
-// micro-op; the budget- and batch-tail paths rely on that to single-step
-// through a pair when fewer than two instructions of budget (or two
-// batch slots) remain. Sequence reads (KindSeq) are stateful and calls
-// and returns touch the call stack, so none of them ever fuse.
+// micro-op; the budget-tail path relies on that to single-step through
+// a pair when fewer than two instructions of budget remain. Sequence
+// reads (KindSeq) are stateful and calls and returns touch the call
+// stack, so none of them ever fuse.
 
 import (
-	"fmt"
-
 	"dynloop/internal/isa"
 	"dynloop/internal/program"
-	"dynloop/internal/trace"
 )
 
 // Dense micro-op opcodes. The ALU block mirrors isa.ALUOp order and the
@@ -98,7 +95,7 @@ const (
 // ops rd/rs1/rs2/imm describe the first constituent and aux/aux2/aux3/
 // imm2/target the second, per the opcode comments above (rs2 doubles as
 // a second-constituent field when the first doesn't use it). in and in2
-// are the static instruction pointers retired events carry (in2 nil for
+// are the static instruction pointers transfer events carry (in2 nil for
 // plain ops).
 type uop struct {
 	op     uint8
@@ -116,18 +113,17 @@ type uop struct {
 	in2    *isa.Instr
 }
 
-// predecode translates p into the micro-op array, applying fusion when
-// fuse is set. It never rejects a program: ill-formed targets and
-// runaway PCs remain runtime machine checks, exactly as in the
-// reference interpreter.
-func predecode(p *program.Program, fuse bool) []uop {
+// predecode translates p into the micro-op array, fusing pairs. It
+// never rejects a program: ill-formed targets and runaway PCs remain
+// runtime machine checks, exactly as in the reference interpreter.
+func predecode(p *program.Program) []uop {
 	code := p.Code
 	n := len(code)
 	ops := make([]uop, n)
 	for i := range code {
 		predecodeOne(&ops[i], &code[i])
 	}
-	if !fuse || n < 2 {
+	if n < 2 {
 		return ops
 	}
 	// Leaders: addresses control can enter other than by fallthrough
@@ -281,566 +277,4 @@ func condHolds(cond uint8, v int64) bool {
 	default:
 		return false
 	}
-}
-
-// deliver flushes a batch, via the segmented interface when the sink
-// supports it. It is a plain function, not a closure, so the hot loop's
-// locals stay register-allocated.
-func deliver(sink trace.BatchConsumer, seg trace.SegmentedBatchConsumer, evs []trace.Event, ctl []int32) {
-	if len(evs) == 0 {
-		return
-	}
-	if seg != nil {
-		seg.ConsumeBatchSegmented(evs, ctl)
-		return
-	}
-	if sink != nil {
-		sink.ConsumeBatch(evs)
-	}
-}
-
-// stepFusedFirst executes only the first constituent of fused micro-op
-// u, filling ev with its retirement event. Run takes this (cold) path
-// when fewer than two instructions of budget or two batch slots remain;
-// the plain micro-op retained at pc+1 then executes the second
-// constituent on the next dispatch.
-func (c *CPU) stepFusedFirst(u *uop, ev *trace.Event, retired uint64, pc uint64) {
-	*ev = trace.Event{Index: retired, PC: isa.Addr(pc), Instr: u.in}
-	regs := &c.regs
-	switch u.op {
-	case opFuseAddIBr, opFuseAddIAdd, opFuseAddIAddI:
-		v := regs[u.rs1] + u.imm
-		regs[u.rd] = v
-		ev.WroteReg, ev.WrittenReg, ev.WrittenVal = true, isa.Reg(u.rd), v
-	case opFuseAddAdd, opFuseAddAddI:
-		v := regs[u.rs1] + regs[u.rs2]
-		regs[u.rd] = v
-		ev.WroteReg, ev.WrittenReg, ev.WrittenVal = true, isa.Reg(u.rd), v
-	case opFuseLoadAddI, opFuseLoadAdd, opFuseLoadSt:
-		addr := uint64(regs[u.rs1] + u.imm)
-		v := c.mem.Load(addr)
-		regs[u.rd] = v
-		ev.WroteReg, ev.WrittenReg, ev.WrittenVal = true, isa.Reg(u.rd), v
-		ev.MemAddr, ev.MemVal = addr, v
-	case opFuseStBr, opFuseStSt:
-		addr := uint64(regs[u.rs1] + u.imm)
-		v := regs[u.rs2]
-		c.mem.Store(addr, v)
-		ev.MemAddr, ev.MemVal = addr, v
-	default: // opFuseMovISt
-		regs[u.rd] = u.imm
-		ev.WroteReg, ev.WrittenReg, ev.WrittenVal = true, isa.Reg(u.rd), u.imm
-	}
-}
-
-// runPre is the predecoded execution loop: one dense switch per
-// dispatch, events written once in order into the batch slot, a single
-// code path regardless of sink (buf is the CPU's scratch batch when
-// sink is nil), and two-slot retirement for fused micro-ops. A fused op
-// only executes whole when at least two instructions of budget and two
-// batch slots remain; otherwise its first constituent is stepped alone
-// and the (always plain) micro-op at pc+1 picks up the second — so
-// batches flush at exactly len(buf) events, byte-identical to the
-// reference loop's delivery boundaries.
-func (c *CPU) runPre(budget uint64, sink trace.BatchConsumer, seg trace.SegmentedBatchConsumer, buf []trace.Event, ctl []int32) (uint64, error) {
-	ops := c.ops
-	pc := uint64(c.pc)
-	retired := c.retired
-	start := retired
-	regs := &c.regs
-	limit := retired + budget
-	if budget == 0 || limit < retired {
-		limit = ^uint64(0)
-	}
-	kmax := len(buf)
-	k := 0
-	// cn counts control-transfer indices recorded in ctl for the current
-	// batch; the loop maintains cn <= k, so ctl (len >= kmax) never
-	// overflows.
-	cn := 0
-	halted := c.halted
-	for !halted && retired < limit {
-		if pc >= uint64(len(ops)) {
-			deliver(sink, seg, buf[:k], ctl[:cn])
-			c.pc, c.retired = isa.Addr(pc), retired
-			return retired - start, fmt.Errorf("%w: pc=%d len=%d", ErrPC, isa.Addr(pc), len(ops))
-		}
-		u := &ops[pc]
-		next := pc + 1
-		switch u.op {
-		case opFuseAddIAddI:
-			if limit-retired < 2 || kmax-k < 2 {
-				c.stepFusedFirst(u, &buf[k], retired, pc)
-				goto tail1
-			}
-			v := regs[u.rs1] + u.imm
-			regs[u.rd] = v
-			ev := &buf[k]
-			*ev = trace.Event{Index: retired, PC: isa.Addr(pc), Instr: u.in}
-			ev.WroteReg, ev.WrittenReg, ev.WrittenVal = true, isa.Reg(u.rd), v
-			v2 := regs[u.aux2] + u.imm2
-			regs[u.aux] = v2
-			ev2 := &buf[k+1]
-			*ev2 = trace.Event{Index: retired + 1, PC: isa.Addr(pc + 1), Instr: u.in2}
-			ev2.WroteReg, ev2.WrittenReg, ev2.WrittenVal = true, isa.Reg(u.aux), v2
-			pc += 2
-			goto tail2
-		case opFuseAddIAdd:
-			if limit-retired < 2 || kmax-k < 2 {
-				c.stepFusedFirst(u, &buf[k], retired, pc)
-				goto tail1
-			}
-			v := regs[u.rs1] + u.imm
-			regs[u.rd] = v
-			ev := &buf[k]
-			*ev = trace.Event{Index: retired, PC: isa.Addr(pc), Instr: u.in}
-			ev.WroteReg, ev.WrittenReg, ev.WrittenVal = true, isa.Reg(u.rd), v
-			v2 := regs[u.aux2] + regs[u.aux3]
-			regs[u.aux] = v2
-			ev2 := &buf[k+1]
-			*ev2 = trace.Event{Index: retired + 1, PC: isa.Addr(pc + 1), Instr: u.in2}
-			ev2.WroteReg, ev2.WrittenReg, ev2.WrittenVal = true, isa.Reg(u.aux), v2
-			pc += 2
-			goto tail2
-		case opFuseAddAddI:
-			if limit-retired < 2 || kmax-k < 2 {
-				c.stepFusedFirst(u, &buf[k], retired, pc)
-				goto tail1
-			}
-			v := regs[u.rs1] + regs[u.rs2]
-			regs[u.rd] = v
-			ev := &buf[k]
-			*ev = trace.Event{Index: retired, PC: isa.Addr(pc), Instr: u.in}
-			ev.WroteReg, ev.WrittenReg, ev.WrittenVal = true, isa.Reg(u.rd), v
-			v2 := regs[u.aux2] + u.imm2
-			regs[u.aux] = v2
-			ev2 := &buf[k+1]
-			*ev2 = trace.Event{Index: retired + 1, PC: isa.Addr(pc + 1), Instr: u.in2}
-			ev2.WroteReg, ev2.WrittenReg, ev2.WrittenVal = true, isa.Reg(u.aux), v2
-			pc += 2
-			goto tail2
-		case opFuseAddAdd:
-			if limit-retired < 2 || kmax-k < 2 {
-				c.stepFusedFirst(u, &buf[k], retired, pc)
-				goto tail1
-			}
-			v := regs[u.rs1] + regs[u.rs2]
-			regs[u.rd] = v
-			ev := &buf[k]
-			*ev = trace.Event{Index: retired, PC: isa.Addr(pc), Instr: u.in}
-			ev.WroteReg, ev.WrittenReg, ev.WrittenVal = true, isa.Reg(u.rd), v
-			v2 := regs[u.aux2] + regs[u.aux3]
-			regs[u.aux] = v2
-			ev2 := &buf[k+1]
-			*ev2 = trace.Event{Index: retired + 1, PC: isa.Addr(pc + 1), Instr: u.in2}
-			ev2.WroteReg, ev2.WrittenReg, ev2.WrittenVal = true, isa.Reg(u.aux), v2
-			pc += 2
-			goto tail2
-		case opFuseAddIBr:
-			if limit-retired < 2 || kmax-k < 2 {
-				c.stepFusedFirst(u, &buf[k], retired, pc)
-				goto tail1
-			}
-			v := regs[u.rs1] + u.imm
-			regs[u.rd] = v
-			ev := &buf[k]
-			*ev = trace.Event{Index: retired, PC: isa.Addr(pc), Instr: u.in}
-			ev.WroteReg, ev.WrittenReg, ev.WrittenVal = true, isa.Reg(u.rd), v
-			if condHolds(u.aux, regs[u.rs2]) {
-				ev2 := &buf[k+1]
-				*ev2 = trace.Event{Index: retired + 1, PC: isa.Addr(pc + 1), Instr: u.in2}
-				ev2.Taken, ev2.Target = true, isa.Addr(u.target)
-				pc = uint64(u.target)
-			} else {
-				buf[k+1] = trace.Event{Index: retired + 1, PC: isa.Addr(pc + 1), Instr: u.in2} // header only
-				pc += 2
-			}
-			ctl[cn] = int32(k + 1)
-			cn++
-			goto tail2
-		case opFuseStBr:
-			if limit-retired < 2 || kmax-k < 2 {
-				c.stepFusedFirst(u, &buf[k], retired, pc)
-				goto tail1
-			}
-			{
-				addr := uint64(regs[u.rs1] + u.imm)
-				v := regs[u.rs2]
-				c.mem.Store(addr, v)
-				ev := &buf[k]
-				*ev = trace.Event{Index: retired, PC: isa.Addr(pc), Instr: u.in}
-				ev.MemAddr, ev.MemVal = addr, v
-			}
-			if condHolds(u.aux, regs[u.aux2]) {
-				ev2 := &buf[k+1]
-				*ev2 = trace.Event{Index: retired + 1, PC: isa.Addr(pc + 1), Instr: u.in2}
-				ev2.Taken, ev2.Target = true, isa.Addr(u.target)
-				pc = uint64(u.target)
-			} else {
-				buf[k+1] = trace.Event{Index: retired + 1, PC: isa.Addr(pc + 1), Instr: u.in2} // header only
-				pc += 2
-			}
-			ctl[cn] = int32(k + 1)
-			cn++
-			goto tail2
-		case opFuseLoadAddI:
-			if limit-retired < 2 || kmax-k < 2 {
-				c.stepFusedFirst(u, &buf[k], retired, pc)
-				goto tail1
-			}
-			{
-				addr := uint64(regs[u.rs1] + u.imm)
-				v := c.mem.Load(addr)
-				regs[u.rd] = v
-				ev := &buf[k]
-				*ev = trace.Event{Index: retired, PC: isa.Addr(pc), Instr: u.in}
-				ev.WroteReg, ev.WrittenReg, ev.WrittenVal = true, isa.Reg(u.rd), v
-				ev.MemAddr, ev.MemVal = addr, v
-				v2 := regs[u.aux2] + u.imm2
-				regs[u.aux] = v2
-				ev2 := &buf[k+1]
-				*ev2 = trace.Event{Index: retired + 1, PC: isa.Addr(pc + 1), Instr: u.in2}
-				ev2.WroteReg, ev2.WrittenReg, ev2.WrittenVal = true, isa.Reg(u.aux), v2
-			}
-			pc += 2
-			goto tail2
-		case opFuseLoadAdd:
-			if limit-retired < 2 || kmax-k < 2 {
-				c.stepFusedFirst(u, &buf[k], retired, pc)
-				goto tail1
-			}
-			{
-				addr := uint64(regs[u.rs1] + u.imm)
-				v := c.mem.Load(addr)
-				regs[u.rd] = v
-				ev := &buf[k]
-				*ev = trace.Event{Index: retired, PC: isa.Addr(pc), Instr: u.in}
-				ev.WroteReg, ev.WrittenReg, ev.WrittenVal = true, isa.Reg(u.rd), v
-				ev.MemAddr, ev.MemVal = addr, v
-				v2 := regs[u.aux2] + regs[u.rs2]
-				regs[u.aux] = v2
-				ev2 := &buf[k+1]
-				*ev2 = trace.Event{Index: retired + 1, PC: isa.Addr(pc + 1), Instr: u.in2}
-				ev2.WroteReg, ev2.WrittenReg, ev2.WrittenVal = true, isa.Reg(u.aux), v2
-			}
-			pc += 2
-			goto tail2
-		case opFuseMovISt:
-			if limit-retired < 2 || kmax-k < 2 {
-				c.stepFusedFirst(u, &buf[k], retired, pc)
-				goto tail1
-			}
-			{
-				regs[u.rd] = u.imm
-				ev := &buf[k]
-				*ev = trace.Event{Index: retired, PC: isa.Addr(pc), Instr: u.in}
-				ev.WroteReg, ev.WrittenReg, ev.WrittenVal = true, isa.Reg(u.rd), u.imm
-				addr := uint64(regs[u.rs1] + u.imm2)
-				v := regs[u.rs2]
-				c.mem.Store(addr, v)
-				ev2 := &buf[k+1]
-				*ev2 = trace.Event{Index: retired + 1, PC: isa.Addr(pc + 1), Instr: u.in2}
-				ev2.MemAddr, ev2.MemVal = addr, v
-			}
-			pc += 2
-			goto tail2
-		case opFuseLoadSt:
-			if limit-retired < 2 || kmax-k < 2 {
-				c.stepFusedFirst(u, &buf[k], retired, pc)
-				goto tail1
-			}
-			{
-				addr := uint64(regs[u.rs1] + u.imm)
-				v := c.mem.Load(addr)
-				regs[u.rd] = v
-				ev := &buf[k]
-				*ev = trace.Event{Index: retired, PC: isa.Addr(pc), Instr: u.in}
-				ev.WroteReg, ev.WrittenReg, ev.WrittenVal = true, isa.Reg(u.rd), v
-				ev.MemAddr, ev.MemVal = addr, v
-				addr2 := uint64(regs[u.aux2] + u.imm2)
-				v2 := regs[u.aux3]
-				c.mem.Store(addr2, v2)
-				ev2 := &buf[k+1]
-				*ev2 = trace.Event{Index: retired + 1, PC: isa.Addr(pc + 1), Instr: u.in2}
-				ev2.MemAddr, ev2.MemVal = addr2, v2
-			}
-			pc += 2
-			goto tail2
-		case opFuseStSt:
-			if limit-retired < 2 || kmax-k < 2 {
-				c.stepFusedFirst(u, &buf[k], retired, pc)
-				goto tail1
-			}
-			{
-				addr := uint64(regs[u.rs1] + u.imm)
-				v := regs[u.rs2]
-				c.mem.Store(addr, v)
-				ev := &buf[k]
-				*ev = trace.Event{Index: retired, PC: isa.Addr(pc), Instr: u.in}
-				ev.MemAddr, ev.MemVal = addr, v
-				addr2 := uint64(regs[u.aux2] + u.imm2)
-				v2 := regs[u.aux3]
-				c.mem.Store(addr2, v2)
-				ev2 := &buf[k+1]
-				*ev2 = trace.Event{Index: retired + 1, PC: isa.Addr(pc + 1), Instr: u.in2}
-				ev2.MemAddr, ev2.MemVal = addr2, v2
-			}
-			pc += 2
-			goto tail2
-		case opAddI:
-			v := regs[u.rs1] + u.imm
-			regs[u.rd] = v
-			ev := &buf[k]
-			*ev = trace.Event{Index: retired, PC: isa.Addr(pc), Instr: u.in}
-			ev.WroteReg, ev.WrittenReg, ev.WrittenVal = true, isa.Reg(u.rd), v
-		case opAdd:
-			v := regs[u.rs1] + regs[u.rs2]
-			regs[u.rd] = v
-			ev := &buf[k]
-			*ev = trace.Event{Index: retired, PC: isa.Addr(pc), Instr: u.in}
-			ev.WroteReg, ev.WrittenReg, ev.WrittenVal = true, isa.Reg(u.rd), v
-		case opBrEQZ:
-			if regs[u.rs1] == 0 {
-				ev := &buf[k]
-				*ev = trace.Event{Index: retired, PC: isa.Addr(pc), Instr: u.in}
-				ev.Taken, ev.Target = true, isa.Addr(u.target)
-				next = uint64(u.target)
-			} else {
-				buf[k] = trace.Event{Index: retired, PC: isa.Addr(pc), Instr: u.in} // header only
-			}
-			ctl[cn] = int32(k)
-			cn++
-		case opBrNEZ:
-			if regs[u.rs1] != 0 {
-				ev := &buf[k]
-				*ev = trace.Event{Index: retired, PC: isa.Addr(pc), Instr: u.in}
-				ev.Taken, ev.Target = true, isa.Addr(u.target)
-				next = uint64(u.target)
-			} else {
-				buf[k] = trace.Event{Index: retired, PC: isa.Addr(pc), Instr: u.in} // header only
-			}
-			ctl[cn] = int32(k)
-			cn++
-		case opBrLTZ:
-			if regs[u.rs1] < 0 {
-				ev := &buf[k]
-				*ev = trace.Event{Index: retired, PC: isa.Addr(pc), Instr: u.in}
-				ev.Taken, ev.Target = true, isa.Addr(u.target)
-				next = uint64(u.target)
-			} else {
-				buf[k] = trace.Event{Index: retired, PC: isa.Addr(pc), Instr: u.in} // header only
-			}
-			ctl[cn] = int32(k)
-			cn++
-		case opBrGEZ:
-			if regs[u.rs1] >= 0 {
-				ev := &buf[k]
-				*ev = trace.Event{Index: retired, PC: isa.Addr(pc), Instr: u.in}
-				ev.Taken, ev.Target = true, isa.Addr(u.target)
-				next = uint64(u.target)
-			} else {
-				buf[k] = trace.Event{Index: retired, PC: isa.Addr(pc), Instr: u.in} // header only
-			}
-			ctl[cn] = int32(k)
-			cn++
-		case opBrGTZ:
-			if regs[u.rs1] > 0 {
-				ev := &buf[k]
-				*ev = trace.Event{Index: retired, PC: isa.Addr(pc), Instr: u.in}
-				ev.Taken, ev.Target = true, isa.Addr(u.target)
-				next = uint64(u.target)
-			} else {
-				buf[k] = trace.Event{Index: retired, PC: isa.Addr(pc), Instr: u.in} // header only
-			}
-			ctl[cn] = int32(k)
-			cn++
-		case opBrLEZ:
-			if regs[u.rs1] <= 0 {
-				ev := &buf[k]
-				*ev = trace.Event{Index: retired, PC: isa.Addr(pc), Instr: u.in}
-				ev.Taken, ev.Target = true, isa.Addr(u.target)
-				next = uint64(u.target)
-			} else {
-				buf[k] = trace.Event{Index: retired, PC: isa.Addr(pc), Instr: u.in} // header only
-			}
-			ctl[cn] = int32(k)
-			cn++
-		case opLoad:
-			addr := uint64(regs[u.rs1] + u.imm)
-			v := c.mem.Load(addr)
-			regs[u.rd] = v
-			ev := &buf[k]
-			*ev = trace.Event{Index: retired, PC: isa.Addr(pc), Instr: u.in}
-			ev.WroteReg, ev.WrittenReg, ev.WrittenVal = true, isa.Reg(u.rd), v
-			ev.MemAddr, ev.MemVal = addr, v
-		case opStore:
-			addr := uint64(regs[u.rs1] + u.imm)
-			v := regs[u.rs2]
-			c.mem.Store(addr, v)
-			ev := &buf[k]
-			*ev = trace.Event{Index: retired, PC: isa.Addr(pc), Instr: u.in}
-			ev.MemAddr, ev.MemVal = addr, v
-		case opMovI:
-			regs[u.rd] = u.imm
-			ev := &buf[k]
-			*ev = trace.Event{Index: retired, PC: isa.Addr(pc), Instr: u.in}
-			ev.WroteReg, ev.WrittenReg, ev.WrittenVal = true, isa.Reg(u.rd), u.imm
-		case opMov:
-			v := regs[u.rs1]
-			regs[u.rd] = v
-			ev := &buf[k]
-			*ev = trace.Event{Index: retired, PC: isa.Addr(pc), Instr: u.in}
-			ev.WroteReg, ev.WrittenReg, ev.WrittenVal = true, isa.Reg(u.rd), v
-		case opSub:
-			v := regs[u.rs1] - regs[u.rs2]
-			regs[u.rd] = v
-			ev := &buf[k]
-			*ev = trace.Event{Index: retired, PC: isa.Addr(pc), Instr: u.in}
-			ev.WroteReg, ev.WrittenReg, ev.WrittenVal = true, isa.Reg(u.rd), v
-		case opMul:
-			v := regs[u.rs1] * regs[u.rs2]
-			regs[u.rd] = v
-			ev := &buf[k]
-			*ev = trace.Event{Index: retired, PC: isa.Addr(pc), Instr: u.in}
-			ev.WroteReg, ev.WrittenReg, ev.WrittenVal = true, isa.Reg(u.rd), v
-		case opAnd:
-			v := regs[u.rs1] & regs[u.rs2]
-			regs[u.rd] = v
-			ev := &buf[k]
-			*ev = trace.Event{Index: retired, PC: isa.Addr(pc), Instr: u.in}
-			ev.WroteReg, ev.WrittenReg, ev.WrittenVal = true, isa.Reg(u.rd), v
-		case opOr:
-			v := regs[u.rs1] | regs[u.rs2]
-			regs[u.rd] = v
-			ev := &buf[k]
-			*ev = trace.Event{Index: retired, PC: isa.Addr(pc), Instr: u.in}
-			ev.WroteReg, ev.WrittenReg, ev.WrittenVal = true, isa.Reg(u.rd), v
-		case opXor:
-			v := regs[u.rs1] ^ regs[u.rs2]
-			regs[u.rd] = v
-			ev := &buf[k]
-			*ev = trace.Event{Index: retired, PC: isa.Addr(pc), Instr: u.in}
-			ev.WroteReg, ev.WrittenReg, ev.WrittenVal = true, isa.Reg(u.rd), v
-		case opShl:
-			v := regs[u.rs1] << uint64(u.imm)
-			regs[u.rd] = v
-			ev := &buf[k]
-			*ev = trace.Event{Index: retired, PC: isa.Addr(pc), Instr: u.in}
-			ev.WroteReg, ev.WrittenReg, ev.WrittenVal = true, isa.Reg(u.rd), v
-		case opShr:
-			v := regs[u.rs1] >> uint64(u.imm)
-			regs[u.rd] = v
-			ev := &buf[k]
-			*ev = trace.Event{Index: retired, PC: isa.Addr(pc), Instr: u.in}
-			ev.WroteReg, ev.WrittenReg, ev.WrittenVal = true, isa.Reg(u.rd), v
-		case opSlt:
-			var v int64
-			if regs[u.rs1] < regs[u.rs2] {
-				v = 1
-			}
-			regs[u.rd] = v
-			ev := &buf[k]
-			*ev = trace.Event{Index: retired, PC: isa.Addr(pc), Instr: u.in}
-			ev.WroteReg, ev.WrittenReg, ev.WrittenVal = true, isa.Reg(u.rd), v
-		case opMod:
-			var v int64
-			if b := regs[u.rs2]; b != 0 {
-				v = regs[u.rs1] % b
-			}
-			regs[u.rd] = v
-			ev := &buf[k]
-			*ev = trace.Event{Index: retired, PC: isa.Addr(pc), Instr: u.in}
-			ev.WroteReg, ev.WrittenReg, ev.WrittenVal = true, isa.Reg(u.rd), v
-		case opSeq:
-			var v int64
-			if s, ok := c.seqs[u.imm]; ok {
-				v = s.Next()
-			}
-			regs[u.rd] = v
-			ev := &buf[k]
-			*ev = trace.Event{Index: retired, PC: isa.Addr(pc), Instr: u.in}
-			ev.WroteReg, ev.WrittenReg, ev.WrittenVal = true, isa.Reg(u.rd), v
-		case opJump:
-			ev := &buf[k]
-			*ev = trace.Event{Index: retired, PC: isa.Addr(pc), Instr: u.in}
-			ev.Taken, ev.Target = true, isa.Addr(u.target)
-			next = uint64(u.target)
-			ctl[cn] = int32(k)
-			cn++
-		case opCall:
-			if len(c.stack) >= MaxCallDepth {
-				deliver(sink, seg, buf[:k], ctl[:cn])
-				c.pc, c.retired = isa.Addr(pc), retired
-				return retired - start, fmt.Errorf("%w at pc=%d", ErrCallDepth, isa.Addr(pc))
-			}
-			c.stack = append(c.stack, isa.Addr(pc+1))
-			ev := &buf[k]
-			*ev = trace.Event{Index: retired, PC: isa.Addr(pc), Instr: u.in}
-			ev.Taken, ev.Target = true, isa.Addr(u.target)
-			next = uint64(u.target)
-		case opRet:
-			if len(c.stack) == 0 {
-				deliver(sink, seg, buf[:k], ctl[:cn])
-				c.pc, c.retired = isa.Addr(pc), retired
-				return retired - start, fmt.Errorf("%w at pc=%d", ErrRetEmpty, isa.Addr(pc))
-			}
-			ra := c.stack[len(c.stack)-1]
-			c.stack = c.stack[:len(c.stack)-1]
-			ev := &buf[k]
-			*ev = trace.Event{Index: retired, PC: isa.Addr(pc), Instr: u.in}
-			ev.Taken, ev.Target = true, ra
-			next = uint64(ra)
-			ctl[cn] = int32(k)
-			cn++
-		case opBrNever:
-			// Unknown-condition branch: never taken, but its event carries
-			// a KindBranch instruction, so it is still a run boundary.
-			buf[k] = trace.Event{Index: retired, PC: isa.Addr(pc), Instr: u.in} // header only
-			ctl[cn] = int32(k)
-			cn++
-		case opHalt:
-			halted = true
-			buf[k] = trace.Event{Index: retired, PC: isa.Addr(pc), Instr: u.in} // header only
-		default: // opNop
-			buf[k] = trace.Event{Index: retired, PC: isa.Addr(pc), Instr: u.in} // header only
-		}
-		retired++
-		pc = next
-		if k++; k == kmax {
-			if seg != nil {
-				seg.ConsumeBatchSegmented(buf, ctl[:cn])
-			} else if sink != nil {
-				sink.ConsumeBatch(buf)
-			}
-			k, cn = 0, 0
-		}
-		continue
-
-	tail1: // fused op stepped as its first constituent only
-		retired++
-		pc++
-		if k++; k == kmax {
-			if seg != nil {
-				seg.ConsumeBatchSegmented(buf, ctl[:cn])
-			} else if sink != nil {
-				sink.ConsumeBatch(buf)
-			}
-			k, cn = 0, 0
-		}
-		continue
-
-	tail2: // fused op retired whole: two events, two instructions
-		retired += 2
-		if k += 2; k == kmax {
-			if seg != nil {
-				seg.ConsumeBatchSegmented(buf, ctl[:cn])
-			} else if sink != nil {
-				sink.ConsumeBatch(buf)
-			}
-			k, cn = 0, 0
-		}
-	}
-	deliver(sink, seg, buf[:k], ctl[:cn])
-	c.pc, c.retired, c.halted = isa.Addr(pc), retired, halted
-	return retired - start, nil
 }

@@ -2,7 +2,6 @@ package interp
 
 import (
 	"errors"
-	"reflect"
 	"testing"
 
 	"dynloop/internal/isa"
@@ -46,9 +45,8 @@ func fusionProg() *program.Program {
 	)
 }
 
-func newFusionCPU(reference bool) *CPU {
+func newFusionCPU() *CPU {
 	c := New(fusionProg())
-	c.SetReference(reference)
 	c.BindSeq(0, Counter(100, 3))
 	return c
 }
@@ -57,7 +55,7 @@ func newFusionCPU(reference bool) *CPU {
 // actually predecode to fused micro-ops — without this the equivalence
 // tests could pass vacuously against an unfused array.
 func TestPredecodeFusionApplied(t *testing.T) {
-	ops := predecode(fusionProg(), true)
+	ops := predecode(fusionProg())
 	want := map[uint64]uint8{
 		2: opFuseAddIAddI, 4: opFuseAddAdd, 6: opFuseAddAddI,
 		8: opFuseAddIAdd, 10: opFuseMovISt, 12: opFuseLoadAddI,
@@ -82,13 +80,13 @@ func TestPredecodeLeadersBlockFusion(t *testing.T) {
 		isa.AddI(2, 2, 1), // 1: jump target — fusing (0,1) would be wrong
 		isa.Jump(1),       // 2
 	)
-	ops := predecode(p, true)
+	ops := predecode(p)
 	if ops[0].op >= opFuseFirst {
 		t.Fatalf("ops[0] fused across the leader at 1 (op=%d)", ops[0].op)
 	}
 	// Same shape without the jump: the pair must fuse.
 	p2 := prog(isa.AddI(1, 1, 1), isa.AddI(2, 2, 1), isa.Halt())
-	if ops2 := predecode(p2, true); ops2[0].op != opFuseAddIAddI {
+	if ops2 := predecode(p2); ops2[0].op != opFuseAddIAddI {
 		t.Fatalf("unguarded pair did not fuse (op=%d)", ops2[0].op)
 	}
 	// A pair may START at a leader — control entering at the pair's head
@@ -100,13 +98,14 @@ func TestPredecodeLeadersBlockFusion(t *testing.T) {
 		isa.AddI(2, 2, 1), // 2
 		isa.Ret(),         // 3
 	)
-	if ops3 := predecode(p3, true); ops3[1].op != opFuseAddIAddI {
+	if ops3 := predecode(p3); ops3[1].op != opFuseAddIAddI {
 		t.Fatalf("pair headed by a leader did not fuse (op=%d)", ops3[1].op)
 	}
 }
 
-// runStream executes a fresh CPU to completion (or budget) and returns
-// the recorded stream plus final machine state.
+// runStream executes a fresh CPU to completion (or budget) on the full
+// event plane — the reference interpreter — and returns the recorded
+// stream.
 func runStream(t *testing.T, c *CPU, budget uint64, batch int) ([]trace.Event, uint64, error) {
 	t.Helper()
 	c.SetBatchSize(batch)
@@ -115,83 +114,67 @@ func runStream(t *testing.T, c *CPU, budget uint64, batch int) ([]trace.Event, u
 	return rec.Events, n, err
 }
 
-// TestPredecodeReferenceEquivalence is the core differential test: the
-// predecoded+fused path and the reference two-level interpreter must
-// emit identical event streams and identical machine state, at every
-// batch size (1 forces single-slot retirement of fused pairs) and at
-// budgets that cut runs mid-pair.
+// TestPredecodeReferenceEquivalence is the data tap's differential on
+// the fusion program: the control-plane loop with the tap must deliver
+// the reference stream's transfers, loads, stores and register
+// snapshots and leave the same machine state, at every batch size (1
+// ends tap batches at full buffers) and at budgets that cut runs
+// mid-pair.
 func TestPredecodeReferenceEquivalence(t *testing.T) {
-	for _, batch := range []int{0, 1, 2, 3, 7, 256} {
-		for _, budget := range []uint64{0, 1, 3, 7, 50, 101} {
-			fused := newFusionCPU(false)
-			ref := newFusionCPU(true)
-			fe, fn, ferr := runStream(t, fused, budget, batch)
-			re, rn, rerr := runStream(t, ref, budget, batch)
-			if (ferr == nil) != (rerr == nil) {
-				t.Fatalf("batch=%d budget=%d: err %v vs %v", batch, budget, ferr, rerr)
-			}
-			if fn != rn {
-				t.Fatalf("batch=%d budget=%d: retired %d vs %d", batch, budget, fn, rn)
-			}
-			if budget != 0 && fn != budget && !fused.Halted() {
-				t.Fatalf("batch=%d budget=%d: stopped at %d before budget without halt", batch, budget, fn)
-			}
-			if !reflect.DeepEqual(fe, re) {
-				for i := range fe {
-					if !reflect.DeepEqual(fe[i], re[i]) {
-						t.Fatalf("batch=%d budget=%d: event %d differs:\nfused %+v\nref   %+v", batch, budget, i, fe[i], re[i])
-					}
-				}
-				t.Fatalf("batch=%d budget=%d: stream lengths %d vs %d", batch, budget, len(fe), len(re))
-			}
-			if fused.regs != ref.regs || fused.PC() != ref.PC() || fused.Halted() != ref.Halted() {
-				t.Fatalf("batch=%d budget=%d: machine state diverged", batch, budget)
-			}
-		}
-	}
+	checkTapReference(t, newFusionCPU, []int{0, 1, 2, 3, 7, 256}, []uint64{0, 1, 3, 7, 50, 101})
 }
 
 // TestPredecodeResumeMidPair pins the budget boundary inside a fused
-// pair: stopping with one instruction of budget left retires exactly the
-// first constituent, and resuming retires the second — the combined
-// stream matching an uncut reference run event for event.
+// pair on the tap plane: stopping with one instruction of budget left
+// retires exactly the first constituent, and resuming starts the next
+// tap batch at the second — the combined delivery matching an uncut
+// reference run.
 func TestPredecodeResumeMidPair(t *testing.T) {
-	// Budget 3 stops mid-pair (events 0,1 are movi/movi, event 2 is the
+	// Budget 3 stops mid-pair (instructions 0,1 are movi/movi, 2 is the
 	// first constituent of the fused addi+addi at pc 2/3).
-	fused := newFusionCPU(false)
-	rec := &trace.Recorder{}
-	n, err := fused.Run(3, rec)
+	tc := newFusionCPU()
+	rec := newTapRecorder(tc)
+	n, err := tc.Run(3, rec)
 	if err != nil || n != 3 {
 		t.Fatalf("first leg: n=%d err=%v", n, err)
 	}
-	if got := fused.PC(); got != 3 {
+	if got := tc.PC(); got != 3 {
 		t.Fatalf("mid-pair pc = %d, want 3 (second constituent)", got)
 	}
-	if _, err := fused.Run(0, rec); err != nil {
+	if _, err := tc.Run(0, rec); err != nil {
 		t.Fatal(err)
 	}
-	ref := newFusionCPU(true)
-	rrec := &trace.Recorder{}
-	if _, err := ref.Run(0, rrec); err != nil {
+	ref := newFusionCPU()
+	re, _, err := runStream(t, ref, 0, 0)
+	if err != nil {
 		t.Fatal(err)
 	}
-	if !reflect.DeepEqual(rec.Events, rrec.Events) {
-		t.Fatalf("resumed stream differs from reference (%d vs %d events)", len(rec.Events), len(rrec.Events))
+	if msg := rec.diff(re); msg != "" {
+		t.Fatalf("resumed tap delivery: %s", msg)
+	}
+	if err := sameState(tc, ref, re); err != nil {
+		t.Fatalf("resumed tap run: %v", err)
 	}
 }
 
-// TestPredecodeNilSink pins the scratch-batch path: executing without a
-// sink must produce the same machine state as the reference path.
+// TestPredecodeNilSink pins the no-sink path: Run without a sink takes
+// the control-plane loop and leaves the machine state the reference
+// interpreter leaves.
 func TestPredecodeNilSink(t *testing.T) {
-	fused := newFusionCPU(false)
-	ref := newFusionCPU(true)
-	fn, ferr := fused.Run(0, nil)
-	rn, rerr := ref.Run(0, nil)
-	if ferr != nil || rerr != nil || fn != rn {
-		t.Fatalf("n=%d/%d err=%v/%v", fn, rn, ferr, rerr)
+	c := newFusionCPU()
+	ctl0, _, full0 := PlaneRuns()
+	n, err := c.Run(0, nil)
+	ctl1, _, full1 := PlaneRuns()
+	if ctl1 != ctl0+1 || full1 != full0 {
+		t.Fatalf("nil-sink run counted %d control-plane and %d full-plane runs, want 1 and 0", ctl1-ctl0, full1-full0)
 	}
-	if fused.regs != ref.regs || !fused.Halted() || !ref.Halted() {
-		t.Fatalf("nil-sink state diverged")
+	ref := newFusionCPU()
+	re, rn, rerr := runStream(t, ref, 0, 0)
+	if err != nil || rerr != nil || n != rn {
+		t.Fatalf("n=%d/%d err=%v/%v", n, rn, err, rerr)
+	}
+	if err := sameState(c, ref, re); err != nil {
+		t.Fatalf("nil-sink run: %v", err)
 	}
 }
 
@@ -199,9 +182,7 @@ func TestPredecodeNilSink(t *testing.T) {
 // reference interpreter, which has its own flush-and-return error exits.
 func TestReferenceErrorPaths(t *testing.T) {
 	run := func(p *program.Program) error {
-		c := New(p)
-		c.SetReference(true)
-		_, err := c.Run(0, &trace.Recorder{})
+		_, err := New(p).Run(0, &trace.Recorder{})
 		return err
 	}
 	if err := run(prog(isa.Nop())); !errors.Is(err, ErrPC) {
@@ -212,56 +193,5 @@ func TestReferenceErrorPaths(t *testing.T) {
 	}
 	if err := run(prog(isa.Call(0))); !errors.Is(err, ErrCallDepth) {
 		t.Fatalf("ErrCallDepth: got %v", err)
-	}
-}
-
-// segRecorder records segmented deliveries: the copied events plus the
-// control indices resolved to absolute stream positions.
-type segRecorder struct {
-	events []trace.Event
-	ctl    []int
-}
-
-func (s *segRecorder) ConsumeBatch(evs []trace.Event) { s.events = append(s.events, evs...) }
-
-func (s *segRecorder) ConsumeBatchSegmented(evs []trace.Event, ctl []int32) {
-	base := len(s.events)
-	s.events = append(s.events, evs...)
-	for _, i := range ctl {
-		s.ctl = append(s.ctl, base+int(i))
-	}
-}
-
-// TestPredecodeCtlChannel pins the control-transfer side channel: the
-// indices delivered with each batch are exactly the ascending positions
-// of branch, jump and return events (calls are not run boundaries), and
-// segmented delivery carries the same events as the plain path.
-func TestPredecodeCtlChannel(t *testing.T) {
-	for _, batch := range []int{1, 3, 1024} {
-		seg := &segRecorder{}
-		c := newFusionCPU(false)
-		c.SetBatchSize(batch)
-		if _, err := c.Run(0, seg); err != nil {
-			t.Fatal(err)
-		}
-		plain := &trace.Recorder{}
-		c2 := newFusionCPU(false)
-		c2.SetBatchSize(batch)
-		if _, err := c2.Run(0, plain); err != nil {
-			t.Fatal(err)
-		}
-		if !reflect.DeepEqual(seg.events, plain.Events) {
-			t.Fatalf("batch=%d: segmented events differ from plain delivery", batch)
-		}
-		var want []int
-		for i := range seg.events {
-			switch seg.events[i].Instr.Kind {
-			case isa.KindBranch, isa.KindJump, isa.KindRet:
-				want = append(want, i)
-			}
-		}
-		if !reflect.DeepEqual(seg.ctl, want) {
-			t.Fatalf("batch=%d: ctl = %v, want %v", batch, seg.ctl, want)
-		}
 	}
 }

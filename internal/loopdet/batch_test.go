@@ -8,12 +8,10 @@ import (
 	"dynloop/internal/trace"
 )
 
-// logObs records every observer callback as a string, to compare
-// delivery orders between the scalar and batch paths exactly.
+// logObs records every loop callback as a string, to compare delivery
+// orders between the per-event and batch paths exactly.
 type logObs struct {
 	log []string
-	// batch switches raw-stream delivery to InstrBatch.
-	batch bool
 }
 
 func (o *logObs) ExecStart(x *Exec) { o.log = append(o.log, fmt.Sprintf("start %d T%d", x.ID, x.T)) }
@@ -26,28 +24,6 @@ func (o *logObs) ExecEnd(x *Exec, r EndReason, i uint64) {
 func (o *logObs) OneShot(t, b isa.Addr, i uint64) {
 	o.log = append(o.log, fmt.Sprintf("oneshot %d-%d @%d", t, b, i))
 }
-func (o *logObs) Instr(ev *trace.Event) {
-	o.log = append(o.log, fmt.Sprintf("instr @%d pc%d", ev.Index, ev.PC))
-}
-func (o *logObs) InstrBatch(evs []trace.Event) {
-	if !o.batch {
-		panic("InstrBatch on scalar observer")
-	}
-	for i := range evs {
-		o.Instr(&evs[i])
-	}
-}
-
-// scalarObs forwards to a logObs without embedding it, so InstrBatch is
-// not promoted into its method set and the detector must fall back to
-// per-event Instr delivery.
-type scalarObs struct{ o *logObs }
-
-func (s scalarObs) ExecStart(x *Exec)                      { s.o.ExecStart(x) }
-func (s scalarObs) IterStart(x *Exec, i uint64)            { s.o.IterStart(x, i) }
-func (s scalarObs) ExecEnd(x *Exec, r EndReason, i uint64) { s.o.ExecEnd(x, r, i) }
-func (s scalarObs) OneShot(t, b isa.Addr, i uint64)        { s.o.OneShot(t, b, i) }
-func (s scalarObs) Instr(ev *trace.Event)                  { s.o.Instr(ev) }
 
 // randomStream builds an arbitrary control-flow event stream with stable
 // Instr pointers (events in a batch all alias the same backing program).
@@ -81,9 +57,8 @@ func randomStream(seed uint64, n int) []trace.Event {
 }
 
 // TestConsumeBatchMatchesConsume: for arbitrary streams, any batch
-// chunking must produce exactly the callback sequence of per-event
-// Consume — for scalar stream observers, batch stream observers, and
-// with the periodic-flush safety valve armed.
+// chunking must produce exactly the loop callback sequence and stats of
+// per-event Consume, also with the periodic-flush safety valve armed.
 func TestConsumeBatchMatchesConsume(t *testing.T) {
 	for _, flush := range []uint64{0, 97} {
 		for _, chunk := range []int{1, 2, 3, 7, 64, 1000} {
@@ -92,61 +67,38 @@ func TestConsumeBatchMatchesConsume(t *testing.T) {
 
 				ref := New(Config{Capacity: 8, FlushInterval: flush})
 				refObs := &logObs{}
-				ref.AddObserver(scalarObs{refObs})
+				ref.AddObserver(refObs)
 				for i := range evs {
 					ev := evs[i] // copy: Consume pointees may be reused
 					ref.Consume(&ev)
 				}
 				ref.Flush()
 
-				for _, batchObs := range []bool{false, true} {
-					got := New(Config{Capacity: 8, FlushInterval: flush})
-					gotObs := &logObs{batch: batchObs}
-					if batchObs {
-						got.AddObserver(gotObs)
-					} else {
-						got.AddObserver(scalarObs{gotObs})
-					}
-					for i := 0; i < len(evs); i += chunk {
-						end := i + chunk
-						if end > len(evs) {
-							end = len(evs)
-						}
-						got.ConsumeBatch(evs[i:end])
-					}
-					got.Flush()
+				got := New(Config{Capacity: 8, FlushInterval: flush})
+				gotObs := &logObs{}
+				got.AddObserver(gotObs)
+				for i := 0; i < len(evs); i += chunk {
+					got.ConsumeBatch(evs[i:min(i+chunk, len(evs))])
+				}
+				got.Flush()
 
-					if len(refObs.log) != len(gotObs.log) {
-						t.Fatalf("flush=%d chunk=%d seed=%d batch=%v: %d callbacks, want %d",
-							flush, chunk, seed, batchObs, len(gotObs.log), len(refObs.log))
+				if len(refObs.log) != len(gotObs.log) {
+					t.Fatalf("flush=%d chunk=%d seed=%d: %d callbacks, want %d",
+						flush, chunk, seed, len(gotObs.log), len(refObs.log))
+				}
+				for i := range refObs.log {
+					if refObs.log[i] != gotObs.log[i] {
+						t.Fatalf("flush=%d chunk=%d seed=%d: callback %d = %q, want %q",
+							flush, chunk, seed, i, gotObs.log[i], refObs.log[i])
 					}
-					for i := range refObs.log {
-						if refObs.log[i] != gotObs.log[i] {
-							t.Fatalf("flush=%d chunk=%d seed=%d batch=%v: callback %d = %q, want %q",
-								flush, chunk, seed, batchObs, i, gotObs.log[i], refObs.log[i])
-						}
-					}
-					if ref.Stats() != got.Stats() {
-						t.Fatalf("flush=%d chunk=%d seed=%d batch=%v: stats %+v, want %+v",
-							flush, chunk, seed, batchObs, got.Stats(), ref.Stats())
-					}
+				}
+				if ref.Stats() != got.Stats() {
+					t.Fatalf("flush=%d chunk=%d seed=%d: stats %+v, want %+v",
+						flush, chunk, seed, got.Stats(), ref.Stats())
 				}
 			}
 		}
 	}
-}
-
-// segmentIndices computes the ctl side channel a producer would deliver
-// for a batch: the ascending indices of its run-boundary events.
-func segmentIndices(evs []trace.Event) []int32 {
-	var ctl []int32
-	for i := range evs {
-		switch evs[i].Instr.Kind {
-		case isa.KindBranch, isa.KindJump, isa.KindRet:
-			ctl = append(ctl, int32(i))
-		}
-	}
-	return ctl
 }
 
 // transfers projects a full stream onto the control plane: its
@@ -202,8 +154,7 @@ func (o *countObs) OneShot(t, b isa.Addr, i uint64) { o.add("oneshot %d-%d @%d",
 // control-only, and fed transfer-only batches — cut anywhere, including
 // batches with no transfer at all — it must deliver exactly the loop
 // callbacks, run counts and stats of per-event full-plane delivery, for
-// arbitrary streams, with and without the periodic flush armed. A
-// detector with a stream observer must demand the data plane instead.
+// arbitrary streams, with and without the periodic flush armed.
 func TestConsumeCtlBatchMatchesBatch(t *testing.T) {
 	for _, flush := range []uint64{0, 97} {
 		for _, chunk := range []int{1, 3, 64, 1000} {
@@ -251,58 +202,8 @@ func TestConsumeCtlBatchMatchesBatch(t *testing.T) {
 		}
 	}
 
-	withObs := New(Config{Capacity: 8})
-	withObs.AddObserver(&logObs{batch: true})
-	if got := trace.PlanesOf(withObs); got != trace.PlaneCtl|trace.PlaneData {
-		t.Fatalf("stream-observed detector planes = %v", got)
-	}
 	withFlush := New(Config{Capacity: 8, FlushInterval: 64})
 	if got := trace.PlanesOf(withFlush); got != trace.PlaneCtl {
 		t.Fatalf("periodic-flush detector planes = %v", got)
-	}
-}
-
-// TestConsumeBatchSegmentedMatchesBatch pins the SegmentedBatchConsumer
-// contract on the detector: fed producer-computed control indices, it
-// must emit exactly the callback sequence and stats of the plain batch
-// path, for arbitrary streams and chunkings.
-func TestConsumeBatchSegmentedMatchesBatch(t *testing.T) {
-	for _, chunk := range []int{1, 3, 64, 1000} {
-		for seed := uint64(1); seed <= 5; seed++ {
-			evs := randomStream(seed*2654435761, 1000)
-
-			ref := New(Config{Capacity: 8})
-			refObs := &logObs{batch: true}
-			ref.AddObserver(refObs)
-			seg := New(Config{Capacity: 8})
-			segObs := &logObs{batch: true}
-			seg.AddObserver(segObs)
-
-			for i := 0; i < len(evs); i += chunk {
-				end := i + chunk
-				if end > len(evs) {
-					end = len(evs)
-				}
-				ref.ConsumeBatch(evs[i:end])
-				seg.ConsumeBatchSegmented(evs[i:end], segmentIndices(evs[i:end]))
-			}
-			ref.Flush()
-			seg.Flush()
-
-			if len(refObs.log) != len(segObs.log) {
-				t.Fatalf("chunk=%d seed=%d: %d callbacks, want %d",
-					chunk, seed, len(segObs.log), len(refObs.log))
-			}
-			for i := range refObs.log {
-				if refObs.log[i] != segObs.log[i] {
-					t.Fatalf("chunk=%d seed=%d: callback %d = %q, want %q",
-						chunk, seed, i, segObs.log[i], refObs.log[i])
-				}
-			}
-			if ref.Stats() != seg.Stats() {
-				t.Fatalf("chunk=%d seed=%d: stats %+v, want %+v",
-					chunk, seed, seg.Stats(), ref.Stats())
-			}
-		}
 	}
 }

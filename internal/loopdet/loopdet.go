@@ -20,17 +20,14 @@
 // implement CountObserver additionally learn how many instructions
 // retired between loop events; observers that implement TapObserver
 // learn each such run's start address and memory accesses, and the
-// register file where executions and iterations start; observers that
-// implement StreamObserver receive every raw instruction event instead.
-// All of them hear about an instruction before any loop event derived
-// from it.
+// register file where executions and iterations start. Both hear about
+// an instruction before any loop event derived from it.
 //
 // The detector consumes either event plane (see trace.Planes): the full
 // plane, one trace.Event per instruction, or the control plane, which
 // carries only the branches, jumps and returns the rules above react to
 // plus the retired-instruction count, and with it the data tap while a
-// TapObserver is attached. It asks for the full plane only while a
-// StreamObserver is attached.
+// TapObserver is attached. It never asks for the full plane.
 package loopdet
 
 import (
@@ -150,24 +147,12 @@ type CountObserver interface {
 	Retired(n, last uint64)
 }
 
-// StreamObserver is an Observer that also wants the raw instruction
-// stream, data facet included. Instr is called before any loop event
-// derived from that instruction. Attaching one puts the detector on the
-// full event plane; an observer that only counts instructions should be
-// a CountObserver instead. An observer implementing both is treated as
-// a StreamObserver.
-type StreamObserver interface {
-	Observer
-	// Instr receives every retired instruction; the pointee is reused.
-	Instr(ev *trace.Event)
-}
-
 // TapObserver is an Observer that also reads the data tap
 // (trace.PlaneTap): each run (see CountObserver) with its start address
 // and memory accesses, and the register file at every ExecStart and
 // IterStart. Attaching one puts the detector on the control plane with
 // the tap, which only the interpreter produces; delivering the full
-// plane to it panics, and so does attaching a StreamObserver beside it.
+// plane to it panics.
 type TapObserver interface {
 	Observer
 	// Run reports a run before any loop event derived from its last
@@ -195,22 +180,6 @@ type TapRun struct {
 	First, N uint64
 	// Mem holds the run's loads and stores, in stream order.
 	Mem []trace.MemAccess
-}
-
-// BatchStreamObserver is a StreamObserver whose raw-stream delivery can
-// take contiguous runs of events at once. The detector guarantees that a
-// run never spans a loop event: every loop callback derived from an
-// instruction in the run is invoked after InstrBatch returns, and the
-// triggering instruction is always the run's last element. The CLS is
-// therefore in a single consistent state for the whole run, which lets
-// observers hoist per-instruction state lookups out of their inner loop.
-// The slice is reused by the producer (see the trace package comment on
-// batch lifetime).
-type BatchStreamObserver interface {
-	StreamObserver
-	// InstrBatch receives a contiguous run of retired instructions, in
-	// stream order, equivalent to calling Instr for each element.
-	InstrBatch(evs []trace.Event)
 }
 
 // NopObserver implements Observer with no-ops; embed it to implement only
@@ -269,8 +238,7 @@ type Detector struct {
 	cls       []*Exec // cls[0] is the deepest/outermost entry
 	free      []*Exec // retired executions, reused by push
 	obs       []Observer
-	runs      []runSink // count, tap and stream observers, in attachment order
-	streams   int       // how many of runs are stream observers
+	runs      []runSink // count and tap observers, in attachment order
 	taps      int       // how many of runs are tap observers
 	nextID    uint64
 	last      uint64
@@ -289,12 +257,10 @@ type Detector struct {
 
 // runSink is one attached run observer with its delivery path resolved
 // at attachment time, so the hot loop never type-asserts. Exactly one of
-// count, tap and scalar is set.
+// count and tap is set.
 type runSink struct {
-	count  CountObserver
-	tap    TapObserver
-	scalar StreamObserver
-	batch  BatchStreamObserver // nil when scalar-only
+	count CountObserver
+	tap   TapObserver
 }
 
 // New returns a detector with the given configuration. A bounded
@@ -314,18 +280,11 @@ func New(cfg Config) *Detector {
 }
 
 // AddObserver attaches an observer; observers are invoked in attachment
-// order. Observers that implement StreamObserver also receive raw
-// events, via InstrBatch when they implement BatchStreamObserver;
-// otherwise observers that implement TapObserver receive tap runs, and
+// order. Observers that implement TapObserver receive tap runs, and
 // otherwise observers that implement CountObserver receive run counts.
 func (d *Detector) AddObserver(o Observer) {
 	d.obs = append(d.obs, o)
-	if s, ok := o.(StreamObserver); ok {
-		sink := runSink{scalar: s}
-		sink.batch, _ = o.(BatchStreamObserver)
-		d.runs = append(d.runs, sink)
-		d.streams++
-	} else if t, ok := o.(TapObserver); ok {
+	if t, ok := o.(TapObserver); ok {
 		d.runs = append(d.runs, runSink{tap: t})
 		d.taps++
 	} else if c, ok := o.(CountObserver); ok {
@@ -369,70 +328,40 @@ func (d *Detector) Consume(ev *trace.Event) {
 }
 
 // ConsumeBatch processes a batch of retired instructions
-// (trace.BatchConsumer): run observers receive the events in contiguous
-// runs that end at each control transfer (the only kind that can
-// produce loop events), then the loop logic for that transfer runs.
-// Most instructions are neither, so the inner loop touches no
-// interfaces.
+// (trace.BatchConsumer): count observers learn the batch in runs that
+// end at each control transfer (the only kind that can produce loop
+// events), then the loop logic for that transfer runs. Most
+// instructions are neither, so the inner loop touches no interfaces.
+// The full plane carries no data tap, so with tap observers attached
+// it panics rather than compute without it.
 func (d *Detector) ConsumeBatch(evs []trace.Event) {
-	d.fullPlane()
+	if d.taps != 0 {
+		panic("loopdet: full-plane delivery to a detector with tap observers; only the interpreter's control plane carries the data tap")
+	}
 	start := 0
 	for i := range evs {
 		ev := &evs[i]
 		if !trace.IsTransfer(ev.Instr.Kind) {
 			continue
 		}
-		d.retire(evs[start:i+1], evs[start].Index, uint64(i+1-start))
+		d.retire(evs[start].Index, uint64(i+1-start))
 		start = i + 1
 		d.transfer(ev.Instr, ev.PC, ev.Taken, ev.Index)
 	}
 	if start < len(evs) {
-		d.retire(evs[start:], evs[start].Index, uint64(len(evs)-start))
-	}
-}
-
-// ConsumeBatchSegmented processes a batch whose control-transfer indices
-// the producer already knows (trace.SegmentedBatchConsumer): ctl lists,
-// ascending, the indices into evs of the events with Kind branch, jump
-// or ret. The result is identical to ConsumeBatch; the detector just
-// skips its own per-event kind scan and walks boundary to boundary.
-func (d *Detector) ConsumeBatchSegmented(evs []trace.Event, ctl []int32) {
-	d.fullPlane()
-	start := 0
-	for _, ci := range ctl {
-		i := int(ci)
-		ev := &evs[i]
-		d.retire(evs[start:i+1], evs[start].Index, uint64(i+1-start))
-		start = i + 1
-		d.transfer(ev.Instr, ev.PC, ev.Taken, ev.Index)
-	}
-	if start < len(evs) {
-		d.retire(evs[start:], evs[start].Index, uint64(len(evs)-start))
-	}
-}
-
-// fullPlane panics when tap observers are attached: the full plane
-// carries no tap, and computing without it would be silently wrong.
-func (d *Detector) fullPlane() {
-	if d.taps != 0 {
-		panic("loopdet: full-plane delivery to a detector with tap observers; only the interpreter's control plane carries the data tap")
+		d.retire(evs[start].Index, uint64(len(evs)-start))
 	}
 }
 
 // NeedPlanes implements trace.PlaneDeclarer: the CLS rules read only the
 // transfer events and count observers only the instruction counts, so
 // the detector is control-only unless a TapObserver, which reads the
-// data tap, or a StreamObserver — which reads every raw event, data
-// facet included — is attached.
+// data tap, is attached.
 func (d *Detector) NeedPlanes() trace.Planes {
-	p := trace.PlaneCtl
-	if d.streams != 0 {
-		p |= trace.PlaneData
-	}
 	if d.taps != 0 {
-		p |= trace.PlaneTap
+		return trace.PlaneCtl | trace.PlaneTap
 	}
-	return p
+	return trace.PlaneCtl
 }
 
 // ConsumeCtlBatch processes a control-plane batch
@@ -465,13 +394,10 @@ func (d *Detector) ConsumeTapBatch(evs []trace.CtlEvent, first, n uint64, tap *t
 // consumeCtl is the control-plane walk, with the batch's tap in d.tap
 // when tap observers are attached.
 func (d *Detector) consumeCtl(evs []trace.CtlEvent, first, n uint64) {
-	if d.streams != 0 {
-		panic("loopdet: control-plane delivery to a detector with stream observers")
-	}
 	next := first
 	for i := range evs {
 		ev := &evs[i]
-		d.retire(nil, next, ev.Index+1-next)
+		d.retire(next, ev.Index+1-next)
 		next = ev.Index + 1
 		if d.tap == nil {
 			d.transfer(ev.Instr, ev.PC, ev.Taken, ev.Index)
@@ -489,7 +415,7 @@ func (d *Detector) consumeCtl(evs []trace.CtlEvent, first, n uint64) {
 		}
 	}
 	if end := first + n; next < end {
-		d.retire(nil, next, end-next)
+		d.retire(next, end-next)
 	}
 }
 
@@ -532,16 +458,11 @@ func (d *Detector) transfer(in *isa.Instr, pc isa.Addr, taken bool, idx uint64) 
 
 // retire accounts a run of n (> 0) retired instructions starting at
 // dynamic index first, cutting it at every periodic-flush boundary it
-// crosses. evs holds the run's events on the full plane and is nil on
-// the control plane, which never has stream observers.
-func (d *Detector) retire(evs []trace.Event, first, n uint64) {
+// crosses.
+func (d *Detector) retire(first, n uint64) {
 	for d.flushMask != 0 && d.stats.Instrs+n >= d.flushAt {
 		k := d.flushAt - d.stats.Instrs
-		var head []trace.Event
-		if evs != nil {
-			head, evs = evs[:k], evs[k:]
-		}
-		d.emit(head, k, first+k-1)
+		d.emit(k, first+k-1)
 		if d.tap != nil {
 			// The rest of the run starts k instructions on, with no
 			// transfer in between.
@@ -554,12 +475,12 @@ func (d *Detector) retire(evs []trace.Event, first, n uint64) {
 			return
 		}
 	}
-	d.emit(evs, n, first+n-1)
+	d.emit(n, first+n-1)
 }
 
 // emit counts a run of n retired instructions ending at dynamic index
 // last and reports it to the run observers, in attachment order.
-func (d *Detector) emit(evs []trace.Event, n, last uint64) {
+func (d *Detector) emit(n, last uint64) {
 	d.stats.Instrs += n
 	d.last = last
 	if d.tap != nil {
@@ -571,18 +492,10 @@ func (d *Detector) emit(evs []trace.Event, n, last uint64) {
 		d.mem = j
 	}
 	for i := range d.runs {
-		s := &d.runs[i]
-		switch {
-		case s.count != nil:
+		if s := &d.runs[i]; s.count != nil {
 			s.count.Retired(n, last)
-		case s.tap != nil:
+		} else {
 			s.tap.Run(&d.run)
-		case s.batch != nil:
-			s.batch.InstrBatch(evs)
-		default:
-			for j := range evs {
-				s.scalar.Instr(&evs[j])
-			}
 		}
 	}
 }

@@ -400,29 +400,6 @@ func TestCallNeverExits(t *testing.T) {
 	})
 }
 
-// TestStreamObserverOrder checks that raw instruction events precede the
-// loop events they trigger.
-type orderObs struct {
-	recObs
-}
-
-func (o *orderObs) Instr(ev *trace.Event) {
-	o.events = append(o.events, fmt.Sprintf("instr %d", ev.PC))
-}
-
-func TestStreamObserverOrder(t *testing.T) {
-	d := New(Config{Capacity: 16})
-	obs := &orderObs{}
-	d.AddObserver(obs)
-	feed(d, []step{op(1), br(2, 1, true)})
-	wantEvents(t, obs.events, []string{
-		"instr 1",
-		"instr 2",
-		"start T=1 B=2",
-		"iter T=1 n=2",
-	})
-}
-
 // TestPeriodicFlush checks the §2.2 safety valve: the CLS is emptied
 // every FlushInterval instructions and active loops are re-detected.
 func TestPeriodicFlush(t *testing.T) {

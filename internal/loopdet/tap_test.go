@@ -72,10 +72,8 @@ func (o *tapReplay) IterStart(x *loopdet.Exec, idx uint64) {
 // stores, and the register file after every taken backward branch or
 // jump.
 func wantTap(u *builder.Unit, budget uint64) (pcs []isa.Addr, mem []trace.MemAccess, regs [][isa.NumRegs]int64) {
-	cpu := u.NewCPU()
-	cpu.SetReference(true)
 	var rec trace.Recorder
-	_, _ = cpu.Run(budget, trace.ForceFullPlane(&rec))
+	_, _ = u.NewCPU().Run(budget, &rec)
 	var shadow [isa.NumRegs]int64
 	for i := range rec.Events {
 		ev := &rec.Events[i]

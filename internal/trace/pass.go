@@ -28,20 +28,12 @@ type passAdapter struct{ BatchConsumer }
 func (passAdapter) Init()     {}
 func (passAdapter) Finalize() {}
 
-// segPassAdapter is passAdapter for segmentation-capable consumers; the
-// embedded interface keeps ConsumeBatchSegmented visible through the
-// Pass so Broadcast's segmented delivery reaches the consumer.
-type segPassAdapter struct{ SegmentedBatchConsumer }
-
-func (segPassAdapter) Init()     {}
-func (segPassAdapter) Finalize() {}
-
-// ctlPassAdapter and ctlSegPassAdapter are the control-plane-capable
-// variants: they keep ConsumeCtlBatch (and the consumer's declared
-// planes) visible through the Pass, so Broadcast's facet negotiation
-// still sees the wrapped consumer's capabilities. Distinct adapter types
-// matter here — a single adapter that always implemented
-// CtlBatchConsumer would make every wrapped consumer look control-only.
+// ctlPassAdapter is the control-plane-capable variant: it keeps
+// ConsumeCtlBatch (and the consumer's declared planes) visible through
+// the Pass, so Broadcast's facet negotiation still sees the wrapped
+// consumer's capabilities. A distinct adapter type matters here — a
+// single adapter that always implemented CtlBatchConsumer would make
+// every wrapped consumer look control-only.
 type ctlPassAdapter struct {
 	BatchConsumer
 	ctl CtlBatchConsumer
@@ -54,35 +46,16 @@ func (a ctlPassAdapter) ConsumeCtlBatch(evs []CtlEvent, first, n uint64) {
 }
 func (a ctlPassAdapter) NeedPlanes() Planes { return PlanesOf(a.BatchConsumer) }
 
-type ctlSegPassAdapter struct {
-	SegmentedBatchConsumer
-	ctl CtlBatchConsumer
-}
-
-func (ctlSegPassAdapter) Init()     {}
-func (ctlSegPassAdapter) Finalize() {}
-func (a ctlSegPassAdapter) ConsumeCtlBatch(evs []CtlEvent, first, n uint64) {
-	a.ctl.ConsumeCtlBatch(evs, first, n)
-}
-func (a ctlSegPassAdapter) NeedPlanes() Planes { return PlanesOf(a.SegmentedBatchConsumer) }
-
 // AsPass adapts a plain batch consumer to the Pass interface with no-op
 // Init/Finalize. Consumers that already implement Pass are returned
-// unwrapped; segmentation-capable and control-plane-capable consumers
-// keep those methods visible through the adapter.
+// unwrapped; control-plane-capable consumers keep ConsumeCtlBatch
+// visible through the adapter.
 func AsPass(c BatchConsumer) Pass {
 	if p, ok := c.(Pass); ok {
 		return p
 	}
-	sc, segOK := c.(SegmentedBatchConsumer)
-	cc, ctlOK := c.(CtlBatchConsumer)
-	switch {
-	case segOK && ctlOK:
-		return ctlSegPassAdapter{sc, cc}
-	case ctlOK:
+	if cc, ok := c.(CtlBatchConsumer); ok {
 		return ctlPassAdapter{c, cc}
-	case segOK:
-		return segPassAdapter{sc}
 	}
 	return passAdapter{c}
 }
@@ -144,21 +117,6 @@ func (b *Broadcast) Init() {
 func (b *Broadcast) ConsumeBatch(evs []Event) {
 	b.epochs++
 	for _, p := range b.passes {
-		p.ConsumeBatch(evs)
-	}
-}
-
-// ConsumeBatchSegmented delivers one epoch with its producer-computed
-// control-transfer indices. Passes that implement
-// SegmentedBatchConsumer receive the indices and skip their own kind
-// scan; other passes get a plain ConsumeBatch.
-func (b *Broadcast) ConsumeBatchSegmented(evs []Event, ctl []int32) {
-	b.epochs++
-	for _, p := range b.passes {
-		if sp, ok := p.(SegmentedBatchConsumer); ok {
-			sp.ConsumeBatchSegmented(evs, ctl)
-			continue
-		}
 		p.ConsumeBatch(evs)
 	}
 }

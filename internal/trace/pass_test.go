@@ -80,51 +80,3 @@ func TestBroadcastLifecycleOrder(t *testing.T) {
 		t.Fatalf("epochs = %d, want 2", bc.Epochs())
 	}
 }
-
-// segPass counts segmented vs plain deliveries and copies the ctl
-// indices it receives.
-type segPass struct {
-	lifecyclePass
-	segBatches int
-	ctl        []int32
-}
-
-func (p *segPass) ConsumeBatchSegmented(evs []Event, ctl []int32) {
-	p.segBatches++
-	p.ctl = append(p.ctl, ctl...)
-	for i := range evs {
-		p.sum += uint64(evs[i].PC)
-	}
-}
-
-// TestBroadcastSegmentedDelivery: segmentation-capable passes receive
-// the producer's ctl indices and plain passes get ConsumeBatch. AsPass
-// must keep the segmented method visible through its adapter.
-func TestBroadcastSegmentedDelivery(t *testing.T) {
-	in := isa.Instr{Kind: isa.KindNop}
-	evs := []Event{{PC: 1, Instr: &in}, {PC: 2, Instr: &in}, {PC: 3, Instr: &in}}
-	ctl := []int32{1}
-
-	sp := &segPass{}
-	pp := &lifecyclePass{}
-	bc := NewBroadcast(0, AsPass(sp), pp)
-	bc.Init()
-	bc.ConsumeBatchSegmented(evs, ctl)
-	bc.Finalize()
-	if sp.segBatches != 1 || sp.batches != 0 {
-		t.Fatalf("segmented pass got seg=%d plain=%d, want 1/0",
-			sp.segBatches, sp.batches)
-	}
-	if len(sp.ctl) != 1 || sp.ctl[0] != 1 {
-		t.Fatalf("ctl = %v, want [1]", sp.ctl)
-	}
-	if sp.sum != 6 {
-		t.Fatalf("sum = %d, want 6", sp.sum)
-	}
-	if pp.batches != 1 {
-		t.Fatalf("plain pass got %d batches", pp.batches)
-	}
-	if bc.Epochs() != 1 {
-		t.Fatalf("epochs = %d", bc.Epochs())
-	}
-}

@@ -8,8 +8,9 @@ import "dynloop/internal/isa"
 // returns — and how many instructions retired around them. Every other
 // instruction is only counted. A control-plane batch is therefore the
 // batch's transfer events plus the span of dynamic instructions it
-// covers; consumers that need per-instruction detail (the §4 data
-// statistics, per-kind tallies) negotiate the full-event plane instead.
+// covers; consumers that need per-instruction detail (trace recording,
+// per-kind tallies) negotiate the full-event plane instead, and the §4
+// data statistics add the data tap (see Tap).
 //
 // Calls are not on the control plane: they never end a loop run (§2.1),
 // and no control-only consumer reads them.
@@ -114,28 +115,15 @@ func PlanesOf(c any) Planes {
 }
 
 // fullPlaneSink hides a consumer's control-plane capability so producers
-// fall back to full-facet delivery; fullPlaneSegSink does the same while
-// keeping the segmented fast path visible. Neither implements
-// CtlBatchConsumer or PlaneDeclarer — that is the point.
+// fall back to full-facet delivery. It implements neither
+// CtlBatchConsumer nor PlaneDeclarer — that is the point.
 type fullPlaneSink struct{ s BatchConsumer }
 
 func (w fullPlaneSink) ConsumeBatch(evs []Event) { w.s.ConsumeBatch(evs) }
 
-type fullPlaneSegSink struct{ s SegmentedBatchConsumer }
-
-func (w fullPlaneSegSink) ConsumeBatch(evs []Event) { w.s.ConsumeBatch(evs) }
-func (w fullPlaneSegSink) ConsumeBatchSegmented(evs []Event, ctl []int32) {
-	w.s.ConsumeBatchSegmented(evs, ctl)
-}
-
 // ForceFullPlane wraps a consumer so PlanesOf reports both facets,
 // forcing producers onto full-Event delivery regardless of the
-// consumer's own capabilities. Equivalence tests use it to run the same
-// consumer stack over both planes and compare results; the segmented
-// fast path is preserved through the wrapper.
-func ForceFullPlane(s BatchConsumer) BatchConsumer {
-	if sc, ok := s.(SegmentedBatchConsumer); ok {
-		return fullPlaneSegSink{sc}
-	}
-	return fullPlaneSink{s}
-}
+// consumer's own capabilities: the interpreter then runs its reference
+// loop. Equivalence tests use it to run the same consumer stack over
+// both planes and compare results.
+func ForceFullPlane(s BatchConsumer) BatchConsumer { return fullPlaneSink{s} }

@@ -6,10 +6,11 @@ import (
 	"dynloop/internal/isa"
 )
 
-// ctlPass is a segPass that additionally accepts control-plane batches,
-// recording them separately so tests can tell which plane delivered.
+// ctlPass is a lifecyclePass that additionally accepts control-plane
+// batches, recording them separately so tests can tell which plane
+// delivered.
 type ctlPass struct {
-	segPass
+	lifecyclePass
 	ctlBatches int
 	ctlSum     uint64
 	ctlFirst   []uint64
@@ -45,7 +46,6 @@ func TestPlanesOf(t *testing.T) {
 		want Planes
 	}{
 		{"plain", &lifecyclePass{}, both},
-		{"segmented", &segPass{}, both},
 		{"ctl-capable", &ctlPass{}, PlaneCtl},
 		{"counter", &Counter{}, both},
 		{"hash", NewHash(), PlaneCtl},
@@ -62,34 +62,20 @@ func TestPlanesOf(t *testing.T) {
 	}
 }
 
-// TestForceFullPlaneKeepsSegmented: the wrapper hides the control plane
-// but must not cost the segmented fast path.
-func TestForceFullPlaneKeepsSegmented(t *testing.T) {
+// TestForceFullPlaneHidesCtl: the wrapper hides the control plane and
+// delivers full batches to the wrapped consumer's ConsumeBatch.
+func TestForceFullPlaneHidesCtl(t *testing.T) {
 	in := isa.Instr{Kind: isa.KindNop}
 	evs := []Event{{PC: 1, Instr: &in}, {PC: 2, Instr: &in}}
 
-	sp := &ctlPass{}
-	w := ForceFullPlane(sp)
+	cp := &ctlPass{}
+	w := ForceFullPlane(cp)
 	if _, ok := w.(CtlBatchConsumer); ok {
 		t.Fatal("ForceFullPlane left ConsumeCtlBatch visible")
 	}
-	sw, ok := w.(SegmentedBatchConsumer)
-	if !ok {
-		t.Fatal("ForceFullPlane hid ConsumeBatchSegmented")
-	}
-	sw.ConsumeBatchSegmented(evs, []int32{0})
-	if sp.segBatches != 1 || sp.ctlBatches != 0 || sp.sum != 3 {
-		t.Fatalf("wrapper delivery: %+v", sp)
-	}
-
-	pp := &lifecyclePass{}
-	wp := ForceFullPlane(pp)
-	if _, ok := wp.(SegmentedBatchConsumer); ok {
-		t.Fatal("plain wrapper invented ConsumeBatchSegmented")
-	}
-	wp.ConsumeBatch(evs)
-	if pp.batches != 1 || pp.sum != 3 {
-		t.Fatalf("plain wrapper delivery: %+v", pp)
+	w.ConsumeBatch(evs)
+	if cp.batches != 1 || cp.ctlBatches != 0 || cp.sum != 3 {
+		t.Fatalf("wrapper delivery: %+v", cp)
 	}
 }
 
@@ -109,18 +95,11 @@ func TestAsPassKeepsCtlVisible(t *testing.T) {
 	if cp.ctlBatches != 1 || cp.ctlSum != 7 || cp.ctlCovered != 3 || cp.ctlFirst[0] != 5 {
 		t.Fatalf("ctl delivery through adapter: %+v", cp)
 	}
-	if _, ok := p.(SegmentedBatchConsumer); !ok {
-		t.Fatal("adapter hid ConsumeBatchSegmented")
-	}
-
-	// A Hash is ctl-capable but not segmentation-capable.
+	// A Hash is ctl-capable too.
 	h := NewHash()
 	ph := AsPass(h)
 	if PlanesOf(ph) != PlaneCtl {
 		t.Fatalf("adapted Hash planes = %v", PlanesOf(ph))
-	}
-	if _, ok := ph.(SegmentedBatchConsumer); ok {
-		t.Fatal("adapter invented ConsumeBatchSegmented")
 	}
 	ph.(CtlBatchConsumer).ConsumeCtlBatch(cevs, 5, 3)
 	want := NewHash()
@@ -189,7 +168,7 @@ func TestBroadcastCtlDelivery(t *testing.T) {
 		bc.ConsumeCtlBatch(buf[:32*(epoch%2)], uint64(epoch*100), 100)
 	}
 	bc.Finalize()
-	if a.ctlBatches != 50 || b.ctlBatches != 50 || a.batches != 0 || a.segBatches != 0 {
+	if a.ctlBatches != 50 || b.ctlBatches != 50 || a.batches != 0 {
 		t.Fatalf("a=%+v b=%+v", a, b)
 	}
 	if len(a.ctlFirst) != 50 || a.ctlFirst[3] != 300 || a.ctlCovered != 5000 || b.ctlCovered != 5000 {

@@ -67,21 +67,6 @@ type BatchConsumer interface {
 	ConsumeBatch(evs []Event)
 }
 
-// SegmentedBatchConsumer is a BatchConsumer that can additionally accept
-// producer-computed stream segmentation. ctl holds the ascending indices
-// into evs of the control-transfer events that end loop-detector runs —
-// exactly the events whose Instr.Kind is KindBranch, KindJump or KindRet
-// (calls are not run boundaries; §2.1 of the paper). Producers that
-// already know where those events are (the interpreter's dispatch, the
-// trace-file block decoder) hand the indices over so consumers skip
-// their own per-event kind scan; ConsumeBatchSegmented(evs, ctl) must be
-// observably identical to ConsumeBatch(evs). ctl, like evs, is reused by
-// the producer after the call returns.
-type SegmentedBatchConsumer interface {
-	BatchConsumer
-	ConsumeBatchSegmented(evs []Event, ctl []int32)
-}
-
 // ConsumerFunc adapts a function to the Consumer interface.
 type ConsumerFunc func(ev *Event)
 

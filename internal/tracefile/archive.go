@@ -173,7 +173,6 @@ const decodeBatch = 1024
 type Decoder struct {
 	evs    []trace.Event
 	ctlEvs []trace.CtlEvent
-	ctl    []int32
 }
 
 // Replay streams the first min(budget, Events) recorded events to sink
@@ -216,17 +215,6 @@ func (r *Recording) replayFull(budget uint64, d *Decoder, sink trace.BatchConsum
 	if d.evs == nil {
 		d.evs = make([]trace.Event, decodeBatch)
 	}
-	if d.ctl == nil {
-		d.ctl = make([]int32, decodeBatch)
-	}
-	// Segmentation-capable sinks get each block's run boundaries as a
-	// side channel, collected during the decode itself (one template-
-	// flag test per event) so the consumer skips its own kind scan.
-	seg, _ := sink.(trace.SegmentedBatchConsumer)
-	ctl := d.ctl
-	if seg == nil {
-		ctl = nil
-	}
 	var n uint64
 	for i := range r.blocks {
 		b := &r.blocks[i]
@@ -251,15 +239,12 @@ func (r *Recording) replayFull(budget uint64, d *Decoder, sink trace.BatchConsum
 			}
 			evs := d.evs[:chunk]
 			last := wholeBlock && chunk == take
-			var cn int
 			var err error
-			hpos, vpos, pc, cn, err = decodeEventsPacked(b.payload, hpos, hlim, vpos, pc, evs, n, r.tmpls, last, ctl)
+			hpos, vpos, pc, err = decodeEventsPacked(b.payload, hpos, hlim, vpos, pc, evs, n, r.tmpls, last)
 			if err != nil {
 				return n, false, fmt.Errorf("verified block %d failed to decode: %w", i, err)
 			}
-			if seg != nil {
-				seg.ConsumeBatchSegmented(evs, d.ctl[:cn])
-			} else if sink != nil {
+			if sink != nil {
 				sink.ConsumeBatch(evs)
 			}
 			n += uint64(chunk)
@@ -582,7 +567,7 @@ func parseArchive(data []byte) (*Recording, int, error) {
 					chunk = decodeBatch
 				}
 				var verr error
-				hpos, vpos, vpc, _, verr = decodeEventsPacked(payload, hpos, int(count), vpos, vpc, scratch.evs[:chunk], rec.events+count-left, rec.tmpls, chunk == left, nil)
+				hpos, vpos, vpc, verr = decodeEventsPacked(payload, hpos, int(count), vpos, vpc, scratch.evs[:chunk], rec.events+count-left, rec.tmpls, chunk == left)
 				if verr != nil {
 					return nil, -1, fmt.Errorf("%w: %v", errInvalid, verr)
 				}

@@ -374,8 +374,8 @@ const (
 	// the stream rather than the template.
 	tmplRet = 1 << 2
 	// tmplCtl marks control transfers (branch/jump/ret; see
-	// trace.IsTransfer): the full plane's run-boundary side channel and
-	// the only records the control-plane decoder emits.
+	// trace.IsTransfer): the only records the control-plane decoder
+	// emits.
 	tmplCtl = 1 << 3
 	// tmplFuse marks a plain register write (ALU/seq) whose static
 	// successor is also one: the decoder's analogue of the interpreter's
@@ -451,14 +451,9 @@ var fieldMask = [4]uint64{0xff, 0xffff, 0xffffffff, ^uint64(0)}
 // a block mid-way) passes false and leaves the remaining records
 // unread. Callers guarantee hlim+blockPad <= len(blk) (the parse-time
 // frame check), so header reads below hlim are in bounds.
-//
-// When ctl is non-nil, the indices of decoded run-boundary events are
-// appended to it (len(ctl) >= len(evs)) and their count returned,
-// pre-segmenting the batch for trace.SegmentedBatchConsumer sinks.
-func decodeEventsPacked(blk []byte, hpos, hlim, vpos int, pc uint64, evs []trace.Event, base uint64, tmpls []evTmpl, full bool, ctl []int32) (int, int, uint64, int, error) {
+func decodeEventsPacked(blk []byte, hpos, hlim, vpos int, pc uint64, evs []trace.Event, base uint64, tmpls []evTmpl, full bool) (int, int, uint64, error) {
 	n := len(blk)
 	i := 0
-	cn := 0
 
 	// Fast path: while a whole worst-case field record fits, one bound
 	// check per event covers every field read. The per-event branches
@@ -473,11 +468,11 @@ func decodeEventsPacked(blk []byte, hpos, hlim, vpos int, pc uint64, evs []trace
 		m = len(hdr)
 	}
 	if vpos < 0 { // lets prove drop the per-arm blk[vpos:] slice checks
-		return hpos, vpos, pc, cn, fmt.Errorf("%w: negative field offset", ErrCorrupt)
+		return hpos, vpos, pc, fmt.Errorf("%w: negative field offset", ErrCorrupt)
 	}
 	for i < m && vpos <= n-maxFieldBytes {
 		if pc >= uint64(len(tmpls)) {
-			return hpos + i, vpos, pc, cn, fmt.Errorf("%w: pc=%d at event %d", ErrCorrupt, pc, i)
+			return hpos + i, vpos, pc, fmt.Errorf("%w: pc=%d at event %d", ErrCorrupt, pc, i)
 		}
 		t := &tmpls[pc]
 		h := hdr[i]
@@ -534,10 +529,6 @@ func decodeEventsPacked(blk []byte, hpos, hlim, vpos int, pc uint64, evs []trace
 				ev.Taken, ev.Target = true, isa.Addr(tgt)
 				next = tgt
 			}
-			if ctl != nil && f&tmplCtl != 0 {
-				ctl[cn] = int32(i)
-				cn++
-			}
 		}
 		pc = next
 		i++
@@ -548,10 +539,10 @@ func decodeEventsPacked(blk []byte, hpos, hlim, vpos int, pc uint64, evs []trace
 	// corrupted stream throws at a prefix decode.
 	for ; i < len(evs); i++ {
 		if pc >= uint64(len(tmpls)) {
-			return hpos, vpos, pc, cn, fmt.Errorf("%w: pc=%d at event %d", ErrCorrupt, pc, i)
+			return hpos, vpos, pc, fmt.Errorf("%w: pc=%d at event %d", ErrCorrupt, pc, i)
 		}
 		if hpos >= hlim {
-			return hpos, vpos, pc, cn, fmt.Errorf("%w: block truncated at event %d", ErrCorrupt, i)
+			return hpos, vpos, pc, fmt.Errorf("%w: block truncated at event %d", ErrCorrupt, i)
 		}
 		t := &tmpls[pc]
 		h := blk[hpos]
@@ -562,7 +553,7 @@ func decodeEventsPacked(blk []byte, hpos, hlim, vpos int, pc uint64, evs []trace
 		f := t.flags
 		if f&(tmplWroteReg|tmplHasMem) != 0 {
 			if vpos+8 > n {
-				return hpos, vpos, pc, cn, fmt.Errorf("%w: value at event %d", ErrCorrupt, i)
+				return hpos, vpos, pc, fmt.Errorf("%w: value at event %d", ErrCorrupt, i)
 			}
 			w := 1 << (h >> 1 & 3)
 			s := uint(64 - w<<3)
@@ -573,7 +564,7 @@ func decodeEventsPacked(blk []byte, hpos, hlim, vpos int, pc uint64, evs []trace
 			}
 			if f&tmplHasMem != 0 {
 				if vpos+8 > n {
-					return hpos, vpos, pc, cn, fmt.Errorf("%w: mem addr at event %d", ErrCorrupt, i)
+					return hpos, vpos, pc, fmt.Errorf("%w: mem addr at event %d", ErrCorrupt, i)
 				}
 				c := h >> 3 & 3
 				a := binary.LittleEndian.Uint64(blk[vpos:vpos+8]) & fieldMask[c]
@@ -584,7 +575,7 @@ func decodeEventsPacked(blk []byte, hpos, hlim, vpos int, pc uint64, evs []trace
 			tgt := uint64(t.target)
 			if f&tmplRet != 0 {
 				if vpos+8 > n {
-					return hpos, vpos, pc, cn, fmt.Errorf("%w: ret target at event %d", ErrCorrupt, i)
+					return hpos, vpos, pc, fmt.Errorf("%w: ret target at event %d", ErrCorrupt, i)
 				}
 				c := h >> 1 & 3
 				tgt = binary.LittleEndian.Uint64(blk[vpos:vpos+8]) & fieldMask[c]
@@ -593,26 +584,22 @@ func decodeEventsPacked(blk []byte, hpos, hlim, vpos int, pc uint64, evs []trace
 			ev.Taken, ev.Target = true, isa.Addr(tgt)
 			next = tgt
 		}
-		if ctl != nil && f&tmplCtl != 0 {
-			ctl[cn] = int32(i)
-			cn++
-		}
 		pc = next
 	}
 	if full {
 		if hpos != hlim {
-			return hpos, vpos, pc, cn, fmt.Errorf("%w: %d unread header bytes in block", ErrCorrupt, hlim-hpos)
+			return hpos, vpos, pc, fmt.Errorf("%w: %d unread header bytes in block", ErrCorrupt, hlim-hpos)
 		}
 		if vpos != n-blockPad {
-			return hpos, vpos, pc, cn, fmt.Errorf("%w: %d trailing bytes in block", ErrCorrupt, n-blockPad-vpos)
+			return hpos, vpos, pc, fmt.Errorf("%w: %d trailing bytes in block", ErrCorrupt, n-blockPad-vpos)
 		}
 		for _, c := range blk[vpos:] {
 			if c != 0 {
-				return hpos, vpos, pc, cn, fmt.Errorf("%w: nonzero block padding", ErrCorrupt)
+				return hpos, vpos, pc, fmt.Errorf("%w: nonzero block padding", ErrCorrupt)
 			}
 		}
 	}
-	return hpos, vpos, pc, cn, nil
+	return hpos, vpos, pc, nil
 }
 
 // decodeEventsCtl decodes up to recs packed records from blk for the

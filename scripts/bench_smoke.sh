@@ -27,8 +27,7 @@
 # execution) and every zero-allocation pin of the hot paths. It also
 # runs the event-plane pins: TestCtlOnlyCellPlanes (no registered grid
 # cell or traversal may use the full event plane, and only fig8's take
-# the data tap, so a new stream observer that pulls a grid back onto
-# the full plane fails here) and TestBatchCutInvariance (the
+# the data tap) and TestBatchCutInvariance (the
 # control-plane consumers compute the same results at every batch size
 # on both planes). TestWarmLoopZeroAllocs pins that the Figure-8
 # collector allocates nothing per iteration of a warm loop, fed runs as
