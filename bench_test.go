@@ -259,9 +259,11 @@ func BenchmarkRunBatchSize(b *testing.B) {
 	}
 }
 
-// BenchmarkInterpreter measures raw interpreter throughput (no
-// consumers).
-func BenchmarkInterpreter(b *testing.B) {
+// BenchmarkRunOverhead measures the fixed cost of one CPU.Run call:
+// each op runs a single instruction with a nil sink, so the time is the
+// per-Run set-up (clock reads, plane metrics, the pooled batch), not
+// interpreter throughput — BenchmarkRun measures that.
+func BenchmarkRunOverhead(b *testing.B) {
 	bm, err := dynloop.BenchmarkByName("swim")
 	if err != nil {
 		b.Fatal(err)

@@ -140,8 +140,7 @@ commands:
                                      (table1, fig7, ablation/cls, ...; -list
                                      shows them) — locally or on a daemon
   serve  [-addr HOST:PORT] [-store DIR] [-parallel N] [-max-inflight N]
-         [-warm specs|all] [-warm-bench a,b] [-queue-wait D]
-         [-compact-ratio F] [-log text|json|off] [-pprof HOST:PORT]
+         [-queue-wait D] [-log text|json|off] [-pprof HOST:PORT]
                                      run the grid-serving HTTP daemon: clients
                                      share one worker pool, one result cache
                                      and one persistent store (SIGINT shuts
@@ -160,13 +159,8 @@ commands:
                                      benchmark; covered benchmarks replay)
   trace  ls|verify -traces DIR       list / fully verify a trace archive
   store  ls|stats -store DIR         list segments / print store counters
-  store  verify -store DIR           audit every record CRC and every index
-                                     sidecar against the data it indexes
-  store  compact -store DIR          rewrite live records densely, reclaim
-                                     superseded space
-  store  gen -store DIR [-keys N] [-rounds R] [-valbytes B] [-seed S]
-                                     write a synthetic garbage-heavy store
-                                     (smoke tests, compaction benchmarks)
+  store  verify -store DIR           audit every segment's records and CRCs
+                                     without opening the store
   replay -i FILE [-tus K] [-policy P]
                                      drive the detector + engine from a trace
 
@@ -1067,10 +1061,7 @@ func cmdServe(ctx context.Context, args []string) error {
 	inflight := fs.Int("max-inflight", 0, "concurrently computed grid requests (0 = 2x workers)")
 	maxCells := fs.Int("max-cells", 0, "largest accepted grid in cells (0 = 100000)")
 	grace := fs.Duration("grace", 10*time.Second, "graceful-shutdown timeout for in-flight requests")
-	warm := fs.String("warm", "", "comma-separated registered grids (or \"all\") for the background warmer to precompute while idle")
-	warmBench := fs.String("warm-bench", "", "narrow warming to these benchmarks (default: all 18)")
 	queueWait := fs.Duration("queue-wait", 0, "longest a request may queue for an inflight slot before a 422 shed (0 = 30s, negative = forever)")
-	compactRatio := fs.Float64("compact-ratio", 0, "auto-compact the store when superseded records exceed this fraction of its bytes (0 = disabled)")
 	progress := fs.Bool("progress", false, "stream per-job progress to stderr")
 	tracesDir := fs.String("traces", "", "trace-archive directory for the replay tier (cold cells replay recorded streams instead of interpreting)")
 	pprofAddr := fs.String("pprof", "", "additionally serve net/http/pprof on this address (empty = disabled)")
@@ -1089,12 +1080,6 @@ func cmdServe(ctx context.Context, args []string) error {
 		}
 	}()
 	cfg := server.Config{Workers: *parallel, MaxInflight: *inflight, MaxCells: *maxCells, QueueWait: *queueWait}
-	if *warm != "" {
-		cfg.Warm = splitList(*warm)
-	}
-	if *warmBench != "" {
-		cfg.WarmBenchmarks = splitList(*warmBench)
-	}
 	switch *logMode {
 	case "text":
 		cfg.Logger = slog.New(slog.NewTextHandler(os.Stderr, nil))
@@ -1127,7 +1112,7 @@ func cmdServe(ctx context.Context, args []string) error {
 		cfg.OnEvent = progressPrinter()
 	}
 	if *storeDir != "" {
-		st, err := store.Open(*storeDir, store.Options{CompactGarbageRatio: *compactRatio})
+		st, err := store.Open(*storeDir, store.Options{})
 		if err != nil {
 			return err
 		}
@@ -1152,14 +1137,10 @@ func cmdServe(ctx context.Context, args []string) error {
 	err = srv.ListenAndServe(ctx, *addr, ready, *grace)
 	fmt.Fprintln(os.Stderr, "dynloop: daemon stopped")
 	printRunnerStats(srv.Runner(), true, 0)
-	if ws, ok := srv.WarmerStats(); ok {
-		fmt.Fprintf(os.Stderr, "warmer: %d/%d units, %d cells, %d pauses, %d errors\n",
-			ws.UnitsDone, ws.Units, ws.Cells, ws.Pauses, ws.Errors)
-	}
 	if cfg.Store != nil {
 		ss := cfg.Store.Stats()
-		fmt.Fprintf(os.Stderr, "store: %d records in %d segments, %d bytes (%d dead), %d puts, %d/%d get hits, %d compactions (%d bytes reclaimed)\n",
-			ss.Records, ss.Segments, ss.Bytes, ss.DeadBytes, ss.Puts, ss.Hits, ss.Gets, ss.Compactions, ss.ReclaimedBytes)
+		fmt.Fprintf(os.Stderr, "store: %d records in %d segments, %d bytes, %d puts, %d/%d get hits\n",
+			ss.Records, ss.Segments, ss.Bytes, ss.Puts, ss.Hits, ss.Gets)
 	}
 	return err
 }

@@ -1,18 +1,15 @@
 // The `dynloop store` subcommand family: offline administration of an
 // on-disk result store, mirroring `dynloop trace`'s shape. `ls` and
-// `stats` snapshot a store, `verify` audits every segment and sidecar
-// byte-for-byte without opening the store, `compact` rewrites the live
-// set densely, and `gen` writes a synthetic garbage-heavy store for
-// smoke tests and benchmarks.
+// `stats` open a store (exactly as serve would) and snapshot it;
+// `verify` audits every segment byte-for-byte without opening the
+// store.
 package main
 
 import (
 	"context"
+	"flag"
 	"fmt"
 	"path/filepath"
-	"time"
-
-	"flag"
 
 	"dynloop/internal/report"
 	"dynloop/internal/store"
@@ -26,173 +23,86 @@ func cmdStore(_ context.Context, args []string) error {
 			return cmdStoreLs(args[1:])
 		case "verify":
 			return cmdStoreVerify(args[1:])
-		case "compact":
-			return cmdStoreCompact(args[1:])
 		case "stats":
 			return cmdStoreStats(args[1:])
-		case "gen":
-			return cmdStoreGen(args[1:])
 		}
 	}
-	return fmt.Errorf("usage: dynloop store ls|verify|compact|stats|gen -store DIR ...")
+	return fmt.Errorf("usage: dynloop store ls|verify|stats -store DIR")
 }
 
-// storeDirFlag adds the common -store flag.
-func storeDirFlag(fs *flag.FlagSet) *string {
-	return fs.String("store", "", "result-store directory")
+// storeDirArg parses a subcommand's -store flag.
+func storeDirArg(name string, args []string) (string, error) {
+	fs := flag.NewFlagSet("store "+name, flag.ExitOnError)
+	dir := fs.String("store", "", "result-store directory")
+	if err := fs.Parse(args); err != nil {
+		return "", err
+	}
+	if *dir == "" {
+		return "", fmt.Errorf("missing -store DIR")
+	}
+	return *dir, nil
 }
 
 // openStoreArg parses a subcommand's flags and opens its store.
-func openStoreArg(name string, args []string, opts store.Options) (*store.Store, error) {
-	fs := flag.NewFlagSet("store "+name, flag.ExitOnError)
-	dir := storeDirFlag(fs)
-	if err := fs.Parse(args); err != nil {
+func openStoreArg(name string, args []string) (*store.Store, error) {
+	dir, err := storeDirArg(name, args)
+	if err != nil {
 		return nil, err
 	}
-	if *dir == "" {
-		return nil, fmt.Errorf("missing -store DIR")
-	}
-	return store.Open(*dir, opts)
+	return store.Open(dir, store.Options{})
 }
 
-// cmdStoreLs opens a store (through its sidecars, exactly as serve
-// would) and lists the segments.
+// cmdStoreLs opens a store and lists the segments.
 func cmdStoreLs(args []string) error {
-	st, err := openStoreArg("ls", args, store.Options{})
+	st, err := openStoreArg("ls", args)
 	if err != nil {
 		return err
 	}
 	defer st.Close()
 	ss := st.Stats()
 	t := report.NewTable(fmt.Sprintf("store %s (%d records, %d segments)", st.Dir(), ss.Records, ss.Segments),
-		"segment", "records", "bytes", "dead", "opened via")
+		"segment", "records", "bytes")
 	for _, seg := range st.Segments() {
-		t.AddRow(filepath.Base(seg.Path), seg.Records, seg.Bytes, seg.Dead, seg.How)
+		t.AddRow(filepath.Base(seg.Path), seg.Records, seg.Bytes)
 	}
 	fmt.Print(t.String())
-	fmt.Printf("open: %d sidecar hits, %d scan rebuilds, %d torn-tail bytes truncated\n",
-		ss.SidecarHits, ss.SidecarRebuilds, ss.TruncatedTail)
+	fmt.Printf("open: %d torn-tail bytes truncated\n", ss.TruncatedTail)
 	return nil
 }
 
 // cmdStoreVerify audits a store directory byte-for-byte without
-// opening it: every record's CRC, last-write-wins accounting, and
-// every sidecar against the data it indexes.
+// opening it: every record's CRC and the last-write-wins live set.
 func cmdStoreVerify(args []string) error {
-	fs := flag.NewFlagSet("store verify", flag.ExitOnError)
-	dir := storeDirFlag(fs)
-	if err := fs.Parse(args); err != nil {
-		return err
-	}
-	if *dir == "" {
-		return fmt.Errorf("missing -store DIR")
-	}
-	rep, err := store.Verify(*dir)
+	dir, err := storeDirArg("verify", args)
 	if err != nil {
 		return err
 	}
-	fmt.Printf("store %s: OK\n", *dir)
+	rep, err := store.Verify(dir)
+	if err != nil {
+		return err
+	}
+	fmt.Printf("store %s: OK\n", dir)
 	fmt.Printf("  segments:       %d (%d bytes)\n", rep.Segments, rep.Bytes)
-	fmt.Printf("  records:        %d on disk, %d live, %d dead bytes\n",
-		rep.TotalRecords, rep.LiveRecords, rep.DeadBytes)
-	fmt.Printf("  sidecars:       %d ok, %d stale, %d missing\n",
-		rep.SidecarsOK, rep.SidecarsStale, rep.SidecarsMissing)
+	fmt.Printf("  records:        %d on disk, %d live\n", rep.TotalRecords, rep.LiveRecords)
 	if rep.TornTailBytes > 0 {
 		fmt.Printf("  torn tail:      %d bytes (newest segment; Open repairs by truncation)\n", rep.TornTailBytes)
 	}
 	return nil
 }
 
-// cmdStoreCompact rewrites the store's live records densely and
-// reports the space reclaimed.
-func cmdStoreCompact(args []string) error {
-	st, err := openStoreArg("compact", args, store.Options{})
-	if err != nil {
-		return err
-	}
-	defer st.Close()
-	start := time.Now()
-	cs, err := st.Compact()
-	if err != nil {
-		return err
-	}
-	fmt.Printf("compacted %s in %v: %d live records, %d -> %d segments, %d -> %d bytes (%d reclaimed)\n",
-		st.Dir(), time.Since(start).Round(time.Millisecond),
-		cs.LiveRecords, cs.SegmentsBefore, cs.SegmentsAfter,
-		cs.BytesBefore, cs.BytesAfter, cs.Reclaimed)
-	return nil
-}
-
 // cmdStoreStats prints the store's counters in the same shape
 // /v1/stats serves them.
 func cmdStoreStats(args []string) error {
-	st, err := openStoreArg("stats", args, store.Options{})
+	st, err := openStoreArg("stats", args)
 	if err != nil {
 		return err
 	}
 	defer st.Close()
 	ss := st.Stats()
 	fmt.Printf("store %s:\n", st.Dir())
-	fmt.Printf("  records:          %d\n", ss.Records)
-	fmt.Printf("  segments:         %d\n", ss.Segments)
-	fmt.Printf("  bytes:            %d\n", ss.Bytes)
-	fmt.Printf("  dead_bytes:       %d\n", ss.DeadBytes)
-	fmt.Printf("  sidecar_hits:     %d\n", ss.SidecarHits)
-	fmt.Printf("  sidecar_rebuilds: %d\n", ss.SidecarRebuilds)
-	fmt.Printf("  truncated_tail:   %d\n", ss.TruncatedTail)
-	return nil
-}
-
-// cmdStoreGen writes a synthetic store: -keys distinct keys overwritten
-// -rounds times, so (rounds-1)/rounds of the bytes are garbage. The
-// values are deterministic in (seed, key, round); smoke tests use it to
-// manufacture compaction-worthy stores without burning engine time.
-func cmdStoreGen(args []string) error {
-	fs := flag.NewFlagSet("store gen", flag.ExitOnError)
-	dir := storeDirFlag(fs)
-	keys := fs.Int("keys", 100_000, "distinct keys to write")
-	rounds := fs.Int("rounds", 2, "full overwrite passes (garbage ratio = (rounds-1)/rounds)")
-	valBytes := fs.Int("valbytes", 256, "value size in bytes")
-	seed := fs.Uint64("seed", 1, "value-content seed")
-	segBytes := fs.Int64("segbytes", 0, "max segment size (0 = store default)")
-	if err := fs.Parse(args); err != nil {
-		return err
-	}
-	if *dir == "" {
-		return fmt.Errorf("missing -store DIR")
-	}
-	if *keys <= 0 || *rounds <= 0 || *valBytes <= 0 {
-		return fmt.Errorf("-keys, -rounds and -valbytes must be positive")
-	}
-	st, err := store.Open(*dir, store.Options{MaxSegmentBytes: *segBytes})
-	if err != nil {
-		return err
-	}
-	defer st.Close()
-	start := time.Now()
-	val := make([]byte, *valBytes)
-	for r := 0; r < *rounds; r++ {
-		for k := 0; k < *keys; k++ {
-			// xorshift-ish deterministic filler; cheap, incompressible
-			// enough, and stable across runs for a given seed.
-			x := *seed ^ uint64(r)<<32 ^ uint64(k)
-			for i := range val {
-				x ^= x << 13
-				x ^= x >> 7
-				x ^= x << 17
-				val[i] = byte(x)
-			}
-			if err := st.Put(fmt.Sprintf("gen/%08d", k), val); err != nil {
-				return err
-			}
-		}
-	}
-	if err := st.Sync(); err != nil {
-		return err
-	}
-	ss := st.Stats()
-	fmt.Printf("generated %s in %v: %d records in %d segments, %d bytes (%d dead)\n",
-		st.Dir(), time.Since(start).Round(time.Millisecond),
-		ss.Records, ss.Segments, ss.Bytes, ss.DeadBytes)
+	fmt.Printf("  records:        %d\n", ss.Records)
+	fmt.Printf("  segments:       %d\n", ss.Segments)
+	fmt.Printf("  bytes:          %d\n", ss.Bytes)
+	fmt.Printf("  truncated_tail: %d\n", ss.TruncatedTail)
 	return nil
 }

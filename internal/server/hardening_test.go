@@ -3,6 +3,7 @@ package server
 import (
 	"bufio"
 	"context"
+	"errors"
 	"net"
 	"testing"
 	"time"
@@ -130,4 +131,32 @@ func TestDaemonWritesHoldBoundedUnits(t *testing.T) {
 		t.Fatalf("after 40 writes the process holds %d programs and %d predecoded codes for %d benchmarks",
 			len(progs), len(codes), len(all))
 	}
+}
+
+// TestShedTypedError: both shed paths — oversized grids and expired
+// queue waits — surface to the client as *client.ErrShed carrying the
+// daemon's jittered Retry-After hint.
+func TestShedTypedError(t *testing.T) {
+	ctx := context.Background()
+
+	// Oversized grid.
+	_, c := newTestDaemon(t, Config{Workers: 1, MaxCells: 4})
+	_, err := c.Grid(ctx, wire.GridRequest{Name: "sweep", Budget: 1000})
+	var shed *client.ErrShed
+	if !errors.As(err, &shed) {
+		t.Fatalf("oversized grid returned %v, want *client.ErrShed", err)
+	}
+	if shed.RetryAfter < time.Second || shed.RetryAfter > 4*time.Second {
+		t.Fatalf("Retry-After %v outside the 1-4s jitter window", shed.RetryAfter)
+	}
+
+	// Queue-wait timeout: one slot, held by a phantom foreground request.
+	s2, c2 := newTestDaemon(t, Config{Workers: 1, MaxInflight: 1, QueueWait: 20 * time.Millisecond})
+	s2.inflight <- struct{}{}
+	_, err = c2.Grid(ctx, testReq())
+	shed = nil
+	if !errors.As(err, &shed) {
+		t.Fatalf("queued-out grid returned %v, want *client.ErrShed", err)
+	}
+	<-s2.inflight
 }

@@ -20,10 +20,6 @@ var (
 		"Requests currently being served.")
 	mHTTPShed = obs.NewCounter("dynloop_http_shed_total",
 		"Requests shed: oversized grids rejected, queue waits timed out (both 422 + Retry-After) and clients that gave up while queued for an inflight slot.")
-	mWarmerCells = obs.NewCounter("dynloop_warmer_cells_total",
-		"Grid cells precomputed by the background warmer (cache hits included).")
-	mWarmerPauses = obs.NewCounter("dynloop_warmer_pauses_total",
-		"Times the background warmer yielded to foreground load.")
 )
 
 // routes is the fixed endpoint set; per-endpoint series are registered

@@ -73,15 +73,6 @@ type Config struct {
 	// Logger, when non-nil, receives one structured log record per
 	// request (id, endpoint, status, duration, cells, tier deltas).
 	Logger *slog.Logger
-	// Warm lists registered grid specs for the background warmer; the
-	// single entry "all" selects every registered grid. The warmer
-	// precomputes each spec through the shared runner (and so into the
-	// store tier) whenever no foreground request is in flight. Empty
-	// disables warming.
-	Warm []string
-	// WarmBenchmarks narrows warming to these workloads for specs that
-	// do not pin their own benchmark axis (nil = all).
-	WarmBenchmarks []string
 	// QueueWait bounds how long a request may queue for an inflight
 	// slot before the daemon sheds it with 422 + Retry-After rather
 	// than letting the queue grow unboundedly. 0 selects
@@ -116,7 +107,6 @@ type Server struct {
 	inflight  chan struct{}
 	maxCells  int
 	queueWait time.Duration
-	warm      *warmer // nil when warming is off
 	// readHeaderTimeout and idleTimeout are the package's constants;
 	// tests shorten them.
 	readHeaderTimeout, idleTimeout time.Duration
@@ -156,33 +146,6 @@ func New(cfg Config) *Server {
 	}
 	return s
 }
-
-// StartWarmer resolves Config.Warm and launches the background grid
-// warmer; it runs until every unit is done or ctx ends.
-// ListenAndServe calls this when warming is configured; tests may call
-// it directly. Unknown spec names error out before anything runs.
-func (s *Server) StartWarmer(ctx context.Context) error {
-	w, err := newWarmer(s, s.cfg.Warm, s.cfg.WarmBenchmarks)
-	if err != nil {
-		return err
-	}
-	s.warm = w
-	go w.run(ctx)
-	return nil
-}
-
-// WarmerStats snapshots the warmer's progress; ok=false when no warmer
-// is configured.
-func (s *Server) WarmerStats() (WarmerStats, bool) {
-	if s.warm == nil {
-		return WarmerStats{}, false
-	}
-	return s.warm.stats(), true
-}
-
-// inflightNow is the number of foreground requests holding (or
-// occupying) inflight slots; the warmer yields while it is non-zero.
-func (s *Server) inflightNow() int { return len(s.inflight) }
 
 // Runner exposes the shared runner (for stats lines and tests).
 func (s *Server) Runner() *runner.Runner { return s.runner }
@@ -227,14 +190,6 @@ func (s *Server) ListenAndServe(ctx context.Context, addr string, ready chan<- s
 	// the store) instead of wasting the work already done.
 	reqCtx, cancelReqs := context.WithCancel(context.WithoutCancel(ctx))
 	defer cancelReqs()
-	if len(s.cfg.Warm) > 0 {
-		// The warmer dies with the serve ctx: shutdown stops background
-		// work immediately, only foreground requests get grace.
-		if err := s.StartWarmer(ctx); err != nil {
-			ln.Close()
-			return err
-		}
-	}
 	hs := &http.Server{
 		Handler:           s.Handler(),
 		BaseContext:       func(net.Listener) context.Context { return reqCtx },
@@ -466,30 +421,13 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 	if s.cfg.Store != nil {
 		ss := s.cfg.Store.Stats()
 		st.Store = &wire.StoreStats{
-			Records:          ss.Records,
-			Segments:         ss.Segments,
-			Bytes:            ss.Bytes,
-			DeadBytes:        ss.DeadBytes,
-			Puts:             ss.Puts,
-			Gets:             ss.Gets,
-			Hits:             ss.Hits,
-			TruncatedTail:    ss.TruncatedTail,
-			SidecarHits:      ss.SidecarHits,
-			SidecarRebuilds:  ss.SidecarRebuilds,
-			Compactions:      ss.Compactions,
-			ReclaimedBytes:   ss.ReclaimedBytes,
-			LastCompactError: ss.LastCompactError,
-		}
-	}
-	if ws, ok := s.WarmerStats(); ok {
-		st.Warmer = &wire.WarmerStats{
-			Units:     ws.Units,
-			UnitsDone: ws.UnitsDone,
-			Cells:     ws.Cells,
-			Pauses:    ws.Pauses,
-			Errors:    ws.Errors,
-			LastError: ws.LastError,
-			Running:   ws.Running,
+			Records:       ss.Records,
+			Segments:      ss.Segments,
+			Bytes:         ss.Bytes,
+			Puts:          ss.Puts,
+			Gets:          ss.Gets,
+			Hits:          ss.Hits,
+			TruncatedTail: ss.TruncatedTail,
 		}
 	}
 	if s.cfg.Traces != nil {

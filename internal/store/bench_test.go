@@ -11,9 +11,9 @@ import (
 // bytes of varint-packed metrics).
 var benchVal = bytes.Repeat([]byte("v"), 256)
 
-// buildBenchStore creates a garbage-heavy store with n live keys:
-// rounds full overwrite passes (80% garbage at the default 5), default
-// segment size, closed cleanly so sidecars are in place.
+// buildBenchStore creates a store with n live keys written rounds
+// times over (so Open also resolves superseded records), default
+// segment size, closed cleanly.
 func buildBenchStore(b *testing.B, dir string, n, rounds int) {
 	b.Helper()
 	s, err := Open(dir, Options{})
@@ -32,12 +32,15 @@ func buildBenchStore(b *testing.B, dir string, n, rounds int) {
 	}
 }
 
-func benchOpen(b *testing.B, n int, opts Options) {
+// BenchmarkOpen100k measures Open: every segment scanned byte-for-byte
+// to rebuild the index of 100k keys written five times over.
+func BenchmarkOpen100k(b *testing.B) {
+	const n = 100_000
 	dir := b.TempDir()
 	buildBenchStore(b, dir, n, 5)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		s, err := Open(dir, opts)
+		s, err := Open(dir, Options{})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -52,46 +55,22 @@ func benchOpen(b *testing.B, n int, opts Options) {
 	}
 }
 
-// BenchmarkOpenScan100k is the cold path: every segment scanned
-// byte-for-byte to rebuild the index.
-func BenchmarkOpenScan100k(b *testing.B) {
-	benchOpen(b, 100_000, Options{DisableSidecars: true})
-}
-
-// BenchmarkOpenSidecar100k is the indexed path: per-segment sidecars
-// loaded instead of data.
-func BenchmarkOpenSidecar100k(b *testing.B) {
-	benchOpen(b, 100_000, Options{})
-}
-
-// BenchmarkGet measures warm single-threaded read latency, for both
-// open paths: reads through a sidecar-built index CRC-verify each
-// record (those bytes were never scanned), reads from a scanned store
-// skip the checksum Open already established.
+// BenchmarkGet measures warm single-threaded read latency, the CRC
+// check of each record included.
 func BenchmarkGet(b *testing.B) {
-	for _, bc := range []struct {
-		name string
-		opts Options
-	}{
-		{"sidecar", Options{}},
-		{"scan", Options{DisableSidecars: true}},
-	} {
-		b.Run(bc.name, func(b *testing.B) {
-			dir := b.TempDir()
-			buildBenchStore(b, dir, 10_000, 2)
-			s, err := Open(dir, bc.opts)
-			if err != nil {
-				b.Fatal(err)
-			}
-			defer s.Close()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				k := fmt.Sprintf("bench|key|%08d", i%10_000)
-				if _, ok, err := s.Get(k); !ok || err != nil {
-					b.Fatalf("Get(%q) = %v, %v", k, ok, err)
-				}
-			}
-		})
+	dir := b.TempDir()
+	buildBenchStore(b, dir, 10_000, 2)
+	s, err := Open(dir, Options{})
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer s.Close()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		k := fmt.Sprintf("bench|key|%08d", i%10_000)
+		if _, ok, err := s.Get(k); !ok || err != nil {
+			b.Fatalf("Get(%q) = %v, %v", k, ok, err)
+		}
 	}
 }
 

@@ -23,14 +23,6 @@ var (
 	mTruncatedBytes = obs.NewCounter("dynloop_store_truncated_bytes_total",
 		"Torn-tail bytes discarded recovering the newest segment at Open.")
 	mOpenSeconds = obs.NewHistogram("dynloop_store_open_seconds",
-		"Store Open latency in seconds (sidecar index load or full segment scan).",
+		"Store Open latency in seconds (a full scan of every segment).",
 		obs.DefLatencyBuckets)
-	mSidecarHits = obs.NewCounter("dynloop_store_index_sidecar_hits_total",
-		"Segments opened straight from a valid index sidecar, with no data scan.")
-	mSidecarRebuilds = obs.NewCounter("dynloop_store_index_sidecar_rebuilds_total",
-		"Segments scanned because their sidecar was missing, stale, or corrupt, and whose sidecar was rewritten.")
-	mCompactions = obs.NewCounter("dynloop_store_compactions_total",
-		"Completed store compactions.")
-	mReclaimedBytes = obs.NewCounter("dynloop_store_compaction_reclaimed_bytes_total",
-		"Bytes of superseded-record space removed from disk by compaction.")
 )

@@ -17,22 +17,17 @@
 // following the tracefile encoding discipline (varint framing, explicit
 // magic, integrity checks, ErrCorrupt). Writes append whole records in
 // a single write; the in-memory index (key → segment/offset, last write
-// wins) is rebuilt on Open. Each immutable segment carries an index
-// sidecar (seg-000001.dlidx, see sidecar.go) so Open normally loads a
-// compact key→offset table instead of scanning segment bytes; a
-// missing, stale, or corrupt sidecar falls back to the full scan and is
-// rewritten. Crash safety falls out of the framing: a torn final record
-// in the newest segment is truncated away on Open (the stale sidecar is
-// detected by its size/CRC fingerprint and rebuilt), while corruption
-// anywhere earlier — bytes that were once durable — surfaces as
-// ErrCorrupt rather than being silently skipped. Every Get re-verifies
-// its record's CRC, so even a wrong-but-well-formed index can only turn
-// a read into an error, never into silently wrong bytes.
+// wins) is rebuilt on Open by scanning every segment. Crash safety
+// falls out of the framing: a torn final record in the newest segment
+// is truncated away on Open, while corruption anywhere earlier — bytes
+// that were once durable — surfaces as ErrCorrupt rather than being
+// silently skipped. Every Get re-verifies its record's CRC and key, so
+// bytes that change on disk after Open turn a read into an error, never
+// into silently wrong bytes.
 //
-// Superseded records are reclaimed by compaction (see compact.go):
-// Store.Compact rewrites the live records of the frozen segment prefix
-// into dense segments and atomically swaps them in; Options can arm a
-// garbage-ratio auto-trigger.
+// Keys are content-addressed and the runner Puts a key only after a
+// miss, so records are almost never superseded; the store keeps no
+// index files and never rewrites a segment.
 package store
 
 import (
@@ -59,14 +54,6 @@ const (
 	// maxRecordBytes bounds a single record allocation when scanning
 	// untrusted files.
 	maxRecordBytes = 64 << 20
-	// minRecordBytes is the smallest possible framed record: a 1-byte
-	// length, the 4-byte CRC, and a 3-byte body (version, empty key,
-	// empty value). Index entries claiming less are rejected.
-	minRecordBytes = 8
-	// DefaultCompactMinBytes is the store-size floor below which the
-	// garbage-ratio auto-trigger never fires; tiny stores are not worth
-	// a rewrite.
-	DefaultCompactMinBytes = 1 << 20
 )
 
 // ErrCorrupt reports a malformed store segment (outside the torn tail
@@ -81,19 +68,6 @@ type Options struct {
 	// MaxSegmentBytes rotates the active segment past this size;
 	// 0 selects DefaultMaxSegmentBytes.
 	MaxSegmentBytes int64
-	// CompactGarbageRatio arms background auto-compaction: after a Put,
-	// if superseded records make up more than this fraction (0 < ratio
-	// ≤ 1) of the store's bytes and the store holds at least
-	// CompactMinBytes, one background Compact is spawned. 0 disables
-	// the trigger; Compact can always be called explicitly.
-	CompactGarbageRatio float64
-	// CompactMinBytes is the total-size floor for the auto-trigger;
-	// 0 selects DefaultCompactMinBytes.
-	CompactMinBytes int64
-	// DisableSidecars makes Open ignore index sidecars and suppresses
-	// writing them, so every Open pays the full segment scan. For
-	// benchmarks and A/B diagnosis only.
-	DisableSidecars bool
 }
 
 // Stats are store-lifetime and on-disk counters.
@@ -104,27 +78,12 @@ type Stats struct {
 	Segments int
 	// Bytes is the total on-disk size of all segments.
 	Bytes int64
-	// DeadBytes is the portion of Bytes occupied by superseded records —
-	// space a Compact would reclaim.
-	DeadBytes int64
 	// Puts and Gets count operations since Open; Hits counts Gets that
 	// found their key.
 	Puts, Gets, Hits uint64
 	// TruncatedTail is the number of torn-tail bytes Open discarded
 	// while recovering the newest segment.
 	TruncatedTail int64
-	// SidecarHits counts segments opened straight from a valid index
-	// sidecar; SidecarRebuilds counts segments that had to be scanned
-	// (sidecar missing, stale, or corrupt) and had their sidecar
-	// rewritten.
-	SidecarHits, SidecarRebuilds uint64
-	// Compactions counts completed compactions; ReclaimedBytes is the
-	// dead-record space they removed from disk.
-	Compactions    uint64
-	ReclaimedBytes uint64
-	// LastCompactError reports the most recent auto-compaction failure,
-	// if any ("" when healthy).
-	LastCompactError string
 }
 
 // ref locates one record inside a segment.
@@ -137,19 +96,17 @@ type ref struct {
 // segment is one open segment file. The file handle is shared by
 // readers that have released the store lock, so its lifetime is
 // refcounted: the store holds one reference, each in-flight Get holds
-// one more, and the file closes when the last reference drops (for
-// compacted-away segments that can be long after retirement).
+// one more, and the file closes when the last reference drops (after
+// Close, once in-flight reads drain).
 type segment struct {
 	path string
 	f    *os.File
 	size int64
-	dead int64  // bytes of superseded records residing in this segment
-	how  string // how it was opened: "sidecar", "scan", "created", "compacted"
 	refs atomic.Int64
 }
 
-func newSegment(path string, f *os.File, size int64, how string) *segment {
-	seg := &segment{path: path, f: f, size: size, how: how}
+func newSegment(path string, f *os.File, size int64) *segment {
+	seg := &segment{path: path, f: f, size: size}
 	seg.refs.Store(1)
 	return seg
 }
@@ -166,35 +123,22 @@ func (g *segment) release() {
 type Store struct {
 	dir    string
 	maxSeg int64
-	opts   Options
 
-	mu          sync.RWMutex
-	idx         map[string]ref
-	segs        []*segment
-	nextSeq     int // next segment file number (monotonic across compactions)
-	closed      bool
-	dirty       bool // the active segment's on-disk sidecar is behind its index
-	compacting  bool // a Compact holds the store in its freeze/swap window
-	autoPending bool // an auto-triggered Compact is scheduled or running
-	compactErr  error
+	mu      sync.RWMutex
+	idx     map[string]ref
+	segs    []*segment
+	nextSeq int // next segment file number
+	closed  bool
 
-	puts, gets, hits             atomic.Uint64
-	truncated                    int64
-	sidecarHits, sidecarRebuilds atomic.Uint64
-	compactions                  atomic.Uint64
-	reclaimed                    atomic.Uint64
-
-	// testHookAfterFreeze, when set, runs after Compact's freeze phase
-	// releases the lock — tests use it to interleave Puts
-	// deterministically with an in-flight compaction.
-	testHookAfterFreeze func()
+	puts, gets, hits atomic.Uint64
+	truncated        int64
 }
 
 // Open opens (creating if needed) the store in dir and rebuilds the
-// index: from each segment's index sidecar when one is present and
-// matches the segment (size and tail CRC), otherwise by scanning the
-// segment bytes and rewriting the sidecar. A torn tail in the newest
-// segment is recovered by truncating it at the last intact record.
+// index by scanning every segment, oldest first. A torn tail in the
+// newest segment is recovered by truncating it at the last intact
+// record; any other malformed byte is ErrCorrupt. Files other than
+// segments are ignored.
 func Open(dir string, opts Options) (*Store, error) {
 	start := time.Now()
 	if err := os.MkdirAll(dir, 0o755); err != nil {
@@ -204,105 +148,19 @@ func Open(dir string, opts Options) (*Store, error) {
 	if maxSeg <= 0 {
 		maxSeg = DefaultMaxSegmentBytes
 	}
-	// Temp files are in-flight compaction output that never got
-	// renamed into place; they are not part of the durable store.
-	if tmps, _ := filepath.Glob(filepath.Join(dir, "seg-*.tmp")); len(tmps) > 0 {
-		for _, t := range tmps {
-			os.Remove(t)
-		}
-	}
 	names, err := filepath.Glob(filepath.Join(dir, "seg-*.dlstore"))
 	if err != nil {
 		return nil, err
 	}
 	sort.Strings(names)
-	s := &Store{dir: dir, maxSeg: maxSeg, opts: opts, idx: make(map[string]ref), nextSeq: 1}
-	for _, name := range names {
+	s := &Store{dir: dir, maxSeg: maxSeg, idx: make(map[string]ref), nextSeq: 1}
+	for i, name := range names {
 		if n, ok := segSeq(name); ok && n >= s.nextSeq {
 			s.nextSeq = n + 1
 		}
-	}
-	// Load every segment's live-entry table — from its sidecar when the
-	// fingerprint matches, by scanning otherwise — then build the index
-	// newest-first with insert-if-absent: the map is pre-sized once, a
-	// live key costs one insert, and a superseded entry costs one probe
-	// (and is charged to its segment's dead-byte count).
-	//
-	// Sidecar loads are independent small-file reads, so they run
-	// concurrently; segments whose sidecar does not check out fall back
-	// to the serial scan below (recovery is kept simple — parallel
-	// whole-segment scans would just contend for I/O).
-	loaded := make([]struct {
-		seg     *segment
-		entries []sidecarEntry
-	}, len(names))
-	if !opts.DisableSidecars {
-		var wg sync.WaitGroup
-		sem := make(chan struct{}, 8)
-		for i, name := range names {
-			wg.Add(1)
-			go func(i int, name string) {
-				defer wg.Done()
-				sem <- struct{}{}
-				defer func() { <-sem }()
-				loaded[i].seg, loaded[i].entries = tryLoadSidecar(name)
-			}(i, name)
-		}
-		wg.Wait()
-	}
-	tables := make([][]sidecarEntry, 0, len(names))
-	total := 0
-	for i, name := range names {
-		var entries []sidecarEntry
-		if ld := loaded[i]; ld.seg != nil {
-			s.segs = append(s.segs, ld.seg)
-			entries = ld.entries
-			s.sidecarHits.Add(1)
-			mSidecarHits.Inc()
-		} else {
-			var err error
-			entries, err = s.scanSegmentFile(name, i == len(names)-1)
-			if err != nil {
-				// Release installed segments and the parallel-loaded ones
-				// that never got installed.
-				for _, ld := range loaded[i+1:] {
-					if ld.seg != nil {
-						ld.seg.f.Close()
-					}
-				}
-				s.closeOnError()
-				return nil, err
-			}
-		}
-		tables = append(tables, entries)
-		total += len(entries)
-	}
-	s.idx = make(map[string]ref, total)
-	for si := len(tables) - 1; si >= 0; si-- {
-		if si == len(tables)-1 {
-			// Nothing is newer than the last segment, so its whole table
-			// is live: install it without the existence probe.
-			for _, e := range tables[si] {
-				s.idx[e.key] = ref{seg: si, off: e.off, rlen: int(e.rlen)}
-			}
-			continue
-		}
-		for _, e := range tables[si] {
-			if _, exists := s.idx[e.key]; exists {
-				s.segs[si].dead += e.rlen
-			} else {
-				s.idx[e.key] = ref{seg: si, off: e.off, rlen: int(e.rlen)}
-			}
-		}
-	}
-	// A sidecar whose segment is gone (a compaction died between its
-	// deletes) is an orphan; sweep it so the directory stays
-	// self-describing.
-	if idxNames, _ := filepath.Glob(filepath.Join(dir, "seg-*.dlidx")); len(idxNames) > 0 {
-		for _, p := range idxNames {
-			if _, err := os.Stat(segForSidecar(p)); os.IsNotExist(err) {
-				os.Remove(p)
-			}
+		if err := s.openSegment(name, i == len(names)-1); err != nil {
+			s.closeOnError()
+			return nil, err
 		}
 	}
 	if len(s.segs) == 0 {
@@ -323,32 +181,32 @@ func segSeq(path string) (int, bool) {
 	return n, true
 }
 
-// scanSegmentFile is the fallback (and sidecar-disabled) load path: scan
-// the segment bytes and rewrite its sidecar. last marks the newest
-// segment, whose torn tail (an interrupted final write) is repaired by
-// truncation; earlier segments must be fully intact.
-func (s *Store) scanSegmentFile(path string, last bool) ([]sidecarEntry, error) {
+// openSegment scans one segment file and indexes its records, a later
+// record superseding an earlier one of the same key. last marks the
+// newest segment, whose torn tail (an interrupted final write) is
+// repaired by truncation; earlier segments must be fully intact.
+func (s *Store) openSegment(path string, last bool) error {
 	data, err := os.ReadFile(path)
 	if err != nil {
-		return nil, err
+		return err
 	}
 	mSegScans.Inc()
 	recs, good, err := ScanSegment(data)
 	if err != nil {
 		if !last || !errors.Is(err, errTorn) {
-			return nil, fmt.Errorf("%w: %s: %v", ErrCorrupt, filepath.Base(path), err)
+			return fmt.Errorf("%w: %s: %v", ErrCorrupt, filepath.Base(path), err)
 		}
 	}
 	f, err := os.OpenFile(path, os.O_RDWR, 0o644)
 	if err != nil {
-		return nil, err
+		return err
 	}
 	if good < int64(len(data)) {
 		// Torn tail in the newest segment: drop the partial record so
 		// the next Put appends a clean one.
 		if err := f.Truncate(good); err != nil {
 			f.Close()
-			return nil, err
+			return err
 		}
 		s.truncated += int64(len(data)) - good
 		mTruncatedBytes.Add(uint64(int64(len(data)) - good))
@@ -358,57 +216,25 @@ func (s *Store) scanSegmentFile(path string, last bool) ([]sidecarEntry, error) 
 		// the segment stays well-formed.
 		if _, err := f.WriteAt([]byte(magic), 0); err != nil {
 			f.Close()
-			return nil, err
+			return err
 		}
 		good = int64(len(magic))
 	}
-	// Collapse within-segment duplicates, last occurrence winning, and
-	// count the superseded bytes as the segment's own dead space.
-	liveAt := make(map[string]int, len(recs))
-	entries := make([]sidecarEntry, 0, len(recs))
-	var dead int64
+	si := len(s.segs)
+	s.segs = append(s.segs, newSegment(path, f, good))
 	for _, r := range recs {
-		e := sidecarEntry{key: r.Key, off: r.Off, rlen: int64(r.Len)}
-		if j, ok := liveAt[r.Key]; ok {
-			dead += entries[j].rlen
-			entries[j] = e
-		} else {
-			liveAt[r.Key] = len(entries)
-			entries = append(entries, e)
-		}
+		s.idx[r.Key] = ref{seg: si, off: r.Off, rlen: r.Len}
 	}
-	seg := newSegment(path, f, good, "scan")
-	seg.dead = dead
-	s.segs = append(s.segs, seg)
-	if !s.opts.DisableSidecars {
-		// Scan-and-rewrite: persist what the scan just recovered so the
-		// next Open takes the indexed path. Best effort — a failed write
-		// costs the next Open one more scan.
-		if s.writeSidecarEntries(len(s.segs)-1, entries) == nil {
-			s.sidecarRebuilds.Add(1)
-			mSidecarRebuilds.Inc()
-		}
-	}
-	return entries, nil
+	return nil
 }
 
-// closeOnError abandons a partially-opened store: segment handles are
-// released without writing sidecars, since the index they would be
-// derived from has not been built.
+// closeOnError abandons a partially-opened store, releasing the
+// segment handles opened so far.
 func (s *Store) closeOnError() {
 	s.closed = true
 	for _, seg := range s.segs {
 		seg.release()
 	}
-}
-
-// indexRecord installs one record in the index, charging the record it
-// supersedes (if any) to that record's segment dead-byte count.
-func (s *Store) indexRecord(key string, r ref) {
-	if old, ok := s.idx[key]; ok {
-		s.segs[old.seg].dead += int64(old.rlen)
-	}
-	s.idx[key] = r
 }
 
 // addSegment creates and opens the next empty segment file.
@@ -423,23 +249,7 @@ func (s *Store) addSegment() error {
 		return err
 	}
 	s.nextSeq++
-	s.segs = append(s.segs, newSegment(path, f, int64(len(magic)), "created"))
-	s.dirty = true // the fresh segment has no sidecar yet
-	return nil
-}
-
-// rotateLocked freezes the active segment — persisting its index
-// sidecar, since the segment is immutable from here on — and opens a
-// fresh one.
-func (s *Store) rotateLocked() error {
-	if !s.opts.DisableSidecars {
-		// Best effort: a missing sidecar costs the next Open one scan.
-		s.writeSidecar(len(s.segs) - 1)
-	}
-	if err := s.addSegment(); err != nil {
-		return err
-	}
-	mRotations.Inc()
+	s.segs = append(s.segs, newSegment(path, f, int64(len(magic))))
 	return nil
 }
 
@@ -471,62 +281,30 @@ func (s *Store) Put(key string, val []byte) error {
 	}
 	active := s.segs[len(s.segs)-1]
 	if active.size > int64(len(magic)) && active.size+int64(len(rec)) > s.maxSeg {
-		if err := s.rotateLocked(); err != nil {
+		if err := s.addSegment(); err != nil {
 			return err
 		}
+		mRotations.Inc()
 		active = s.segs[len(s.segs)-1]
 	}
 	if _, err := active.f.WriteAt(rec, active.size); err != nil {
 		return err
 	}
-	off := active.size
+	s.idx[key] = ref{seg: len(s.segs) - 1, off: active.size, rlen: len(rec)}
 	active.size += int64(len(rec))
-	s.indexRecord(key, ref{seg: len(s.segs) - 1, off: off, rlen: len(rec)})
-	s.dirty = true
 	s.puts.Add(1)
 	mPuts.Inc()
 	mPutBytes.Add(uint64(len(rec)))
-	s.maybeAutoCompactLocked()
 	return nil
-}
-
-// maybeAutoCompactLocked spawns one background Compact when the
-// configured garbage ratio is exceeded. Callers hold s.mu.
-func (s *Store) maybeAutoCompactLocked() {
-	ratio := s.opts.CompactGarbageRatio
-	if ratio <= 0 || s.compacting || s.autoPending {
-		return
-	}
-	var total, dead int64
-	for _, seg := range s.segs {
-		total += seg.size
-		dead += seg.dead
-	}
-	floor := s.opts.CompactMinBytes
-	if floor <= 0 {
-		floor = DefaultCompactMinBytes
-	}
-	if total < floor || float64(dead) < ratio*float64(total) {
-		return
-	}
-	s.autoPending = true
-	go func() {
-		_, err := s.Compact()
-		s.mu.Lock()
-		s.autoPending = false
-		if err != nil && !errors.Is(err, ErrClosed) && !errors.Is(err, ErrCompacting) {
-			s.compactErr = err
-		}
-		s.mu.Unlock()
-	}()
 }
 
 // Get returns the stored value for key, or ok=false when absent. The
 // returned slice is freshly read and owned by the caller. The read
 // happens outside the store lock (the segment handle is pinned by a
 // reference count), so Gets overlap Puts and each other; the record's
-// CRC and key are re-verified on the way out, so a bad index entry —
-// however it arose — surfaces as ErrCorrupt, never as wrong bytes.
+// CRC and key are re-verified on the way out, so bytes that changed on
+// disk — or a bad index entry, however it arose — surface as
+// ErrCorrupt, never as wrong bytes.
 func (s *Store) Get(key string) ([]byte, bool, error) {
 	s.mu.RLock()
 	if s.closed {
@@ -550,31 +328,24 @@ func (s *Store) Get(key string) ([]byte, bool, error) {
 	if _, err := seg.f.ReadAt(buf, r.off); err != nil {
 		return nil, false, fmt.Errorf("%w: reading %q: %v", ErrCorrupt, key, err)
 	}
-	val, err := recordValue(buf, key, seg.how == "sidecar")
+	val, err := recordValue(buf, key)
 	if err != nil {
 		return nil, false, fmt.Errorf("%w: reading %q: %v", ErrCorrupt, key, err)
 	}
 	return val, true, nil
 }
 
-// recordValue extracts key's value from one framed record without
-// materializing a Record (the Get fast path: no key-string allocation).
-// Reads through a sidecar-built index verify the CRC — those segment
-// bytes were never scanned; reads from segments this process scanned or
-// wrote skip the checksum Open (or the write path) already established.
-// The record's key is always compared, so a bad index entry — however
-// it arose — surfaces as an error, never as wrong bytes.
-func recordValue(buf []byte, key string, checkCRC bool) ([]byte, error) {
+// recordValue checks one framed record's CRC and key and extracts its
+// value without materializing a Record (the Get fast path: no
+// key-string allocation).
+func recordValue(buf []byte, key string) ([]byte, error) {
 	bodyLen, n := binary.Uvarint(buf)
 	if n <= 0 || bodyLen > maxRecordBytes || uint64(len(buf)) != uint64(n)+4+bodyLen {
 		return nil, errors.New("bad record framing")
 	}
 	body := buf[uint64(n)+4:]
-	if checkCRC {
-		crc := binary.LittleEndian.Uint32(buf[n : n+4])
-		if crc32.ChecksumIEEE(body) != crc {
-			return nil, errors.New("CRC mismatch")
-		}
+	if crc32.ChecksumIEEE(body) != binary.LittleEndian.Uint32(buf[n:n+4]) {
+		return nil, errors.New("CRC mismatch")
 	}
 	ver, n := binary.Uvarint(body)
 	if n <= 0 || ver != recVersion {
@@ -633,8 +404,6 @@ type SegmentInfo struct {
 	Path    string
 	Records int   // live keys resolving into this segment
 	Bytes   int64 // on-disk size
-	Dead    int64 // bytes of superseded records
-	How     string
 }
 
 // Segments returns a per-segment snapshot, oldest first.
@@ -643,7 +412,7 @@ func (s *Store) Segments() []SegmentInfo {
 	defer s.mu.RUnlock()
 	out := make([]SegmentInfo, len(s.segs))
 	for i, seg := range s.segs {
-		out[i] = SegmentInfo{Path: seg.path, Bytes: seg.size, Dead: seg.dead, How: seg.how}
+		out[i] = SegmentInfo{Path: seg.path, Bytes: seg.size}
 	}
 	for _, r := range s.idx {
 		out[r.seg].Records++
@@ -656,30 +425,20 @@ func (s *Store) Stats() Stats {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
 	st := Stats{
-		Records:         len(s.idx),
-		Segments:        len(s.segs),
-		Puts:            s.puts.Load(),
-		Gets:            s.gets.Load(),
-		Hits:            s.hits.Load(),
-		TruncatedTail:   s.truncated,
-		SidecarHits:     s.sidecarHits.Load(),
-		SidecarRebuilds: s.sidecarRebuilds.Load(),
-		Compactions:     s.compactions.Load(),
-		ReclaimedBytes:  s.reclaimed.Load(),
-	}
-	if s.compactErr != nil {
-		st.LastCompactError = s.compactErr.Error()
+		Records:       len(s.idx),
+		Segments:      len(s.segs),
+		Puts:          s.puts.Load(),
+		Gets:          s.gets.Load(),
+		Hits:          s.hits.Load(),
+		TruncatedTail: s.truncated,
 	}
 	for _, seg := range s.segs {
 		st.Bytes += seg.size
-		st.DeadBytes += seg.dead
 	}
 	return st
 }
 
-// Sync flushes all segments to stable storage and refreshes the active
-// segment's index sidecar (immutable segments' sidecars are already
-// current).
+// Sync flushes all segments to stable storage.
 func (s *Store) Sync() error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -691,18 +450,12 @@ func (s *Store) Sync() error {
 			return err
 		}
 	}
-	if !s.opts.DisableSidecars && s.dirty {
-		if err := s.writeSidecar(len(s.segs) - 1); err != nil {
-			return err
-		}
-		s.dirty = false
-	}
 	return nil
 }
 
-// Close syncs every segment, persists the active segment's sidecar, and
-// drops the store's segment references; each segment file closes once
-// its last in-flight read drains. The store must not be used afterwards.
+// Close syncs every segment and drops the store's segment references;
+// each segment file closes once its last in-flight read drains. The
+// store must not be used afterwards.
 func (s *Store) Close() error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -715,13 +468,6 @@ func (s *Store) Close() error {
 		if err := seg.f.Sync(); err != nil && first == nil {
 			first = err
 		}
-	}
-	if !s.opts.DisableSidecars && s.dirty && len(s.segs) > 0 && first == nil {
-		if first = s.writeSidecar(len(s.segs) - 1); first == nil {
-			s.dirty = false
-		}
-	}
-	for _, seg := range s.segs {
 		seg.release()
 	}
 	return first
@@ -791,33 +537,6 @@ func ScanSegment(data []byte) (recs []Record, good int64, err error) {
 		pos += int64(n) + 4 + int64(bodyLen)
 	}
 	return recs, pos, nil
-}
-
-// decodeRecord parses exactly one framed record, as delimited by an
-// index entry, verifying the frame fills the buffer and the CRC holds.
-func decodeRecord(buf []byte) (Record, error) {
-	bodyLen, n := binary.Uvarint(buf)
-	if n <= 0 {
-		return Record{}, errors.New("bad record length")
-	}
-	if bodyLen > maxRecordBytes {
-		return Record{}, fmt.Errorf("record length %d", bodyLen)
-	}
-	if uint64(len(buf)) != uint64(n)+4+bodyLen {
-		return Record{}, errors.New("record does not fill its index extent")
-	}
-	crc := binary.LittleEndian.Uint32(buf[n : n+4])
-	body := buf[uint64(n)+4:]
-	if crc32.ChecksumIEEE(body) != crc {
-		return Record{}, errors.New("CRC mismatch")
-	}
-	rec, valOff, err := decodeBody(body)
-	if err != nil {
-		return Record{}, err
-	}
-	rec.ValOff = int64(n) + 4 + valOff
-	rec.Len = len(buf)
-	return rec, nil
 }
 
 // decodeBody parses one CRC-verified record body.

@@ -211,6 +211,124 @@ func TestVersionSkewedRecordIsAnError(t *testing.T) {
 	}
 }
 
+// flipValueByte flips one byte of key's value in the newest segment
+// file, behind the back of any Store that has it open.
+func flipValueByte(t *testing.T, dir, key string) {
+	t.Helper()
+	seg := lastSegment(t, dir)
+	data, err := os.ReadFile(seg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	recs, _, err := ScanSegment(data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, r := range recs {
+		if r.Key != key {
+			continue
+		}
+		f, err := os.OpenFile(seg, os.O_RDWR, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer f.Close()
+		if _, err := f.WriteAt([]byte{data[r.ValOff] ^ 0x01}, r.ValOff); err != nil {
+			t.Fatal(err)
+		}
+		return
+	}
+	t.Fatalf("key %q not in %s", key, seg)
+}
+
+// TestGetVerifiesCRC: a value byte that changes on disk after Open must
+// make Get fail with ErrCorrupt, never return the changed bytes — both
+// for a segment this process wrote and for one it scanned at Open.
+func TestGetVerifiesCRC(t *testing.T) {
+	for _, reopen := range []bool{false, true} {
+		dir := t.TempDir()
+		s := openT(t, dir, Options{})
+		for _, k := range []string{"a", "b"} {
+			if err := s.Put(k, []byte("value-"+k)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if reopen {
+			s.Close()
+			s = openT(t, dir, Options{})
+		}
+		flipValueByte(t, dir, "a")
+		if v, _, err := s.Get("a"); !errors.Is(err, ErrCorrupt) {
+			t.Fatalf("reopen=%v: Get a = %q, %v; want ErrCorrupt", reopen, v, err)
+		}
+		if v, ok, err := s.Get("b"); err != nil || !ok || string(v) != "value-b" {
+			t.Fatalf("reopen=%v: intact neighbour: Get b = %q, %v, %v", reopen, v, ok, err)
+		}
+	}
+}
+
+// TestOpenSidecarEraStore: a store directory as earlier builds left it —
+// two rotated segments, an index sidecar (.dlidx) beside each and an
+// abandoned compaction output (seg-000009.tmp) — opens and verifies
+// unchanged: every key reads back byte-identical, and the extra files
+// are neither read, counted nor removed.
+func TestOpenSidecarEraStore(t *testing.T) {
+	dir := t.TempDir()
+	fixture, err := filepath.Glob(filepath.Join("testdata", "sidecar-era", "*"))
+	if err != nil || len(fixture) != 5 {
+		t.Fatalf("fixture files %v, %v", fixture, err)
+	}
+	for _, src := range fixture {
+		data, err := os.ReadFile(src)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(filepath.Join(dir, filepath.Base(src)), data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	want := make(map[string]string)
+	for i := 0; i < 6; i++ {
+		want[fmt.Sprintf("cell|%d", i)] = fmt.Sprintf("value %d of the fixture", i)
+	}
+
+	rep, err := Verify(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep.Segments != 2 || rep.LiveRecords != len(want) || rep.TornTailBytes != 0 {
+		t.Fatalf("Verify = %+v", rep)
+	}
+	s := openT(t, dir, Options{})
+	if st := s.Stats(); st.Segments != 2 || st.Records != len(want) || st.TruncatedTail != 0 {
+		t.Fatalf("Stats = %+v", st)
+	}
+	for k, v := range want {
+		got, ok, err := s.Get(k)
+		if err != nil || !ok || string(got) != v {
+			t.Fatalf("Get %q = %q, %v, %v; want %q", k, got, ok, err, v)
+		}
+	}
+	if err := s.Put("after", []byte("upgrade")); err != nil {
+		t.Fatal(err)
+	}
+	s.Close()
+	for _, src := range fixture {
+		if filepath.Ext(src) == ".dlstore" {
+			continue
+		}
+		orig, _ := os.ReadFile(src)
+		got, err := os.ReadFile(filepath.Join(dir, filepath.Base(src)))
+		if err != nil || !bytes.Equal(got, orig) {
+			t.Fatalf("%s changed or removed: %v", filepath.Base(src), err)
+		}
+	}
+	s = openT(t, dir, Options{})
+	if v, ok, err := s.Get("after"); err != nil || !ok || string(v) != "upgrade" {
+		t.Fatalf("Get after = %q, %v, %v", v, ok, err)
+	}
+}
+
 func TestConcurrentPutGet(t *testing.T) {
 	s := openT(t, t.TempDir(), Options{MaxSegmentBytes: 1 << 12})
 	var wg sync.WaitGroup

@@ -3,7 +3,6 @@ package store
 import (
 	"errors"
 	"fmt"
-	"hash/crc32"
 	"os"
 	"path/filepath"
 	"sort"
@@ -15,26 +14,17 @@ type VerifyReport struct {
 	TotalRecords int   // records on disk, superseded ones included
 	LiveRecords  int   // keys after last-write-wins
 	Bytes        int64 // segment bytes (intact prefix)
-	DeadBytes    int64 // superseded-record bytes a Compact would reclaim
 	// TornTailBytes is a partial final write on the newest segment —
 	// normal after a crash; Open repairs it by truncation.
 	TornTailBytes int64
-	// Sidecar dispositions, one per segment: OK sidecars describe their
-	// segment's live set exactly; Stale ones fail the size/CRC
-	// fingerprint (Open would fall back to a scan and rewrite them);
-	// Missing ones don't exist or don't parse.
-	SidecarsOK, SidecarsStale, SidecarsMissing int
 }
 
 // Verify audits the store directory at dir without opening it as a
 // Store: every segment is scanned byte-for-byte under the same rules as
-// a scan Open (a torn tail is tolerated on the newest segment only, and
-// reported), and every sidecar is checked against the scan. A sidecar
-// must either be detectably stale — in which case Open ignores it — or
-// agree exactly with the segment's live records; a fingerprint-valid
-// sidecar that disagrees with the data is corruption and fails the
-// audit, because Open would have trusted it. Run Verify on a quiescent
-// store.
+// Open (a torn tail is tolerated on the newest segment only, and
+// reported), so Verify passes exactly when Open would succeed without
+// finding corruption. Files other than segments are ignored, as Open
+// ignores them. Run Verify on a quiescent store.
 func Verify(dir string) (VerifyReport, error) {
 	names, err := filepath.Glob(filepath.Join(dir, "seg-*.dlstore"))
 	if err != nil {
@@ -43,7 +33,7 @@ func Verify(dir string) (VerifyReport, error) {
 	sort.Strings(names)
 	var rep VerifyReport
 	rep.Segments = len(names)
-	live := make(map[string]int) // key → live record length, for dead accounting
+	live := make(map[string]struct{})
 	for i, name := range names {
 		last := i == len(names)-1
 		data, err := os.ReadFile(name)
@@ -59,92 +49,10 @@ func Verify(dir string) (VerifyReport, error) {
 		}
 		rep.Bytes += good
 		rep.TotalRecords += len(recs)
-
-		// The segment's own live set (last occurrence per key) and
-		// self-superseded dead bytes, for the sidecar comparison.
-		segLive := make(map[string]Record, len(recs))
-		var segDead int64
 		for _, r := range recs {
-			if old, ok := segLive[r.Key]; ok {
-				segDead += int64(old.Len)
-			}
-			segLive[r.Key] = r
-		}
-		for k, r := range segLive {
-			if old, ok := live[k]; ok {
-				rep.DeadBytes += int64(old)
-			}
-			live[k] = r.Len
-		}
-		rep.DeadBytes += segDead
-
-		switch sc, ok := loadValidSidecar(name, good); {
-		case sc == nil && !ok:
-			rep.SidecarsMissing++
-		case sc == nil && ok:
-			rep.SidecarsStale++
-		default:
-			if err := sidecarMatches(sc, segLive, segDead); err != nil {
-				return rep, fmt.Errorf("%w: %s sidecar disagrees with segment: %v",
-					ErrCorrupt, filepath.Base(name), err)
-			}
-			rep.SidecarsOK++
+			live[r.Key] = struct{}{}
 		}
 	}
 	rep.LiveRecords = len(live)
 	return rep, nil
-}
-
-// loadValidSidecar returns (sidecar, true) when the segment's sidecar
-// parses and its size/tailCRC fingerprint matches the on-disk segment,
-// (nil, true) when it parses but is stale, and (nil, false) when it is
-// absent or unparseable.
-func loadValidSidecar(segPath string, segSize int64) (*sidecar, bool) {
-	data, err := os.ReadFile(sidecarPath(segPath))
-	if err != nil {
-		return nil, false
-	}
-	sc, err := parseSidecar(data)
-	if err != nil {
-		return nil, false
-	}
-	st, err := os.Stat(segPath)
-	if err != nil || st.Size() != sc.segSize || sc.segSize != segSize {
-		return nil, true
-	}
-	f, err := os.Open(segPath)
-	if err != nil {
-		return nil, true
-	}
-	defer f.Close()
-	tail := make([]byte, sc.tailLen)
-	if _, err := f.ReadAt(tail, sc.segSize-sc.tailLen); err != nil {
-		return nil, true
-	}
-	if crc32.ChecksumIEEE(tail) != sc.tailCRC {
-		return nil, true
-	}
-	return sc, true
-}
-
-// sidecarMatches checks a fingerprint-valid sidecar against the
-// scan-derived live set of its segment.
-func sidecarMatches(sc *sidecar, segLive map[string]Record, segDead int64) error {
-	if len(sc.entries) != len(segLive) {
-		return fmt.Errorf("%d entries, scan found %d live records", len(sc.entries), len(segLive))
-	}
-	if sc.dead != segDead {
-		return fmt.Errorf("dead bytes %d, scan found %d", sc.dead, segDead)
-	}
-	for _, e := range sc.entries {
-		r, ok := segLive[e.key]
-		if !ok {
-			return fmt.Errorf("entry %q not in segment", e.key)
-		}
-		if e.off != r.Off || e.rlen != int64(r.Len) {
-			return fmt.Errorf("entry %q at off %d len %d, scan found off %d len %d",
-				e.key, e.off, e.rlen, r.Off, r.Len)
-		}
-	}
-	return nil
 }

@@ -148,30 +148,13 @@ type RunnerStats struct {
 
 // StoreStats mirrors store.Stats for the stats endpoint.
 type StoreStats struct {
-	Records          int    `json:"records"`
-	Segments         int    `json:"segments"`
-	Bytes            int64  `json:"bytes"`
-	DeadBytes        int64  `json:"dead_bytes"`
-	Puts             uint64 `json:"puts"`
-	Gets             uint64 `json:"gets"`
-	Hits             uint64 `json:"hits"`
-	TruncatedTail    int64  `json:"truncated_tail"`
-	SidecarHits      uint64 `json:"sidecar_hits"`
-	SidecarRebuilds  uint64 `json:"sidecar_rebuilds"`
-	Compactions      uint64 `json:"compactions"`
-	ReclaimedBytes   uint64 `json:"reclaimed_bytes"`
-	LastCompactError string `json:"last_compact_error,omitempty"`
-}
-
-// WarmerStats mirrors server.WarmerStats for the stats endpoint.
-type WarmerStats struct {
-	Units     int    `json:"units"`
-	UnitsDone int    `json:"units_done"`
-	Cells     uint64 `json:"cells"`
-	Pauses    uint64 `json:"pauses"`
-	Errors    uint64 `json:"errors"`
-	LastError string `json:"last_error,omitempty"`
-	Running   bool   `json:"running"`
+	Records       int    `json:"records"`
+	Segments      int    `json:"segments"`
+	Bytes         int64  `json:"bytes"`
+	Puts          uint64 `json:"puts"`
+	Gets          uint64 `json:"gets"`
+	Hits          uint64 `json:"hits"`
+	TruncatedTail int64  `json:"truncated_tail"`
 }
 
 // PlaneStats counts interpreter runs and archive replays by the event
@@ -220,7 +203,6 @@ type Stats struct {
 	Planes     PlaneStats    `json:"planes"`
 	Server     ServerStats   `json:"server"`
 	Store      *StoreStats   `json:"store,omitempty"`
-	Warmer     *WarmerStats  `json:"warmer,omitempty"`
 	Traces     *TraceStats   `json:"traces,omitempty"`
 	Archive    *ArchiveStats `json:"archive,omitempty"`
 }

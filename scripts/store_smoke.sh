@@ -1,16 +1,15 @@
 #!/usr/bin/env bash
-# store_smoke.sh — end-to-end smoke test for the fleet-scale store:
-# index sidecars, compaction and the background grid warmer.
+# store_smoke.sh — end-to-end smoke test for the on-disk result store.
 #
-# Builds the CLI, manufactures a garbage-heavy store with `store gen`,
-# audits it with `store verify`, computes a paper-experiment subset into
-# it, then re-renders the experiment from a sidecar-opened store, a
-# scan-opened store (sidecars deleted) and a compacted store — all four
-# renders must be byte-identical and every warm render must make ZERO
-# interpreter traversals. `store compact` must reclaim at least 90% of
-# the dead bytes, and a daemon started with -warm must finish its warm
-# units and reconcile dynloop_warmer_cells_total with /v1/stats.
-# CI runs this; it is also handy locally: scripts/store_smoke.sh
+# Builds the CLI, computes a paper-experiment subset into a fresh store
+# and audits it with `store verify`, then re-renders the experiment from
+# the store: the warm render must be byte-identical to the cold one,
+# make ZERO interpreter traversals and report a nonzero disk-hit count.
+# `store ls` and `store stats` must open the store and agree on its
+# record count. Finally a daemon serves a registered grid from the same
+# store (byte-identical to the local render, no cell executed), and its
+# SIGINT shutdown summary must carry the `store:` line with nonzero get
+# hits. CI runs this; it is also handy locally: scripts/store_smoke.sh
 set -euo pipefail
 
 ADDR="127.0.0.1:${SMOKE_PORT:-19097}"
@@ -19,6 +18,7 @@ WORK="$(mktemp -d)"
 BIN="$WORK/dynloop"
 STORE="$WORK/store"
 EXP_ARGS=(all -bench swim,compress -n 200000)
+GRID_ARGS=(-name table2 -bench swim,compress -n 200000)
 SERVE_PID=""
 
 cleanup() {
@@ -39,95 +39,64 @@ wait_healthy() {
   fail "daemon at $BASE never became healthy"
 }
 
-# metric NAME FILE prints one series value from a /metrics scrape.
-metric() {
-  awk -v m="$1" '$1 == m {print $2}' "$2"
-}
-
 # traversals FILE extracts the traversal count from a -progress obs line.
 traversals() {
   sed -n 's/.* \([0-9][0-9]*\) traversals.*/\1/p' "$1" | tail -1
 }
 
+# count WHAT FILE extracts "N WHAT" from the last runner/daemon line.
+count() {
+  sed -n "s/.* \([0-9][0-9]*\) $1.*/\1/p" "$2" | tail -1
+}
+
 echo "store_smoke: building"
 go build -o "$BIN" ./cmd/dynloop
 
-echo "store_smoke: generate a garbage-heavy store (75% dead) and audit it"
-"$BIN" store gen -store "$STORE" -keys 50000 -rounds 4 -valbytes 200 -segbytes $((4 << 20)) >"$WORK/gen.txt"
-cat "$WORK/gen.txt"
-"$BIN" store verify -store "$STORE" >"$WORK/verify1.txt" || fail "fresh store failed verify"
-
-echo "store_smoke: cold experiment into the store"
+echo "store_smoke: cold experiment into the store, then audit it"
 "$BIN" experiment "${EXP_ARGS[@]}" -store "$STORE" -progress >"$WORK/render-cold.txt" 2>"$WORK/cold.log"
+puts=$(count "disk puts" "$WORK/cold.log")
+[ -n "$puts" ] && [ "$puts" -gt 0 ] || fail "cold render put no cells into the store: $(cat "$WORK/cold.log")"
+"$BIN" store verify -store "$STORE" >"$WORK/verify.txt" || fail "fresh store failed verify"
+cat "$WORK/verify.txt"
 
-echo "store_smoke: warm re-render, sidecar-opened"
-"$BIN" experiment "${EXP_ARGS[@]}" -store "$STORE" -progress >"$WORK/render-sidecar.txt" 2>"$WORK/sidecar.log"
-cmp "$WORK/render-cold.txt" "$WORK/render-sidecar.txt" || fail "sidecar-opened render differs from cold render"
-t=$(traversals "$WORK/sidecar.log")
-[ "$t" = "0" ] || fail "sidecar-opened warm render made $t traversals (want 0)"
-grep -q " 0 disk hits" "$WORK/sidecar.log" && fail "warm render reported zero disk hits"
+echo "store_smoke: warm re-render from the store"
+"$BIN" experiment "${EXP_ARGS[@]}" -store "$STORE" -progress >"$WORK/render-warm.txt" 2>"$WORK/warm.log"
+cmp "$WORK/render-cold.txt" "$WORK/render-warm.txt" || fail "warm render differs from cold render"
+t=$(traversals "$WORK/warm.log")
+[ "$t" = "0" ] || fail "warm render made $t traversals (want 0)"
+hits=$(count "disk hits" "$WORK/warm.log")
+[ -n "$hits" ] && [ "$hits" -gt 0 ] || fail "warm render reported no disk hits: $(cat "$WORK/warm.log")"
 
-echo "store_smoke: warm re-render, scan-opened (sidecars deleted)"
-rm "$STORE"/seg-*.dlidx
-"$BIN" experiment "${EXP_ARGS[@]}" -store "$STORE" -progress >"$WORK/render-scan.txt" 2>"$WORK/scan.log"
-cmp "$WORK/render-cold.txt" "$WORK/render-scan.txt" || fail "scan-opened render differs from cold render"
-t=$(traversals "$WORK/scan.log")
-[ "$t" = "0" ] || fail "scan-opened warm render made $t traversals (want 0)"
-ls "$STORE"/seg-*.dlidx >/dev/null 2>&1 || fail "scan open did not rewrite the index sidecars"
-
-echo "store_smoke: compact reclaims >=90% of dead bytes"
-DEAD_BEFORE=$("$BIN" store stats -store "$STORE" | awk '/dead_bytes/ {print $2}')
-[ "$DEAD_BEFORE" -gt 0 ] || fail "store has no dead bytes to reclaim"
-"$BIN" store compact -store "$STORE" >"$WORK/compact.txt"
-cat "$WORK/compact.txt"
-RECLAIMED=$(sed -n 's/.*(\([0-9][0-9]*\) reclaimed).*/\1/p' "$WORK/compact.txt")
-[ -n "$RECLAIMED" ] || fail "compact did not report reclaimed bytes"
-[ "$RECLAIMED" -ge $((DEAD_BEFORE * 9 / 10)) ] || fail "compact reclaimed $RECLAIMED of $DEAD_BEFORE dead bytes (<90%)"
-"$BIN" store verify -store "$STORE" >"$WORK/verify2.txt" || fail "compacted store failed verify"
-
-echo "store_smoke: warm re-render, compacted store"
-"$BIN" experiment "${EXP_ARGS[@]}" -store "$STORE" -progress >"$WORK/render-compacted.txt" 2>"$WORK/compacted.log"
-cmp "$WORK/render-cold.txt" "$WORK/render-compacted.txt" || fail "compacted render differs from cold render"
-t=$(traversals "$WORK/compacted.log")
-[ "$t" = "0" ] || fail "compacted warm render made $t traversals (want 0)"
-
-echo "store_smoke: store ls opens via sidecars"
+echo "store_smoke: store ls and store stats"
 "$BIN" store ls -store "$STORE" >"$WORK/ls.txt"
-grep -q "0 scan rebuilds" "$WORK/ls.txt" || fail "store ls had to rebuild sidecars: $(cat "$WORK/ls.txt")"
+cat "$WORK/ls.txt"
+"$BIN" store stats -store "$STORE" >"$WORK/stats.txt"
+cat "$WORK/stats.txt"
+records=$(awk '/records:/ {print $2}' "$WORK/stats.txt")
+[ -n "$records" ] && [ "$records" -gt 0 ] || fail "store stats reports no records"
+grep -q "($records records," "$WORK/ls.txt" || fail "store ls disagrees with store stats ($records records)"
+live=$(sed -n 's/.* \([0-9][0-9]*\) live.*/\1/p' "$WORK/verify.txt")
+[ "$live" = "$records" ] || fail "store verify found $live live records, store stats $records"
 
-echo "store_smoke: background warmer on the daemon"
-"$BIN" serve -addr "$ADDR" -parallel 2 -store "$STORE" \
-  -warm table2 -warm-bench swim -queue-wait 5s 2>"$WORK/serve.log" &
+echo "store_smoke: daemon serves the store"
+"$BIN" grid "${GRID_ARGS[@]}" -store "$STORE" >"$WORK/grid-local.txt"
+"$BIN" serve -addr "$ADDR" -parallel 2 -store "$STORE" 2>"$WORK/serve.log" &
 SERVE_PID=$!
 wait_healthy
-for _ in $(seq 1 300); do
-  STATS="$(curl -sf "$BASE/v1/stats")"
-  case "$STATS" in
-    *'"running":false'*) break ;;
-  esac
-  sleep 0.1
-done
-echo "store_smoke: warm stats: $STATS"
-case "$STATS" in
-  *'"warmer"'*) ;;
-  *) fail "/v1/stats has no warmer section: $STATS" ;;
-esac
-case "$STATS" in
-  *'"errors":0'*) ;;
-  *) fail "warmer reported errors: $STATS" ;;
-esac
-CELLS=$(echo "$STATS" | sed -n 's/.*"warmer":{[^}]*"cells":\([0-9]*\).*/\1/p')
-[ -n "$CELLS" ] && [ "$CELLS" -gt 0 ] || fail "warmer warmed no cells: $STATS"
-curl -sf "$BASE/metrics" >"$WORK/metrics.txt"
-MCELLS=$(metric dynloop_warmer_cells_total "$WORK/metrics.txt")
-[ "$MCELLS" = "$CELLS" ] || fail "dynloop_warmer_cells_total=$MCELLS does not reconcile with stats cells=$CELLS"
+"$BIN" grid "${GRID_ARGS[@]}" -remote "$BASE" -progress >"$WORK/grid-remote.txt" 2>"$WORK/grid-remote.log"
+cmp "$WORK/grid-local.txt" "$WORK/grid-remote.txt" || fail "served grid differs from local render"
+executed=$(count "executed" "$WORK/grid-remote.log")
+[ "$executed" = "0" ] || fail "daemon executed $executed cells of a stored grid (want 0)"
 
 kill -INT "$SERVE_PID"
 code=0
 wait "$SERVE_PID" || code=$?
 SERVE_PID=""
 [ "$code" -eq 0 ] || fail "daemon exited $code after SIGINT (want graceful 0)"
-grep -q "^warmer: " "$WORK/serve.log" || fail "shutdown summary missing warmer line"
-grep -q "^store: " "$WORK/serve.log" || fail "shutdown summary missing store line"
+line=$(grep "^store: " "$WORK/serve.log") || fail "shutdown summary missing store line: $(cat "$WORK/serve.log")"
+echo "store_smoke: $line"
+case "$line" in
+  *" 0/"*" get hits"*) fail "daemon served no cell from the store: $line" ;;
+esac
 
 echo "store_smoke: PASS"
