@@ -267,13 +267,10 @@ func TestGetVerifiesCRC(t *testing.T) {
 	}
 }
 
-// TestOpenSidecarEraStore: a store directory as earlier builds left it —
-// two rotated segments, an index sidecar (.dlidx) beside each and an
-// abandoned compaction output (seg-000009.tmp) — opens and verifies
-// unchanged: every key reads back byte-identical, and the extra files
-// are neither read, counted nor removed.
-func TestOpenSidecarEraStore(t *testing.T) {
-	dir := t.TempDir()
+// copySidecarEraFixture copies testdata/sidecar-era into dir and
+// returns the fixture's file paths and the key/value pairs it holds.
+func copySidecarEraFixture(t *testing.T, dir string) ([]string, map[string]string) {
+	t.Helper()
 	fixture, err := filepath.Glob(filepath.Join("testdata", "sidecar-era", "*"))
 	if err != nil || len(fixture) != 5 {
 		t.Fatalf("fixture files %v, %v", fixture, err)
@@ -291,6 +288,17 @@ func TestOpenSidecarEraStore(t *testing.T) {
 	for i := 0; i < 6; i++ {
 		want[fmt.Sprintf("cell|%d", i)] = fmt.Sprintf("value %d of the fixture", i)
 	}
+	return fixture, want
+}
+
+// TestOpenSidecarEraStore: a store directory as earlier builds left it —
+// two rotated segments, an index sidecar (.dlidx) beside each and an
+// abandoned compaction output (seg-000009.tmp) — opens and verifies
+// unchanged: every key reads back byte-identical, and the extra files
+// are neither read, counted nor removed.
+func TestOpenSidecarEraStore(t *testing.T) {
+	dir := t.TempDir()
+	fixture, want := copySidecarEraFixture(t, dir)
 
 	rep, err := Verify(dir)
 	if err != nil {
@@ -326,6 +334,70 @@ func TestOpenSidecarEraStore(t *testing.T) {
 	s = openT(t, dir, Options{})
 	if v, ok, err := s.Get("after"); err != nil || !ok || string(v) != "upgrade" {
 		t.Fatalf("Get after = %q, %v, %v", v, ok, err)
+	}
+}
+
+// TestSidecarStaleAfterTornTailTruncation: a sidecar-era store whose
+// newest segment gained a torn tail after its .dlidx was written (the
+// sidecar describes the pre-crash size) opens by scanning, truncates the
+// tear, serves every key and leaves the stale sidecar untouched; the
+// repaired store reopens with nothing left to truncate.
+func TestSidecarStaleAfterTornTailTruncation(t *testing.T) {
+	dir := t.TempDir()
+	_, want := copySidecarEraFixture(t, dir)
+	seg := lastSegment(t, dir)
+	idx := seg[:len(seg)-len(filepath.Ext(seg))] + ".dlidx"
+	sidecar, err := os.ReadFile(idx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	f, err := os.OpenFile(seg, os.O_WRONLY|os.O_APPEND, 0o644)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := f.Write([]byte{0x7f, 1, 2, 3}); err != nil {
+		t.Fatal(err)
+	}
+	f.Close()
+
+	s := openT(t, dir, Options{})
+	if st := s.Stats(); st.TruncatedTail == 0 || st.Records != len(want) {
+		t.Fatalf("torn tail not repaired: %+v", st)
+	}
+	for k, v := range want {
+		got, ok, err := s.Get(k)
+		if err != nil || !ok || string(got) != v {
+			t.Fatalf("Get %q = %q, %v, %v; want %q", k, got, ok, err, v)
+		}
+	}
+	s.Close()
+	if got, err := os.ReadFile(idx); err != nil || !bytes.Equal(got, sidecar) {
+		t.Fatalf("stale sidecar changed or removed: %v", err)
+	}
+
+	s = openT(t, dir, Options{})
+	if st := s.Stats(); st.TruncatedTail != 0 || st.Records != len(want) {
+		t.Fatalf("post-repair reopen: %+v", st)
+	}
+}
+
+// TestSidecarDoesNotMaskMidFileCorruption: a sidecar-era store whose
+// oldest segment has a flipped byte inside its first record fails Open
+// with ErrCorrupt, although a .dlidx still lists that segment's records.
+func TestSidecarDoesNotMaskMidFileCorruption(t *testing.T) {
+	dir := t.TempDir()
+	copySidecarEraFixture(t, dir)
+	seg := filepath.Join(dir, "seg-000001.dlstore")
+	data, err := os.ReadFile(seg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	data[len(magic)+7] ^= 0xFF
+	if err := os.WriteFile(seg, data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := Open(dir, Options{}); !errors.Is(err, ErrCorrupt) {
+		t.Fatalf("Open = %v, want ErrCorrupt", err)
 	}
 }
 
