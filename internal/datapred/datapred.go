@@ -51,6 +51,7 @@ package datapred
 import (
 	"fmt"
 	"math/bits"
+	"sync"
 
 	"dynloop/internal/isa"
 	"dynloop/internal/loopdet"
@@ -164,6 +165,12 @@ type Collector struct {
 	// the CLS is deep.
 	free  []*frame
 	loops map[isa.Addr]*loopAcc
+	// order lists the loops' states in first-seen order. Reset stacks
+	// them on spareLoops so that the next traversal's loops take them in
+	// that order again: a rerun of one stream gives each loop the state
+	// whose tables it grew, and allocates nothing.
+	order      []*loopAcc
+	spareLoops []*loopAcc
 	// spans is per-run scratch: the address spans the run covers.
 	spans []span
 }
@@ -171,13 +178,51 @@ type Collector struct {
 // span is the addresses lo, lo+1, ..., hi-1 of a run, in stream order.
 type span struct{ lo, hi uint64 }
 
-// NewCollector returns a collector with the given configuration.
+// collectors recycles Collectors with their frames and per-loop tables
+// (see Release).
+var collectors = sync.Pool{New: func() any { return new(Collector) }}
+
+// NewCollector returns a collector with the given configuration. It may
+// return a released collector, which keeps the storage it grew.
 func NewCollector(cfg Config) *Collector {
-	cfg.setDefaults()
-	return &Collector{
-		cfg:   cfg,
-		loops: make(map[isa.Addr]*loopAcc),
+	c := collectors.Get().(*Collector)
+	c.Reset(cfg)
+	return c
+}
+
+// Reset empties the collector and sets its configuration, keeping its
+// frames and per-loop tables for the loops it meets next. A zero
+// Collector is ready once Reset.
+func (c *Collector) Reset(cfg Config) {
+	if c.loops == nil {
+		c.loops = make(map[isa.Addr]*loopAcc)
 	}
+	cfg.setDefaults()
+	c.cfg = cfg
+	c.regs = nil
+	c.free = append(c.free, c.frames...)
+	clear(c.frames)
+	c.frames = c.frames[:0]
+	for i := len(c.order) - 1; i >= 0; i-- {
+		c.order[i].reset()
+		c.spareLoops = append(c.spareLoops, c.order[i])
+	}
+	clear(c.order)
+	c.order = c.order[:0]
+	clear(c.loops)
+}
+
+// Release hands the collector back for a later NewCollector to reuse.
+// It may not be used afterwards.
+func (c *Collector) Release() { collectors.Put(c) }
+
+// reset empties the loop's state, keeping its table storage.
+func (la *loopAcc) reset() {
+	la.regAt = [isa.NumRegs]uint8{}
+	la.regPred = la.regPred[:0]
+	la.memPred.reset()
+	la.paths.reset()
+	la.iters, la.overflow = 0, 0
 }
 
 // Regs implements loopdet.TapObserver: it keeps the snapshot for the
@@ -265,8 +310,14 @@ func foldSpans(fs []*frame, spans []span) {
 func (c *Collector) ExecStart(x *loopdet.Exec) {
 	la := c.loops[x.T]
 	if la == nil {
-		la = &loopAcc{}
+		if n := len(c.spareLoops); n > 0 {
+			la = c.spareLoops[n-1]
+			c.spareLoops = c.spareLoops[:n-1]
+		} else {
+			la = &loopAcc{}
+		}
 		c.loops[x.T] = la
+		c.order = append(c.order, la)
 	}
 	var fr *frame
 	if n := len(c.free); n > 0 {
@@ -444,7 +495,7 @@ type Summary struct {
 func (c *Collector) Summary() Summary {
 	var s Summary
 	var mfpIters, lrA, lrC, lmA, lmC, lrL, lmL, allLr, allLm, allData uint64
-	for _, la := range c.loops {
+	for _, la := range c.order {
 		if la.iters == 0 {
 			continue
 		}

@@ -191,3 +191,39 @@ func BenchmarkCollector(b *testing.B) {
 		})
 	}
 }
+
+// TestCollectorResetMatchesFresh: a collector Reset in the middle of a
+// traversal, with frames still active, and reused on the next workload
+// under other caps computes the Summary a fresh collector does. The
+// loop states, frames and tables it recycles carry nothing over.
+func TestCollectorResetMatchesFresh(t *testing.T) {
+	const budget = 50_000
+	caps := []datapred.Config{{}, {MaxMemPerLoop: 4, MaxPathsPerLoop: 2}}
+	recycled := datapred.NewCollector(datapred.Config{})
+	for i, bm := range workload.All() {
+		u, err := bm.Build(1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cfg := caps[i%len(caps)]
+		fresh := new(datapred.Collector)
+		fresh.Reset(cfg)
+		if _, err := harness.Run(u, harness.Config{Budget: budget}, fresh); err != nil {
+			t.Fatal(err)
+		}
+		recycled.Reset(cfg)
+		if _, err := harness.Run(u, harness.Config{Budget: budget}, recycled); err != nil {
+			t.Fatal(err)
+		}
+		if got, want := recycled.Summary(), fresh.Summary(); got != want {
+			t.Fatalf("%s: recycled collector %+v, fresh %+v", bm.Name, got, want)
+		}
+		// Leave the collector mid-run, frames active, for the next Reset.
+		recycled.Reset(datapred.Config{})
+		det := loopdet.New(loopdet.Config{Capacity: 16})
+		det.AddObserver(recycled)
+		if _, err := u.NewCPU().Run(budget/3, det); err != nil {
+			t.Fatal(err)
+		}
+	}
+}

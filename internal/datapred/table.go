@@ -23,6 +23,12 @@ type entry[V any] struct {
 	val V
 }
 
+// reset empties the table, keeping its storage.
+func (t *table[V]) reset() {
+	t.entries = t.entries[:0]
+	clear(t.index)
+}
+
 // get returns key's value, or nil when key is absent.
 func (t *table[V]) get(key uint64) *V {
 	if len(t.entries) == 0 {

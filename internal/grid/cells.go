@@ -494,15 +494,20 @@ func oracleRun(bm *workload.Benchmark, coord Coord) func(context.Context, *Confi
 		}
 		traverse := func(observers ...loopdet.Observer) error {
 			det := harness.NewObserverPass(coord.CLS, observers...)
+			defer det.Release()
 			_, _, err := harness.Traverse(ctx, pool.Recordings(), cfg.Traces, bm.Name, coord.Seed, build, mc, det)
 			return err
 		}
+		// The row copies its values out before the recorder and the bank
+		// go back to their pools.
 		rec := spec.NewOracleRecorder()
+		defer rec.Release()
 		if err := traverse(rec); err != nil {
 			return OracleRow{}, err
 		}
 		// Both engines are lanes of one bank, sharing its LET.
 		bank := spec.NewBank(0)
+		defer bank.Release()
 		str := bank.Add(spec.Config{TUs: 4, Policy: spec.STR()})
 		oracle := bank.Add(spec.Config{TUs: 4, Policy: spec.STR(), OracleIters: rec.Counts()})
 		if err := traverse(bank); err != nil {

@@ -8,6 +8,7 @@ import (
 
 	"dynloop/internal/datapred"
 	"dynloop/internal/datapred/datapredtest"
+	"dynloop/internal/runner"
 	"dynloop/internal/trace"
 )
 
@@ -27,6 +28,36 @@ func GroupPasses(cells ...Cell) (passes []trace.Pass, detectors, banks int, ok b
 		banks += len(d.banks)
 	}
 	return g.passes, len(g.dets), banks, true
+}
+
+// Groups splits fusable cells into their fusion groups, in first-cell
+// order; composite cells are left out.
+func Groups(cells []Cell) [][]Cell {
+	var out [][]Cell
+	at := map[string]int{}
+	for _, c := range cells {
+		if c.attach == nil {
+			continue
+		}
+		i, ok := at[c.group]
+		if !ok {
+			i = len(out)
+			at[c.group] = i
+			out = append(out, nil)
+		}
+		out[i] = append(out[i], c)
+	}
+	return out
+}
+
+// RunGroup executes one fusion group's cells as Run does on a cache
+// miss, through pool's recordings, and returns their values.
+func RunGroup(ctx context.Context, cfg Config, pool *runner.Runner, cells []Cell) ([]any, error) {
+	idx := make([]int, len(cells))
+	for i := range idx {
+		idx[i] = i
+	}
+	return runGroup(ctx, &cfg, pool, cells, idx)
 }
 
 // RunPrivate is the oracle Run is checked against. Every fusable cell

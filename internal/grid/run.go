@@ -70,46 +70,55 @@ func Run(ctx context.Context, cfg Config, s Spec) (*Result, error) {
 
 // runCells resolves fusable cells through runner.MapGroups: all
 // cache-missing cells sharing a (benchmark, budget, seed, batch) group
-// execute in a single fused traversal, observing it through the group's
-// shared detectors (see group). The traversal comes from the first
-// source that serves it (see harness.Traverse): the runner's recording
-// of the stream, the trace archive, or the interpreter.
+// execute in a single fused traversal (see runGroup).
 func runCells(ctx context.Context, cfg Config, pool *runner.Runner, cells []Cell) ([]any, error) {
 	jobs := make([]runner.GroupJob[any], len(cells))
 	for i, c := range cells {
 		jobs[i] = runner.GroupJob[any]{Key: c.Key, Group: c.group, Label: c.Label}
 	}
 	exec := func(ctx context.Context, _ string, idx []int) ([]any, error) {
-		lead := cells[idx[0]]
-		g := newGroup()
-		finish := make([]func() (any, error), len(idx))
-		for j, i := range idx {
-			finish[j] = cells[i].attach(g)
-		}
-		mc := harness.MultiConfig{Budget: lead.Coord.Budget, BatchSize: cfg.BatchSize}
-		build := func() (*builder.Unit, error) {
-			u, err := lead.bench.Build(lead.Coord.Seed)
-			if err != nil {
-				return nil, fmt.Errorf("grid: build %s: %w", lead.bench.Name, err)
-			}
-			return u, nil
-		}
-		_, src, err := harness.Traverse(ctx, pool.Recordings(), cfg.Traces, lead.bench.Name, lead.Coord.Seed, build, mc, g.passes...)
-		if err != nil {
-			return nil, err
-		}
-		if cfg.Traces != nil && src != harness.FromRecording && harness.ArchiveServes(g.passes...) {
-			pool.CountTraceRun(src == harness.FromArchive)
-		}
-		out := make([]any, len(idx))
-		for j, f := range finish {
-			if out[j], err = f(); err != nil {
-				return nil, err
-			}
-		}
-		return out, nil
+		return runGroup(ctx, &cfg, pool, cells, idx)
 	}
 	return runner.MapGroups(ctx, pool, jobs, exec)
+}
+
+// runGroup executes the cells at idx, which share a group key, in one
+// fused traversal observed through the group's shared detectors (see
+// group), and returns their values in idx order. The traversal comes
+// from the first source that serves it (see harness.Traverse): the
+// runner's recording of the stream, the trace archive, or the
+// interpreter. Every finish hook has copied its value out before the
+// group releases its passes to their pools.
+func runGroup(ctx context.Context, cfg *Config, pool *runner.Runner, cells []Cell, idx []int) ([]any, error) {
+	lead := cells[idx[0]]
+	g := newGroup()
+	defer g.release()
+	finish := make([]func() (any, error), len(idx))
+	for j, i := range idx {
+		finish[j] = cells[i].attach(g)
+	}
+	mc := harness.MultiConfig{Budget: lead.Coord.Budget, BatchSize: cfg.BatchSize}
+	build := func() (*builder.Unit, error) {
+		u, err := lead.bench.Build(lead.Coord.Seed)
+		if err != nil {
+			return nil, fmt.Errorf("grid: build %s: %w", lead.bench.Name, err)
+		}
+		return u, nil
+	}
+	_, src, err := harness.Traverse(ctx, pool.Recordings(), cfg.Traces, lead.bench.Name, lead.Coord.Seed, build, mc, g.passes...)
+	if err != nil {
+		return nil, err
+	}
+	if cfg.Traces != nil && src != harness.FromRecording && harness.ArchiveServes(g.passes...) {
+		pool.CountTraceRun(src == harness.FromArchive)
+	}
+	out := make([]any, len(idx))
+	for j, f := range finish {
+		if out[j], err = f(); err != nil {
+			return nil, err
+		}
+	}
+	return out, nil
 }
 
 // ResultFrom rebuilds a Result from a value stream computed elsewhere
@@ -190,14 +199,25 @@ var groupDetectors, groupBanks atomic.Uint64
 // each observer sees what a private detector would show it. An
 // engine's LET depends only on those events and its capacity, and a
 // lane computes what an engine of its own would.
+//
+// The group owns its detectors, banks and observers, and release hands
+// them back to their packages' pools once the finish hooks have copied
+// their values out, so a finish hook must return values that share no
+// storage with a pass.
 type group struct {
 	dets   []groupDet
 	passes []trace.Pass // detectors and detector-free passes, in creation order
+	// owned are the observers the group releases besides its detectors
+	// and banks.
+	owned []releaser
 	// A one-cell group (the common cache miss of a served grid) needs
 	// one of each; the buffers keep it from allocating either slice.
 	detBuf  [1]groupDet
 	passBuf [1]trace.Pass
 }
+
+// releaser is a pass or observer whose storage its package recycles.
+type releaser interface{ Release() }
 
 // groupDet is one of a group's detectors with its engine banks, one per
 // LET capacity.
@@ -239,10 +259,29 @@ func (g *group) slot(cls int, tap bool) *groupDet {
 }
 
 // observe attaches o to the group's detector for CLS capacity cls, on
-// the plane o needs.
+// the plane o needs. The group owns o: it releases o with its passes
+// when o can be recycled.
 func (g *group) observe(cls int, o loopdet.Observer) {
 	_, tap := o.(loopdet.TapObserver)
 	g.detector(cls, tap).AddObserver(o)
+	if r, ok := o.(releaser); ok {
+		g.owned = append(g.owned, r)
+	}
+}
+
+// release hands the group's detectors, banks and owned observers back
+// to their pools. Nothing may use them afterwards.
+func (g *group) release() {
+	for i := range g.dets {
+		d := &g.dets[i]
+		d.det.Release()
+		for _, b := range d.banks {
+			b.Release()
+		}
+	}
+	for _, r := range g.owned {
+		r.Release()
+	}
 }
 
 // engine adds a speculation engine for ec as a lane of the bank of

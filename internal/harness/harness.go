@@ -103,11 +103,12 @@ func Run(u *builder.Unit, cfg Config, observers ...loopdet.Observer) (Result, er
 	return Result{Executed: res.Executed, Halted: res.Halted, Detector: det}, err
 }
 
-// NewObserverPass bundles a fresh detector with the given observers into
-// one schedulable pass (Finalize flushes the CLS). clsCapacity follows
-// the Config.CLSCapacity convention: 0 selects DefaultCLSCapacity,
-// negative means unbounded. Keep the returned detector to read its
-// stats; keep the observers to read their results.
+// NewObserverPass bundles an empty detector (loopdet.New's, which may
+// be recycled) with the given observers into one schedulable pass
+// (Finalize flushes the CLS). clsCapacity follows the
+// Config.CLSCapacity convention: 0 selects DefaultCLSCapacity, negative
+// means unbounded. Keep the returned detector to read its stats; keep
+// the observers to read their results.
 func NewObserverPass(clsCapacity int, observers ...loopdet.Observer) *loopdet.Detector {
 	det := loopdet.New(loopdet.Config{Capacity: ResolveCLSCapacity(clsCapacity)})
 	for _, o := range observers {
@@ -137,7 +138,8 @@ type MultiResult struct {
 
 // MultiRun executes the unit once, broadcasting every event batch to all
 // passes: Init before the first batch (in pass order), ConsumeBatch per
-// batch, Finalize after the last (in pass order, skipped on error). One
+// batch, Finalize after the last (in pass order, skipped on error). The
+// CPU's data pages go back to the interpreter's pool on return. One
 // traversal of the stream thus feeds N independent analyses; because
 // every pass owns whatever detector or tables it needs, the results are
 // identical to running each pass in its own traversal.
@@ -145,6 +147,7 @@ func MultiRun(u *builder.Unit, cfg MultiConfig, passes ...trace.Pass) (MultiResu
 	traversals.Add(1)
 	mTraversals.Inc()
 	cpu := u.NewCPU()
+	defer cpu.Release()
 	cpu.SetBatchSize(cfg.BatchSize)
 	return fanOut(passes, func(b *trace.Broadcast) (uint64, bool, error) {
 		n, err := cpu.Run(cfg.Budget, b)

@@ -128,6 +128,7 @@ func (t *Traces) MultiRun(ctx context.Context, bench string, seed uint64,
 	traversals.Add(1)
 	mTraversals.Inc()
 	cpu := u.NewCPU()
+	defer cpu.Release()
 	cpu.SetBatchSize(cfg.BatchSize)
 	res, err := fanOut(passes, func(b *trace.Broadcast) (uint64, bool, error) {
 		n, err := cpu.Run(cfg.Budget, trace.BatchTee{rec, b})

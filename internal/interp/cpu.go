@@ -143,6 +143,11 @@ func (c *CPU) SetReg(r isa.Reg, v int64) { c.regs[r] = v }
 // Mem returns the data memory, for test inspection and preloading.
 func (c *CPU) Mem() *Memory { return &c.mem }
 
+// Release hands the CPU's data pages back for later CPUs to reuse (see
+// Memory.Reset). Call it once the CPU is done: its memory reads as zero
+// afterwards.
+func (c *CPU) Release() { c.mem.Reset() }
+
 // Retired returns the number of instructions executed so far.
 func (c *CPU) Retired() uint64 { return c.retired }
 

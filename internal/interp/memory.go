@@ -1,5 +1,7 @@
 package interp
 
+import "sync"
+
 // pageBits selects the page granularity of the sparse memory: 512 words.
 const pageBits = 9
 
@@ -87,17 +89,28 @@ func (m *Memory) storeSlow(addr, key uint64, s *memSlot, v int64) {
 	}
 	p, ok := m.pages[key]
 	if !ok {
-		p = new([pageSize]int64)
+		p = pagePool.Get().(*[pageSize]int64)
 		m.pages[key] = p
 	}
 	s.key, s.page = key, p
 	p[addr&(pageSize-1)] = v
 }
 
-// Reset drops all pages and empties the page cache. The hit/miss
-// counters are preserved (they describe the Memory's lifetime).
+// pagePool recycles data pages, zeroed, between Memories: a traversal
+// runs a fresh CPU, and its pages go back when the harness releases it
+// (see CPU.Release), so the next traversal's memory starts from them.
+var pagePool = sync.Pool{New: func() any { return new([pageSize]int64) }}
+
+// Reset drops all pages, handing them back zeroed for any Memory to
+// reuse, and empties the page cache; the page map keeps its storage.
+// The hit/miss counters are preserved (they describe the Memory's
+// lifetime).
 func (m *Memory) Reset() {
-	m.pages = nil
+	for _, p := range m.pages {
+		clear(p[:])
+		pagePool.Put(p)
+	}
+	clear(m.pages)
 	m.slots = [memCacheSize]memSlot{}
 }
 

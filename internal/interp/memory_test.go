@@ -77,4 +77,16 @@ func TestMemoryCacheCounters(t *testing.T) {
 	if _, ms := m.CacheStats(); ms != m1+1 {
 		t.Fatalf("post-Reset access did not miss")
 	}
+
+	// The pages went back to the pool zeroed: a new Memory that takes
+	// them reads zero wherever it has not written.
+	var fresh Memory
+	for _, base := range regions {
+		fresh.Store(base+1, -1)
+		for off := uint64(0); off < pageSize; off++ {
+			if v := fresh.Load(base&^(pageSize-1) + off); v != 0 && base&^(pageSize-1)+off != base+1 {
+				t.Fatalf("a recycled page reads %d at %#x", v, base&^(pageSize-1)+off)
+			}
+		}
+	}
 }

@@ -1,5 +1,5 @@
 //go:build !race
 
-package interp_test
+package interp
 
 const raceEnabled = false

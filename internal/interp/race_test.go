@@ -1,6 +1,6 @@
 //go:build race
 
-package interp_test
+package interp
 
 // raceEnabled reports whether the race detector is on. Its runtime drops
 // sync.Pool Puts at random, so pooled buffers are reallocated and

@@ -33,6 +33,7 @@ package loopdet
 import (
 	"fmt"
 	"strings"
+	"sync"
 
 	"dynloop/internal/isa"
 	"dynloop/internal/trace"
@@ -263,21 +264,47 @@ type runSink struct {
 	tap   TapObserver
 }
 
+// detectors recycles Detectors with their stacks, free lists and
+// retired executions (see Release).
+var detectors = sync.Pool{New: func() any { return new(Detector) }}
+
 // New returns a detector with the given configuration. A bounded
 // detector sizes its stack and its free list at Capacity up front, so
-// neither grows during a run.
+// neither grows during a run. New may return a released detector, which
+// keeps that storage and the executions it retired.
 func New(cfg Config) *Detector {
-	d := &Detector{capacity: cfg.Capacity}
+	d := detectors.Get().(*Detector)
+	d.Reset(cfg)
+	return d
+}
+
+// Reset returns the detector to the state New(cfg) gives, with no
+// observers attached, keeping its storage: the executions still on the
+// stack join the free list.
+func (d *Detector) Reset(cfg Config) {
+	d.free = append(d.free, d.cls...)
+	clear(d.cls)
+	clear(d.obs)
+	clear(d.runs)
+	*d = Detector{capacity: cfg.Capacity, cls: d.cls[:0], free: d.free, obs: d.obs[:0], runs: d.runs[:0]}
 	if cfg.Capacity > 0 {
-		d.cls = make([]*Exec, 0, cfg.Capacity)
-		d.free = make([]*Exec, 0, cfg.Capacity)
+		if cap(d.cls) < cfg.Capacity {
+			d.cls = make([]*Exec, 0, cfg.Capacity)
+		}
+		if cap(d.free) < cfg.Capacity {
+			d.free = append(make([]*Exec, 0, cfg.Capacity), d.free...)
+		}
 	}
 	if cfg.FlushInterval > 0 {
 		d.flushMask = cfg.FlushInterval
 		d.flushAt = cfg.FlushInterval
 	}
-	return d
 }
+
+// Release hands the detector back for a later New to reuse. It does not
+// release its observers, which belong to whoever attached them. Neither
+// the detector nor an Exec it handed out may be used afterwards.
+func (d *Detector) Release() { detectors.Put(d) }
 
 // AddObserver attaches an observer; observers are invoked in attachment
 // order. Observers that implement TapObserver receive tap runs, and

@@ -108,3 +108,52 @@ func TestSharedDetectorSequence(t *testing.T) {
 		}
 	}
 }
+
+// TestDetectorResetMatchesFresh: a detector Reset in the middle of a
+// run, with executions on its stack and an observer attached, and then
+// given another capacity and a new observer, shows that observer the
+// event sequence and statistics a new detector shows: IDs restart, the
+// recycled executions are clean, and the dropped observer hears nothing
+// more.
+func TestDetectorResetMatchesFresh(t *testing.T) {
+	const budget = 100_000
+	for _, bm := range workload.All() {
+		u, err := bm.Build(1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		d := loopdet.New(loopdet.Config{Capacity: 2})
+		dropped := loopdet.NewAliasCheck()
+		d.AddObserver(dropped)
+		if _, err := u.NewCPU().Run(budget/3, d); err != nil { // no flush
+			t.Fatal(err)
+		}
+		heard := dropped.Starts
+		for _, cfg := range []loopdet.Config{{Capacity: 16}, {}, {Capacity: 1, FlushInterval: 4099}} {
+			run := func(d *loopdet.Detector) *loopdet.AliasCheck {
+				a := loopdet.NewAliasCheck()
+				d.AddObserver(a)
+				if _, err := u.NewCPU().Run(budget, d); err != nil {
+					t.Fatal(err)
+				}
+				d.Flush()
+				if err := a.Err(); err != nil {
+					t.Fatalf("%s, %+v: %v", bm.Name, cfg, err)
+				}
+				return a
+			}
+			fresh := new(loopdet.Detector)
+			fresh.Reset(cfg)
+			want := run(fresh)
+			d.Reset(cfg)
+			got := run(d)
+			if got.Starts != want.Starts || got.Sequence() != want.Sequence() || d.Stats() != fresh.Stats() {
+				t.Errorf("%s, %+v: recycled detector showed %d executions (digest %x, stats %+v), a new one %d (%x, %+v)",
+					bm.Name, cfg, got.Starts, got.Sequence(), d.Stats(), want.Starts, want.Sequence(), fresh.Stats())
+			}
+		}
+		if dropped.Starts != heard {
+			t.Errorf("%s: an observer dropped by Reset heard %d more executions", bm.Name, dropped.Starts-heard)
+		}
+	}
+}

@@ -5,6 +5,8 @@
 package loopstats
 
 import (
+	"sync"
+
 	"dynloop/internal/isa"
 	"dynloop/internal/loopdet"
 )
@@ -41,13 +43,31 @@ type Collector struct {
 	acc   []uint64
 }
 
-// NewCollector returns a collector; one-shot executions are counted.
+// collectors recycles Collectors (see Release).
+var collectors = sync.Pool{New: func() any { return new(Collector) }}
+
+// NewCollector returns a collector; one-shot executions are counted. It
+// may return a released collector, which keeps the storage it grew.
 func NewCollector() *Collector {
-	return &Collector{
-		CountOneShots: true,
-		loopIDs:       make(map[isa.Addr]struct{}),
-	}
+	c := collectors.Get().(*Collector)
+	c.Reset()
+	return c
 }
+
+// Reset empties the collector as NewCollector returns it, keeping its
+// storage. A zero Collector is ready once Reset.
+func (c *Collector) Reset() {
+	ids := c.loopIDs
+	if ids == nil {
+		ids = make(map[isa.Addr]struct{})
+	}
+	clear(ids)
+	*c = Collector{CountOneShots: true, loopIDs: ids, stack: c.stack[:0], acc: c.acc[:0]}
+}
+
+// Release hands the collector back for a later NewCollector to reuse.
+// It may not be used afterwards.
+func (c *Collector) Release() { collectors.Put(c) }
 
 // find returns the stack position of exec id (almost always the top), or
 // -1.

@@ -105,6 +105,15 @@ func TestOneShotCounting(t *testing.T) {
 	if without.StaticLoops != 2 {
 		t.Fatalf("static loops = %d, want 2", without.StaticLoops)
 	}
+	// Reset makes the collector what NewCollector returns: one-shots
+	// counted again, and nothing of the last run left.
+	c.Reset()
+	if _, err := harness.Run(build(), harness.Config{}, c); err != nil {
+		t.Fatal(err)
+	}
+	if again := c.Summary(); again != withS {
+		t.Fatalf("after Reset: %+v, want %+v", again, withS)
+	}
 }
 
 // TestFlushedExecDropped checks that a budget-truncated execution does

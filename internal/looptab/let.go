@@ -17,7 +17,7 @@ type letEntry struct {
 // LET is the Loop Execution Table. Recency is "initiated a new execution
 // least recently" (§2.3).
 type LET struct {
-	tab *Table[letEntry]
+	tab Table[letEntry]
 	// hit-ratio accounting (§2.3.1)
 	tests, hits uint64
 	// InhibitInsert, when non-nil, implements the §2.3.2 nesting-aware
@@ -30,7 +30,17 @@ type LET struct {
 
 // NewLET returns a LET with the given capacity (0 = unbounded).
 func NewLET(capacity int) *LET {
-	return &LET{tab: NewTable[letEntry](capacity)}
+	l := &LET{}
+	l.Reset(capacity)
+	return l
+}
+
+// Reset empties the LET, sets its capacity (0 = unbounded) and clears
+// its hit-ratio accounting and InhibitInsert, keeping the table storage.
+func (l *LET) Reset(capacity int) {
+	l.tab.Reset(capacity)
+	l.tests, l.hits, l.inhibited = 0, 0, 0
+	l.InhibitInsert = nil
 }
 
 // OnExecStart records that loop t starts a new execution: the Figure-4
@@ -116,7 +126,7 @@ type litEntry struct {
 // LIT is the Loop Iteration Table. Recency is "initiated a new iteration
 // least recently" (§2.3).
 type LIT struct {
-	tab         *Table[litEntry]
+	tab         Table[litEntry]
 	tests, hits uint64
 	// InhibitInsert mirrors LET.InhibitInsert for the §2.3.2 ablation.
 	InhibitInsert func(victim, cand isa.Addr) bool
@@ -125,7 +135,17 @@ type LIT struct {
 
 // NewLIT returns a LIT with the given capacity (0 = unbounded).
 func NewLIT(capacity int) *LIT {
-	return &LIT{tab: NewTable[litEntry](capacity)}
+	l := &LIT{}
+	l.Reset(capacity)
+	return l
+}
+
+// Reset empties the LIT, sets its capacity (0 = unbounded) and clears
+// its hit-ratio accounting and InhibitInsert, keeping the table storage.
+func (l *LIT) Reset(capacity int) {
+	l.tab.Reset(capacity)
+	l.tests, l.hits, l.inhibited = 0, 0, 0
+	l.InhibitInsert = nil
 }
 
 // OnExecStart inserts loop t if absent (entries are inserted when an

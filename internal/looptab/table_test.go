@@ -162,3 +162,63 @@ func TestTableQuickVsReference(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+func (r *refLRU) remove(k isa.Addr) {
+	for i, x := range r.order {
+		if x == k {
+			r.order = append(r.order[:i], r.order[i+1:]...)
+			return
+		}
+	}
+}
+
+// TestTableResetQuickVsReference drives random insert, touch and remove
+// sequences through one table that is Reset to another capacity
+// between them, and compares each life with a fresh reference model:
+// residency, recency order, values and evictions. A reset table keeps
+// its slab, free list and index map, and none of them may leak an
+// entry, an order or a count into the next life.
+func TestTableResetQuickVsReference(t *testing.T) {
+	tb := NewTable[int](4)
+	f := func(capSel uint8, ops []uint16) bool {
+		capacity := int(capSel % 6) // 0 is unbounded
+		tb.Reset(capacity)
+		ref := &refLRU{cap: capacity}
+		if capacity == 0 {
+			ref.cap = 1 << 30
+		}
+		var evictions uint64
+		for _, op := range ops {
+			k := isa.Addr(op % 8)
+			switch (op / 8) % 3 {
+			case 0:
+				if !ref.has(k) && len(ref.order) >= ref.cap {
+					evictions++
+				}
+				*tb.Insert(k) = int(k) + 100
+				ref.insert(k)
+			case 1:
+				if (tb.Touch(k) != nil) != ref.has(k) {
+					return false
+				}
+				ref.touch(k)
+			case 2:
+				tb.Remove(k)
+				ref.remove(k)
+			}
+		}
+		keys := tb.Keys()
+		if len(keys) != len(ref.order) || tb.Len() != len(ref.order) || tb.Evictions() != evictions {
+			return false
+		}
+		for i, k := range keys {
+			if k != ref.order[i] || *tb.Get(k) != int(k)+100 {
+				return false
+			}
+		}
+		return true
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 500}); err != nil {
+		t.Fatal(err)
+	}
+}

@@ -1,6 +1,8 @@
 package looptab
 
 import (
+	"sync"
+
 	"dynloop/internal/isa"
 	"dynloop/internal/loopdet"
 )
@@ -28,40 +30,68 @@ type Tracker struct {
 	// LET and LIT are the tracked tables.
 	LET *LET
 	LIT *LIT
-	// bounds remembers the widest [T,B] seen per loop, for the
-	// nesting-aware ablation.
-	bounds map[isa.Addr]isa.Addr
+	// nesting is set by EnableNestingAware; bounds then remembers the
+	// widest [T,B] seen per loop.
+	nesting bool
+	bounds  map[isa.Addr]isa.Addr
 }
 
-// NewTracker returns a tracker over fresh tables of the given capacities
-// (0 = unbounded).
+// trackers recycles Trackers with their tables' storage (see Release).
+var trackers = sync.Pool{New: func() any { return new(Tracker) }}
+
+// NewTracker returns a tracker over empty tables of the given capacities
+// (0 = unbounded). It may return a released tracker, whose tables keep
+// the storage they grew.
 func NewTracker(letCapacity, litCapacity int) *Tracker {
-	return &Tracker{LET: NewLET(letCapacity), LIT: NewLIT(litCapacity)}
+	tr := trackers.Get().(*Tracker)
+	tr.Reset(letCapacity, litCapacity)
+	return tr
 }
+
+// Reset empties both tables, sets their capacities and switches the
+// nesting-aware policy off, keeping the storage.
+func (tr *Tracker) Reset(letCapacity, litCapacity int) {
+	if tr.LET == nil {
+		tr.LET, tr.LIT = &LET{}, &LIT{}
+	}
+	tr.LET.Reset(letCapacity)
+	tr.LIT.Reset(litCapacity)
+	tr.nesting = false
+	clear(tr.bounds)
+}
+
+// Release hands the tracker, with its tables, back for a later
+// NewTracker to reuse. Neither it nor its tables may be used afterwards.
+func (tr *Tracker) Release() { trackers.Put(tr) }
 
 // EnableNestingAware switches both tables to the §2.3.2 insertion-inhibit
 // replacement policy.
 func (tr *Tracker) EnableNestingAware() {
-	tr.bounds = make(map[isa.Addr]isa.Addr)
-	inhibit := func(victim, cand isa.Addr) bool {
-		vb, ok := tr.bounds[victim]
-		if !ok {
-			return false
-		}
-		cb, ok := tr.bounds[cand]
-		if !ok {
-			return false
-		}
-		// victim nested inside cand: [victim, vb] within [cand, cb].
-		return cand <= victim && vb <= cb
+	tr.nesting = true
+	if tr.bounds == nil {
+		tr.bounds = make(map[isa.Addr]isa.Addr)
 	}
-	tr.LET.InhibitInsert = inhibit
-	tr.LIT.InhibitInsert = inhibit
+	tr.LET.InhibitInsert = tr.nestedInCandidate
+	tr.LIT.InhibitInsert = tr.nestedInCandidate
+}
+
+// nestedInCandidate reports whether loop victim is nested inside loop
+// cand: [victim, vb] within [cand, cb].
+func (tr *Tracker) nestedInCandidate(victim, cand isa.Addr) bool {
+	vb, ok := tr.bounds[victim]
+	if !ok {
+		return false
+	}
+	cb, ok := tr.bounds[cand]
+	if !ok {
+		return false
+	}
+	return cand <= victim && vb <= cb
 }
 
 // ExecStart implements loopdet.Observer.
 func (tr *Tracker) ExecStart(x *loopdet.Exec) {
-	if tr.bounds != nil {
+	if tr.nesting {
 		if b, ok := tr.bounds[x.T]; !ok || x.B > b {
 			tr.bounds[x.T] = x.B
 		}

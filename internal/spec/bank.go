@@ -3,6 +3,7 @@ package spec
 import (
 	"fmt"
 	"slices"
+	"sync"
 
 	"dynloop/internal/isa"
 	"dynloop/internal/loopdet"
@@ -22,8 +23,11 @@ import (
 // Add every lane before the first event; read each lane's Metrics after
 // the detector is flushed.
 type Bank struct {
-	let   *looptab.LET
+	let   looptab.LET
 	lanes []lane
+	// spare holds exclusion tables of lanes a Reset dropped, for the
+	// next lanes that run one.
+	spare []*exclusion
 	// recs mirrors the CLS: one record per active execution, outermost
 	// first. Ended records keep their storage past len(recs) for the
 	// next execution, as the detector recycles its entries.
@@ -76,8 +80,8 @@ type counts struct {
 type exclusion struct {
 	threshold   float64
 	minResolved int
-	accs        map[isa.Addr]*accuracy
-	table       *looptab.Table[struct{}]
+	accs        map[isa.Addr]accuracy
+	table       looptab.Table[struct{}]
 }
 
 // accuracy tracks a loop's resolved speculative threads for the
@@ -161,15 +165,46 @@ type Lane struct {
 // Metrics returns a snapshot of the lane's results so far.
 func (l Lane) Metrics() Metrics { return l.b.metrics(l.i) }
 
+// banks recycles Banks with their LET, lanes and records (see Release).
+var banks = sync.Pool{New: func() any { return new(Bank) }}
+
 // NewBank returns an empty bank whose lanes predict from one LET of
-// letCapacity entries (0 = unbounded), which the bank keeps current.
+// letCapacity entries (0 = unbounded), which the bank keeps current. It
+// may return a released bank, which keeps the storage it grew.
 func NewBank(letCapacity int) *Bank {
-	b := &Bank{}
-	b.init(letCapacity)
+	b := banks.Get().(*Bank)
+	b.Reset(letCapacity)
 	return b
 }
 
-func (b *Bank) init(letCapacity int) { b.let = looptab.NewLET(letCapacity) }
+// Reset empties the bank as NewBank(letCapacity) returns it, with no
+// lanes, keeping the storage of its LET, lanes, records and exclusion
+// tables. Lanes handed out before must not be used afterwards.
+func (b *Bank) Reset(letCapacity int) {
+	b.let.Reset(letCapacity)
+	for i := range b.lanes {
+		if x := b.lanes[i].excl; x != nil {
+			b.spare = append(b.spare, x)
+		}
+	}
+	clear(b.lanes) // drop oracle counts and exclusion tables
+	b.lanes = b.lanes[:0]
+	// Records, those on the stack included, get their per-lane state
+	// rebuilt by push (their lane slices are cut to zero here), so a
+	// record abandoned mid-run is as clean as a new one.
+	recs := b.recs[:cap(b.recs)]
+	for i := range recs {
+		r := &recs[i]
+		r.lanes, r.aux, r.starved = r.lanes[:0], r.aux[:0], r.starved[:0]
+	}
+	b.recs = b.recs[:0]
+	b.instrs, b.last = 0, 0
+	b.static, b.aux = false, false
+}
+
+// Release hands the bank back for a later NewBank to reuse. Neither the
+// bank nor its lanes may be used afterwards.
+func (b *Bank) Release() { banks.Put(b) }
 
 // LETCapacity returns the capacity of the bank's LET.
 func (b *Bank) LETCapacity() int { return b.let.Capacity() }
@@ -195,12 +230,7 @@ func (b *Bank) Add(cfg Config) Lane {
 	}
 	if cfg.Exclude {
 		cfg.excludeDefaults()
-		l.excl = &exclusion{
-			threshold:   cfg.ExcludeThreshold,
-			minResolved: cfg.ExcludeMinResolved,
-			accs:        make(map[isa.Addr]*accuracy),
-			table:       looptab.NewTable[struct{}](cfg.ExcludeCapacity),
-		}
+		l.excl = b.exclusion(cfg.ExcludeThreshold, cfg.ExcludeMinResolved, cfg.ExcludeCapacity)
 	}
 	if len(cfg.OracleIters) > 0 {
 		l.oracle = cfg.OracleIters
@@ -209,6 +239,22 @@ func (b *Bank) Add(cfg Config) Lane {
 	b.aux = b.aux || l.tus == 0 || l.oracle != nil
 	b.lanes = append(b.lanes, l)
 	return Lane{b: b, i: len(b.lanes) - 1}
+}
+
+// exclusion returns an empty exclusion table, a spare one when the bank
+// has it.
+func (b *Bank) exclusion(threshold float64, minResolved, capacity int) *exclusion {
+	var x *exclusion
+	if n := len(b.spare); n > 0 {
+		x = b.spare[n-1]
+		b.spare = b.spare[:n-1]
+		clear(x.accs)
+	} else {
+		x = &exclusion{accs: make(map[isa.Addr]accuracy)}
+	}
+	x.threshold, x.minResolved = threshold, minResolved
+	x.table.Reset(capacity)
+	return x
 }
 
 func (b *Bank) metrics(i int) Metrics {
@@ -262,7 +308,7 @@ func (l *lane) credit(now, s uint64) {
 // ExecStart implements loopdet.Observer.
 func (b *Bank) ExecStart(x *loopdet.Exec) {
 	r := b.push(x)
-	if r.aux != nil {
+	if b.aux {
 		for i := range b.lanes {
 			if l := &b.lanes[i]; l.oracle != nil {
 				if l.oracleNext < len(l.oracle) {
@@ -294,15 +340,20 @@ func (b *Bank) push(x *loopdet.Exec) *record {
 	}
 	r := &b.recs[n]
 	r.id, r.t, r.predAt = x.ID, x.T, 0
-	if r.lanes == nil {
-		r.lanes = make([]laneExec, len(b.lanes))
-		if b.aux {
-			r.aux = make([]laneAux, len(b.lanes))
+	if len(r.lanes) != len(b.lanes) {
+		// A new record, or one from before the bank's Reset: rebuild its
+		// per-lane state, keeping the thread-run storage.
+		r.lanes = slices.Grow(r.lanes[:0], len(b.lanes))[:len(b.lanes)]
+		for i := range r.lanes {
+			r.lanes[i] = laneExec{runs: r.lanes[i].runs[:0]}
 		}
-		return r
-	}
-	for i := range r.lanes {
-		r.lanes[i].starved = 0
+		if b.aux {
+			r.aux = slices.Grow(r.aux[:0], len(b.lanes))[:len(b.lanes)]
+		}
+	} else {
+		for i := range r.lanes {
+			r.lanes[i].starved = 0
+		}
 	}
 	clear(r.aux)
 	return r
@@ -374,8 +425,10 @@ func (b *Bank) starve(li, ri int, index uint64) {
 		return
 	}
 	l, owner := &b.lanes[li], &b.recs[oi]
-	if owner.starved == nil {
-		owner.starved = make([][]isa.Addr, len(owner.lanes))
+	if len(owner.starved) != len(owner.lanes) {
+		// Keep the sets a recycled record grew: laneExec.starved bounds
+		// what of them is current.
+		owner.starved = slices.Grow(owner.starved[:0], len(owner.lanes))[:len(owner.lanes)]
 	}
 	oe := &owner.lanes[li]
 	set := owner.starved[li][:oe.starved]
@@ -633,15 +686,12 @@ func (b *Bank) squash(l *lane, le *laneExec, t isa.Addr, index uint64, flush boo
 // from further speculation.
 func (x *exclusion) note(t isa.Addr, promoted bool) {
 	a := x.accs[t]
-	if a == nil {
-		a = &accuracy{}
-		x.accs[t] = a
-	}
 	if promoted {
 		a.promoted++
 	} else {
 		a.squashed++
 	}
+	x.accs[t] = a
 	total := int(a.promoted + a.squashed)
 	if total >= x.minResolved {
 		ratio := float64(a.promoted) / float64(total)

@@ -107,6 +107,12 @@ func oracleConfigs(counts []int) []spec.Config {
 // reference engine's.
 func compareBank(t *testing.T, what string, u *builder.Unit, budget uint64, cls int, cfgs []spec.Config) {
 	t.Helper()
+	compareBanks(t, what, u, budget, cls, cfgs, spec.NewBank)
+}
+
+// compareBanks is compareBank with the banks made by newBank.
+func compareBanks(t *testing.T, what string, u *builder.Unit, budget uint64, cls int, cfgs []spec.Config, newBank func(letCapacity int) *spec.Bank) {
+	t.Helper()
 	hc := harness.Config{Budget: budget, CLSCapacity: cls}
 	var observers []loopdet.Observer
 	banks := map[int]*spec.Bank{}
@@ -115,7 +121,7 @@ func compareBank(t *testing.T, what string, u *builder.Unit, budget uint64, cls 
 	for i, cfg := range cfgs {
 		b := banks[cfg.LETCapacity]
 		if b == nil {
-			b = spec.NewBank(cfg.LETCapacity)
+			b = newBank(cfg.LETCapacity)
 			banks[cfg.LETCapacity] = b
 			observers = append(observers, b)
 		}
@@ -163,6 +169,55 @@ func TestBankMatchesReference(t *testing.T) {
 				compareBank(t, fmt.Sprintf("%s seed %d", bm.Name, seed), u, budget, cls, all)
 			}
 		}
+	}
+}
+
+// TestBankResetMatchesReference: a bank that is Reset in the middle of a
+// traversal, with executions and their threads still on its record
+// stack, computes exactly what reference engines compute in its next
+// life. Each bank lives twice before that: once with two lanes of
+// another LET capacity, and once with the very lanes it then gets, so
+// records, exclusion tables and oracle lanes of the same shape are
+// reused. A recycled bank carries nothing of its earlier lives into its
+// lanes.
+func TestBankResetMatchesReference(t *testing.T) {
+	const budget = 100_000
+	cfgs := referenceConfigs(t)
+	for _, bm := range workload.All() {
+		u, err := bm.Build(1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rec := spec.NewOracleRecorder()
+		if _, err := harness.Run(u, harness.Config{Budget: budget, CLSCapacity: 4}, rec); err != nil {
+			t.Fatal(err)
+		}
+		all := append(cfgs[:len(cfgs):len(cfgs)], oracleConfigs(rec.Counts())...)
+		// live runs b on part of the stream and stops with executions on
+		// the stack (no flush).
+		live := func(b *spec.Bank, n uint64) {
+			det := loopdet.New(loopdet.Config{Capacity: 4})
+			det.AddObserver(b)
+			if _, err := u.NewCPU().Run(n, det); err != nil {
+				t.Fatal(err)
+			}
+		}
+		used := func(letCapacity int) *spec.Bank {
+			b := spec.NewBank(2)
+			b.Add(spec.Config{TUs: 4, Policy: spec.STR(), LETCapacity: 2})
+			b.Add(spec.Config{TUs: 0, Policy: spec.STRn(3), LETCapacity: 2})
+			live(b, budget/3)
+			b.Reset(letCapacity)
+			for _, cfg := range all {
+				if cfg.LETCapacity == letCapacity {
+					b.Add(cfg)
+				}
+			}
+			live(b, budget/2)
+			b.Reset(letCapacity)
+			return b
+		}
+		compareBanks(t, bm.Name+" after Reset", u, budget, 4, all, used)
 	}
 }
 

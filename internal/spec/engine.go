@@ -157,7 +157,7 @@ type Engine struct {
 // private LET of cfg.LETCapacity entries that it keeps current itself.
 func NewEngine(cfg Config) *Engine {
 	e := &Engine{}
-	e.b.init(cfg.LETCapacity)
+	e.b.Reset(cfg.LETCapacity)
 	e.b.Add(cfg)
 	return e
 }

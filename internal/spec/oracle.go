@@ -1,6 +1,8 @@
 package spec
 
 import (
+	"sync"
+
 	"dynloop/internal/isa"
 	"dynloop/internal/loopdet"
 )
@@ -16,11 +18,32 @@ type OracleRecorder struct {
 	slot   map[uint64]int
 }
 
+// oracleRecorders recycles OracleRecorders (see Release).
+var oracleRecorders = sync.Pool{New: func() any { return new(OracleRecorder) }}
+
 // NewOracleRecorder returns an empty recorder; attach it as a detector
-// observer.
+// observer. It may return a released recorder, which keeps the storage
+// it grew.
 func NewOracleRecorder() *OracleRecorder {
-	return &OracleRecorder{slot: make(map[uint64]int)}
+	r := oracleRecorders.Get().(*OracleRecorder)
+	r.Reset()
+	return r
 }
+
+// Reset empties the recorder, keeping its storage. A zero recorder is
+// ready once Reset.
+func (r *OracleRecorder) Reset() {
+	r.counts = r.counts[:0]
+	if r.slot == nil {
+		r.slot = make(map[uint64]int)
+	}
+	clear(r.slot)
+}
+
+// Release hands the recorder back for a later NewOracleRecorder to
+// reuse. Neither it nor the slice Counts returned may be used
+// afterwards.
+func (r *OracleRecorder) Release() { oracleRecorders.Put(r) }
 
 // ExecStart implements loopdet.Observer: allocate this execution's slot
 // in birth order.
@@ -42,5 +65,5 @@ func (r *OracleRecorder) ExecEnd(x *loopdet.Exec, reason loopdet.EndReason, inde
 func (r *OracleRecorder) OneShot(t, b isa.Addr, index uint64) {}
 
 // Counts returns the recorded per-execution iteration counts in birth
-// order. The slice is live until the recorder is discarded.
+// order. The slice is live until the recorder is reset or released.
 func (r *OracleRecorder) Counts() []int { return r.counts }

@@ -31,6 +31,7 @@
 package store
 
 import (
+	"bytes"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -103,6 +104,10 @@ type segment struct {
 	f    *os.File
 	size int64
 	refs atomic.Int64
+	// written says the session wrote to the file since it was opened
+	// or last synced; Sync and Close sync only such segments. It is
+	// guarded by Store.mu.
+	written bool
 }
 
 func newSegment(path string, f *os.File, size int64) *segment {
@@ -191,7 +196,10 @@ func (s *Store) openSegment(path string, last bool) error {
 		return err
 	}
 	mSegScans.Inc()
-	recs, good, err := ScanSegment(data)
+	si := len(s.segs)
+	good, err := scanSegment(data, func(key []byte, off int64, rlen int, _ int64) {
+		s.idx[string(key)] = ref{seg: si, off: off, rlen: rlen}
+	})
 	if err != nil {
 		if !last || !errors.Is(err, errTorn) {
 			return fmt.Errorf("%w: %s: %v", ErrCorrupt, filepath.Base(path), err)
@@ -201,7 +209,9 @@ func (s *Store) openSegment(path string, last bool) error {
 	if err != nil {
 		return err
 	}
+	seg := newSegment(path, f, good)
 	if good < int64(len(data)) {
+		seg.written = true
 		// Torn tail in the newest segment: drop the partial record so
 		// the next Put appends a clean one.
 		if err := f.Truncate(good); err != nil {
@@ -218,13 +228,9 @@ func (s *Store) openSegment(path string, last bool) error {
 			f.Close()
 			return err
 		}
-		good = int64(len(magic))
+		seg.size, seg.written = int64(len(magic)), true
 	}
-	si := len(s.segs)
-	s.segs = append(s.segs, newSegment(path, f, good))
-	for _, r := range recs {
-		s.idx[r.Key] = ref{seg: si, off: r.Off, rlen: r.Len}
-	}
+	s.segs = append(s.segs, seg)
 	return nil
 }
 
@@ -249,7 +255,9 @@ func (s *Store) addSegment() error {
 		return err
 	}
 	s.nextSeq++
-	s.segs = append(s.segs, newSegment(path, f, int64(len(magic))))
+	seg := newSegment(path, f, int64(len(magic)))
+	seg.written = true
+	s.segs = append(s.segs, seg)
 	return nil
 }
 
@@ -292,6 +300,7 @@ func (s *Store) Put(key string, val []byte) error {
 	}
 	s.idx[key] = ref{seg: len(s.segs) - 1, off: active.size, rlen: len(rec)}
 	active.size += int64(len(rec))
+	active.written = true
 	s.puts.Add(1)
 	mPuts.Inc()
 	mPutBytes.Add(uint64(len(rec)))
@@ -438,7 +447,23 @@ func (s *Store) Stats() Stats {
 	return st
 }
 
-// Sync flushes all segments to stable storage.
+// syncFile flushes one segment file; tests count the calls.
+var syncFile = (*os.File).Sync
+
+// sync flushes seg if the session wrote to it since it was opened or
+// last synced.
+func (seg *segment) sync() error {
+	if !seg.written {
+		return nil
+	}
+	if err := syncFile(seg.f); err != nil {
+		return err
+	}
+	seg.written = false
+	return nil
+}
+
+// Sync flushes every segment this session wrote to stable storage.
 func (s *Store) Sync() error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -446,16 +471,17 @@ func (s *Store) Sync() error {
 		return ErrClosed
 	}
 	for _, seg := range s.segs {
-		if err := seg.f.Sync(); err != nil {
+		if err := seg.sync(); err != nil {
 			return err
 		}
 	}
 	return nil
 }
 
-// Close syncs every segment and drops the store's segment references;
-// each segment file closes once its last in-flight read drains. The
-// store must not be used afterwards.
+// Close syncs every segment this session wrote and drops the store's
+// segment references; each segment file closes once its last in-flight
+// read drains. A read-only session syncs nothing. The store must not be
+// used afterwards.
 func (s *Store) Close() error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -465,7 +491,7 @@ func (s *Store) Close() error {
 	s.closed = true
 	var first error
 	for _, seg := range s.segs {
-		if err := seg.f.Sync(); err != nil && first == nil {
+		if err := seg.sync(); err != nil && first == nil {
 			first = err
 		}
 		seg.release()
@@ -495,15 +521,29 @@ var errTorn = errors.New("torn tail")
 // good marking the intact prefix; anything else malformed — bad magic,
 // CRC mismatch, oversized framing, a record-version from the future —
 // returns a hard error wrapping ErrCorrupt. It never panics and never
-// returns a partially-decoded record.
+// returns a partially-decoded record. Each Record owns its key and
+// value.
 func ScanSegment(data []byte) (recs []Record, good int64, err error) {
+	good, err = scanSegment(data, func(key []byte, off int64, rlen int, valOff int64) {
+		val := bytes.Clone(data[valOff : off+int64(rlen)])
+		recs = append(recs, Record{Key: string(key), Val: val, ValOff: valOff, Off: off, Len: rlen})
+	})
+	return recs, good, err
+}
+
+// scanSegment walks a segment image as ScanSegment describes, checking
+// every record's framing and CRC, and calls fn with each intact
+// record's key, which aliases data, the offset and length of its frame
+// and the offset of its value. It copies nothing, so an Open that only
+// indexes the records allocates no more than their keys.
+func scanSegment(data []byte, fn func(key []byte, off int64, rlen int, valOff int64)) (good int64, err error) {
 	if len(data) < len(magic) || string(data[:len(magic)]) != magic {
 		// A short file can only be a torn header write if it is a strict
 		// magic prefix.
 		if len(data) < len(magic) && string(data) == magic[:len(data)] {
-			return nil, 0, errTorn
+			return 0, errTorn
 		}
-		return nil, 0, fmt.Errorf("%w: bad magic", ErrCorrupt)
+		return 0, fmt.Errorf("%w: bad magic", ErrCorrupt)
 	}
 	pos := int64(len(magic))
 	for int(pos) < len(data) {
@@ -511,36 +551,36 @@ func ScanSegment(data []byte) (recs []Record, good int64, err error) {
 		bodyLen, n := binary.Uvarint(rest)
 		if n <= 0 {
 			if len(rest) < binary.MaxVarintLen64 {
-				return recs, pos, errTorn
+				return pos, errTorn
 			}
-			return recs, pos, fmt.Errorf("%w: bad record length at %d", ErrCorrupt, pos)
+			return pos, fmt.Errorf("%w: bad record length at %d", ErrCorrupt, pos)
 		}
 		if bodyLen > maxRecordBytes {
-			return recs, pos, fmt.Errorf("%w: record length %d at %d", ErrCorrupt, bodyLen, pos)
+			return pos, fmt.Errorf("%w: record length %d at %d", ErrCorrupt, bodyLen, pos)
 		}
 		if uint64(len(rest)) < uint64(n)+4+bodyLen {
-			return recs, pos, errTorn
+			return pos, errTorn
 		}
 		crc := binary.LittleEndian.Uint32(rest[n : n+4])
 		body := rest[uint64(n)+4 : uint64(n)+4+bodyLen]
 		if crc32.ChecksumIEEE(body) != crc {
-			return recs, pos, fmt.Errorf("%w: CRC mismatch at %d", ErrCorrupt, pos)
+			return pos, fmt.Errorf("%w: CRC mismatch at %d", ErrCorrupt, pos)
 		}
-		rec, valOff, derr := decodeBody(body)
+		key, valOff, derr := parseBody(body)
 		if derr != nil {
-			return recs, pos, fmt.Errorf("%w: record at %d: %v", ErrCorrupt, pos, derr)
+			return pos, fmt.Errorf("%w: record at %d: %v", ErrCorrupt, pos, derr)
 		}
-		rec.ValOff = pos + int64(n) + 4 + valOff
-		rec.Off = pos
-		rec.Len = n + 4 + int(bodyLen)
-		recs = append(recs, rec)
-		pos += int64(n) + 4 + int64(bodyLen)
+		rlen := n + 4 + int(bodyLen)
+		fn(key, pos, rlen, pos+int64(n)+4+int64(valOff))
+		pos += int64(rlen)
 	}
-	return recs, pos, nil
+	return pos, nil
 }
 
-// decodeBody parses one CRC-verified record body.
-func decodeBody(body []byte) (Record, int64, error) {
+// parseBody parses one CRC-verified record body, returning its key and
+// the offset of its value, which runs to the body's end; both alias
+// body.
+func parseBody(body []byte) (key []byte, valOff int, err error) {
 	pos := 0
 	uv := func(what string) (uint64, error) {
 		v, n := binary.Uvarint(body[pos:])
@@ -552,28 +592,26 @@ func decodeBody(body []byte) (Record, int64, error) {
 	}
 	ver, err := uv("record version")
 	if err != nil {
-		return Record{}, 0, err
+		return nil, 0, err
 	}
 	if ver != recVersion {
-		return Record{}, 0, fmt.Errorf("record version %d (this build reads %d)", ver, recVersion)
+		return nil, 0, fmt.Errorf("record version %d (this build reads %d)", ver, recVersion)
 	}
 	keyLen, err := uv("key length")
 	if err != nil {
-		return Record{}, 0, err
+		return nil, 0, err
 	}
 	if keyLen > uint64(len(body)-pos) {
-		return Record{}, 0, fmt.Errorf("key length %d exceeds body", keyLen)
+		return nil, 0, fmt.Errorf("key length %d exceeds body", keyLen)
 	}
-	key := string(body[pos : pos+int(keyLen)])
+	key = body[pos : pos+int(keyLen)]
 	pos += int(keyLen)
 	valLen, err := uv("value length")
 	if err != nil {
-		return Record{}, 0, err
+		return nil, 0, err
 	}
 	if valLen != uint64(len(body)-pos) {
-		return Record{}, 0, fmt.Errorf("value length %d does not fill body (%d left)", valLen, len(body)-pos)
+		return nil, 0, fmt.Errorf("value length %d does not fill body (%d left)", valLen, len(body)-pos)
 	}
-	val := make([]byte, valLen)
-	copy(val, body[pos:])
-	return Record{Key: key, Val: val}, int64(pos), nil
+	return key, pos, nil
 }

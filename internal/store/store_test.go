@@ -487,3 +487,77 @@ func FuzzScanSegment(f *testing.F) {
 		}
 	})
 }
+
+// countSyncs counts segment syncs for the rest of the test.
+func countSyncs(t *testing.T) *int {
+	t.Helper()
+	n := new(int)
+	orig := syncFile
+	syncFile = func(f *os.File) error { *n++; return orig(f) }
+	t.Cleanup(func() { syncFile = orig })
+	return n
+}
+
+// TestCloseSyncsOnlyWrittenSegments: Close syncs exactly the segments the
+// session wrote. A read-only session (Open, Gets, Close) issues no sync;
+// a session that appends to the newest of two segments syncs that one
+// only; a Sync leaves Close nothing to flush.
+func TestCloseSyncsOnlyWrittenSegments(t *testing.T) {
+	dir := t.TempDir()
+	s, err := Open(dir, Options{MaxSegmentBytes: 64})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := range 4 {
+		if err := s.Put(fmt.Sprintf("k%d", i), bytes.Repeat([]byte("v"), 40)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	syncs := countSyncs(t)
+
+	s, err = Open(dir, Options{MaxSegmentBytes: 64})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := len(s.Segments()); n < 2 {
+		t.Fatalf("%d segments, want at least 2", n)
+	}
+	for i := range 4 {
+		if _, ok, err := s.Get(fmt.Sprintf("k%d", i)); err != nil || !ok {
+			t.Fatalf("Get k%d: %v, %v", i, ok, err)
+		}
+	}
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if *syncs != 0 {
+		t.Fatalf("a read-only session synced %d times, want 0", *syncs)
+	}
+
+	s, err = Open(dir, Options{MaxSegmentBytes: 1 << 20})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Put("new", []byte("x")); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Sync(); err != nil {
+		t.Fatal(err)
+	}
+	if *syncs != 1 {
+		t.Fatalf("Sync after one Put synced %d segments, want 1", *syncs)
+	}
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if *syncs != 1 {
+		t.Fatalf("Close after Sync synced %d more segments, want 0", *syncs-1)
+	}
+	s = openT(t, dir, Options{})
+	if v, ok, err := s.Get("new"); err != nil || !ok || string(v) != "x" {
+		t.Fatalf("Get new = %q, %v, %v", v, ok, err)
+	}
+}

@@ -40,7 +40,10 @@ func Verify(dir string) (VerifyReport, error) {
 		if err != nil {
 			return rep, err
 		}
-		recs, good, err := ScanSegment(data)
+		good, err := scanSegment(data, func(key []byte, _ int64, _ int, _ int64) {
+			rep.TotalRecords++
+			live[string(key)] = struct{}{}
+		})
 		if err != nil {
 			if !last || !errors.Is(err, errTorn) {
 				return rep, fmt.Errorf("%w: %s: %v", ErrCorrupt, filepath.Base(name), err)
@@ -48,10 +51,6 @@ func Verify(dir string) (VerifyReport, error) {
 			rep.TornTailBytes += int64(len(data)) - good
 		}
 		rep.Bytes += good
-		rep.TotalRecords += len(recs)
-		for _, r := range recs {
-			live[r.Key] = struct{}{}
-		}
 	}
 	rep.LiveRecords = len(live)
 	return rep, nil

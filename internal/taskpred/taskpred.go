@@ -14,6 +14,8 @@
 package taskpred
 
 import (
+	"sync"
+
 	"dynloop/internal/isa"
 	"dynloop/internal/loopdet"
 )
@@ -53,18 +55,39 @@ type Predictor struct {
 	hits        uint64
 }
 
-// New returns a predictor with the given configuration.
+// predictors recycles Predictors with their tables (see Release).
+var predictors = sync.Pool{New: func() any { return new(Predictor) }}
+
+// New returns a predictor with the given configuration. It may return a
+// released predictor, which keeps its tables' storage.
 func New(cfg Config) *Predictor {
+	p := predictors.Get().(*Predictor)
+	p.Reset(cfg)
+	return p
+}
+
+// Reset empties the predictor and sets its configuration, keeping the
+// table storage where it is large enough.
+func (p *Predictor) Reset(cfg Config) {
 	cfg.setDefaults()
 	n := 1 << cfg.TableBits
-	return &Predictor{
-		cfg:     cfg,
-		table:   make([]isa.Addr, n),
-		valid:   make([]bool, n),
-		mask:    uint32(n - 1),
-		history: make([]isa.Addr, 0, max(cfg.HistoryLength, 0)),
+	table, valid, history := p.table, p.valid, p.history
+	if cap(table) < n {
+		table, valid = make([]isa.Addr, n), make([]bool, n)
+	} else {
+		table, valid = table[:n], valid[:n]
+		clear(table)
+		clear(valid)
 	}
+	if h := max(cfg.HistoryLength, 0); cap(history) < h {
+		history = make([]isa.Addr, 0, h)
+	}
+	*p = Predictor{cfg: cfg, table: table, valid: valid, mask: uint32(n - 1), history: history[:0]}
 }
+
+// Release hands the predictor back for a later New to reuse. It may not
+// be used afterwards.
+func (p *Predictor) Release() { predictors.Put(p) }
 
 // index hashes the recent-target history.
 func (p *Predictor) index() uint32 {

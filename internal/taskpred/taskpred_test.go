@@ -32,6 +32,28 @@ func TestPerfectlyPeriodicSequence(t *testing.T) {
 	}
 }
 
+// TestResetMatchesFresh: a predictor Reset to another configuration
+// after training scores a sequence exactly as a fresh one does.
+func TestResetMatchesFresh(t *testing.T) {
+	run := func(p *Predictor) (float64, uint64) {
+		for i := uint64(1); i < 500; i++ {
+			tgt := uint32(10 + i*i%13)
+			p.ExecStart(&loopdet.Exec{ID: i, T: isaAddr(tgt), B: isaAddr(tgt + 3), Iters: 2})
+		}
+		return p.Accuracy()
+	}
+	cfg := Config{HistoryLength: 3, TableBits: 6}
+	fresh := new(Predictor)
+	fresh.Reset(cfg)
+	wantAcc, wantN := run(fresh)
+	p := New(Config{HistoryLength: 1, TableBits: 8})
+	run(p)
+	p.Reset(cfg)
+	if acc, n := run(p); acc != wantAcc || n != wantN {
+		t.Fatalf("after Reset: %.2f%% over %d, fresh %.2f%% over %d", acc, n, wantAcc, wantN)
+	}
+}
+
 // TestRandomSequenceUnpredictable: independent random targets stay near
 // chance level.
 func TestRandomSequenceUnpredictable(t *testing.T) {
