@@ -18,7 +18,6 @@ type Table[V any] struct {
 	m          map[isa.Addr]int32 // key to slab index
 	slab       []node[V]
 	head, tail int32 // slab indices, head most recently used; nilNode when empty
-	free       int32 // removed slab entries, chained through next
 	evictions  uint64
 	// OnEvict, when non-nil, is called with the key and value being
 	// evicted, before removal.
@@ -53,7 +52,7 @@ func (t *Table[V]) Reset(capacity int) {
 	}
 	clear(t.slab) // drop references held by stale values
 	t.slab = t.slab[:0]
-	t.head, t.tail, t.free = nilNode, nilNode, nilNode
+	t.head, t.tail = nilNode, nilNode
 	t.evictions = 0
 	t.OnEvict = nil
 }
@@ -104,10 +103,6 @@ func (t *Table[V]) Insert(k isa.Addr) *V {
 	if t.capacity > 0 && len(t.m) >= t.capacity {
 		i = t.evictLRU()
 	}
-	if i == nilNode && t.free != nilNode {
-		i = t.free
-		t.free = t.slab[i].next
-	}
 	if i == nilNode {
 		i = int32(len(t.slab))
 		t.slab = append(t.slab, node[V]{})
@@ -127,18 +122,6 @@ func (t *Table[V]) Victim() (k isa.Addr, v *V, ok bool) {
 	}
 	n := &t.slab[t.tail]
 	return n.key, &n.val, true
-}
-
-// Remove deletes k if present.
-func (t *Table[V]) Remove(k isa.Addr) {
-	i, ok := t.m[k]
-	if !ok {
-		return
-	}
-	t.unlink(i)
-	delete(t.m, k)
-	t.slab[i] = node[V]{next: t.free}
-	t.free = i
 }
 
 // Keys returns the resident keys from most to least recently used.

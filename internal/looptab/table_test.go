@@ -7,7 +7,7 @@ import (
 	"dynloop/internal/isa"
 )
 
-// TestTableBasics covers insert/get/touch/remove on a small table.
+// TestTableBasics covers insert/get/touch on a small table.
 func TestTableBasics(t *testing.T) {
 	tb := NewTable[int](2)
 	if tb.Get(1) != nil {
@@ -31,10 +31,6 @@ func TestTableBasics(t *testing.T) {
 	*tb.Insert(4) = 44
 	if tb.Get(3) != nil || tb.Get(2) == nil {
 		t.Fatal("touch did not protect entry 2")
-	}
-	tb.Remove(2)
-	if tb.Get(2) != nil || tb.Len() != 1 {
-		t.Fatal("remove failed")
 	}
 }
 
@@ -163,20 +159,11 @@ func TestTableQuickVsReference(t *testing.T) {
 	}
 }
 
-func (r *refLRU) remove(k isa.Addr) {
-	for i, x := range r.order {
-		if x == k {
-			r.order = append(r.order[:i], r.order[i+1:]...)
-			return
-		}
-	}
-}
-
-// TestTableResetQuickVsReference drives random insert, touch and remove
+// TestTableResetQuickVsReference drives random insert and touch
 // sequences through one table that is Reset to another capacity
 // between them, and compares each life with a fresh reference model:
 // residency, recency order, values and evictions. A reset table keeps
-// its slab, free list and index map, and none of them may leak an
+// its slab and index map, and none of them may leak an
 // entry, an order or a count into the next life.
 func TestTableResetQuickVsReference(t *testing.T) {
 	tb := NewTable[int](4)
@@ -190,7 +177,7 @@ func TestTableResetQuickVsReference(t *testing.T) {
 		var evictions uint64
 		for _, op := range ops {
 			k := isa.Addr(op % 8)
-			switch (op / 8) % 3 {
+			switch (op / 8) % 2 {
 			case 0:
 				if !ref.has(k) && len(ref.order) >= ref.cap {
 					evictions++
@@ -202,9 +189,6 @@ func TestTableResetQuickVsReference(t *testing.T) {
 					return false
 				}
 				ref.touch(k)
-			case 2:
-				tb.Remove(k)
-				ref.remove(k)
 			}
 		}
 		keys := tb.Keys()

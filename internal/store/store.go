@@ -31,7 +31,6 @@
 package store
 
 import (
-	"bytes"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -499,43 +498,22 @@ func (s *Store) Close() error {
 	return first
 }
 
-// Record is one decoded segment record, for scans and tests.
-type Record struct {
-	Key string
-	Val []byte
-	// ValOff is the value's byte offset inside the segment file.
-	ValOff int64
-	// Off and Len frame the whole record (the slice the index points at).
-	Off int64
-	Len int
-}
-
 // errTorn distinguishes a cleanly-truncated tail (recoverable in the
 // newest segment) from outright corruption (wrong magic, CRC mismatch,
 // garbage framing mid-file).
 var errTorn = errors.New("torn tail")
 
-// ScanSegment decodes a whole segment image, returning the records it
-// holds and the byte offset of the last intact record's end. A segment
-// that simply stops mid-record (a torn append) returns errTorn with
-// good marking the intact prefix; anything else malformed — bad magic,
-// CRC mismatch, oversized framing, a record-version from the future —
-// returns a hard error wrapping ErrCorrupt. It never panics and never
-// returns a partially-decoded record. Each Record owns its key and
-// value.
-func ScanSegment(data []byte) (recs []Record, good int64, err error) {
-	good, err = scanSegment(data, func(key []byte, off int64, rlen int, valOff int64) {
-		val := bytes.Clone(data[valOff : off+int64(rlen)])
-		recs = append(recs, Record{Key: string(key), Val: val, ValOff: valOff, Off: off, Len: rlen})
-	})
-	return recs, good, err
-}
-
-// scanSegment walks a segment image as ScanSegment describes, checking
-// every record's framing and CRC, and calls fn with each intact
-// record's key, which aliases data, the offset and length of its frame
-// and the offset of its value. It copies nothing, so an Open that only
-// indexes the records allocates no more than their keys.
+// scanSegment walks a whole segment image, checking every record's
+// framing and CRC, and calls fn with each intact record's key, which
+// aliases data, the offset and length of its frame and the offset of its
+// value, which runs to the frame's end. It returns the byte offset of
+// the last intact record's end. A segment that simply stops mid-record
+// (a torn append) returns errTorn with good marking the intact prefix;
+// anything else malformed — bad magic, CRC mismatch, oversized framing,
+// a record-version from the future — returns a hard error wrapping
+// ErrCorrupt. It never panics and never reports a record it did not
+// fully verify. It copies nothing, so an Open that only indexes the
+// records allocates no more than their keys.
 func scanSegment(data []byte, fn func(key []byte, off int64, rlen int, valOff int64)) (good int64, err error) {
 	if len(data) < len(magic) || string(data[:len(magic)]) != magic {
 		// A short file can only be a torn header write if it is a strict

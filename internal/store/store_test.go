@@ -220,20 +220,21 @@ func flipValueByte(t *testing.T, dir, key string) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	recs, _, err := ScanSegment(data)
-	if err != nil {
+	valOff := int64(-1)
+	if _, err := scanSegment(data, func(k []byte, _ int64, _ int, off int64) {
+		if string(k) == key {
+			valOff = off
+		}
+	}); err != nil {
 		t.Fatal(err)
 	}
-	for _, r := range recs {
-		if r.Key != key {
-			continue
-		}
+	if valOff >= 0 {
 		f, err := os.OpenFile(seg, os.O_RDWR, 0)
 		if err != nil {
 			t.Fatal(err)
 		}
 		defer f.Close()
-		if _, err := f.WriteAt([]byte{data[r.ValOff] ^ 0x01}, r.ValOff); err != nil {
+		if _, err := f.WriteAt([]byte{data[valOff] ^ 0x01}, valOff); err != nil {
 			t.Fatal(err)
 		}
 		return
@@ -472,7 +473,11 @@ func FuzzScanSegment(f *testing.F) {
 	f.Add([]byte("DLSTORE1"))
 	f.Add([]byte{})
 	f.Fuzz(func(t *testing.T, data []byte) {
-		recs, good, err := ScanSegment(data)
+		type frame struct{ off, end, valOff int64 }
+		var recs []frame
+		good, err := scanSegment(data, func(_ []byte, off int64, rlen int, valOff int64) {
+			recs = append(recs, frame{off, off + int64(rlen), valOff})
+		})
 		if good < 0 || good > int64(len(data)) {
 			t.Fatalf("good offset %d out of range [0,%d]", good, len(data))
 		}
@@ -480,9 +485,9 @@ func FuzzScanSegment(f *testing.F) {
 			t.Fatalf("nil error but only %d of %d bytes consumed", good, len(data))
 		}
 		for _, r := range recs {
-			if r.ValOff < 0 || r.ValOff+int64(len(r.Val)) > good {
-				t.Fatalf("record %q value [%d,+%d) outside verified prefix %d",
-					r.Key, r.ValOff, len(r.Val), good)
+			if r.off < 0 || r.valOff < r.off || r.valOff > r.end || r.end > good {
+				t.Fatalf("record [%d,%d) value at %d outside verified prefix %d",
+					r.off, r.end, r.valOff, good)
 			}
 		}
 	})

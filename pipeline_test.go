@@ -100,7 +100,7 @@ func TestCtlSteadyStateZeroAllocs(t *testing.T) {
 			t.Fatal(err)
 		}
 	})
-	if avg != 0 && !raceEnabled {
+	if avg != 0 {
 		t.Fatalf("ctl steady-state allocs per 10k-instruction run = %v, want 0", avg)
 	}
 }
