@@ -16,6 +16,7 @@ import (
 	"io"
 	"net/http"
 	"net/url"
+	"slices"
 	"strconv"
 	"strings"
 	"time"
@@ -107,11 +108,12 @@ func (c *Client) Grid(ctx context.Context, req wire.GridRequest) ([]any, error) 
 	if resp.StatusCode != http.StatusOK {
 		return nil, apiError(resp)
 	}
-	payload, err := io.ReadAll(resp.Body)
+	bp, err := readBody(resp)
 	if err != nil {
 		return nil, err
 	}
-	return wire.DecodeCells(payload)
+	defer wire.PutBuffer(bp)
+	return wire.DecodeCells(*bp)
 }
 
 // Grids lists the daemon's registered grids with their canonical specs.
@@ -156,11 +158,47 @@ func (c *Client) Cell(ctx context.Context, key string) (any, error) {
 	if resp.StatusCode != http.StatusOK {
 		return nil, apiError(resp)
 	}
-	frame, err := io.ReadAll(resp.Body)
+	bp, err := readBody(resp)
 	if err != nil {
 		return nil, err
 	}
-	return codec.Decode(frame)
+	defer wire.PutBuffer(bp)
+	return codec.Decode(*bp)
+}
+
+// maxPresize bounds how far a declared Content-Length presizes a read
+// buffer, so a hostile or broken header cannot make the client allocate
+// what it declares; the rest of a larger body grows the buffer as it
+// arrives.
+const maxPresize = 1 << 20
+
+// readBody reads resp's whole body into a buffer from wire.GetBuffer,
+// presized from its Content-Length. A body shorter than its declared
+// length fails with the transport's io.ErrUnexpectedEOF rather than
+// reading short. The caller hands the buffer back with wire.PutBuffer
+// once the payload is decoded: decoded values copy their strings and
+// slices out of it (see codec.Dec.Decode).
+func readBody(resp *http.Response) (*[]byte, error) {
+	bp := wire.GetBuffer()
+	b := *bp
+	if n := resp.ContentLength; n > int64(cap(b)) {
+		b = slices.Grow(b, int(min(n, maxPresize)))
+	}
+	for {
+		if len(b) == cap(b) {
+			b = append(b, 0)[:len(b)]
+		}
+		n, err := resp.Body.Read(b[len(b):cap(b)])
+		b = b[:len(b)+n]
+		*bp = b
+		if err == io.EOF {
+			return bp, nil
+		}
+		if err != nil {
+			wire.PutBuffer(bp)
+			return nil, err
+		}
+	}
 }
 
 // Stats fetches the daemon's runner/store counters.

@@ -131,14 +131,10 @@ func Encode(v any) ([]byte, error) {
 
 // Append frames v onto b.
 func Append(b []byte, v any) ([]byte, error) {
-	r, ok := lookup(v)
-	if !ok {
-		return nil, fmt.Errorf("%w: %T", ErrUnregistered, v)
-	}
-	b = binary.AppendUvarint(b, uint64(r.kind))
-	b = binary.AppendUvarint(b, r.version)
 	e := &Enc{b: b}
-	r.enc(e, v)
+	if err := e.Append(v); err != nil {
+		return nil, err
+	}
 	return e.b, nil
 }
 
@@ -146,7 +142,35 @@ func Append(b []byte, v any) ([]byte, error) {
 // under its registered concrete type. Trailing bytes, short payloads
 // and field-level garbage all fail with ErrCorrupt.
 func Decode(b []byte) (any, error) {
-	d := &Dec{b: b}
+	return new(Dec).Decode(b)
+}
+
+// Append frames v onto the bytes e holds, as the package's Append does
+// onto b. A caller that frames many values holds one Enc and reuses
+// its storage (see Reset); an unregistered v leaves e unchanged.
+func (e *Enc) Append(v any) error {
+	r, ok := lookup(v)
+	if !ok {
+		return fmt.Errorf("%w: %T", ErrUnregistered, v)
+	}
+	e.b = binary.AppendUvarint(e.b, uint64(r.kind))
+	e.b = binary.AppendUvarint(e.b, r.version)
+	r.enc(e, v)
+	return nil
+}
+
+// Bytes returns the bytes e holds. They stay e's: the next Append or
+// Reset may overwrite them.
+func (e *Enc) Bytes() []byte { return e.b }
+
+// Reset empties e and keeps its storage for the next frames.
+func (e *Enc) Reset() { e.b = e.b[:0] }
+
+// Decode parses one frame occupying all of b, as the package's Decode
+// does, reusing d: a caller that decodes many frames holds one Dec. The
+// value shares no bytes with b: strings and slices are copied out.
+func (d *Dec) Decode(b []byte) (any, error) {
+	*d = Dec{b: b}
 	kind := d.U64()
 	version := d.U64()
 	if d.err != nil {

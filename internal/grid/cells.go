@@ -148,19 +148,27 @@ type Cell struct {
 // read-only: a caller must not modify a Cell or an axis element.
 // Inline specs compile afresh on every call.
 func Compile(cfg Config, s Spec) ([]Cell, Spec, error) {
+	cells, rs, _, err := compileJobs(cfg, s)
+	return cells, rs, err
+}
+
+// compileJobs is Compile that also returns a registered grid's fusion
+// jobs, memoized with its cells; an inline spec has none (nil).
+func compileJobs(cfg Config, s Spec) ([]Cell, Spec, []runner.GroupJob[any], error) {
 	k, ok := memoKeyOf(&cfg, &s)
 	if !ok {
-		return compile(cfg, s)
+		cells, rs, err := compile(cfg, s)
+		return cells, rs, nil, err
 	}
-	if cells, rs, ok := memoGet(k); ok {
-		return cells, rs, nil
+	if e, ok := memoGet(k); ok {
+		return e.cells, e.rs, e.jobs, nil
 	}
 	cells, rs, err := compile(cfg, s)
 	if err != nil {
-		return nil, Spec{}, err
+		return nil, Spec{}, nil, err
 	}
-	cells, rs = memoPut(k, cells, rs)
-	return cells, rs, nil
+	e := memoPut(k, &memoEntry{cells: cells, rs: rs, jobs: groupJobs(cells)})
+	return e.cells, e.rs, e.jobs, nil
 }
 
 // compile is Compile without the memo.

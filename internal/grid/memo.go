@@ -3,6 +3,8 @@ package grid
 import (
 	"slices"
 	"sync"
+
+	"dynloop/internal/runner"
 )
 
 // Bounds of the compiled-grid memo. A render of the paper's evaluation
@@ -32,10 +34,13 @@ type memoKey struct {
 	BatchSize   int
 }
 
+// memoEntry is one compiled grid. Everything but used is read-only
+// once the entry is installed.
 type memoEntry struct {
 	cells []Cell
 	rs    Spec
-	used  uint64 // recency stamp for LRU eviction
+	jobs  []runner.GroupJob[any] // the cells' fusion jobs (see groupJobs)
+	used  uint64                 // recency stamp for LRU eviction
 }
 
 // memo holds compiled registered grids, process wide.
@@ -77,16 +82,16 @@ func memoKeyOf(cfg *Config, s *Spec) (memoKey, bool) {
 }
 
 // memoGet returns the compiled grid at k, if held.
-func memoGet(k memoKey) ([]Cell, Spec, bool) {
+func memoGet(k memoKey) (*memoEntry, bool) {
 	memo.mu.Lock()
 	defer memo.mu.Unlock()
 	e, ok := memo.m[k]
 	if !ok {
-		return nil, Spec{}, false
+		return nil, false
 	}
 	memo.tick++
 	e.used = memo.tick
-	return e.cells, e.rs, true
+	return e, true
 }
 
 // memoPut installs a fresh compile at k and returns what callers
@@ -94,18 +99,18 @@ func memoGet(k memoKey) ([]Cell, Spec, bool) {
 // when the grid alone exceeds the cell bound, the compile itself.
 // Slices are clipped, so an append by a caller copies instead of
 // writing into the shared backing array.
-func memoPut(k memoKey, cells []Cell, rs Spec) ([]Cell, Spec) {
-	if len(cells) > maxMemoCells {
-		return cells, rs
+func memoPut(k memoKey, c *memoEntry) *memoEntry {
+	if len(c.cells) > maxMemoCells {
+		return c
 	}
 	memo.mu.Lock()
 	defer memo.mu.Unlock()
 	memo.tick++
 	if e, ok := memo.m[k]; ok {
 		e.used = memo.tick
-		return e.cells, e.rs
+		return e
 	}
-	for len(memo.m) >= maxMemoGrids || memo.cells+len(cells) > maxMemoCells {
+	for len(memo.m) >= maxMemoGrids || memo.cells+len(c.cells) > maxMemoCells {
 		var victim memoKey
 		oldest := ^uint64(0)
 		for k, e := range memo.m {
@@ -116,15 +121,17 @@ func memoPut(k memoKey, cells []Cell, rs Spec) ([]Cell, Spec) {
 		memo.cells -= len(memo.m[victim].cells)
 		delete(memo.m, victim)
 	}
+	rs := &c.rs
 	rs.Benchmarks, rs.Budgets, rs.BudgetDivs = slices.Clip(rs.Benchmarks), slices.Clip(rs.Budgets), slices.Clip(rs.BudgetDivs)
 	rs.Seeds, rs.CLS, rs.TableSizes = slices.Clip(rs.Seeds), slices.Clip(rs.CLS), slices.Clip(rs.TableSizes)
 	rs.Modes, rs.Policies, rs.TUs = slices.Clip(rs.Modes), slices.Clip(rs.Policies), slices.Clip(rs.TUs)
 	rs.LETCaps, rs.NestRules, rs.Exclusion = slices.Clip(rs.LETCaps), slices.Clip(rs.NestRules), slices.Clip(rs.Exclusion)
 	rs.Render.Metrics = slices.Clip(rs.Render.Metrics)
-	cells = slices.Clip(cells)
-	memo.m[k] = &memoEntry{cells: cells, rs: rs, used: memo.tick}
-	memo.cells += len(cells)
-	return cells, rs
+	c.cells, c.jobs = slices.Clip(c.cells), slices.Clip(c.jobs)
+	c.used = memo.tick
+	memo.m[k] = c
+	memo.cells += len(c.cells)
+	return c
 }
 
 // equal reports whether s and o declare the same grid: every field

@@ -42,7 +42,7 @@ func (r *Result) Value(i int) any { return r.Values[i] }
 // the sharing contract); pass a shared Runner to deduplicate cells
 // across grids.
 func Run(ctx context.Context, cfg Config, s Spec) (*Result, error) {
-	cells, rs, err := Compile(cfg, s)
+	cells, rs, jobs, err := compileJobs(cfg, s)
 	if err != nil {
 		return nil, err
 	}
@@ -56,7 +56,10 @@ func Run(ctx context.Context, cfg Config, s Spec) (*Result, error) {
 		}
 		values, err = runner.Map(ctx, pool, jobs)
 	} else {
-		values, err = runCells(ctx, cfg, pool, cells)
+		if jobs == nil {
+			jobs = groupJobs(cells)
+		}
+		values, err = runCells(ctx, cfg, pool, cells, jobs)
 	}
 	if err != nil {
 		return nil, err
@@ -68,14 +71,22 @@ func Run(ctx context.Context, cfg Config, s Spec) (*Result, error) {
 	return res, nil
 }
 
-// runCells resolves fusable cells through runner.MapGroups: all
-// cache-missing cells sharing a (benchmark, budget, seed, batch) group
-// execute in a single fused traversal (see runGroup).
-func runCells(ctx context.Context, cfg Config, pool *runner.Runner, cells []Cell) ([]any, error) {
+// groupJobs returns the runner.MapGroups jobs of cells, one per cell in
+// cell order. A registered grid's jobs are built once, with its
+// memoized cells.
+func groupJobs(cells []Cell) []runner.GroupJob[any] {
 	jobs := make([]runner.GroupJob[any], len(cells))
 	for i, c := range cells {
 		jobs[i] = runner.GroupJob[any]{Key: c.Key, Group: c.group, Label: c.Label}
 	}
+	return jobs
+}
+
+// runCells resolves fusable cells through runner.MapGroups: all
+// cache-missing cells sharing a (benchmark, budget, seed, batch) group
+// execute in a single fused traversal (see runGroup). jobs are the
+// cells' groupJobs, which MapGroups only reads.
+func runCells(ctx context.Context, cfg Config, pool *runner.Runner, cells []Cell, jobs []runner.GroupJob[any]) ([]any, error) {
 	exec := func(ctx context.Context, _ string, idx []int) ([]any, error) {
 		return runGroup(ctx, &cfg, pool, cells, idx)
 	}

@@ -458,8 +458,8 @@ func (s Spec) size() uint64 {
 // cells (see Compile).
 func (s Spec) Size(cfg Config) (int, error) {
 	if k, ok := memoKeyOf(&cfg, &s); ok {
-		if cells, _, ok := memoGet(k); ok {
-			return len(cells), nil
+		if e, ok := memoGet(k); ok {
+			return len(e.cells), nil
 		}
 	}
 	r, err := s.resolve(cfg)

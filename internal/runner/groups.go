@@ -57,7 +57,8 @@ func (j GroupJob[T]) label() string {
 // claimed that have not started. Executed groups emit one JobStarted/JobDone pair labelled
 // after their first cell, count one GroupRuns stat, and count every
 // covered cell in Executed. A call whose ctx is already done returns
-// ctx's error without resolving anything.
+// ctx's error without resolving anything. MapGroups only reads jobs, so
+// a caller may share one job list across concurrent calls.
 func MapGroups[T any](ctx context.Context, r *Runner, jobs []GroupJob[T],
 	exec func(ctx context.Context, group string, idx []int) ([]T, error)) ([]T, error) {
 	r.submitted.Add(uint64(len(jobs)))

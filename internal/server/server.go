@@ -328,13 +328,20 @@ func (s *Server) handleGrid(w http.ResponseWriter, r *http.Request) {
 		httpError(w, http.StatusInternalServerError, "grid failed: %v", err)
 		return
 	}
-	body, err := wire.AppendCells(nil, res.Values)
+	bp := wire.GetBuffer()
+	defer wire.PutBuffer(bp)
+	body, err := wire.AppendCells(*bp, res.Values)
 	if err != nil {
 		httpError(w, http.StatusInternalServerError, "encoding cells: %v", err)
 		return
 	}
-	w.Header().Set("Content-Type", "application/octet-stream")
-	w.Header().Set("X-Dynloop-Cells", strconv.Itoa(len(res.Values)))
+	*bp = body
+	h := w.Header()
+	h.Set("Content-Type", "application/octet-stream")
+	h.Set("Content-Length", strconv.Itoa(len(body)))
+	h.Set("X-Dynloop-Cells", strconv.Itoa(len(res.Values)))
+	// Write copies the body into the connection before it returns, so
+	// the deferred PutBuffer hands back a buffer nothing reads.
 	w.Write(body)
 }
 
@@ -383,7 +390,9 @@ func (s *Server) handleCell(w http.ResponseWriter, r *http.Request) {
 		httpError(w, http.StatusNotFound, "no result for key %q", key)
 		return
 	}
-	w.Header().Set("Content-Type", "application/octet-stream")
+	h := w.Header()
+	h.Set("Content-Type", "application/octet-stream")
+	h.Set("Content-Length", strconv.Itoa(len(frame)))
 	w.Write(frame)
 }
 

@@ -20,6 +20,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"sync"
 
 	"dynloop/internal/codec"
 	"dynloop/internal/grid"
@@ -59,29 +60,98 @@ type GridInfo struct {
 	Spec  grid.Spec `json:"spec"`
 }
 
+// maxPooled bounds the buffers this package's pools keep. A daemon may
+// serve payloads of about 10 MB (server.DefaultMaxCells); a buffer grown
+// that large for one grid is left to the collector, not pinned.
+const maxPooled = 1 << 20
+
+var buffers = sync.Pool{New: func() any { return new([]byte) }}
+
+// GetBuffer takes an empty payload buffer from the package's pool. The
+// daemon encodes a response into one and the client reads one in; each
+// hands it back with PutBuffer once nothing reads it any more.
+func GetBuffer() *[]byte {
+	bp := buffers.Get().(*[]byte)
+	*bp = (*bp)[:0]
+	return bp
+}
+
+// PutBuffer hands a buffer from GetBuffer back to the pool, unless it
+// grew past maxPooled. The caller must not use it afterwards.
+func PutBuffer(bp *[]byte) {
+	if cap(*bp) <= maxPooled {
+		buffers.Put(bp)
+	}
+}
+
+// cellsEnc is AppendCells' frame storage: the payload's frames back to
+// back in one Enc, and where each ends.
+type cellsEnc struct {
+	enc  codec.Enc
+	ends []int
+}
+
+var cellsEncs = sync.Pool{New: func() any { return new(cellsEnc) }}
+
 // AppendCells encodes grid cell values onto b in the cells format:
 // magic, a count, then one codec frame per cell in the grid's canonical
 // cell order. The spec itself does not cross the wire — its expansion
 // is deterministic, so the receiver rebuilds the cells locally
 // (grid.ResultFrom) and pairs them with these values.
+//
+// The frames are encoded first, into storage taken from a pool and
+// given back before AppendCells returns, so the payload's size is known
+// before b grows: b grows at most once, to exactly the payload, and
+// AppendCells(nil, values) allocates one slice. The returned bytes are
+// the caller's, like append's; nothing else holds them.
 func AppendCells(b []byte, values []any) ([]byte, error) {
-	b = append(b, cellsMagic...)
-	b = binary.AppendUvarint(b, uint64(len(values)))
-	// Frames are length-prefixed, so each is encoded into one reused
-	// scratch buffer first and then appended behind its length.
-	var frame []byte
+	ce := cellsEncs.Get().(*cellsEnc)
+	defer func() {
+		if cap(ce.enc.Bytes()) <= maxPooled {
+			ce.enc.Reset()
+			ce.ends = ce.ends[:0]
+			cellsEncs.Put(ce)
+		}
+	}()
+	n := len(cellsMagic) + uvarintLen(uint64(len(values)))
+	start := 0
 	for i, v := range values {
-		var err error
-		if frame, err = codec.Append(frame[:0], v); err != nil {
+		if err := ce.enc.Append(v); err != nil {
 			return nil, fmt.Errorf("wire: cell %d: %w", i, err)
 		}
-		b = binary.AppendUvarint(b, uint64(len(frame)))
-		b = append(b, frame...)
+		end := len(ce.enc.Bytes())
+		ce.ends = append(ce.ends, end)
+		n += uvarintLen(uint64(end-start)) + end - start
+		start = end
+	}
+	if cap(b)-len(b) < n {
+		nb := make([]byte, len(b), len(b)+n)
+		copy(nb, b)
+		b = nb
+	}
+	b = append(b, cellsMagic...)
+	b = binary.AppendUvarint(b, uint64(len(values)))
+	frames, start := ce.enc.Bytes(), 0
+	for _, end := range ce.ends {
+		b = binary.AppendUvarint(b, uint64(end-start))
+		b = append(b, frames[start:end]...)
+		start = end
 	}
 	return b, nil
 }
 
-// DecodeCells parses a cells payload occupying all of b.
+// uvarintLen is the length of v's uvarint encoding.
+func uvarintLen(v uint64) int {
+	n := 1
+	for ; v >= 0x80; v >>= 7 {
+		n++
+	}
+	return n
+}
+
+// DecodeCells parses a cells payload occupying all of b. The values
+// share no bytes with b (codec.Dec copies strings and slices out), so
+// the caller may reuse b once DecodeCells returns.
 func DecodeCells(b []byte) ([]any, error) {
 	if len(b) < len(cellsMagic) || string(b[:len(cellsMagic)]) != cellsMagic {
 		return nil, fmt.Errorf("%w: bad cells magic", ErrCorrupt)
@@ -99,6 +169,7 @@ func DecodeCells(b []byte) ([]any, error) {
 		return nil, fmt.Errorf("%w: cell count %d for %d payload bytes", ErrCorrupt, count, len(b)-pos)
 	}
 	values := make([]any, 0, count)
+	var d codec.Dec
 	for i := uint64(0); i < count; i++ {
 		flen, n := uvarint(b[pos:])
 		if n <= 0 {
@@ -108,7 +179,7 @@ func DecodeCells(b []byte) ([]any, error) {
 		if flen > uint64(len(b)-pos) {
 			return nil, fmt.Errorf("%w: frame length %d exceeds payload at cell %d", ErrCorrupt, flen, i)
 		}
-		v, err := codec.Decode(b[pos : pos+int(flen)])
+		v, err := d.Decode(b[pos : pos+int(flen)])
 		if err != nil {
 			return nil, fmt.Errorf("wire: cell %d: %w", i, err)
 		}

@@ -100,7 +100,9 @@ func TestCtlSteadyStateZeroAllocs(t *testing.T) {
 			t.Fatal(err)
 		}
 	})
-	if avg != 0 {
+	// As above: the race runtime drops pooled batch buffers at random,
+	// so only non-race builds (bench_smoke.sh gate 3) pin the count.
+	if avg != 0 && !raceEnabled {
 		t.Fatalf("ctl steady-state allocs per 10k-instruction run = %v, want 0", avg)
 	}
 }

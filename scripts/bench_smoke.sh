@@ -111,8 +111,8 @@ awk -v r="$REPLAY_NS" -v i="$INTERP_NS" -v k="$REPLAY_RATIO" 'BEGIN { exit !(r <
 	fail "full replay (${REPLAY_NS} ns/instr) regressed above interpretation (${INTERP_NS} ns/instr) beyond the ${REPLAY_RATIO}x noise ratio"
 
 echo "bench_smoke: allocation scaling, zero-alloc and event-plane pins"
-go test -count=1 -run '^(TestAllocsDoNotScaleWithBudget|TestSteadyStateZeroAllocs|TestCtlSteadyStateZeroAllocs|TestNilSinkNoAllocs|TestReplayZeroAllocs|TestReplayCtlZeroAllocs|TestHotPathZeroAllocs|TestExecStartZeroAllocs|TestCtlOnlyCellPlanes|TestBatchCutInvariance|TestWarmLoopZeroAllocs|TestCompileAllocs|TestCompileMemoHitAllocs|TestGroupDetectorCounts|TestCtlReplayZeroAllocs|TestFreshSeedWriteAllocs|TestWarmGridAllocs|TestRecycleWarmGroupAllocs|TestBankAllocsDoNotScale|TestFig8TraversalAllocsDoNotScale)$' \
-	. ./internal/grid ./internal/interp ./internal/tracefile ./internal/obs ./internal/taskpred ./internal/datapred ./internal/spec ||
-	fail "a hot path allocates again, the data tap grows with the stream, a grid left the control plane, a fused group builds extra detectors or banks, a fresh seed rebuilds its program, a group builds its passes anew, a registered grid recompiles, a warm grid allocates per cell, or an engine bank allocates per loop event (see the failing test above)"
+go test -count=1 -run '^(TestAllocsDoNotScaleWithBudget|TestSteadyStateZeroAllocs|TestCtlSteadyStateZeroAllocs|TestNilSinkNoAllocs|TestReplayZeroAllocs|TestReplayCtlZeroAllocs|TestHotPathZeroAllocs|TestExecStartZeroAllocs|TestCtlOnlyCellPlanes|TestBatchCutInvariance|TestWarmLoopZeroAllocs|TestCompileAllocs|TestCompileMemoHitAllocs|TestGroupDetectorCounts|TestCtlReplayZeroAllocs|TestFreshSeedWriteAllocs|TestWarmGridAllocs|TestRecycleWarmGroupAllocs|TestBankAllocsDoNotScale|TestFig8TraversalAllocsDoNotScale|TestAppendCellsAllocs|TestDecodeCellsAllocs|TestWarmServedGridAllocs)$' \
+	. ./internal/grid ./internal/interp ./internal/tracefile ./internal/obs ./internal/taskpred ./internal/datapred ./internal/spec ./internal/wire ./internal/server ||
+	fail "a hot path allocates again, the data tap grows with the stream, a grid left the control plane, a fused group builds extra detectors or banks, a fresh seed rebuilds its program, a group builds its passes anew, a registered grid recompiles, a warm grid allocates per cell, an engine bank allocates per loop event, or a grid payload is regrown or re-boxed on the wire (see the failing test above)"
 
 echo "bench_smoke: OK (run ${RUN_NS} ns/instr; replay ${REPLAY_NS} vs interpret ${INTERP_NS} ns/instr; 0 allocs; no per-execution allocation)"
