@@ -2,24 +2,7 @@
 // workloads, run the loop detector over one of them, run the thread
 // speculation model, or regenerate any of the paper's tables and figures.
 //
-// Usage:
-//
-//	dynloop list
-//	dynloop run    -bench swim [-n 4000000] [-seed 1]
-//	dynloop spec   -bench swim [-tus 4] [-policy str3] [-n 4000000]
-//	dynloop data   -bench li [-n 4000000]
-//	dynloop analyze -bench swim [-passes stats,spec,data,branch,task,tables]
-//	dynloop disasm -bench perl [-max 80]
-//	dynloop experiment table1|table2|fig4|fig5|fig6|fig7|fig8|ablations|all
-//	                   [-n 4000000] [-bench a,b,c] [-seed 1] [-parallel N] [-progress]
-//	                   [-store DIR]
-//	dynloop sweep      [-bench a,b] [-policy str,str3] [-tus 2,4,8] [-parallel N]
-//	                   [-store DIR] [-remote URL]
-//	dynloop grid       -spec FILE | -name NAME | -list [-remote URL] [-store DIR]
-//	                   [-bench a,b] [-n N] [-seed N] [-parallel N] [-format table|csv|json]
-//	dynloop serve      [-addr 127.0.0.1:9090] [-store DIR] [-parallel N]
-//	                   [-log text|json|off] [-pprof 127.0.0.1:6060]
-//	dynloop soak       -remote URL [-clients N] [-duration 10s] [-o FILE]
+// Run `dynloop help` for the commands and their flags.
 package main
 
 import (
@@ -28,6 +11,7 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
+	"io"
 	"log/slog"
 	"net/http"
 	_ "net/http/pprof" // registers /debug/pprof on DefaultServeMux for serve -pprof
@@ -54,83 +38,38 @@ import (
 	"dynloop/internal/wire"
 )
 
-func main() {
-	if len(os.Args) < 2 {
-		usage()
-		os.Exit(2)
-	}
-	// Ctrl-C cancels in-flight experiment grids instead of killing the
-	// process mid-table.
-	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt)
-	defer stop()
-	var err error
-	switch os.Args[1] {
-	case "list":
-		err = cmdList()
-	case "run":
-		err = cmdRun(os.Args[2:])
-	case "spec":
-		err = cmdSpec(os.Args[2:])
-	case "data":
-		err = cmdData(os.Args[2:])
-	case "disasm":
-		err = cmdDisasm(os.Args[2:])
-	case "analyze":
-		err = cmdAnalyze(os.Args[2:])
-	case "experiment":
-		err = cmdExperiment(ctx, os.Args[2:])
-	case "sweep":
-		err = cmdSweep(ctx, os.Args[2:])
-	case "grid":
-		err = cmdGrid(ctx, os.Args[2:])
-	case "grids":
-		err = cmdGrid(ctx, append([]string{"-list"}, os.Args[2:]...))
-	case "serve":
-		err = cmdServe(ctx, os.Args[2:])
-	case "soak":
-		err = cmdSoak(ctx, os.Args[2:])
-	case "trace":
-		err = cmdTrace(ctx, os.Args[2:])
-	case "store":
-		err = cmdStore(ctx, os.Args[2:])
-	case "replay":
-		err = cmdReplay(os.Args[2:])
-	case "-h", "--help", "help":
-		usage()
-	default:
-		fmt.Fprintf(os.Stderr, "dynloop: unknown command %q\n", os.Args[1])
-		usage()
-		os.Exit(2)
-	}
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "dynloop:", err)
-		os.Exit(1)
-	}
+// command is one subcommand. main dispatches on name and usage prints
+// every synopsis from the same table, so no command can be listed
+// without dispatching or dispatch without being listed.
+type command struct {
+	name string
+	// synopsis is the command's usage block, starting with its name.
+	synopsis string
+	run      func(ctx context.Context, args []string) error
 }
 
-func usage() {
-	fmt.Fprint(os.Stderr, `dynloop — dynamic loop detection & thread speculation (HPCA'98 reproduction)
-
-commands:
-  list                               list the 18 SPEC95-calibrated workloads
-  run    -bench NAME [-n N]          run the loop detector, print Table-1 stats
-  spec   -bench NAME [-tus K] [-policy idle|str|str1|str2|str3] [-n N]
-                                     run the speculation model, print metrics
-  data   -bench NAME [-n N]          run the Figure-8 data-speculation stats
-  analyze -bench NAME [-passes stats,spec,data,branch,task,tables]
+// commands is the CLI, in usage order. The help spellings are handled
+// in main, since usage reads this table.
+var commands = []command{
+	{"list", `list                               list the 18 SPEC95-calibrated workloads`, cmdList},
+	{"run", `run    -bench NAME [-n N]          run the loop detector, print Table-1 stats`, cmdRun},
+	{"spec", `spec   -bench NAME [-tus K] [-policy idle|str|str1|str2|str3] [-n N]
+                                     run the speculation model, print metrics`, cmdSpec},
+	{"data", `data   -bench NAME [-n N]          run the Figure-8 data-speculation stats`, cmdData},
+	{"analyze", `analyze -bench NAME [-passes stats,spec,data,branch,task,tables]
                                      run several analyses as fused passes over
-                                     ONE traversal of the benchmark's stream
-  disasm -bench NAME [-max LINES]    disassemble the generated program
-  experiment WHAT [-n N] [-bench a,b,...] [-parallel N] [-progress]
+                                     ONE traversal of the benchmark's stream`, cmdAnalyze},
+	{"disasm", `disasm -bench NAME [-max LINES]    disassemble the generated program`, cmdDisasm},
+	{"experiment", `experiment WHAT [-n N] [-bench a,b,...] [-parallel N] [-progress]
                                      regenerate paper tables/figures:
                                      table1 table2 fig4 fig5 fig6 fig7 fig8
-                                     baseline ablations all
-  sweep  [-bench a,b,...] [-policy p1,p2,...] [-tus 2,4,...]
+                                     baseline ablations all`, cmdExperiment},
+	{"sweep", `sweep  [-bench a,b,...] [-policy p1,p2,...] [-tus 2,4,...]
          [-n N] [-parallel N] [-progress] [-remote URL]
                                      run an arbitrary benchmark × policy × TUs
                                      grid through the parallel orchestrator,
-                                     locally or on a dynloop serve daemon
-  grid   -spec FILE | -name NAME | -list
+                                     locally or on a dynloop serve daemon`, cmdSweep},
+	{"grid", `grid   -spec FILE | -name NAME | -list
          [-bench a,b,...] [-n N] [-seed N] [-parallel N] [-progress]
          [-store DIR] [-remote URL] [-format table|csv|json]
                                      execute a declarative grid spec — a JSON
@@ -138,8 +77,12 @@ commands:
                                      budgets, seeds, CLS, TUs, policies,
                                      ablation knobs) or a registered spec
                                      (table1, fig7, ablation/cls, ...; -list
-                                     shows them) — locally or on a daemon
-  serve  [-addr HOST:PORT] [-store DIR] [-parallel N] [-max-inflight N]
+                                     shows them) — locally or on a daemon`, cmdGrid},
+	{"grids", `grids  [-remote URL]               list the registered grid specs (grid -list)`,
+		func(ctx context.Context, args []string) error {
+			return cmdGrid(ctx, append([]string{"-list"}, args...))
+		}},
+	{"serve", `serve  [-addr HOST:PORT] [-store DIR] [-parallel N] [-max-inflight N]
          [-queue-wait D] [-log text|json|off] [-pprof HOST:PORT]
                                      run the grid-serving HTTP daemon: clients
                                      share one worker pool, one result cache
@@ -147,23 +90,63 @@ commands:
                                      down gracefully); exposes Prometheus
                                      metrics at GET /metrics, structured
                                      request logs with -log, and net/http/pprof
-                                     on a separate -pprof listener
-  soak   -remote URL [-clients N] [-duration D] [-o FILE]
-                                     sustain N concurrent clients against a
-                                     daemon, then report rps and p50/p99 from
-                                     the daemon's /metrics histograms and
-                                     check the scrape reconciles with /v1/stats
-  trace  -bench NAME -o FILE [-n N]  record an instruction trace to a file
+                                     on a separate -pprof listener`, cmdServe},
+	{"trace", `trace  -bench NAME -o FILE [-n N]  record an instruction trace to a file
   trace  record -traces DIR [-bench a,b] [-n N] [-seed N]
                                      warm a trace archive (one recording per
                                      benchmark; covered benchmarks replay)
-  trace  ls|verify -traces DIR       list / fully verify a trace archive
-  store  ls|stats -store DIR         list segments / print store counters
+  trace  ls|verify -traces DIR       list / fully verify a trace archive`, cmdTrace},
+	{"store", `store  ls|stats -store DIR         list segments / print store counters
   store  verify -store DIR           audit every segment's records and CRCs
-                                     without opening the store
-  replay -i FILE [-tus K] [-policy P]
-                                     drive the detector + engine from a trace
+                                     without opening the store`, cmdStore},
+	{"replay", `replay -i FILE [-tus K] [-policy P]
+                                     drive the detector + engine from a trace`, cmdReplay},
+}
 
+func main() {
+	if len(os.Args) < 2 {
+		usage()
+		os.Exit(2)
+	}
+	name := os.Args[1]
+	if name == "-h" || name == "--help" || name == "help" {
+		usage()
+		return
+	}
+	cmd, ok := lookup(name)
+	if !ok {
+		fmt.Fprintf(os.Stderr, "dynloop: unknown command %q\n", name)
+		usage()
+		os.Exit(2)
+	}
+	// Ctrl-C cancels in-flight experiment grids instead of killing the
+	// process mid-table.
+	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt)
+	defer stop()
+	if err := cmd.run(ctx, os.Args[2:]); err != nil {
+		fmt.Fprintln(os.Stderr, "dynloop:", err)
+		os.Exit(1)
+	}
+}
+
+// lookup returns the command called name.
+func lookup(name string) (command, bool) {
+	for _, c := range commands {
+		if c.name == name {
+			return c, true
+		}
+	}
+	return command{}, false
+}
+
+func usage() { writeUsage(os.Stderr) }
+
+func writeUsage(w io.Writer) {
+	fmt.Fprint(w, "dynloop — dynamic loop detection & thread speculation (HPCA'98 reproduction)\n\ncommands:\n")
+	for _, c := range commands {
+		fmt.Fprintf(w, "  %s\n", c.synopsis)
+	}
+	fmt.Fprint(w, `
 experiment, sweep, grid and serve also take -store DIR to persist every
 computed cell in an on-disk result store and serve repeat cells from it,
 and -traces DIR to record each (benchmark, seed) instruction stream once
@@ -173,7 +156,7 @@ analyze, experiment, sweep, grid and serve take -cpuprofile FILE /
 `)
 }
 
-func cmdList() error {
+func cmdList(context.Context, []string) error {
 	t := report.NewTable("Workloads (paper values: Table 1 & 2 of Tubella/González HPCA'98)",
 		"name", "suite", "paper TPC@4", "paper hit%", "description")
 	for _, bm := range dynloop.Benchmarks() {
@@ -203,7 +186,7 @@ func buildBench(name string, seed uint64) (*dynloop.Unit, error) {
 	return bm.Build(seed)
 }
 
-func cmdRun(args []string) error {
+func cmdRun(_ context.Context, args []string) error {
 	fs := flag.NewFlagSet("run", flag.ExitOnError)
 	bench, n, seed, batch := benchFlags(fs)
 	if err := fs.Parse(args); err != nil {
@@ -253,7 +236,7 @@ func parsePolicy(s string) (dynloop.Policy, error) {
 	}
 }
 
-func cmdSpec(args []string) error {
+func cmdSpec(_ context.Context, args []string) error {
 	fs := flag.NewFlagSet("spec", flag.ExitOnError)
 	bench, n, seed, batch := benchFlags(fs)
 	tus := fs.Int("tus", 4, "thread units (0 = infinite machine)")
@@ -291,7 +274,7 @@ func cmdSpec(args []string) error {
 	return nil
 }
 
-func cmdData(args []string) error {
+func cmdData(_ context.Context, args []string) error {
 	fs := flag.NewFlagSet("data", flag.ExitOnError)
 	bench, n, seed, batch := benchFlags(fs)
 	if err := fs.Parse(args); err != nil {
@@ -324,7 +307,7 @@ func cmdData(args []string) error {
 // cmdAnalyze runs several analyses as fused passes over one traversal of
 // a benchmark's instruction stream — the CLI surface of the pass
 // framework (dynloop.MultiRun).
-func cmdAnalyze(args []string) error {
+func cmdAnalyze(_ context.Context, args []string) error {
 	fs := flag.NewFlagSet("analyze", flag.ExitOnError)
 	bench, n, seed, batch := benchFlags(fs)
 	passNames := fs.String("passes", "stats,spec,data,branch,task,tables",
@@ -441,7 +424,7 @@ func cmdAnalyze(args []string) error {
 	return nil
 }
 
-func cmdDisasm(args []string) error {
+func cmdDisasm(_ context.Context, args []string) error {
 	fs := flag.NewFlagSet("disasm", flag.ExitOnError)
 	bench, _, seed, _ := benchFlags(fs)
 	maxLines := fs.Int("max", 60, "maximum lines to print (0 = all)")
@@ -760,11 +743,9 @@ func cmdSweep(ctx context.Context, args []string) error {
 	return run(ctx, cfg, gs, "", *remote)
 }
 
-// sweepGrid parses the -bench, -policy and -tus values of sweep and
-// soak into the benchmark subset and the canonical sweep grid spec
+// sweepGrid parses the -bench, -policy and -tus values of sweep into
+// the benchmark subset and the canonical sweep grid spec
 // (expt.SweepSpec.GridSpec); empty values select the sweep's defaults.
-// Both commands build their grid here, so a soak requests exactly the
-// grid a sweep renders.
 func sweepGrid(benches, policies, tus string) ([]string, dynloop.GridSpec, error) {
 	var sw expt.SweepSpec
 	for _, s := range splitList(tus) {
@@ -1323,7 +1304,7 @@ func cmdTraceFile(args []string) error {
 	return nil
 }
 
-func cmdReplay(args []string) error {
+func cmdReplay(_ context.Context, args []string) error {
 	fs := flag.NewFlagSet("replay", flag.ExitOnError)
 	in := fs.String("i", "", "input trace file")
 	tus := fs.Int("tus", 4, "thread units")

@@ -2,6 +2,7 @@ package main
 
 import (
 	"reflect"
+	"strings"
 	"testing"
 
 	"dynloop/internal/expt"
@@ -60,6 +61,35 @@ func TestSweepGridRejects(t *testing.T) {
 	} {
 		if _, _, err := sweepGrid(in[0], in[1], in[2]); err == nil {
 			t.Errorf("%q accepted", in)
+		}
+	}
+}
+
+// TestUsageCommandsDispatch: every command the usage text lists
+// dispatches, and every command that dispatches is listed, under one
+// name each.
+func TestUsageCommandsDispatch(t *testing.T) {
+	var sb strings.Builder
+	writeUsage(&sb)
+	listed := map[string]bool{}
+	for _, line := range strings.Split(sb.String(), "\n") {
+		if !strings.HasPrefix(line, "  ") || strings.HasPrefix(line, "   ") {
+			continue
+		}
+		name := strings.Fields(line)[0]
+		listed[name] = true
+		if c, ok := lookup(name); !ok || c.run == nil {
+			t.Errorf("usage lists %q, which does not dispatch", name)
+		}
+	}
+	seen := map[string]bool{}
+	for _, c := range commands {
+		if seen[c.name] {
+			t.Errorf("command %q is in the table twice", c.name)
+		}
+		seen[c.name] = true
+		if !listed[c.name] {
+			t.Errorf("command %q dispatches but usage does not list it", c.name)
 		}
 	}
 }

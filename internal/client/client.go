@@ -16,7 +16,6 @@ import (
 	"io"
 	"net/http"
 	"net/url"
-	"slices"
 	"strconv"
 	"strings"
 	"time"
@@ -108,7 +107,7 @@ func (c *Client) Grid(ctx context.Context, req wire.GridRequest) ([]any, error) 
 	if resp.StatusCode != http.StatusOK {
 		return nil, apiError(resp)
 	}
-	bp, err := readBody(resp)
+	bp, err := wire.ReadBuffer(resp.Body, resp.ContentLength)
 	if err != nil {
 		return nil, err
 	}
@@ -158,47 +157,12 @@ func (c *Client) Cell(ctx context.Context, key string) (any, error) {
 	if resp.StatusCode != http.StatusOK {
 		return nil, apiError(resp)
 	}
-	bp, err := readBody(resp)
+	bp, err := wire.ReadBuffer(resp.Body, resp.ContentLength)
 	if err != nil {
 		return nil, err
 	}
 	defer wire.PutBuffer(bp)
 	return codec.Decode(*bp)
-}
-
-// maxPresize bounds how far a declared Content-Length presizes a read
-// buffer, so a hostile or broken header cannot make the client allocate
-// what it declares; the rest of a larger body grows the buffer as it
-// arrives.
-const maxPresize = 1 << 20
-
-// readBody reads resp's whole body into a buffer from wire.GetBuffer,
-// presized from its Content-Length. A body shorter than its declared
-// length fails with the transport's io.ErrUnexpectedEOF rather than
-// reading short. The caller hands the buffer back with wire.PutBuffer
-// once the payload is decoded: decoded values copy their strings and
-// slices out of it (see codec.Dec.Decode).
-func readBody(resp *http.Response) (*[]byte, error) {
-	bp := wire.GetBuffer()
-	b := *bp
-	if n := resp.ContentLength; n > int64(cap(b)) {
-		b = slices.Grow(b, int(min(n, maxPresize)))
-	}
-	for {
-		if len(b) == cap(b) {
-			b = append(b, 0)[:len(b)]
-		}
-		n, err := resp.Body.Read(b[len(b):cap(b)])
-		b = b[:len(b)+n]
-		*bp = b
-		if err == io.EOF {
-			return bp, nil
-		}
-		if err != nil {
-			wire.PutBuffer(bp)
-			return nil, err
-		}
-	}
 }
 
 // Stats fetches the daemon's runner/store counters.
@@ -225,7 +189,7 @@ func (c *Client) Stats(ctx context.Context) (wire.Stats, error) {
 // Metrics scrapes the daemon's GET /metrics endpoint and returns the
 // parsed series: full series name (labels included, as rendered) →
 // value. Histograms arrive as their cumulative _bucket/_sum/_count
-// series; derive quantiles with obs.BucketsOf and obs.Quantile.
+// series.
 func (c *Client) Metrics(ctx context.Context) (map[string]float64, error) {
 	hreq, err := http.NewRequestWithContext(ctx, http.MethodGet, c.base+"/metrics", nil)
 	if err != nil {

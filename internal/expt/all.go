@@ -259,8 +259,7 @@ type SweepSpec struct {
 // GridSpec lowers the sweep selection onto the registered "sweep" grid,
 // with each policy in its canonical form (str3 → STR(3)). The sweep
 // renderer prints the spec's policy names, so every path that runs a
-// sweep (Sweep, `dynloop sweep` local or remote, `dynloop soak`) builds
-// its spec here.
+// sweep (Sweep, `dynloop sweep` local or remote) builds its spec here.
 func (s SweepSpec) GridSpec() grid.Spec {
 	e, _ := grid.Lookup("sweep")
 	gs := e.Spec // its axes are the defaults

@@ -35,8 +35,9 @@ import (
 type Config struct {
 	// Budget is the per-benchmark dynamic instruction budget a zero
 	// Spec budget resolves to. 0 selects DefaultBudget. (The paper ran
-	// the first 10^9 instructions; all our statistics stabilise far
-	// below that on the synthetic workloads — see DESIGN.md.)
+	// the first 10^9 instructions. At 4·10^6 Table 1 is within a few
+	// percent of its 10^9 values, but Table 2 and the figures are not:
+	// fpppp's TPC goes 2.63 → 4.00 — see DESIGN.md.)
 	Budget uint64
 	// Seed decorrelates workload input sequences; 0 selects 1. A Spec
 	// may sweep explicit seeds instead.

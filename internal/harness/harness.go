@@ -18,8 +18,6 @@
 package harness
 
 import (
-	"sync/atomic"
-
 	"dynloop/internal/builder"
 	"dynloop/internal/loopdet"
 	"dynloop/internal/obs"
@@ -29,20 +27,17 @@ import (
 // DefaultCLSCapacity is the paper's CLS size (16 entries, §2.3.1).
 const DefaultCLSCapacity = 16
 
-// traversals counts interpreter traversals started by Run, MultiRun and
+// mTraversals counts interpreter traversals started by Run, MultiRun and
 // the trace tier's record path across the process, for efficiency
 // assertions: fusing N cells into one MultiRun must show up as one
-// traversal, not N. mTraversals mirrors it into the obs registry for
-// /metrics. Replays — from a trace archive (Replays) or from a runner's
-// control-plane recording (interp.CtlReplays) — are excluded from both.
-var traversals atomic.Uint64
-
+// traversal, not N. Replays — from a trace archive (Replays) or from a
+// runner's control-plane recording (interp.CtlReplays) — are excluded.
 var mTraversals = obs.NewCounter("dynloop_traversals_total",
 	"Interpreter traversals started by Run/MultiRun (archive and control-plane replays excluded).")
 
 // Traversals returns the process-lifetime count of interpreter
 // traversals. Archive and control-plane replays are not traversals.
-func Traversals() uint64 { return traversals.Load() }
+func Traversals() uint64 { return mTraversals.Value() }
 
 // ResolveCLSCapacity maps the harness capacity convention to a
 // loopdet.Config capacity: 0 selects DefaultCLSCapacity, negative means
@@ -144,7 +139,6 @@ type MultiResult struct {
 // every pass owns whatever detector or tables it needs, the results are
 // identical to running each pass in its own traversal.
 func MultiRun(u *builder.Unit, cfg MultiConfig, passes ...trace.Pass) (MultiResult, error) {
-	traversals.Add(1)
 	mTraversals.Inc()
 	cpu := u.NewCPU()
 	defer cpu.Release()

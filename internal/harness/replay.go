@@ -11,12 +11,11 @@ import (
 	"dynloop/internal/tracefile"
 )
 
-// replays counts trace-archive replays started by Traces.MultiRun across
-// the process; a replay deliberately does NOT count as an interpreter
-// traversal (see Traversals), so "warm archive ⇒ zero traversals" is an
-// assertable property.
-var replays atomic.Uint64
-
+// mReplays counts trace-archive replays started by Traces.MultiRun
+// across the process; a replay deliberately does NOT count as an
+// interpreter traversal (see Traversals), so "warm archive ⇒ zero
+// traversals" is an assertable property. Each Traces counts its replays
+// and fallbacks through children of these series.
 var (
 	mReplays = obs.NewCounter("dynloop_replays_total",
 		"Trace-archive replays started by Traces.MultiRun.")
@@ -25,7 +24,7 @@ var (
 )
 
 // Replays returns the process-lifetime count of trace-archive replays.
-func Replays() uint64 { return replays.Load() }
+func Replays() uint64 { return mReplays.Value() }
 
 // Traces is the replay tier: a trace archive plus the record-or-replay
 // orchestration that lets MultiRun-shaped work skip interpretation. The
@@ -39,14 +38,13 @@ type Traces struct {
 	// decoders pools replay buffers so the hot loop is allocation-free.
 	decoders sync.Pool
 
-	replayed  atomic.Uint64
-	recorded  atomic.Uint64
-	fallbacks atomic.Uint64
+	replayed, fallbacks *obs.Counter
+	recorded            atomic.Uint64
 }
 
 // NewTraces wraps an opened archive in the replay tier.
 func NewTraces(a *tracefile.Archive) *Traces {
-	return &Traces{arch: a}
+	return &Traces{arch: a, replayed: mReplays.Child(), fallbacks: mTraceFallbacks.Child()}
 }
 
 // Archive returns the underlying trace archive.
@@ -69,9 +67,9 @@ type TracesStats struct {
 // Stats returns a snapshot of the tier's counters.
 func (t *Traces) Stats() TracesStats {
 	return TracesStats{
-		Replays:   t.replayed.Load(),
+		Replays:   t.replayed.Value(),
 		Records:   t.recorded.Load(),
-		Fallbacks: t.fallbacks.Load(),
+		Fallbacks: t.fallbacks.Value(),
 	}
 }
 
@@ -120,12 +118,10 @@ func (t *Traces) MultiRun(ctx context.Context, bench string, seed uint64,
 	if err != nil {
 		// The archive directory is unusable (e.g. disk full): degrade to
 		// plain interpretation rather than failing the run.
-		t.fallbacks.Add(1)
-		mTraceFallbacks.Inc()
+		t.fallbacks.Inc()
 		res, err := MultiRun(u, cfg, passes...)
 		return res, false, err
 	}
-	traversals.Add(1)
 	mTraversals.Inc()
 	cpu := u.NewCPU()
 	defer cpu.Release()
@@ -147,9 +143,7 @@ func (t *Traces) MultiRun(ctx context.Context, bench string, seed uint64,
 
 // replay feeds the passes from the recording, one batch per block.
 func (t *Traces) replay(rec *tracefile.Recording, cfg MultiConfig, passes ...trace.Pass) (MultiResult, error) {
-	replays.Add(1)
-	mReplays.Inc()
-	t.replayed.Add(1)
+	t.replayed.Inc()
 	d, _ := t.decoders.Get().(*tracefile.Decoder)
 	if d == nil {
 		d = &tracefile.Decoder{}

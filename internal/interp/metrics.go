@@ -28,8 +28,7 @@ func CtlReplays() uint64 { return mCtlReplays.Value() }
 
 // PlaneRuns reports the process-lifetime count of Run calls that
 // negotiated control-plane-only delivery, control-plane delivery with
-// the data tap, and full-event delivery, for the daemon's /v1/stats
-// mirror.
+// the data tap, and full-event delivery, for the daemon's /v1/stats.
 func PlaneRuns() (ctl, tap, full uint64) {
 	return mRunsCtl.Value(), mRunsTap.Value(), mRunsFull.Value()
 }

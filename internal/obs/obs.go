@@ -23,7 +23,6 @@ import (
 	"io"
 	"math"
 	"net/http"
-	"sort"
 	"strconv"
 	"strings"
 	"sync"
@@ -33,17 +32,29 @@ import (
 // Counter is a monotonically increasing metric. The zero value is not
 // registered; create one with NewCounter (or Registry.NewCounter).
 type Counter struct {
-	v atomic.Uint64
+	v      atomic.Uint64
+	parent *Counter
 }
 
 // Inc adds one.
-func (c *Counter) Inc() { c.v.Add(1) }
+func (c *Counter) Inc() { c.Add(1) }
 
-// Add adds n.
-func (c *Counter) Add(n uint64) { c.v.Add(n) }
+// Add adds n to c and to every counter it is a child of.
+func (c *Counter) Add(n uint64) {
+	for ; c != nil; c = c.parent {
+		c.v.Add(n)
+	}
+}
 
 // Value returns the current count.
 func (c *Counter) Value() uint64 { return c.v.Load() }
+
+// Child returns an unregistered counter that counts one instance's
+// share of c: every Inc or Add on the child also adds to c. A
+// component gives each instance children of its package's series, so
+// one increment books an event for both the instance's Stats and the
+// process-wide scrape, and the two cannot disagree.
+func (c *Counter) Child() *Counter { return &Counter{parent: c} }
 
 // Gauge is a metric that can go up and down, stored as a float64.
 type Gauge struct {
@@ -344,8 +355,8 @@ func Handler() http.Handler { return Default.Handler() }
 // series name (including the rendered label body, exactly as emitted)
 // to value. Comment and blank lines are skipped. It is the inverse of
 // WriteTo for the subset of the format WriteTo produces, and exists so
-// soak drivers and smoke tests can reconcile a scrape against the
-// daemon's own counters without a metrics client dependency.
+// clients and tests can read a scrape without a metrics client
+// dependency.
 func ParseText(data []byte) (map[string]float64, error) {
 	out := make(map[string]float64)
 	for ln, line := range strings.Split(string(data), "\n") {
@@ -364,92 +375,4 @@ func ParseText(data []byte) (map[string]float64, error) {
 		out[line[:sp]] = v
 	}
 	return out, nil
-}
-
-// BucketsOf extracts one histogram's buckets from a ParseText result:
-// the series `family_bucket{...,le="X"}` whose label body contains
-// labelSel (pass "" to match an unlabelled histogram). It returns the
-// ascending finite upper bounds and the per-bucket (de-cumulated)
-// counts, the final element being the +Inf overflow bucket — the exact
-// shape Quantile consumes.
-func BucketsOf(seriesVals map[string]float64, fam, labelSel string) (bounds []float64, counts []uint64, err error) {
-	prefix := fam + "_bucket{"
-	type bkt struct {
-		le float64
-		v  uint64
-	}
-	var bkts []bkt
-	for name, v := range seriesVals {
-		if !strings.HasPrefix(name, prefix) || !strings.HasSuffix(name, "}") {
-			continue
-		}
-		body := name[len(prefix) : len(name)-1]
-		if labelSel != "" && !strings.Contains(body, labelSel) {
-			continue
-		}
-		le := body[strings.LastIndex(body, `le="`):]
-		le = strings.TrimSuffix(strings.TrimPrefix(le, `le="`), `"`)
-		var bound float64
-		if le == "+Inf" {
-			bound = math.Inf(1)
-		} else if bound, err = strconv.ParseFloat(le, 64); err != nil {
-			return nil, nil, fmt.Errorf("obs: bad le %q in %s", le, name)
-		}
-		bkts = append(bkts, bkt{bound, uint64(v)})
-	}
-	if len(bkts) == 0 {
-		return nil, nil, fmt.Errorf("obs: no buckets for %s{%s}", fam, labelSel)
-	}
-	sort.Slice(bkts, func(i, j int) bool { return bkts[i].le < bkts[j].le })
-	counts = make([]uint64, len(bkts))
-	prev := uint64(0)
-	for i, b := range bkts {
-		counts[i] = b.v - prev // de-cumulate
-		prev = b.v
-		if !math.IsInf(b.le, 1) {
-			bounds = append(bounds, b.le)
-		}
-	}
-	return bounds, counts, nil
-}
-
-// Quantile estimates the q-quantile (0 < q <= 1) of a histogram from
-// its finite upper bounds and per-bucket counts (len(counts) ==
-// len(bounds)+1, the final element the +Inf bucket), interpolating
-// linearly inside the target bucket the way Prometheus'
-// histogram_quantile does. Observations in the +Inf bucket clamp to the
-// highest finite bound. Returns NaN for an empty histogram.
-func Quantile(q float64, bounds []float64, counts []uint64) float64 {
-	var total uint64
-	for _, c := range counts {
-		total += c
-	}
-	if total == 0 {
-		return math.NaN()
-	}
-	rank := q * float64(total)
-	var cum uint64
-	for i, c := range counts {
-		cum += c
-		if float64(cum) >= rank {
-			if i >= len(bounds) {
-				// +Inf bucket: clamp to the highest finite bound.
-				if len(bounds) == 0 {
-					return math.NaN()
-				}
-				return bounds[len(bounds)-1]
-			}
-			lo := 0.0
-			if i > 0 {
-				lo = bounds[i-1]
-			}
-			hi := bounds[i]
-			if c == 0 {
-				return hi
-			}
-			inBucket := rank - float64(cum-c)
-			return lo + (hi-lo)*(inBucket/float64(c))
-		}
-	}
-	return bounds[len(bounds)-1]
 }

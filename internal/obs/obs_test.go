@@ -24,6 +24,27 @@ func TestCounterGauge(t *testing.T) {
 	}
 }
 
+// TestCounterChild: a child's Add moves the child and its parent by
+// exactly n each, and sibling children count independently.
+func TestCounterChild(t *testing.T) {
+	r := NewRegistry()
+	parent := r.NewCounter("t_parent_total", "help")
+	a, b := parent.Child(), parent.Child()
+	a.Add(5)
+	a.Inc()
+	b.Add(3)
+	if a.Value() != 6 || b.Value() != 3 || parent.Value() != 9 {
+		t.Fatalf("a=%d b=%d parent=%d, want 6, 3 and 9", a.Value(), b.Value(), parent.Value())
+	}
+	var sb strings.Builder
+	if _, err := r.WriteTo(&sb); err != nil {
+		t.Fatal(err)
+	}
+	if out := sb.String(); !strings.Contains(out, "t_parent_total 9\n") || strings.Count(out, "\nt_parent_total ") != 1 {
+		t.Fatalf("children must not register series of their own:\n%s", out)
+	}
+}
+
 // TestHistogramBucketEdges pins the le bucket semantics: a value equal
 // to an upper bound lands in that bucket, zero lands in the first
 // bucket, values beyond the last bound land in +Inf.
@@ -74,44 +95,20 @@ func TestHistogramExpositionCumulative(t *testing.T) {
 			t.Fatalf("exposition missing %q:\n%s", want, out)
 		}
 	}
-	// Round trip through the parser.
+	// Round trip through the parser: the _bucket series stay cumulative.
 	vals, err := ParseText([]byte(out))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if vals[`t_lat_seconds_bucket{endpoint="/x",le="+Inf"}`] != 3 {
-		t.Fatalf("parsed values: %v", vals)
-	}
-	bounds, counts, err := BucketsOf(vals, "t_lat_seconds", `endpoint="/x"`)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(bounds) != 2 || bounds[0] != 0.1 || bounds[1] != 1 {
-		t.Fatalf("bounds = %v", bounds)
-	}
-	wantCounts := []uint64{1, 1, 1}
-	for i, w := range wantCounts {
-		if counts[i] != w {
-			t.Fatalf("de-cumulated counts = %v, want %v", counts, wantCounts)
+	for series, want := range map[string]float64{
+		`t_lat_seconds_bucket{endpoint="/x",le="0.1"}`:  1,
+		`t_lat_seconds_bucket{endpoint="/x",le="1"}`:    2,
+		`t_lat_seconds_bucket{endpoint="/x",le="+Inf"}`: 3,
+		`t_lat_seconds_count{endpoint="/x"}`:            3,
+	} {
+		if got, ok := vals[series]; !ok || got != want {
+			t.Errorf("parsed %s = %v (present %v), want %v", series, got, ok, want)
 		}
-	}
-}
-
-func TestQuantile(t *testing.T) {
-	bounds := []float64{1, 2, 4}
-	// 10 obs <=1, 10 in (1,2], none in (2,4], 5 overflow.
-	counts := []uint64{10, 10, 0, 5}
-	if got := Quantile(0.5, bounds, counts); math.Abs(got-1.25) > 1e-9 {
-		t.Fatalf("p50 = %v, want 1.25", got)
-	}
-	if got := Quantile(0.99, bounds, counts); got != 4 {
-		t.Fatalf("p99 = %v, want clamp to 4", got)
-	}
-	if got := Quantile(0.2, bounds, counts); math.Abs(got-0.5) > 1e-9 {
-		t.Fatalf("p20 = %v, want 0.5", got)
-	}
-	if got := Quantile(0.5, nil, nil); !math.IsNaN(got) {
-		t.Fatalf("empty histogram quantile = %v, want NaN", got)
 	}
 }
 
@@ -178,6 +175,10 @@ func TestHotPathZeroAllocs(t *testing.T) {
 	h := r.NewHistogram("t_alloc_seconds", "help", DefLatencyBuckets)
 	if n := testing.AllocsPerRun(1000, func() { c.Inc(); c.Add(3) }); n != 0 {
 		t.Fatalf("Counter hot path allocates %v/op, want 0", n)
+	}
+	child := c.Child()
+	if n := testing.AllocsPerRun(1000, func() { child.Inc(); child.Add(3) }); n != 0 {
+		t.Fatalf("child Counter hot path allocates %v/op, want 0", n)
 	}
 	if n := testing.AllocsPerRun(1000, func() { g.Set(1); g.Add(0.5) }); n != 0 {
 		t.Fatalf("Gauge hot path allocates %v/op, want 0", n)

@@ -62,7 +62,6 @@ func (j GroupJob[T]) label() string {
 func MapGroups[T any](ctx context.Context, r *Runner, jobs []GroupJob[T],
 	exec func(ctx context.Context, group string, idx []int) ([]T, error)) ([]T, error) {
 	r.submitted.Add(uint64(len(jobs)))
-	mSubmitted.Add(uint64(len(jobs)))
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
@@ -204,15 +203,13 @@ func (c *groupCall[T]) diskHit(i int, e *entry) bool {
 	if !ok {
 		// Wrong type for this job's key: recompute (the write-back
 		// overwrites the stale entry).
-		r.tierErrors.Add(1)
-		mTierErrors.Inc()
+		r.tierErrors.Inc()
 		return false
 	}
 	e.val = v
 	close(e.done)
 	c.out[i] = vv
-	r.diskHits.Add(1)
-	mDiskHits.Inc()
+	r.diskHits.Inc()
 	r.emit(Event{Kind: JobCached, Key: job.Key, Label: job.label(), Completed: r.completed.Add(1)})
 	return true
 }
@@ -275,21 +272,18 @@ func (c *groupCall[T]) execGroup(idx []int, entries []*entry) {
 	start := time.Now()
 	vals, err := c.exec(ctx, group, idx)
 	elapsed := time.Since(start)
-	r.groupRuns.Add(1)
-	mGroupRuns.Inc()
+	r.groupRuns.Inc()
 	mJobSeconds.Observe(elapsed.Seconds())
 	if err == nil && len(vals) != len(idx) {
 		err = fmt.Errorf("runner: group %q returned %d results for %d cells", group, len(vals), len(idx))
 	}
 	if err != nil {
-		r.failures.Add(1)
-		mFailures.Inc()
+		r.failures.Inc()
 		r.emit(Event{Kind: JobFailed, Key: group, Label: label, Err: err, Elapsed: elapsed, Completed: r.completed.Load()})
 		c.resolve(idx, entries, nil, err)
 		return
 	}
 	r.executed.Add(uint64(len(idx)))
-	mExecuted.Add(uint64(len(idx)))
 	r.emit(Event{Kind: JobDone, Key: group, Label: label, Elapsed: elapsed, Completed: r.completed.Add(uint64(len(idx)))})
 	c.resolve(idx, entries, vals, nil)
 }

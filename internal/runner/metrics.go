@@ -2,14 +2,12 @@ package runner
 
 import "dynloop/internal/obs"
 
-// Process-wide mirrors of the per-Runner tier counters, registered in
-// the obs default registry so GET /metrics and the soak harness can
-// scrape them. Every site that bumps a Runner's instance atomic bumps
-// the matching mirror; the per-instance Stats() snapshot and the
-// scraped process totals therefore reconcile exactly on a
-// single-runner process (the daemon), and the scrape is the sum over
-// runners otherwise. All mirrors are plain atomic adds — the job
-// dispatch path stays allocation-free.
+// The runner's process-wide series, registered in the obs default
+// registry for GET /metrics. Each Runner counts through children of
+// these (see New), so a series reads the sum over every runner in the
+// process and a fresh daemon's scrape equals its runner's Stats. All
+// bumps are plain atomic adds — the job dispatch path stays
+// allocation-free.
 var (
 	mSubmitted  = obs.NewCounter("dynloop_runner_jobs_submitted_total", "Jobs handed to Map/MapGroups.")
 	mExecuted   = obs.NewCounter("dynloop_runner_jobs_executed_total", "Jobs that actually ran (cache misses).")

@@ -24,6 +24,7 @@ import (
 	"time"
 
 	"dynloop/internal/harness"
+	"dynloop/internal/obs"
 )
 
 // Config parametrises a Runner.
@@ -177,18 +178,12 @@ type Runner struct {
 	mu    sync.Mutex
 	cache map[string]*entry
 
-	submitted  atomic.Uint64
-	executed   atomic.Uint64
-	cacheHits  atomic.Uint64
-	coalesced  atomic.Uint64
-	failures   atomic.Uint64
-	groupRuns  atomic.Uint64
-	completed  atomic.Uint64
-	diskHits   atomic.Uint64
-	diskPuts   atomic.Uint64
-	tierErrors atomic.Uint64
-	replayRuns atomic.Uint64
-	recordRuns atomic.Uint64
+	// The Stats counters are children of the package's series (see
+	// metrics.go), so each bump also moves the process-wide scrape.
+	submitted, executed, cacheHits, coalesced, failures, groupRuns,
+	diskHits, diskPuts, tierErrors, replayRuns, recordRuns *obs.Counter
+
+	completed atomic.Uint64
 }
 
 // entry is one cache cell; done is closed once val/err are final.
@@ -210,6 +205,18 @@ func New(cfg Config) *Runner {
 		tier2:   cfg.Cache,
 		recs:    harness.NewRecordings(),
 		cache:   make(map[string]*entry),
+
+		submitted:  mSubmitted.Child(),
+		executed:   mExecuted.Child(),
+		cacheHits:  mCacheHits.Child(),
+		coalesced:  mCoalesced.Child(),
+		failures:   mFailures.Child(),
+		groupRuns:  mGroupRuns.Child(),
+		diskHits:   mDiskHits.Child(),
+		diskPuts:   mDiskPuts.Child(),
+		tierErrors: mTierErrors.Child(),
+		replayRuns: mReplayRuns.Child(),
+		recordRuns: mRecordRuns.Child(),
 	}
 }
 
@@ -226,17 +233,17 @@ func (r *Runner) Workers() int { return cap(r.sem) }
 // Stats returns a snapshot of the runner-lifetime counters.
 func (r *Runner) Stats() Stats {
 	return Stats{
-		Submitted:  r.submitted.Load(),
-		Executed:   r.executed.Load(),
-		CacheHits:  r.cacheHits.Load(),
-		Coalesced:  r.coalesced.Load(),
-		Failures:   r.failures.Load(),
-		GroupRuns:  r.groupRuns.Load(),
-		DiskHits:   r.diskHits.Load(),
-		DiskPuts:   r.diskPuts.Load(),
-		TierErrors: r.tierErrors.Load(),
-		ReplayRuns: r.replayRuns.Load(),
-		RecordRuns: r.recordRuns.Load(),
+		Submitted:  r.submitted.Value(),
+		Executed:   r.executed.Value(),
+		CacheHits:  r.cacheHits.Value(),
+		Coalesced:  r.coalesced.Value(),
+		Failures:   r.failures.Value(),
+		GroupRuns:  r.groupRuns.Value(),
+		DiskHits:   r.diskHits.Value(),
+		DiskPuts:   r.diskPuts.Value(),
+		TierErrors: r.tierErrors.Value(),
+		ReplayRuns: r.replayRuns.Value(),
+		RecordRuns: r.recordRuns.Value(),
 	}
 }
 
@@ -247,11 +254,9 @@ func (r *Runner) Stats() Stats {
 // all scheduling statistics in one place.
 func (r *Runner) CountTraceRun(replayed bool) {
 	if replayed {
-		r.replayRuns.Add(1)
-		mReplayRuns.Inc()
+		r.replayRuns.Inc()
 	} else {
-		r.recordRuns.Add(1)
-		mRecordRuns.Inc()
+		r.recordRuns.Inc()
 	}
 }
 
@@ -262,8 +267,7 @@ func (r *Runner) tierGet(key string) (any, bool) {
 	}
 	v, ok, err := r.tier2.Get(key)
 	if err != nil {
-		r.tierErrors.Add(1)
-		mTierErrors.Inc()
+		r.tierErrors.Inc()
 		return nil, false
 	}
 	return v, ok
@@ -275,12 +279,10 @@ func (r *Runner) tierPut(key string, v any) {
 		return
 	}
 	if err := r.tier2.Put(key, v); err != nil {
-		r.tierErrors.Add(1)
-		mTierErrors.Inc()
+		r.tierErrors.Inc()
 		return
 	}
-	r.diskPuts.Add(1)
-	mDiskPuts.Inc()
+	r.diskPuts.Inc()
 }
 
 func (r *Runner) emit(ev Event) {
@@ -338,8 +340,7 @@ func Map[T any](ctx context.Context, r *Runner, jobs []Job[T]) ([]T, error) {
 // write-back) rather than served — the tier must never fail a job —
 // while a stale-typed memory entry fails the job.
 func (r *Runner) do(ctx context.Context, key, label string, typeOK func(any) bool, fn func(context.Context) (any, error)) (any, error) {
-	r.submitted.Add(1)
-	mSubmitted.Inc()
+	r.submitted.Inc()
 	if key == "" {
 		return r.execute(ctx, key, label, fn)
 	}
@@ -356,16 +357,14 @@ func (r *Runner) do(ctx context.Context, key, label string, typeOK func(any) boo
 				if typeOK == nil || typeOK(v) {
 					e.val = v
 					close(e.done)
-					r.diskHits.Add(1)
-					mDiskHits.Inc()
+					r.diskHits.Inc()
 					r.emit(Event{Kind: JobCached, Key: key, Label: label, Completed: r.completed.Add(1)})
 					return e.val, nil
 				}
 				// Wrong type for this job's key: self-invalidate by
 				// recomputing (the write-back overwrites the stale
 				// entry), as MapGroups does.
-				r.tierErrors.Add(1)
-				mTierErrors.Inc()
+				r.tierErrors.Inc()
 			}
 			e.val, e.err = r.execute(ctx, key, label, fn)
 			if e.err == nil {
@@ -423,11 +422,9 @@ func (e *entry) resolved() bool {
 // inline hits and in-flight waits all settle here.
 func (r *Runner) serve(e *entry, key, label string, coalesced bool, typeOK func(any) bool) (any, error) {
 	if coalesced {
-		r.coalesced.Add(1)
-		mCoalesced.Inc()
+		r.coalesced.Inc()
 	} else {
-		r.cacheHits.Add(1)
-		mCacheHits.Inc()
+		r.cacheHits.Inc()
 	}
 	if e.err != nil {
 		// A cached failure still surfaces in the progress stream;
@@ -465,12 +462,10 @@ func (r *Runner) execute(ctx context.Context, key, label string, fn func(context
 	start := time.Now()
 	v, err := fn(ctx)
 	elapsed := time.Since(start)
-	r.executed.Add(1)
-	mExecuted.Inc()
+	r.executed.Inc()
 	mJobSeconds.Observe(elapsed.Seconds())
 	if err != nil {
-		r.failures.Add(1)
-		mFailures.Inc()
+		r.failures.Inc()
 		r.emit(Event{Kind: JobFailed, Key: key, Label: label, Err: err, Elapsed: elapsed, Completed: r.completed.Load()})
 		return nil, err
 	}

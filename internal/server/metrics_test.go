@@ -8,6 +8,9 @@ import (
 	"sync"
 	"testing"
 	"time"
+
+	"dynloop/internal/runner"
+	"dynloop/internal/store"
 )
 
 // metricDelta reads one series from two scrapes and returns its change.
@@ -15,52 +18,98 @@ func metricDelta(before, after map[string]float64, series string) float64 {
 	return after[series] - before[series]
 }
 
-// TestMetricsReconcileWithRunnerStats: the obs mirrors are process-
-// global while runner stats are per-instance, so the contract is
-// delta equality — a grid must move the scraped runner counters by
-// exactly what the runner's own stats moved.
+// TestMetricsReconcileWithRunnerStats: runners and stores count
+// through children of their packages' series, so a scrape moves by
+// exactly what the instances' own Stats moved. A case runs one grid per
+// daemon, the daemons one after another; with a store, the first daemon
+// computes the grid into it and the second, over the reopened store,
+// serves it from disk.
 func TestMetricsReconcileWithRunnerStats(t *testing.T) {
-	ctx := context.Background()
-	s, c := newTestDaemon(t, Config{Workers: 4})
-
-	before, err := c.Metrics(ctx)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rsBefore := s.Runner().Stats()
-
-	if _, err := c.Grid(ctx, testReq()); err != nil {
-		t.Fatal(err)
-	}
-
-	after, err := c.Metrics(ctx)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rsAfter := s.Runner().Stats()
-
-	checks := []struct {
-		series string
-		want   uint64
+	for _, tc := range []struct {
+		name    string
+		daemons int
+		store   bool
 	}{
-		{"dynloop_runner_jobs_submitted_total", rsAfter.Submitted - rsBefore.Submitted},
-		{"dynloop_runner_jobs_executed_total", rsAfter.Executed - rsBefore.Executed},
-		{"dynloop_runner_cache_hits_total", rsAfter.CacheHits - rsBefore.CacheHits},
-		{"dynloop_runner_group_runs_total", rsAfter.GroupRuns - rsBefore.GroupRuns},
-	}
-	for _, ck := range checks {
-		if got := metricDelta(before, after, ck.series); got != float64(ck.want) {
-			t.Errorf("%s moved by %v, runner stats moved by %d", ck.series, got, ck.want)
-		}
-	}
-	if d := metricDelta(before, after, `dynloop_http_requests_total{endpoint="/v1/grid"}`); d != 1 {
-		t.Errorf("grid request counter moved by %v, want 1", d)
-	}
-	if d := metricDelta(before, after, `dynloop_http_request_seconds_count{endpoint="/v1/grid"}`); d != 1 {
-		t.Errorf("grid latency histogram count moved by %v, want 1", d)
-	}
-	if d := metricDelta(before, after, "dynloop_interp_instructions_total"); d <= 0 {
-		t.Errorf("interp instruction counter did not move (delta %v)", d)
+		{"memory", 1, false},
+		{"store", 2, true},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			ctx := context.Background()
+			dir := t.TempDir()
+			var before, after map[string]float64
+			var rs runner.Stats
+			var ss store.Stats
+			for i := 0; i < tc.daemons; i++ {
+				cfg := Config{Workers: 4}
+				if tc.store {
+					st, err := store.Open(dir, store.Options{})
+					if err != nil {
+						t.Fatal(err)
+					}
+					cfg.Store = st
+				}
+				s, c := newTestDaemon(t, cfg)
+				if i == 0 {
+					var err error
+					if before, err = c.Metrics(ctx); err != nil {
+						t.Fatal(err)
+					}
+				}
+				if _, err := c.Grid(ctx, testReq()); err != nil {
+					t.Fatal(err)
+				}
+				// Each daemon's runner and store are fresh, so their
+				// Stats are this daemon's share of the deltas.
+				r := s.Runner().Stats()
+				rs.Submitted += r.Submitted
+				rs.Executed += r.Executed
+				rs.CacheHits += r.CacheHits
+				rs.GroupRuns += r.GroupRuns
+				rs.DiskHits += r.DiskHits
+				rs.DiskPuts += r.DiskPuts
+				if cfg.Store != nil {
+					st := cfg.Store.Stats()
+					ss.Puts += st.Puts
+					ss.Gets += st.Gets
+					ss.Hits += st.Hits
+					if err := cfg.Store.Close(); err != nil {
+						t.Fatal(err)
+					}
+				}
+				var err error
+				if after, err = c.Metrics(ctx); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if tc.store && (rs.DiskHits == 0 || rs.DiskPuts == 0 || ss.Hits == 0) {
+				t.Fatalf("store case missed the disk tier: runner %+v, store %+v", rs, ss)
+			}
+
+			checks := []struct {
+				series string
+				want   uint64
+			}{
+				{"dynloop_runner_jobs_submitted_total", rs.Submitted},
+				{"dynloop_runner_jobs_executed_total", rs.Executed},
+				{"dynloop_runner_cache_hits_total", rs.CacheHits},
+				{"dynloop_runner_group_runs_total", rs.GroupRuns},
+				{"dynloop_runner_disk_hits_total", rs.DiskHits},
+				{"dynloop_runner_disk_puts_total", rs.DiskPuts},
+				{"dynloop_store_puts_total", ss.Puts},
+				{"dynloop_store_gets_total", ss.Gets},
+				{"dynloop_store_hits_total", ss.Hits},
+				{`dynloop_http_requests_total{endpoint="/v1/grid"}`, uint64(tc.daemons)},
+				{`dynloop_http_request_seconds_count{endpoint="/v1/grid"}`, uint64(tc.daemons)},
+			}
+			for _, ck := range checks {
+				if got := metricDelta(before, after, ck.series); got != float64(ck.want) {
+					t.Errorf("%s moved by %v, instance stats moved by %d", ck.series, got, ck.want)
+				}
+			}
+			if d := metricDelta(before, after, "dynloop_interp_instructions_total"); d <= 0 {
+				t.Errorf("interp instruction counter did not move (delta %v)", d)
+			}
+		})
 	}
 }
 
@@ -86,7 +135,7 @@ func TestStatsEndpointExtended(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Global mirrors can only be >= this instance's view (other tests in
+	// Process-wide series can only be >= this instance's view (other tests in
 	// the process may run concurrently), never behind it.
 	ctl, ok := vals[`dynloop_interp_runs_total{plane="ctl"}`]
 	tap, tapOK := vals[`dynloop_interp_runs_total{plane="tap"}`]

@@ -8,6 +8,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"runtime"
+	"runtime/debug"
 	"sync"
 	"testing"
 
@@ -60,6 +61,12 @@ func TestWarmServedGridAllocs(t *testing.T) {
 	// perRun returns the bytes one call of f allocates, on average.
 	perRun := func(f func()) uint64 {
 		const runs = 20
+		// A collection empties the pools, and a pool keeps one item per
+		// P out of reach of the others, so a request after a collection
+		// or on another P allocates the buffers again: measure with the
+		// collector off on one P.
+		defer debug.SetGCPercent(debug.SetGCPercent(-1))
+		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 		f() // warms the pools
 		var before, after runtime.MemStats
 		runtime.ReadMemStats(&before)

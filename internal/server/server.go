@@ -272,8 +272,16 @@ func (s *Server) handleGrid(w http.ResponseWriter, r *http.Request) {
 	// Grid requests are small; cap the body so no client can balloon
 	// the long-lived daemon's memory before validation runs.
 	r.Body = http.MaxBytesReader(w, r.Body, 1<<20)
+	bp, err := wire.ReadBuffer(r.Body, r.ContentLength)
+	if err != nil {
+		httpError(w, http.StatusBadRequest, "bad request body: %v", err)
+		return
+	}
+	// The request is decoded before the response is encoded into the
+	// same buffer; Unmarshal copies what it keeps out of it.
+	defer wire.PutBuffer(bp)
 	var req wire.GridRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
+	if err := json.Unmarshal(*bp, &req); err != nil {
 		httpError(w, http.StatusBadRequest, "bad request body: %v", err)
 		return
 	}
@@ -328,9 +336,7 @@ func (s *Server) handleGrid(w http.ResponseWriter, r *http.Request) {
 		httpError(w, http.StatusInternalServerError, "grid failed: %v", err)
 		return
 	}
-	bp := wire.GetBuffer()
-	defer wire.PutBuffer(bp)
-	body, err := wire.AppendCells(*bp, res.Values)
+	body, err := wire.AppendCells((*bp)[:0], res.Values)
 	if err != nil {
 		httpError(w, http.StatusInternalServerError, "encoding cells: %v", err)
 		return

@@ -3,6 +3,7 @@ package server
 import (
 	"context"
 	"errors"
+	"net/http"
 	"net/http/httptest"
 	"strings"
 	"sync"
@@ -475,6 +476,31 @@ func TestGridValidation(t *testing.T) {
 	for i, req := range bad {
 		if _, err := c.Grid(ctx, req); err == nil {
 			t.Errorf("case %d accepted: %+v", i, req)
+		}
+	}
+}
+
+// TestGridRequestBody: a grid request body is one JSON object and
+// nothing else. Trailing whitespace is allowed; trailing bytes, a torn
+// object and a body past the 1 MiB cap are 400s.
+func TestGridRequestBody(t *testing.T) {
+	h := New(Config{Workers: 1}).Handler()
+	valid := `{"name":"table1","benchmarks":["swim"],"budget":1000}`
+	for _, tc := range []struct {
+		body string
+		want int
+	}{
+		{valid, http.StatusOK},
+		{valid + "\n", http.StatusOK},
+		{valid + `{}`, http.StatusBadRequest},
+		{valid + "x", http.StatusBadRequest},
+		{valid[:len(valid)-1], http.StatusBadRequest},
+		{valid + strings.Repeat(" ", 1<<20), http.StatusBadRequest},
+	} {
+		w := httptest.NewRecorder()
+		h.ServeHTTP(w, httptest.NewRequest(http.MethodPost, "/v1/grid", strings.NewReader(tc.body)))
+		if w.Code != tc.want {
+			t.Errorf("body %.80q: status %d, want %d (%s)", tc.body, w.Code, tc.want, w.Body.String())
 		}
 	}
 }

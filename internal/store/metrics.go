@@ -2,11 +2,12 @@ package store
 
 import "dynloop/internal/obs"
 
-// Store metrics mirror the per-Store atomic counters into the obs
-// registry (process-global: a daemon opens exactly one result store, so
-// a /metrics scrape and Store.Stats reconcile; tests with several
-// stores compare deltas). Each operation adds a constant number of
-// atomic ops next to a disk write or read, so the overhead is noise.
+// Store metrics, registered in the obs default registry. A Store
+// counts puts, gets, hits and torn-tail bytes through children of
+// these series (see Open), so its Stats and the process-wide scrape
+// move together; a daemon opens one store, so there the two are
+// equal. Each operation adds a constant number of atomic ops next to
+// a disk write or read, so the overhead is noise.
 var (
 	mPuts = obs.NewCounter("dynloop_store_puts_total",
 		"Result-store Put operations.")

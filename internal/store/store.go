@@ -41,6 +41,8 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
+
+	"dynloop/internal/obs"
 )
 
 const (
@@ -134,8 +136,9 @@ type Store struct {
 	nextSeq int // next segment file number
 	closed  bool
 
-	puts, gets, hits atomic.Uint64
-	truncated        int64
+	// Children of the package's series (see metrics.go): each bump
+	// also moves the process-wide scrape.
+	puts, gets, hits, truncated *obs.Counter
 }
 
 // Open opens (creating if needed) the store in dir and rebuilds the
@@ -157,7 +160,8 @@ func Open(dir string, opts Options) (*Store, error) {
 		return nil, err
 	}
 	sort.Strings(names)
-	s := &Store{dir: dir, maxSeg: maxSeg, idx: make(map[string]ref), nextSeq: 1}
+	s := &Store{dir: dir, maxSeg: maxSeg, idx: make(map[string]ref), nextSeq: 1,
+		puts: mPuts.Child(), gets: mGets.Child(), hits: mHits.Child(), truncated: mTruncatedBytes.Child()}
 	for i, name := range names {
 		if n, ok := segSeq(name); ok && n >= s.nextSeq {
 			s.nextSeq = n + 1
@@ -217,8 +221,7 @@ func (s *Store) openSegment(path string, last bool) error {
 			f.Close()
 			return err
 		}
-		s.truncated += int64(len(data)) - good
-		mTruncatedBytes.Add(uint64(int64(len(data)) - good))
+		s.truncated.Add(uint64(int64(len(data)) - good))
 	}
 	if good < int64(len(magic)) {
 		// The tear was inside the header itself; restore the magic so
@@ -300,8 +303,7 @@ func (s *Store) Put(key string, val []byte) error {
 	s.idx[key] = ref{seg: len(s.segs) - 1, off: active.size, rlen: len(rec)}
 	active.size += int64(len(rec))
 	active.written = true
-	s.puts.Add(1)
-	mPuts.Inc()
+	s.puts.Inc()
 	mPutBytes.Add(uint64(len(rec)))
 	return nil
 }
@@ -319,8 +321,7 @@ func (s *Store) Get(key string) ([]byte, bool, error) {
 		s.mu.RUnlock()
 		return nil, false, ErrClosed
 	}
-	s.gets.Add(1)
-	mGets.Inc()
+	s.gets.Inc()
 	r, ok := s.idx[key]
 	if !ok {
 		s.mu.RUnlock()
@@ -330,8 +331,7 @@ func (s *Store) Get(key string) ([]byte, bool, error) {
 	seg.acquire()
 	s.mu.RUnlock()
 	defer seg.release()
-	s.hits.Add(1)
-	mHits.Inc()
+	s.hits.Inc()
 	buf := make([]byte, r.rlen)
 	if _, err := seg.f.ReadAt(buf, r.off); err != nil {
 		return nil, false, fmt.Errorf("%w: reading %q: %v", ErrCorrupt, key, err)
@@ -435,10 +435,10 @@ func (s *Store) Stats() Stats {
 	st := Stats{
 		Records:       len(s.idx),
 		Segments:      len(s.segs),
-		Puts:          s.puts.Load(),
-		Gets:          s.gets.Load(),
-		Hits:          s.hits.Load(),
-		TruncatedTail: s.truncated,
+		Puts:          s.puts.Value(),
+		Gets:          s.gets.Value(),
+		Hits:          s.hits.Value(),
+		TruncatedTail: int64(s.truncated.Value()),
 	}
 	for _, seg := range s.segs {
 		st.Bytes += seg.size

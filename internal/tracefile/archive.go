@@ -52,9 +52,9 @@ import (
 	"path/filepath"
 	"sort"
 	"sync"
-	"sync/atomic"
 	"time"
 
+	"dynloop/internal/obs"
 	"dynloop/internal/program"
 	"dynloop/internal/trace"
 )
@@ -330,10 +330,9 @@ type Archive struct {
 	recs  map[archKey]*Recording
 	locks map[archKey]chan struct{}
 
-	records     atomic.Uint64
-	invalidated atomic.Uint64
-	schemaSkips atomic.Uint64
-	truncated   atomic.Uint64
+	// Children of the package's series (see metrics.go): each bump
+	// also moves the process-wide scrape.
+	records, invalidated, schemaSkips, truncated *obs.Counter
 }
 
 // OpenArchive opens (creating if needed) the archive directory, loading
@@ -349,6 +348,11 @@ func OpenArchive(dir string) (*Archive, error) {
 		dir:   dir,
 		recs:  make(map[archKey]*Recording),
 		locks: make(map[archKey]chan struct{}),
+
+		records:     mArchRecords.Child(),
+		invalidated: mArchInvalidated.Child(),
+		schemaSkips: mArchSchemaSkips.Child(),
+		truncated:   mArchTruncatedBytes.Child(),
 	}
 	names, err := filepath.Glob(filepath.Join(dir, "*.dltrace"))
 	if err != nil {
@@ -381,12 +385,10 @@ func OpenArchive(dir string) (*Archive, error) {
 		rec, tornAt, err := parseArchive(data)
 		switch {
 		case errors.Is(err, errSchemaSkew):
-			a.schemaSkips.Add(1)
-			mArchSchemaSkips.Inc()
+			a.schemaSkips.Inc()
 			continue
 		case errors.Is(err, errInvalid):
-			a.invalidated.Add(1)
-			mArchInvalidated.Inc()
+			a.invalidated.Inc()
 			continue
 		case err != nil:
 			return nil, fmt.Errorf("%s: %w", f.path, err)
@@ -396,7 +398,6 @@ func OpenArchive(dir string) (*Archive, error) {
 				return nil, fmt.Errorf("%s: %w: torn frame at byte %d in non-newest file", f.path, ErrCorrupt, tornAt)
 			}
 			a.truncated.Add(uint64(len(data) - tornAt))
-			mArchTruncatedBytes.Add(uint64(len(data) - tornAt))
 			if rec == nil {
 				// Torn inside the header: nothing salvageable.
 				if err := os.Remove(f.path); err != nil {
@@ -642,10 +643,10 @@ func (a *Archive) Stats() ArchiveStats {
 	a.mu.Unlock()
 	return ArchiveStats{
 		Recordings:    n,
-		Records:       a.records.Load(),
-		Invalidated:   a.invalidated.Load(),
-		SchemaSkips:   a.schemaSkips.Load(),
-		TruncatedTail: a.truncated.Load(),
+		Records:       a.records.Value(),
+		Invalidated:   a.invalidated.Value(),
+		SchemaSkips:   a.schemaSkips.Value(),
+		TruncatedTail: a.truncated.Value(),
 	}
 }
 
@@ -877,7 +878,6 @@ func (rec *Recorder) Commit(halted bool) error {
 	rec.a.mu.Lock()
 	rec.a.recs[archKey{rec.bench, rec.seed}] = loaded
 	rec.a.mu.Unlock()
-	rec.a.records.Add(1)
-	mArchRecords.Inc()
+	rec.a.records.Inc()
 	return nil
 }

@@ -9,9 +9,9 @@ import (
 // Replay throughput and archive health metrics. Replay accounting is
 // per-Replay-call (two timestamps, a few atomics), never per event, so
 // the decode loops stay allocation-free and the replay/interp speedup
-// ratio pinned by bench_smoke.sh is unaffected. The archive counters
-// mirror Archive.Stats into the obs registry so a /metrics scrape and
-// /v1/stats reconcile (one Archive per daemon process).
+// ratio pinned by bench_smoke.sh is unaffected. An Archive counts
+// through children of the archive series (see OpenArchive), so its
+// Stats and the process-wide scrape move together.
 var (
 	mReplayEvents = obs.NewCounter("dynloop_replay_events_total",
 		"Events delivered by trace-archive replay across all Replay calls.")
@@ -47,7 +47,7 @@ func finishReplay(start time.Time, n uint64, ctl bool) {
 
 // ReplayPlaneRuns reports the process-lifetime count of Replay calls
 // that negotiated control-plane-only decode vs full-event decode, for
-// the daemon's /v1/stats mirror.
+// the daemon's /v1/stats.
 func ReplayPlaneRuns() (ctl, full uint64) {
 	return mReplayRunsCtl.Value(), mReplayRunsFull.Value()
 }

@@ -20,6 +20,8 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"io"
+	"slices"
 	"sync"
 
 	"dynloop/internal/codec"
@@ -68,8 +70,9 @@ const maxPooled = 1 << 20
 var buffers = sync.Pool{New: func() any { return new([]byte) }}
 
 // GetBuffer takes an empty payload buffer from the package's pool. The
-// daemon encodes a response into one and the client reads one in; each
-// hands it back with PutBuffer once nothing reads it any more.
+// daemon reads a grid request into one and encodes the response into
+// the same one, and the client reads a response into one; each hands it
+// back with PutBuffer once nothing reads it any more.
 func GetBuffer() *[]byte {
 	bp := buffers.Get().(*[]byte)
 	*bp = (*bp)[:0]
@@ -81,6 +84,35 @@ func GetBuffer() *[]byte {
 func PutBuffer(bp *[]byte) {
 	if cap(*bp) <= maxPooled {
 		buffers.Put(bp)
+	}
+}
+
+// ReadBuffer reads r to EOF into a buffer from GetBuffer, presized for
+// the size bytes r declares (an HTTP Content-Length; -1 if unknown).
+// The presize stops at maxPooled, so a hostile or broken header cannot
+// make the reader allocate what it declares; the rest of a larger body
+// grows the buffer as it arrives. The caller hands the buffer back with
+// PutBuffer; on an error it is already back.
+func ReadBuffer(r io.Reader, size int64) (*[]byte, error) {
+	bp := GetBuffer()
+	b := *bp
+	if size > int64(cap(b)) {
+		b = slices.Grow(b, int(min(size, maxPooled)))
+	}
+	for {
+		if len(b) == cap(b) {
+			b = append(b, 0)[:len(b)]
+		}
+		n, err := r.Read(b[len(b):cap(b)])
+		b = b[:len(b)+n]
+		*bp = b
+		if err == io.EOF {
+			return bp, nil
+		}
+		if err != nil {
+			PutBuffer(bp)
+			return nil, err
+		}
 	}
 }
 
