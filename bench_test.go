@@ -1,6 +1,6 @@
 // Benchmarks regenerating every table and figure of the paper's
 // evaluation (at a reduced per-iteration budget so -bench=. stays fast;
-// the EXPERIMENTS.md numbers come from the full-budget CLI runs), plus
+// full-budget numbers come from the CLI, `dynloop experiment all`), plus
 // micro-benchmarks of the core mechanisms. Custom metrics expose the
 // reproduced quantity (TPC, hit ratios) alongside time/op.
 package dynloop_test

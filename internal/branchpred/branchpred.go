@@ -9,6 +9,7 @@
 package branchpred
 
 import (
+	"dynloop/internal/freelist"
 	"dynloop/internal/isa"
 	"dynloop/internal/trace"
 )
@@ -22,6 +23,8 @@ type Predictor interface {
 	Update(pc, target isa.Addr, taken bool)
 	// Name identifies the predictor in reports.
 	Name() string
+	// Reset returns the predictor to the state its constructor gives.
+	Reset()
 }
 
 // BTFN is the static backward-taken/forward-not-taken rule (Smith's
@@ -37,6 +40,9 @@ func (BTFN) Update(isa.Addr, isa.Addr, bool) {}
 // Name returns "BTFN".
 func (BTFN) Name() string { return "BTFN" }
 
+// Reset is a no-op: BTFN has no state.
+func (BTFN) Reset() {}
+
 // Bimodal is a table of 2-bit saturating counters indexed by PC (Smith's
 // dynamic predictor).
 type Bimodal struct {
@@ -48,11 +54,19 @@ type Bimodal struct {
 // initialised weakly taken.
 func NewBimodal(bits uint) *Bimodal {
 	n := 1 << bits
-	t := make([]uint8, n)
+	b := &Bimodal{table: make([]uint8, n), mask: uint32(n - 1)}
+	b.Reset()
+	return b
+}
+
+// Reset sets every counter back to weakly taken.
+func (b *Bimodal) Reset() { weaklyTaken(b.table) }
+
+// weaklyTaken sets every 2-bit counter of t to 2.
+func weaklyTaken(t []uint8) {
 	for i := range t {
 		t[i] = 2
 	}
-	return &Bimodal{table: t, mask: uint32(n - 1)}
 }
 
 // Predict reads the counter's direction bit.
@@ -89,11 +103,15 @@ type GShare struct {
 // history register of the same width.
 func NewGShare(bits uint) *GShare {
 	n := 1 << bits
-	t := make([]uint8, n)
-	for i := range t {
-		t[i] = 2
-	}
-	return &GShare{table: t, mask: uint32(n - 1), hmask: uint32(n - 1)}
+	g := &GShare{table: make([]uint8, n), mask: uint32(n - 1), hmask: uint32(n - 1)}
+	g.Reset()
+	return g
+}
+
+// Reset sets every counter back to weakly taken and clears the history.
+func (g *GShare) Reset() {
+	weaklyTaken(g.table)
+	g.history = 0
 }
 
 func (g *GShare) index(pc isa.Addr) uint32 {
@@ -163,6 +181,8 @@ func (r Result) BackwardAccuracy() float64 {
 type Collector struct {
 	preds   []Predictor
 	results []Result
+	// suite marks a DefaultSuite collector, which Release recycles.
+	suite bool
 }
 
 // Init implements trace.Pass; a fresh collector needs no setup.
@@ -181,10 +201,40 @@ func NewCollector(preds ...Predictor) *Collector {
 	return c
 }
 
+// suites recycles DefaultSuite collectors with their tables (see
+// Release). A fused group runs at most one; the bound covers four at
+// once.
+var suites = freelist.New[Collector]("branchpred.suites", 4)
+
 // DefaultSuite returns the standard comparison: BTFN, 4K-entry bimodal,
-// 4K-entry gshare.
+// 4K-entry gshare. It may return a released suite, reset.
 func DefaultSuite() *Collector {
-	return NewCollector(BTFN{}, NewBimodal(12), NewGShare(12))
+	c := suites.Get()
+	if c.suite {
+		c.Reset()
+		return c
+	}
+	*c = *NewCollector(BTFN{}, NewBimodal(12), NewGShare(12))
+	c.suite = true
+	return c
+}
+
+// Reset returns every predictor to its initial state and zeroes the
+// results, keeping the tables' storage.
+func (c *Collector) Reset() {
+	for i, p := range c.preds {
+		p.Reset()
+		c.results[i] = Result{Name: c.results[i].Name}
+	}
+}
+
+// Release hands a DefaultSuite collector back for a later DefaultSuite
+// to reuse; it may not be used afterwards. Other collectors are left
+// to the garbage collector.
+func (c *Collector) Release() {
+	if c.suite {
+		suites.Put(c)
+	}
 }
 
 // Consume implements trace.Consumer: score conditional branches.

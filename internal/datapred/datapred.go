@@ -51,8 +51,8 @@ package datapred
 import (
 	"fmt"
 	"math/bits"
-	"sync"
 
+	"dynloop/internal/freelist"
 	"dynloop/internal/isa"
 	"dynloop/internal/loopdet"
 	"dynloop/internal/predict"
@@ -179,13 +179,14 @@ type Collector struct {
 type span struct{ lo, hi uint64 }
 
 // collectors recycles Collectors with their frames and per-loop tables
-// (see Release).
-var collectors = sync.Pool{New: func() any { return new(Collector) }}
+// (see Release). A Figure 8 group takes one; the bound covers four at
+// once.
+var collectors = freelist.New[Collector]("datapred.collectors", 4)
 
 // NewCollector returns a collector with the given configuration. It may
 // return a released collector, which keeps the storage it grew.
 func NewCollector(cfg Config) *Collector {
-	c := collectors.Get().(*Collector)
+	c := collectors.Get()
 	c.Reset(cfg)
 	return c
 }

@@ -87,7 +87,7 @@ func FuzzDataTap(f *testing.F) {
 // swim — interpreter, detector and collector on the control plane with
 // the data tap — allocates the same bytes at 100k and at 500k
 // instructions but for the program's data, and little beyond it: the
-// tap's buffers are bounded and pooled, so nothing on the tap path
+// tap's buffers are bounded and recycled, so nothing on the tap path
 // grows with the stream or is allocated per traversal.
 // Each budget's collector is warmed by a traversal first, so its tables
 // already hold every loop and location the stream touches. The
@@ -95,9 +95,6 @@ func FuzzDataTap(f *testing.F) {
 // touches it, so what a bare run of the same budget allocates is taken
 // off each side.
 func TestFig8TraversalAllocsDoNotScale(t *testing.T) {
-	if raceEnabled {
-		t.Skip("under the race detector pooled buffers are dropped at random")
-	}
 	bm, err := workload.ByName("swim")
 	if err != nil {
 		t.Fatal(err)
@@ -106,12 +103,10 @@ func TestFig8TraversalAllocsDoNotScale(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// bytesPer measures right after a collection, so no further one
-	// drops the pooled buffers while it runs; the untimed call takes
-	// them back from the pool's victim cache.
+	// bytesPer measures after an untimed call, which warms the free
+	// lists.
 	bytesPer := func(f func()) int64 {
 		const runs = 5
-		runtime.GC()
 		f()
 		var before, after runtime.MemStats
 		runtime.ReadMemStats(&before)

@@ -97,12 +97,12 @@ func letCapacityFromResult(res *grid.Result) ([]LETCapacityRow, error) {
 	if err := shape(res, len(bms)*len(caps), "ablation/let"); err != nil {
 		return nil, err
 	}
-	ms := metrics(res)
+	ms := engineMetrics(res.Values)
 	rows := make([]LETCapacityRow, 0, len(caps))
 	for ci, capEntries := range caps {
 		var tpcSum, hitSum float64
 		for bi := range bms {
-			m := ms[bi*len(caps)+ci]
+			m := ms.at(bi*len(caps) + ci)
 			tpcSum += m.TPC()
 			hitSum += m.HitRatio()
 		}
@@ -246,15 +246,15 @@ func nestRuleFromResult(res *grid.Result) ([]NestRuleRow, error) {
 	if err := shape(res, len(bms)*len(pols)*len(tus)*len(rules), "ablation/nestrule"); err != nil {
 		return nil, err
 	}
-	ms := metrics(res)
+	ms := engineMetrics(res.Values)
 	var rows []NestRuleRow
 	for pi, pol := range pols {
 		for ti, k := range tus {
 			row := NestRuleRow{Policy: pol, TUs: k}
 			for bi := range bms {
 				base := ((bi*len(pols)+pi)*len(tus) + ti) * len(rules)
-				row.StarvationTPC += ms[base].TPC()
-				row.StaticTPC += ms[base+1].TPC()
+				row.StarvationTPC += ms.at(base).TPC()
+				row.StaticTPC += ms.at(base + 1).TPC()
 			}
 			n := float64(len(bms))
 			row.StarvationTPC /= n
@@ -308,10 +308,10 @@ func exclusionFromResult(res *grid.Result) ([]ExclusionRow, error) {
 	if err := shape(res, 2*len(bms), "ablation/exclusion"); err != nil {
 		return nil, err
 	}
-	ms := metrics(res)
+	ms := engineMetrics(res.Values)
 	rows := make([]ExclusionRow, 0, len(bms))
 	for i, name := range bms {
-		mOff, mOn := ms[2*i], ms[2*i+1]
+		mOff, mOn := ms.at(2*i), ms.at(2*i+1)
 		rows = append(rows, ExclusionRow{
 			Bench:  name,
 			OffHit: mOff.HitRatio(), OnHit: mOn.HitRatio(),

@@ -297,13 +297,13 @@ func sweepFromResult(res *grid.Result) ([]SweepRow, error) {
 	if err := shape(res, len(bms)*len(pols)*len(tus), "sweep"); err != nil {
 		return nil, err
 	}
-	ms := metrics(res)
+	ms := engineMetrics(res.Values)
 	rows := make([]SweepRow, len(ms))
 	i := 0
 	for _, bm := range bms {
 		for _, pol := range pols {
 			for _, k := range tus {
-				rows[i] = SweepRow{Bench: bm, Policy: pol, TUs: k, M: ms[i]}
+				rows[i] = SweepRow{Bench: bm, Policy: pol, TUs: k, M: ms.at(i)}
 				i++
 			}
 		}

@@ -72,15 +72,12 @@ func runNamed(ctx context.Context, cfg Config, name string, mod func(*grid.Spec)
 	return grid.Run(ctx, cfg, s)
 }
 
-// metrics reads the result's values as engine metrics (kind "spec"
-// grids); grid.Run has already type-checked them.
-func metrics(res *grid.Result) []spec.Metrics {
-	out := make([]spec.Metrics, len(res.Values))
-	for i, v := range res.Values {
-		out[i] = v.(spec.Metrics)
-	}
-	return out
-}
+// engineMetrics reads a kind "spec" grid's values as engine metrics in
+// place; grid.Run has already type-checked them.
+type engineMetrics []any
+
+// at returns cell i's metrics.
+func (m engineMetrics) at(i int) spec.Metrics { return m[i].(spec.Metrics) }
 
 // shape guards a from-result conversion: the value count must match the
 // aggregation's index arithmetic.

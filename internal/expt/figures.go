@@ -97,13 +97,13 @@ func fig5FromResult(res *grid.Result) ([]Fig5Row, error) {
 	if err := shape(res, 2*len(bms), "fig5"); err != nil {
 		return nil, err
 	}
-	ms := metrics(res)
+	ms := engineMetrics(res.Values)
 	rows := make([]Fig5Row, len(bms))
 	for i, name := range bms {
 		rows[i] = Fig5Row{
 			Bench:      name,
-			TPCFull:    ms[2*i].TPC(),
-			TPCReduced: ms[2*i+1].TPC(),
+			TPCFull:    ms.at(2 * i).TPC(),
+			TPCReduced: ms.at(2*i + 1).TPC(),
 		}
 	}
 	return rows, nil
@@ -152,12 +152,12 @@ func fig6FromResult(res *grid.Result) ([]Fig6Row, error) {
 	if err := shape(res, len(bms)*len(tus), "fig6"); err != nil {
 		return nil, err
 	}
-	ms := metrics(res)
+	ms := engineMetrics(res.Values)
 	rows := make([]Fig6Row, len(bms))
 	for i, name := range bms {
 		row := Fig6Row{Bench: name, TPC: make(map[int]float64, len(tus))}
 		for j, k := range tus {
-			row.TPC[k] = ms[i*len(tus)+j].TPC()
+			row.TPC[k] = ms.at(i*len(tus) + j).TPC()
 		}
 		rows[i] = row
 	}
@@ -215,13 +215,13 @@ func fig7FromResult(res *grid.Result) ([]Fig7Cell, error) {
 	if err := shape(res, len(bms)*len(pols)*len(tus), "fig7"); err != nil {
 		return nil, err
 	}
-	ms := metrics(res)
+	ms := engineMetrics(res.Values)
 	out := make([]Fig7Cell, 0, len(pols)*len(tus))
 	for pi, pol := range pols {
 		for ti, k := range tus {
 			var sum float64
 			for bi := range bms {
-				sum += ms[(bi*len(pols)+pi)*len(tus)+ti].TPC()
+				sum += ms.at((bi*len(pols)+pi)*len(tus) + ti).TPC()
 			}
 			out = append(out, Fig7Cell{Policy: pol, TUs: k, AvgTPC: sum / float64(len(bms))})
 		}

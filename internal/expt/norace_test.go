@@ -1,5 +1,5 @@
 //go:build !race
 
-package dynloop_test
+package expt
 
 const raceEnabled = false

@@ -63,14 +63,14 @@ func table2FromResult(res *grid.Result) ([]Table2Row, error) {
 	if err := shape(res, len(res.Spec.Benchmarks), "table2"); err != nil {
 		return nil, err
 	}
-	ms := metrics(res)
+	ms := engineMetrics(res.Values)
 	rows := make([]Table2Row, len(ms))
 	for i, name := range res.Spec.Benchmarks {
 		bm, err := workload.ByName(name)
 		if err != nil {
 			return nil, err
 		}
-		rows[i] = Table2Row{Bench: name, M: ms[i], Paper: bm.Paper}
+		rows[i] = Table2Row{Bench: name, M: ms.at(i), Paper: bm.Paper}
 	}
 	return rows, nil
 }

@@ -91,21 +91,17 @@ func footprint(t *testing.T, u *builder.Unit, budget uint64) int {
 
 // maxFreshSeedWriteBytes bounds the bytes one write allocates once the
 // programs are built. A fresh build and predecode of the largest
-// program (gcc) is about 6 MB. With the group's passes recycled, a
-// write measured 11 to 22 KB (gcc highest; the upper end when a
-// collection or another P's pool slot leaves a write to build its
-// detector and collector anew), so the bound leaves half again as
-// headroom.
-const maxFreshSeedWriteBytes = 32 << 10
+// program (gcc) is about 6 MB. With the group and its passes recycled
+// through free lists, a write measured at most 10.0 KB, and 10.4 KB
+// under the race detector; the bound leaves about 15% headroom over
+// that.
+const maxFreshSeedWriteBytes = 12 << 10
 
 // TestFreshSeedWriteAllocs pins the cost of a daemon write: a one-cell
 // table1 grid at 20k instructions and a seed no earlier run used. Every
 // seed shares its benchmark's one built program, so a write allocates
 // only its own traversal, recording and cell, on every benchmark.
 func TestFreshSeedWriteAllocs(t *testing.T) {
-	if raceEnabled {
-		t.Skip("the race runtime's allocations are not what production sees")
-	}
 	const writes = 4
 	pool := runner.New(runner.Config{Workers: 1})
 	seed := uint64(1) << 40
@@ -116,6 +112,7 @@ func TestFreshSeedWriteAllocs(t *testing.T) {
 			t.Fatalf("%s at seed %d: %v", bench, seed, err)
 		}
 	}
+	var most uint64
 	for _, bm := range workload.All() {
 		write(bm.Name) // builds the program if no earlier test did
 		var before, after runtime.MemStats
@@ -124,10 +121,13 @@ func TestFreshSeedWriteAllocs(t *testing.T) {
 			write(bm.Name)
 		}
 		runtime.ReadMemStats(&after)
-		if per := (after.TotalAlloc - before.TotalAlloc) / writes; per > maxFreshSeedWriteBytes {
+		per := (after.TotalAlloc - before.TotalAlloc) / writes
+		if per > maxFreshSeedWriteBytes {
 			t.Errorf("%s: a write at a fresh seed allocates %d bytes, want at most %d", bm.Name, per, maxFreshSeedWriteBytes)
 		}
+		most = max(most, per)
 	}
+	t.Logf("a write at a fresh seed allocates at most %d bytes", most)
 }
 
 // warmGridSlack is how many more objects a warm run of a 72-cell grid
@@ -141,9 +141,6 @@ const warmGridSlack = 2
 // nothing is started or built per cell. fig6 (72 cells) may allocate
 // no more than table1 (18 cells) plus warmGridSlack.
 func TestWarmGridAllocs(t *testing.T) {
-	if raceEnabled {
-		t.Skip("the race runtime's allocations are not what production sees")
-	}
 	ctx := context.Background()
 	pool := runner.New(runner.Config{Workers: 2})
 	cfg := grid.Config{Budget: 20_000, Seed: 1, Runner: pool}

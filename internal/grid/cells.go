@@ -507,7 +507,7 @@ func oracleRun(bm *workload.Benchmark, coord Coord) func(context.Context, *Confi
 			return err
 		}
 		// The row copies its values out before the recorder and the bank
-		// go back to their pools.
+		// go back to their free lists.
 		rec := spec.NewOracleRecorder()
 		defer rec.Release()
 		if err := traverse(rec); err != nil {

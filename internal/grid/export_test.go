@@ -57,7 +57,11 @@ func RunGroup(ctx context.Context, cfg Config, pool *runner.Runner, cells []Cell
 	for i := range idx {
 		idx[i] = i
 	}
-	return runGroup(ctx, &cfg, pool, cells, idx)
+	out := make([]any, len(cells))
+	if err := runGroup(ctx, &cfg, pool, cells, idx, out); err != nil {
+		return nil, err
+	}
+	return out, nil
 }
 
 // RunPrivate is the oracle Run is checked against. Every fusable cell

@@ -4,7 +4,6 @@ import (
 	"context"
 	"reflect"
 	"runtime"
-	"runtime/debug"
 	"slices"
 	"testing"
 
@@ -14,29 +13,24 @@ import (
 )
 
 // maxWarmGroupBytes bounds what a warm execution of any fused group
-// allocates: its group, finish hooks and values, a CPU with its input
-// sequences and page map when it interprets, and the branch predictor
-// suite, which is not recycled. The largest measured is about 10 KB (a
-// Figure 8 group on gcc).
+// allocates: its finish hooks and values, and a CPU with its input
+// sequences and page map when it interprets. The largest measured is
+// about 10 KB (a Figure 8 group on gcc).
 const maxWarmGroupBytes = 16 << 10
 
 // TestRecycleWarmGroupAllocs pins that a fused group's passes are
 // recycled: for every registered grid's fused groups on every workload,
-// once one execution of a group has warmed the pools, a second
+// once one execution of a group has warmed the free lists, a second
 // execution allocates at most maxWarmGroupBytes, the same bound for
-// every grid and workload. The detectors, engine banks, LET/LIT
-// tables, collectors, predictors and data pages it builds all come
-// back from their pools with the storage the first execution grew.
-// Streams are recorded first, so both executions replay them as a
-// render does (Figure 8 groups interpret); the test measures with the
-// collector off, which would otherwise drain the pools, and on one P,
-// since a pool keeps one item per P out of reach of the others.
+// every grid and workload. The group, its detectors, engine banks,
+// LET/LIT tables, collectors, predictors, branch predictor suite and
+// data pages all come back from their free lists with the storage the
+// first execution grew. Streams are recorded first, so both executions
+// replay them as a render does (Figure 8 groups interpret).
 func TestRecycleWarmGroupAllocs(t *testing.T) {
-	if testing.Short() || raceEnabled {
-		t.Skip("executes every registered grid's groups on every workload; the race runtime drops pool Puts at random")
+	if testing.Short() {
+		t.Skip("executes every registered grid's groups on every workload")
 	}
-	defer debug.SetGCPercent(debug.SetGCPercent(-1))
-	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	ctx := context.Background()
 	cfg := grid.Config{Budget: 100_000, Seed: 1}
 	pool := runner.New(runner.Config{Workers: 1})
@@ -76,7 +70,7 @@ func TestRecycleWarmGroupAllocs(t *testing.T) {
 
 // TestRecycleReverseRenderMatchesPrivate pins that recycled state
 // computes what fresh state does. A render of every registered grid in
-// registry order fills the pools; a render in reverse order, through a
+// registry order fills the free lists; a render in reverse order, through a
 // fresh runner so that every cell executes again, then runs on
 // detectors, banks, tables and collectors that groups of other grids,
 // workloads and capacities grew, on two workers. Each of its grids must
@@ -101,13 +95,10 @@ func TestRecycleReverseRenderMatchesPrivate(t *testing.T) {
 		}
 		return out
 	}
-	// Keep the collector from draining the pools between the renders.
-	gc := debug.SetGCPercent(-1)
 	render(names)
 	reversed := slices.Clone(names)
 	slices.Reverse(reversed)
 	recycled := render(reversed)
-	debug.SetGCPercent(gc)
 	for _, name := range names {
 		e, _ := grid.Lookup(name)
 		cfg := grid.Config{Budget: 20_000, Seed: 1}

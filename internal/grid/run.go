@@ -6,6 +6,7 @@ import (
 	"sync/atomic"
 
 	"dynloop/internal/builder"
+	"dynloop/internal/freelist"
 	"dynloop/internal/harness"
 	"dynloop/internal/loopdet"
 	"dynloop/internal/runner"
@@ -87,26 +88,25 @@ func groupJobs(cells []Cell) []runner.GroupJob[any] {
 // execute in a single fused traversal (see runGroup). jobs are the
 // cells' groupJobs, which MapGroups only reads.
 func runCells(ctx context.Context, cfg Config, pool *runner.Runner, cells []Cell, jobs []runner.GroupJob[any]) ([]any, error) {
-	exec := func(ctx context.Context, _ string, idx []int) ([]any, error) {
-		return runGroup(ctx, &cfg, pool, cells, idx)
+	exec := func(ctx context.Context, _ string, idx []int, out []any) error {
+		return runGroup(ctx, &cfg, pool, cells, idx, out)
 	}
 	return runner.MapGroups(ctx, pool, jobs, exec)
 }
 
 // runGroup executes the cells at idx, which share a group key, in one
 // fused traversal observed through the group's shared detectors (see
-// group), and returns their values in idx order. The traversal comes
+// group), and stores cell i's value in out[i]. The traversal comes
 // from the first source that serves it (see harness.Traverse): the
 // runner's recording of the stream, the trace archive, or the
 // interpreter. Every finish hook has copied its value out before the
-// group releases its passes to their pools.
-func runGroup(ctx context.Context, cfg *Config, pool *runner.Runner, cells []Cell, idx []int) ([]any, error) {
+// group releases its passes to their free lists.
+func runGroup(ctx context.Context, cfg *Config, pool *runner.Runner, cells []Cell, idx []int, out []any) error {
 	lead := cells[idx[0]]
 	g := newGroup()
 	defer g.release()
-	finish := make([]func() (any, error), len(idx))
-	for j, i := range idx {
-		finish[j] = cells[i].attach(g)
+	for _, i := range idx {
+		g.finish = append(g.finish, cells[i].attach(g))
 	}
 	mc := harness.MultiConfig{Budget: lead.Coord.Budget, BatchSize: cfg.BatchSize}
 	build := func() (*builder.Unit, error) {
@@ -118,18 +118,17 @@ func runGroup(ctx context.Context, cfg *Config, pool *runner.Runner, cells []Cel
 	}
 	_, src, err := harness.Traverse(ctx, pool.Recordings(), cfg.Traces, lead.bench.Name, lead.Coord.Seed, build, mc, g.passes...)
 	if err != nil {
-		return nil, err
+		return err
 	}
 	if cfg.Traces != nil && src != harness.FromRecording && harness.ArchiveServes(g.passes...) {
 		pool.CountTraceRun(src == harness.FromArchive)
 	}
-	out := make([]any, len(idx))
-	for j, f := range finish {
-		if out[j], err = f(); err != nil {
-			return nil, err
+	for j, f := range g.finish {
+		if out[idx[j]], err = f(); err != nil {
+			return err
 		}
 	}
-	return out, nil
+	return nil
 }
 
 // ResultFrom rebuilds a Result from a value stream computed elsewhere
@@ -211,21 +210,24 @@ var groupDetectors, groupBanks atomic.Uint64
 // engine's LET depends only on those events and its capacity, and a
 // lane computes what an engine of its own would.
 //
-// The group owns its detectors, banks and observers, and release hands
-// them back to their packages' pools once the finish hooks have copied
-// their values out, so a finish hook must return values that share no
-// storage with a pass.
+// The group owns its detectors, banks, observers and detector-free
+// passes, and release hands them back to their packages' free lists
+// once the finish hooks have copied their values out, so a finish hook
+// must return values that share no storage with a pass. The group
+// itself, with its slices, goes back to groups.
 type group struct {
 	dets   []groupDet
 	passes []trace.Pass // detectors and detector-free passes, in creation order
-	// owned are the observers the group releases besides its detectors
-	// and banks.
+	// owned are the observers and passes the group releases besides its
+	// detectors and banks.
 	owned []releaser
-	// A one-cell group (the common cache miss of a served grid) needs
-	// one of each; the buffers keep it from allocating either slice.
-	detBuf  [1]groupDet
-	passBuf [1]trace.Pass
+	// finish are the cells' finish hooks, in attachment order.
+	finish []func() (any, error)
 }
+
+// groups recycles groups with their slices. A worker runs one group at
+// a time; the bound covers four workers.
+var groups = freelist.New[group]("grid.groups", 4)
 
 // releaser is a pass or observer whose storage its package recycles.
 type releaser interface{ Release() }
@@ -239,11 +241,9 @@ type groupDet struct {
 	banks    []*spec.Bank
 }
 
-func newGroup() *group {
-	g := &group{}
-	g.dets, g.passes = g.detBuf[:0], g.passBuf[:0]
-	return g
-}
+// newGroup returns an empty group, which may be a released one that
+// keeps its slices' storage.
+func newGroup() *group { return groups.Get() }
 
 // detector returns the group's detector for CLS capacity cls (the
 // harness convention: 0 is the default, negative unbounded) on the
@@ -264,9 +264,17 @@ func (g *group) slot(cls int, tap bool) *groupDet {
 	}
 	det := harness.NewObserverPass(cls)
 	groupDetectors.Add(1)
-	g.dets = append(g.dets, groupDet{capacity: capacity, tap: tap, det: det})
+	// A released group's slots keep their bank slices for reuse.
+	n := len(g.dets)
+	if n < cap(g.dets) {
+		g.dets = g.dets[:n+1]
+	} else {
+		g.dets = append(g.dets, groupDet{})
+	}
+	d := &g.dets[n]
+	*d = groupDet{capacity: capacity, tap: tap, det: det, banks: d.banks[:0]}
 	g.passes = append(g.passes, det)
-	return &g.dets[len(g.dets)-1]
+	return d
 }
 
 // observe attaches o to the group's detector for CLS capacity cls, on
@@ -280,8 +288,9 @@ func (g *group) observe(cls int, o loopdet.Observer) {
 	}
 }
 
-// release hands the group's detectors, banks and owned observers back
-// to their pools. Nothing may use them afterwards.
+// release hands the group's detectors, banks and owned observers and
+// passes back to their free lists, and the group to groups. Nothing may
+// use them afterwards.
 func (g *group) release() {
 	for i := range g.dets {
 		d := &g.dets[i]
@@ -289,10 +298,17 @@ func (g *group) release() {
 		for _, b := range d.banks {
 			b.Release()
 		}
+		clear(d.banks)
+		d.det = nil
 	}
 	for _, r := range g.owned {
 		r.Release()
 	}
+	clear(g.passes)
+	clear(g.owned)
+	clear(g.finish)
+	g.dets, g.passes, g.owned, g.finish = g.dets[:0], g.passes[:0], g.owned[:0], g.finish[:0]
+	groups.Put(g)
 }
 
 // engine adds a speculation engine for ec as a lane of the bank of
@@ -313,5 +329,11 @@ func (g *group) engine(cls int, ec spec.Config) spec.Lane {
 }
 
 // add schedules a pass that needs no detector, such as the branch
-// predictor suite.
-func (g *group) add(p trace.Pass) { g.passes = append(g.passes, p) }
+// predictor suite. The group owns p: it releases p with its other
+// passes when p can be recycled.
+func (g *group) add(p trace.Pass) {
+	g.passes = append(g.passes, p)
+	if r, ok := p.(releaser); ok {
+		g.owned = append(g.owned, r)
+	}
+}

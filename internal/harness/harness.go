@@ -134,7 +134,7 @@ type MultiResult struct {
 // MultiRun executes the unit once, broadcasting every event batch to all
 // passes: Init before the first batch (in pass order), ConsumeBatch per
 // batch, Finalize after the last (in pass order, skipped on error). The
-// CPU's data pages go back to the interpreter's pool on return. One
+// CPU's data pages go back to the interpreter's free list on return. One
 // traversal of the stream thus feeds N independent analyses; because
 // every pass owns whatever detector or tables it needs, the results are
 // identical to running each pass in its own traversal.

@@ -86,9 +86,6 @@ func TestErrorFlushesPartialBatch(t *testing.T) {
 // TestNilSinkNoAllocs: running without a sink must not allocate at all
 // (the control-plane loop's batch is pooled and its sink is empty).
 func TestNilSinkNoAllocs(t *testing.T) {
-	if raceEnabled {
-		t.Skip("the race runtime drops sync.Pool Puts at random, so pooled buffers are reallocated")
-	}
 	c := loopProg(1 << 40)
 	if _, err := c.Run(1024, nil); err != nil {
 		t.Fatal(err)

@@ -27,7 +27,7 @@
 // Events are delivered in batches of DefaultBatchSize (see
 // SetBatchSize), so the consumer side costs one interface call per batch
 // instead of one per instruction. The buffers come from a process-wide
-// pool for the duration of one Run and go back when it returns, so they
+// free list for the duration of one Run and go back when it returns, so they
 // are reused across batches, Run calls and CPUs — the steady-state hot
 // path does not allocate, and a fresh CPU per traversal does not
 // allocate a fresh batch either.
@@ -39,6 +39,7 @@ import (
 	"sync"
 	"time"
 
+	"dynloop/internal/freelist"
 	"dynloop/internal/isa"
 	"dynloop/internal/program"
 	"dynloop/internal/trace"
@@ -87,7 +88,7 @@ type CPU struct {
 	halted  bool
 
 	// batchSize is the event-batch size (0 = DefaultBatchSize); the
-	// buffers themselves are pooled (see batchBufs).
+	// buffers themselves are recycled (see batchBufs).
 	batchSize int
 }
 
@@ -186,7 +187,7 @@ func (c *CPU) BatchSize() int {
 // sink always sees every retired instruction.
 //
 // Events are delivered in batches of BatchSize; the batch buffer is
-// pooled and reused, so consumers must copy what they keep (see the
+// recycled, so consumers must copy what they keep (see the
 // trace package comment on batch lifetime).
 //
 // Run negotiates the event plane with the sink: when the sink accepts
@@ -235,11 +236,12 @@ type batchBufs struct {
 	tap    tapState
 }
 
-// bufPool holds batch buffers between Run calls. A Run takes one set and
+// batches holds batch buffers between Run calls. A Run takes one set and
 // returns it when it ends: batches never outlive their ConsumeBatch call
 // (the trace package's batch-lifetime rule), so nothing can still refer
-// to a returned set.
-var bufPool = sync.Pool{New: func() any { return new(batchBufs) }}
+// to a returned set. A worker runs one traversal at a time; the bound
+// covers four workers.
+var batches = freelist.New[batchBufs]("interp.batchBufs", 4)
 
 func (b *batchBufs) events(n int) []trace.Event {
 	if len(b.evs) != n {
@@ -283,10 +285,10 @@ func (discard) ConsumeCtlBatch([]trace.CtlEvent, uint64, uint64) {}
 // it delivered: trace.PlaneCtl, trace.PlaneCtl|trace.PlaneTap, or the
 // full plane.
 func (c *CPU) run(budget uint64, sink trace.BatchConsumer) (uint64, trace.Planes, error) {
-	bufs := bufPool.Get().(*batchBufs)
+	bufs := batches.Get()
 	defer func() {
-		bufs.tap.sink, bufs.tap.tap.Segs = nil, nil // hold no consumer or program in the pool
-		bufPool.Put(bufs)
+		bufs.tap.sink, bufs.tap.tap.Segs = nil, nil // hold no consumer or program in the free list
+		batches.Put(bufs)
 	}()
 	n := c.BatchSize()
 	if sink == nil {

@@ -7,6 +7,3 @@ import "dynloop/internal/isa"
 func FusedFirst(k *Code, pc isa.Addr) bool {
 	return int(pc) < len(k.ops) && k.ops[pc].op >= opFuseFirst
 }
-
-// RaceEnabled reports whether the race detector is on (see raceEnabled).
-const RaceEnabled = raceEnabled

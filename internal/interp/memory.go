@@ -1,6 +1,6 @@
 package interp
 
-import "sync"
+import "dynloop/internal/freelist"
 
 // pageBits selects the page granularity of the sparse memory: 512 words.
 const pageBits = 9
@@ -89,17 +89,20 @@ func (m *Memory) storeSlow(addr, key uint64, s *memSlot, v int64) {
 	}
 	p, ok := m.pages[key]
 	if !ok {
-		p = pagePool.Get().(*[pageSize]int64)
+		p = freePages.Get()
 		m.pages[key] = p
 	}
 	s.key, s.page = key, p
 	p[addr&(pageSize-1)] = v
 }
 
-// pagePool recycles data pages, zeroed, between Memories: a traversal
+// freePages recycles data pages, zeroed, between Memories: a traversal
 // runs a fresh CPU, and its pages go back when the harness releases it
 // (see CPU.Release), so the next traversal's memory starts from them.
-var pagePool = sync.Pool{New: func() any { return new([pageSize]int64) }}
+// The bound, 4 MiB of pages, covers the largest footprint of a
+// workload at the default 4M-instruction budget (800 pages) with room
+// for a concurrent traversal.
+var freePages = freelist.New[[pageSize]int64]("interp.pages", 1024)
 
 // Reset drops all pages, handing them back zeroed for any Memory to
 // reuse, and empties the page cache; the page map keeps its storage.
@@ -108,7 +111,7 @@ var pagePool = sync.Pool{New: func() any { return new([pageSize]int64) }}
 func (m *Memory) Reset() {
 	for _, p := range m.pages {
 		clear(p[:])
-		pagePool.Put(p)
+		freePages.Put(p)
 	}
 	clear(m.pages)
 	m.slots = [memCacheSize]memSlot{}

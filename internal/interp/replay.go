@@ -163,7 +163,7 @@ func (r *CtlRecording) Covers(o *CtlRecording) bool {
 // same transfer events, field for field, and the same covered counts.
 // It returns the instructions covered and whether the run halted there.
 // The batch buffer and the return stack come from the interpreter's
-// pool, so a warm replay does not allocate.
+// free list, so a warm replay does not allocate.
 func (r *CtlRecording) Replay(budget uint64, batch int, sink trace.CtlBatchConsumer) (uint64, bool, error) {
 	mCtlReplays.Inc()
 	if batch <= 0 {
@@ -173,8 +173,8 @@ func (r *CtlRecording) Replay(budget uint64, batch int, sink trace.CtlBatchConsu
 	if budget != 0 && budget < limit {
 		limit = budget
 	}
-	bufs := bufPool.Get().(*batchBufs)
-	defer bufPool.Put(bufs)
+	bufs := batches.Get()
+	defer batches.Put(bufs)
 	var n uint64
 	var halted bool
 	var err error
@@ -184,7 +184,7 @@ func (r *CtlRecording) Replay(budget uint64, batch int, sink trace.CtlBatchConsu
 
 // replay is Replay's walk over the first limit instructions, with buf
 // as the batch buffer and stack as the return stack; it returns the
-// stack, grown as needed, for the pool to keep.
+// stack, grown as needed, for the free list to keep.
 func (r *CtlRecording) replay(limit uint64, sink trace.CtlBatchConsumer, buf []trace.CtlEvent, stack []isa.Addr) (uint64, bool, []isa.Addr, error) {
 	ops, skip := r.code.ops, r.code.skips()
 	n := uint64(len(ops))

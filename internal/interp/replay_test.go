@@ -322,10 +322,8 @@ func TestCtlReplayZeroAllocs(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
-		replay() // build the straight-line table and warm the pool
-		// Under the race detector pooled buffers are dropped at random,
-		// so only non-race builds (bench_smoke.sh gate 3) pin the count.
-		if avg := testing.AllocsPerRun(5, replay); avg != 0 && !interp.RaceEnabled {
+		replay() // build the straight-line table and warm the free list
+		if avg := testing.AllocsPerRun(5, replay); avg != 0 {
 			t.Errorf("%s: a warm replay allocates %v times, want 0", bm.Name, avg)
 		}
 	}

@@ -33,8 +33,8 @@ package loopdet
 import (
 	"fmt"
 	"strings"
-	"sync"
 
+	"dynloop/internal/freelist"
 	"dynloop/internal/isa"
 	"dynloop/internal/trace"
 )
@@ -265,15 +265,16 @@ type runSink struct {
 }
 
 // detectors recycles Detectors with their stacks, free lists and
-// retired executions (see Release).
-var detectors = sync.Pool{New: func() any { return new(Detector) }}
+// retired executions (see Release). A fused group of the paper's grids
+// takes at most four; the bound covers four such groups at once.
+var detectors = freelist.New[Detector]("loopdet.detectors", 16)
 
 // New returns a detector with the given configuration. A bounded
 // detector sizes its stack and its free list at Capacity up front, so
 // neither grows during a run. New may return a released detector, which
 // keeps that storage and the executions it retired.
 func New(cfg Config) *Detector {
-	d := detectors.Get().(*Detector)
+	d := detectors.Get()
 	d.Reset(cfg)
 	return d
 }

@@ -5,8 +5,7 @@
 package loopstats
 
 import (
-	"sync"
-
+	"dynloop/internal/freelist"
 	"dynloop/internal/isa"
 	"dynloop/internal/loopdet"
 )
@@ -43,13 +42,15 @@ type Collector struct {
 	acc   []uint64
 }
 
-// collectors recycles Collectors (see Release).
-var collectors = sync.Pool{New: func() any { return new(Collector) }}
+// collectors recycles Collectors (see Release). A fused group of the
+// paper's grids takes at most two; the bound covers four such groups at
+// once.
+var collectors = freelist.New[Collector]("loopstats.collectors", 8)
 
 // NewCollector returns a collector; one-shot executions are counted. It
 // may return a released collector, which keeps the storage it grew.
 func NewCollector() *Collector {
-	c := collectors.Get().(*Collector)
+	c := collectors.Get()
 	c.Reset()
 	return c
 }

@@ -1,8 +1,7 @@
 package looptab
 
 import (
-	"sync"
-
+	"dynloop/internal/freelist"
 	"dynloop/internal/isa"
 	"dynloop/internal/loopdet"
 )
@@ -37,13 +36,15 @@ type Tracker struct {
 }
 
 // trackers recycles Trackers with their tables' storage (see Release).
-var trackers = sync.Pool{New: func() any { return new(Tracker) }}
+// A fused group of the paper's grids takes at most six; the bound
+// covers four such groups at once.
+var trackers = freelist.New[Tracker]("looptab.trackers", 24)
 
 // NewTracker returns a tracker over empty tables of the given capacities
 // (0 = unbounded). It may return a released tracker, whose tables keep
 // the storage they grew.
 func NewTracker(letCapacity, litCapacity int) *Tracker {
-	tr := trackers.Get().(*Tracker)
+	tr := trackers.Get()
 	tr.Reset(letCapacity, litCapacity)
 	return tr
 }

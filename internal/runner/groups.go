@@ -3,6 +3,8 @@ package runner
 import (
 	"context"
 	"fmt"
+	"slices"
+	"strings"
 	"sync"
 	"time"
 )
@@ -44,10 +46,11 @@ func (j GroupJob[T]) label() string {
 // executes the cache-missing cells group by group: all missing cells
 // sharing a Group value are handed to exec in one call, holding one
 // worker slot, so cells that can share one traversal of their input run
-// fused instead of re-traversing it once per cell. exec must return one
-// result per index of idx, in order; each result is cached under its
-// cell's Key. Like Job.Run, exec must be a pure function of its cells'
-// inputs and must not submit further work to the same Runner.
+// fused instead of re-traversing it once per cell. exec must store the
+// result of every cell i of idx in out[i] (out is indexed like jobs, and
+// exec writes no other element); each result is cached under its cell's
+// Key. Like Job.Run, exec must be a pure function of its cells' inputs
+// and must not submit further work to the same Runner.
 //
 // Cached and in-flight cells are served exactly as in Map (JobCached
 // events, CacheHits/Coalesced stats). A cell whose result is already in
@@ -59,66 +62,90 @@ func (j GroupJob[T]) label() string {
 // covered cell in Executed. A call whose ctx is already done returns
 // ctx's error without resolving anything. MapGroups only reads jobs, so
 // a caller may share one job list across concurrent calls.
+//
+// The cells a call claims in one group share one done signal, closed
+// once every one of them is resolved: by the group's execution, or by
+// the persistent tier when each of them hits it. A waiter on such a
+// cell, in this call or another, wakes then.
 func MapGroups[T any](ctx context.Context, r *Runner, jobs []GroupJob[T],
-	exec func(ctx context.Context, group string, idx []int) ([]T, error)) ([]T, error) {
+	exec func(ctx context.Context, group string, idx []int, out []T) error) ([]T, error) {
 	r.submitted.Add(uint64(len(jobs)))
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	c := &groupCall[T]{r: r, jobs: jobs, exec: exec, out: make([]T, len(jobs))}
+	c := &groupCall[T]{r: r, jobs: jobs, exec: exec, out: make([]T, len(jobs)), cells: make([]cell, len(jobs))}
 
-	// Claim pass, under one lock: every keyed cell finds its entry or
-	// claims a new one. Unkeyed cells always execute.
-	cells := make([]cellEntry, len(jobs))
+	// Lookup pass, under one lock: every keyed cell finds its entry.
+	// Unkeyed cells always execute.
+	misses := 0
 	r.mu.Lock()
 	for i := range jobs {
-		key := jobs[i].Key
-		if key == "" {
-			cells[i].own = true
-			continue
+		if key := jobs[i].Key; key != "" {
+			c.cells[i].e = r.cache[key]
 		}
-		if e, ok := r.cache[key]; ok {
-			cells[i].e = e
-			continue
+		if c.cells[i].e == nil {
+			misses++
 		}
-		e := &entry{done: make(chan struct{})}
-		r.cache[key] = e
-		cells[i] = cellEntry{e: e, own: true}
 	}
 	r.mu.Unlock()
 
-	// Dispatch pass, in job order: serve resolved entries inline, give
-	// each claimed cell one look in the persistent tier, and sort the
-	// rest into fused groups (in first-appearance order, so the schedule
-	// is deterministic) and waits on other callers' claims.
-	var (
-		groupOrder   []string
-		groupIdx     map[string][]int
-		groupEntries map[string][]*entry
-		waiters      []int
-	)
-	for i := range jobs {
-		job, e := &jobs[i], cells[i].e
-		switch {
-		case !cells[i].own && e.resolved() && !isContextErr(e.err):
-			c.settle(i, e, false)
-			continue
-		case !cells[i].own:
-			waiters = append(waiters, i)
-			continue
-		case e != nil && c.diskHit(i, e):
-			continue
+	// Claim pass, only when some cell missed: the cells are sorted into
+	// their groups outside the lock, then every missing keyed cell that
+	// is still missing claims an entry, which shares its group's done
+	// signal. New entries come from one slab.
+	if misses > 0 {
+		c.group()
+		slab := make([]entry, misses)
+		r.mu.Lock()
+		for i := range jobs {
+			cl := &c.cells[i]
+			key := jobs[i].Key
+			switch {
+			case cl.e != nil:
+				continue
+			case key == "":
+				cl.own = true
+				continue
+			}
+			if e, ok := r.cache[key]; ok {
+				cl.e = e // claimed since the lookup, perhaps by this call
+				continue
+			}
+			g := &c.groups[cl.g]
+			if g.done == nil {
+				g.done = make(chan struct{})
+			}
+			e := &slab[0]
+			slab = slab[1:]
+			e.done = g.done
+			r.cache[key] = e
+			cl.e, cl.own = e, true
 		}
-		if groupIdx == nil {
-			groupIdx, groupEntries = map[string][]int{}, map[string][]*entry{}
-		}
-		if _, ok := groupIdx[job.Group]; !ok {
-			groupOrder = append(groupOrder, job.Group)
-		}
-		groupIdx[job.Group] = append(groupIdx[job.Group], i)
-		groupEntries[job.Group] = append(groupEntries[job.Group], e)
+		r.mu.Unlock()
 	}
-	if len(groupOrder) == 0 && len(waiters) == 0 {
+
+	// Dispatch pass, in job order: serve resolved entries inline, give
+	// each claimed cell one look in the persistent tier, and leave the
+	// rest to execute with their groups or wait on other claims.
+	waiters := 0
+	for i := range jobs {
+		cl := &c.cells[i]
+		switch {
+		case !cl.own && cl.e.resolved() && !isContextErr(cl.e.err):
+			c.settle(i, cl.e, false)
+		case !cl.own:
+			cl.wait = true
+			waiters++
+		case cl.e != nil && c.diskHit(i, cl.e):
+		default:
+			cl.exec = true
+		}
+	}
+	var runs []*groupRun
+	if misses > 0 {
+		runs = c.pending()
+	}
+	if len(runs) == 0 && waiters == 0 {
 		return collectErrs(c.out, c.errs)
 	}
 
@@ -130,31 +157,44 @@ func MapGroups[T any](ctx context.Context, r *Runner, jobs []GroupJob[T],
 		c.errs = make([]error, len(jobs))
 	}
 	var wg sync.WaitGroup
-	for _, g := range groupOrder {
-		idx, entries := groupIdx[g], groupEntries[g]
+	for _, g := range runs {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			c.execGroup(idx, entries)
+			c.execGroup(g)
 		}()
 	}
-	for _, i := range waiters {
+	for i := range c.cells {
+		if !c.cells[i].wait {
+			continue
+		}
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			c.wait(i, cells[i].e)
+			c.wait(i, c.cells[i].e)
 		}()
 	}
 	wg.Wait()
 	return collectErrs(c.out, c.errs)
 }
 
-// cellEntry is a cell's cache entry as the claim pass found it; own
-// marks a cell this call executes (a new claim, or an unkeyed cell
-// with no entry).
-type cellEntry struct {
-	e   *entry
-	own bool
+// cell is one job of a MapGroups call: its cache entry as the claim
+// pass found it, its group, and what the dispatch pass left it to do.
+// own marks a cell this call claimed (or an unkeyed cell, which has no
+// entry); exec a cell its group executes; wait a cell that waits on
+// another claim.
+type cell struct {
+	e               *entry
+	g               int32
+	own, exec, wait bool
+}
+
+// groupRun is one execution group of a MapGroups call: idx are its
+// cells in job order, and done is the signal its claimed cells share
+// (nil while it has claimed none).
+type groupRun struct {
+	idx  []int
+	done chan struct{}
 }
 
 // groupCall is the state of one MapGroups call. ctx and cancel are set
@@ -163,11 +203,73 @@ type cellEntry struct {
 type groupCall[T any] struct {
 	r      *Runner
 	jobs   []GroupJob[T]
-	exec   func(ctx context.Context, group string, idx []int) ([]T, error)
+	exec   func(ctx context.Context, group string, idx []int, out []T) error
 	ctx    context.Context
 	cancel context.CancelFunc
 	out    []T
 	errs   []error
+	cells  []cell
+	groups []groupRun // in order of first appearance
+}
+
+// group sorts the jobs into their groups: order is one flat index,
+// sorted stably by Group, so each group's cells are one run of it in
+// job order, and the groups are numbered in order of first appearance.
+func (c *groupCall[T]) group() {
+	jobs := c.jobs
+	order := make([]int, len(jobs))
+	for i := range order {
+		order[i] = i
+	}
+	slices.SortStableFunc(order, func(a, b int) int { return strings.Compare(jobs[a].Group, jobs[b].Group) })
+	n := 0
+	for k, i := range order {
+		if k == 0 || jobs[i].Group != jobs[order[k-1]].Group {
+			n++
+		}
+	}
+	c.groups = make([]groupRun, 0, n)
+	for lo := 0; lo < len(order); {
+		hi := lo + 1
+		for hi < len(order) && jobs[order[hi]].Group == jobs[order[lo]].Group {
+			hi++
+		}
+		c.groups = append(c.groups, groupRun{idx: order[lo:hi:hi]})
+		lo = hi
+	}
+	slices.SortFunc(c.groups, func(a, b groupRun) int { return a.idx[0] - b.idx[0] })
+	for g := range c.groups {
+		for _, i := range c.groups[g].idx {
+			c.cells[i].g = int32(g)
+		}
+	}
+}
+
+// pending cuts each group down to the cells it executes, and returns the
+// groups left with any. A group whose claimed cells all hit the
+// persistent tier is resolved: its done signal closes here.
+func (c *groupCall[T]) pending() []*groupRun {
+	var runs []*groupRun
+	for gi := range c.groups {
+		g := &c.groups[gi]
+		idx := g.idx[:0]
+		for _, i := range g.idx {
+			if c.cells[i].exec {
+				idx = append(idx, i)
+			}
+		}
+		g.idx = idx
+		switch {
+		case len(idx) > 0:
+			if runs == nil {
+				runs = make([]*groupRun, 0, len(c.groups)-gi)
+			}
+			runs = append(runs, g)
+		case g.done != nil:
+			close(g.done)
+		}
+	}
+	return runs
 }
 
 func (c *groupCall[T]) typeOK(v any) bool { _, ok := v.(T); return ok }
@@ -191,8 +293,9 @@ func (c *groupCall[T]) settle(i int, e *entry, coalesced bool) {
 }
 
 // diskHit gives claimed cell i one look in the persistent tier before
-// it joins a fused group: a hit resolves the claim at once and keeps the
-// cell out of this call's traversals.
+// it joins its group's execution: a hit settles the cell's entry at
+// once, and its group's done signal announces it (see pending and
+// resolve), keeping the cell out of this call's traversals.
 func (c *groupCall[T]) diskHit(i int, e *entry) bool {
 	r, job := c.r, &c.jobs[i]
 	v, hit := r.tierGet(job.Key)
@@ -207,51 +310,56 @@ func (c *groupCall[T]) diskHit(i int, e *entry) bool {
 		return false
 	}
 	e.val = v
-	close(e.done)
 	c.out[i] = vv
 	r.diskHits.Inc()
 	r.emit(Event{Kind: JobCached, Key: job.Key, Label: job.label(), Completed: r.completed.Add(1)})
 	return true
 }
 
-// resolve records one group outcome: per-cell results or a shared
-// error, finalising the cache entries the group claimed (nil for
-// uncacheable cells). Entries resolved with a context error are
-// dropped from the cache before done closes, so waiters retry and a
-// later uncancelled call recomputes the cell (as in Runner.do).
-func (c *groupCall[T]) resolve(idx []int, entries []*entry, vals []T, err error) {
+// resolve records one group outcome: the results exec stored in out,
+// or a shared error. It finalises the cache entries the group claimed
+// and then closes its done signal. Entries resolved with a context
+// error are dropped from the cache first, so waiters retry and a later
+// uncancelled call recomputes the cell (as in Runner.do).
+func (c *groupCall[T]) resolve(g *groupRun, err error) {
 	r := c.r
 	if err != nil {
 		c.cancel()
 	}
-	for j, i := range idx {
+	dropped := err != nil && isContextErr(err)
+	if dropped {
+		r.mu.Lock()
+	}
+	for _, i := range g.idx {
 		if err != nil {
 			c.errs[i] = err
-		} else {
-			c.out[i] = vals[j]
 		}
-		e := entries[j]
+		e := c.cells[i].e
 		if e == nil {
 			continue
 		}
-		if err != nil {
+		switch {
+		case dropped:
 			e.err = err
-		} else {
-			e.val = vals[j]
-			r.tierPut(c.jobs[i].Key, vals[j])
-		}
-		if err != nil && isContextErr(err) {
-			r.mu.Lock()
 			delete(r.cache, c.jobs[i].Key)
-			r.mu.Unlock()
+		case err != nil:
+			e.err = err
+		default:
+			e.val = c.out[i]
+			r.tierPut(c.jobs[i].Key, c.out[i])
 		}
-		close(e.done)
+	}
+	if dropped {
+		r.mu.Unlock()
+	}
+	if g.done != nil {
+		close(g.done)
 	}
 }
 
-// execGroup runs exec for the claimed cells on one worker slot.
-func (c *groupCall[T]) execGroup(idx []int, entries []*entry) {
-	r, ctx := c.r, c.ctx
+// execGroup runs exec for the group's cells on one worker slot.
+func (c *groupCall[T]) execGroup(g *groupRun) {
+	r, ctx, idx := c.r, c.ctx, g.idx
 	label := c.jobs[idx[0]].label()
 	if len(idx) > 1 {
 		label = fmt.Sprintf("%s (+%d fused)", label, len(idx)-1)
@@ -260,32 +368,29 @@ func (c *groupCall[T]) execGroup(idx []int, entries []*entry) {
 	select {
 	case r.sem <- struct{}{}:
 	case <-ctx.Done():
-		c.resolve(idx, entries, nil, ctx.Err())
+		c.resolve(g, ctx.Err())
 		return
 	}
 	defer func() { <-r.sem }()
 	if err := ctx.Err(); err != nil {
-		c.resolve(idx, entries, nil, err)
+		c.resolve(g, err)
 		return
 	}
 	r.emit(Event{Kind: JobStarted, Key: group, Label: label, Completed: r.completed.Load()})
 	start := time.Now()
-	vals, err := c.exec(ctx, group, idx)
+	err := c.exec(ctx, group, idx, c.out)
 	elapsed := time.Since(start)
 	r.groupRuns.Inc()
 	mJobSeconds.Observe(elapsed.Seconds())
-	if err == nil && len(vals) != len(idx) {
-		err = fmt.Errorf("runner: group %q returned %d results for %d cells", group, len(vals), len(idx))
-	}
 	if err != nil {
 		r.failures.Inc()
 		r.emit(Event{Kind: JobFailed, Key: group, Label: label, Err: err, Elapsed: elapsed, Completed: r.completed.Load()})
-		c.resolve(idx, entries, nil, err)
+		c.resolve(g, err)
 		return
 	}
 	r.executed.Add(uint64(len(idx)))
 	r.emit(Event{Kind: JobDone, Key: group, Label: label, Elapsed: elapsed, Completed: r.completed.Add(uint64(len(idx)))})
-	c.resolve(idx, entries, vals, nil)
+	c.resolve(g, nil)
 }
 
 // wait resolves cell i through the entry e, which another claim held
@@ -314,10 +419,12 @@ func (c *groupCall[T]) wait(i int, e *entry) {
 		r.mu.Lock()
 		next, ok := r.cache[key]
 		if !ok {
-			next = &entry{done: make(chan struct{})}
+			g := &groupRun{idx: []int{i}, done: make(chan struct{})}
+			next = &entry{done: g.done}
 			r.cache[key] = next
 			r.mu.Unlock()
-			c.execGroup([]int{i}, []*entry{next})
+			c.cells[i].e = next
+			c.execGroup(g)
 			return
 		}
 		r.mu.Unlock()

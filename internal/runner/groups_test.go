@@ -10,14 +10,13 @@ import (
 
 // groupExec returns an exec that computes cell i as f(i) and counts
 // invocations (one per fused group).
-func groupExec(f func(i int) int, runs *atomic.Uint64) func(ctx context.Context, group string, idx []int) ([]int, error) {
-	return func(ctx context.Context, group string, idx []int) ([]int, error) {
+func groupExec(f func(i int) int, runs *atomic.Uint64) func(ctx context.Context, group string, idx []int, out []int) error {
+	return func(ctx context.Context, group string, idx []int, out []int) error {
 		runs.Add(1)
-		out := make([]int, len(idx))
-		for j, i := range idx {
-			out[j] = f(i)
+		for _, i := range idx {
+			out[i] = f(i)
 		}
-		return out, nil
+		return nil
 	}
 }
 
@@ -62,12 +61,13 @@ func TestMapGroupsCacheInterop(t *testing.T) {
 		{Key: "b", Group: "g"},
 		{Key: "c", Group: "g"},
 	}
-	out, err := MapGroups(ctx, r, jobs, func(ctx context.Context, group string, idx []int) ([]int, error) {
+	out, err := MapGroups(ctx, r, jobs, func(ctx context.Context, group string, idx []int, out []int) error {
 		runs.Add(1)
 		if len(idx) != 2 || idx[0] != 1 || idx[1] != 2 {
-			return nil, fmt.Errorf("group got cells %v, want [1 2] (cell 0 is cached)", idx)
+			return fmt.Errorf("group got cells %v, want [1 2] (cell 0 is cached)", idx)
 		}
-		return []int{201, 202}, nil
+		out[1], out[2] = 201, 202
+		return nil
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -145,8 +145,8 @@ func TestMapGroupsFailurePropagates(t *testing.T) {
 		{Key: "f1", Group: "bad"},
 		{Key: "f2", Group: "bad"},
 	}
-	_, err := MapGroups(context.Background(), r, jobs, func(ctx context.Context, group string, idx []int) ([]int, error) {
-		return nil, boom
+	_, err := MapGroups(context.Background(), r, jobs, func(ctx context.Context, group string, idx []int, out []int) error {
+		return boom
 	})
 	if !errors.Is(err, boom) {
 		t.Fatalf("err = %v, want boom", err)
@@ -161,19 +161,6 @@ func TestMapGroupsFailurePropagates(t *testing.T) {
 	}}})
 	if !errors.Is(err, boom) {
 		t.Fatalf("replayed err = %v, want boom", err)
-	}
-}
-
-// TestMapGroupsResultCountMismatch: exec returning the wrong number of
-// results is an error, not a silent truncation.
-func TestMapGroupsResultCountMismatch(t *testing.T) {
-	r := New(Config{})
-	jobs := []GroupJob[int]{{Key: "m1", Group: "g"}, {Key: "m2", Group: "g"}}
-	_, err := MapGroups(context.Background(), r, jobs, func(ctx context.Context, group string, idx []int) ([]int, error) {
-		return []int{1}, nil
-	})
-	if err == nil {
-		t.Fatal("short result slice accepted")
 	}
 }
 

@@ -51,10 +51,11 @@ func TestMapGroupsInlineStats(t *testing.T) {
 		started, gate, dispatched := make(chan struct{}), make(chan struct{}), make(chan struct{})
 		first := make(chan error, 1)
 		go func() {
-			_, err := MapGroups(ctx, r, keyedJobs("gx", "x"), func(context.Context, string, []int) ([]int, error) {
+			_, err := MapGroups(ctx, r, keyedJobs("gx", "x"), func(_ context.Context, _ string, _ []int, out []int) error {
 				close(started)
 				<-gate
-				return []int{7}, nil
+				out[0] = 7
+				return nil
 			})
 			first <- err
 		}()
@@ -63,10 +64,11 @@ func TestMapGroupsInlineStats(t *testing.T) {
 		// after the call has dispatched every cell, so by the time y
 		// signals, x is known to be a wait.
 		jobs := []GroupJob[int]{{Key: "x", Group: "gx"}, {Key: "y", Group: "gy"}}
-		out, err := MapGroups(ctx, r, jobs, func(_ context.Context, g string, idx []int) ([]int, error) {
+		out, err := MapGroups(ctx, r, jobs, func(_ context.Context, g string, idx []int, out []int) error {
 			close(dispatched)
 			close(gate)
-			return []int{8}, nil
+			out[1] = 8
+			return nil
 		})
 		if err != nil || out[0] != 7 || out[1] != 8 {
 			t.Fatalf("out = %v, %v", out, err)
@@ -110,8 +112,8 @@ func TestMapGroupsInlineCachedFailure(t *testing.T) {
 	ctx := context.Background()
 	r := New(Config{Workers: 2})
 	boom := errors.New("boom")
-	if _, err := MapGroups(ctx, r, keyedJobs("gf", "f"), func(context.Context, string, []int) ([]int, error) {
-		return nil, boom
+	if _, err := MapGroups(ctx, r, keyedJobs("gf", "f"), func(context.Context, string, []int, []int) error {
+		return boom
 	}); !errors.Is(err, boom) {
 		t.Fatalf("first call: err = %v, want boom", err)
 	}
@@ -146,22 +148,24 @@ func TestMapGroupsInlineRetriesCancelledClaim(t *testing.T) {
 	started, dispatched := make(chan struct{}), make(chan struct{})
 	first := make(chan error, 1)
 	go func() {
-		_, err := MapGroups(cctx, r, keyedJobs("gx", "x"), func(ctx context.Context, _ string, _ []int) ([]int, error) {
+		_, err := MapGroups(cctx, r, keyedJobs("gx", "x"), func(ctx context.Context, _ string, _ []int, _ []int) error {
 			close(started)
 			<-ctx.Done()
-			return nil, ctx.Err()
+			return ctx.Err()
 		})
 		first <- err
 	}()
 	<-started
 	jobs := []GroupJob[int]{{Key: "x", Group: "gx"}, {Key: "y", Group: "gy"}}
-	out, err := MapGroups(context.Background(), r, jobs, func(_ context.Context, g string, idx []int) ([]int, error) {
+	out, err := MapGroups(context.Background(), r, jobs, func(_ context.Context, g string, idx []int, out []int) error {
 		if g == "gy" {
 			close(dispatched)
 			cancel()
-			return []int{2}, nil
+			out[1] = 2
+			return nil
 		}
-		return []int{1}, nil
+		out[0] = 1
+		return nil
 	})
 	if err != nil || out[0] != 1 || out[1] != 2 {
 		t.Fatalf("out = %v, %v; want the retried x computed", out, err)

@@ -103,14 +103,13 @@ func TestMapGroupsHitsDiskTierPerCell(t *testing.T) {
 	c := newFakeCache()
 	ctx := context.Background()
 	// Groups execute concurrently, so the count is atomic.
-	exec := func(mul int, execs *atomic.Int64) func(context.Context, string, []int) ([]int, error) {
-		return func(_ context.Context, _ string, idx []int) ([]int, error) {
+	exec := func(mul int, execs *atomic.Int64) func(context.Context, string, []int, []int) error {
+		return func(_ context.Context, _ string, idx []int, out []int) error {
 			execs.Add(1)
-			out := make([]int, len(idx))
-			for j, i := range idx {
-				out[j] = mul * (i + 1)
+			for _, i := range idx {
+				out[i] = mul * (i + 1)
 			}
-			return out, nil
+			return nil
 		}
 	}
 	jobs := []GroupJob[int]{
@@ -201,8 +200,9 @@ func TestStaleTypeFromTier(t *testing.T) {
 	// MapGroups: self-invalidates the same way.
 	r2 := New(Config{Workers: 1, Cache: c})
 	out, err = MapGroups(ctx, r2, []GroupJob[int]{{Key: "k", Group: "g"}},
-		func(_ context.Context, _ string, idx []int) ([]int, error) {
-			return []int{42}, nil
+		func(_ context.Context, _ string, idx []int, out []int) error {
+			out[0] = 42
+			return nil
 		})
 	if err != nil || out[0] != 42 {
 		t.Fatalf("MapGroups with stale-typed tier value: %v %v", out, err)

@@ -39,15 +39,16 @@ func (w *discardWriter) Write(b []byte) (int, error) {
 }
 
 // warmServedGridSlack bounds how many more bytes the handler around a
-// warm fig6 run (72 cells) may allocate than around a warm table1 run
-// (18 cells). fig6's payload is about 1 KB larger; encoding it into a
-// fresh buffer would show as at least that.
+// warm fig7 run (360 cells) may allocate than around a warm table2 run
+// (18 cells). At 20k instructions fig7's payload is 9,614 bytes and
+// table2's 492, so encoding into a fresh buffer would show as about
+// 9 KB, far beyond the slack.
 const warmServedGridSlack = 256
 
 // TestWarmServedGridAllocs pins what a served named-grid request costs
 // beyond its grid.Run once every cell is in the runner's memory. The
-// handler encodes into a pooled buffer sized once, so what a warm fig6
-// request allocates more than a warm table1 request is what grid.Run
+// handler encodes into a pooled buffer sized once, so what a warm fig7
+// request allocates more than a warm table2 request is what grid.Run
 // allocates more (the runner's per-cell result and cache-entry slices,
 // see TestWarmGridAllocs), within warmServedGridSlack bytes, whatever
 // the payload size.
@@ -97,12 +98,12 @@ func TestWarmServedGridAllocs(t *testing.T) {
 		})
 		return served, perRun(gridRun)
 	}
-	smallServed, smallRun := warm("table1")
-	largeServed, largeRun := warm("fig6")
-	t.Logf("warm bytes per request: table1 %d served, %d in grid.Run; fig6 %d served, %d in grid.Run",
+	smallServed, smallRun := warm("table2")
+	largeServed, largeRun := warm("fig7")
+	t.Logf("warm bytes per request: table2 %d served, %d in grid.Run; fig7 %d served, %d in grid.Run",
 		smallServed, smallRun, largeServed, largeRun)
 	if int64(largeServed-smallServed)-int64(largeRun-smallRun) > warmServedGridSlack {
-		t.Errorf("a warm served fig6 allocates %d bytes and table1 %d, but their grid.Runs differ by %d; want the handler's difference within %d bytes of that",
+		t.Errorf("a warm served fig7 allocates %d bytes and table2 %d, but their grid.Runs differ by %d; want the handler's difference within %d bytes of that",
 			largeServed, smallServed, largeRun-smallRun, warmServedGridSlack)
 	}
 }

@@ -3,8 +3,8 @@ package spec
 import (
 	"fmt"
 	"slices"
-	"sync"
 
+	"dynloop/internal/freelist"
 	"dynloop/internal/isa"
 	"dynloop/internal/loopdet"
 	"dynloop/internal/looptab"
@@ -166,13 +166,15 @@ type Lane struct {
 func (l Lane) Metrics() Metrics { return l.b.metrics(l.i) }
 
 // banks recycles Banks with their LET, lanes and records (see Release).
-var banks = sync.Pool{New: func() any { return new(Bank) }}
+// A fused group of the paper's grids takes at most four; the bound
+// covers four such groups at once.
+var banks = freelist.New[Bank]("spec.banks", 16)
 
 // NewBank returns an empty bank whose lanes predict from one LET of
 // letCapacity entries (0 = unbounded), which the bank keeps current. It
 // may return a released bank, which keeps the storage it grew.
 func NewBank(letCapacity int) *Bank {
-	b := banks.Get().(*Bank)
+	b := banks.Get()
 	b.Reset(letCapacity)
 	return b
 }

@@ -330,9 +330,6 @@ func (l *eventLog) replay(o loopdet.CountObserver, x *loopdet.Exec) {
 // loop events, allocates as much replaying the events of 100k
 // instructions as of 500k — nothing.
 func TestBankAllocsDoNotScale(t *testing.T) {
-	if raceEnabled {
-		t.Skip("the race runtime's allocations are not what production sees")
-	}
 	bm, err := workload.Lookup("swim")
 	if err != nil {
 		t.Fatal(err)

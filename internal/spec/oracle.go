@@ -1,8 +1,7 @@
 package spec
 
 import (
-	"sync"
-
+	"dynloop/internal/freelist"
 	"dynloop/internal/isa"
 	"dynloop/internal/loopdet"
 )
@@ -18,14 +17,15 @@ type OracleRecorder struct {
 	slot   map[uint64]int
 }
 
-// oracleRecorders recycles OracleRecorders (see Release).
-var oracleRecorders = sync.Pool{New: func() any { return new(OracleRecorder) }}
+// oracleRecorders recycles OracleRecorders (see Release). An oracle
+// cell takes one; the bound covers four at once.
+var oracleRecorders = freelist.New[OracleRecorder]("spec.oracleRecorders", 4)
 
 // NewOracleRecorder returns an empty recorder; attach it as a detector
 // observer. It may return a released recorder, which keeps the storage
 // it grew.
 func NewOracleRecorder() *OracleRecorder {
-	r := oracleRecorders.Get().(*OracleRecorder)
+	r := oracleRecorders.Get()
 	r.Reset()
 	return r
 }

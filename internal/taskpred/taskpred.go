@@ -14,8 +14,7 @@
 package taskpred
 
 import (
-	"sync"
-
+	"dynloop/internal/freelist"
 	"dynloop/internal/isa"
 	"dynloop/internal/loopdet"
 )
@@ -55,13 +54,14 @@ type Predictor struct {
 	hits        uint64
 }
 
-// predictors recycles Predictors with their tables (see Release).
-var predictors = sync.Pool{New: func() any { return new(Predictor) }}
+// predictors recycles Predictors with their tables (see Release). A
+// fused group takes at most one; the bound covers four at once.
+var predictors = freelist.New[Predictor]("taskpred.predictors", 4)
 
 // New returns a predictor with the given configuration. It may return a
 // released predictor, which keeps its tables' storage.
 func New(cfg Config) *Predictor {
-	p := predictors.Get().(*Predictor)
+	p := predictors.Get()
 	p.Reset(cfg)
 	return p
 }

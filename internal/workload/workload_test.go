@@ -102,8 +102,9 @@ func TestDeterministicAcrossBuilds(t *testing.T) {
 }
 
 // TestCalibration prints the Table-1-style comparison (run with -v).
-// It asserts only the coarse qualitative shape; EXPERIMENTS.md records
-// the full numbers.
+// It asserts only the coarse qualitative shape; its log is where the
+// full numbers are, until a measured comparison with the paper exists
+// (ROADMAP item 1).
 func TestCalibration(t *testing.T) {
 	if testing.Short() {
 		t.Skip("calibration is a long test")

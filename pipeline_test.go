@@ -64,10 +64,7 @@ func TestSteadyStateZeroAllocs(t *testing.T) {
 				t.Fatal(err)
 			}
 		})
-		// Under the race detector pooled batch buffers are dropped at
-		// random, so only non-race builds (bench_smoke.sh gate 3) pin
-		// the count.
-		if avg != 0 && !raceEnabled {
+		if avg != 0 {
 			t.Fatalf("%s steady-state allocs per 10k-instruction run = %v, want 0", leg.name, avg)
 		}
 	}
@@ -100,9 +97,7 @@ func TestCtlSteadyStateZeroAllocs(t *testing.T) {
 			t.Fatal(err)
 		}
 	})
-	// As above: the race runtime drops pooled batch buffers at random,
-	// so only non-race builds (bench_smoke.sh gate 3) pin the count.
-	if avg != 0 && !raceEnabled {
+	if avg != 0 {
 		t.Fatalf("ctl steady-state allocs per 10k-instruction run = %v, want 0", avg)
 	}
 }

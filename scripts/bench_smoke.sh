@@ -49,12 +49,17 @@
 # TestCtlReplayZeroAllocs pins that a warm control-plane replay of each
 # of the 18 workloads allocates nothing. TestFreshSeedWriteAllocs pins
 # that, with programs built, a one-cell table1 grid at a fresh seed (a
-# serve-mix write) allocates at most 32 KB on every workload, so a seed
+# serve-mix write) allocates at most 12 KB on every workload, so a seed
 # cannot go back to building and predecoding its own program.
 # TestRecycleWarmGroupAllocs pins that a warm execution of any
 # registered grid's fused group allocates at most 16 KB, so groups
 # cannot go back to building their detectors, banks, tables,
-# collectors and data pages from scratch.
+# collectors, predictor suites and data pages from scratch.
+# TestWarmAllAllocs pins that a warm render of the whole evaluation at
+# 500k instructions over all 18 workloads allocates at most 1.1 MB, so
+# passes cannot go back to being dropped between groups nor the runner
+# to per-cell bookkeeping, and that every free list stays within its
+# bound.
 # TestWarmGridAllocs pins that a registered grid whose every cell is a
 # runner memory hit allocates no more on fig6 (72 cells) than on table1
 # (18 cells), so cached cells cannot go back to a goroutine or a group
@@ -111,8 +116,8 @@ awk -v r="$REPLAY_NS" -v i="$INTERP_NS" -v k="$REPLAY_RATIO" 'BEGIN { exit !(r <
 	fail "full replay (${REPLAY_NS} ns/instr) regressed above interpretation (${INTERP_NS} ns/instr) beyond the ${REPLAY_RATIO}x noise ratio"
 
 echo "bench_smoke: allocation scaling, zero-alloc and event-plane pins"
-go test -count=1 -run '^(TestAllocsDoNotScaleWithBudget|TestSteadyStateZeroAllocs|TestCtlSteadyStateZeroAllocs|TestNilSinkNoAllocs|TestReplayZeroAllocs|TestReplayCtlZeroAllocs|TestHotPathZeroAllocs|TestExecStartZeroAllocs|TestCtlOnlyCellPlanes|TestBatchCutInvariance|TestWarmLoopZeroAllocs|TestCompileAllocs|TestCompileMemoHitAllocs|TestGroupDetectorCounts|TestCtlReplayZeroAllocs|TestFreshSeedWriteAllocs|TestWarmGridAllocs|TestRecycleWarmGroupAllocs|TestBankAllocsDoNotScale|TestFig8TraversalAllocsDoNotScale|TestAppendCellsAllocs|TestDecodeCellsAllocs|TestWarmServedGridAllocs)$' \
-	. ./internal/grid ./internal/interp ./internal/tracefile ./internal/obs ./internal/taskpred ./internal/datapred ./internal/spec ./internal/wire ./internal/server ||
-	fail "a hot path allocates again, the data tap grows with the stream, a grid left the control plane, a fused group builds extra detectors or banks, a fresh seed rebuilds its program, a group builds its passes anew, a registered grid recompiles, a warm grid allocates per cell, an engine bank allocates per loop event, or a grid payload is regrown or re-boxed on the wire (see the failing test above)"
+go test -count=1 -run '^(TestAllocsDoNotScaleWithBudget|TestSteadyStateZeroAllocs|TestCtlSteadyStateZeroAllocs|TestNilSinkNoAllocs|TestReplayZeroAllocs|TestReplayCtlZeroAllocs|TestHotPathZeroAllocs|TestExecStartZeroAllocs|TestCtlOnlyCellPlanes|TestBatchCutInvariance|TestWarmLoopZeroAllocs|TestCompileAllocs|TestCompileMemoHitAllocs|TestGroupDetectorCounts|TestCtlReplayZeroAllocs|TestFreshSeedWriteAllocs|TestWarmGridAllocs|TestRecycleWarmGroupAllocs|TestBankAllocsDoNotScale|TestFig8TraversalAllocsDoNotScale|TestAppendCellsAllocs|TestDecodeCellsAllocs|TestWarmServedGridAllocs|TestWarmAllAllocs)$' \
+	. ./internal/expt ./internal/grid ./internal/interp ./internal/tracefile ./internal/obs ./internal/taskpred ./internal/datapred ./internal/spec ./internal/wire ./internal/server ||
+	fail "a hot path allocates again, the data tap grows with the stream, a grid left the control plane, a fused group builds extra detectors or banks, a fresh seed rebuilds its program, a group builds its passes anew, a registered grid recompiles, a warm grid allocates per cell, an engine bank allocates per loop event, or a grid payload is regrown or re-boxed on the wire, or a warm paper render allocates more than it keeps (see the failing test above)"
 
 echo "bench_smoke: OK (run ${RUN_NS} ns/instr; replay ${REPLAY_NS} vs interpret ${INTERP_NS} ns/instr; 0 allocs; no per-execution allocation)"
