@@ -3,6 +3,7 @@ package grid
 import (
 	"context"
 	"fmt"
+	"slices"
 	"sync/atomic"
 
 	"dynloop/internal/builder"
@@ -266,11 +267,7 @@ func (g *group) slot(cls int, tap bool) *groupDet {
 	groupDetectors.Add(1)
 	// A released group's slots keep their bank slices for reuse.
 	n := len(g.dets)
-	if n < cap(g.dets) {
-		g.dets = g.dets[:n+1]
-	} else {
-		g.dets = append(g.dets, groupDet{})
-	}
+	g.dets = slices.Grow(g.dets, 1)[:n+1]
 	d := &g.dets[n]
 	*d = groupDet{capacity: capacity, tap: tap, det: det, banks: d.banks[:0]}
 	g.passes = append(g.passes, det)
